@@ -20,6 +20,7 @@ from .frame_core import (
 )
 from .polytope import (
     DegenerateFacetError,
+    DegeneratePolytopeError,
     FacetRecord,
     SectionPolytope,
     build_section,

@@ -25,7 +25,12 @@ from .frame_core import (
 )
 # build_section and volume are unused here but stay bound in this module:
 # perfbench/run.py wraps them at these names to trace the optimize workloads.
-from .polytope import build_section, section_volume_fast, volume  # noqa: F401
+from .polytope import (  # noqa: F401
+    DegeneratePolytopeError,
+    build_section,
+    section_volume_fast,
+    volume,
+)
 from .bounds import extremal_frame
 from .conditions import ConditionsReport, verify_frame
 
@@ -63,6 +68,8 @@ class RestartResult:
 
     ``final_volume`` is :func:`section_volume_fast` of ``frame``: the
     volume the ascent climbed on, and the one restarts are ranked by.
+    ``degenerate`` counts the proposals rejected because Qhull could not
+    build their section.
     """
 
     index: int
@@ -72,6 +79,7 @@ class RestartResult:
     accepted: int
     frame: TightFrame = field(repr=False)
     trace: list = field(repr=False)
+    degenerate: int = 0
 
 
 @dataclass
@@ -97,6 +105,7 @@ class OptimizeResult:
                     "final_volume": r.final_volume,
                     "iterations": r.iterations,
                     "accepted": r.accepted,
+                    "degenerate": r.degenerate,
                 }
                 for r in self.restarts
             ],
@@ -140,7 +149,8 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     """Single-restart ascent from a tight frame.
 
     Accepted volumes are strictly increasing, iterates stay tight (rank
-    losses are rejected, not raised), and the run stops when the step
+    losses and proposals whose section Qhull cannot build are rejected,
+    not raised), and the run stops when the step
     schedule is exhausted or the iteration budget runs out.  The reported
     ``final_volume`` is the last accepted :func:`section_volume_fast`
     value, the same number every acceptance was decided on.
@@ -153,6 +163,7 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     step = config.initial_step
     fails = 0
     accepted = 0
+    degenerate = 0
     it = 0
     while it < config.max_iterations:
         it += 1
@@ -162,6 +173,9 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
             new_vol = section_volume_fast(tight.vectors)
         except FrameError:
             new_vol = -np.inf
+        except DegeneratePolytopeError:
+            new_vol = -np.inf
+            degenerate += 1
         if new_vol > vol * (1.0 + config.vol_tol):
             current, vol = tight, new_vol
             trace.append((it, vol))
@@ -182,6 +196,7 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
         accepted=accepted,
         frame=current,
         trace=trace,
+        degenerate=degenerate,
     )
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from cubesec.frame_core import Frame, TightFrame, frame_operator, random_tight_frame, whiten
-from cubesec.polytope import build_section, section_volume_fast, volume
+from cubesec import optimizer
+from cubesec.polytope import DegeneratePolytopeError, build_section, section_volume_fast, volume
 from cubesec.bounds import c_cube, extremal_frame
 from cubesec.optimizer import (
     OptimizerConfig,
@@ -81,6 +82,24 @@ class TestAscend:
         assert res.final_volume == section_volume_fast(res.frame.vectors)
         assert res.final_volume <= 4 * math.sqrt(2)
 
+    def test_degenerate_proposal_is_rejected_not_raised(self, monkeypatch):
+        # a Qhull failure on one proposal must not abort the restart
+        calls = []
+
+        def fails_once(vectors):
+            calls.append(1)
+            if len(calls) == 2:  # the first proposal; call 1 is the start
+                raise DegeneratePolytopeError("degenerate polytope")
+            return section_volume_fast(vectors)
+
+        monkeypatch.setattr(optimizer, "section_volume_fast", fails_once)
+        rng = np.random.default_rng(5)
+        s0 = random_tight_frame(6, 3, rng)
+        res = ascend(s0, small_config(6, 3, max_iterations=50), rng)
+        assert res.degenerate == 1
+        assert res.iterations == 50
+        assert res.final_volume == section_volume_fast(res.frame.vectors)
+
     def test_iterates_stay_tight(self):
         rng = np.random.default_rng(3)
         s0 = random_tight_frame(5, 3, rng)
@@ -131,6 +150,7 @@ class TestMaximize:
         res = maximize(small_config(4, 2, restarts=1, max_iterations=100))
         data = json.loads(res.to_json())
         assert set(data) == {"config", "best", "restarts"}
+        assert [r["degenerate"] for r in data["restarts"]] == [0, 0]
         assert data["best"]["conditions"]["passed"] in (True, False)
         back = Frame.from_dict(data["best"]["frame"])
         np.testing.assert_array_equal(back.vectors, res.best_frame.vectors)

@@ -5,13 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from cubesec.frame_core import Frame, NotAFrameError, TightFrame, frame_edit, random_tight_frame
+from cubesec.frame_core import (
+    Frame,
+    NotAFrameError,
+    TightFrame,
+    frame_edit,
+    random_tight_frame,
+    whiten,
+)
 from cubesec.polytope import (
     DegenerateFacetError,
     FacetRecord,
+    _coincident_row_groups,
     _dedup,
     build_section,
+    convex_volume,
     facet_centroid,
+    halfspace_vertices,
     pyramid_volume,
     rotate_facet_predict,
     rotated_section_volume,
@@ -21,7 +31,7 @@ from cubesec.polytope import (
     volume,
     volume_by_triangulation,
 )
-from cubesec.bounds import extremal_frame
+from cubesec.bounds import c_cube, extremal_frame
 
 
 def square_frame():
@@ -38,6 +48,25 @@ def hexagonal_frame():
 def sorted_rows(a):
     a = np.asarray(a)
     return a[np.lexsort(a.T[::-1])]
+
+
+def enumerated_volume(vectors):
+    """Hull volume of the feasible crossings of the bounding planes +-v_i."""
+    v = np.asarray(vectors, dtype=float)
+    v = v[np.linalg.norm(v, axis=1) > 1e-14]
+    W = np.vstack([v, -v])
+    return convex_volume(halfspace_vertices(W, np.ones(len(W))), v.shape[1])
+
+
+def signed_box_frame(n, k, rng):
+    """The balanced box frame with random signs: exact duplicate planes."""
+    return extremal_frame(n, k, signs=[int(x) for x in rng.choice([-1, 1], n)])
+
+
+def near_parallel_frame(n, k, rng, noise=5e-8):
+    """A box frame with every generator moved by ``noise``, re-whitened."""
+    v = signed_box_frame(n, k, rng).vectors
+    return whiten(Frame(v + noise * rng.standard_normal(v.shape)))[1]
 
 
 class TestBuildSection:
@@ -70,13 +99,24 @@ class TestBuildSection:
         np.testing.assert_allclose(sorted_rows(p.vertices), [[-1.0], [1.0]])
         assert volume(p) == pytest.approx(2.0)
         assert all(f.measure == 1.0 for f in p.facets)
+        # the interval |x| <= 1 / max |v_i|; zero vectors contribute nothing
+        assert section_volume_fast(np.array([[0.5], [-2.0], [0.0], [1.0]])) == 1.0
 
     def test_rank_deficient_rejected(self):
         s = Frame([[1.0, 0.0], [0.0, 1.0]], require_span=False)
-        bad = Frame(np.array([[1.0, 0.0], [2.0, 0.0]]), require_span=False)
+        flat = [
+            np.array([[1.0, 0.0], [2.0, 0.0]]),
+            np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]),
+            # spans only in rounding: Qhull builds a hull 1e-13 thick
+            np.array([[1.0, 0.0], [1.0, 1e-13], [0.5, 0.0]]),
+        ]
         assert build_section(s) is not None
-        with pytest.raises(NotAFrameError, match="not a frame"):
-            build_section(bad)
+        for v in flat:
+            bad = Frame(v, require_span=False)
+            with pytest.raises(NotAFrameError, match="not a frame"):
+                build_section(bad)
+            with pytest.raises(NotAFrameError, match="not a frame"):
+                section_volume_fast(bad.vectors)
 
     def test_tangent_slab_yields_no_facet(self):
         s = Frame([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
@@ -161,8 +201,6 @@ class TestVolume:
     def test_near_coincident_planes_not_double_counted(self):
         # two constraint planes at a small angle cross inside a common
         # facet band; facet contents must tile the band, not overlap
-        from cubesec.frame_core import whiten
-
         spatial = [
             [1 / math.sqrt(2), 0.0, 0.0],
             [1 / math.sqrt(2), 1e-6, -3e-7],
@@ -184,6 +222,12 @@ class TestVolume:
             total = sum(pyramid_volume(p, f) for f in p.facets)
             assert total == pytest.approx(volume(p), rel=1e-9)
             assert volume(p) <= bound + 1e-9
+            if s.k == 2:
+                # the polar route has no slack: it matches the exact edges
+                assert section_volume_fast(s.vectors) == pytest.approx(volume(p), rel=1e-15)
+            else:
+                # nearly coincident planes take the enumeration, unchanged
+                assert section_volume_fast(s.vectors) == enumerated_volume(s.vectors)
 
     def test_fast_path_agrees(self):
         rng = np.random.default_rng(25)
@@ -194,6 +238,28 @@ class TestVolume:
             assert section_volume_fast(s.vectors) == pytest.approx(
                 volume(build_section(s)), rel=1e-9
             )
+
+    def test_fast_path_matches_enumeration(self):
+        # the pyramid sum of build_section is left out: at k = 5 it runs
+        # about 3e-9 high on random frames, where these two agree
+        rng = np.random.default_rng(31)
+        cells = [(int(n), k) for k in range(1, 6) for n in rng.integers(k + 1, 9, size=6)]
+        for n, k in cells + [(16, 5)]:
+            v = random_tight_frame(n, k, rng).vectors
+            fast = section_volume_fast(v)
+            assert fast == pytest.approx(enumerated_volume(v), rel=1e-12)
+            # zero vectors contribute no constraint
+            padded = np.vstack([v[:1], np.zeros((2, k)), v[1:]])
+            assert section_volume_fast(padded) == pytest.approx(fast, rel=1e-12)
+
+    def test_fast_path_on_box_frames(self):
+        rng = np.random.default_rng(32)
+        for n, k in ((3, 2), (6, 2), (10, 2), (7, 3), (7, 4), (12, 4), (6, 1)):
+            for _ in range(3):
+                v = signed_box_frame(n, k, rng).vectors
+                box = 2**k * c_cube(n, k)
+                assert section_volume_fast(v) == pytest.approx(box, rel=1e-12)
+                assert section_volume_fast(v) == pytest.approx(enumerated_volume(v), rel=1e-12)
 
 
 def reference_dedup(points, eps):
@@ -208,6 +274,47 @@ def reference_dedup(points, eps):
                 lo, hi = sorted((root[i], root[j]))
                 root = [lo if r == hi else r for r in root]
     return pts[[root[i] == i for i in range(len(pts))]]
+
+
+def reference_row_groups(W, tol):
+    """Union-find over every pair of rows within ``tol`` in every coordinate."""
+    m = len(W)
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            if np.max(np.abs(W[i] - W[j])) <= tol:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(m):
+        groups.setdefault(find(i), []).append(i)
+    return [groups[r] for r in sorted(groups)]
+
+
+class TestRowGroups:
+    def test_matches_reference(self):
+        rng = np.random.default_rng(33)
+        for n, k in ((3, 2), (10, 2), (7, 3), (7, 4), (12, 4)):
+            for make in (signed_box_frame, near_parallel_frame, random_tight_frame):
+                v = make(n, k, rng).vectors
+                W = np.vstack([v, -v])
+                for tol in (1e-9, 1e-6):
+                    assert _coincident_row_groups(W, tol) == reference_row_groups(W, tol)
+
+    def test_box_frame_groups_are_its_parts(self):
+        s = extremal_frame(7, 3, signs=[1, -1, 1, 1, -1, 1, -1])
+        W = np.vstack([s.vectors, -s.vectors])
+        groups = _coincident_row_groups(W, 1e-9)
+        assert len(groups) == 6
+        assert groups[0] == [0, 2, 8]
 
 
 class TestDedup:
