@@ -68,8 +68,11 @@ class RestartResult:
 
     ``final_volume`` is :func:`section_volume_fast` of ``frame``: the
     volume the ascent climbed on, and the one restarts are ranked by.
-    ``degenerate`` counts the proposals rejected because Qhull could not
-    build their section.
+    ``stop`` says why the ascent ended: ``"schedule"`` when the step fell
+    below ``min_step``, ``"cap"`` when ``max_iterations`` ran out.
+    ``rank_loss`` counts the proposals rejected because whitening found no
+    frame (a :class:`FrameError`), and ``degenerate`` those rejected because
+    Qhull could not build their section.
     """
 
     index: int
@@ -80,6 +83,8 @@ class RestartResult:
     frame: TightFrame = field(repr=False)
     trace: list = field(repr=False)
     degenerate: int = 0
+    rank_loss: int = 0
+    stop: str = "cap"
 
 
 @dataclass
@@ -106,6 +111,8 @@ class OptimizeResult:
                     "iterations": r.iterations,
                     "accepted": r.accepted,
                     "degenerate": r.degenerate,
+                    "rank_loss": r.rank_loss,
+                    "stop": r.stop,
                 }
                 for r in self.restarts
             ],
@@ -150,8 +157,8 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
 
     Accepted volumes are strictly increasing, iterates stay tight (rank
     losses and proposals whose section Qhull cannot build are rejected,
-    not raised), and the run stops when the step
-    schedule is exhausted or the iteration budget runs out.  The reported
+    not raised, and counted), and the run stops when the step schedule is
+    exhausted or the iteration budget runs out (``stop``).  The reported
     ``final_volume`` is the last accepted :func:`section_volume_fast`
     value, the same number every acceptance was decided on.
     """
@@ -164,6 +171,8 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     fails = 0
     accepted = 0
     degenerate = 0
+    rank_loss = 0
+    stop = "cap"
     it = 0
     while it < config.max_iterations:
         it += 1
@@ -173,6 +182,7 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
             new_vol = section_volume_fast(tight.vectors)
         except FrameError:
             new_vol = -np.inf
+            rank_loss += 1
         except DegeneratePolytopeError:
             new_vol = -np.inf
             degenerate += 1
@@ -187,6 +197,7 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
                 step *= config.step_decay
                 fails = 0
                 if step < config.min_step:
+                    stop = "schedule"
                     break
     return RestartResult(
         index=index,
@@ -197,6 +208,8 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
         frame=current,
         trace=trace,
         degenerate=degenerate,
+        rank_loss=rank_loss,
+        stop=stop,
     )
 
 

@@ -100,6 +100,27 @@ class TestAscend:
         assert res.iterations == 50
         assert res.final_volume == section_volume_fast(res.frame.vectors)
 
+    def test_rank_loss_is_counted(self):
+        # the box frame at (3, 2) has an axis held by one vector; a proposal
+        # that zeroes it loses rank and is rejected, the same ones every run
+        counts = [
+            ascend(extremal_frame(3, 2), small_config(3, 2), np.random.default_rng(0)).rank_loss
+            for _ in range(2)
+        ]
+        assert counts[0] > 0
+        assert counts[0] == counts[1]
+
+    def test_stop_reasons(self):
+        # the optimal box accepts nothing, so the step schedule runs out
+        # after 36 levels of 12 failures, before the 600-iteration cap
+        res = ascend(extremal_frame(5, 2), small_config(5, 2), np.random.default_rng(0))
+        assert res.stop == "schedule"
+        assert res.iterations == 36 * 12
+        rng = np.random.default_rng(2)
+        res = ascend(random_tight_frame(6, 2, rng), small_config(6, 2, max_iterations=40), rng)
+        assert res.stop == "cap"
+        assert res.iterations == 40
+
     def test_iterates_stay_tight(self):
         rng = np.random.default_rng(3)
         s0 = random_tight_frame(5, 3, rng)
@@ -151,6 +172,11 @@ class TestMaximize:
         data = json.loads(res.to_json())
         assert set(data) == {"config", "best", "restarts"}
         assert [r["degenerate"] for r in data["restarts"]] == [0, 0]
+        assert [r["rank_loss"] for r in data["restarts"]] == [r.rank_loss for r in res.restarts]
+        assert [r["stop"] for r in data["restarts"]] == [r.stop for r in res.restarts]
+        assert {r["stop"] for r in data["restarts"]} <= {"schedule", "cap"}
+        again = json.loads(maximize(small_config(4, 2, restarts=1, max_iterations=100)).to_json())
+        assert again["restarts"] == data["restarts"]
         assert data["best"]["conditions"]["passed"] in (True, False)
         back = Frame.from_dict(data["best"]["frame"])
         np.testing.assert_array_equal(back.vectors, res.best_frame.vectors)

@@ -1,5 +1,6 @@
 """Tests for section construction, volumes, facets, and facet transformations."""
 
+import itertools
 import math
 
 import numpy as np
@@ -14,10 +15,12 @@ from cubesec.frame_core import (
     whiten,
 )
 from cubesec.polytope import (
+    NEAR_COINCIDENT_REL,
     DegenerateFacetError,
     FacetRecord,
     _coincident_row_groups,
     _dedup,
+    _halfspace_volume,
     build_section,
     convex_volume,
     facet_centroid,
@@ -67,6 +70,26 @@ def near_parallel_frame(n, k, rng, noise=5e-8):
     """A box frame with every generator moved by ``noise``, re-whitened."""
     v = signed_box_frame(n, k, rng).vectors
     return whiten(Frame(v + noise * rng.standard_normal(v.shape)))[1]
+
+
+def near_guard_frame(n, k, pairs, rel, rng):
+    """A random tight frame in which generator 2i+1 sits at relative distance
+    ``rel`` from generator 2i (i < pairs), moved along the sphere, re-whitened."""
+    v = random_tight_frame(n, k, rng).vectors.copy()
+    for a in range(0, 2 * pairs, 2):
+        t = rng.standard_normal(k)
+        t -= (t @ v[a]) / (v[a] @ v[a]) * v[a]
+        v[a + 1] = v[a] + rel * np.linalg.norm(v[a]) / np.linalg.norm(t) * t
+    return whiten(Frame(v))[1].vectors
+
+
+def nearest_relative_distance(v):
+    """Least distance between two different points of +-V, relative to the longer."""
+    P = np.vstack([v, -v])
+    d = np.linalg.norm(P[:, None] - P[None], axis=2)
+    r = np.linalg.norm(P, axis=1)
+    rel = d / np.maximum(r[:, None], r[None])
+    return rel[d > 0].min()
 
 
 class TestBuildSection:
@@ -251,15 +274,57 @@ class TestVolume:
             # zero vectors contribute no constraint
             padded = np.vstack([v[:1], np.zeros((2, k)), v[1:]])
             assert section_volume_fast(padded) == pytest.approx(fast, rel=1e-12)
+        # two points of +-V just outside the near-coincident guard: the foot
+        # points of their common faces need a QR of the point differences
+        # (on the k = 4 frames, normal equations were 1.2e-13 to 2.8e-13 off)
+        for seed, n, k, pairs in ((3, 6, 3, 2), (9, 7, 3, 3), (130, 7, 4, 2), (72, 8, 4, 3),
+                                  (169, 9, 4, 4)):
+            v = near_guard_frame(n, k, pairs, 3e-5, np.random.default_rng([seed, n, pairs]))
+            assert 2e-5 <= nearest_relative_distance(v) <= 5e-5
+            assert nearest_relative_distance(v) > NEAR_COINCIDENT_REL
+            W = np.vstack([v, -v])
+            exact = convex_volume(halfspace_vertices(W, np.ones(len(W)), 1e-13), k)
+            assert section_volume_fast(v) == pytest.approx(exact, rel=1e-13)
 
     def test_fast_path_on_box_frames(self):
         rng = np.random.default_rng(32)
-        for n, k in ((3, 2), (6, 2), (10, 2), (7, 3), (7, 4), (12, 4), (6, 1)):
+        for n, k in ((3, 2), (6, 2), (10, 2), (7, 3), (7, 4), (12, 4), (8, 5), (6, 1)):
             for _ in range(3):
                 v = signed_box_frame(n, k, rng).vectors
                 box = 2**k * c_cube(n, k)
                 assert section_volume_fast(v) == pytest.approx(box, rel=1e-12)
                 assert section_volume_fast(v) == pytest.approx(enumerated_volume(v), rel=1e-12)
+
+    def test_fast_path_on_cube_vertex_frames(self):
+        # +-V are the vertices of a cube, so conv(+-V) has non-simplicial
+        # facets that Qhull triangulates, with flat simplices for k >= 4;
+        # the section is the polar cross-polytope |x|_1 <= sqrt(2^(k-1))
+        rng = np.random.default_rng(33)
+        for k in (3, 4, 5):
+            signs = np.array(list(itertools.product((1.0, -1.0), repeat=k - 1)))
+            v = np.column_stack([signs, np.ones(len(signs))]) / math.sqrt(2 ** (k - 1))
+            exact = (2 * math.sqrt(2 ** (k - 1))) ** k / math.factorial(k)
+            q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+            for frame in (v, v @ q):
+                assert section_volume_fast(frame) == pytest.approx(exact, rel=1e-14)
+
+    def test_halfspace_volume_of_moved_facets(self):
+        # the rebuilt sections of the facet transformations are not
+        # centrally symmetric: {W x <= c} with some rows shifted or tilted
+        rng = np.random.default_rng(34)
+        for k in (2, 3, 4, 5):
+            for n in (k + 1, k + 3):
+                v = random_tight_frame(n, k, rng).vectors
+                W = np.vstack([v, -v])
+                c = np.ones(len(W))
+                rows = rng.choice(len(W), size=2, replace=False)
+                shifted = c.copy()
+                shifted[rows] += rng.uniform(0.05, 0.3, size=2) * np.linalg.norm(W[rows], axis=1)
+                tilted = W.copy()
+                tilted[rows] += 0.2 * rng.standard_normal((2, k))
+                for A, b in ((W, shifted), (tilted, c)):
+                    exact = convex_volume(halfspace_vertices(A, b), k)
+                    assert _halfspace_volume(A, b) == pytest.approx(exact, rel=1e-12)
 
 
 def reference_dedup(points, eps):
