@@ -593,11 +593,11 @@ def _flag_volume(P: np.ndarray, simplices: np.ndarray, neighbors: np.ndarray,
         sigma_R * sgn(tau) * det(x_{tau_0}, ..., x_{tau_0..tau_(k-3)}, Y_g, Y_f)
 
     over the orderings tau of R's k-1 corners, where sigma_R is the sign of
-    det(R's corners, Y_f - Y_g).  The orientation is read off the ridge,
-    not off the simplex f, because Qhull's triangulation of a
-    non-simplicial facet can leave flat simplices (the sign of their
-    determinant is noise).  So each ridge is visited once, and coplanar
-    simplices of one facet of conv(P) (equal Y) add exactly 0.
+    det(R's corners, Y_f - Y_g).  So each ridge is visited once, and
+    coplanar simplices of one facet of conv(P) (equal Y) add exactly 0.
+    The orientation is read off the ridge, not off the simplex f, because
+    Qhull's triangulation of a non-simplicial facet can leave flat
+    simplices, and the sign of their determinant is noise.
     """
     k = P.shape[1]
     plan = _flag_plan(k)
