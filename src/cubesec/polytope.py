@@ -3,21 +3,17 @@
 The section generated by a frame S is the intersection of the symmetric
 slabs |<x, v>| <= 1 over the frame vectors.  It is the polar body of
 P = conv{+-v}: a facet a.x + b <= 0 of P is the vertex a / (-b) of the
-section, and a vertex of P is the normal of a facet.
+section, and a vertex p of P is the normal of the facet <x, p> = 1.
 
-Two constructions live here.
-
-- The volume alone (:func:`section_volume_fast`, and the rebuilt sections
-  of the facet transformations) comes from one Qhull call on the points
-  +-v.  For k >= 3 it is a signed sum over the flags of that hull's
-  triangulation (:func:`_flag_volume`); in the plane, the area of the
-  section vertices it gives.  For k >= 3, frames with two nearly
-  coincident bounding planes take the enumeration below instead, because
-  Qhull merges facets of P there (see :func:`section_volume_fast`).
-- The facet records of :func:`build_section` come from brute force at
-  desk scale: solve every k-subset of the 2n bounding hyperplanes, keep
-  the feasible solutions, and group vertices into facets by their active
-  constraints.
+One construction serves everything here: the Qhull hull of the polar
+points W_r / c_r of a system {W x <= c} (+-v for a section,
+:func:`_polar_hull`).  Its distinct facet equations are the section's
+vertices, its vertices the section's facets.  For k >= 3 the volume is a
+signed sum over the flags of its triangulation (:func:`_flag_cones`), and
+the terms whose first corner is p are the cone from the origin over the
+facet of p, which gives that facet's content and centroid.  In the plane
+a facet is the edge between the polar vertices of p's two hull edges, and
+for k = 1 the section is an interval in closed form.
 """
 
 from __future__ import annotations
@@ -25,21 +21,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import ConvexHull, cKDTree
+from scipy.spatial import ConvexHull
 from scipy.spatial import QhullError
 
 from .frame_core import Frame, NotAFrameError, RANK_FLOOR, symmetrize
 
+# Constraint rows this close in every coordinate describe one hyperplane.
 EPS_GEOM = 1e-9
-
-# Polar points closer than this, relative to the longer of the two, are
-# nearly coincident bounding planes; for k >= 3 their volume is taken by
-# enumeration (see section_volume_fast).
-NEAR_COINCIDENT_REL = 1e-5
 
 
 class DegenerateFacetError(ValueError):
@@ -94,7 +86,6 @@ class SectionPolytope:
     vertices: np.ndarray
     facets: tuple
     generator: Frame | None
-    eps_geom: float = EPS_GEOM
     _W: np.ndarray | None = field(default=None, repr=False)
     _c: np.ndarray | None = field(default=None, repr=False)
     _volume: float | None = field(default=None, repr=False)
@@ -116,75 +107,13 @@ class SectionPolytope:
         }
 
 
-@lru_cache(maxsize=64)
-def _combos(m: int, k: int) -> np.ndarray:
-    a = np.array(list(itertools.combinations(range(m), k)), dtype=np.intp)
-    a.setflags(write=False)
-    return a
-
-
-def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
-    """Merge points closer than ``eps`` per coordinate, order-stable.
-
-    Rows that agree after rounding to the digits of ``eps`` collapse to
-    their first occurrence; points still within ``2 eps`` of each other
-    are then merged into the lowest index.
-    """
-    if len(points) == 0:
-        return points
-    decimals = max(0, int(round(-np.log10(eps))))
-    rounded = np.round(points, decimals)
-    order = np.lexsort(rounded.T[::-1])  # stable, so each run starts at its first occurrence
-    ranked = rounded[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    pts = points[np.sort(order[first])]
-    # two points within 2 eps have leading rounded coordinates this close
-    near = np.diff(ranked[first, 0]) <= 4 * eps + 10.0**-decimals
-    if np.any(near):
-        pairs = cKDTree(pts).query_pairs(r=2 * eps, output_type="ndarray")
-        if len(pairs):
-            parent = np.arange(len(pts))
-
-            def find(i):
-                while parent[i] != i:
-                    parent[i] = parent[parent[i]]
-                    i = parent[i]
-                return i
-
-            for a, b in pairs:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-            keep = np.array([find(i) == i for i in range(len(pts))])
-            pts = pts[keep]
-    return pts
-
-
-def halfspace_vertices(W: np.ndarray, c: np.ndarray, eps: float = EPS_GEOM) -> np.ndarray:
-    """Feasible intersection points of the system W x <= c, deduplicated.
-
-    Brute force over all k-subsets of rows; near-singular subsets are
-    skipped.  The caller is responsible for boundedness.
-    """
-    m, k = W.shape
-    combos = _combos(m, k)
-    A = W[combos]
-    norms = np.linalg.norm(W, axis=1)
-    scale = np.prod(norms[combos], axis=1)
-    with np.errstate(all="ignore"):
-        dets = np.linalg.det(A)
-    good = np.abs(dets) > 1e-10 * np.maximum(scale, 1e-300)
-    if not np.any(good):
-        return np.empty((0, k))
-    X = np.linalg.solve(A[good], c[combos[good]][..., None])[..., 0]
-    slack = eps * (1.0 + np.abs(c))
-    feas = np.all(X @ W.T <= c + slack, axis=1)
-    return _dedup(X[feas], eps)
-
-
 def convex_volume(points: np.ndarray, k: int) -> float:
-    """Volume of the convex hull of ``points`` by triangulation."""
+    """Volume of the convex hull of ``points`` by triangulation.
+
+    For k >= 3 Qhull runs with option Q12, which accepts the wide merges
+    that nearly coincident section vertices cause; its default raises
+    QH6271 on such vertex sets.
+    """
     if len(points) <= k:
         return 0.0
     if k == 1:
@@ -198,20 +127,9 @@ def convex_volume(points: np.ndarray, k: int) -> float:
         x1, y1 = np.concatenate((x[1:], x[:1])), np.concatenate((y[1:], y[:1]))
         return float(abs(np.dot(x, y1) - np.dot(y, x1)) / 2)
     try:
-        return float(ConvexHull(points).volume)
+        return float(ConvexHull(points, qhull_options="Q12").volume)
     except QhullError as exc:
         raise DegeneratePolytopeError("degenerate polytope") from exc
-
-
-def _extreme_points(points: np.ndarray, k: int) -> np.ndarray:
-    """Restrict to actual vertices (tangency points are not extreme)."""
-    if len(points) <= k + 1:
-        return points
-    try:
-        keep = np.sort(ConvexHull(points).vertices)
-    except QhullError as exc:
-        raise DegeneratePolytopeError("degenerate polytope") from exc
-    return points[keep]
 
 
 def _hyperplane_basis(w: np.ndarray) -> np.ndarray:
@@ -284,11 +202,6 @@ def _facet_geometry(pts: np.ndarray, k: int, w: np.ndarray):
     return measure, to_ambient(centroid), [to_ambient(s) for s in simplices]
 
 
-def _pairwise_row_distances(X: np.ndarray, ord=2) -> np.ndarray:
-    """Distances between every two rows of ``X`` in the vector norm ``ord``."""
-    return np.linalg.norm(X[:, None, :] - X[None, :, :], ord=ord, axis=2)
-
-
 def _coincident_row_groups(W: np.ndarray, tol: float):
     """Group constraint rows describing the same oriented hyperplane.
 
@@ -296,7 +209,7 @@ def _coincident_row_groups(W: np.ndarray, tol: float):
     the joining is transitive.  Groups come ordered by their first row,
     with their rows ascending.
     """
-    reach = _pairwise_row_distances(W, np.inf) <= tol
+    reach = np.abs(W[:, None, :] - W[None, :, :]).max(axis=2) <= tol
     while True:  # transitive closure by repeated squaring
         wider = reach @ reach
         if np.array_equal(wider, reach):
@@ -308,69 +221,127 @@ def _coincident_row_groups(W: np.ndarray, tol: float):
     return list(groups.values())
 
 
-def _facet_slice(W, c, rep, others, k, eps):
-    """Exact facet of the polytope {W x <= c} on the hyperplane of row ``rep``.
+def _interval(W: np.ndarray, c: np.ndarray):
+    """Rows that bound {x : W x <= c} in R^1 from below and from above."""
+    w = W[:, 0]
+    up, down = np.flatnonzero(w > 0), np.flatnonzero(w < 0)
+    if not (len(up) and len(down)):
+        raise NotAFrameError("not a frame")
+    return int(down[np.argmax(c[down] / w[down])]), int(up[np.argmin(c[up] / w[up])])
 
-    The facet is the hyperplane's slice through the halfspaces of the rows
-    ``others``; each enters the hyperplane as its trace.  Rows describing
-    the same hyperplane as one another are passed once, so that every facet
-    sees a group of coincident rows as the one plane its own facet uses.
 
-    Tiling rule.  For k = 2 the slice is the exact interval cut out by the
-    traces, with no slack: a nearly coincident neighbour ends the edge
-    where it actually becomes binding, and its own edge starts at the same
-    crossing, so the edges tile the boundary.  (A slack of ``eps`` in
-    constraint units would hide a crossing at angle a over a length of
-    about eps / a, and both edges would claim that strip.)  The traces are
-    formed from the row differences W_j - W_rep, which keeps such a
-    crossing well conditioned.  A trace parallel to the line empties the
-    slice when strictly tighter and is ignored otherwise.
+def _polar_hull(W: np.ndarray, c: np.ndarray):
+    """Hull of the polar points P = W_r / c_r, k >= 2, and the section vertices.
 
-    For k >= 3 the slice comes from a (k-1)-dimensional vertex enumeration
-    inside the plane that accepts corners within ``eps (1 + |offset|)`` in
-    constraint units, so two nearly coincident planes can still both claim
-    a strip along their crossing.
-
-    Returns (measure, centroid, ambient corner points) or None when the
-    slice has no (k-1)-dimensional content (tangent or inactive slabs).
+    Returns (P, hull, Y), Y[f] = a / (-b) for hull facet f: a.x + b <= 0.
+    Raises :class:`NotAFrameError` when the rows do not span R^k, and
+    :class:`DegeneratePolytopeError` when Qhull fails on rows that do.
     """
-    w = W[rep]
-    p0 = w * (c[rep] / np.dot(w, w))
-    if k == 1:
-        if np.all(W[others] @ p0 <= c[others] + eps * (1.0 + np.abs(c[others]))):
-            return 1.0, p0, p0[None, :]
-        return None
-    basis = _hyperplane_basis(w)
-    if k == 2:
-        D = W[others] - w
-        a = D @ basis[:, 0]
-        b = (c[others] - c[rep]) - D @ p0
-        flat = np.abs(a) <= 1e-12 * np.linalg.norm(D, axis=1)
-        if np.any(b[flat] < 0.0):
-            return None
-        t = b[~flat] / a[~flat]
-        lo = np.max(t[a[~flat] < 0], initial=-np.inf)
-        hi = np.min(t[a[~flat] > 0], initial=np.inf)
-        if not hi > lo:
-            return None
-        corners = p0 + np.outer([lo, hi], basis[:, 0])
-        return float(hi - lo), corners.mean(axis=0), corners
-    A2 = W[others] @ basis
-    b2 = c[others] - W[others] @ p0
-    corners = halfspace_vertices(A2, b2, eps)
+    k = W.shape[1]
+    P = W / c[:, None]
     try:
-        measure, centroid, _ = _poly_geometry(corners, k - 1)
-    except DegenerateFacetError:
-        return None
-    return measure, p0 + centroid @ basis.T, p0 + corners @ basis.T
+        hull = ConvexHull(P)
+    except QhullError as exc:
+        if len(P) <= k or np.linalg.matrix_rank(P) < k:
+            raise NotAFrameError("not a frame") from exc
+        raise DegeneratePolytopeError("degenerate polytope") from exc
+    eq = hull.equations
+    depth = -eq[:, k]
+    # a facet of P this close to the origin puts a section vertex out at
+    # 1 / depth: the rows span only in rounding
+    if depth.min() <= 1e-10 * np.abs(P).max():
+        raise NotAFrameError("not a frame")
+    return P, hull, eq[:, :k] / depth[:, None]
 
 
-def build_section(s: Frame, eps_geom: float = EPS_GEOM) -> SectionPolytope:
+def _differences(G: np.ndarray) -> np.ndarray:
+    """Each point of the stacked sets G, (F, s, k), but the first, minus
+    its nearest earlier point: (F, s - 1, k).
+
+    Two nearly coincident points thus give a short difference that
+    floating point forms exactly, where a difference from a far point
+    would lose the digits that tell them apart.
+    """
+    out = [G[:, 1] - G[:, 0]]
+    for i in range(2, G.shape[1]):
+        D = G[:, i : i + 1] - G[:, :i]
+        near = np.einsum("fjl,fjl->fj", D, D).argmin(axis=1)
+        out.append(D[np.arange(len(G)), near])
+    return np.stack(out, axis=1)
+
+
+def _solved_vertices(P: np.ndarray, hull, Y: np.ndarray) -> np.ndarray:
+    """Section vertices of the unmerged hull facets, solved from their corners.
+
+    Qhull's normal of a simplex with two nearly coincident corners is off
+    in the direction that their difference fixes.  That moves the section
+    vertex along the crossing of the two nearly parallel planes, which
+    passes content from one of their facets to the other while the volume
+    barely changes.  Solving <x, p_0> = 1 and <x, d> = 0 for the unit
+    :func:`_differences` d of the corners keeps the split exact.  The
+    simplices of a merged facet share Qhull's equation and may be flat, so
+    they keep it.
+    """
+    eq = hull.equations
+    alone = ~np.all(eq[hull.neighbors] == eq[:, None, :], axis=2).any(axis=1)
+    G = P[hull.simplices[alone]]
+    D = _differences(G)
+    A = np.concatenate([G[:, :1], D / np.linalg.norm(D, axis=2, keepdims=True)], axis=1)
+    Y = Y.copy()
+    Y[alone] = np.linalg.solve(A, np.eye(P.shape[1])[None, :, :1])[..., 0]
+    return Y
+
+
+def _point_facets(W: np.ndarray, c: np.ndarray):
+    """Vertices of {W x <= c}, and the facet of every row that has one.
+
+    Returns (vertices, facets) with facets[r] = (measure, centroid, sorted
+    vertex indices) for each row r whose polar point is a hull vertex.
+    """
+    k = W.shape[1]
+    if k == 1:
+        ends = _interval(W, c)
+        verts = np.array([[c[r] / W[r, 0]] for r in ends])
+        return verts, {r: (1.0, verts[i], (i,)) for i, r in enumerate(ends)}
+    P, hull, Y = _polar_hull(W, c)
+    Y = _solved_vertices(P, hull, Y)
+    # the simplices of a merged facet of P share one equation
+    _, first, inverse = np.unique(hull.equations, axis=0, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    vid = rank[inverse.ravel()]
+    verts = Y[np.sort(first)]
+    # each hull vertex p with the section vertices of the simplices around it
+    codes = np.unique(hull.simplices.ravel() * len(verts) + np.repeat(vid, k))
+    point, ids = np.divmod(codes, len(verts))
+    starts = np.flatnonzero(np.r_[True, point[1:] != point[:-1]])
+    around = zip(point[starts].tolist(), np.split(ids, starts[1:]))
+    if k == 2:
+        facets = {}
+        for p, ends in around:
+            a, b = verts[ends]
+            facets[p] = (float(np.linalg.norm(b - a)), (a + b) / 2, tuple(ends.tolist()))
+        return verts, facets
+    owner, cone, moment = _flag_cones(P, hull.simplices, hull.neighbors, Y, moments=True)
+    cone = np.bincount(owner.ravel(), cone.ravel(), minlength=len(P))
+    moment = np.stack([np.bincount(owner.ravel(), m.ravel(), minlength=len(P))
+                       for m in np.moveaxis(moment, -1, 0)], axis=1)
+    facets = {
+        p: (k * cone[p] * float(np.linalg.norm(P[p])), moment[p] / (k * cone[p]), tuple(ends.tolist()))
+        for p, ends in around
+    }
+    return verts, facets
+
+
+def build_section(s: Frame) -> SectionPolytope:
     """Construct the section of the cube generated by the frame ``s``.
 
-    Zero vectors contribute no constraint.  Generators whose slab only
-    touches the section in a face of dimension below k-1 produce no facet
-    record; the criticality checks flag them downstream.
+    Zero vectors contribute no constraint.  A generator has a facet when
+    its point of +-V is a vertex of the hull; one whose slab only touches
+    the section in a face of dimension below k-1 produces no facet record,
+    and the criticality checks flag it downstream.  Rows within
+    ``EPS_GEOM`` of each other share one facet, whose content and first
+    moment are summed over the group's hull vertices.
     """
     V = s.vectors
     a = symmetrize(V.T @ V)
@@ -383,37 +354,20 @@ def build_section(s: Frame, eps_geom: float = EPS_GEOM) -> SectionPolytope:
     c = np.ones(len(W))
     row_gen = [(int(i), 1) for i in gens] + [(int(i), -1) for i in gens]
 
-    verts = halfspace_vertices(W, c, eps_geom)
-    if len(verts) <= s.k:
-        raise NotAFrameError("not a frame")
-    # In the plane every feasible crossing is a vertex; a hull pass would
-    # drop the nearly straight ones where near-parallel edges meet, and the
-    # exact edges of _facet_slice end there.
-    if s.k > 2:
-        verts = _extreme_points(verts, s.k)
-    lookup = cKDTree(verts) if len(verts) else None
-
+    verts, point_facets = _point_facets(W, c)
     facets = []
-    groups = _coincident_row_groups(W, eps_geom)
-    reps = [rows[0] for rows in groups]
-    for rows in groups:
-        others = [r for r in reps if r != rows[0]]
-        sliced = _facet_slice(W, c, rows[0], others, s.k, eps_geom)
-        if sliced is None:
+    for rows in _coincident_row_groups(W, EPS_GEOM):
+        own = [point_facets[r] for r in rows if r in point_facets]
+        if not own:
             continue
-        measure, centroid, corners = sliced
-        # facet corners are polytope vertices; map them to stored indices
-        dist, idx = lookup.query(corners, distance_upper_bound=1e-6)
-        matched = tuple(sorted(set(int(i) for d, i in zip(dist, idx) if np.isfinite(d))))
-        if len(matched) < s.k:
-            continue
+        measures = np.array([m for m, _, _ in own])
         w = W[rows[0]]
         facets.append(
             FacetRecord(
                 normals=tuple(row_gen[r] for r in rows),
-                vertex_indices=matched,
-                measure=measure,
-                centroid=centroid,
+                vertex_indices=tuple(sorted(set().union(*(ids for _, _, ids in own)))),
+                measure=float(measures.sum()),
+                centroid=np.average([x for _, x, _ in own], axis=0, weights=measures),
                 normal_vector=w.copy(),
                 distance=float(c[rows[0]] / np.linalg.norm(w)),
                 row_ids=tuple(rows),
@@ -426,7 +380,6 @@ def build_section(s: Frame, eps_geom: float = EPS_GEOM) -> SectionPolytope:
         vertices=verts,
         facets=tuple(facets),
         generator=s,
-        eps_geom=eps_geom,
         _W=W,
         _c=c,
     )
@@ -435,11 +388,12 @@ def build_section(s: Frame, eps_geom: float = EPS_GEOM) -> SectionPolytope:
 def volume(p: SectionPolytope) -> float:
     """Volume by the pyramid decomposition over facets.
 
-    Each facet contributes distance-to-origin times its content over k.
-    The sum is the volume only if the facet records tile the boundary; the
-    rule that makes them do so (exact edges in the plane) is stated in
-    ``_facet_slice``.  Cross-check against :func:`volume_by_triangulation`
-    where independence matters.
+    Each facet contributes distance-to-origin times its content over k,
+    which is the cone from the origin over it.  For k >= 3 the contents
+    come from those cones in the flag sum (:func:`_flag_cones`), so this
+    is the volume of :func:`section_volume_fast` up to rounding.  Cross-
+    check against :func:`volume_by_triangulation` where independence
+    matters.
     """
     if p._volume is None:
         p._volume = float(
@@ -460,137 +414,159 @@ def _parity(perm) -> int:
 
 
 class _FlagPlan(NamedTuple):
-    """Index tables of the flag sum in R^k, k >= 3 (see :func:`_flag_volume`).
+    """Index tables of the flag sum in R^k, k >= 3 (see :func:`_flag_cones`).
+
+    An s-vector (an element of the s-th exterior power of R^k) is an array
+    over the s-subsets of the k coordinates, in ``itertools.combinations``
+    order; a 1-vector is a plain vector.
 
     - ``subsets[s - 1]``: the s-subsets of a simplex's k corner positions,
-      s = 1..k-2, whose foot points the chains use; a foot point is named
-      by its place in the concatenation of these arrays.
-    - ``ridge_rows[j]``: the corner positions other than j, ascending.
-    - ``chains[j, t]``: for the ridge opposite corner j and the t-th
-      ordering tau of its k-1 corners, the foot points of
-      {tau_0}, {tau_0, tau_1}, ..., {tau_0 .. tau_(k-3)}.
-    - ``chain_signs[t]``: the sign of ordering t.
-    - Levi-Civita rows, to expand a k x k determinant along the 2 x 2
-      minors of its last two columns: ``pairs`` holds the (2, C(k, 2))
-      coordinate pairs l < m, and each permutation pi with
-      pi_(k-2) < pi_(k-1) gives a column of ``lc_lead`` (pi_0 ..
-      pi_(k-3)), an entry of ``lc_pair`` (pi_(k-2), pi_(k-1) as an index
-      into ``pairs``) and its sign in ``lc_sign``.
+      s = 1..k-2, whose apexes the chains use; an apex is named by its
+      place in the concatenation of these arrays.
+    - ``wedges[s - 1]``: (index, coordinate, sign) of the wedge a ^ x of an
+      s-vector a with a vector x, s = 1..k-1 (:func:`_wedge`).
+    - ``hodge``: (index, sign) pairing a (k-2)-vector with a 2-vector into
+      the determinant of the k columns.
+    - ``steps[s - 2]``, s = 2..k-2: for each flagged subset (p, G), p in G
+      and |G| = s, in the order of G then p: the flagged subsets
+      (p, G - l) for the l in G other than p, the sign (-1)^#{g in G: g > l}
+      of each, p, and the apex of G.  Flagged 1-subsets (p, {p}) are
+      numbered by p, as are their apexes.
+    - ``ridge_rows[j]``: the corner positions other than j, ascending; for
+      each of them as p, ``ridge_prev[j]`` and ``ridge_eps[j]`` list the
+      flagged (k-2)-subsets (p, R - l) and their signs, as in ``steps``.
     """
 
     subsets: tuple
+    wedges: tuple
+    hodge: tuple
+    steps: tuple
     ridge_rows: np.ndarray
-    chains: np.ndarray
-    chain_signs: np.ndarray
-    pairs: np.ndarray
-    lc_lead: np.ndarray
-    lc_pair: np.ndarray
-    lc_sign: np.ndarray
+    ridge_prev: np.ndarray
+    ridge_eps: np.ndarray
 
 
 @lru_cache(maxsize=16)
 def _flag_plan(k: int) -> _FlagPlan:
-    subsets = [list(itertools.combinations(range(k), s)) for s in range(1, k - 1)]
-    name = {sub: i for i, sub in enumerate(itertools.chain(*subsets))}
-    ridge_rows = [[i for i in range(k) if i != j] for j in range(k)]
-    orders = list(itertools.permutations(range(k - 1)))
-    chains = [
-        [[name[tuple(sorted(rows[t] for t in tau[:s]))] for s in range(1, k - 1)]
-         for tau in orders]
-        for rows in ridge_rows
-    ]
-    pairs = list(itertools.combinations(range(k), 2))
-    rows = [pi for pi in itertools.permutations(range(k)) if pi[-2] < pi[-1]]
+    coords = [list(itertools.combinations(range(k), s)) for s in range(k + 1)]
+    name = [{sub: i for i, sub in enumerate(subs)} for subs in coords]
+    subsets = coords[1:k - 1]
+    face = {sub: i for i, sub in enumerate(itertools.chain(*subsets))}
+    wedges = tuple(
+        (np.array([[name[s][t[:m] + t[m + 1:]] for m in range(s + 1)] for t in coords[s + 1]]),
+         np.array(coords[s + 1]),
+         np.array([(-1.0) ** (s - m) for m in range(s + 1)]))
+        for s in range(1, k)
+    )
+    rest = [tuple(i for i in range(k) if i not in sub) for sub in coords[k - 2]]
+    hodge = (np.array([name[2][r] for r in rest]),
+             np.array([float(_parity(sub + r)) for sub, r in zip(coords[k - 2], rest)]))
+
+    def flagged(s):
+        return [(p, sub) for sub in coords[s] for p in sub]
+
+    def peel(p, sub, index):
+        """The flagged subsets (p, sub - l) for l != p, and their signs."""
+        drop = [l for l in sub if l != p]
+        return ([index[p, tuple(g for g in sub if g != l)] for l in drop],
+                [(-1.0) ** sum(g > l for g in sub) for l in drop])
+
+    steps = []
+    for s in range(2, k - 1):
+        index = {pg: i for i, pg in enumerate(flagged(s - 1))}
+        peeled = [peel(p, sub, index) for p, sub in flagged(s)]
+        steps.append((np.array([i for i, _ in peeled]), np.array([e for _, e in peeled]),
+                      np.array([p for p, _ in flagged(s)]),
+                      np.array([face[sub] for _, sub in flagged(s)])))
+    index = {pg: i for i, pg in enumerate(flagged(k - 2))}
+    ridge_rows = [tuple(i for i in range(k) if i != j) for j in range(k)]
+    ridges = [[peel(p, rows, index) for p in rows] for rows in ridge_rows]
     plan = _FlagPlan(
         subsets=tuple(np.array(s, dtype=np.intp) for s in subsets),
+        wedges=wedges,
+        hodge=hodge,
+        steps=tuple(steps),
         ridge_rows=np.array(ridge_rows, dtype=np.intp),
-        chains=np.array(chains, dtype=np.intp),
-        chain_signs=np.array([_parity(tau) for tau in orders], dtype=float),
-        pairs=np.array(pairs, dtype=np.intp).T,
-        lc_lead=np.array([pi[:-2] for pi in rows], dtype=np.intp).T,
-        lc_pair=np.array([pairs.index(pi[-2:]) for pi in rows], dtype=np.intp),
-        lc_sign=np.array([_parity(pi) for pi in rows], dtype=float),
+        ridge_prev=np.array([[i for i, _ in r] for r in ridges], dtype=np.intp),
+        ridge_eps=np.array([[e for _, e in r] for r in ridges]),
     )
-    for a in (*plan.subsets, *plan[1:]):
+    tables = (*plan.subsets, *itertools.chain(*plan.wedges), *plan.hodge,
+              *itertools.chain(*plan.steps), *plan[4:])
+    for a in tables:
         a.setflags(write=False)
     return plan
 
 
-def _leading_products(plan: _FlagPlan, cols: np.ndarray) -> np.ndarray:
-    """c_0[pi_0] * ... * c_(k-3)[pi_(k-3)] over the Levi-Civita rows pi.
+def _wedge(table, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Stacked wedge a ^ x of s-vectors a with vectors x (a ``wedges`` table).
 
-    ``cols`` stacks the first k-2 columns of determinants, (..., k-2, k).
+    A component of a ^ x on the coordinates t_0 < ... < t_s is
+    sum_m (-1)^(s-m) a[t without t_m] x[t_m].  For s = 1 it is the 2 x 2
+    minor of (a, x), an exact difference, so equal a and x give exactly 0.
     """
-    out = cols[..., 0, plan.lc_lead[0]]
-    for i in range(1, len(plan.lc_lead)):
-        out = out * cols[..., i, plan.lc_lead[i]]
-    return out
+    index, coord, sign = table
+    return _weighted_sum(a[..., index] * x[..., coord], sign)
 
 
-def _det_by_minors(plan: _FlagPlan, lead: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked determinants det(c_0, ..., c_(k-3), a, b).
+def _weighted_sum(a: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """a @ weights over the last axis, as one matrix-vector product (a
+    stacked matmul loops over the stack in Python-sized steps)."""
+    return (a.reshape(-1, a.shape[-1]) @ weights).reshape(a.shape[:-1])
 
-    ``lead`` is :func:`_leading_products` of the first k-2 columns, or a
-    sum of such (the determinant is linear in it).  The 2 x 2 minors of
-    (a, b) are exact differences, so equal a and b give exactly 0.
+
+def _apexes(simplices: np.ndarray, Y: np.ndarray, subsets) -> np.ndarray:
+    """A point on the face dual to every listed corner subset G of every
+    simplex: the polar vertex of one simplex that holds G, the same one
+    wherever G occurs.  Returns (F, number of subsets, k), in the order of
+    ``subsets``.
     """
-    outer = a[:, :, None] * b[:, None, :]
-    l, m = plan.pairs
-    minors = outer[:, l, m] - outer[:, m, l]
-    return (lead * minors[:, plan.lc_pair]) @ plan.lc_sign
+    points = int(simplices.max()) + 1
+    holds = np.arange(len(simplices))[:, None]
+    parts = []
+    for sub in subsets:
+        # a set is named by its rank among the sets of its size, the sum of
+        # C(c_i, i + 1) over its sorted corners c_0 < c_1 < ...
+        key = simplices
+        if sub.shape[1] > 1:
+            corners = np.sort(simplices[:, sub], axis=2)
+            key = corners[..., 0]
+            for i in range(1, sub.shape[1]):
+                c = corners[..., i]
+                term = c
+                for t in range(1, i + 1):
+                    term = term * (c - t)
+                key = key + term // factorial(i + 1)
+        holder = np.empty(comb(points, sub.shape[1]), dtype=np.intp)
+        holder[key] = holds
+        parts.append(Y[holder[key]])
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
-def _foot_points(corners: np.ndarray, subsets) -> np.ndarray:
-    """Foot points x_G of every listed corner subset G of every simplex.
+def _flag_cones(P: np.ndarray, simplices: np.ndarray, neighbors: np.ndarray,
+                Y: np.ndarray, moments: bool = False):
+    """The polar body of conv(P) as signed simplices over flags, k >= 3.
 
-    ``corners`` is (F, k, k), one simplex's points per row block.  x_G is
-    the min-norm point of {x : <x, p> = 1 for p in G}: with D the span of
-    the differences p - p_0 (p in G), it is u / <p_0, u> for u the part of
-    p_0 orthogonal to D.  D gets an orthonormal basis by modified
-    Gram-Schmidt on the differences, a QR that never forms a Gram matrix,
-    so two nearly coincident points of G keep their foot point accurate.
-    Returns (F, number of subsets, k), in the order of ``subsets``.
-    """
-    feet = corners / np.einsum("fij,fij->fi", corners, corners)[..., None]
-    if len(subsets) == 1:
-        return feet
-    dot = lambda a, b: np.einsum("...i,...i->...", a, b)[..., None]  # noqa: E731
-    parts = [feet]
-    for sub in subsets[1:]:
-        G = corners[:, sub]  # (F, subsets of this size, s, k)
-        p0 = G[:, :, 0]
-        u = p0
-        basis = []
-        for i in range(1, sub.shape[1]):
-            d = G[:, :, i] - p0
-            for e in basis:
-                d = d - dot(d, e) * e
-            e = d / np.sqrt(dot(d, d))
-            basis.append(e)
-            u = u - dot(u, e) * e
-        parts.append(u / dot(p0, u))
-    return np.concatenate(parts, axis=1)
-
-
-def _flag_volume(P: np.ndarray, simplices: np.ndarray, neighbors: np.ndarray,
-                 Y: np.ndarray) -> float:
-    """Volume of the polar body of conv(P) from its triangulated hull, k >= 3.
+    Returns (owner, cone, moment), each term of a ridge split by the first
+    corner of its flags: ``cone[r, i]`` is a signed volume, and
+    ``moment[r, i]`` that volume times the sum of its simplex's vertices,
+    both belonging to the point ``owner[r, i]``.  ``owner`` and ``moment``
+    are None unless ``moments`` is set.
 
     ``simplices`` and ``neighbors`` are Qhull's facets of conv(P) and their
     adjacency (the neighbor opposite each corner), and Y[f] the polar
     vertex of facet f.  The polar body Q = {x : <x, p> <= 1} is the sum
-    of the cones from the origin over its facets, one per point p, and
-    each facet is in turn the sum of cones from its own foot point over
-    its faces, down to the edges.  A flag of simplex f, an ordering of its
-    corners, thus contributes the signed simplex
-    det(x_{tau_0}, x_{tau_0 tau_1}, ..., Y_f) / k!, with x_G the foot point
-    of the face of Q dual to G (:func:`_foot_points`); any point of that
-    face's affine hull would do, and the foot point is the canonical one.
-    The flags of the two simplices f, g across a ridge R share every term
-    but the last two, and because x_R, Y_f and Y_g lie on one line the
-    pair sums to
+    of the cones from the origin over its facets F_p, one per vertex p,
+    and each facet is in turn the sum of cones from a point of it over
+    its faces, down to the edges.  A flag of simplex f, an ordering tau
+    of its corners, thus contributes the signed simplex
+    (0, x_{tau_0}, x_{tau_0 tau_1}, ..., Y_f), with x_G a point of the
+    face of Q dual to G (:func:`_apexes`).  Any point of that face's
+    affine hull would do; one on the face keeps every cone as small as
+    its face.  The flags of the two simplices f, g across a ridge R share
+    every vertex but the last two, and because x_R, Y_f and Y_g lie on
+    one line the pair is the signed simplex
 
-        sigma_R * sgn(tau) * det(x_{tau_0}, ..., x_{tau_0..tau_(k-3)}, Y_g, Y_f)
+        sigma_R * sgn(tau) * (0, x_{tau_0}, ..., x_{tau_0..tau_(k-3)}, Y_g, Y_f)
 
     over the orderings tau of R's k-1 corners, where sigma_R is the sign of
     det(R's corners, Y_f - Y_g).  So each ridge is visited once, and
@@ -598,74 +574,88 @@ def _flag_volume(P: np.ndarray, simplices: np.ndarray, neighbors: np.ndarray,
     The orientation is read off the ridge, not off the simplex f, because
     Qhull's triangulation of a non-simplicial facet can leave flat
     simplices, and the sign of their determinant is noise.
+
+    The terms with tau_0 = p make up the cone over F_p, of volume
+    |F_p| / (k |p|) and first moment k / (k + 1) |cone| centroid(F_p).
+    The orderings are summed by exterior products, grouped by their last
+    corner l: with A_p(G) the sum over orderings tau of G that start at p
+    of sgn(tau) x_{tau_0} ^ x_{tau_0 tau_1} ^ ... ^ x_G,
+
+        A_p(G) = (sum over l in G - p of (-1)^#{g in G: g > l} A_p(G - l)) ^ x_G,
+
+    so the last point of every ordering is shared, and the ridge term is
+    the same sum over R with Y_g ^ Y_f in place of x_G.  The first moments
+    follow the same recursion, B_p(G) = (sum ...B_p(G - l)) ^ x_G
+    + A_p(G) (x) x_G, with B_p({p}) = x_p (x) x_p.  With the moments, the
+    points after x_p also enter the wedges as differences from x_p, and
+    Y_g ^ Y_f as (Y_g - x_p) ^ (Y_f - Y_g), which leaves every determinant
+    unchanged: the wedges of a tiny facet then stay as small as the facet,
+    so its own cone is exact to rounding, where the volume alone needs
+    only the sum.
     """
     k = P.shape[1]
     plan = _flag_plan(k)
     corners = P[simplices]
     f, j = np.nonzero(neighbors > np.arange(len(simplices))[:, None])  # each ridge once
-    Yf, Yg = Y[f], Y[neighbors[f, j]]
-    ridge = corners[f[:, None], plan.ridge_rows[j]]  # (ridges, k - 1, k)
-    lead = _leading_products(plan, ridge[:, :-1])
-    sigma = np.sign(_det_by_minors(plan, lead, ridge[:, -1], Yf - Yg))
-    chain = _foot_points(corners, plan.subsets)[f[:, None, None], plan.chains[j]]
-    wedge = plan.chain_signs @ _leading_products(plan, chain)  # sum over orderings
-    return float(sigma @ _det_by_minors(plan, wedge, Yg, Yf) / factorial(k))
+    g = neighbors[f, j]
+    Yf, Yg = Y[f], Y[g]
+    rows = plan.ridge_rows[j]
+    ridge = corners[f[:, None], rows]  # (ridges, k - 1, k)
+    top = ridge[:, 0]
+    for i in range(1, k - 1):
+        top = _wedge(plan.wedges[i - 1], top, ridge[:, i])
+    edge = Yf - Yg
+    sigma = np.sign(_wedge(plan.wedges[k - 2], top, edge)[:, 0])
+
+    apex = _apexes(simplices, Y, plan.subsets)
+    a = apex[:, :k]  # A_p({p}) = x_p, (F, flagged subsets, components)
+    b = a[..., :, None] * a[..., None, :] if moments else None  # (..., moment axis, components)
+    for (prev, eps, lead, face), table in zip(plan.steps, plan.wedges):
+        x = apex[:, face]
+        step = x - apex[:, lead] if moments else x
+        a_next = _wedge(table, np.einsum("fqlc,ql->fqc", a[:, prev], eps), step)
+        if moments:
+            b = (_wedge(table, np.einsum("fqlmc,ql->fqmc", b[:, prev], eps), step[:, :, None, :])
+                 + x[..., :, None] * a_next[..., None, :])
+        a = a_next
+
+    prev, eps = plan.ridge_prev[j], plan.ridge_eps[j]  # (ridges, k - 1, k - 2)
+    if moments:
+        yy = _wedge(plan.wedges[0], Yg[:, None] - apex[f[:, None], rows], edge[:, None])
+    else:
+        yy = _wedge(plan.wedges[0], Yg, edge)[:, None]
+    index, sign = plan.hodge
+    chain = np.einsum("rplc,rpl->rpc", a[f[:, None, None], prev], eps)
+    det = _weighted_sum(chain * yy[..., index], sign)  # (ridges, k - 1)
+    scale = sigma / factorial(k)
+    if not moments:
+        return None, scale[:, None] * det, None
+    chain = np.einsum("rplmc,rpl->rpmc", b[f[:, None, None], prev], eps)
+    moment = scale[:, None, None] * (
+        _weighted_sum(chain * yy[:, :, None, index], sign) + det[..., None] * (Yg + Yf)[:, None, :]
+    )
+    return simplices[f[:, None], rows], scale[:, None] * det, moment
 
 
-def _has_near_coincident_rows(P: np.ndarray) -> bool:
-    """True when two rows of ``P`` differ by a nonzero distance within
-    ``NEAR_COINCIDENT_REL`` times the longer of the two.
-
-    The distances are taken directly: through the Gram identity, exact
-    duplicates would come out at about 1e-16 instead of 0.
-    """
-    d = _pairwise_row_distances(P)
-    r = np.linalg.norm(P, axis=1)
-    near = d <= NEAR_COINCIDENT_REL * np.maximum(r[:, None], r[None, :])
-    return bool(np.any(near & (d > 0.0)))
-
-
-def _halfspace_volume(W: np.ndarray, c: np.ndarray, eps_geom: float = EPS_GEOM) -> float:
+def _halfspace_volume(W: np.ndarray, c: np.ndarray) -> float:
     """Volume of the bounded polytope {x : W x <= c}, with every c > 0.
 
     The polytope is the polar body of conv{W_r / c_r}; see
-    :func:`section_volume_fast` for the routes and their accuracy.  Raises
+    :func:`section_volume_fast` for the routes.  Raises
     :class:`NotAFrameError` when the rows do not span R^k, and
     :class:`DegeneratePolytopeError` when Qhull fails on rows that do.
     """
     k = W.shape[1]
     if k == 1:
-        w = W[:, 0]
-        up, down = w > 0, w < 0
-        if not (np.any(up) and np.any(down)):
-            raise NotAFrameError("not a frame")
-        return float(np.min(c[up] / w[up]) - np.max(c[down] / w[down]))
-    P = W / c[:, None]
-    if k >= 3 and _has_near_coincident_rows(P):
-        verts = halfspace_vertices(W, c, eps_geom)
-        if len(verts) <= k:
-            raise NotAFrameError("not a frame")
-        return convex_volume(verts, k)
-    try:
-        hull = ConvexHull(P)
-    except QhullError as exc:
-        if len(P) <= k or np.linalg.matrix_rank(P) < k:
-            raise NotAFrameError("not a frame") from exc
-        raise DegeneratePolytopeError("degenerate polytope") from exc
-    eq = hull.equations
-    depth = -eq[:, k]
-    # a facet of P this close to the origin puts a section vertex out at
-    # 1 / depth, past the enumeration's determinant floor: the rows span
-    # only in rounding
-    if depth.min() <= 1e-10 * np.abs(P).max():
-        raise NotAFrameError("not a frame")
-    Y = eq[:, :k] / depth[:, None]
+        lo, hi = _interval(W, c)
+        return float(c[hi] / W[hi, 0] - c[lo] / W[lo, 0])
+    P, hull, Y = _polar_hull(W, c)
     if k == 2:
         return convex_volume(Y, k)
-    return _flag_volume(P, hull.simplices, hull.neighbors, Y)
+    return float(_flag_cones(P, hull.simplices, hull.neighbors, Y)[1].sum())
 
 
-def section_volume_fast(vectors: np.ndarray, eps_geom: float = EPS_GEOM) -> float:
+def section_volume_fast(vectors: np.ndarray) -> float:
     """Volume of the generated section without facet bookkeeping.
 
     Fast path for optimizer inner loops, and the volume optimizer restarts
@@ -676,33 +666,18 @@ def section_volume_fast(vectors: np.ndarray, eps_geom: float = EPS_GEOM) -> floa
     - k = 2, polar hull: Qhull's facets a.x + b <= 0 of P = conv{+-v_i}
       give the section vertices a / (-b), and the volume is their area by
       angle sort and shoelace (:func:`convex_volume`).  It has no
-      feasibility slack: on the near-parallel planar frames checked it
-      matched the exact pyramid sum to 7e-16, where the enumeration is up
-      to 1e-9 high.  This route is taken for every planar frame.
+      feasibility slack: on near-parallel planar frames it matched exact
+      edge intervals to 7e-16.
     - k >= 3, flag sum over the same hull: signed simplices over the
-      flags of Qhull's triangulation of P, one term per ridge and ordering
-      of its corners (:func:`_flag_volume`), with no second Qhull call.
-      The foot points of the faces come from a QR (modified Gram-Schmidt)
-      of the face's point differences, never from normal equations.
-      It agreed with the hull volume of the section vertices it replaced
-      to 3.2e-15 on random frames up to (16, 5), and to 1.7e-15 on the
-      random and box frames of the benchmark's certify cells.  Frames
-      whose +-v are the vertices of a cube (non-simplicial facets of P,
-      triangulated with flat simplices) come out within 1e-14 of the
-      exact cross-polytope.  Two points of +-V at relative distance 2e-5
-      to 5e-5, just outside the guard below, stay within 1e-13 of a
-      slack-free enumeration; normal-equation foot points were up to
-      2.8e-13 off there.
-    - k >= 3 with two points of +-V that differ but lie within
-      ``NEAR_COINCIDENT_REL`` of each other (relative to the longer):
-      the enumeration, the hull volume of every crossing of k bounding
-      hyperplanes that satisfies all constraints up to
-      ``eps_geom (1 + |c|)``.  There Qhull merges nearly coplanar facets
-      of P, and the polar volume came out up to 3.1e-9 high against a
-      slack-free enumeration (or Qhull raised a wide-merge error); the
-      enumeration is up to about 1e-9 high from its slack.  Exact
-      duplicates, as in box frames, are not near-coincident and take the
-      polar route.
+      flags of Qhull's triangulation of P (:func:`_flag_cones`), with no
+      second Qhull call; the cones of a face start from one of its own
+      vertices, so no foot point is solved for.  It is within 1e-13 of an
+      exact rational volume on near-parallel frames (points of +-V down
+      to 1e-13 apart), on box frames and on frames whose +-v are the
+      vertices of a cube.  Qhull
+      merges only facets of P that are coplanar within its own roundoff,
+      and the simplices of a merged facet share one polar vertex, so
+      their ridges add exactly 0.
 
     Raises :class:`NotAFrameError` when the vectors do not span, and
     :class:`DegeneratePolytopeError` when Qhull fails on vectors that do.
@@ -710,7 +685,7 @@ def section_volume_fast(vectors: np.ndarray, eps_geom: float = EPS_GEOM) -> floa
     nz = np.linalg.norm(vectors, axis=1) > 1e-14
     Vnz = vectors[nz]
     W = np.vstack([Vnz, -Vnz])
-    return _halfspace_volume(W, np.ones(len(W)), eps_geom)
+    return _halfspace_volume(W, np.ones(len(W)))
 
 
 def facet_centroid(p: SectionPolytope, f: FacetRecord) -> np.ndarray:
@@ -747,7 +722,7 @@ def shifted_section_volume(p: SectionPolytope, f: FacetRecord, h: float) -> floa
     c = p._c.copy()
     for r in f.row_ids:
         c[r] += h * np.linalg.norm(p._W[r])
-    return _halfspace_volume(p._W, c, p.eps_geom)
+    return _halfspace_volume(p._W, c)
 
 
 def rotate_facet_predict(
@@ -780,4 +755,4 @@ def rotated_section_volume(
     W = p._W.copy()
     for r in f.row_ids:
         W[r] = W[r] + t * np.asarray(u, dtype=float)
-    return _halfspace_volume(W, p._c, p.eps_geom)
+    return _halfspace_volume(W, p._c)

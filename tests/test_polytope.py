@@ -15,16 +15,14 @@ from cubesec.frame_core import (
     whiten,
 )
 from cubesec.polytope import (
-    NEAR_COINCIDENT_REL,
     DegenerateFacetError,
     FacetRecord,
     _coincident_row_groups,
-    _dedup,
     _halfspace_volume,
+    _polar_hull,
     build_section,
     convex_volume,
     facet_centroid,
-    halfspace_vertices,
     pyramid_volume,
     rotate_facet_predict,
     rotated_section_volume,
@@ -34,7 +32,8 @@ from cubesec.polytope import (
     volume,
     volume_by_triangulation,
 )
-from cubesec.bounds import c_cube, extremal_frame
+from cubesec.bounds import c_cube, default_partition, extremal_frame
+from oracles import exact_cone_volumes, halfspace_vertices
 
 
 def square_frame():
@@ -72,7 +71,7 @@ def near_parallel_frame(n, k, rng, noise=5e-8):
     return whiten(Frame(v + noise * rng.standard_normal(v.shape)))[1]
 
 
-def near_guard_frame(n, k, pairs, rel, rng):
+def nearly_paired_frame(n, k, pairs, rel, rng):
     """A random tight frame in which generator 2i+1 sits at relative distance
     ``rel`` from generator 2i (i < pairs), moved along the sphere, re-whitened."""
     v = random_tight_frame(n, k, rng).vectors.copy()
@@ -81,6 +80,49 @@ def near_guard_frame(n, k, pairs, rel, rng):
         t -= (t @ v[a]) / (v[a] @ v[a]) * v[a]
         v[a + 1] = v[a] + rel * np.linalg.norm(v[a]) / np.linalg.norm(t) * t
     return whiten(Frame(v))[1].vectors
+
+
+def pool_near_parallel(n, k, j):
+    """Near-parallel frame j of the benchmark's certify pool at (n, k): a box
+    frame with random members and signs, moved by 5e-8, re-whitened."""
+    rng = np.random.default_rng([n, k, j])
+    members = rng.permutation(n)
+    parts = [members[part] for part in default_partition(n, k)]
+    box = extremal_frame(n, k, partition=parts, signs=list(rng.choice([-1, 1], n)))
+    return whiten(Frame(box.vectors + 5e-8 * rng.standard_normal((n, k))))[1]
+
+
+def duplicated_frame(k, delta, rng):
+    """A random tight frame with one vector repeated at relative distance
+    ``delta``, moved along the sphere, re-whitened."""
+    v = random_tight_frame(k + 1, k, rng).vectors
+    t = rng.standard_normal(k)
+    t -= (t @ v[0]) / (v[0] @ v[0]) * v[0]
+    near = v[0] + delta * np.linalg.norm(v[0]) / np.linalg.norm(t) * t
+    return whiten(Frame(np.vstack([v, near])))[1]
+
+
+def exact_errors(s):
+    """Relative errors of the fast volume and of every facet's cone volume
+    (distance * measure / k) against the exact rational oracle.
+
+    A facet record of a group of coincident rows is held to the summed
+    exact cones of those rows; every exact facet must have a record.
+    """
+    v = s.vectors[np.linalg.norm(s.vectors, axis=1) > 1e-14]
+    W = np.vstack([v, -v])
+    cones = exact_cone_volumes(W)
+    exact = float(sum(cones.values()))
+    p = build_section(s)
+    errors = [abs(section_volume_fast(s.vectors) - exact) / exact]
+    covered = set()
+    for f in p.facets:
+        mine = [rows for rows in cones if rows <= set(f.row_ids)]
+        covered.update(mine)
+        want = float(sum(cones[rows] for rows in mine))
+        errors.append(abs(f.distance * f.measure / s.k - want) / want)
+    assert covered == set(cones)
+    return errors
 
 
 def nearest_relative_distance(v):
@@ -249,13 +291,12 @@ class TestVolume:
                 # the polar route has no slack: it matches the exact edges
                 assert section_volume_fast(s.vectors) == pytest.approx(volume(p), rel=1e-15)
             else:
-                # nearly coincident planes take the enumeration, unchanged
-                assert section_volume_fast(s.vectors) == enumerated_volume(s.vectors)
+                assert max(exact_errors(s)) <= 1e-13
 
     def test_fast_path_agrees(self):
         rng = np.random.default_rng(25)
         for _ in range(30):
-            k = int(rng.integers(2, 5))
+            k = int(rng.integers(2, 6))
             n = int(rng.integers(k + 1, 9))
             s = random_tight_frame(n, k, rng)
             assert section_volume_fast(s.vectors) == pytest.approx(
@@ -263,8 +304,6 @@ class TestVolume:
             )
 
     def test_fast_path_matches_enumeration(self):
-        # the pyramid sum of build_section is left out: at k = 5 it runs
-        # about 3e-9 high on random frames, where these two agree
         rng = np.random.default_rng(31)
         cells = [(int(n), k) for k in range(1, 6) for n in rng.integers(k + 1, 9, size=6)]
         for n, k in cells + [(16, 5)]:
@@ -274,14 +313,12 @@ class TestVolume:
             # zero vectors contribute no constraint
             padded = np.vstack([v[:1], np.zeros((2, k)), v[1:]])
             assert section_volume_fast(padded) == pytest.approx(fast, rel=1e-12)
-        # two points of +-V just outside the near-coincident guard: the foot
-        # points of their common faces need a QR of the point differences
-        # (on the k = 4 frames, normal equations were 1.2e-13 to 2.8e-13 off)
+        # two points of +-V at relative distance 3e-5, against the
+        # enumeration without slack
         for seed, n, k, pairs in ((3, 6, 3, 2), (9, 7, 3, 3), (130, 7, 4, 2), (72, 8, 4, 3),
                                   (169, 9, 4, 4)):
-            v = near_guard_frame(n, k, pairs, 3e-5, np.random.default_rng([seed, n, pairs]))
+            v = nearly_paired_frame(n, k, pairs, 3e-5, np.random.default_rng([seed, n, pairs]))
             assert 2e-5 <= nearest_relative_distance(v) <= 5e-5
-            assert nearest_relative_distance(v) > NEAR_COINCIDENT_REL
             W = np.vstack([v, -v])
             exact = convex_volume(halfspace_vertices(W, np.ones(len(W)), 1e-13), k)
             assert section_volume_fast(v) == pytest.approx(exact, rel=1e-13)
@@ -307,6 +344,11 @@ class TestVolume:
             q, _ = np.linalg.qr(rng.standard_normal((k, k)))
             for frame in (v, v @ q):
                 assert section_volume_fast(frame) == pytest.approx(exact, rel=1e-14)
+                # every point of +-V is a facet, each with an equal cone
+                facets = build_section(Frame(frame)).facets
+                assert len(facets) == 2**k
+                for f in facets:
+                    assert f.distance * f.measure / k == pytest.approx(exact / 2**k, rel=1e-13)
 
     def test_halfspace_volume_of_moved_facets(self):
         # the rebuilt sections of the facet transformations are not
@@ -327,18 +369,38 @@ class TestVolume:
                     assert _halfspace_volume(A, b) == pytest.approx(exact, rel=1e-12)
 
 
-def reference_dedup(points, eps):
-    """First occurrences of rounded rows, then union of points within 2 eps."""
-    decimals = max(0, int(round(-np.log10(eps))))
-    _, idx = np.unique(np.round(points, decimals), axis=0, return_index=True)
-    pts = points[np.sort(idx)]
-    root = list(range(len(pts)))
-    for i in range(len(pts)):
-        for j in range(i):
-            if np.linalg.norm(pts[i] - pts[j]) <= 2 * eps:
-                lo, hi = sorted((root[i], root[j]))
-                root = [lo if r == hi else r for r in root]
-    return pts[[root[i] == i for i in range(len(pts))]]
+class TestExactVolume:
+    """The fast volume and every facet's cone against exact rational volumes."""
+
+    def test_near_parallel_pool_frames(self):
+        # pool index 182 at (7, 4) made Qhull raise a wide merge in an
+        # earlier two-hull route
+        cells = [(7, 3, j) for j in range(10)] + [(7, 4, j) for j in (0, 1, 2, 3, 4, 182)]
+        for n, k, j in cells:
+            assert max(exact_errors(pool_near_parallel(n, k, j))) <= 1e-13
+
+    def test_triangulation_of_nearly_coincident_vertices(self):
+        s = pool_near_parallel(12, 4, 674)
+        assert max(exact_errors(s)) <= 1e-13
+        fast = section_volume_fast(s.vectors)
+        assert volume_by_triangulation(build_section(s)) == pytest.approx(fast, rel=1e-13)
+        # the polar vertices of Qhull's own facet equations, up to 4e-9 off
+        # here: their hull under Qhull's default options raises a wide
+        # merge (QH6271)
+        W = np.vstack([s.vectors, -s.vectors])
+        _, _, Y = _polar_hull(W, np.ones(len(W)))
+        assert convex_volume(Y, 4) == pytest.approx(fast, rel=1e-13)
+
+    def test_duplicated_vector(self):
+        rng = np.random.default_rng(35)
+        for k in (3, 4, 5):
+            for delta in (1e-5, 1e-7, 1e-9, 1e-11, 1e-13):
+                assert max(exact_errors(duplicated_frame(k, delta, rng))) <= 1e-13
+
+    def test_box_frames(self):
+        rng = np.random.default_rng(36)
+        for n, k in ((7, 3), (7, 4), (6, 5)):
+            assert max(exact_errors(signed_box_frame(n, k, rng))) <= 1e-13
 
 
 def reference_row_groups(W, tol):
@@ -380,20 +442,6 @@ class TestRowGroups:
         groups = _coincident_row_groups(W, 1e-9)
         assert len(groups) == 6
         assert groups[0] == [0, 2, 8]
-
-
-class TestDedup:
-    def test_matches_reference(self):
-        rng = np.random.default_rng(30)
-        for _ in range(200):
-            k = int(rng.integers(1, 5))
-            centers = rng.standard_normal((int(rng.integers(1, 8)), k))
-            pts = centers[rng.integers(len(centers), size=int(rng.integers(1, 30)))]
-            # jitter far below or far above the merge radius, never near it
-            scale = rng.choice([0.0, 1e-12, 1e-6], size=(len(pts), 1))
-            pts = pts + scale * rng.standard_normal(pts.shape)
-            pts[rng.random(pts.shape) < 0.1] = rng.choice([0.0, -0.0, 1e-13, -1e-13])
-            np.testing.assert_array_equal(_dedup(pts, 1e-9), reference_dedup(pts, 1e-9))
 
 
 class TestFacetGeometry:
