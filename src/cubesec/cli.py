@@ -225,6 +225,7 @@ def cmd_optimize(args, manifest: RunManifest) -> int:
     payload["manifest"] = manifest.finish().to_dict()
     lines = [
         f"best volume      {result.best_volume:.12g}",
+        f"best restart     {result.best_index} ({result.best_start})",
         f"conditions       {'pass' if result.conditions.passed else 'FAIL'}",
         f"restarts         {len(result.restarts)}",
     ]

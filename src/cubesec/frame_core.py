@@ -38,6 +38,11 @@ def symmetrize(a):
     return (a + a.T) / 2.0
 
 
+def _tightness_error(a) -> float:
+    """Largest entry of |a - I| for a frame operator a."""
+    return float(np.abs(a - np.eye(len(a))).max())
+
+
 class Frame:
     """Ordered tuple of n vectors spanning R^k.
 
@@ -110,8 +115,9 @@ class TightFrame(Frame):
 
     def __init__(self, vectors, *, eps_tight: float = EPS_TIGHT):
         super().__init__(vectors, require_span=False)
-        a = frame_operator(self, check=False)
-        err = np.max(np.abs(a - np.eye(self.k)))
+        self._accept(_tightness_error(frame_operator(self, check=False)), eps_tight)
+
+    def _accept(self, err: float, eps_tight: float) -> None:
         if err > eps_tight:
             raise TightnessError(
                 f"frame operator deviates from identity by {err:.3e} "
@@ -183,15 +189,20 @@ def whiten(s: Frame, *, eps_tight: float = EPS_TIGHT):
     refinement pass is applied when conditioning pushes the first result
     past ``eps_tight``.
     """
-    a = frame_operator(s, check=False)
-    b = _inv_sqrt(a)
+    b = _inv_sqrt(frame_operator(s, check=False))
     v = s.vectors @ b
-    err = np.max(np.abs(symmetrize(v.T @ v) - np.eye(s.k)))
+    a = symmetrize(v.T @ v)
+    err = _tightness_error(a)
     if err > eps_tight / 10 and err < 1e-2:
-        b2 = _inv_sqrt(symmetrize(v.T @ v))
+        b2 = _inv_sqrt(a)
         v = v @ b2
         b = symmetrize(b @ b2)
-    return b, TightFrame(v, eps_tight=eps_tight)
+        err = _tightness_error(symmetrize(v.T @ v))
+    # the error of v is measured once, here, not again by TightFrame()
+    tight = TightFrame.__new__(TightFrame)
+    Frame.__init__(tight, v, require_span=False)
+    tight._accept(err, eps_tight)
+    return b, tight
 
 
 def det_rank_one(a, u, sign: int = 1) -> float:

@@ -89,16 +89,26 @@ class RestartResult:
 
 @dataclass
 class OptimizeResult:
+    """A multi-start run: ``best_index`` is the ``RestartResult.index`` of
+    the restart that won, and ``best_start`` its start."""
+
     config: OptimizerConfig
     best_frame: TightFrame
     best_volume: float
     restarts: list
     conditions: ConditionsReport
+    best_index: int | None = None
+
+    @property
+    def best_start(self) -> str | None:
+        return next((r.start for r in self.restarts if r.index == self.best_index), None)
 
     def to_dict(self) -> dict:
         return {
             "config": self.config.to_dict(),
             "best": {
+                "index": self.best_index,
+                "start": self.best_start,
                 "volume": self.best_volume,
                 "frame": self.best_frame.to_dict(),
                 "conditions": self.conditions.to_dict(),
@@ -274,6 +284,7 @@ def maximize(config: OptimizerConfig, threads: int | None = None) -> OptimizeRes
         best_volume=best.final_volume,
         restarts=results,
         conditions=report,
+        best_index=best.index,
     )
 
 

@@ -131,11 +131,23 @@ class TestOptimize:
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
         assert data["best"]["volume"] == pytest.approx(8.0, rel=1e-6)
+        winner = data["restarts"][data["best"]["index"]]
+        assert winner["final_volume"] == data["best"]["volume"]
+        assert data["best"]["start"] == winner["start"]
         saved = json.loads(out.read_text())
         assert saved["best"]["volume"] == data["best"]["volume"]
         assert trace.read_text().startswith("restart,iteration,volume")
         assert (tmp_path / "result.json.manifest.json").exists()
         assert (tmp_path / "trace.csv.manifest.json").exists()
+
+    def test_text_names_the_winning_restart(self, capsys):
+        rc = main(["optimize", "--n", "4", "--k", "2", "--restarts", "1",
+                   "--seed", "5", "--max-iterations", "150"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        best = [line for line in lines if line.startswith("best restart")]
+        assert len(best) == 1
+        assert best[0].split()[2:] in (["0", "(random)"], ["1", "(warm)"])
 
     def test_seeded_reruns_identical(self, tmp_path):
         paths = []

@@ -178,8 +178,41 @@ class TestMaximize:
         again = json.loads(maximize(small_config(4, 2, restarts=1, max_iterations=100)).to_json())
         assert again["restarts"] == data["restarts"]
         assert data["best"]["conditions"]["passed"] in (True, False)
+        # the winner is named by its restart index and start
+        winner = res.restarts[res.best_index]
+        assert winner.final_volume == res.best_volume
+        assert (data["best"]["index"], data["best"]["start"]) == (winner.index, winner.start)
+        assert again["best"]["index"] == data["best"]["index"]
         back = Frame.from_dict(data["best"]["frame"])
         np.testing.assert_array_equal(back.vectors, res.best_frame.vectors)
+
+
+class TestPinnedRestarts:
+    """Whole restarts at (7, 3) and (7, 4) pinned to recorded outcomes.
+
+    The values were recorded with the earlier flag sum, which split every
+    ridge term by the first corner of its flags.  A change to the volume
+    kernel, whitening or the proposals that moves any accept or reject
+    decision changes a count here; a change of rounding alone moves
+    ``final_volume`` by about 1e-16.
+    """
+
+    PINNED = {
+        (7, 3): [(400, 39, 0, 0, "cap", 25.15802155862503),
+                 (400, 0, 0, 0, "cap", 27.71281292110204)],
+        (7, 4): [(400, 44, 0, 0, "cap", 39.82257977324494),
+                 (400, 0, 2, 0, "cap", 45.254833995939045)],
+    }
+
+    @pytest.mark.parametrize("n, k", sorted(PINNED))
+    def test_random_and_warm_restart(self, n, k):
+        res = maximize(OptimizerConfig(n=n, k=k, restarts=1, seed=7, max_iterations=400))
+        assert [r.start for r in res.restarts] == ["random", "warm"]
+        for r, (iterations, accepted, rank_loss, degenerate, stop, final) in zip(
+                res.restarts, self.PINNED[n, k]):
+            assert (r.iterations, r.accepted, r.rank_loss, r.degenerate, r.stop) == (
+                iterations, accepted, rank_loss, degenerate, stop)
+            assert r.final_volume == pytest.approx(final, rel=1e-13)
 
 
 class TestCriterionGap:

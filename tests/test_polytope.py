@@ -33,7 +33,7 @@ from cubesec.polytope import (
     volume_by_triangulation,
 )
 from cubesec.bounds import c_cube, default_partition, extremal_frame
-from oracles import exact_cone_volumes, halfspace_vertices
+from oracles import exact_cone_volumes, exact_volume, halfspace_vertices
 
 
 def square_frame():
@@ -372,6 +372,24 @@ class TestVolume:
 class TestExactVolume:
     """The fast volume and every facet's cone against exact rational volumes."""
 
+    def test_moved_facets(self):
+        # the flag sum on bodies that are not centrally symmetric: {W x <= c}
+        # with two rows of a section shifted or tilted
+        rng = np.random.default_rng(37)
+        for k in (3, 4, 5):
+            for n in (k + 1, k + 2):
+                v = random_tight_frame(n, k, rng).vectors
+                W = np.vstack([v, -v])
+                c = np.ones(len(W))
+                rows = rng.choice(len(W), size=2, replace=False)
+                shifted = c.copy()
+                shifted[rows] += rng.uniform(0.05, 0.3, size=2) * np.linalg.norm(W[rows], axis=1)
+                tilted = W.copy()
+                tilted[rows] += 0.2 * rng.standard_normal((2, k))
+                for A, b in ((W, shifted), (tilted, c)):
+                    exact = float(exact_volume(A, b))
+                    assert _halfspace_volume(A, b) == pytest.approx(exact, rel=1e-13)
+
     def test_near_parallel_pool_frames(self):
         # pool index 182 at (7, 4) made Qhull raise a wide merge in an
         # earlier two-hull route
@@ -477,6 +495,17 @@ class TestFacetGeometry:
                 np.testing.assert_allclose(
                     facet_centroid(p, f), f.centroid, atol=1e-10
                 )
+
+    def test_recomputed_centroid_matches_stored_k5(self):
+        # each simplex of the facet is weighted by |det e|; a Gram
+        # determinant det(e e^T) squares the simplex's condition and put
+        # the recomputed centroids up to 5.5e-9 off at k = 5
+        rng = np.random.default_rng(28)
+        for n in (6, 7, 9):
+            for _ in range(2):
+                p = build_section(random_tight_frame(n, 5, rng))
+                for f in p.facets:
+                    np.testing.assert_allclose(facet_centroid(p, f), f.centroid, rtol=0, atol=1e-12)
 
     def test_facet_vertices_on_hyperplane(self):
         rng = np.random.default_rng(27)
