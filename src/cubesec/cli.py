@@ -287,7 +287,8 @@ def cmd_reproduce(args, manifest: RunManifest) -> int:
     else:
         width = max(len(r.name) for r in results)
         for r in results:
-            print(f"{r.name:<{width}}  {'PASS' if r.passed else 'FAIL'}  {r.duration:8.1f}s")
+            head = f"{r.name:<{width}}  {'PASS' if r.passed else 'FAIL'}  {r.duration:8.1f}s"
+            print(head + (f"  optimizer {r.optimizer_s:8.1f}s" if args.verbose else ""))
             if args.verbose:
                 for line in r.details:
                     print(f"    {line}")
@@ -371,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps-tight", type=float, default=1e-10)
     p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--verbose", action="store_true", help="print per-cell details")
+    p.add_argument("--verbose", action="store_true", help="print per-cell details and optimizer seconds")
     p.add_argument("--out", metavar="FILE", help="write the battery report JSON")
     add_format(p)
     p.set_defaults(func=cmd_reproduce)

@@ -5,16 +5,20 @@ slabs |<x, v>| <= 1 over the frame vectors.  It is the polar body of
 P = conv{+-v}: a facet a.x + b <= 0 of P is the vertex a / (-b) of the
 section, and a vertex p of P is the normal of the facet <x, p> = 1.
 
-One construction serves everything here: the Qhull hull of the polar
-points W_r / c_r of a system {W x <= c} (+-v for a section,
-:func:`_polar_hull`).  Its distinct facet equations are the section's
-vertices, its vertices the section's facets.  For k >= 3 the volume is a
-signed sum over the flags of its triangulation, one determinant per ridge
+One construction serves everything here: the hull of the polar points
+W_r / c_r of a system {W x <= c} (+-v for a section).  Its facets are the
+section's vertices, its vertices the section's facets.  In the plane the
+hull is one Graham scan of the points sorted by angle
+(:func:`_planar_hull`), with no Qhull call: it gives the section vertices
+in order, the volume is their shoelace area, and the facet of a hull
+vertex is the edge between the section vertices of its two hull edges.
+For k >= 3 it is Qhull's hull (:func:`_polar_hull`), whose distinct facet
+equations are the section's vertices, and the volume is a signed sum over
+the flags of its triangulation, one determinant per ridge
 (:func:`_flag_volume`).  :func:`_flag_cones` splits the same sum by the
 first corner p of each flag: the terms of p are the cone from the origin
-over the facet of p, which gives that facet's content and centroid.  In
-the plane a facet is the edge between the polar vertices of p's two hull
-edges, and for k = 1 the section is an interval in closed form.
+over the facet of p, which gives that facet's content and centroid.  For
+k = 1 the section is an interval in closed form.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb, factorial
+from math import atan2, comb, factorial
 from typing import NamedTuple
 
 import numpy as np
@@ -111,9 +115,12 @@ class SectionPolytope:
 def convex_volume(points: np.ndarray, k: int) -> float:
     """Volume of the convex hull of ``points`` by triangulation.
 
-    For k >= 3 Qhull runs with option Q12, which accepts the wide merges
-    that nearly coincident section vertices cause; its default raises
-    QH6271 on such vertex sets.
+    The independent oracle behind :func:`volume_by_triangulation`; no
+    section volume is computed with it.  For k = 2 the points must be the
+    vertices of a convex polygon: they are sorted by angle about their
+    mean, and the area is their shoelace.  For k >= 3 Qhull runs with
+    option Q12, which accepts the wide merges that nearly coincident
+    section vertices cause; its default raises QH6271 on such vertex sets.
     """
     if len(points) <= k:
         return 0.0
@@ -231,8 +238,80 @@ def _interval(W: np.ndarray, c: np.ndarray):
     return int(down[np.argmax(c[down] / w[down])]), int(up[np.argmin(c[up] / w[up])])
 
 
+def _planar_hull(W: np.ndarray, c: np.ndarray | None):
+    """Hull of the polar points P = W_r / c_r in the plane, and the section
+    vertices, by one Graham scan (Graham, 1972).
+
+    Returns (hull, Y): the rows whose points are the hull's vertices, in
+    counterclockwise order, and Y[j] the section vertex of the hull edge
+    from hull[j] to hull[j + 1], cyclically.  The facet of row hull[j] is
+    thus the edge from Y[j - 1] to Y[j].  ``c`` None means every c_r is 1.
+
+    The points are sorted by their angle about the origin, and the scan
+    starts at the point of largest norm, which is always a hull vertex.  It
+    pops a point while the turn into the next one is not strictly
+    counterclockwise, so exact duplicates and collinear points are dropped,
+    as Qhull drops them.  An edge (p, q) is the line
+    <x, p> = <x, q> = 1, so its section vertex J(q - p) / (p x (q - p)),
+    with J(dx, dy) = (dy, -dx), is formed from the short difference q - p
+    (see :func:`_solved_vertices`).
+
+    Raises :class:`NotAFrameError` when fewer than 3 vertices remain, or an
+    edge lies within 1e-10 max|P| of the origin, as :func:`_polar_hull`
+    does for a facet: the rows then span R^2 only in rounding, if at all.
+    """
+    if len(W) < 3:
+        raise NotAFrameError("not a frame")
+    P = W if c is None else W / c[:, None]
+    floor = 1e-10 * float(np.abs(P).max())
+    P = P.tolist()
+    angle = [atan2(y, x) for x, y in P]
+    order = sorted(range(len(P)), key=angle.__getitem__)
+    norms = [x * x + y * y for x, y in P]
+    at = order.index(norms.index(max(norms)))
+    hull = [order[at]]
+    bx, by = P[hull[0]]  # the top of the stack
+    for r in order[at + 1:] + order[:at + 1]:  # once round, back to the start
+        qx, qy = P[r]
+        while len(hull) > 1:
+            ax, ay = P[hull[-2]]
+            if (bx - ax) * (qy - by) - (by - ay) * (qx - bx) > 0:
+                break
+            hull.pop()
+            bx, by = ax, ay
+        hull.append(r)
+        bx, by = qx, qy
+    hull.pop()  # the start, met again
+    if len(hull) < 3:
+        raise NotAFrameError("not a frame")
+    Y = []
+    px, py = P[hull[0]]
+    for r in hull[1:] + hull[:1]:
+        qx, qy = P[r]
+        dx, dy = qx - px, qy - py
+        cross = px * dy - py * dx
+        # an edge this close to the origin puts a section vertex out at
+        # 1 / distance, as a shallow facet does in _polar_hull
+        if cross <= 0 or cross * cross <= floor * floor * (dx * dx + dy * dy):
+            raise NotAFrameError("not a frame")
+        Y.append((dy / cross, -dx / cross))
+        px, py = qx, qy
+    return hull, Y
+
+
+def _shoelace(Y) -> float:
+    """Area of the polygon with counterclockwise vertices Y, a list of pairs."""
+    area = 0.0
+    px, py = Y[-1]
+    for x, y in Y:
+        area += px * y - py * x
+        px, py = x, y
+    return area / 2
+
+
 def _polar_hull(W: np.ndarray, c: np.ndarray | None):
-    """Hull of the polar points P = W_r / c_r, k >= 2, and the section vertices.
+    """Qhull's hull of the polar points P = W_r / c_r, k >= 3 (the plane has
+    :func:`_planar_hull`), and the section vertices.
 
     Returns (P, hull, Y), Y[f] = a / (-b) for hull facet f: a.x + b <= 0.
     ``c`` None means every c_r is 1, so P is W.  Raises
@@ -305,6 +384,25 @@ def _point_facets(W: np.ndarray, c: np.ndarray):
         ends = _interval(W, c)
         verts = np.array([[c[r] / W[r, 0]] for r in ends])
         return verts, {r: (1.0, verts[i], (i,)) for i, r in enumerate(ends)}
+    if k == 2:
+        hull, Y = _planar_hull(W, c)
+        verts = np.array(Y)
+        # the facet of q_j = P[hull[j]] runs from Y[j - 1] to Y[j], and its
+        # length is |q_j| t_j / (x_j x_(j+1)), with t_j the turn
+        # (q_j - q_(j-1)) x (q_(j+1) - q_j) and x_j = q_(j-1) x q_j: formed
+        # from the short differences, it stays exact to rounding however
+        # short the facet, where |Y[j] - Y[j - 1]| would not
+        Q = W[hull] / c[hull, None]
+        prev = np.roll(Q, 1, axis=0)
+        into = Q - prev
+        out = np.roll(into, -1, axis=0)
+        cross = prev[:, 0] * into[:, 1] - prev[:, 1] * into[:, 0]
+        turn = into[:, 0] * out[:, 1] - into[:, 1] * out[:, 0]
+        length = (np.linalg.norm(Q, axis=1) * turn / (cross * np.roll(cross, -1))).tolist()
+        middle = (np.roll(verts, 1, axis=0) + verts) / 2
+        m = len(hull)
+        return verts, {r: (length[j], middle[j], tuple(sorted(((j - 1) % m, j))))
+                       for j, r in enumerate(hull)}
     P, hull, Y = _polar_hull(W, c)
     Y = _solved_vertices(P, hull, Y)
     # the simplices of a merged facet of P share one equation
@@ -318,12 +416,6 @@ def _point_facets(W: np.ndarray, c: np.ndarray):
     point, ids = np.divmod(codes, len(verts))
     starts = np.flatnonzero(np.r_[True, point[1:] != point[:-1]])
     around = zip(point[starts].tolist(), np.split(ids, starts[1:]))
-    if k == 2:
-        facets = {}
-        for p, ends in around:
-            a, b = verts[ends]
-            facets[p] = (float(np.linalg.norm(b - a)), (a + b) / 2, tuple(ends.tolist()))
-        return verts, facets
     owner, cone, moment = _flag_cones(P, hull.simplices, hull.neighbors, Y)
     cone = np.bincount(owner.ravel(), cone.ravel(), minlength=len(P))
     moment = np.stack([np.bincount(owner.ravel(), m.ravel(), minlength=len(P))
@@ -391,9 +483,10 @@ def volume(p: SectionPolytope) -> float:
     """Volume by the pyramid decomposition over facets.
 
     Each facet contributes distance-to-origin times its content over k,
-    which is the cone from the origin over it.  For k >= 3 the contents
-    come from those cones in the flag sum (:func:`_flag_cones`), so this
-    is the volume of :func:`section_volume_fast` up to rounding.  Cross-
+    which is the cone from the origin over it.  The facets come from the
+    hull that :func:`section_volume_fast` uses, the edges of the planar
+    scan for k = 2 and the cones of the flag sum (:func:`_flag_cones`) for
+    k >= 3, so this is that volume up to rounding.  Cross-
     check against :func:`volume_by_triangulation` where independence
     matters.
     """
@@ -565,9 +658,10 @@ def _peel(b: np.ndarray, drop: np.ndarray) -> np.ndarray:
 
 
 def _face_holders(simplices: np.ndarray, subsets, points: int) -> list:
-    """One simplex that holds each listed corner subset G of each simplex,
-    the same one wherever G occurs: an (F, number of subsets) array per
-    entry of ``subsets``.  The points are numbered below ``points``.
+    """The highest-numbered simplex that holds each listed corner subset G
+    of each simplex, so the same one wherever G occurs: an (F, number of
+    subsets) array per entry of ``subsets``.  The points are numbered below
+    ``points``.
     """
     holds = np.arange(len(simplices))[:, None]
     out = []
@@ -589,8 +683,10 @@ def _face_holders(simplices: np.ndarray, subsets, points: int) -> list:
                 for t in range(1, i + 1):
                     term = term * (c - t)
                 key = key + term // factorial(i + 1)
-        holder = np.empty(comb(points, sub.shape[1]), dtype=np.intp)
-        holder[key] = holds
+        # a plain fancy-index assignment would keep whichever write numpy
+        # makes last, in an order that follows the memory layout of ``key``
+        holder = np.zeros(comb(points, sub.shape[1]), dtype=np.intp)
+        np.maximum.at(holder, key, holds)
         out.append(holder.take(key))
     return out
 
@@ -749,17 +845,18 @@ def _halfspace_volume(W: np.ndarray, c: np.ndarray | None = None) -> float:
 
     ``c`` None means every c_r is 1.  The polytope is the polar body of
     conv{W_r / c_r}; see :func:`section_volume_fast` for the routes.
-    Raises :class:`NotAFrameError` when the rows do not span R^k, and
-    :class:`DegeneratePolytopeError` when Qhull fails on rows that do.
+    Raises :class:`NotAFrameError` when the rows do not span R^k, and, for
+    k >= 3, :class:`DegeneratePolytopeError` when Qhull fails on rows that
+    do.
     """
     k = W.shape[1]
     if k == 1:
         c = np.ones(len(W)) if c is None else c
         lo, hi = _interval(W, c)
         return float(c[hi] / W[hi, 0] - c[lo] / W[lo, 0])
-    P, hull, Y = _polar_hull(W, c)
     if k == 2:
-        return convex_volume(Y, k)
+        return _shoelace(_planar_hull(W, c)[1])
+    P, hull, Y = _polar_hull(W, c)
     return _flag_volume(P, hull.simplices, hull.neighbors, Y)
 
 
@@ -771,11 +868,13 @@ def section_volume_fast(vectors: np.ndarray) -> float:
 
     - k = 1: the section is the interval |x| <= 1 / max |v_i|, of length
       2 / max |v_i|.
-    - k = 2, polar hull: Qhull's facets a.x + b <= 0 of P = conv{+-v_i}
-      give the section vertices a / (-b), and the volume is their area by
-      angle sort and shoelace (:func:`convex_volume`).  It has no
-      feasibility slack: on near-parallel planar frames it matched exact
-      edge intervals to 7e-16.
+    - k = 2, planar scan: one Graham scan of +-v_i sorted by angle gives
+      the hull edges (p, q) of P = conv{+-v_i} in order, each the section
+      vertex J(q - p) / (p x (q - p)), and the volume is the shoelace area
+      of those vertices (:func:`_planar_hull`), with no Qhull call and no
+      second sort.  It has no feasibility slack: it is within 1e-13 of an
+      exact rational volume on near-parallel, duplicated-vector and box
+      frames, and on sections with facets shifted or tilted.
     - k >= 3, flag sum over the same hull: signed simplices over the
       flags of Qhull's triangulation of P, summed face by face into one
       determinant per ridge (:func:`_flag_volume`), with no second Qhull
@@ -788,11 +887,12 @@ def section_volume_fast(vectors: np.ndarray) -> float:
       simplices of a merged facet share one polar vertex, so their ridges
       add exactly 0.
 
-    Frames without zero vectors go to Qhull as they are, and with every
-    c_r = 1 no division forms P.
+    Frames without zero vectors go to the hull as they are, and with
+    every c_r = 1 no division forms P.
 
-    Raises :class:`NotAFrameError` when the vectors do not span, and
-    :class:`DegeneratePolytopeError` when Qhull fails on vectors that do.
+    Raises :class:`NotAFrameError` when the vectors do not span, and, for
+    k >= 3, :class:`DegeneratePolytopeError` when Qhull fails on vectors
+    that do.
     """
     nz = np.linalg.norm(vectors, axis=1) > 1e-14
     V = vectors if nz.all() else vectors[nz]

@@ -69,12 +69,14 @@ class CriterionResult:
     duration: float
     details: list = field(default_factory=list)
     loud: list = field(default_factory=list)
+    optimizer_s: float = 0.0  # seconds of the optimizer runs it started (run_battery)
 
     def to_dict(self) -> dict:
         return {
             "name": self.name,
             "passed": bool(self.passed),
             "duration_s": round(self.duration, 3),
+            "optimizer_s": round(self.optimizer_s, 3),
             "details": list(self.details),
             "loud": list(self.loud),
         }
@@ -579,16 +581,20 @@ def select_criteria(only=None) -> list:
 
 
 def run_battery(ctx: BatteryContext, only=None) -> list:
-    """Run the selected criteria; exceptions become failures, not crashes."""
+    """Run the selected criteria; exceptions become failures, not crashes.
+
+    Each result's ``optimizer_s`` is how much ``ctx.optimizer_seconds`` grew
+    while it ran: a criterion that reuses a cached winner spends none.
+    """
     results = []
     for name in select_criteria(only):
-        t0 = time.perf_counter()
+        t0, opt0 = time.perf_counter(), ctx.optimizer_seconds
         try:
-            results.append(CRITERIA[name](ctx))
+            result = CRITERIA[name](ctx)
         except Exception as exc:  # noqa: BLE001 - battery must report, not crash
-            results.append(
-                CriterionResult(
-                    name, False, time.perf_counter() - t0, [f"error: {_error_line(exc)}"]
-                )
+            result = CriterionResult(
+                name, False, time.perf_counter() - t0, [f"error: {_error_line(exc)}"]
             )
+        result.optimizer_s = ctx.optimizer_seconds - opt0
+        results.append(result)
     return results

@@ -2,12 +2,14 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from cubesec.cli import main
 from cubesec.frame_core import Frame
+from cubesec.reproduce import CRITERIA, CriterionResult
 
 
 @pytest.fixture
@@ -206,6 +208,17 @@ class TestReproduce:
         )
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_verbose_prints_optimizer_seconds(self, monkeypatch, capsys):
+        def spends(ctx):
+            ctx.optimizer_seconds += 2.5
+            return CriterionResult("spends-time", True, 3.0, ["one detail"])
+
+        monkeypatch.setitem(CRITERIA, "spends-time", spends)
+        assert main(["reproduce", "--only", "spends-time", "--verbose"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"spends-time  PASS +3\.0s  optimizer +2\.5s", lines[0])
+        assert lines[1] == "    one detail"
 
     def test_json_format(self, capsys):
         rc = main(["reproduce", "--only", "planar-claims", "--format", "json"])

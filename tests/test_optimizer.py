@@ -188,16 +188,24 @@ class TestMaximize:
 
 
 class TestPinnedRestarts:
-    """Whole restarts at (7, 3) and (7, 4) pinned to recorded outcomes.
+    """Whole restarts at (3, 2), (10, 2), (7, 3) and (7, 4) pinned to
+    recorded outcomes.
 
-    The values were recorded with the earlier flag sum, which split every
-    ridge term by the first corner of its flags.  A change to the volume
-    kernel, whitening or the proposals that moves any accept or reject
-    decision changes a count here; a change of rounding alone moves
-    ``final_volume`` by about 1e-16.
+    The k >= 3 values were recorded with the earlier flag sum, which split
+    every ridge term by the first corner of its flags, and the k = 2 values
+    with Qhull's hull of +-v in place of the planar scan.  At (3, 2) the
+    warm start holds two parallel generators, so its points of +-V
+    coincide, and the random restart climbs towards such a frame.  A change
+    to the volume kernel, whitening or the proposals that moves any accept
+    or reject decision changes a count here; a change of rounding alone
+    moves ``final_volume`` by about 1e-16.
     """
 
     PINNED = {
+        (3, 2): [(400, 20, 0, 0, "cap", 5.6533891338658995),
+                 (400, 0, 11, 0, "cap", 5.6568542494923815)],
+        (10, 2): [(400, 41, 0, 0, "cap", 16.932623710973484),
+                  (400, 0, 0, 0, "cap", 20.000000000000004)],
         (7, 3): [(400, 39, 0, 0, "cap", 25.15802155862503),
                  (400, 0, 0, 0, "cap", 27.71281292110204)],
         (7, 4): [(400, 44, 0, 0, "cap", 39.82257977324494),

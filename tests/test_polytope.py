@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from cubesec.frame_core import (
     Frame,
@@ -18,6 +19,8 @@ from cubesec.polytope import (
     DegenerateFacetError,
     FacetRecord,
     _coincident_row_groups,
+    _face_holders,
+    _flag_plan,
     _halfspace_volume,
     _polar_hull,
     build_section,
@@ -174,6 +177,7 @@ class TestBuildSection:
             np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]),
             # spans only in rounding: Qhull builds a hull 1e-13 thick
             np.array([[1.0, 0.0], [1.0, 1e-13], [0.5, 0.0]]),
+            np.zeros((2, 2)),
         ]
         assert build_section(s) is not None
         for v in flat:
@@ -373,10 +377,10 @@ class TestExactVolume:
     """The fast volume and every facet's cone against exact rational volumes."""
 
     def test_moved_facets(self):
-        # the flag sum on bodies that are not centrally symmetric: {W x <= c}
-        # with two rows of a section shifted or tilted
+        # the planar scan and the flag sum on bodies that are not centrally
+        # symmetric: {W x <= c} with two rows of a section shifted or tilted
         rng = np.random.default_rng(37)
-        for k in (3, 4, 5):
+        for k in (2, 3, 4, 5):
             for n in (k + 1, k + 2):
                 v = random_tight_frame(n, k, rng).vectors
                 W = np.vstack([v, -v])
@@ -393,7 +397,8 @@ class TestExactVolume:
     def test_near_parallel_pool_frames(self):
         # pool index 182 at (7, 4) made Qhull raise a wide merge in an
         # earlier two-hull route
-        cells = [(7, 3, j) for j in range(10)] + [(7, 4, j) for j in (0, 1, 2, 3, 4, 182)]
+        cells = [(n, 2, j) for n in (3, 6, 10) for j in range(10)]
+        cells += [(7, 3, j) for j in range(10)] + [(7, 4, j) for j in (0, 1, 2, 3, 4, 182)]
         for n, k, j in cells:
             assert max(exact_errors(pool_near_parallel(n, k, j))) <= 1e-13
 
@@ -411,14 +416,36 @@ class TestExactVolume:
 
     def test_duplicated_vector(self):
         rng = np.random.default_rng(35)
-        for k in (3, 4, 5):
+        for k in (2, 3, 4, 5):
             for delta in (1e-5, 1e-7, 1e-9, 1e-11, 1e-13):
                 assert max(exact_errors(duplicated_frame(k, delta, rng))) <= 1e-13
 
     def test_box_frames(self):
         rng = np.random.default_rng(36)
-        for n, k in ((7, 3), (7, 4), (6, 5)):
+        for n, k in ((6, 2), (10, 2), (7, 3), (7, 4), (6, 5)):
             assert max(exact_errors(signed_box_frame(n, k, rng))) <= 1e-13
+
+
+class TestFaceHolders:
+    def test_holders_do_not_depend_on_memory_layout(self):
+        # the same simplices in C order, in Fortran order and as a view with
+        # negative strides must name the same holder of every face
+        rng = np.random.default_rng(38)
+        for k in (3, 4, 5, 6):
+            plan = _flag_plan(k)
+            for _ in range(5):
+                v = random_tight_frame(int(rng.integers(k + 1, k + 4)), k, rng).vectors
+                P = np.vstack([v, -v])
+                simplices = np.ascontiguousarray(ConvexHull(P).simplices)
+                layouts = (simplices, np.asfortranarray(simplices),
+                           np.ascontiguousarray(simplices[::-1])[::-1])
+                found = [_face_holders(s, plan.subsets, len(P)) for s in layouts]
+                for other in found[1:]:
+                    for a, b in zip(found[0], other):
+                        np.testing.assert_array_equal(a, b)
+                for sub, holder in zip(plan.subsets, found[0]):
+                    for f, g in itertools.product(range(len(simplices)), range(len(sub))):
+                        assert set(simplices[f, sub[g]]) <= set(simplices[holder[f, g]])
 
 
 def reference_row_groups(W, tol):

@@ -5,7 +5,13 @@ import pytest
 from cubesec.conditions import verify_frame
 from cubesec.frame_core import Frame, whiten
 from cubesec.optimizer import OptimizeResult, OptimizerConfig, maximize
-from cubesec.reproduce import BatteryContext, criterion_planar_optimum
+from cubesec.reproduce import (
+    CRITERIA,
+    BatteryContext,
+    CriterionResult,
+    criterion_planar_optimum,
+    run_battery,
+)
 
 # a (3, 2) restart whose reported volume once exceeded the planar optimum
 # 4 sqrt 2; its section is not cyclic, so the planar angle checks raise
@@ -47,3 +53,22 @@ class TestPlanarOptimum:
         assert len(result.loud) == 1
         assert result.loud[0].startswith("(n=3, k=2)")
         assert repr(OVER_COUNTED_VOLUME) in result.loud[0]
+
+
+def test_optimizer_seconds_per_criterion(monkeypatch):
+    # a criterion is charged the optimizer time spent while it ran, also
+    # when it raises
+    def spends(ctx):
+        ctx.optimizer_seconds += 2.5
+        return CriterionResult("spends-time", True, 3.0)
+
+    def raises(ctx):
+        ctx.optimizer_seconds += 1.0
+        raise RuntimeError("optimizer aborted")
+
+    monkeypatch.setitem(CRITERIA, "spends-time", spends)
+    monkeypatch.setitem(CRITERIA, "raises-midway", raises)
+    results = run_battery(BatteryContext(optimizer_seconds=4.0), only=["spends-time", "raises-midway"])
+    assert [r.optimizer_s for r in results] == [2.5, 1.0]
+    assert [r.to_dict()["optimizer_s"] for r in results] == [2.5, 1.0]
+    assert not results[1].passed
