@@ -4,13 +4,21 @@ A frame is an ordered n-tuple of vectors spanning R^k, stored as the rows
 of an (n, k) array.  A tight frame additionally satisfies
 sum_i v_i (x) v_i = I_k, which makes it exactly the projection of an
 orthonormal basis of R^n onto a k-dimensional subspace.
+
+Whitening maps a frame to a tight one by the inverse square root of its
+frame operator.  In the plane that root has a closed form in the three
+floats of the 2 x 2 operator (:func:`_planar_inv_sqrt`), so a planar
+whitening makes no LAPACK call.  ``eigh`` still runs for k != 2, and in
+the refinement pass of an ill-conditioned frame (:func:`whiten`).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import warnings
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,9 +46,16 @@ def symmetrize(a):
     return (a + a.T) / 2.0
 
 
+@lru_cache(maxsize=None)
+def _identity(k: int):
+    eye = np.eye(k)
+    eye.setflags(write=False)
+    return eye
+
+
 def _tightness_error(a) -> float:
     """Largest entry of |a - I| for a frame operator a."""
-    return float(np.abs(a - np.eye(len(a))).max())
+    return float(np.abs(a - _identity(len(a))).max())
 
 
 class Frame:
@@ -181,26 +196,61 @@ def _inv_sqrt(a, *, floor: float = RANK_FLOOR):
     return symmetrize((u / np.sqrt(w)) @ u.T)
 
 
+def _planar_gram(v):
+    """The entries a, b, c of the Gram matrix [[a, b], [b, c]] of the two
+    columns of an (n, 2) array, as floats."""
+    (a, b), (_, c) = (v.T @ v).tolist()
+    return a, b, c
+
+
+def _planar_inv_sqrt(a: float, b: float, c: float):
+    """Inverse square root of A = [[a, b], [b, c]] in closed form.
+
+    With s = sqrt(det A) and t = sqrt(a + c + 2s) = sqrt(l_1) + sqrt(l_2),
+    A^{1/2} = (A + s I) / t, whose inverse is [[c + s, -b], [-b, a + s]]
+    / (s t).  Raises :class:`NotAFrameError` when the least eigenvalue
+    det A / l_max is below ``RANK_FLOOR``, as :func:`_inv_sqrt` does.
+    """
+    top = (a + c) / 2 + math.hypot((a - c) / 2, b)
+    det = a * c - b * b
+    if not top > 0 or det / top < RANK_FLOOR:
+        raise NotAFrameError("not a frame")
+    s = math.sqrt(det)
+    st = s * math.sqrt(a + c + 2 * s)
+    return np.array([[(c + s) / st, -b / st], [-b / st, (a + s) / st]])
+
+
 def whiten(s: Frame, *, eps_tight: float = EPS_TIGHT):
     """Map a frame to a tight one by the inverse square root of its operator.
 
     Returns ``(b, tight)`` where ``b`` is the symmetric transformation that
-    was applied and ``tight`` is the resulting :class:`TightFrame`.  One
-    refinement pass is applied when conditioning pushes the first result
-    past ``eps_tight``.
+    was applied and ``tight`` is the resulting :class:`TightFrame`.  For
+    k = 2 the root is the closed form of :func:`_planar_inv_sqrt`, and the
+    tightness error is read off the three floats of the result's Gram
+    matrix, with no LAPACK call; other k take ``eigh`` (:func:`_inv_sqrt`).
+    One refinement pass, by ``eigh`` for every k, is applied when
+    conditioning pushes the first result past ``eps_tight``.
     """
-    b = _inv_sqrt(frame_operator(s, check=False))
-    v = s.vectors @ b
-    a = symmetrize(v.T @ v)
-    err = _tightness_error(a)
+    V = s.vectors
+    if V.shape[1] == 2:
+        b = _planar_inv_sqrt(*_planar_gram(V))
+        v = V @ b
+        g00, g01, g11 = _planar_gram(v)
+        err = max(abs(g00 - 1.0), abs(g01), abs(g11 - 1.0))
+    else:
+        b = _inv_sqrt(frame_operator(s, check=False))
+        v = V @ b
+        err = _tightness_error(symmetrize(v.T @ v))
     if err > eps_tight / 10 and err < 1e-2:
-        b2 = _inv_sqrt(a)
+        b2 = _inv_sqrt(symmetrize(v.T @ v))
         v = v @ b2
         b = symmetrize(b @ b2)
         err = _tightness_error(symmetrize(v.T @ v))
-    # the error of v is measured once, here, not again by TightFrame()
+    # v is a new array of this call, so it is stored without a copy, and
+    # its error is measured once, here, not again by TightFrame()
+    v.setflags(write=False)
     tight = TightFrame.__new__(TightFrame)
-    Frame.__init__(tight, v, require_span=False)
+    tight.vectors = v
     tight._accept(err, eps_tight)
     return b, tight
 

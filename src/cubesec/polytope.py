@@ -8,10 +8,14 @@ section, and a vertex p of P is the normal of the facet <x, p> = 1.
 One construction serves everything here: the hull of the polar points
 W_r / c_r of a system {W x <= c} (+-v for a section).  Its facets are the
 section's vertices, its vertices the section's facets.  In the plane the
-hull is one Graham scan of the points sorted by angle
-(:func:`_planar_hull`), with no Qhull call: it gives the section vertices
-in order, the volume is their shoelace area, and the facet of a hull
-vertex is the edge between the section vertices of its two hull edges.
+hull is a Graham scan of the points sorted by angle (:func:`_scan`), with
+no Qhull call: it gives the section vertices in order, the volume is their
+shoelace area, and the facet of a hull vertex is the edge between the
+section vertices of its two hull edges.  The scan goes once round the
+origin for the facet records and the shifted and tilted rebuilds
+(:func:`_planar_hull`); the volume of a section, whose hull is centrally
+symmetric, needs only half a turn, the other half being its negation
+(:func:`_half_turn_volume`).
 For k >= 3 it is Qhull's hull (:func:`_polar_hull`), whose distinct facet
 equations are the section's vertices, and the volume is a signed sum over
 the flags of its triangulation, one determinant per ridge
@@ -238,23 +242,69 @@ def _interval(W: np.ndarray, c: np.ndarray):
     return int(down[np.argmax(c[down] / w[down])]), int(up[np.argmin(c[up] / w[up])])
 
 
+def _scan(P: list, order: list) -> list:
+    """Graham's scan (Graham, 1972) of the points P[r], r in ``order``.
+
+    ``order`` runs by angle about a point inside their hull, or on an edge
+    of it, from a hull vertex to a hull vertex.  Returns the hull chain
+    between those two, counterclockwise.  A point is popped while the turn
+    into the next one is not strictly counterclockwise, so exact duplicates
+    and collinear points are dropped, as Qhull drops them.
+    """
+    hull = [order[0]]
+    bx, by = P[hull[0]]  # the top of the stack
+    for r in order[1:]:
+        qx, qy = P[r]
+        while len(hull) > 1:
+            ax, ay = P[hull[-2]]
+            if (bx - ax) * (qy - by) - (by - ay) * (qx - bx) > 0:
+                break
+            hull.pop()
+            bx, by = ax, ay
+        hull.append(r)
+        bx, by = qx, qy
+    return hull
+
+
+def _edge_vertices(P: list, chain: list, floor: float) -> list:
+    """Section vertex of each hull edge (P[chain[j]], P[chain[j + 1]]).
+
+    An edge (p, q) is the line <x, p> = <x, q> = 1, so its section vertex
+    J(q - p) / (p x (q - p)), with J(dx, dy) = (dy, -dx), is formed from
+    the short difference q - p (see :func:`_solved_vertices`).  Raises
+    :class:`NotAFrameError` when an edge lies within ``floor`` of the
+    origin, or on the wrong side of it.
+    """
+    Y = []
+    px, py = P[chain[0]]
+    for r in chain[1:]:
+        qx, qy = P[r]
+        dx, dy = qx - px, qy - py
+        cross = px * dy - py * dx
+        # an edge this close to the origin puts a section vertex out at
+        # 1 / distance, as a shallow facet does in _polar_hull
+        if cross <= 0 or cross * cross <= floor * floor * (dx * dx + dy * dy):
+            raise NotAFrameError("not a frame")
+        Y.append((dy / cross, -dx / cross))
+        px, py = qx, qy
+    return Y
+
+
 def _planar_hull(W: np.ndarray, c: np.ndarray | None):
     """Hull of the polar points P = W_r / c_r in the plane, and the section
-    vertices, by one Graham scan (Graham, 1972).
+    vertices, by one Graham scan (:func:`_scan`) once round the origin.
 
     Returns (hull, Y): the rows whose points are the hull's vertices, in
     counterclockwise order, and Y[j] the section vertex of the hull edge
-    from hull[j] to hull[j + 1], cyclically.  The facet of row hull[j] is
-    thus the edge from Y[j - 1] to Y[j].  ``c`` None means every c_r is 1.
+    from hull[j] to hull[j + 1], cyclically (:func:`_edge_vertices`).  The
+    facet of row hull[j] is thus the edge from Y[j - 1] to Y[j].  ``c``
+    None means every c_r is 1.
 
     The points are sorted by their angle about the origin, and the scan
-    starts at the point of largest norm, which is always a hull vertex.  It
-    pops a point while the turn into the next one is not strictly
-    counterclockwise, so exact duplicates and collinear points are dropped,
-    as Qhull drops them.  An edge (p, q) is the line
-    <x, p> = <x, q> = 1, so its section vertex J(q - p) / (p x (q - p)),
-    with J(dx, dy) = (dy, -dx), is formed from the short difference q - p
-    (see :func:`_solved_vertices`).
+    starts at the point of largest norm, which is always a hull vertex, and
+    ends there again.  A section of a frame is centrally symmetric and
+    needs only half a turn (:func:`_half_turn_volume`); the shifted and
+    tilted bodies of the rebuilds are not.
 
     Raises :class:`NotAFrameError` when fewer than 3 vertices remain, or an
     edge lies within 1e-10 max|P| of the origin, as :func:`_polar_hull`
@@ -269,34 +319,51 @@ def _planar_hull(W: np.ndarray, c: np.ndarray | None):
     order = sorted(range(len(P)), key=angle.__getitem__)
     norms = [x * x + y * y for x, y in P]
     at = order.index(norms.index(max(norms)))
-    hull = [order[at]]
-    bx, by = P[hull[0]]  # the top of the stack
-    for r in order[at + 1:] + order[:at + 1]:  # once round, back to the start
-        qx, qy = P[r]
-        while len(hull) > 1:
-            ax, ay = P[hull[-2]]
-            if (bx - ax) * (qy - by) - (by - ay) * (qx - bx) > 0:
-                break
-            hull.pop()
-            bx, by = ax, ay
-        hull.append(r)
-        bx, by = qx, qy
+    hull = _scan(P, order[at:] + order[:at + 1])  # once round, back to the start
     hull.pop()  # the start, met again
     if len(hull) < 3:
         raise NotAFrameError("not a frame")
-    Y = []
-    px, py = P[hull[0]]
-    for r in hull[1:] + hull[:1]:
-        qx, qy = P[r]
-        dx, dy = qx - px, qy - py
-        cross = px * dy - py * dx
-        # an edge this close to the origin puts a section vertex out at
-        # 1 / distance, as a shallow facet does in _polar_hull
-        if cross <= 0 or cross * cross <= floor * floor * (dx * dx + dy * dy):
-            raise NotAFrameError("not a frame")
-        Y.append((dy / cross, -dx / cross))
-        px, py = qx, qy
-    return hull, Y
+    return hull, _edge_vertices(P, hull + hull[:1], floor)
+
+
+def _half_turn_volume(V: np.ndarray) -> float:
+    """Area of the planar section {x : |<x, v_r>| <= 1}, from half a turn
+    of the hull of +-V.
+
+    The hull is centrally symmetric: its vertex p of largest norm and -p
+    split it into two chains, each the negation of the other.  Each v_r is
+    signed to lie on the left of the line from -p to p, or on it; a point
+    on that line lies between -p and p, so the scan drops it wherever its
+    angle sorts it.  The scan (:func:`_scan`) runs by angle from p to -p.
+    The section vertices of the other chain's edges are the negations of
+    this chain's, which is exact, and their shoelace terms equal this
+    chain's, so the area is the shoelace sum of one half closed by -Y[0],
+    undivided.
+    Raises :class:`NotAFrameError` as :func:`_planar_hull` does.
+    """
+    P = V.tolist()
+    if len(P) < 2:
+        raise NotAFrameError("not a frame")
+    norms = [x * x + y * y for x, y in P]
+    start = norms.index(max(norms))
+    sx, sy = P[start]
+    floor = 1e-10 * float(np.abs(V).max())
+    angle = []
+    for r, (x, y) in enumerate(P):
+        cross, dot = sx * y - sy * x, sx * x + sy * y
+        if cross < 0:  # -v_r is in the half-turn
+            P[r] = -x, -y
+            cross, dot = -cross, -dot
+        angle.append(atan2(cross, dot))
+    P.append((-sx, -sy))
+    rest = sorted((r for r in range(len(V)) if r != start), key=angle.__getitem__)
+    chain = _scan(P, [start] + rest + [len(V)])
+    if len(chain) < 3:
+        raise NotAFrameError("not a frame")
+    Y = _edge_vertices(P, chain, floor)
+    x0, y0 = Y[0]
+    Y.append((-x0, -y0))
+    return 2 * _shoelace(Y)
 
 
 def _shoelace(Y) -> float:
@@ -844,7 +911,9 @@ def _halfspace_volume(W: np.ndarray, c: np.ndarray | None = None) -> float:
     """Volume of the bounded polytope {x : W x <= c}, with every c > 0.
 
     ``c`` None means every c_r is 1.  The polytope is the polar body of
-    conv{W_r / c_r}; see :func:`section_volume_fast` for the routes.
+    conv{W_r / c_r}.  It need not be centrally symmetric, so for k = 2 the
+    scan goes once round the origin (:func:`_planar_hull`); for k >= 3 see
+    :func:`section_volume_fast`.
     Raises :class:`NotAFrameError` when the rows do not span R^k, and, for
     k >= 3, :class:`DegeneratePolytopeError` when Qhull fails on rows that
     do.
@@ -864,17 +933,24 @@ def section_volume_fast(vectors: np.ndarray) -> float:
     """Volume of the generated section without facet bookkeeping.
 
     Fast path for optimizer inner loops, and the volume optimizer restarts
-    are ranked by.  Zero vectors contribute no constraint.  Routes:
+    are ranked by.  Zero and tiny vectors are points deep inside the hull
+    of +-V, so they contribute no constraint and need no filter; a frame
+    that spans only through them fails the 1e-10 depth floor of the scan
+    or of :func:`_polar_hull`.  Routes:
 
     - k = 1: the section is the interval |x| <= 1 / max |v_i|, of length
       2 / max |v_i|.
-    - k = 2, planar scan: one Graham scan of +-v_i sorted by angle gives
-      the hull edges (p, q) of P = conv{+-v_i} in order, each the section
-      vertex J(q - p) / (p x (q - p)), and the volume is the shoelace area
-      of those vertices (:func:`_planar_hull`), with no Qhull call and no
-      second sort.  It has no feasibility slack: it is within 1e-13 of an
-      exact rational volume on near-parallel, duplicated-vector and box
-      frames, and on sections with facets shifted or tilted.
+    - k = 2, half-turn scan: each v_i is signed into the half-turn from
+      the point p of largest norm to -p, and one Graham scan of those n
+      points sorted by angle gives the hull edges (q, r) of P =
+      conv{+-v_i} from p to -p, each the section vertex J(r - q) /
+      (q x (r - q)).  The other half of the section vertices are their
+      negations, and the volume is the shoelace area of all of them
+      (:func:`_half_turn_volume`), with no Qhull call.  It has no
+      feasibility slack: it is within 1e-13 of an exact rational volume
+      on near-parallel, duplicated-vector and box frames, on frames that
+      hold v and -v, ties for the largest norm, vectors along p, and
+      collinear points of +-V.
     - k >= 3, flag sum over the same hull: signed simplices over the
       flags of Qhull's triangulation of P, summed face by face into one
       determinant per ridge (:func:`_flag_volume`), with no second Qhull
@@ -887,16 +963,16 @@ def section_volume_fast(vectors: np.ndarray) -> float:
       simplices of a merged facet share one polar vertex, so their ridges
       add exactly 0.
 
-    Frames without zero vectors go to the hull as they are, and with
-    every c_r = 1 no division forms P.
+    For k != 2 +-V go to the hull as they are, and with every c_r = 1 no
+    division forms P.
 
     Raises :class:`NotAFrameError` when the vectors do not span, and, for
     k >= 3, :class:`DegeneratePolytopeError` when Qhull fails on vectors
     that do.
     """
-    nz = np.linalg.norm(vectors, axis=1) > 1e-14
-    V = vectors if nz.all() else vectors[nz]
-    return _halfspace_volume(np.concatenate((V, -V)))
+    if vectors.shape[1] == 2:
+        return _half_turn_volume(vectors)
+    return _halfspace_volume(np.concatenate((vectors, -vectors)))
 
 
 def facet_centroid(p: SectionPolytope, f: FacetRecord) -> np.ndarray:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from cubesec.frame_core import (
+    EPS_TIGHT,
+    RANK_FLOOR,
     Frame,
     NotAFrameError,
     Subspace,
@@ -20,8 +22,22 @@ from cubesec.frame_core import (
     sqrt_det_first_order,
     subspace_from_frame,
     whiten,
+    _inv_sqrt,
 )
 from cubesec.bounds import extremal_frame
+
+
+def rotation(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+def planar_frame(n, eigenvalues, rng):
+    """A random (n, 2) frame whose operator has the given eigenvalues, along
+    random directions."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, 2)))
+    return Frame(q @ np.diag(np.sqrt(eigenvalues)) @ rotation(rng.uniform(0, math.pi)).T,
+                 require_span=False)
 
 
 def hexagonal_frame():
@@ -84,6 +100,49 @@ class TestWhiten:
         b, _ = whiten(reduced)
         expected = np.diag([(1 - a * a) ** -0.5, 1.0])
         np.testing.assert_allclose(b, expected, atol=1e-12)
+
+    def test_planar_closed_form_across_conditioning(self):
+        # the k = 2 root is a closed form, not eigh.  Rounding the Gram
+        # matrix moves its least eigenvalue by about eps * l_max, so any two
+        # routes agree only to about eps times the condition number; the
+        # refinement pass (from 1e6 on) then makes the result tight
+        rng = np.random.default_rng(3)
+        for cond in (1e2, 1e3, 1e4, 1e5, 1e6):
+            for n in (2, 3, 6, 10):
+                s = planar_frame(n, [1.0, 1.0 / cond], rng)
+                b, tight = whiten(s)
+                by_eigh = _inv_sqrt(frame_operator(s))
+                rel = np.abs(b - by_eigh).max() / np.abs(by_eigh).max()
+                assert rel <= max(1e-12, 1e-15 * cond)
+                assert np.abs(frame_operator(tight) - np.eye(2)).max() <= EPS_TIGHT
+
+    def test_planar_parallel_vectors_rejected(self):
+        for v in ([[1.0, 2.0], [2.0, 4.0]],
+                  [[0.3, 0.7], [0.6, 1.4], [-0.9, -2.1]],
+                  [[0.0, 0.0], [0.0, 0.0]]):
+            with pytest.raises(NotAFrameError, match="not a frame"):
+                whiten(Frame(v, require_span=False))
+
+    def test_planar_rank_floor(self):
+        # the least eigenvalue just above RANK_FLOOR whitens, just below it
+        # raises, as frame_operator's eigh test decides
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            s = planar_frame(4, [1.0, 1.1 * RANK_FLOOR], rng)
+            frame_operator(s)
+            _, tight = whiten(s)
+            assert np.abs(frame_operator(tight) - np.eye(2)).max() <= EPS_TIGHT
+            s = planar_frame(4, [1.0, 0.9 * RANK_FLOOR], rng)
+            for check in (frame_operator, whiten):
+                with pytest.raises(NotAFrameError, match="not a frame"):
+                    check(s)
+
+    def test_planar_tight_input_is_fixed(self):
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 6, 10):
+            s = random_tight_frame(n, 2, rng)
+            b, tight = whiten(s)
+            np.testing.assert_allclose(b, np.eye(2), rtol=0, atol=1e-15)
 
     def test_closure_on_random_frames(self):
         rng = np.random.default_rng(1)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cubesec.frame_core import Frame, TightFrame, frame_operator, random_tight_frame, whiten
-from cubesec import optimizer
+from cubesec import optimizer, polytope
 from cubesec.polytope import DegeneratePolytopeError, build_section, section_volume_fast, volume
 from cubesec.bounds import c_cube, extremal_frame
 from cubesec.optimizer import (
@@ -129,6 +129,36 @@ class TestAscend:
         assert np.max(np.abs(op - np.eye(3))) <= 1e-10
 
 
+class TestPlanarStepGuard:
+    """The k = 2 ascent step makes no LAPACK eigh call and no Qhull call:
+    it whitens in closed form and scans half of the hull of +-V."""
+
+    @pytest.fixture(autouse=True)
+    def no_eigh_no_qhull(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the planar step called eigh or Qhull")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(polytope, "ConvexHull", refuse)
+
+    def test_whiten_and_volume(self):
+        rng = np.random.default_rng(40)
+        _, tight = whiten(Frame(rng.standard_normal((6, 2))))
+        assert section_volume_fast(tight.vectors) > 4.0
+
+    def test_ascend(self):
+        rng = np.random.default_rng(41)
+        res = ascend(random_tight_frame(5, 2, rng), small_config(5, 2, max_iterations=200), rng)
+        assert res.iterations == 200
+        assert res.accepted > 0
+
+    def test_warm_start_with_rank_loss(self):
+        # zeroing the vector that holds an axis of the (3, 2) box frame
+        # leaves two parallel vectors, which the closed form rejects
+        res = ascend(extremal_frame(3, 2), small_config(3, 2), np.random.default_rng(0))
+        assert res.rank_loss > 0
+
+
 class TestMaximize:
     def test_reaches_planar_optimum(self):
         res = maximize(small_config(5, 2, restarts=2))
@@ -193,7 +223,9 @@ class TestPinnedRestarts:
 
     The k >= 3 values were recorded with the earlier flag sum, which split
     every ridge term by the first corner of its flags, and the k = 2 values
-    with Qhull's hull of +-v in place of the planar scan.  At (3, 2) the
+    with Qhull's hull of +-v in place of the planar scan and with LAPACK
+    ``eigh`` whitening; they still hold with the closed-form 2 x 2
+    whitening and the half-turn scan.  At (3, 2) the
     warm start holds two parallel generators, so its points of +-V
     coincide, and the random restart climbs towards such a frame.  A change
     to the volume kernel, whitening or the proposals that moves any accept

@@ -178,6 +178,8 @@ class TestBuildSection:
             # spans only in rounding: Qhull builds a hull 1e-13 thick
             np.array([[1.0, 0.0], [1.0, 1e-13], [0.5, 0.0]]),
             np.zeros((2, 2)),
+            np.zeros((3, 3)),
+            np.zeros((5, 4)),
         ]
         assert build_section(s) is not None
         for v in flat:
@@ -327,6 +329,18 @@ class TestVolume:
             exact = convex_volume(halfspace_vertices(W, np.ones(len(W)), 1e-13), k)
             assert section_volume_fast(v) == pytest.approx(exact, rel=1e-13)
 
+    def test_tiny_vector_changes_nothing(self):
+        # a 1e-15 vector is a point of +-V deep inside the hull
+        rng = np.random.default_rng(38)
+        for k in (2, 3):
+            for n in (k + 1, k + 3, 10):
+                v = random_tight_frame(n, k, rng).vectors
+                tiny = 1e-15 * rng.standard_normal(k)
+                for at in (0, n // 2, n):
+                    padded = np.insert(v, at, tiny, axis=0)
+                    assert section_volume_fast(padded) == pytest.approx(
+                        section_volume_fast(v), rel=1e-15)
+
     def test_fast_path_on_box_frames(self):
         rng = np.random.default_rng(32)
         for n, k in ((3, 2), (6, 2), (10, 2), (7, 3), (7, 4), (12, 4), (8, 5), (6, 1)):
@@ -424,6 +438,33 @@ class TestExactVolume:
         rng = np.random.default_rng(36)
         for n, k in ((6, 2), (10, 2), (7, 3), (7, 4), (6, 5)):
             assert max(exact_errors(signed_box_frame(n, k, rng))) <= 1e-13
+
+    def test_half_turn_scan(self):
+        # the k = 2 volume scans half of the hull of +-V, from its point p of
+        # largest norm to -p; the full turn is _planar_hull's scan
+        rng = np.random.default_rng(39)
+        v = random_tight_frame(5, 2, rng).vectors
+        p = v[np.argmax(np.linalg.norm(v, axis=1))]
+        frames = [
+            # both v and -v, so +-V holds each of their points twice
+            whiten(Frame(np.vstack([v, -v[2]])))[1].vectors,
+            np.vstack([v, -p]),
+            # two vectors tied for the largest norm, one of them negated
+            np.array([[0.8, 0.3], [0.3, 0.8], [0.1, -0.2]]),
+            np.array([[0.8, 0.3], [-0.3, -0.8], [0.1, -0.2], [0.2, 0.1]]),
+            # vectors exactly along the start direction, and against it
+            np.vstack([v, 0.5 * p, -0.25 * p]),
+            np.array([[1.0, 0.5], [0.5, 0.25], [-0.25, -0.125], [0.2, -0.9]]),
+            # three collinear points of +-V on an edge, through the start
+            # (1, 0.5) and its negation, and on an edge away from them
+            np.array([[1.0, 0.5], [1.0, 0.0], [1.0, -0.25], [0.0, 0.5]]),
+            np.array([[0.3, 1.0], [0.5, 1.0], [0.7, 1.0], [1.5, 0.2]]),
+        ]
+        for vectors in frames:
+            assert max(exact_errors(Frame(vectors))) <= 1e-13
+            W = np.vstack([vectors, -vectors])
+            full = _halfspace_volume(W, np.ones(len(W)))
+            assert section_volume_fast(vectors) == pytest.approx(full, rel=1e-15)
 
 
 class TestFaceHolders:
