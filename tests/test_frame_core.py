@@ -91,6 +91,11 @@ class TestWhiten:
         b, tight = whiten(s)
         np.testing.assert_allclose(b, np.eye(2), atol=1e-10)
         np.testing.assert_allclose(tight.vectors, s.vectors, atol=1e-10)
+        # frames tight to rounding give the identity to rounding
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 6, 10):
+            b, _ = whiten(random_tight_frame(n, 2, rng))
+            np.testing.assert_allclose(b, np.eye(2), rtol=0, atol=1e-15)
 
     def test_stretch_after_removing_short_vector(self):
         # tight frame containing v = (a, 0); dropping v stretches along e1
@@ -125,7 +130,7 @@ class TestWhiten:
 
     def test_planar_rank_floor(self):
         # the least eigenvalue just above RANK_FLOOR whitens, just below it
-        # raises, as frame_operator's eigh test decides
+        # raises, as frame_operator's eigenvalue test decides
         rng = np.random.default_rng(4)
         for _ in range(20):
             s = planar_frame(4, [1.0, 1.1 * RANK_FLOOR], rng)
@@ -136,13 +141,6 @@ class TestWhiten:
             for check in (frame_operator, whiten):
                 with pytest.raises(NotAFrameError, match="not a frame"):
                     check(s)
-
-    def test_planar_tight_input_is_fixed(self):
-        rng = np.random.default_rng(5)
-        for n in (2, 3, 6, 10):
-            s = random_tight_frame(n, 2, rng)
-            b, tight = whiten(s)
-            np.testing.assert_allclose(b, np.eye(2), rtol=0, atol=1e-15)
 
     def test_closure_on_random_frames(self):
         rng = np.random.default_rng(1)
