@@ -66,24 +66,21 @@ class ConditionsReport:
 
 
 def check_facet_correspondence(s: Frame, p: SectionPolytope) -> float:
-    """Count generators that are zero or support no facet of the section."""
-    violations = 0
-    for i in range(s.n):
-        v = s.vectors[i]
-        if np.linalg.norm(v) <= 1e-14 or p.facet_of_generator(i) is None:
-            violations += 1
-    return float(violations)
+    """Count generators that are zero or support no facet of the section.
+
+    A zero vector gives the section no constraint row, so no facet.
+    """
+    return float(sum(i not in p.generator_facets for i in range(s.n)))
 
 
 def _generator_facets(s: Frame, p: SectionPolytope):
     """Yield (index, signed facet centroid, facet) for every generator."""
     for i in range(s.n):
-        f = p.facet_of_generator(i)
-        if f is None:
+        if i not in p.generator_facets:
             raise ValueError(
                 f"generator {i} supports no facet; facet correspondence fails"
             )
-        sign = next(sgn for j, sgn in f.normals if j == i)
+        f, sign = p.generator_facets[i]
         yield i, sign * f.centroid, f
 
 

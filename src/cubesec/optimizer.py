@@ -186,9 +186,13 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     it = 0
     while it < config.max_iterations:
         it += 1
-        candidate = _propose(current.vectors, step, rng)
+        # the candidate is a new (n, k) array of this step, so it is
+        # wrapped without the copy and checks of Frame()
+        candidate = Frame.__new__(Frame)
+        candidate.vectors = _propose(current.vectors, step, rng)
+        candidate.vectors.setflags(write=False)
         try:
-            _, tight = whiten(Frame(candidate, require_span=False))
+            _, tight = whiten(candidate)
             new_vol = section_volume_fast(tight.vectors)
         except FrameError:
             new_vol = -np.inf

@@ -23,6 +23,11 @@ the flags of its triangulation, one determinant per ridge
 first corner p of each flag: the terms of p are the cone from the origin
 over the facet of p, which gives that facet's content and centroid.  For
 k = 1 the section is an interval in closed form.
+
+:func:`build_section` takes each row's facet from that one hull, as arrays,
+and assembles the records in one pass: a group label per row (coincident
+rows share a facet), contents and first moments summed by label, and the
+vertex indices of each group from one incidence matrix.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import atan2, comb, factorial
+from math import atan2, comb, factorial, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -95,17 +100,16 @@ class SectionPolytope:
     vertices: np.ndarray
     facets: tuple
     generator: Frame | None
+    generator_facets: dict = field(default_factory=dict, repr=False)
     _W: np.ndarray | None = field(default=None, repr=False)
     _c: np.ndarray | None = field(default=None, repr=False)
     _volume: float | None = field(default=None, repr=False)
 
     def facet_of_generator(self, index: int):
-        """Facet supported by generator ``index`` (either sign), or None."""
-        for f in self.facets:
-            for i, _ in f.normals:
-                if i == index:
-                    return f
-        return None
+        """Facet supported by generator ``index`` (either sign), or None.
+        ``generator_facets`` maps a generator to (facet, sign) for the first
+        facet whose ``normals`` hold it, and its sign there."""
+        return self.generator_facets.get(index, (None, 0))[0]
 
     def to_dict(self) -> dict:
         return {
@@ -214,23 +218,25 @@ def _facet_geometry(pts: np.ndarray, k: int, w: np.ndarray):
     return measure, to_ambient(centroid), [to_ambient(s) for s in simplices]
 
 
-def _coincident_row_groups(W: np.ndarray, tol: float):
-    """Group constraint rows describing the same oriented hyperplane.
+def _coincident_row_groups(W: np.ndarray, tol: float) -> np.ndarray:
+    """The group of each constraint row, a group's rows describing one
+    oriented hyperplane: rows within ``tol`` of each other in every
+    coordinate are joined, transitively.  Groups are numbered in the order
+    of their least rows."""
+    reach = (np.abs(W[:, None, :] - W[None, :, :]) <= tol).all(axis=2)
+    first = reach.argmax(axis=1)  # least row each row reaches
+    # transitive closure by repeated squaring, until it is an equivalence
+    while not np.array_equal(reach, first[:, None] == first):
+        reach = reach @ reach
+        first = reach.argmax(axis=1)
+    return (np.cumsum(first == np.arange(len(W))) - 1)[first]
 
-    Rows within ``tol`` of each other in every coordinate are joined, and
-    the joining is transitive.  Groups come ordered by their first row,
-    with their rows ascending.
-    """
-    reach = np.abs(W[:, None, :] - W[None, :, :]).max(axis=2) <= tol
-    while True:  # transitive closure by repeated squaring
-        wider = reach @ reach
-        if np.array_equal(wider, reach):
-            break
-        reach = wider
-    groups: dict[int, list[int]] = {}
-    for i, first in enumerate(reach.argmax(axis=1)):  # least row of i's group
-        groups.setdefault(int(first), []).append(i)
-    return list(groups.values())
+
+def _sums_by(label: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
+    """Rows of ``values`` summed by ``label`` in 0..count-1: (count, columns)."""
+    d = values.shape[1]
+    codes = (label[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(codes, values.ravel(), minlength=count * d).reshape(count, d)
 
 
 def _interval(W: np.ndarray, c: np.ndarray):
@@ -294,17 +300,16 @@ def _planar_hull(W: np.ndarray, c: np.ndarray | None):
     """Hull of the polar points P = W_r / c_r in the plane, and the section
     vertices, by one Graham scan (:func:`_scan`) once round the origin.
 
-    Returns (hull, Y): the rows whose points are the hull's vertices, in
-    counterclockwise order, and Y[j] the section vertex of the hull edge
-    from hull[j] to hull[j + 1], cyclically (:func:`_edge_vertices`).  The
-    facet of row hull[j] is thus the edge from Y[j - 1] to Y[j].  ``c``
-    None means every c_r is 1.
+    Returns (P, hull, Y): the points as a list of pairs, the rows whose
+    points are the hull's vertices, in counterclockwise order, and Y[j] the
+    section vertex of the hull edge from hull[j] to hull[j + 1], cyclically
+    (:func:`_edge_vertices`).  The facet of row hull[j] is thus the edge
+    from Y[j - 1] to Y[j].  ``c`` None means every c_r is 1.
 
     The points are sorted by their angle about the origin, and the scan
-    starts at the point of largest norm, which is always a hull vertex, and
-    ends there again.  A section of a frame is centrally symmetric and
-    needs only half a turn (:func:`_half_turn_volume`); the shifted and
-    tilted bodies of the rebuilds are not.
+    starts and ends at the point of largest norm, always a hull vertex.
+    The volume of a section needs only half a turn
+    (:func:`_half_turn_volume`); the shifted and tilted rebuilds do not.
 
     Raises :class:`NotAFrameError` when fewer than 3 vertices remain, or an
     edge lies within 1e-10 max|P| of the origin, as :func:`_polar_hull`
@@ -323,7 +328,7 @@ def _planar_hull(W: np.ndarray, c: np.ndarray | None):
     hull.pop()  # the start, met again
     if len(hull) < 3:
         raise NotAFrameError("not a frame")
-    return hull, _edge_vertices(P, hull + hull[:1], floor)
+    return P, hull, _edge_vertices(P, hull + hull[:1], floor)
 
 
 def _half_turn_volume(V: np.ndarray) -> float:
@@ -418,7 +423,7 @@ def _differences(G: np.ndarray) -> np.ndarray:
     return np.stack(out, axis=1)
 
 
-def _solved_vertices(P: np.ndarray, hull, Y: np.ndarray) -> np.ndarray:
+def _solved_vertices(P: np.ndarray, hull, Y: np.ndarray, alone: np.ndarray) -> np.ndarray:
     """Section vertices of the unmerged hull facets, solved from their corners.
 
     Qhull's normal of a simplex with two nearly coincident corners is off
@@ -428,10 +433,8 @@ def _solved_vertices(P: np.ndarray, hull, Y: np.ndarray) -> np.ndarray:
     barely changes.  Solving <x, p_0> = 1 and <x, d> = 0 for the unit
     :func:`_differences` d of the corners keeps the split exact.  The
     simplices of a merged facet share Qhull's equation and may be flat, so
-    they keep it.
+    they keep it: only the simplices marked ``alone`` are solved.
     """
-    eq = hull.equations
-    alone = ~np.all(eq[hull.neighbors] == eq[:, None, :], axis=2).any(axis=1)
     G = P[hull.simplices[alone]]
     D = _differences(G)
     A = np.concatenate([G[:, :1], D / np.linalg.norm(D, axis=2, keepdims=True)], axis=1)
@@ -440,58 +443,66 @@ def _solved_vertices(P: np.ndarray, hull, Y: np.ndarray) -> np.ndarray:
     return Y
 
 
+def _distinct_equations(eq: np.ndarray):
+    """The first simplex of each distinct row of Qhull's facet equations,
+    ascending, and the rank among them of each simplex's row.  The
+    simplices of a merged facet share one equation bitwise, so a stable
+    lexicographic sort puts them in one run, led by the first.
+    """
+    order = np.lexsort(eq.T)
+    run = eq[order]
+    starts = np.ones(len(eq), dtype=bool)
+    starts[1:] = (run[1:] != run[:-1]).any(axis=1)
+    first = order[starts]
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[first.argsort()] = np.arange(len(first))
+    vid = np.empty(len(eq), dtype=np.intp)
+    vid[order] = rank[np.cumsum(starts) - 1]
+    return np.sort(first), vid
+
+
 def _point_facets(W: np.ndarray, c: np.ndarray):
     """Vertices of {W x <= c}, and the facet of every row that has one.
 
-    Returns (vertices, facets) with facets[r] = (measure, centroid, sorted
-    vertex indices) for each row r whose polar point is a hull vertex.
+    Returns (vertices, rows, measure, centroid, point, vid): row rows[i]
+    has a facet of content measure[i] and centroid centroid[i], and
+    (point[j], vid[j]) are its rows and vertices, paired, with repeats.
     """
     k = W.shape[1]
     if k == 1:
-        ends = _interval(W, c)
-        verts = np.array([[c[r] / W[r, 0]] for r in ends])
-        return verts, {r: (1.0, verts[i], (i,)) for i, r in enumerate(ends)}
+        rows = np.array(_interval(W, c))
+        verts = (c[rows] / W[rows, 0])[:, None]
+        return verts, rows, np.ones(2), verts, rows, np.arange(2)
     if k == 2:
-        hull, Y = _planar_hull(W, c)
-        verts = np.array(Y)
-        # the facet of q_j = P[hull[j]] runs from Y[j - 1] to Y[j], and its
-        # length is |q_j| t_j / (x_j x_(j+1)), with t_j the turn
-        # (q_j - q_(j-1)) x (q_(j+1) - q_j) and x_j = q_(j-1) x q_j: formed
-        # from the short differences, it stays exact to rounding however
-        # short the facet, where |Y[j] - Y[j - 1]| would not
-        Q = W[hull] / c[hull, None]
-        prev = np.roll(Q, 1, axis=0)
-        into = Q - prev
-        out = np.roll(into, -1, axis=0)
-        cross = prev[:, 0] * into[:, 1] - prev[:, 1] * into[:, 0]
-        turn = into[:, 0] * out[:, 1] - into[:, 1] * out[:, 0]
-        length = (np.linalg.norm(Q, axis=1) * turn / (cross * np.roll(cross, -1))).tolist()
-        middle = (np.roll(verts, 1, axis=0) + verts) / 2
-        m = len(hull)
-        return verts, {r: (length[j], middle[j], tuple(sorted(((j - 1) % m, j))))
-                       for j, r in enumerate(hull)}
+        P, hull, Y = _planar_hull(W, c)
+        # the facet of q_j = P[hull[j]] runs from Y[j - 1] to Y[j], of
+        # length |q_j| t_j / (x_j x_(j+1)), t_j the turn (q_j - q_(j-1)) x
+        # (q_(j+1) - q_j) and x_j = q_(j-1) x q_j: from the short
+        # differences, exact to rounding however short the facet
+        q = [P[r] for r in hull]
+        m = len(q)
+        length, middle = [], []
+        for j in range(m):
+            (ax, ay), (bx, by), (cx, cy) = q[j - 1], q[j], q[j + 1 - m]
+            ix, iy, ox, oy = bx - ax, by - ay, cx - bx, cy - by
+            length.append(sqrt(bx * bx + by * by) * (ix * oy - iy * ox)
+                          / ((ax * iy - ay * ix) * (bx * oy - by * ox)))
+            (ux, uy), (vx, vy) = Y[j - 1], Y[j]
+            middle.append(((ux + vx) / 2, (uy + vy) / 2))
+        ends = np.arange(m)
+        return (np.array(Y), np.array(hull), np.array(length), np.array(middle),
+                np.array(hull + hull), np.concatenate(((ends - 1) % m, ends)))
     P, hull, Y = _polar_hull(W, c)
-    Y = _solved_vertices(P, hull, Y)
-    # the simplices of a merged facet of P share one equation
-    _, first, inverse = np.unique(hull.equations, axis=0, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=np.intp)
-    rank[np.argsort(first)] = np.arange(len(first))
-    vid = rank[inverse.ravel()]
-    verts = Y[np.sort(first)]
-    # each hull vertex p with the section vertices of the simplices around it
-    codes = np.unique(hull.simplices.ravel() * len(verts) + np.repeat(vid, k))
-    point, ids = np.divmod(codes, len(verts))
-    starts = np.flatnonzero(np.r_[True, point[1:] != point[:-1]])
-    around = zip(point[starts].tolist(), np.split(ids, starts[1:]))
-    owner, cone, moment = _flag_cones(P, hull.simplices, hull.neighbors, Y)
-    cone = np.bincount(owner.ravel(), cone.ravel(), minlength=len(P))
-    moment = np.stack([np.bincount(owner.ravel(), m.ravel(), minlength=len(P))
-                       for m in np.moveaxis(moment, -1, 0)], axis=1)
-    facets = {
-        p: (k * cone[p] * float(np.linalg.norm(P[p])), moment[p] / (k * cone[p]), tuple(ends.tolist()))
-        for p, ends in around
-    }
-    return verts, facets
+    eq = hull.equations
+    # a simplex of a merged facet shares its equation with a neighbor
+    alone = ~np.all(eq[hull.neighbors] == eq[:, None, :], axis=2).any(axis=1)
+    Y = _solved_vertices(P, hull, Y, alone)
+    first, vid = (np.arange(len(eq)),) * 2 if alone.all() else _distinct_equations(eq)
+    sums = _flag_cones(P, hull.simplices, hull.neighbors, Y)
+    rows = np.flatnonzero(np.bincount(hull.simplices.ravel(), minlength=len(P)))
+    cone = k * sums[rows, k]
+    measure = cone * np.linalg.norm(P[rows], axis=1)
+    return Y[first], rows, measure, sums[rows, :k] / cone[:, None], hull.simplices.ravel(), np.repeat(vid, k)
 
 
 def build_section(s: Frame) -> SectionPolytope:
@@ -502,65 +513,63 @@ def build_section(s: Frame) -> SectionPolytope:
     the section in a face of dimension below k-1 produces no facet record,
     and the criticality checks flag it downstream.  Rows within
     ``EPS_GEOM`` of each other share one facet, whose content and first
-    moment are summed over the group's hull vertices.
+    moment are summed over the group's hull vertices, in one array pass.
     """
     V = s.vectors
-    a = symmetrize(V.T @ V)
-    if np.linalg.eigvalsh(a)[0] < RANK_FLOOR:
+    if np.linalg.eigvalsh(symmetrize(V.T @ V))[0] < RANK_FLOOR:
         raise NotAFrameError("not a frame")
-    nz = np.linalg.norm(V, axis=1) > 1e-14
-    gens = np.nonzero(nz)[0]
-    Vnz = V[nz]
-    W = np.vstack([Vnz, -Vnz])
+    gens = np.flatnonzero(np.linalg.norm(V, axis=1) > 1e-14)
+    W = np.vstack([V[gens], -V[gens]])
     c = np.ones(len(W))
-    row_gen = [(int(i), 1) for i in gens] + [(int(i), -1) for i in gens]
+    row_gen = [(i, 1) for i in gens.tolist()] + [(i, -1) for i in gens.tolist()]
 
-    verts, point_facets = _point_facets(W, c)
-    facets = []
-    for rows in _coincident_row_groups(W, EPS_GEOM):
-        own = [point_facets[r] for r in rows if r in point_facets]
-        if not own:
-            continue
-        measures = np.array([m for m, _, _ in own])
-        w = W[rows[0]]
-        facets.append(
-            FacetRecord(
-                normals=tuple(row_gen[r] for r in rows),
-                vertex_indices=tuple(sorted(set().union(*(ids for _, _, ids in own)))),
-                measure=float(measures.sum()),
-                centroid=np.average([x for _, x, _ in own], axis=0, weights=measures),
-                normal_vector=w.copy(),
-                distance=float(c[rows[0]] / np.linalg.norm(w)),
-                row_ids=tuple(rows),
-            )
-        )
+    verts, rows, measure, centroid, point, vid = _point_facets(W, c)
+    label = _coincident_row_groups(W, EPS_GEOM)
+    members = [[] for _ in range(int(label.max()) + 1)]
+    for r, g in enumerate(label.tolist()):
+        members[g].append(r)
+    # the sorted union of each group's vertex indices
+    held = np.zeros((len(members), len(verts)), dtype=bool)
+    held[label[point], vid] = True
+    group, ids = held.nonzero()
+    ends = np.searchsorted(group, np.arange(len(members) + 1)).tolist()
+    own = [g for g in range(len(members)) if ends[g] < ends[g + 1]]
+    sums = _sums_by(label[rows], np.column_stack((measure, measure[:, None] * centroid)), len(members))[own]
+    normal = W[[members[g][0] for g in own]]
+    distance = (1 / np.linalg.norm(normal, axis=1)).tolist()  # every c_r is 1
+    centroid = sums[:, 1:] / sums[:, :1]
+    for x in (normal, centroid):
+        x.setflags(write=False)
+    measure, ids = sums[:, 0].tolist(), ids.tolist()
+    facets, generator_facets = [], {}
+    for i, g in enumerate(own):
+        normals = tuple([row_gen[r] for r in members[g]])
+        # rows of read-only float arrays need no FacetRecord.__post_init__
+        f = FacetRecord.__new__(FacetRecord)
+        f.__dict__.update(normals=normals, vertex_indices=tuple(ids[ends[g]:ends[g + 1]]),
+                          measure=measure[i], centroid=centroid[i], normal_vector=normal[i],
+                          distance=distance[i], row_ids=tuple(members[g]))
+        facets.append(f)
+        for gen, sign in normals:
+            generator_facets.setdefault(gen, (f, sign))
 
     verts.setflags(write=False)
-    return SectionPolytope(
-        k=s.k,
-        vertices=verts,
-        facets=tuple(facets),
-        generator=s,
-        _W=W,
-        _c=c,
-    )
+    return SectionPolytope(k=s.k, vertices=verts, facets=tuple(facets), generator=s,
+                           generator_facets=generator_facets, _W=W, _c=c)
 
 
 def volume(p: SectionPolytope) -> float:
     """Volume by the pyramid decomposition over facets.
 
     Each facet contributes distance-to-origin times its content over k,
-    which is the cone from the origin over it.  The facets come from the
-    hull that :func:`section_volume_fast` uses, the edges of the planar
-    scan for k = 2 and the cones of the flag sum (:func:`_flag_cones`) for
-    k >= 3, so this is that volume up to rounding.  Cross-
-    check against :func:`volume_by_triangulation` where independence
-    matters.
+    the cone from the origin over it.  The facets come from the hull that
+    :func:`section_volume_fast` uses (the planar scan's edges, or the
+    cones of :func:`_flag_cones`), so this is that volume up to rounding.
+    Cross-check against :func:`volume_by_triangulation` where
+    independence matters.
     """
     if p._volume is None:
-        p._volume = float(
-            sum(f.distance * f.measure for f in p.facets) / p.k
-        )
+        p._volume = float(sum(f.distance * f.measure for f in p.facets) / p.k)
     return p._volume
 
 
@@ -601,9 +610,8 @@ class _FlagPlan(NamedTuple):
     - ``steps[s - 2]``, s = 2..k-2: for each flagged subset (p, G), p in G
       and |G| = s, in the order of G then p: the flagged subsets
       (p, G - l) for the l in G other than p, the sign (-1)^#{g in G: g > l}
-      of each, p, and the apex of G, which is named by its place in the
-      concatenation of ``subsets``.  Flagged 1-subsets (p, {p}) are
-      numbered by p, as are their apexes.  ``ridge_prev[j]`` and
+      of each, and p.  Flagged 1-subsets (p, {p}) are numbered by p.
+      ``ridge_prev[j]`` and
       ``ridge_eps[j]`` list the same for the ridge opposite j and each p
       in it.
     """
@@ -625,7 +633,6 @@ def _flag_plan(k: int) -> _FlagPlan:
     coords = [list(itertools.combinations(range(k), s)) for s in range(k + 1)]
     name = [{sub: i for i, sub in enumerate(subs)} for subs in coords]
     subsets = coords[1:k - 1]
-    face = {sub: i for i, sub in enumerate(itertools.chain(*subsets))}
     wedges = tuple(
         (np.array([[name[s][t[:m] + t[m + 1:]] for m in range(s + 1)] for t in coords[s + 1]]),
          np.array(coords[s + 1]),
@@ -658,8 +665,7 @@ def _flag_plan(k: int) -> _FlagPlan:
         index = {pg: i for i, pg in enumerate(flagged(s - 1))}
         peeled = [peel(p, sub, index) for p, sub in flagged(s)]
         steps.append((np.array([i for i, _ in peeled]), np.array([e for _, e in peeled]),
-                      np.array([p for p, _ in flagged(s)]),
-                      np.array([face[sub] for _, sub in flagged(s)])))
+                      np.array([p for p, _ in flagged(s)])))
     index = {pg: i for i, pg in enumerate(flagged(k - 2))}
     ridges = [[peel(p, rows, index) for p in rows] for rows in ridge_rows]
     plan = _FlagPlan(
@@ -680,23 +686,6 @@ def _flag_plan(k: int) -> _FlagPlan:
     for a in tables:
         a.setflags(write=False)
     return plan
-
-
-def _wedge(table, a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Stacked wedge a ^ x of s-vectors a with vectors x (a ``wedges`` table).
-
-    A component of a ^ x on the coordinates t_0 < ... < t_s is
-    sum_m (-1)^(s-m) a[t without t_m] x[t_m].  For s = 1 it is the 2 x 2
-    minor of (a, x), an exact difference, so equal a and x give exactly 0.
-    """
-    index, coord, sign = table
-    return _weighted_sum(a[..., index] * x[..., coord], sign)
-
-
-def _weighted_sum(a: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """a @ weights over the last axis, as one matrix-vector product (a
-    stacked matmul loops over the stack in Python-sized steps)."""
-    return (a.reshape(-1, a.shape[-1]) @ weights).reshape(a.shape[:-1])
 
 
 def _wedge_first(table, a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -724,38 +713,43 @@ def _peel(b: np.ndarray, drop: np.ndarray) -> np.ndarray:
     return out
 
 
+def _face_slots(simplices: np.ndarray, sub: np.ndarray, points: int):
+    """(key, slot) for the corner subsets ``sub`` (an entry of a plan's
+    ``subsets``): key[f, g] names the point set G of subset g of simplex f,
+    and slot[key] is the highest f * len(sub) + g with that set, -1 for a
+    set no simplex holds; its f is the highest simplex that holds G, the
+    same wherever G occurs.  The points are numbered below ``points``.
+    """
+    # a set is named by its rank among the sets of its size, the sum of
+    # C(c_i, i + 1) over its sorted corners c_0 < c_1 < ...
+    key = simplices
+    if sub.shape[1] > 1:
+        corners = simplices[:, sub]
+        if sub.shape[1] == 2:  # the common case, k = 4, without a sort
+            corners = (np.minimum(corners[..., 0], corners[..., 1]),
+                       np.maximum(corners[..., 0], corners[..., 1]))
+        else:
+            corners = np.moveaxis(np.sort(corners, axis=2), 2, 0)
+        key = corners[0]
+        for i in range(1, sub.shape[1]):
+            c = corners[i]
+            term = c
+            for t in range(1, i + 1):
+                term = term * (c - t)
+            key = key + term // factorial(i + 1)
+    # a plain fancy-index assignment would keep whichever write numpy
+    # makes last, in an order that follows the memory layout of ``key``
+    slot = np.full(comb(points, sub.shape[1]), -1)
+    np.maximum.at(slot, key, np.arange(key.size).reshape(key.shape))
+    return key, slot
+
+
 def _face_holders(simplices: np.ndarray, subsets, points: int) -> list:
     """The highest-numbered simplex that holds each listed corner subset G
-    of each simplex, so the same one wherever G occurs: an (F, number of
-    subsets) array per entry of ``subsets``.  The points are numbered below
-    ``points``.
-    """
-    holds = np.arange(len(simplices))[:, None]
-    out = []
-    for sub in subsets:
-        # a set is named by its rank among the sets of its size, the sum of
-        # C(c_i, i + 1) over its sorted corners c_0 < c_1 < ...
-        key = simplices
-        if sub.shape[1] > 1:
-            corners = simplices[:, sub]
-            if sub.shape[1] == 2:  # the common case, k = 4, without a sort
-                corners = (np.minimum(corners[..., 0], corners[..., 1]),
-                           np.maximum(corners[..., 0], corners[..., 1]))
-            else:
-                corners = np.moveaxis(np.sort(corners, axis=2), 2, 0)
-            key = corners[0]
-            for i in range(1, sub.shape[1]):
-                c = corners[i]
-                term = c
-                for t in range(1, i + 1):
-                    term = term * (c - t)
-                key = key + term // factorial(i + 1)
-        # a plain fancy-index assignment would keep whichever write numpy
-        # makes last, in an order that follows the memory layout of ``key``
-        holder = np.zeros(comb(points, sub.shape[1]), dtype=np.intp)
-        np.maximum.at(holder, key, holds)
-        out.append(holder.take(key))
-    return out
+    of each simplex (:func:`_face_slots`): an (F, len(sub)) array per
+    entry ``sub`` of ``subsets``."""
+    return [(slot // len(sub)).take(key)
+            for sub in subsets for key, slot in [_face_slots(simplices, sub, points)]]
 
 
 def _flag_volume(P: np.ndarray, simplices: np.ndarray, neighbors: np.ndarray,
@@ -846,12 +840,9 @@ def _flag_volume(P: np.ndarray, simplices: np.ndarray, neighbors: np.ndarray,
 def _flag_cones(P: np.ndarray, simplices: np.ndarray, neighbors: np.ndarray, Y: np.ndarray):
     """The flag sum of :func:`_flag_volume` split by the first corner of
     each flag, k >= 3: the cones over the facets of the polar body, with
-    their first moments, for :func:`build_section`.
-
-    Returns (owner, cone, moment) per ridge and corner of it:
-    ``cone[r, i]`` is a signed volume, and ``moment[r, i]`` that volume
-    times the sum of its simplex's vertices, both belonging to the point
-    ``owner[r, i]``.
+    their first moments.  Row p of the (len(P), k + 1) result holds k + 1
+    times the first moment of the cone over the facet F_p (each simplex's
+    volume times the sum of its vertices), then that cone's volume.
 
     The terms with tau_0 = p make up the cone over F_p, of volume
     |F_p| / (k |p|) and first moment k / (k + 1) |cone| centroid(F_p).
@@ -861,50 +852,66 @@ def _flag_cones(P: np.ndarray, simplices: np.ndarray, neighbors: np.ndarray, Y: 
         A_p(G) = (sum over l in G - p of (-1)^#{g in G: g > l} A_p(G - l)) ^ x_G,
 
     and the ridge term of p is the same sum over R with Y_g ^ Y_f in place
-    of x_G, a determinant expanded along the 2 x 2 minors of its last two
-    columns.  The first moments follow the same recursion, B_p(G) =
-    (sum ...B_p(G - l)) ^ x_G + A_p(G) (x) x_G, with B_p({p}) = x_p (x) x_p.
-    The points after x_p enter the wedges as differences from x_p, and
-    Y_g ^ Y_f as (Y_g - x_p) ^ (Y_f - Y_g), which leaves every determinant
-    unchanged: the wedges of a tiny facet then stay as small as the facet,
-    so its own cone is exact to rounding.
+    of x_G.  The first moments follow the same recursion, B_p(G) =
+    (sum ...B_p(G - l)) ^ x_G + A_p(G) (x) x_G, with B_p({p}) = x_p (x) x_p;
+    A_p rides along as one more moment coordinate, B_p taken against
+    (x_G, 0) from (x_p, 1).  The points after x_p enter the wedges as
+    differences from x_p, and Y_g ^ Y_f as (Y_g - x_p) ^ (Y_f - Y_g): the
+    wedges of a tiny facet stay as small as the facet, so its own cone is
+    exact to rounding.
+
+    x_G is the same wherever G occurs, so A_p(G) is a function of the face
+    G and p: with the corners of every simplex in ascending order, it is
+    computed once per face, at the slot that names its holder
+    (:func:`_face_slots`).  Components come first and the stack last.
     """
     k = P.shape[1]
     plan = _flag_plan(k)
-    corners = P[simplices]
-    f, j = np.nonzero(neighbors > np.arange(len(simplices))[:, None])  # each ridge once
-    g = neighbors[f, j]
-    Yf, Yg = Y[f], Y[g]
-    rows = plan.ridge_rows[j]
-    ridge = corners[f[:, None], rows]  # (ridges, k - 1, k)
-    top = ridge[:, 0]
-    for i in range(1, k - 1):
-        top = _wedge(plan.wedges[i - 1], top, ridge[:, i])
+    F, N = len(simplices), len(P)
+    if k > 3:  # corners ascending, so every simplex that holds a face lists it alike
+        order = simplices.argsort(axis=1) + np.arange(0, F * k, k)[:, None]
+        simplices, neighbors = simplices.take(order), neighbors.take(order)
+    ridge = (neighbors.T > np.arange(F)).ravel().nonzero()[0]  # j * F + f, each ridge once
+    f, j = ridge % F, ridge // F
+    Yf, Yg = Y.T.take(f, axis=1), Y.T.take(neighbors.T.take(ridge), axis=1)
     edge = Yf - Yg
-    sigma = np.sign(_wedge(plan.wedges[k - 2], top, edge)[:, 0])
+    owner = simplices.take(f * k + plan.ridge_rows.T.take(j, axis=1))  # (k - 1, ridges)
+    corners = P.T.take(owner, axis=1)
+    top = corners[:, 0]
+    for i in range(1, k - 1):
+        top = _wedge_first(plan.wedges[i - 1], top, corners[:, i])
+    sigma = np.sign(_wedge_first(plan.wedges[k - 2], top, edge)[0])
 
-    apex = Y[np.concatenate(_face_holders(simplices, plan.subsets, len(P)), axis=1)]
-    a = apex[:, :k]  # A_p({p}) = x_p, (F, flagged subsets, components)
-    b = a[..., :, None] * a[..., None, :]  # (..., moment axis, components)
-    for (prev, eps, lead, face), table in zip(plan.steps, plan.wedges):
-        x = apex[:, face]
-        step = x - apex[:, lead]
-        a_next = _wedge(table, np.einsum("fqlc,ql->fqc", a[:, prev], eps), step)
-        b = (_wedge(table, np.einsum("fqlmc,ql->fqmc", b[:, prev], eps), step[:, :, None, :])
-             + x[..., :, None] * a_next[..., None, :])
-        a = a_next
+    # A_p and B_p of each face G once, at its highest slot, on the flags
+    # (p, G) numbered face by face; the faces of size 1 are the points
+    x1 = Y.T.take(_face_slots(simplices, plan.subsets[0], N)[1] // k, axis=1)
+    b = x1[:, None] * np.concatenate((x1, np.ones((1, N))))[None]  # (components, k + 1, flags)
+    face = simplices  # the face of each corner subset of each simplex
+    for s, (sub, (prev, eps, lead), table) in enumerate(
+            zip(plan.subsets[1:], plan.steps, plan.wedges), start=2):
+        key, slot = _face_slots(simplices, sub, N)
+        held = slot >= 0
+        at, g = np.divmod(slot[held], len(sub))
+        q = (g[:, None] * s + np.arange(s)).ravel()  # its flags in the simplex ``at``
+        at = at.repeat(s)
+        g, i = np.divmod(prev.take(q, axis=0), s - 1)
+        peeled = b.take(face.take(at[:, None] * face.shape[1] + g).T * (s - 1) + i.T, axis=2)
+        x = Y.T.take(at, axis=1)
+        b = _wedge_first(table, np.einsum("cmlq,lq->cmq", peeled, eps.take(q, axis=0).T),
+                         (x - x1.take(simplices.take(at * k + lead.take(q)), axis=1))[:, None])
+        b[:, :k] += b[:, k:] * x
+        face = (np.cumsum(held) - 1).take(key)
 
-    prev, eps = plan.ridge_prev[j], plan.ridge_eps[j]  # (ridges, k - 1, k - 2)
-    yy = _wedge(plan.wedges[0], Yg[:, None] - apex[f[:, None], rows], edge[:, None])
+    g, i = np.divmod(plan.ridge_prev.T.take(j, axis=2), k - 2)  # (k - 2, k - 1, ridges)
+    chain = b.take(face.take(f * face.shape[1] + g) * (k - 2) + i, axis=2)
+    # (components, k + 1, k - 1, ridges)
+    chain = np.einsum("cmlpr,lpr->cmpr", chain, plan.ridge_eps.T.take(j, axis=2))
+    yy = _wedge_first(plan.wedges[0], Yg[:, None] - x1.take(owner, axis=1), edge[:, None])
     index, sign = plan.hodge
-    chain = np.einsum("rplc,rpl->rpc", a[f[:, None, None], prev], eps)
-    det = _weighted_sum(chain * yy[..., index], sign)  # (ridges, k - 1)
-    scale = sigma / factorial(k)
-    chain = np.einsum("rplmc,rpl->rpmc", b[f[:, None, None], prev], eps)
-    moment = scale[:, None, None] * (
-        _weighted_sum(chain * yy[:, :, None, index], sign) + det[..., None] * (Yg + Yf)[:, None, :]
-    )
-    return simplices[f[:, None], rows], scale[:, None] * det, moment
+    det = np.einsum("c,cmpr,cpr->mpr", sign, chain, yy.take(index, axis=0))
+    det[:k] += det[k] * (Yg + Yf)[:, None]
+    det *= sigma / factorial(k)
+    return _sums_by(owner.ravel(), det.reshape(k + 1, -1).T, N)
 
 
 def _halfspace_volume(W: np.ndarray, c: np.ndarray | None = None) -> float:
@@ -924,7 +931,7 @@ def _halfspace_volume(W: np.ndarray, c: np.ndarray | None = None) -> float:
         lo, hi = _interval(W, c)
         return float(c[hi] / W[hi, 0] - c[lo] / W[lo, 0])
     if k == 2:
-        return _shoelace(_planar_hull(W, c)[1])
+        return _shoelace(_planar_hull(W, c)[2])
     P, hull, Y = _polar_hull(W, c)
     return _flag_volume(P, hull.simplices, hull.neighbors, Y)
 
@@ -940,28 +947,21 @@ def section_volume_fast(vectors: np.ndarray) -> float:
 
     - k = 1: the section is the interval |x| <= 1 / max |v_i|, of length
       2 / max |v_i|.
-    - k = 2, half-turn scan: each v_i is signed into the half-turn from
-      the point p of largest norm to -p, and one Graham scan of those n
-      points sorted by angle gives the hull edges (q, r) of P =
-      conv{+-v_i} from p to -p, each the section vertex J(r - q) /
-      (q x (r - q)).  The other half of the section vertices are their
-      negations, and the volume is the shoelace area of all of them
-      (:func:`_half_turn_volume`), with no Qhull call.  It has no
-      feasibility slack: it is within 1e-13 of an exact rational volume
-      on near-parallel, duplicated-vector and box frames, on frames that
-      hold v and -v, ties for the largest norm, vectors along p, and
-      collinear points of +-V.
-    - k >= 3, flag sum over the same hull: signed simplices over the
-      flags of Qhull's triangulation of P, summed face by face into one
-      determinant per ridge (:func:`_flag_volume`), with no second Qhull
-      call; the cones of a face start from one of its own vertices, so no
-      foot point is solved for.  It is within 1e-13 of an exact rational
-      volume on near-parallel frames (points of +-V down to 1e-13 apart),
-      on box frames, on frames whose +-v are the vertices of a cube, and
-      on sections with facets shifted or tilted.  Qhull merges only
+    - k = 2: one Graham scan over half a turn of the hull of +-V, the
+      other half of the section vertices by negation, and their shoelace
+      area (:func:`_half_turn_volume`), with no Qhull call.
+    - k >= 3: the flag sum over Qhull's triangulation of the same hull,
+      one determinant per ridge (:func:`_flag_volume`).  Qhull merges only
       facets of P that are coplanar within its own roundoff, and the
       simplices of a merged facet share one polar vertex, so their ridges
       add exactly 0.
+
+    Neither has a feasibility slack.  Both are within 1e-13 of an exact
+    rational volume on near-parallel frames (points of +-V down to 1e-13
+    apart), duplicated-vector and box frames, and in the plane on frames
+    that hold v and -v, ties for the largest norm and collinear points of
+    +-V; for k >= 3 also on frames whose +-v are the vertices of a cube,
+    and on sections with facets shifted or tilted.
 
     For k != 2 +-V go to the hull as they are, and with every c_r = 1 no
     division forms P.

@@ -9,6 +9,12 @@
   0.05 s per frame at (n, k) = (7, 3), 0.3 s at (7, 4) and 1.3 s at (12, 4).
 - :func:`halfspace_vertices`, in floats: the same enumeration with a
   feasibility slack, near-singular subsets skipped, and a plain dedup.
+- :func:`reference_facets`, in floats: the facet records of a section
+  assembled one facet at a time, from a dict of per-row facets whose cones
+  are split by first corner simplex by simplex, with the stack first
+  (:func:`stacked_flag_cones`), and rows grouped by a union-find
+  (:func:`reference_row_groups`).  It shares the hull, the solved section
+  vertices and the plan tables with ``build_section``.
 """
 
 from __future__ import annotations
@@ -18,6 +24,17 @@ from fractions import Fraction
 from math import factorial
 
 import numpy as np
+
+from cubesec.polytope import (
+    EPS_GEOM,
+    FacetRecord,
+    _face_holders,
+    _flag_plan,
+    _interval,
+    _planar_hull,
+    _polar_hull,
+    _solved_vertices,
+)
 
 
 def _solve(A, b):
@@ -160,3 +177,153 @@ def halfspace_vertices(W: np.ndarray, c: np.ndarray, eps: float = 1e-9) -> np.nd
     slack = eps * (1.0 + np.abs(c))
     feas = np.all(X @ W.T <= c + slack, axis=1)
     return reference_dedup(X[feas], eps)
+
+
+def reference_row_groups(W, tol):
+    """Union-find over every pair of rows within ``tol`` in every coordinate."""
+    m = len(W)
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            if np.max(np.abs(W[i] - W[j])) <= tol:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(m):
+        groups.setdefault(find(i), []).append(i)
+    return [groups[r] for r in sorted(groups)]
+
+
+def _wedge(table, a, x):
+    """Stacked wedge a ^ x of s-vectors a with vectors x, components last."""
+    index, coord, sign = table
+    return _weighted_sum(a[..., index] * x[..., coord], sign)
+
+
+def _weighted_sum(a, weights):
+    return (a.reshape(-1, a.shape[-1]) @ weights).reshape(a.shape[:-1])
+
+
+def stacked_flag_cones(P, simplices, neighbors, Y):
+    """The cones over the facets of the polar body of conv(P), k >= 3, and
+    their first moments, summed flag by flag in every simplex: (owner,
+    cone, moment) per ridge and corner of it, the stack first."""
+    k = P.shape[1]
+    plan = _flag_plan(k)
+    corners = P[simplices]
+    f, j = np.nonzero(neighbors > np.arange(len(simplices))[:, None])  # each ridge once
+    g = neighbors[f, j]
+    Yf, Yg = Y[f], Y[g]
+    rows = plan.ridge_rows[j]
+    ridge = corners[f[:, None], rows]
+    top = ridge[:, 0]
+    for i in range(1, k - 1):
+        top = _wedge(plan.wedges[i - 1], top, ridge[:, i])
+    edge = Yf - Yg
+    sigma = np.sign(_wedge(plan.wedges[k - 2], top, edge)[:, 0])
+    apex = Y[np.concatenate(_face_holders(simplices, plan.subsets, len(P)), axis=1)]
+    a = apex[:, :k]
+    b = a[..., :, None] * a[..., None, :]
+    for s, ((prev, eps, lead), table) in enumerate(zip(plan.steps, plan.wedges), start=2):
+        # the apex of G, by its place in the concatenation of the subsets
+        face = sum(len(sub) for sub in plan.subsets[:s - 1]) + np.arange(len(prev)) // s
+        x = apex[:, face]
+        step = x - apex[:, lead]
+        a_next = _wedge(table, np.einsum("fqlc,ql->fqc", a[:, prev], eps), step)
+        b = (_wedge(table, np.einsum("fqlmc,ql->fqmc", b[:, prev], eps), step[:, :, None, :])
+             + x[..., :, None] * a_next[..., None, :])
+        a = a_next
+    prev, eps = plan.ridge_prev[j], plan.ridge_eps[j]
+    yy = _wedge(plan.wedges[0], Yg[:, None] - apex[f[:, None], rows], edge[:, None])
+    index, sign = plan.hodge
+    chain = np.einsum("rplc,rpl->rpc", a[f[:, None, None], prev], eps)
+    det = _weighted_sum(chain * yy[..., index], sign)
+    scale = sigma / factorial(k)
+    chain = np.einsum("rplmc,rpl->rpmc", b[f[:, None, None], prev], eps)
+    moment = scale[:, None, None] * (
+        _weighted_sum(chain * yy[:, :, None, index], sign) + det[..., None] * (Yg + Yf)[:, None, :]
+    )
+    return simplices[f[:, None], rows], scale[:, None] * det, moment
+
+
+def reference_point_facets(W, c):
+    """Vertices of {W x <= c}, and a dict from each row that has a facet to
+    (measure, centroid, sorted vertex indices)."""
+    k = W.shape[1]
+    if k == 1:
+        ends = _interval(W, c)
+        verts = np.array([[c[r] / W[r, 0]] for r in ends])
+        return verts, {r: (1.0, verts[i], (i,)) for i, r in enumerate(ends)}
+    if k == 2:
+        _, hull, Y = _planar_hull(W, c)
+        verts = np.array(Y)
+        Q = W[hull] / c[hull, None]
+        prev = np.roll(Q, 1, axis=0)
+        into = Q - prev
+        out = np.roll(into, -1, axis=0)
+        cross = prev[:, 0] * into[:, 1] - prev[:, 1] * into[:, 0]
+        turn = into[:, 0] * out[:, 1] - into[:, 1] * out[:, 0]
+        length = (np.linalg.norm(Q, axis=1) * turn / (cross * np.roll(cross, -1))).tolist()
+        middle = (np.roll(verts, 1, axis=0) + verts) / 2
+        m = len(hull)
+        return verts, {r: (length[j], middle[j], tuple(sorted(((j - 1) % m, j))))
+                       for j, r in enumerate(hull)}
+    P, hull, Y = _polar_hull(W, c)
+    eq = hull.equations
+    Y = _solved_vertices(P, hull, Y, ~np.all(eq[hull.neighbors] == eq[:, None, :], axis=2).any(axis=1))
+    _, first, inverse = np.unique(hull.equations, axis=0, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    vid = rank[inverse.ravel()]
+    verts = Y[np.sort(first)]
+    codes = np.unique(hull.simplices.ravel() * len(verts) + np.repeat(vid, k))
+    point, ids = np.divmod(codes, len(verts))
+    starts = np.flatnonzero(np.r_[True, point[1:] != point[:-1]])
+    around = zip(point[starts].tolist(), np.split(ids, starts[1:]))
+    owner, cone, moment = stacked_flag_cones(P, hull.simplices, hull.neighbors, Y)
+    cone = np.bincount(owner.ravel(), cone.ravel(), minlength=len(P))
+    moment = np.stack([np.bincount(owner.ravel(), m.ravel(), minlength=len(P))
+                       for m in np.moveaxis(moment, -1, 0)], axis=1)
+    return verts, {
+        p: (k * cone[p] * float(np.linalg.norm(P[p])), moment[p] / (k * cone[p]), tuple(ends.tolist()))
+        for p, ends in around
+    }
+
+
+def reference_facets(vectors):
+    """Section vertices and facet records of the frame ``vectors``, one
+    facet at a time: each group of coincident rows that owns a facet gets
+    the summed content and the content-weighted centroid of its rows'."""
+    V = np.asarray(vectors, dtype=float)
+    gens = np.nonzero(np.linalg.norm(V, axis=1) > 1e-14)[0]
+    W = np.vstack([V[gens], -V[gens]])
+    c = np.ones(len(W))
+    row_gen = [(int(i), 1) for i in gens] + [(int(i), -1) for i in gens]
+    verts, point_facets = reference_point_facets(W, c)
+    facets = []
+    for rows in reference_row_groups(W, EPS_GEOM):
+        own = [point_facets[r] for r in rows if r in point_facets]
+        if not own:
+            continue
+        measures = np.array([m for m, _, _ in own])
+        w = W[rows[0]]
+        facets.append(
+            FacetRecord(
+                normals=tuple(row_gen[r] for r in rows),
+                vertex_indices=tuple(sorted(set().union(*(ids for _, _, ids in own)))),
+                measure=float(measures.sum()),
+                centroid=np.average([x for _, x, _ in own], axis=0, weights=measures),
+                normal_vector=w.copy(),
+                distance=float(c[rows[0]] / np.linalg.norm(w)),
+                row_ids=tuple(rows),
+            )
+        )
+    return verts, facets

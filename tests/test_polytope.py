@@ -20,6 +20,7 @@ from cubesec.polytope import (
     FacetRecord,
     _coincident_row_groups,
     _face_holders,
+    _flag_cones,
     _flag_plan,
     _halfspace_volume,
     _polar_hull,
@@ -35,8 +36,16 @@ from cubesec.polytope import (
     volume,
     volume_by_triangulation,
 )
+from cubesec import polytope
 from cubesec.bounds import c_cube, default_partition, extremal_frame
-from oracles import exact_cone_volumes, exact_volume, halfspace_vertices
+from cubesec.conditions import verify_frame
+from oracles import (
+    exact_cone_volumes,
+    exact_volume,
+    halfspace_vertices,
+    reference_facets,
+    reference_row_groups,
+)
 
 
 def square_frame():
@@ -467,6 +476,82 @@ class TestExactVolume:
             assert section_volume_fast(vectors) == pytest.approx(full, rel=1e-15)
 
 
+class TestFacetAssembly:
+    """build_section's records against the one-facet-at-a-time reference."""
+
+    @staticmethod
+    def frames():
+        rng = np.random.default_rng(40)
+        for k in (1, 2, 3, 4, 5):
+            cells = {1: (2, 4), 2: (3, 6, 10), 3: (4, 7), 4: (5, 7, 12), 5: (6, 8)}[k]
+            for n in cells:
+                v = rng.standard_normal((n, 1)) if k == 1 else random_tight_frame(n, k, rng).vectors
+                yield v
+                yield np.vstack([v[:1], np.zeros((1, k)), v[1:]])  # a zero vector
+                yield np.vstack([v, v[-1:]])  # a duplicated vector
+                if k > 1:
+                    yield signed_box_frame(n, k, rng).vectors
+                    yield near_parallel_frame(n, k, rng).vectors
+            if k > 1:
+                yield duplicated_frame(k, 1e-9, rng).vectors
+
+    def test_matches_reference(self):
+        for v in self.frames():
+            p = build_section(Frame(v))
+            verts, facets = reference_facets(v)
+            np.testing.assert_array_equal(p.vertices, verts)
+            assert len(p.facets) == len(facets)
+            for f, g in zip(p.facets, facets):
+                assert (f.normals, f.vertex_indices, f.row_ids) == (g.normals, g.vertex_indices, g.row_ids)
+                np.testing.assert_array_equal(f.normal_vector, g.normal_vector)
+                assert f.measure == pytest.approx(g.measure, rel=1e-14)
+                assert f.distance == pytest.approx(g.distance, rel=1e-14)
+                assert np.linalg.norm(f.centroid - g.centroid) <= 1e-14 * np.linalg.norm(g.centroid)
+                assert not (f.centroid.flags.writeable or f.normal_vector.flags.writeable)
+            for i in range(len(v)):
+                first = next(((f, s) for f in p.facets for j, s in f.normals if j == i), None)
+                assert p.generator_facets.get(i) == first
+                assert p.facet_of_generator(i) is (first and first[0])
+
+
+    def test_cones_do_not_depend_on_corner_order(self):
+        # a face's terms are computed once and used in every simplex that
+        # holds it, so they must not depend on the order a simplex lists
+        # its corners in; Qhull happens to list shared corners alike
+        rng = np.random.default_rng(42)
+        for n, k in ((7, 3), (7, 4), (12, 4), (8, 5)):
+            for s in (random_tight_frame(n, k, rng), near_parallel_frame(n, k, rng)):
+                W = np.vstack([s.vectors, -s.vectors])
+                P, hull, Y = _polar_hull(W, None)
+                want = _flag_cones(P, hull.simplices, hull.neighbors, Y)
+                order = rng.permuted(np.tile(np.arange(k), (len(hull.simplices), 1)), axis=1)
+                got = _flag_cones(P, np.take_along_axis(hull.simplices, order, axis=1),
+                                  np.take_along_axis(hull.neighbors, order, axis=1), Y)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max())
+
+
+class TestQhullCalls:
+    def test_one_hull_per_section(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return ConvexHull(*args, **kwargs)
+
+        monkeypatch.setattr(polytope, "ConvexHull", counted)
+        rng = np.random.default_rng(41)
+        for n, k in ((3, 2), (10, 2), (7, 3), (7, 4), (12, 4), (8, 5)):
+            for s in (random_tight_frame(n, k, rng), signed_box_frame(n, k, rng)):
+                for run in (build_section, lambda s: section_volume_fast(s.vectors)):
+                    calls.clear()
+                    run(s)
+                    assert len(calls) == (0 if k == 2 else 1)
+                p = build_section(s)
+                calls.clear()
+                verify_frame(s, p)
+                assert calls == []
+
+
 class TestFaceHolders:
     def test_holders_do_not_depend_on_memory_layout(self):
         # the same simplices in C order, in Fortran order and as a view with
@@ -489,27 +574,12 @@ class TestFaceHolders:
                         assert set(simplices[f, sub[g]]) <= set(simplices[holder[f, g]])
 
 
-def reference_row_groups(W, tol):
-    """Union-find over every pair of rows within ``tol`` in every coordinate."""
-    m = len(W)
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if np.max(np.abs(W[i] - W[j])) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    groups = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    return [groups[r] for r in sorted(groups)]
+def groups_of(label):
+    """Rows by group, groups in the order of their labels."""
+    groups = [[] for _ in range(max(label) + 1)]
+    for r, g in enumerate(label):
+        groups[g].append(r)
+    return groups
 
 
 class TestRowGroups:
@@ -520,12 +590,12 @@ class TestRowGroups:
                 v = make(n, k, rng).vectors
                 W = np.vstack([v, -v])
                 for tol in (1e-9, 1e-6):
-                    assert _coincident_row_groups(W, tol) == reference_row_groups(W, tol)
+                    assert groups_of(_coincident_row_groups(W, tol)) == reference_row_groups(W, tol)
 
     def test_box_frame_groups_are_its_parts(self):
         s = extremal_frame(7, 3, signs=[1, -1, 1, 1, -1, 1, -1])
         W = np.vstack([s.vectors, -s.vectors])
-        groups = _coincident_row_groups(W, 1e-9)
+        groups = groups_of(_coincident_row_groups(W, 1e-9))
         assert len(groups) == 6
         assert groups[0] == [0, 2, 8]
 
