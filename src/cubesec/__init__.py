@@ -19,13 +19,10 @@ from .frame_core import (
     whiten,
 )
 from .polytope import (
-    DegenerateFacetError,
     DegeneratePolytopeError,
     FacetRecord,
     SectionPolytope,
     build_section,
-    facet_centroid,
-    pyramid_volume,
     rotate_facet_predict,
     rotated_section_volume,
     section_volume_fast,

@@ -73,15 +73,25 @@ def check_facet_correspondence(s: Frame, p: SectionPolytope) -> float:
     return float(sum(i not in p.generator_facets for i in range(s.n)))
 
 
-def _generator_facets(s: Frame, p: SectionPolytope):
-    """Yield (index, signed facet centroid, facet) for every generator."""
-    for i in range(s.n):
-        if i not in p.generator_facets:
-            raise ValueError(
-                f"generator {i} supports no facet; facet correspondence fails"
-            )
-        f, sign = p.generator_facets[i]
-        yield i, sign * f.centroid, f
+def _first_order_residuals(s: Frame, p: SectionPolytope) -> tuple:
+    """The centroid and facet balance residuals, from one pass over the
+    generators' facets and array operations on the frame."""
+    held = [p.generator_facets.get(i) for i in range(s.n)]
+    if None in held:
+        raise ValueError(
+            f"generator {held.index(None)} supports no facet; facet correspondence fails"
+        )
+    centroid = np.array([sign * f.centroid for f, sign in held])
+    measure = np.array([f.measure for f, _ in held])
+    multiplicity = np.array([f.multiplicity for f, _ in held])
+    V = s.vectors
+    sq = np.einsum("ij,ij->i", V, V)
+    norm = np.sqrt(sq)
+    cen = np.linalg.norm(centroid - V / sq[:, None], axis=1).max()
+    lhs = 2.0 * measure / norm
+    rhs = multiplicity * norm**2 * volume(p)
+    bal = (np.abs(lhs - rhs) / np.maximum(lhs, rhs)).max()
+    return float(cen), float(bal)
 
 
 def check_centroid(s: Frame, p: SectionPolytope) -> float:
@@ -90,12 +100,7 @@ def check_centroid(s: Frame, p: SectionPolytope) -> float:
     At a critical frame the line through v meets the hyperplane <x, v> = 1
     exactly in the centroid of the corresponding facet.
     """
-    worst = 0.0
-    for i, centroid, _ in _generator_facets(s, p):
-        v = s.vectors[i]
-        c_v = v / np.dot(v, v)
-        worst = max(worst, float(np.linalg.norm(centroid - c_v)))
-    return worst
+    return _first_order_residuals(s, p)[0]
 
 
 def check_facet_balance(s: Frame, p: SectionPolytope) -> float:
@@ -104,14 +109,7 @@ def check_facet_balance(s: Frame, p: SectionPolytope) -> float:
     For every facet with multiplicity d supported by a vector v:
     twice the facet content over |v| equals d |v|^2 times the volume.
     """
-    vol = volume(p)
-    worst = 0.0
-    for i, _, f in _generator_facets(s, p):
-        norm = float(np.linalg.norm(s.vectors[i]))
-        lhs = 2.0 * f.measure / norm
-        rhs = f.multiplicity * norm**2 * vol
-        worst = max(worst, abs(lhs - rhs) / max(lhs, rhs))
-    return worst
+    return _first_order_residuals(s, p)[1]
 
 
 def check_cyclic(p: SectionPolytope) -> float:
@@ -161,8 +159,7 @@ def verify_frame(
     corr = check_facet_correspondence(s, p)
     checks["facet_correspondence"] = CheckResult(corr == 0.0, corr, 0.0)
     if corr == 0.0:
-        cen = check_centroid(s, p)
-        bal = check_facet_balance(s, p)
+        cen, bal = _first_order_residuals(s, p)
     else:
         cen = bal = float("inf")
     checks["centroid"] = CheckResult(cen <= tol_centroid, cen, tol_centroid)

@@ -34,28 +34,30 @@ from .polytope import (  # noqa: F401
 from .bounds import extremal_frame
 from .conditions import ConditionsReport, verify_frame
 
+# The step schedule: a restart starts at INITIAL_STEP, multiplies the step
+# by STEP_DECAY after FAILS_PER_LEVEL rejections in a row, and stops once it
+# falls below MIN_STEP (36 levels, 720 rejections from a fixed point).  A
+# proposal is accepted when it raises the volume by more than VOL_TOL,
+# relative.
+INITIAL_STEP = 0.3
+STEP_DECAY = 0.7
+MIN_STEP = 1e-6
+VOL_TOL = 1e-9
+FAILS_PER_LEVEL = 20
+
 
 @dataclass
 class OptimizerConfig:
     n: int
     k: int
     restarts: int = 32
-    initial_step: float = 0.3
-    step_decay: float = 0.7
-    min_step: float = 1e-6
     seed: int = 0
     max_iterations: int = 2000
-    vol_tol: float = 1e-9
-    fails_per_level: int = 20
-    warm_start: bool = True
 
     def __post_init__(self):
         if not self.n > self.k >= 2:
             raise ValueError(f"need n > k >= 2, got n={self.n}, k={self.k}")
-        for name in ("initial_step", "step_decay", "min_step", "vol_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.restarts < 0 or self.max_iterations < 1 or self.fails_per_level < 1:
+        if self.restarts < 0 or self.max_iterations < 1:
             raise ValueError("invalid budget configuration")
 
     def to_dict(self) -> dict:
@@ -69,7 +71,7 @@ class RestartResult:
     ``final_volume`` is :func:`section_volume_fast` of ``frame``: the
     volume the ascent climbed on, and the one restarts are ranked by.
     ``stop`` says why the ascent ended: ``"schedule"`` when the step fell
-    below ``min_step``, ``"cap"`` when ``max_iterations`` ran out.
+    below ``MIN_STEP``, ``"cap"`` when ``max_iterations`` ran out.
     ``rank_loss`` counts the proposals rejected because whitening found no
     frame (a :class:`FrameError`), and ``degenerate`` those rejected because
     Qhull could not build their section.
@@ -177,7 +179,7 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     current = s0
     vol = section_volume_fast(current.vectors)
     trace = [(0, vol)]
-    step = config.initial_step
+    step = INITIAL_STEP
     fails = 0
     accepted = 0
     degenerate = 0
@@ -200,17 +202,17 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
         except DegeneratePolytopeError:
             new_vol = -np.inf
             degenerate += 1
-        if new_vol > vol * (1.0 + config.vol_tol):
+        if new_vol > vol * (1.0 + VOL_TOL):
             current, vol = tight, new_vol
             trace.append((it, vol))
             accepted += 1
             fails = 0
         else:
             fails += 1
-            if fails >= config.fails_per_level:
-                step *= config.step_decay
+            if fails >= FAILS_PER_LEVEL:
+                step *= STEP_DECAY
                 fails = 0
-                if step < config.min_step:
+                if step < MIN_STEP:
                     stop = "schedule"
                     break
     return RestartResult(
@@ -230,8 +232,7 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
 def _starts(config: OptimizerConfig):
     for r in range(config.restarts):
         yield r, "random"
-    if config.warm_start:
-        yield config.restarts, "warm"
+    yield config.restarts, "warm"
 
 
 def _run_restart(args) -> RestartResult:
@@ -270,8 +271,6 @@ def maximize(config: OptimizerConfig, threads: int | None = None) -> OptimizeRes
     merge is associative.
     """
     jobs = [(config, index, start) for index, start in _starts(config)]
-    if not jobs:
-        raise ValueError("nothing to run: zero restarts and no warm start")
     threads = resolve_threads(threads)
     if threads > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -48,10 +48,6 @@ from .frame_core import Frame, NotAFrameError, RANK_FLOOR, symmetrize
 EPS_GEOM = 1e-9
 
 
-class DegenerateFacetError(ValueError):
-    """Facet has no (k-1)-dimensional content within tolerance."""
-
-
 class DegeneratePolytopeError(ValueError):
     """Qhull could not build the hull of a nearly degenerate point set."""
 
@@ -146,76 +142,6 @@ def convex_volume(points: np.ndarray, k: int) -> float:
         return float(ConvexHull(points, qhull_options="Q12").volume)
     except QhullError as exc:
         raise DegeneratePolytopeError("degenerate polytope") from exc
-
-
-def _hyperplane_basis(w: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (k x (k-1)) of the hyperplane orthogonal to w."""
-    k = len(w)
-    q, _ = np.linalg.qr(np.column_stack([w / np.linalg.norm(w), np.eye(k)]))
-    return q[:, 1:k]
-
-
-def _poly_geometry(coords: np.ndarray, dim: int):
-    """Measure, centroid, and a triangulation of a convex polytope.
-
-    ``coords`` are corner points in R^dim, dim in {0, 1, 2, 3}.  Each
-    returned simplex is a (dim+1, dim) array of corner points.  Raises
-    :class:`DegenerateFacetError` when the points have no dim-dimensional
-    content.
-    """
-    if dim == 0:
-        return 1.0, coords[0].copy(), [coords[:1].copy()]
-    if len(coords) <= dim:
-        raise DegenerateFacetError("degenerate facet")
-    if dim == 1:
-        t = coords[:, 0]
-        lo, hi = int(t.argmin()), int(t.argmax())
-        simplices = [np.vstack([coords[lo], coords[hi]])]
-    else:
-        try:
-            hull = ConvexHull(coords)
-        except QhullError as exc:
-            raise DegenerateFacetError("degenerate facet") from exc
-        if dim == 2:
-            order = hull.vertices  # counterclockwise cycle
-            apex = coords[order[0]]
-            simplices = [
-                np.vstack([apex, coords[order[i]], coords[order[i + 1]]])
-                for i in range(1, len(order) - 1)
-            ]
-        else:
-            interior = coords[hull.vertices].mean(axis=0)
-            simplices = [
-                np.vstack([interior] + [coords[i] for i in simplex])
-                for simplex in hull.simplices
-            ]
-    fct = factorial(dim)
-    measure = 0.0
-    centroid = np.zeros(dim)
-    for s in simplices:
-        # e is square (the facet in its own dim coordinates), so the
-        # simplex content is |det e| / dim!, with no Gram determinant
-        m = abs(float(np.linalg.det(s[1:] - s[0]))) / fct
-        measure += m
-        centroid += m * s.mean(axis=0)
-    if measure <= 0.0:
-        raise DegenerateFacetError("degenerate facet")
-    return measure, centroid / measure, simplices
-
-
-def _facet_geometry(pts: np.ndarray, k: int, w: np.ndarray):
-    """Triangulate a facet given its corner points in ambient coordinates.
-
-    Returns (measure, centroid, simplices) with simplices as (k, k) arrays
-    of (k-1)-simplex corners in R^k.
-    """
-    if k == 1:
-        return 1.0, pts[0].copy(), [pts[:1].copy()]
-    basis = _hyperplane_basis(w)
-    origin = pts[0]
-    measure, centroid, simplices = _poly_geometry((pts - origin) @ basis, k - 1)
-    to_ambient = lambda c: origin + c @ basis.T  # noqa: E731
-    return measure, to_ambient(centroid), [to_ambient(s) for s in simplices]
 
 
 def _coincident_row_groups(W: np.ndarray, tol: float) -> np.ndarray:
@@ -973,25 +899,6 @@ def section_volume_fast(vectors: np.ndarray) -> float:
     if vectors.shape[1] == 2:
         return _half_turn_volume(vectors)
     return _halfspace_volume(np.concatenate((vectors, -vectors)))
-
-
-def facet_centroid(p: SectionPolytope, f: FacetRecord) -> np.ndarray:
-    """Recompute the centroid of a facet from its vertices by triangulation."""
-    pts = np.asarray(p.vertices)[list(f.vertex_indices)]
-    _, centroid, _ = _facet_geometry(pts, p.k, f.normal_vector)
-    return centroid
-
-
-def pyramid_volume(p: SectionPolytope, f: FacetRecord) -> float:
-    """Volume of the cone from the origin over a facet.
-
-    Computed by full k-dimensional determinants over a facet triangulation,
-    independently of the distance-times-measure formula.
-    """
-    pts = np.asarray(p.vertices)[list(f.vertex_indices)]
-    _, _, simplices = _facet_geometry(pts, p.k, f.normal_vector)
-    fct = factorial(p.k)
-    return float(sum(abs(np.linalg.det(s)) for s in simplices) / fct)
 
 
 def shift_facet_predict(p: SectionPolytope, f: FacetRecord, h: float) -> float:

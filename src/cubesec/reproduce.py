@@ -34,13 +34,7 @@ from .polytope import (
     shifted_section_volume,
     volume,
 )
-from .conditions import (
-    check_centroid,
-    check_cyclic,
-    check_facet_balance,
-    check_facet_correspondence,
-    check_length_bounds,
-)
+from .conditions import check_length_bounds
 from .bounds import (
     PlanarAngles,
     ball_upper,
@@ -314,15 +308,15 @@ def criterion_first_order_conditions(ctx: BatteryContext) -> CriterionResult:
     details, ok = [], True
 
     def cell(n, k):
-        s = ctx.winner(n, k).best_frame
-        p = build_section(s)
-        corr = check_facet_correspondence(s, p)
+        # maximize ran verify_frame on this winner already
+        checks = ctx.winner(n, k).conditions.checks
+        corr = checks["facet_correspondence"].residual
         if corr > 0:
             details.append(f"(n={n}, k={k}): facet correspondence violations {corr:.0f}")
             return False
-        cen = check_centroid(s, p)
-        bal = check_facet_balance(s, p)
-        cyc = check_cyclic(p) if k == 2 else 0.0
+        cen = checks["centroid"].residual
+        bal = checks["facet_balance"].residual
+        cyc = checks["cyclic"].residual if k == 2 else 0.0
         details.append(
             f"(n={n}, k={k}): centroid {cen:.1e}, balance {bal:.1e}"
             + (f", cyclic {cyc:.1e}" if k == 2 else "")

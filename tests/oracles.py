@@ -1,12 +1,14 @@
 """Reference section volumes for the tests: an exact one and a float one.
 
 - :func:`exact_cone_volumes`, in rational arithmetic (stdlib ``fractions``,
-  and fraction-free integer solves): every k-subset of the bounding planes
-  is solved exactly, the feasible crossings (no slack) are the vertices,
-  each plane's facet is the set of vertices on it, and each facet is cut
-  into simplices by a pulling triangulation.  The volume of the cone from
-  the origin over a facet is a sum of exact determinants.  It costs about
-  0.05 s per frame at (n, k) = (7, 3), 0.3 s at (7, 4) and 1.3 s at (12, 4).
+  and fraction-free integer solves, ranks and determinants): every k-subset
+  of the bounding planes is solved exactly, the feasible crossings (no
+  slack) are the vertices, each plane's facet is the set of vertices on
+  it, and each facet is cut into simplices by a pulling triangulation.  The
+  volume of the cone from the origin over a facet is a sum of exact
+  determinants, and its first moment gives the facet's centroid.  On random
+  frames it costs about 0.015 s per frame at (n, k) = (7, 3), 0.08 s at
+  (7, 4), 0.6 s at (12, 4) (mostly the solves) and 0.65 s at (7, 5).
 - :func:`halfspace_vertices`, in floats: the same enumeration with a
   feasibility slack, near-singular subsets skipped, and a plain dedup.
 - :func:`reference_facets`, in floats: the facet records of a section
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm, prod
 
 import numpy as np
 
@@ -59,6 +61,7 @@ def _solve(A, b):
 
 
 def _rank(rows):
+    """Rank of an integer matrix: elimination by integer row combinations."""
     m = [list(r) for r in rows]
     rank = 0
     for col in range(len(m[0]) if m else 0):
@@ -66,36 +69,45 @@ def _rank(rows):
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
+        p = m[rank][col]
         for r in range(rank + 1, len(m)):
-            t = m[r][col] / m[rank][col]
-            m[r] = [x - t * y for x, y in zip(m[r], m[rank])]
+            t = m[r][col]
+            m[r] = [p * x - t * y for x, y in zip(m[r], m[rank])]
         rank += 1
     return rank
 
 
 def _det(rows):
+    """Determinant of an integer matrix: fraction-free (Bareiss) elimination."""
     m = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(len(m)):
-        piv = next((r for r in range(col, len(m)) if m[r][col] != 0), None)
+    k = len(m)
+    sign, last = 1, 1
+    for col in range(k):
+        piv = next((r for r in range(col, k) if m[r][col] != 0), None)
         if piv is None:
-            return Fraction(0)
+            return 0
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, len(m)):
-            t = m[r][col] / m[col][col]
-            m[r] = [x - t * y for x, y in zip(m[r], m[col])]
-    return det
+            sign = -sign
+        p = m[col][col]
+        for r in range(col + 1, k):
+            t = m[r][col]
+            m[r] = [(p * x - t * y) // last for x, y in zip(m[r], m[col])]
+        last = p
+    return sign * last
 
 
 def exact_cone_volumes(W, c=None):
-    """Cone volumes from the origin over the facets of {W x <= c}, exactly.
+    """Cone volumes from the origin over the facets of {W x <= c}, and the
+    facets' centroids, exactly.
 
-    The origin must lie inside the bounded polytope.  Returns a dict from
-    each facet's frozenset of rows (the rows whose plane holds it) to its
-    cone volume as a Fraction; the values sum to the volume.
+    The origin must lie inside the bounded polytope.  Returns two dicts
+    keyed by each facet's frozenset of rows (the rows whose plane holds
+    it): its cone volume as a Fraction, the values summing to the volume,
+    and its centroid as a tuple of Fractions.  Each simplex s of a facet's
+    triangulation adds |det s| / k! to the cone and that times the sum of
+    its corners to the first moment; the centroid is the moment over
+    k * cone.
     """
     W = [[Fraction(float(x)) for x in row] for row in np.asarray(W, dtype=float)]
     c = [Fraction(1)] * len(W) if c is None else [Fraction(float(x)) for x in c]
@@ -113,12 +125,18 @@ def exact_cone_volumes(W, c=None):
         if all(sum(a * b for a, b in zip(w, num)) <= y * det for w, y in zip(Wi, ci)):
             verts.add(tuple(Fraction(x, det) for x in num))
     verts = sorted(verts)
-    tight = [frozenset(i for i, x in enumerate(verts) if sum(a * b for a, b in zip(w, x)) == y)
-             for w, y in zip(W, c)]
+    # each vertex as integers over one denominator, for integer determinants
+    dens = [lcm(*(x.denominator for x in v)) for v in verts]
+    nums = [[x.numerator * (d // x.denominator) for x in v] for v, d in zip(verts, dens)]
+    tight = [frozenset(i for i, (x, d) in enumerate(zip(nums, dens))
+                       if sum(a * b for a, b in zip(w, x)) == y * d)
+             for w, y in zip(Wi, ci)]
 
     def dim(face):
-        x0 = verts[min(face)]
-        return _rank([[a - b for a, b in zip(verts[i], x0)] for i in face]) if len(face) > 1 else 0
+        # v_i - v_0 scaled by dens[i] * dens[0] > 0, which keeps the rank
+        i0 = min(face)
+        x0, d0 = nums[i0], dens[i0]
+        return _rank([[a * d0 - b * dens[i] for a, b in zip(nums[i], x0)] for i in face])
 
     def pull(face, d):
         """Simplices of a pulling triangulation of a d-face, as vertex lists."""
@@ -128,18 +146,36 @@ def exact_cone_volumes(W, c=None):
         subfaces = {face & t for t in tight if apex not in t and len(face & t) >= d}
         return [[apex] + s for sub in subfaces if dim(sub) == d - 1 for s in pull(sub, d - 1)]
 
-    cones = {}
+    cones, centroids = {}, {}
     for face in set(tight):
         if len(face) >= k and dim(face) == k - 1:
             rows = frozenset(r for r, t in enumerate(tight) if t == face)
-            simplices = pull(face, k - 1)
-            cones[rows] = sum(abs(_det([verts[i] for i in s])) for s in simplices) / factorial(k)
-    return cones
+            # the first moment is sum over corners i of weight[i] * v_i:
+            # each simplex's cone, |det s| / k!, once at each of its corners
+            cone, weight = Fraction(0), {}
+            for s in pull(face, k - 1):
+                part = Fraction(abs(_det([nums[i] for i in s])),
+                                prod(dens[i] for i in s) * factorial(k))
+                cone += part
+                for i in s:
+                    weight[i] = weight.get(i, 0) + part
+            cones[rows] = cone
+            centroids[rows] = tuple(sum(w * verts[i][j] for i, w in weight.items()) / (k * cone)
+                                    for j in range(k))
+    return cones, centroids
+
+
+def section_rows(vectors) -> np.ndarray:
+    """The constraint rows +-v of the section of ``vectors``, zero vectors
+    left out; every right-hand side is 1."""
+    v = np.asarray(vectors, dtype=float)
+    v = v[np.linalg.norm(v, axis=1) > 1e-14]
+    return np.vstack([v, -v])
 
 
 def exact_volume(W, c=None) -> Fraction:
     """Volume of {W x <= c} (origin inside), exactly."""
-    return sum(exact_cone_volumes(W, c).values())
+    return sum(exact_cone_volumes(W, c)[0].values())
 
 
 def reference_dedup(points, eps):

@@ -1,12 +1,13 @@
 """Tests for the first-order criticality checks."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cubesec.frame_core import Frame, TightFrame, random_tight_frame
-from cubesec.polytope import build_section, pyramid_volume, volume
+from cubesec.frame_core import Frame, TightFrame, random_tight_frame, whiten
+from cubesec.polytope import build_section, volume
 from cubesec.conditions import (
     check_centroid,
     check_cyclic,
@@ -16,6 +17,7 @@ from cubesec.conditions import (
     verify_frame,
 )
 from cubesec.bounds import extremal_frame
+from oracles import exact_cone_volumes, section_rows
 
 
 def hexagonal_frame():
@@ -67,7 +69,8 @@ class TestFacetBalance:
         # pyramid share of the triple-multiplicity facet is (1/2)(3 * 1/3)/2
         f = p.facet_of_generator(0)
         assert f.multiplicity == 3
-        assert pyramid_volume(p, f) / volume(p) == pytest.approx(0.25, rel=1e-12)
+        cones, _ = exact_cone_volumes(section_rows(s.vectors))
+        assert cones[frozenset(f.row_ids)] / sum(cones.values()) == Fraction(1, 4)
 
     def test_orthonormal_cube(self):
         for k in (2, 3):
@@ -86,8 +89,8 @@ class TestFacetBalance:
         # pyramid decomposition of the volume and the trace identity
         s = random_tight_frame(6, 3, np.random.default_rng(40))
         p = build_section(s)
-        total_pyramid = sum(pyramid_volume(p, f) for f in p.facets)
-        assert total_pyramid == pytest.approx(volume(p), rel=1e-9)
+        cones, _ = exact_cone_volumes(section_rows(s.vectors))
+        assert float(sum(cones.values())) == pytest.approx(volume(p), rel=1e-9)
         assert s.squared_lengths().sum() == pytest.approx(s.k, rel=1e-10)
 
 
@@ -186,6 +189,39 @@ class TestReport:
                 assert a == b
             else:
                 assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
+
+    def test_residuals_match_generator_loop(self):
+        # the centroid and balance residuals, one generator at a time
+        def loop(s, p):
+            cen = bal = 0.0
+            for i in range(s.n):
+                f, sign = p.generator_facets[i]
+                v = s.vectors[i]
+                cen = max(cen, float(np.linalg.norm(sign * f.centroid - v / np.dot(v, v))))
+                norm = float(np.linalg.norm(v))
+                lhs, rhs = 2.0 * f.measure / norm, f.multiplicity * norm**2 * volume(p)
+                bal = max(bal, abs(lhs - rhs) / max(lhs, rhs))
+            return cen, bal
+
+        rng = np.random.default_rng(42)
+        frames = [hexagonal_frame()]
+        for k in (2, 3, 4, 5):
+            for n in (k + 1, k + 3):
+                box = extremal_frame(n, k)
+                noisy = Frame(box.vectors + 1e-4 * rng.standard_normal((n, k)))
+                frames += [random_tight_frame(n, k, rng), box, whiten(noisy)[1]]
+        checked = 0
+        for s in frames:
+            p = build_section(s)
+            if check_facet_correspondence(s, p):
+                continue
+            checked += 1
+            rep = verify_frame(s, p)
+            got = (rep.checks["centroid"].residual, rep.checks["facet_balance"].residual)
+            assert (check_centroid(s, p), check_facet_balance(s, p)) == got
+            for a, b in zip(got, loop(s, p)):
+                assert abs(a - b) <= 1e-13 * max(a, b) + 1e-15
+        assert checked >= 12
 
     def test_json_round_trip(self):
         import json

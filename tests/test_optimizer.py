@@ -10,6 +10,10 @@ from cubesec import optimizer, polytope
 from cubesec.polytope import DegeneratePolytopeError, build_section, section_volume_fast, volume
 from cubesec.bounds import c_cube, extremal_frame
 from cubesec.optimizer import (
+    FAILS_PER_LEVEL,
+    INITIAL_STEP,
+    MIN_STEP,
+    STEP_DECAY,
     OptimizerConfig,
     ascend,
     criterion_gap,
@@ -20,7 +24,7 @@ from cubesec.optimizer import (
 
 
 def small_config(n, k, **kw):
-    defaults = dict(restarts=3, seed=11, max_iterations=600, fails_per_level=12)
+    defaults = dict(restarts=3, seed=11, max_iterations=600)
     defaults.update(kw)
     return OptimizerConfig(n=n, k=k, **defaults)
 
@@ -33,8 +37,6 @@ class TestConfig:
             OptimizerConfig(n=5, k=1)
 
     def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(n=5, k=2, initial_step=0.0)
         with pytest.raises(ValueError):
             OptimizerConfig(n=5, k=2, max_iterations=0)
 
@@ -112,10 +114,16 @@ class TestAscend:
 
     def test_stop_reasons(self):
         # the optimal box accepts nothing, so the step schedule runs out
-        # after 36 levels of 12 failures, before the 600-iteration cap
-        res = ascend(extremal_frame(5, 2), small_config(5, 2), np.random.default_rng(0))
+        # after 36 levels of FAILS_PER_LEVEL failures, before the cap
+        step, levels = INITIAL_STEP, 0
+        while step >= MIN_STEP:
+            step *= STEP_DECAY
+            levels += 1
+        assert levels == 36
+        res = ascend(extremal_frame(5, 2), small_config(5, 2, max_iterations=1000),
+                     np.random.default_rng(0))
         assert res.stop == "schedule"
-        assert res.iterations == 36 * 12
+        assert res.iterations == levels * FAILS_PER_LEVEL
         rng = np.random.default_rng(2)
         res = ascend(random_tight_frame(6, 2, rng), small_config(6, 2, max_iterations=40), rng)
         assert res.stop == "cap"
@@ -190,10 +198,6 @@ class TestMaximize:
     def test_warm_start_recorded(self):
         res = maximize(small_config(5, 2, restarts=1, max_iterations=100))
         assert [r.start for r in res.restarts] == ["random", "warm"]
-
-    def test_no_warm_start(self):
-        res = maximize(small_config(5, 2, restarts=1, max_iterations=100, warm_start=False))
-        assert [r.start for r in res.restarts] == ["random"]
 
     def test_result_serialization(self):
         import json

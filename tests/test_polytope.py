@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,8 +17,6 @@ from cubesec.frame_core import (
     whiten,
 )
 from cubesec.polytope import (
-    DegenerateFacetError,
-    FacetRecord,
     _coincident_row_groups,
     _face_holders,
     _flag_cones,
@@ -26,8 +25,6 @@ from cubesec.polytope import (
     _polar_hull,
     build_section,
     convex_volume,
-    facet_centroid,
-    pyramid_volume,
     rotate_facet_predict,
     rotated_section_volume,
     section_volume_fast,
@@ -45,6 +42,7 @@ from oracles import (
     halfspace_vertices,
     reference_facets,
     reference_row_groups,
+    section_rows,
 )
 
 
@@ -66,10 +64,8 @@ def sorted_rows(a):
 
 def enumerated_volume(vectors):
     """Hull volume of the feasible crossings of the bounding planes +-v_i."""
-    v = np.asarray(vectors, dtype=float)
-    v = v[np.linalg.norm(v, axis=1) > 1e-14]
-    W = np.vstack([v, -v])
-    return convex_volume(halfspace_vertices(W, np.ones(len(W))), v.shape[1])
+    W = section_rows(vectors)
+    return convex_volume(halfspace_vertices(W, np.ones(len(W))), W.shape[1])
 
 
 def signed_box_frame(n, k, rng):
@@ -115,15 +111,17 @@ def duplicated_frame(k, delta, rng):
 
 
 def exact_errors(s):
-    """Relative errors of the fast volume and of every facet's cone volume
-    (distance * measure / k) against the exact rational oracle.
+    """Relative errors of the fast volume, of every facet's cone volume
+    (distance * measure / k) and of every facet's centroid (relative to
+    its norm) against the exact rational oracle.
 
     A facet record of a group of coincident rows is held to the summed
-    exact cones of those rows; every exact facet must have a record.
+    exact cones of those rows, and to the centroid of their exact facets
+    weighted by measure, k * cone * |w_r|; every exact facet must have a
+    record.
     """
-    v = s.vectors[np.linalg.norm(s.vectors, axis=1) > 1e-14]
-    W = np.vstack([v, -v])
-    cones = exact_cone_volumes(W)
+    W = section_rows(s.vectors)
+    cones, centroids = exact_cone_volumes(W)
     exact = float(sum(cones.values()))
     p = build_section(s)
     errors = [abs(section_volume_fast(s.vectors) - exact) / exact]
@@ -133,6 +131,10 @@ def exact_errors(s):
         covered.update(mine)
         want = float(sum(cones[rows] for rows in mine))
         errors.append(abs(f.distance * f.measure / s.k - want) / want)
+        weights = [float(cones[rows]) * np.linalg.norm(W[min(rows)]) for rows in mine]
+        centroid = np.average([np.array(centroids[rows], dtype=float) for rows in mine],
+                              axis=0, weights=weights)
+        errors.append(np.linalg.norm(f.centroid - centroid) / np.linalg.norm(centroid))
     assert covered == set(cones)
     return errors
 
@@ -246,13 +248,13 @@ class TestVolume:
             assert volume(p) == pytest.approx(volume_by_triangulation(p), rel=1e-9)
 
     def test_pyramid_additivity(self):
+        # every facet's cone and centroid against the exact ones, whose
+        # cones sum to the exact volume
         rng = np.random.default_rng(22)
         for _ in range(30):
             k = int(rng.integers(2, 5))
             n = int(rng.integers(k + 1, 8))
-            p = build_section(random_tight_frame(n, k, rng))
-            total = sum(pyramid_volume(p, f) for f in p.facets)
-            assert total == pytest.approx(volume(p), rel=1e-9)
+            assert max(exact_errors(random_tight_frame(n, k, rng))) <= 1e-13
 
     def test_removing_a_vector_never_shrinks(self):
         rng = np.random.default_rng(23)
@@ -299,14 +301,11 @@ class TestVolume:
             _, s = whiten(Frame(base))
             p = build_section(s)
             assert volume(p) == pytest.approx(volume_by_triangulation(p), rel=1e-9)
-            total = sum(pyramid_volume(p, f) for f in p.facets)
-            assert total == pytest.approx(volume(p), rel=1e-9)
             assert volume(p) <= bound + 1e-9
+            assert max(exact_errors(s)) <= 1e-13
             if s.k == 2:
                 # the polar route has no slack: it matches the exact edges
                 assert section_volume_fast(s.vectors) == pytest.approx(volume(p), rel=1e-15)
-            else:
-                assert max(exact_errors(s)) <= 1e-13
 
     def test_fast_path_agrees(self):
         rng = np.random.default_rng(25)
@@ -397,7 +396,23 @@ class TestVolume:
 
 
 class TestExactVolume:
-    """The fast volume and every facet's cone against exact rational volumes."""
+    """The fast volume, every facet's cone and every facet's centroid against
+    exact rational ones."""
+
+    def test_exact_centroids(self):
+        # the oracle's own centroids: the square's facets are pierced at
+        # (+-1, 0) and (0, +-1); the (5, 2) box's x-block facet at
+        # (1 / |v|, 0) = (sqrt 3, 0), v = (1 / sqrt 3, 0) in floats
+        _, centroids = exact_cone_volumes(section_rows(square_frame().vectors))
+        assert sorted(centroids.values()) == [
+            (Fraction(-1), Fraction(0)), (Fraction(0), Fraction(-1)),
+            (Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)),
+        ]
+        assert all(isinstance(x, Fraction) for c in centroids.values() for x in c)
+        _, centroids = exact_cone_volumes(section_rows(extremal_frame(5, 2).vectors))
+        x, y = centroids[frozenset({0, 1, 2})]
+        assert float(x) == pytest.approx(math.sqrt(3), rel=1e-15)
+        assert y == 0
 
     def test_moved_facets(self):
         # the planar scan and the flag sum on bodies that are not centrally
@@ -621,29 +636,20 @@ class TestFacetGeometry:
         tri = np.asarray(p.vertices)[list(f.vertex_indices)]
         assert len(tri) == 3
         np.testing.assert_allclose(f.centroid, tri.mean(axis=0), atol=1e-12)
-        np.testing.assert_allclose(facet_centroid(p, f), f.centroid, atol=1e-12)
+        assert max(exact_errors(s)) <= 1e-13
 
     def test_recomputed_centroid_matches_stored(self):
         rng = np.random.default_rng(26)
         for _ in range(20):
             k = int(rng.integers(2, 5))
             n = int(rng.integers(k + 1, 8))
-            p = build_section(random_tight_frame(n, k, rng))
-            for f in p.facets:
-                np.testing.assert_allclose(
-                    facet_centroid(p, f), f.centroid, atol=1e-10
-                )
+            assert max(exact_errors(random_tight_frame(n, k, rng))) <= 1e-13
 
     def test_recomputed_centroid_matches_stored_k5(self):
-        # each simplex of the facet is weighted by |det e|; a Gram
-        # determinant det(e e^T) squares the simplex's condition and put
-        # the recomputed centroids up to 5.5e-9 off at k = 5
         rng = np.random.default_rng(28)
         for n in (6, 7, 9):
             for _ in range(2):
-                p = build_section(random_tight_frame(n, 5, rng))
-                for f in p.facets:
-                    np.testing.assert_allclose(facet_centroid(p, f), f.centroid, rtol=0, atol=1e-12)
+                assert max(exact_errors(random_tight_frame(n, 5, rng))) <= 1e-13
 
     def test_facet_vertices_on_hyperplane(self):
         rng = np.random.default_rng(27)
@@ -651,19 +657,6 @@ class TestFacetGeometry:
         for f in p.facets:
             pts = np.asarray(p.vertices)[list(f.vertex_indices)]
             np.testing.assert_allclose(pts @ f.normal_vector, 1.0, atol=1e-9)
-
-    def test_degenerate_facet_raises(self):
-        p = build_section(square_frame())
-        fake = FacetRecord(
-            normals=((0, 1),),
-            vertex_indices=(0, 0),
-            measure=0.0,
-            centroid=np.zeros(2),
-            normal_vector=np.array([1.0, 0.0]),
-            distance=1.0,
-        )
-        with pytest.raises(DegenerateFacetError, match="degenerate facet"):
-            facet_centroid(p, fake)
 
 
 class TestShiftPredictor:
