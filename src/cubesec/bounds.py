@@ -15,8 +15,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .frame_core import TightFrame, EPS_TIGHT
+from .frame_core import TightFrame
 from .polytope import SectionPolytope
+
+F_MAX = 64  # most facet pairs claim_bounds tries
+ISOPERIMETRIC_SLACK = 1e-12  # rounding allowed in each step of the isoperimetric chain
+VOLUME_SLACK = 1e-12  # rounding allowed outside [2^k, ball volume] by within_bounds
 
 
 def c_cube(n: int, k: int) -> float:
@@ -74,14 +78,7 @@ def _check_partition(n: int, k: int, partition) -> list:
     return parts
 
 
-def extremal_frame(
-    n: int,
-    k: int,
-    partition=None,
-    signs=None,
-    *,
-    eps_tight: float = EPS_TIGHT,
-) -> TightFrame:
+def extremal_frame(n: int, k: int, partition=None, signs=None) -> TightFrame:
     """Tight frame whose section is an affine cube (a box).
 
     Each part of the partition contributes one axis direction; an index in
@@ -101,7 +98,7 @@ def extremal_frame(
         scale = 1.0 / math.sqrt(len(part))
         for i in part:
             v[i, axis] = signs[i] * scale
-    return TightFrame(v, eps_tight=eps_tight)
+    return TightFrame(v)
 
 
 def extremal_squared_volume_exact(n: int, k: int, partition=None) -> Fraction:
@@ -200,14 +197,15 @@ def h(n: float) -> float:
     return float(4.0 / (n + 1) * math.sqrt(math.floor(n / 2) * math.ceil(n / 2)))
 
 
-def claim_bounds(n: int, f_max: int = 64) -> int:
+def claim_bounds(n: int) -> int:
     """Largest facet-pair count f compatible with g(f) >= h(n).
 
     g decreases in f and h increases in n, so planar maximizers in high
     dimension cannot have many facet pairs; for n >= 8 only f = 2 survives.
+    The search stops at ``F_MAX``.
     """
     best = 2
-    for f in range(2, f_max + 1):
+    for f in range(2, F_MAX + 1):
         if g(f) >= h(n):
             best = f
         else:
@@ -215,12 +213,13 @@ def claim_bounds(n: int, f_max: int = 64) -> int:
     return best
 
 
-def isoperimetric_check(a: PlanarAngles, i: int, slack: float = 1e-12) -> bool:
+def isoperimetric_check(a: PlanarAngles, i: int) -> bool:
     """Verify the pinned-angle isoperimetric chain for a cyclic polygon.
 
     With half-angle i pinned and the rest equalized, the area cannot drop
     below the actual polygon area, and the regular polygon tops the chain:
-    r^2 f sin(pi/f) >= r^2 (sin 2phi_i + (f-1) sin((pi - 2phi_i)/(f-1))) >= area.
+    r^2 f sin(pi/f) >= r^2 (sin 2phi_i + (f-1) sin((pi - 2phi_i)/(f-1))) >= area,
+    each step within ``ISOPERIMETRIC_SLACK``.
     """
     if a.f < 2:
         raise ValueError("need at least two facet pairs")
@@ -233,7 +232,8 @@ def isoperimetric_check(a: PlanarAngles, i: int, slack: float = 1e-12) -> bool:
         math.sin(2 * phi_i) + (a.f - 1) * math.sin((math.pi - 2 * phi_i) / (a.f - 1))
     )
     area = planar_area(a)
-    return regular >= pinned - slack and pinned >= area - slack
+    return (regular >= pinned - ISOPERIMETRIC_SLACK
+            and pinned >= area - ISOPERIMETRIC_SLACK)
 
 
 def q(phi: float) -> float:
@@ -285,8 +285,12 @@ class BoundsReport:
         }
         if self.achieved_volume is not None:
             d["achieved_volume"] = self.achieved_volume
+            # every coordinate section attains 2^k, so a correct volume may
+            # round below it as well as above the upper bound
             d["within_bounds"] = bool(
-                self.vaaler <= self.achieved_volume <= self.ball_volume + 1e-12
+                self.vaaler - VOLUME_SLACK
+                <= self.achieved_volume
+                <= self.ball_volume + VOLUME_SLACK
             )
             d["fraction_of_optimal_box"] = self.achieved_volume / self.conjectured_volume
         return d

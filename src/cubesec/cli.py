@@ -266,7 +266,6 @@ def cmd_reproduce(args, manifest: RunManifest) -> int:
     ctx = BatteryContext(
         seed=args.seed,
         n_max=args.n_max,
-        eps_tight=args.eps_tight,
         threads=args.threads,
     )
     only = args.only.split(",") if args.only else None
@@ -315,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("volume", help="volume and face counts of a frame's section")
     p.add_argument("frame", help="frame JSON file")
     p.add_argument("--dump-polytope", metavar="FILE", help="write the polytope dump JSON")
-    p.add_argument("--seed", type=int, default=0)
     add_format(p)
     p.set_defaults(func=cmd_volume)
 
@@ -323,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--frame", help="optional frame JSON to place inside the bounds")
-    p.add_argument("--seed", type=int, default=0)
     add_format(p)
     p.set_defaults(func=cmd_bounds)
 
@@ -333,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", type=_parse_partition, help="e.g. '0,1,2;3,4'")
     p.add_argument("--signs", type=_parse_signs, help="e.g. '++-+-' or '1,-1,1,1,-1'")
     p.add_argument("--out", metavar="FILE", help="output frame JSON path")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_construct_extremal)
 
     p = sub.add_parser("verify", help="criticality checks for a frame")
@@ -342,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-balance", type=float, default=TOL_BALANCE)
     p.add_argument("--tol-cyclic", type=float, default=TOL_CYCLIC)
     p.add_argument("--tol-length", type=float, default=TOL_LENGTH)
-    p.add_argument("--seed", type=int, default=0)
     add_format(p)
     p.set_defaults(func=cmd_verify)
 
@@ -362,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="polytope dump + conditions + bounds for a frame")
     p.add_argument("frame", help="frame JSON file")
     p.add_argument("--out", metavar="FILE", help="write the combined report JSON")
-    p.add_argument("--seed", type=int, default=0)
     add_format(p)
     p.set_defaults(func=cmd_report)
 
@@ -370,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", help="comma-separated criterion names (substrings ok)")
     p.add_argument("--n-max", type=int, default=None, help="clip every dimension range")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps-tight", type=float, default=1e-10)
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--verbose", action="store_true", help="print per-cell details and optimizer seconds")
     p.add_argument("--out", metavar="FILE", help="write the battery report JSON")

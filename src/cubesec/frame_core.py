@@ -22,11 +22,13 @@ from functools import lru_cache
 
 import numpy as np
 
-# Default tolerances.  The identities involved are exact; the thresholds
-# below are floating-point plumbing and can be overridden per call.
-EPS_TIGHT = 1e-10
-EPS_ORTH = 1e-12
-RANK_FLOOR = 1e-12
+# Tolerances.  The identities involved are exact; the thresholds below are
+# floating-point plumbing.
+EPS_TIGHT = 1e-10  # largest entry of |frame operator - I| of a tight frame
+EPS_ORTH = 1e-12  # largest entry of |B B^T - I| of an orthonormal basis
+RANK_FLOOR = 1e-12  # least eigenvalue of the frame operator of a frame
+CLOSE_TOL = 1e-12  # largest Gram entry difference of frames equal modulo O(k)
+MAX_SUBSETS = 20000  # most (k-1)-subsets cross_product_frame enumerates
 
 
 class FrameError(ValueError):
@@ -118,27 +120,26 @@ class Frame:
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, k={self.k})"
 
-    def close_to(self, other: "Frame", tol: float = 1e-12) -> bool:
-        """Equality modulo O(k): compare Gram matrices, not coordinates."""
+    def close_to(self, other: "Frame") -> bool:
+        """Equality modulo O(k): Gram matrices within ``CLOSE_TOL``."""
         if self.n != other.n or self.k != other.k:
             return False
-        return np.max(np.abs(self.gram() - other.gram())) <= tol
+        return np.max(np.abs(self.gram() - other.gram())) <= CLOSE_TOL
 
 
 class TightFrame(Frame):
-    """Frame whose frame operator equals the identity within ``eps_tight``."""
+    """Frame whose frame operator equals the identity within ``EPS_TIGHT``."""
 
-    def __init__(self, vectors, *, eps_tight: float = EPS_TIGHT):
+    def __init__(self, vectors):
         super().__init__(vectors, require_span=False)
-        self._accept(_tightness_error(frame_operator(self, check=False)), eps_tight)
+        self._accept(_tightness_error(frame_operator(self, check=False)))
 
-    def _accept(self, err: float, eps_tight: float) -> None:
-        if err > eps_tight:
+    def _accept(self, err: float) -> None:
+        if err > EPS_TIGHT:
             raise TightnessError(
                 f"frame operator deviates from identity by {err:.3e} "
-                f"(eps_tight={eps_tight:.1e})"
+                f"(EPS_TIGHT={EPS_TIGHT:.1e})"
             )
-        self.eps_tight = eps_tight
 
 
 class Subspace:
@@ -147,7 +148,7 @@ class Subspace:
     The basis is stored as rows of a (k, n) array.
     """
 
-    def __init__(self, basis, *, eps_orth: float = EPS_ORTH):
+    def __init__(self, basis):
         b = np.array(basis, dtype=float)
         if b.ndim != 2:
             raise ValueError("basis must be a (k, n) array")
@@ -155,7 +156,7 @@ class Subspace:
         if not 1 <= k <= n:
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
         gram = b @ b.T
-        if np.max(np.abs(gram - np.eye(k))) > eps_orth:
+        if np.max(np.abs(gram - np.eye(k))) > EPS_ORTH:
             raise ValueError("basis is not orthonormal within tolerance")
         b.setflags(write=False)
         self.basis = b
@@ -188,10 +189,10 @@ def frame_operator(s: Frame, *, check: bool = True):
     return a
 
 
-def _inv_sqrt(a, *, floor: float = RANK_FLOOR):
+def _inv_sqrt(a):
     """Inverse square root of a symmetric positive definite matrix."""
     w, u = np.linalg.eigh(a)
-    if w[0] < floor:
+    if w[0] < RANK_FLOOR:
         raise NotAFrameError("not a frame")
     return symmetrize((u / np.sqrt(w)) @ u.T)
 
@@ -220,7 +221,7 @@ def _planar_inv_sqrt(a: float, b: float, c: float):
     return np.array([[(c + s) / st, -b / st], [-b / st, (a + s) / st]])
 
 
-def whiten(s: Frame, *, eps_tight: float = EPS_TIGHT):
+def whiten(s: Frame):
     """Map a frame to a tight one by the inverse square root of its operator.
 
     Returns ``(b, tight)`` where ``b`` is the symmetric transformation that
@@ -229,7 +230,7 @@ def whiten(s: Frame, *, eps_tight: float = EPS_TIGHT):
     tightness error is read off the three floats of the result's Gram
     matrix, with no LAPACK call; other k take ``eigh`` (:func:`_inv_sqrt`).
     One refinement pass, by ``eigh`` for every k, is applied when
-    conditioning pushes the first result past ``eps_tight``.
+    conditioning pushes the first result past ``EPS_TIGHT / 10``.
     """
     V = s.vectors
     if V.shape[1] == 2:
@@ -241,7 +242,7 @@ def whiten(s: Frame, *, eps_tight: float = EPS_TIGHT):
         b = _inv_sqrt(frame_operator(s, check=False))
         v = V @ b
         err = _tightness_error(symmetrize(v.T @ v))
-    if err > eps_tight / 10 and err < 1e-2:
+    if err > EPS_TIGHT / 10 and err < 1e-2:
         b2 = _inv_sqrt(symmetrize(v.T @ v))
         v = v @ b2
         b = symmetrize(b @ b2)
@@ -251,7 +252,7 @@ def whiten(s: Frame, *, eps_tight: float = EPS_TIGHT):
     v.setflags(write=False)
     tight = TightFrame.__new__(TightFrame)
     tight.vectors = v
-    tight._accept(err, eps_tight)
+    tight._accept(err)
     return b, tight
 
 
@@ -328,44 +329,43 @@ def frame_edit(s: Frame, *, remove=None, substitute=None, append=None) -> Frame:
     return Frame(v)
 
 
-def subspace_from_frame(s: TightFrame, *, eps_tight: float = EPS_TIGHT) -> Subspace:
+def subspace_from_frame(s: TightFrame) -> Subspace:
     """Row span of the k x n frame matrix, as a subspace of R^n.
 
     For a tight frame the rows of the frame matrix are orthonormal in R^n,
     so they serve directly as the basis.
     """
     a = frame_operator(s, check=False)
-    if np.max(np.abs(a - np.eye(s.k))) > eps_tight:
+    if np.max(np.abs(a - np.eye(s.k))) > EPS_TIGHT:
         raise TightnessError("frame is not tight within tolerance")
     return Subspace(s.vectors.T.copy())
 
 
-def frame_from_subspace(h: Subspace, *, eps_tight: float = EPS_TIGHT) -> TightFrame:
+def frame_from_subspace(h: Subspace) -> TightFrame:
     """Project the standard basis of R^n onto the subspace.
 
     Coordinates are taken in the subspace basis; the resulting n vectors in
     R^k always form a tight frame.
     """
-    return TightFrame(h.basis.T.copy(), eps_tight=eps_tight)
+    return TightFrame(h.basis.T.copy())
 
 
-def cross_product_frame(s: TightFrame, *, max_subsets: int = 20000):
+def cross_product_frame(s: TightFrame):
     """Generalized cross products over all (k-1)-subsets, lexicographic.
 
     The cross product of vectors w_1 ... w_{k-1} in R^k is the vector x
     with <x, y> = det(w_1, ..., w_{k-1}, y) for all y.  For a tight frame
     the collection over all (k-1)-subsets is again a tight frame, which the
-    caller can check with the TightFrame invariant.
+    caller can check with the TightFrame invariant.  More than
+    ``MAX_SUBSETS`` subsets raise ``ValueError`` before any is computed.
     """
     if s.k < 2:
         raise ValueError("cross products need k >= 2")
     from math import comb
 
     count = comb(s.n, s.k - 1)
-    if count > max_subsets:
-        raise ValueError(
-            f"{count} subsets exceed the configured cap of {max_subsets}"
-        )
+    if count > MAX_SUBSETS:
+        raise ValueError(f"{count} subsets exceed the cap of {MAX_SUBSETS}")
     k = s.k
     eye = np.eye(k)
     out = np.empty((count, k))
@@ -376,13 +376,13 @@ def cross_product_frame(s: TightFrame, *, max_subsets: int = 20000):
     return out
 
 
-def random_tight_frame(n: int, k: int, rng=None, *, eps_tight: float = EPS_TIGHT) -> TightFrame:
+def random_tight_frame(n: int, k: int, rng=None) -> TightFrame:
     """Whitened Gaussian frame; the workhorse for sampling and restarts."""
     if rng is None:
         rng = np.random.default_rng()
     while True:
         g = rng.standard_normal((n, k))
         try:
-            return whiten(Frame(g, require_span=False), eps_tight=eps_tight)[1]
+            return whiten(Frame(g, require_span=False))[1]
         except NotAFrameError:  # pragma: no cover - measure-zero resample
             continue

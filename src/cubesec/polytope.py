@@ -46,6 +46,9 @@ from .frame_core import Frame, NotAFrameError, RANK_FLOOR, symmetrize
 
 # Constraint rows this close in every coordinate describe one hyperplane.
 EPS_GEOM = 1e-9
+# A facet of the polar hull nearer the origin than DEPTH_FLOOR * max|P| puts
+# a section vertex out at 1 / depth: the rows span R^k only in rounding.
+DEPTH_FLOOR = 1e-10
 
 
 class DegeneratePolytopeError(ValueError):
@@ -95,10 +98,8 @@ class SectionPolytope:
     k: int
     vertices: np.ndarray
     facets: tuple
-    generator: Frame | None
     generator_facets: dict = field(default_factory=dict, repr=False)
     _W: np.ndarray | None = field(default=None, repr=False)
-    _c: np.ndarray | None = field(default=None, repr=False)
     _volume: float | None = field(default=None, repr=False)
 
     def facet_of_generator(self, index: int):
@@ -238,13 +239,13 @@ def _planar_hull(W: np.ndarray, c: np.ndarray | None):
     (:func:`_half_turn_volume`); the shifted and tilted rebuilds do not.
 
     Raises :class:`NotAFrameError` when fewer than 3 vertices remain, or an
-    edge lies within 1e-10 max|P| of the origin, as :func:`_polar_hull`
+    edge lies within ``DEPTH_FLOOR`` max|P| of the origin, as :func:`_polar_hull`
     does for a facet: the rows then span R^2 only in rounding, if at all.
     """
     if len(W) < 3:
         raise NotAFrameError("not a frame")
     P = W if c is None else W / c[:, None]
-    floor = 1e-10 * float(np.abs(P).max())
+    floor = DEPTH_FLOOR * float(np.abs(P).max())
     P = P.tolist()
     angle = [atan2(y, x) for x, y in P]
     order = sorted(range(len(P)), key=angle.__getitem__)
@@ -278,7 +279,7 @@ def _half_turn_volume(V: np.ndarray) -> float:
     norms = [x * x + y * y for x, y in P]
     start = norms.index(max(norms))
     sx, sy = P[start]
-    floor = 1e-10 * float(np.abs(V).max())
+    floor = DEPTH_FLOOR * float(np.abs(V).max())
     angle = []
     for r, (x, y) in enumerate(P):
         cross, dot = sx * y - sy * x, sx * x + sy * y
@@ -326,9 +327,7 @@ def _polar_hull(W: np.ndarray, c: np.ndarray | None):
         raise DegeneratePolytopeError("degenerate polytope") from exc
     eq = hull.equations
     depth = -eq[:, k]
-    # a facet of P this close to the origin puts a section vertex out at
-    # 1 / depth: the rows span only in rounding
-    if depth.min() <= 1e-10 * np.abs(P).max():
+    if depth.min() <= DEPTH_FLOOR * np.abs(P).max():
         raise NotAFrameError("not a frame")
     return P, hull, eq[:, :k] / depth[:, None]
 
@@ -387,8 +386,8 @@ def _distinct_equations(eq: np.ndarray):
     return np.sort(first), vid
 
 
-def _point_facets(W: np.ndarray, c: np.ndarray):
-    """Vertices of {W x <= c}, and the facet of every row that has one.
+def _point_facets(W: np.ndarray):
+    """Vertices of {W x <= 1}, and the facet of every row that has one.
 
     Returns (vertices, rows, measure, centroid, point, vid): row rows[i]
     has a facet of content measure[i] and centroid centroid[i], and
@@ -396,11 +395,11 @@ def _point_facets(W: np.ndarray, c: np.ndarray):
     """
     k = W.shape[1]
     if k == 1:
-        rows = np.array(_interval(W, c))
-        verts = (c[rows] / W[rows, 0])[:, None]
+        rows = np.array(_interval(W, np.ones(len(W))))
+        verts = (1 / W[rows, 0])[:, None]
         return verts, rows, np.ones(2), verts, rows, np.arange(2)
     if k == 2:
-        P, hull, Y = _planar_hull(W, c)
+        P, hull, Y = _planar_hull(W, None)
         # the facet of q_j = P[hull[j]] runs from Y[j - 1] to Y[j], of
         # length |q_j| t_j / (x_j x_(j+1)), t_j the turn (q_j - q_(j-1)) x
         # (q_(j+1) - q_j) and x_j = q_(j-1) x q_j: from the short
@@ -418,7 +417,7 @@ def _point_facets(W: np.ndarray, c: np.ndarray):
         ends = np.arange(m)
         return (np.array(Y), np.array(hull), np.array(length), np.array(middle),
                 np.array(hull + hull), np.concatenate(((ends - 1) % m, ends)))
-    P, hull, Y = _polar_hull(W, c)
+    P, hull, Y = _polar_hull(W, None)
     eq = hull.equations
     # a simplex of a merged facet shares its equation with a neighbor
     alone = ~np.all(eq[hull.neighbors] == eq[:, None, :], axis=2).any(axis=1)
@@ -446,10 +445,9 @@ def build_section(s: Frame) -> SectionPolytope:
         raise NotAFrameError("not a frame")
     gens = np.flatnonzero(np.linalg.norm(V, axis=1) > 1e-14)
     W = np.vstack([V[gens], -V[gens]])
-    c = np.ones(len(W))
     row_gen = [(i, 1) for i in gens.tolist()] + [(i, -1) for i in gens.tolist()]
 
-    verts, rows, measure, centroid, point, vid = _point_facets(W, c)
+    verts, rows, measure, centroid, point, vid = _point_facets(W)
     label = _coincident_row_groups(W, EPS_GEOM)
     members = [[] for _ in range(int(label.max()) + 1)]
     for r, g in enumerate(label.tolist()):
@@ -480,8 +478,8 @@ def build_section(s: Frame) -> SectionPolytope:
             generator_facets.setdefault(gen, (f, sign))
 
     verts.setflags(write=False)
-    return SectionPolytope(k=s.k, vertices=verts, facets=tuple(facets), generator=s,
-                           generator_facets=generator_facets, _W=W, _c=c)
+    return SectionPolytope(k=s.k, vertices=verts, facets=tuple(facets),
+                           generator_facets=generator_facets, _W=W)
 
 
 def volume(p: SectionPolytope) -> float:
@@ -868,7 +866,7 @@ def section_volume_fast(vectors: np.ndarray) -> float:
     Fast path for optimizer inner loops, and the volume optimizer restarts
     are ranked by.  Zero and tiny vectors are points deep inside the hull
     of +-V, so they contribute no constraint and need no filter; a frame
-    that spans only through them fails the 1e-10 depth floor of the scan
+    that spans only through them fails the ``DEPTH_FLOOR`` of the scan
     or of :func:`_polar_hull`.  Routes:
 
     - k = 1: the section is the interval |x| <= 1 / max |v_i|, of length
@@ -913,7 +911,7 @@ def shifted_section_volume(p: SectionPolytope, f: FacetRecord, h: float) -> floa
     the same hyperplane); the opposite facet stays put, so the rebuilt body
     is generally not centrally symmetric.
     """
-    c = p._c.copy()
+    c = np.ones(len(p._W))
     for r in f.row_ids:
         c[r] += h * np.linalg.norm(p._W[r])
     return _halfspace_volume(p._W, c)
@@ -949,4 +947,4 @@ def rotated_section_volume(
     W = p._W.copy()
     for r in f.row_ids:
         W[r] = W[r] + t * np.asarray(u, dtype=float)
-    return _halfspace_volume(W, p._c)
+    return _halfspace_volume(W)

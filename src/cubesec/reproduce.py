@@ -18,8 +18,6 @@ from fractions import Fraction
 import numpy as np
 
 from .frame_core import (
-    Frame,
-    TightFrame,
     cross_product_frame,
     det_rank_one,
     random_tight_frame,
@@ -34,7 +32,7 @@ from .polytope import (
     shifted_section_volume,
     volume,
 )
-from .conditions import check_length_bounds
+from .conditions import check_length_bounds, verify_frame
 from .bounds import (
     PlanarAngles,
     ball_upper,
@@ -46,6 +44,7 @@ from .bounds import (
     extremal_squared_volume_exact,
     g,
     h,
+    planar_angles,
     planar_area,
     q,
     vaaler_lower,
@@ -54,6 +53,7 @@ from .optimizer import OptimizerConfig, maximize
 
 CONJECTURE_CELLS = [(4, 3), (5, 3), (7, 3), (5, 4), (7, 4)]
 PLANAR_TIME_BUDGET = 300.0
+BOUND_SAMPLES = 1000  # random tight frames per grid cell in bound-ordering
 
 
 @dataclass
@@ -80,7 +80,6 @@ class CriterionResult:
 class BatteryContext:
     seed: int = 0
     n_max: int | None = None
-    eps_tight: float = 1e-10
     threads: int | None = None
     winners: dict = field(default_factory=dict)
     optimizer_seconds: float = 0.0
@@ -121,8 +120,6 @@ def _macro_side_lengths(p) -> list:
 
 def _circumradius_bound_ok(n: int, p) -> bool:
     """Winner polygons obey r^2 <= (n+1)/2 / cos^2(pi/2f)."""
-    from .bounds import planar_angles
-
     a = planar_angles(p)
     cap = (n + 1) / 2 / math.cos(math.pi / (2 * a.f)) ** 2
     return a.r**2 <= cap + 1e-9
@@ -135,9 +132,6 @@ def _saddle_angle_windows(ctx: BatteryContext, n: int) -> list:
     with 3 or 4 facet pairs; when they do, every half-angle must sit in
     [pi/10, pi/4].  Finding no such configuration also passes.
     """
-    from .bounds import planar_angles
-    from .conditions import verify_frame
-
     notes = []
     if n != 5:
         return notes
@@ -237,7 +231,7 @@ def criterion_extremal_exactness(ctx: BatteryContext) -> CriterionResult:
         sizes = [len(part) for part in default_partition(n, k)]
         target_sq = Fraction(4**k) * int(np.prod(sizes))
         exact = extremal_squared_volume_exact(n, k)
-        s = extremal_frame(n, k, eps_tight=ctx.eps_tight)
+        s = extremal_frame(n, k)
         vol = volume(build_section(s))
         float_ok = abs(vol**2 - float(target_sq)) <= 1e-10 * float(target_sq)
         exact_ok = exact == target_sq == Fraction(4**k) * c_cube_squared(n, k)
@@ -248,7 +242,7 @@ def criterion_extremal_exactness(ctx: BatteryContext) -> CriterionResult:
     return CriterionResult("extremal-exactness", ok, time.perf_counter() - t0, details)
 
 
-def criterion_bound_ordering(ctx: BatteryContext, samples: int = 1000) -> CriterionResult:
+def criterion_bound_ordering(ctx: BatteryContext) -> CriterionResult:
     """2^k <= achieved volume <= upper bound on random tight frames."""
     t0 = time.perf_counter()
     details, ok = [], True
@@ -257,8 +251,8 @@ def criterion_bound_ordering(ctx: BatteryContext, samples: int = 1000) -> Criter
     for n, k in _grid(ctx):
         rng = np.random.default_rng([ctx.seed, 3, n, k])
         lo, hi = vaaler_lower(k), ball_upper(n, k)
-        for _ in range(samples):
-            s = random_tight_frame(n, k, rng, eps_tight=ctx.eps_tight)
+        for _ in range(BOUND_SAMPLES):
+            s = random_tight_frame(n, k, rng)
             vol = section_volume_fast(s.vectors)
             total += 1
             if not lo <= vol <= hi:
@@ -356,7 +350,7 @@ def criterion_determinant_calculus(ctx: BatteryContext) -> CriterionResult:
     for _ in range(100):
         k = int(rng.integers(2, 5))
         n = int(rng.integers(k, 9))
-        s = random_tight_frame(n, k, rng, eps_tight=ctx.eps_tight)
+        s = random_tight_frame(n, k, rng)
         x = rng.standard_normal((n, k))
         coeff = sqrt_det_first_order(s, x)
         errs = []
@@ -393,7 +387,7 @@ def criterion_transformation_derivatives(ctx: BatteryContext) -> CriterionResult
     for k in (2, 3):
         for _ in range(60):
             n = int(rng.integers(k + 1, 9))
-            s = random_tight_frame(n, k, rng, eps_tight=ctx.eps_tight)
+            s = random_tight_frame(n, k, rng)
             p = build_section(s)
             f = p.facets[int(rng.integers(len(p.facets)))]
             base = volume(p)
@@ -444,7 +438,7 @@ def criterion_cross_product_tightness(ctx: BatteryContext) -> CriterionResult:
     for k in (2, 3, 4):
         for n in range(k, ctx.clip(8) + 1):
             for _ in range(10):
-                s = random_tight_frame(n, k, rng, eps_tight=ctx.eps_tight)
+                s = random_tight_frame(n, k, rng)
                 out = cross_product_frame(s)
                 op = out.T @ out
                 err = float(np.max(np.abs(op - np.eye(k))))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cubesec.frame_core import Frame, frame_operator
+from cubesec.frame_core import Frame, TightFrame, frame_operator
 from cubesec.polytope import build_section, volume
 from cubesec.bounds import (
     BoundsReport,
@@ -322,3 +322,20 @@ class TestBoundsReport:
     def test_without_frame(self):
         d = BoundsReport.for_dimensions(4, 2).to_dict()
         assert "achieved_volume" not in d
+
+    def test_rotated_coordinate_sections_are_within_bounds(self):
+        # k orthonormal rows and n - k zero rows: a rotated coordinate
+        # section, of volume exactly 2^k, which rounding puts on either side
+        for k in (2, 3, 4):
+            n = k + 1
+            below = 0
+            for seed in range(50):
+                rng = np.random.default_rng([k, seed])
+                rot = np.linalg.qr(rng.standard_normal((k, k)))[0]
+                s = TightFrame(np.vstack([rot, np.zeros((n - k, k))]))
+                vol = volume(build_section(s))
+                assert vol == pytest.approx(2**k, rel=1e-14)
+                below += vol < 2**k
+                d = BoundsReport.for_dimensions(n, k, achieved_volume=vol).to_dict()
+                assert d["within_bounds"] is True, (n, k, seed, vol)
+            assert below > 0  # the draws reach the rounding this test is about

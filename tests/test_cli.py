@@ -199,15 +199,15 @@ class TestReproduce:
         assert main(["reproduce", "--only", "bogus-name"]) == 3
         assert "unknown" in capsys.readouterr().err
 
-    def test_misconfigured_tightness_fails(self, capsys):
-        rc = main(
-            [
-                "reproduce", "--only", "cross-product", "--n-max", "5",
-                "--eps-tight", "1e-20",
-            ]
-        )
-        assert rc == 1
-        assert "FAIL" in capsys.readouterr().out
+    def test_failing_criterion_exits_1(self, monkeypatch, capsys):
+        def fails(ctx):
+            return CriterionResult("fails", False, 0.1)
+
+        monkeypatch.setitem(CRITERIA, "fails", fails)
+        assert main(["reproduce", "--only", "fails"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"fails  FAIL +0\.1s", lines[0])
+        assert lines[-1] == "overall: FAIL"
 
     def test_verbose_prints_optimizer_seconds(self, monkeypatch, capsys):
         def spends(ctx):

@@ -360,9 +360,10 @@ class TestCrossProductFrame:
             assert np.max(np.abs(op - np.eye(k))) <= 1e-10
 
     def test_combinatorial_cap(self):
-        s = random_tight_frame(8, 3, np.random.default_rng(13))
-        with pytest.raises(ValueError, match="cap"):
-            cross_product_frame(s, max_subsets=5)
+        # C(30, 4) = 27405 subsets exceed the cap of 20000
+        s = random_tight_frame(30, 5, np.random.default_rng(13))
+        with pytest.raises(ValueError, match="27405 subsets exceed the cap of 20000"):
+            cross_product_frame(s)
 
     def test_needs_k_at_least_two(self):
         s = TightFrame([[1.0]])
@@ -390,5 +391,7 @@ class TestSerialization:
         th = 0.83
         u = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
         rotated = TightFrame(s.vectors @ u.T)
-        assert s.close_to(rotated, tol=1e-12)
-        assert not s.close_to(random_tight_frame(6, 2, rng), tol=1e-6)
+        assert s.close_to(rotated)
+        other = random_tight_frame(6, 2, rng)
+        assert not s.close_to(other)
+        assert np.max(np.abs(s.gram() - other.gram())) > 1e-6
