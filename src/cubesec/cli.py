@@ -11,7 +11,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 from . import __version__
@@ -65,15 +65,7 @@ class RunManifest:
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "version": self.version,
-            "seed": self.seed,
-            "started": self.started,
-            "finished": self.finished,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-        }
+        return asdict(self)
 
     def write_sidecar(self, path) -> None:
         self.add_output(path)
@@ -89,6 +81,14 @@ def _sha256(path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _write_json(path, payload: dict, manifest: RunManifest) -> None:
+    """Write ``payload`` to ``path`` as indented JSON, and its sidecar."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+    manifest.write_sidecar(path)
 
 
 def _load_frame(path, manifest: RunManifest) -> Frame:
@@ -215,10 +215,7 @@ def cmd_optimize(args, manifest: RunManifest) -> int:
     result = maximize(config, threads=args.threads)
     payload = result.to_dict()
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        manifest.write_sidecar(args.out)
+        _write_json(args.out, payload, manifest)
     if args.trace:
         write_trace_csv(result, args.trace)
         manifest.write_sidecar(args.trace)
@@ -246,10 +243,7 @@ def cmd_report(args, manifest: RunManifest) -> int:
         "bounds": bounds.to_dict(),
     }
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        manifest.write_sidecar(args.out)
+        _write_json(args.out, payload, manifest)
     payload["manifest"] = manifest.finish().to_dict()
     lines = [
         f"volume     {volume(p):.12g}",
@@ -276,10 +270,7 @@ def cmd_reproduce(args, manifest: RunManifest) -> int:
         "criteria": [r.to_dict() for r in results],
     }
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        manifest.write_sidecar(args.out)
+        _write_json(args.out, payload, manifest)
     payload["manifest"] = manifest.finish().to_dict()
     if args.format == "json":
         print(json.dumps(payload, indent=2))

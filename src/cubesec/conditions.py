@@ -44,9 +44,7 @@ class ConditionsReport:
     n: int
     k: int
     checks: dict
-    holds_by_construction: tuple = (
-        "section equals the intersection of its generating slabs",
-    )
+    holds_by_construction = ("section equals the intersection of its generating slabs",)
 
     @property
     def passed(self) -> bool:
@@ -120,14 +118,13 @@ def check_cyclic(p: SectionPolytope) -> float:
     return float((r.max() - r.min()) / r.mean())
 
 
-def check_length_bounds(s: Frame, n: int | None = None, k: int | None = None) -> float:
+def check_length_bounds(s: Frame) -> float:
     """Largest violation of the squared-length window for maximizers.
 
     General window is [k/(n+k), k/(n-k)]; in the plane the sharper window
     [2/(n+1), 2/(n-1)] applies.
     """
-    n = s.n if n is None else n
-    k = s.k if k is None else k
+    n, k = s.n, s.k
     if n <= k:
         raise ValueError("length bounds require n > k")
     if k == 2:

@@ -60,6 +60,16 @@ def _tightness_error(a) -> float:
     return float(np.abs(a - _identity(len(a))).max())
 
 
+def _accept_tight(err: float) -> None:
+    """Raise :class:`TightnessError` when a frame operator's tightness
+    error ``err`` exceeds ``EPS_TIGHT``."""
+    if err > EPS_TIGHT:
+        raise TightnessError(
+            f"frame operator deviates from identity by {err:.3e} "
+            f"(EPS_TIGHT={EPS_TIGHT:.1e})"
+        )
+
+
 class Frame:
     """Ordered tuple of n vectors spanning R^k.
 
@@ -80,10 +90,7 @@ class Frame:
         v.setflags(write=False)
         self.vectors = v
         if require_span:
-            # Rank test = eigenvalue floor on the frame operator.
-            a = symmetrize(v.T @ v)
-            if np.linalg.eigvalsh(a)[0] < RANK_FLOOR:
-                raise NotAFrameError("not a frame")
+            frame_operator(self)  # raises NotAFrameError unless the vectors span R^k
 
     @property
     def n(self) -> int:
@@ -132,14 +139,7 @@ class TightFrame(Frame):
 
     def __init__(self, vectors):
         super().__init__(vectors, require_span=False)
-        self._accept(_tightness_error(frame_operator(self, check=False)))
-
-    def _accept(self, err: float) -> None:
-        if err > EPS_TIGHT:
-            raise TightnessError(
-                f"frame operator deviates from identity by {err:.3e} "
-                f"(EPS_TIGHT={EPS_TIGHT:.1e})"
-            )
+        _accept_tight(_tightness_error(frame_operator(self, check=False)))
 
 
 class Subspace:
@@ -247,12 +247,12 @@ def whiten(s: Frame):
         v = v @ b2
         b = symmetrize(b @ b2)
         err = _tightness_error(symmetrize(v.T @ v))
+    _accept_tight(err)
     # v is a new array of this call, so it is stored without a copy, and
     # its error is measured once, here, not again by TightFrame()
     v.setflags(write=False)
     tight = TightFrame.__new__(TightFrame)
     tight.vectors = v
-    tight._accept(err)
     return b, tight
 
 
@@ -333,11 +333,11 @@ def subspace_from_frame(s: TightFrame) -> Subspace:
     """Row span of the k x n frame matrix, as a subspace of R^n.
 
     For a tight frame the rows of the frame matrix are orthonormal in R^n,
-    so they serve directly as the basis.
+    so they serve directly as the basis.  Raises :class:`TightnessError`
+    for a frame that is not tight within ``EPS_TIGHT``, as
+    :class:`TightFrame` does.
     """
-    a = frame_operator(s, check=False)
-    if np.max(np.abs(a - np.eye(s.k))) > EPS_TIGHT:
-        raise TightnessError("frame is not tight within tolerance")
+    _accept_tight(_tightness_error(frame_operator(s, check=False)))
     return Subspace(s.vectors.T.copy())
 
 

@@ -5,17 +5,19 @@ slabs |<x, v>| <= 1 over the frame vectors.  It is the polar body of
 P = conv{+-v}: a facet a.x + b <= 0 of P is the vertex a / (-b) of the
 section, and a vertex p of P is the normal of the facet <x, p> = 1.
 
-One construction serves everything here: the hull of the polar points
-W_r / c_r of a system {W x <= c} (+-v for a section).  Its facets are the
-section's vertices, its vertices the section's facets.  In the plane the
-hull is a Graham scan of the points sorted by angle (:func:`_scan`), with
-no Qhull call: it gives the section vertices in order, the volume is their
-shoelace area, and the facet of a hull vertex is the edge between the
-section vertices of its two hull edges.  The scan goes once round the
-origin for the facet records and the shifted and tilted rebuilds
-(:func:`_planar_hull`); the volume of a section, whose hull is centrally
-symmetric, needs only half a turn, the other half being its negation
-(:func:`_half_turn_volume`).
+One construction serves everything here: the hull of a set of polar
+points P, whose polar body {x : <x, p> <= 1 for every p in P} is the
+section when P is +-V.  Its facets are the body's vertices, its vertices
+the body's facets.  The hull functions take P and nothing else; the
+shifted rebuild of a facet forms its points W_r / c_r itself
+(:func:`shifted_section_volume`).  In the plane the hull is a Graham scan
+of the points sorted by angle (:func:`_scan`), with no Qhull call: it
+gives the section vertices in order, the volume is their shoelace area,
+and the facet of a hull vertex is the edge between the section vertices
+of its two hull edges.  The scan goes once round the origin for the
+facet records and the shifted and tilted rebuilds (:func:`_planar_hull`);
+the volume of a section, whose hull is centrally symmetric, needs only
+half a turn, the other half being its negation (:func:`_half_turn_volume`).
 For k >= 3 it is Qhull's hull (:func:`_polar_hull`), whose distinct facet
 equations are the section's vertices, and the volume is a signed sum over
 the flags of its triangulation, one determinant per ridge
@@ -42,7 +44,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 from scipy.spatial import QhullError
 
-from .frame_core import Frame, NotAFrameError, RANK_FLOOR, symmetrize
+from .frame_core import Frame, NotAFrameError, frame_operator
 
 # Constraint rows this close in every coordinate describe one hyperplane.
 EPS_GEOM = 1e-9
@@ -98,8 +100,8 @@ class SectionPolytope:
     k: int
     vertices: np.ndarray
     facets: tuple
-    generator_facets: dict = field(default_factory=dict, repr=False)
-    _W: np.ndarray | None = field(default=None, repr=False)
+    generator_facets: dict = field(repr=False)
+    _W: np.ndarray = field(repr=False)
     _volume: float | None = field(default=None, repr=False)
 
     def facet_of_generator(self, index: int):
@@ -166,13 +168,14 @@ def _sums_by(label: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
     return np.bincount(codes, values.ravel(), minlength=count * d).reshape(count, d)
 
 
-def _interval(W: np.ndarray, c: np.ndarray):
-    """Rows that bound {x : W x <= c} in R^1 from below and from above."""
-    w = W[:, 0]
-    up, down = np.flatnonzero(w > 0), np.flatnonzero(w < 0)
+def _interval(P: np.ndarray):
+    """Rows that bound the polar body {x : P x <= 1} in R^1 from below and
+    from above."""
+    p = P[:, 0]
+    up, down = np.flatnonzero(p > 0), np.flatnonzero(p < 0)
     if not (len(up) and len(down)):
         raise NotAFrameError("not a frame")
-    return int(down[np.argmax(c[down] / w[down])]), int(up[np.argmin(c[up] / w[up])])
+    return int(down[np.argmax(1 / p[down])]), int(up[np.argmin(1 / p[up])])
 
 
 def _scan(P: list, order: list) -> list:
@@ -223,15 +226,15 @@ def _edge_vertices(P: list, chain: list, floor: float) -> list:
     return Y
 
 
-def _planar_hull(W: np.ndarray, c: np.ndarray | None):
-    """Hull of the polar points P = W_r / c_r in the plane, and the section
-    vertices, by one Graham scan (:func:`_scan`) once round the origin.
+def _planar_hull(P: np.ndarray):
+    """Hull of the polar points P in the plane, and the vertices of their
+    polar body, by one Graham scan (:func:`_scan`) once round the origin.
 
     Returns (P, hull, Y): the points as a list of pairs, the rows whose
     points are the hull's vertices, in counterclockwise order, and Y[j] the
-    section vertex of the hull edge from hull[j] to hull[j + 1], cyclically
+    polar vertex of the hull edge from hull[j] to hull[j + 1], cyclically
     (:func:`_edge_vertices`).  The facet of row hull[j] is thus the edge
-    from Y[j - 1] to Y[j].  ``c`` None means every c_r is 1.
+    from Y[j - 1] to Y[j].
 
     The points are sorted by their angle about the origin, and the scan
     starts and ends at the point of largest norm, always a hull vertex.
@@ -242,9 +245,8 @@ def _planar_hull(W: np.ndarray, c: np.ndarray | None):
     edge lies within ``DEPTH_FLOOR`` max|P| of the origin, as :func:`_polar_hull`
     does for a facet: the rows then span R^2 only in rounding, if at all.
     """
-    if len(W) < 3:
+    if len(P) < 3:
         raise NotAFrameError("not a frame")
-    P = W if c is None else W / c[:, None]
     floor = DEPTH_FLOOR * float(np.abs(P).max())
     P = P.tolist()
     angle = [atan2(y, x) for x, y in P]
@@ -308,17 +310,15 @@ def _shoelace(Y) -> float:
     return area / 2
 
 
-def _polar_hull(W: np.ndarray, c: np.ndarray | None):
-    """Qhull's hull of the polar points P = W_r / c_r, k >= 3 (the plane has
-    :func:`_planar_hull`), and the section vertices.
+def _polar_hull(P: np.ndarray):
+    """Qhull's hull of the polar points P, k >= 3 (the plane has
+    :func:`_planar_hull`), and the vertices of their polar body.
 
     Returns (P, hull, Y), Y[f] = a / (-b) for hull facet f: a.x + b <= 0.
-    ``c`` None means every c_r is 1, so P is W.  Raises
-    :class:`NotAFrameError` when the rows do not span R^k, and
-    :class:`DegeneratePolytopeError` when Qhull fails on rows that do.
+    Raises :class:`NotAFrameError` when the points do not span R^k, and
+    :class:`DegeneratePolytopeError` when Qhull fails on points that do.
     """
-    k = W.shape[1]
-    P = W if c is None else W / c[:, None]
+    k = P.shape[1]
     try:
         hull = ConvexHull(P)
     except QhullError as exc:
@@ -395,11 +395,11 @@ def _point_facets(W: np.ndarray):
     """
     k = W.shape[1]
     if k == 1:
-        rows = np.array(_interval(W, np.ones(len(W))))
+        rows = np.array(_interval(W))
         verts = (1 / W[rows, 0])[:, None]
         return verts, rows, np.ones(2), verts, rows, np.arange(2)
     if k == 2:
-        P, hull, Y = _planar_hull(W, None)
+        P, hull, Y = _planar_hull(W)
         # the facet of q_j = P[hull[j]] runs from Y[j - 1] to Y[j], of
         # length |q_j| t_j / (x_j x_(j+1)), t_j the turn (q_j - q_(j-1)) x
         # (q_(j+1) - q_j) and x_j = q_(j-1) x q_j: from the short
@@ -417,7 +417,7 @@ def _point_facets(W: np.ndarray):
         ends = np.arange(m)
         return (np.array(Y), np.array(hull), np.array(length), np.array(middle),
                 np.array(hull + hull), np.concatenate(((ends - 1) % m, ends)))
-    P, hull, Y = _polar_hull(W, None)
+    P, hull, Y = _polar_hull(W)
     eq = hull.equations
     # a simplex of a merged facet shares its equation with a neighbor
     alone = ~np.all(eq[hull.neighbors] == eq[:, None, :], axis=2).any(axis=1)
@@ -440,9 +440,8 @@ def build_section(s: Frame) -> SectionPolytope:
     ``EPS_GEOM`` of each other share one facet, whose content and first
     moment are summed over the group's hull vertices, in one array pass.
     """
+    frame_operator(s)  # raises NotAFrameError unless the vectors span R^k
     V = s.vectors
-    if np.linalg.eigvalsh(symmetrize(V.T @ V))[0] < RANK_FLOOR:
-        raise NotAFrameError("not a frame")
     gens = np.flatnonzero(np.linalg.norm(V, axis=1) > 1e-14)
     W = np.vstack([V[gens], -V[gens]])
     row_gen = [(i, 1) for i in gens.tolist()] + [(i, -1) for i in gens.tolist()]
@@ -460,7 +459,7 @@ def build_section(s: Frame) -> SectionPolytope:
     own = [g for g in range(len(members)) if ends[g] < ends[g + 1]]
     sums = _sums_by(label[rows], np.column_stack((measure, measure[:, None] * centroid)), len(members))[own]
     normal = W[[members[g][0] for g in own]]
-    distance = (1 / np.linalg.norm(normal, axis=1)).tolist()  # every c_r is 1
+    distance = (1 / np.linalg.norm(normal, axis=1)).tolist()  # <x, p> = 1 is 1 / |p| out
     centroid = sums[:, 1:] / sums[:, :1]
     for x in (normal, centroid):
         x.setflags(write=False)
@@ -838,25 +837,25 @@ def _flag_cones(P: np.ndarray, simplices: np.ndarray, neighbors: np.ndarray, Y: 
     return _sums_by(owner.ravel(), det.reshape(k + 1, -1).T, N)
 
 
-def _halfspace_volume(W: np.ndarray, c: np.ndarray | None = None) -> float:
-    """Volume of the bounded polytope {x : W x <= c}, with every c > 0.
+def _halfspace_volume(P: np.ndarray) -> float:
+    """Volume of the polar body {x : P x <= 1} of the points P, whose hull
+    holds the origin inside.
 
-    ``c`` None means every c_r is 1.  The polytope is the polar body of
-    conv{W_r / c_r}.  It need not be centrally symmetric, so for k = 2 the
-    scan goes once round the origin (:func:`_planar_hull`); for k >= 3 see
+    A system {W x <= c}, every c > 0, is the polar body of P_r = W_r / c_r.
+    The body need not be centrally symmetric, so for k = 2 the scan goes
+    once round the origin (:func:`_planar_hull`); for k >= 3 see
     :func:`section_volume_fast`.
-    Raises :class:`NotAFrameError` when the rows do not span R^k, and, for
-    k >= 3, :class:`DegeneratePolytopeError` when Qhull fails on rows that
-    do.
+    Raises :class:`NotAFrameError` when the points do not span R^k, and,
+    for k >= 3, :class:`DegeneratePolytopeError` when Qhull fails on points
+    that do.
     """
-    k = W.shape[1]
+    k = P.shape[1]
     if k == 1:
-        c = np.ones(len(W)) if c is None else c
-        lo, hi = _interval(W, c)
-        return float(c[hi] / W[hi, 0] - c[lo] / W[lo, 0])
+        lo, hi = _interval(P)
+        return float(1 / P[hi, 0] - 1 / P[lo, 0])
     if k == 2:
-        return _shoelace(_planar_hull(W, c)[2])
-    P, hull, Y = _polar_hull(W, c)
+        return _shoelace(_planar_hull(P)[2])
+    P, hull, Y = _polar_hull(P)
     return _flag_volume(P, hull.simplices, hull.neighbors, Y)
 
 
@@ -887,8 +886,7 @@ def section_volume_fast(vectors: np.ndarray) -> float:
     +-V; for k >= 3 also on frames whose +-v are the vertices of a cube,
     and on sections with facets shifted or tilted.
 
-    For k != 2 +-V go to the hull as they are, and with every c_r = 1 no
-    division forms P.
+    For k != 2 the points +-V go to the hull as they are.
 
     Raises :class:`NotAFrameError` when the vectors do not span, and, for
     k >= 3, :class:`DegeneratePolytopeError` when Qhull fails on vectors
@@ -914,7 +912,7 @@ def shifted_section_volume(p: SectionPolytope, f: FacetRecord, h: float) -> floa
     c = np.ones(len(p._W))
     for r in f.row_ids:
         c[r] += h * np.linalg.norm(p._W[r])
-    return _halfspace_volume(p._W, c)
+    return _halfspace_volume(p._W / c[:, None])
 
 
 def rotate_facet_predict(

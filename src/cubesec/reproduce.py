@@ -1,9 +1,9 @@
 """Acceptance battery: one callable per headline result, with shared caches.
 
-Each criterion returns a result record with pass/fail, timing, and detail
-lines.  Optimizer winners are cached per dimension pair so overlapping
-criteria (volume targets, length windows, criticality) pay for each
-maximization once.
+Each criterion returns a result record with pass/fail and detail lines;
+:func:`run_battery` times each call.  Optimizer winners are cached per
+dimension pair so overlapping criteria (volume targets, length windows,
+criticality) pay for each maximization once.
 """
 
 from __future__ import annotations
@@ -60,9 +60,9 @@ BOUND_SAMPLES = 1000  # random tight frames per grid cell in bound-ordering
 class CriterionResult:
     name: str
     passed: bool
-    duration: float
     details: list = field(default_factory=list)
     loud: list = field(default_factory=list)
+    duration: float = 0.0  # seconds of the criterion call (run_battery)
     optimizer_s: float = 0.0  # seconds of the optimizer runs it started (run_battery)
 
     def to_dict(self) -> dict:
@@ -176,7 +176,6 @@ def _contained(label: str, details: list, check, *args) -> bool:
 
 def criterion_planar_optimum(ctx: BatteryContext) -> CriterionResult:
     """k=2 maximization attains the optimal rectangle for n = 3..10."""
-    t0 = time.perf_counter()
     details, loud, ok = [], [], True
     opt0 = ctx.optimizer_seconds
 
@@ -220,12 +219,11 @@ def criterion_planar_optimum(ctx: BatteryContext) -> CriterionResult:
         details.append(f"runtime budget exceeded: {spent:.0f}s > {PLANAR_TIME_BUDGET:.0f}s")
     else:
         details.append(f"optimizer runtime {spent:.0f}s (budget {PLANAR_TIME_BUDGET:.0f}s)")
-    return CriterionResult("planar-optimum", ok, time.perf_counter() - t0, details, loud)
+    return CriterionResult("planar-optimum", ok, details, loud)
 
 
 def criterion_extremal_exactness(ctx: BatteryContext) -> CriterionResult:
     """Box constructor volume is exact, rationally and in floats."""
-    t0 = time.perf_counter()
     details, ok = [], True
     for n, k in _grid(ctx):
         sizes = [len(part) for part in default_partition(n, k)]
@@ -239,12 +237,11 @@ def criterion_extremal_exactness(ctx: BatteryContext) -> CriterionResult:
         if not (float_ok and exact_ok):
             details.append(f"(n={n}, k={k}): exact={exact_ok} float={float_ok}")
     details.insert(0, f"{sum(1 for _ in _grid(ctx))} cells, squared volumes match 4^k * prod(d_i)")
-    return CriterionResult("extremal-exactness", ok, time.perf_counter() - t0, details)
+    return CriterionResult("extremal-exactness", ok, details)
 
 
 def criterion_bound_ordering(ctx: BatteryContext) -> CriterionResult:
     """2^k <= achieved volume <= upper bound on random tight frames."""
-    t0 = time.perf_counter()
     details, ok = [], True
     violations = 0
     total = 0
@@ -260,7 +257,7 @@ def criterion_bound_ordering(ctx: BatteryContext) -> CriterionResult:
                 details.append(f"violation at (n={n}, k={k}): vol={vol!r}")
     ok = violations == 0
     details.insert(0, f"{total} random tight frames, {violations} bound violations")
-    return CriterionResult("bound-ordering", ok, time.perf_counter() - t0, details)
+    return CriterionResult("bound-ordering", ok, details)
 
 
 def _winner_cells(ctx: BatteryContext):
@@ -273,7 +270,6 @@ def _winner_cells(ctx: BatteryContext):
 
 def criterion_length_bounds(ctx: BatteryContext) -> CriterionResult:
     """Winners' squared lengths respect the maximizer window."""
-    t0 = time.perf_counter()
     details, ok = [], True
 
     def cell(n, k):
@@ -293,12 +289,11 @@ def criterion_length_bounds(ctx: BatteryContext) -> CriterionResult:
         ok &= _contained(f"(n={n}, k={k})", details, cell, n, k)
     if ctx.clip(10) >= 5:
         ok &= _contained("(n=5, k=2) endpoints", details, endpoints)
-    return CriterionResult("length-bounds", ok, time.perf_counter() - t0, details)
+    return CriterionResult("length-bounds", ok, details)
 
 
 def criterion_first_order_conditions(ctx: BatteryContext) -> CriterionResult:
     """Every winner passes the criticality checks at 1e-5."""
-    t0 = time.perf_counter()
     details, ok = [], True
 
     def cell(n, k):
@@ -319,12 +314,11 @@ def criterion_first_order_conditions(ctx: BatteryContext) -> CriterionResult:
 
     for n, k in _winner_cells(ctx):
         ok &= _contained(f"(n={n}, k={k})", details, cell, n, k)
-    return CriterionResult("first-order-conditions", ok, time.perf_counter() - t0, details)
+    return CriterionResult("first-order-conditions", ok, details)
 
 
 def criterion_determinant_calculus(ctx: BatteryContext) -> CriterionResult:
     """Rank-one determinant identity and first-order sqrt-det coefficient."""
-    t0 = time.perf_counter()
     details, ok = [], True
     rng = np.random.default_rng([ctx.seed, 6])
     worst = 0.0
@@ -366,7 +360,7 @@ def criterion_determinant_calculus(ctx: BatteryContext) -> CriterionResult:
             details.append(f"non-linear decay: errors {errs}")
     details.append(f"sqrt-det slope: linear error decay on {checked} generic draws")
     ok = det_ok and fd_ok
-    return CriterionResult("determinant-calculus", ok, time.perf_counter() - t0, details)
+    return CriterionResult("determinant-calculus", ok, details)
 
 
 def _fd_errors(base_vol, rebuild, predict, steps):
@@ -378,7 +372,6 @@ def _fd_errors(base_vol, rebuild, predict, steps):
 
 def criterion_transformation_derivatives(ctx: BatteryContext) -> CriterionResult:
     """Shift and rotation predictors converge against rebuilt sections."""
-    t0 = time.perf_counter()
     details, ok = [], True
     steps = (1e-3, 1e-4, 1e-5)
     counts = {"shift": 0, "rotate": 0}
@@ -425,12 +418,11 @@ def criterion_transformation_derivatives(ctx: BatteryContext) -> CriterionResult
         0,
         f"{counts['shift']} shift + {counts['rotate']} rotate instances, {fails} misses",
     )
-    return CriterionResult("transformation-derivatives", ok, time.perf_counter() - t0, details)
+    return CriterionResult("transformation-derivatives", ok, details)
 
 
 def criterion_cross_product_tightness(ctx: BatteryContext) -> CriterionResult:
     """Cross products over (k-1)-subsets of a tight frame stay tight."""
-    t0 = time.perf_counter()
     details, ok = [], True
     rng = np.random.default_rng([ctx.seed, 8])
     worst = 0.0
@@ -446,12 +438,11 @@ def criterion_cross_product_tightness(ctx: BatteryContext) -> CriterionResult:
                 cases += 1
     ok = worst <= 1e-10
     details.append(f"{cases} frames, worst tightness deviation {worst:.2e}")
-    return CriterionResult("cross-product-tightness", ok, time.perf_counter() - t0, details)
+    return CriterionResult("cross-product-tightness", ok, details)
 
 
 def criterion_planar_claims(ctx: BatteryContext) -> CriterionResult:
     """Closed-form table values and the planar elimination arguments."""
-    t0 = time.perf_counter()
     details, ok = [], True
 
     table = [
@@ -500,12 +491,11 @@ def criterion_planar_claims(ctx: BatteryContext) -> CriterionResult:
         f"angle-weight extrema on [pi/10, pi/4]: max {qmax:.9f}, min {qmin:.9f}, "
         f"ratio {qmax / qmin:.9f} < 2: {'ok' if q_ok else 'FAIL'}"
     )
-    return CriterionResult("planar-claims", ok, time.perf_counter() - t0, details)
+    return CriterionResult("planar-claims", ok, details)
 
 
 def criterion_conjecture_evidence(ctx: BatteryContext) -> CriterionResult:
     """k >= 3 cells reach the conjectured box floor; improvements are flagged."""
-    t0 = time.perf_counter()
     details, ok = [], True
     loud = []
 
@@ -529,9 +519,7 @@ def criterion_conjecture_evidence(ctx: BatteryContext) -> CriterionResult:
     for n, k in CONJECTURE_CELLS:
         if n <= ctx.clip(12):
             ok &= _contained(f"(n={n}, k={k})", details, cell, n, k)
-    return CriterionResult(
-        "conjecture-evidence", ok, time.perf_counter() - t0, details, loud
-    )
+    return CriterionResult("conjecture-evidence", ok, details, loud)
 
 
 CRITERIA = {
@@ -571,8 +559,9 @@ def select_criteria(only=None) -> list:
 def run_battery(ctx: BatteryContext, only=None) -> list:
     """Run the selected criteria; exceptions become failures, not crashes.
 
-    Each result's ``optimizer_s`` is how much ``ctx.optimizer_seconds`` grew
-    while it ran: a criterion that reuses a cached winner spends none.
+    Each result's ``duration`` is the wall time of its criterion call, and
+    its ``optimizer_s`` how much ``ctx.optimizer_seconds`` grew meanwhile:
+    a criterion that reuses a cached winner spends none.
     """
     results = []
     for name in select_criteria(only):
@@ -580,9 +569,8 @@ def run_battery(ctx: BatteryContext, only=None) -> list:
         try:
             result = CRITERIA[name](ctx)
         except Exception as exc:  # noqa: BLE001 - battery must report, not crash
-            result = CriterionResult(
-                name, False, time.perf_counter() - t0, [f"error: {_error_line(exc)}"]
-            )
+            result = CriterionResult(name, False, [f"error: {_error_line(exc)}"])
+        result.duration = time.perf_counter() - t0
         result.optimizer_s = ctx.optimizer_seconds - opt0
         results.append(result)
     return results

@@ -294,14 +294,15 @@ def reference_point_facets(W, c):
     """Vertices of {W x <= c}, and a dict from each row that has a facet to
     (measure, centroid, sorted vertex indices)."""
     k = W.shape[1]
+    P = W / c[:, None]  # the polar points
     if k == 1:
-        ends = _interval(W, c)
+        ends = _interval(P)
         verts = np.array([[c[r] / W[r, 0]] for r in ends])
         return verts, {r: (1.0, verts[i], (i,)) for i, r in enumerate(ends)}
     if k == 2:
-        _, hull, Y = _planar_hull(W, c)
+        _, hull, Y = _planar_hull(P)
         verts = np.array(Y)
-        Q = W[hull] / c[hull, None]
+        Q = P[hull]
         prev = np.roll(Q, 1, axis=0)
         into = Q - prev
         out = np.roll(into, -1, axis=0)
@@ -312,7 +313,7 @@ def reference_point_facets(W, c):
         m = len(hull)
         return verts, {r: (length[j], middle[j], tuple(sorted(((j - 1) % m, j))))
                        for j, r in enumerate(hull)}
-    P, hull, Y = _polar_hull(W, c)
+    P, hull, Y = _polar_hull(P)
     eq = hull.equations
     Y = _solved_vertices(P, hull, Y, ~np.all(eq[hull.neighbors] == eq[:, None, :], axis=2).any(axis=1))
     _, first, inverse = np.unique(hull.equations, axis=0, return_index=True, return_inverse=True)

@@ -3,10 +3,12 @@
 import json
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from cubesec import reproduce
 from cubesec.cli import main
 from cubesec.frame_core import Frame
 from cubesec.reproduce import CRITERIA, CriterionResult
@@ -177,6 +179,15 @@ class TestReport:
         assert data["polytope"]["volume"] == pytest.approx(4 * math.sqrt(6), rel=1e-12)
 
 
+@pytest.fixture
+def clock(monkeypatch):
+    """The battery's clock, advanced by hand: run_battery times each
+    criterion call on it."""
+    now = [0.0]
+    monkeypatch.setattr(reproduce, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+    return now
+
+
 class TestReproduce:
     def test_fast_subset_passes(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -199,9 +210,10 @@ class TestReproduce:
         assert main(["reproduce", "--only", "bogus-name"]) == 3
         assert "unknown" in capsys.readouterr().err
 
-    def test_failing_criterion_exits_1(self, monkeypatch, capsys):
+    def test_failing_criterion_exits_1(self, monkeypatch, capsys, clock):
         def fails(ctx):
-            return CriterionResult("fails", False, 0.1)
+            clock[0] += 0.1
+            return CriterionResult("fails", False)
 
         monkeypatch.setitem(CRITERIA, "fails", fails)
         assert main(["reproduce", "--only", "fails"]) == 1
@@ -209,10 +221,11 @@ class TestReproduce:
         assert re.fullmatch(r"fails  FAIL +0\.1s", lines[0])
         assert lines[-1] == "overall: FAIL"
 
-    def test_verbose_prints_optimizer_seconds(self, monkeypatch, capsys):
+    def test_verbose_prints_optimizer_seconds(self, monkeypatch, capsys, clock):
         def spends(ctx):
             ctx.optimizer_seconds += 2.5
-            return CriterionResult("spends-time", True, 3.0, ["one detail"])
+            clock[0] += 3.0
+            return CriterionResult("spends-time", True, ["one detail"])
 
         monkeypatch.setitem(CRITERIA, "spends-time", spends)
         assert main(["reproduce", "--only", "spends-time", "--verbose"]) == 0

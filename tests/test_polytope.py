@@ -392,7 +392,7 @@ class TestVolume:
                 tilted[rows] += 0.2 * rng.standard_normal((2, k))
                 for A, b in ((W, shifted), (tilted, c)):
                     exact = convex_volume(halfspace_vertices(A, b), k)
-                    assert _halfspace_volume(A, b) == pytest.approx(exact, rel=1e-12)
+                    assert _halfspace_volume(A / b[:, None]) == pytest.approx(exact, rel=1e-12)
 
 
 class TestExactVolume:
@@ -430,7 +430,7 @@ class TestExactVolume:
                 tilted[rows] += 0.2 * rng.standard_normal((2, k))
                 for A, b in ((W, shifted), (tilted, c)):
                     exact = float(exact_volume(A, b))
-                    assert _halfspace_volume(A, b) == pytest.approx(exact, rel=1e-13)
+                    assert _halfspace_volume(A / b[:, None]) == pytest.approx(exact, rel=1e-13)
 
     def test_near_parallel_pool_frames(self):
         # pool index 182 at (7, 4) made Qhull raise a wide merge in an
@@ -449,7 +449,7 @@ class TestExactVolume:
         # here: their hull under Qhull's default options raises a wide
         # merge (QH6271)
         W = np.vstack([s.vectors, -s.vectors])
-        _, _, Y = _polar_hull(W, np.ones(len(W)))
+        _, _, Y = _polar_hull(W)
         assert convex_volume(Y, 4) == pytest.approx(fast, rel=1e-13)
 
     def test_duplicated_vector(self):
@@ -487,7 +487,7 @@ class TestExactVolume:
         for vectors in frames:
             assert max(exact_errors(Frame(vectors))) <= 1e-13
             W = np.vstack([vectors, -vectors])
-            full = _halfspace_volume(W, np.ones(len(W)))
+            full = _halfspace_volume(W)
             assert section_volume_fast(vectors) == pytest.approx(full, rel=1e-15)
 
 
@@ -537,7 +537,7 @@ class TestFacetAssembly:
         for n, k in ((7, 3), (7, 4), (12, 4), (8, 5)):
             for s in (random_tight_frame(n, k, rng), near_parallel_frame(n, k, rng)):
                 W = np.vstack([s.vectors, -s.vectors])
-                P, hull, Y = _polar_hull(W, None)
+                P, hull, Y = _polar_hull(W)
                 want = _flag_cones(P, hull.simplices, hull.neighbors, Y)
                 order = rng.permuted(np.tile(np.arange(k), (len(hull.simplices), 1)), axis=1)
                 got = _flag_cones(P, np.take_along_axis(hull.simplices, order, axis=1),
@@ -677,6 +677,19 @@ class TestShiftPredictor:
         p = build_section(square_frame())
         assert shift_facet_predict(p, p.facets[0], 0.0) == 0.0
 
+    @staticmethod
+    def assert_converges(p, f, sign):
+        """The predictor's error against the rebuild falls faster than h,
+        unless it is at rounding already."""
+        base = volume(p)
+        errs = []
+        for h in (1e-3, 1e-4, 1e-5):
+            delta = shifted_section_volume(p, f, sign * h) - base
+            errs.append(abs(delta - shift_facet_predict(p, f, sign * h)))
+        if errs[0] >= 1e-11:
+            assert errs[0] > errs[1] > errs[2]
+            assert errs[2] <= 0.1 * errs[0]
+
     def test_finite_difference_convergence(self):
         rng = np.random.default_rng(28)
         for _ in range(15):
@@ -684,16 +697,27 @@ class TestShiftPredictor:
             n = int(rng.integers(k + 1, 8))
             p = build_section(random_tight_frame(n, k, rng))
             f = p.facets[int(rng.integers(len(p.facets)))]
-            sign = 1.0 if rng.random() < 0.5 else -1.0
+            self.assert_converges(p, f, 1.0 if rng.random() < 0.5 else -1.0)
+
+    def test_finite_difference_convergence_k4(self):
+        rng = np.random.default_rng(44)
+        for n in (5, 6, 8):
+            for _ in range(3):
+                p = build_section(random_tight_frame(n, 4, rng))
+                f = p.facets[int(rng.integers(len(p.facets)))]
+                self.assert_converges(p, f, 1.0 if rng.random() < 0.5 else -1.0)
+
+    def test_interval_shift_is_linear(self):
+        # k = 1: a facet is an end of the interval, a point of content 1,
+        # and the shift moves it out by exactly h
+        rng = np.random.default_rng(45)
+        for n in (2, 3, 5, 8):
+            p = build_section(random_tight_frame(n, 1, rng))
             base = volume(p)
-            errs = []
-            for h in (1e-3, 1e-4, 1e-5):
-                delta = shifted_section_volume(p, f, sign * h) - base
-                errs.append(abs(delta - shift_facet_predict(p, f, sign * h)))
-            if errs[0] < 1e-11:
-                continue
-            assert errs[0] > errs[1] > errs[2]
-            assert errs[2] <= 0.1 * errs[0]
+            for f in p.facets:
+                for h in (1e-3, -1e-4, 1e-6, -0.25):
+                    assert shift_facet_predict(p, f, h) == h
+                    assert abs(shifted_section_volume(p, f, h) - base - h) <= 1e-12 * base
 
 
 class TestRotatePredictor:

@@ -60,7 +60,7 @@ def test_optimizer_seconds_per_criterion(monkeypatch):
     # when it raises
     def spends(ctx):
         ctx.optimizer_seconds += 2.5
-        return CriterionResult("spends-time", True, 3.0)
+        return CriterionResult("spends-time", True)
 
     def raises(ctx):
         ctx.optimizer_seconds += 1.0
