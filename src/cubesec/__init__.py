@@ -5,17 +5,13 @@ from .frame_core import (
     Frame,
     FrameError,
     NotAFrameError,
-    Subspace,
     TightFrame,
     TightnessError,
     cross_product_frame,
     det_rank_one,
-    frame_edit,
-    frame_from_subspace,
     frame_operator,
     random_tight_frame,
     sqrt_det_first_order,
-    subspace_from_frame,
     whiten,
 )
 from .polytope import (
@@ -33,9 +29,7 @@ from .polytope import (
 )
 from .conditions import (
     ConditionsReport,
-    check_centroid,
     check_cyclic,
-    check_facet_balance,
     check_facet_correspondence,
     check_length_bounds,
     verify_frame,
@@ -52,7 +46,6 @@ from .bounds import (
     extremal_squared_volume_exact,
     g,
     h,
-    isoperimetric_check,
     planar_angles,
     planar_area,
     q,
@@ -62,7 +55,6 @@ from .optimizer import (
     OptimizeResult,
     OptimizerConfig,
     ascend,
-    criterion_gap,
     maximize,
 )
 

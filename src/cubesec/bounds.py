@@ -8,7 +8,6 @@ angles used to pin down the optimal two-dimensional sections.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +18,6 @@ from .frame_core import TightFrame
 from .polytope import SectionPolytope
 
 F_MAX = 64  # most facet pairs claim_bounds tries
-ISOPERIMETRIC_SLACK = 1e-12  # rounding allowed in each step of the isoperimetric chain
 VOLUME_SLACK = 1e-12  # rounding allowed outside [2^k, ball volume] by within_bounds
 
 
@@ -213,29 +211,6 @@ def claim_bounds(n: int) -> int:
     return best
 
 
-def isoperimetric_check(a: PlanarAngles, i: int) -> bool:
-    """Verify the pinned-angle isoperimetric chain for a cyclic polygon.
-
-    With half-angle i pinned and the rest equalized, the area cannot drop
-    below the actual polygon area, and the regular polygon tops the chain:
-    r^2 f sin(pi/f) >= r^2 (sin 2phi_i + (f-1) sin((pi - 2phi_i)/(f-1))) >= area,
-    each step within ``ISOPERIMETRIC_SLACK``.
-    """
-    if a.f < 2:
-        raise ValueError("need at least two facet pairs")
-    if not 0 <= i < a.f:
-        raise IndexError(f"angle index {i} out of range for f={a.f}")
-    r2 = a.r**2
-    regular = r2 * a.f * math.sin(math.pi / a.f)
-    phi_i = float(a.phi[i])
-    pinned = r2 * (
-        math.sin(2 * phi_i) + (a.f - 1) * math.sin((math.pi - 2 * phi_i) / (a.f - 1))
-    )
-    area = planar_area(a)
-    return (regular >= pinned - ISOPERIMETRIC_SLACK
-            and pinned >= area - ISOPERIMETRIC_SLACK)
-
-
 def q(phi: float) -> float:
     """Angle weight cos^2(phi) sin(2phi) coupling multiplicity to half-angle."""
     if not 0 < phi < math.pi / 2:
@@ -294,6 +269,3 @@ class BoundsReport:
             )
             d["fraction_of_optimal_box"] = self.achieved_volume / self.conjectured_volume
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)

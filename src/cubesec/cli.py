@@ -146,9 +146,7 @@ def cmd_volume(args, manifest: RunManifest) -> int:
         ],
     )
     if args.dump_polytope:
-        with open(args.dump_polytope, "w") as fh:
-            json.dump(p.to_dict(), fh)
-        manifest.write_sidecar(args.dump_polytope)
+        _write_json(args.dump_polytope, p.to_dict(), manifest)
     return EXIT_OK
 
 
@@ -171,14 +169,11 @@ def cmd_bounds(args, manifest: RunManifest) -> int:
 
 def cmd_construct_extremal(args, manifest: RunManifest) -> int:
     s = extremal_frame(args.n, args.k, partition=args.partition, signs=args.signs)
-    text = json.dumps(s.to_dict())
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        manifest.write_sidecar(args.out)
+        _write_json(args.out, s.to_dict(), manifest)
         print(f"wrote {args.out}")
     else:
-        print(text)
+        print(json.dumps(s.to_dict()))
     return EXIT_OK
 
 

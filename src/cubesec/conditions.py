@@ -9,7 +9,6 @@ maximizers additionally obey two-sided bounds on the squared lengths.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +58,6 @@ class ConditionsReport:
             "checks": {name: c.to_dict() for name, c in self.checks.items()},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 def check_facet_correspondence(s: Frame, p: SectionPolytope) -> float:
     """Count generators that are zero or support no facet of the section.
@@ -73,12 +69,17 @@ def check_facet_correspondence(s: Frame, p: SectionPolytope) -> float:
 
 def _first_order_residuals(s: Frame, p: SectionPolytope) -> tuple:
     """The centroid and facet balance residuals, from one pass over the
-    generators' facets and array operations on the frame."""
-    held = [p.generator_facets.get(i) for i in range(s.n)]
-    if None in held:
-        raise ValueError(
-            f"generator {held.index(None)} supports no facet; facet correspondence fails"
-        )
+    generators' facets and array operations on the frame.
+
+    The centroid residual is the largest distance from a facet centroid to
+    the point where span{v} meets the facet's hyperplane <x, v> = 1; at a
+    critical frame the two coincide.  The balance residual is the largest
+    relative residual of the identity, for every facet of multiplicity d
+    supported by a vector v: twice the facet content over |v| equals
+    d |v|^2 times the volume.  Every generator must support a facet
+    (:func:`check_facet_correspondence` is 0).
+    """
+    held = [p.generator_facets[i] for i in range(s.n)]
     centroid = np.array([sign * f.centroid for f, sign in held])
     measure = np.array([f.measure for f, _ in held])
     multiplicity = np.array([f.multiplicity for f, _ in held])
@@ -90,24 +91,6 @@ def _first_order_residuals(s: Frame, p: SectionPolytope) -> tuple:
     rhs = multiplicity * norm**2 * volume(p)
     bal = (np.abs(lhs - rhs) / np.maximum(lhs, rhs)).max()
     return float(cen), float(bal)
-
-
-def check_centroid(s: Frame, p: SectionPolytope) -> float:
-    """Largest distance from a facet centroid to span{v} hitting its hyperplane.
-
-    At a critical frame the line through v meets the hyperplane <x, v> = 1
-    exactly in the centroid of the corresponding facet.
-    """
-    return _first_order_residuals(s, p)[0]
-
-
-def check_facet_balance(s: Frame, p: SectionPolytope) -> float:
-    """Relative residual of the facet balance identity.
-
-    For every facet with multiplicity d supported by a vector v:
-    twice the facet content over |v| equals d |v|^2 times the volume.
-    """
-    return _first_order_residuals(s, p)[1]
 
 
 def check_cyclic(p: SectionPolytope) -> float:

@@ -15,7 +15,6 @@ the refinement pass of an ill-conditioned frame (:func:`whiten`).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import warnings
 from functools import lru_cache
@@ -25,9 +24,7 @@ import numpy as np
 # Tolerances.  The identities involved are exact; the thresholds below are
 # floating-point plumbing.
 EPS_TIGHT = 1e-10  # largest entry of |frame operator - I| of a tight frame
-EPS_ORTH = 1e-12  # largest entry of |B B^T - I| of an orthonormal basis
 RANK_FLOOR = 1e-12  # least eigenvalue of the frame operator of a frame
-CLOSE_TOL = 1e-12  # largest Gram entry difference of frames equal modulo O(k)
 MAX_SUBSETS = 20000  # most (k-1)-subsets cross_product_frame enumerates
 
 
@@ -117,21 +114,8 @@ class Frame:
             raise ValueError("vectors shape disagrees with declared n, k")
         return cls(v)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "Frame":
-        return cls.from_dict(json.loads(text))
-
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, k={self.k})"
-
-    def close_to(self, other: "Frame") -> bool:
-        """Equality modulo O(k): Gram matrices within ``CLOSE_TOL``."""
-        if self.n != other.n or self.k != other.k:
-            return False
-        return np.max(np.abs(self.gram() - other.gram())) <= CLOSE_TOL
 
 
 class TightFrame(Frame):
@@ -140,41 +124,6 @@ class TightFrame(Frame):
     def __init__(self, vectors):
         super().__init__(vectors, require_span=False)
         _accept_tight(_tightness_error(frame_operator(self, check=False)))
-
-
-class Subspace:
-    """k-dimensional linear subspace of R^n with an orthonormal basis.
-
-    The basis is stored as rows of a (k, n) array.
-    """
-
-    def __init__(self, basis):
-        b = np.array(basis, dtype=float)
-        if b.ndim != 2:
-            raise ValueError("basis must be a (k, n) array")
-        k, n = b.shape
-        if not 1 <= k <= n:
-            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-        gram = b @ b.T
-        if np.max(np.abs(gram - np.eye(k))) > EPS_ORTH:
-            raise ValueError("basis is not orthonormal within tolerance")
-        b.setflags(write=False)
-        self.basis = b
-
-    @property
-    def n(self) -> int:
-        return self.basis.shape[1]
-
-    @property
-    def k(self) -> int:
-        return self.basis.shape[0]
-
-    def projection_matrix(self):
-        """n x n orthogonal projection onto the subspace."""
-        return symmetrize(self.basis.T @ self.basis)
-
-    def __repr__(self):
-        return f"Subspace(n={self.n}, k={self.k})"
 
 
 def frame_operator(s: Frame, *, check: bool = True):
@@ -291,63 +240,6 @@ def sqrt_det_first_order(s: TightFrame, x) -> float:
             f"perturbation shape {x.shape} does not match frame {s.vectors.shape}"
         )
     return float(np.einsum("ij,ij->", x, s.vectors))
-
-
-def frame_edit(s: Frame, *, remove=None, substitute=None, append=None) -> Frame:
-    """Return a new frame with exactly one edit applied.
-
-    remove:     an index, or a vector whose first occurrence is dropped.
-    substitute: a pair (index, new_vector).
-    append:     a vector added at the end.
-
-    The result must still span R^k, otherwise :class:`NotAFrameError`.
-    """
-    given = [e is not None for e in (remove, substitute, append)]
-    if sum(given) != 1:
-        raise ValueError("specify exactly one of remove, substitute, append")
-    v = np.array(s.vectors)
-    if remove is not None:
-        if np.isscalar(remove) and isinstance(remove, (int, np.integer)):
-            idx = int(remove)
-            if not 0 <= idx < s.n:
-                raise IndexError(f"index {idx} out of range for n={s.n}")
-        else:
-            target = np.asarray(remove, dtype=float)
-            hits = np.nonzero(np.all(v == target, axis=1))[0]
-            if hits.size == 0:
-                raise ValueError("vector to remove not present in frame")
-            idx = int(hits[0])
-        v = np.delete(v, idx, axis=0)
-    elif substitute is not None:
-        idx, new = substitute
-        idx = int(idx)
-        if not 0 <= idx < s.n:
-            raise IndexError(f"index {idx} out of range for n={s.n}")
-        v[idx] = np.asarray(new, dtype=float)
-    else:
-        v = np.vstack([v, np.asarray(append, dtype=float)])
-    return Frame(v)
-
-
-def subspace_from_frame(s: TightFrame) -> Subspace:
-    """Row span of the k x n frame matrix, as a subspace of R^n.
-
-    For a tight frame the rows of the frame matrix are orthonormal in R^n,
-    so they serve directly as the basis.  Raises :class:`TightnessError`
-    for a frame that is not tight within ``EPS_TIGHT``, as
-    :class:`TightFrame` does.
-    """
-    _accept_tight(_tightness_error(frame_operator(s, check=False)))
-    return Subspace(s.vectors.T.copy())
-
-
-def frame_from_subspace(h: Subspace) -> TightFrame:
-    """Project the standard basis of R^n onto the subspace.
-
-    Coordinates are taken in the subspace basis; the resulting n vectors in
-    R^k always form a tight frame.
-    """
-    return TightFrame(h.basis.T.copy())
 
 
 def cross_product_frame(s: TightFrame):

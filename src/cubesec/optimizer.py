@@ -9,7 +9,6 @@ instead of manifold gradients.
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -129,9 +128,6 @@ class OptimizeResult:
                 for r in self.restarts
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def _propose(v: np.ndarray, step: float, rng) -> np.ndarray:
@@ -289,20 +285,6 @@ def maximize(config: OptimizerConfig, threads: int | None = None) -> OptimizeRes
         conditions=report,
         best_index=best.index,
     )
-
-
-def criterion_gap(s: TightFrame, candidate: Frame) -> float:
-    """Slack in the global-maximality criterion for a competitor frame.
-
-    Nonnegative for every competitor iff the tight frame is a global
-    maximizer: the volume ratio is dominated by det(A)^(-1/2).  A negative
-    value certifies non-maximality.
-    """
-    a = candidate.vectors.T @ candidate.vectors
-    det = float(np.linalg.det((a + a.T) / 2.0))
-    vol_s = section_volume_fast(s.vectors)
-    vol_c = section_volume_fast(candidate.vectors)
-    return 1.0 / np.sqrt(det) - vol_c / vol_s
 
 
 def write_trace_csv(result: OptimizeResult, path) -> None:

@@ -888,9 +888,18 @@ def section_volume_fast(vectors: np.ndarray) -> float:
 
     For k != 2 the points +-V go to the hull as they are.
 
-    Raises :class:`NotAFrameError` when the vectors do not span, and, for
-    k >= 3, :class:`DegeneratePolytopeError` when Qhull fails on vectors
-    that do.
+    It tests depth, not span: :class:`NotAFrameError` is raised when the
+    points +-V are flat, or a facet of their hull (an edge, in the plane)
+    lies within ``DEPTH_FLOOR`` max |v_i| of the origin; and, for k >= 3,
+    :class:`DegeneratePolytopeError` when Qhull fails on points that pass.
+    Nearly flat vectors pass that test.  Where the least eigenvalue of the
+    frame operator is below ``RANK_FLOOR``, so that :class:`Frame` and
+    :func:`build_section` raise, this returns a huge volume: 2.6e7 at
+    (7, 2) and 5.1e7 at (7, 3) for random tight frames whose last column
+    is scaled by 3e-7 (eigenvalue 9e-14).  The precondition is the span
+    test of :class:`Frame`, which the vectors of every ``Frame`` built
+    with it, and of every tight frame, pass.  It is not repeated here,
+    where it would cost an eigenvalue solve per call.
     """
     if vectors.shape[1] == 2:
         return _half_turn_volume(vectors)

@@ -66,7 +66,7 @@ class TestVolume:
 
 class TestConstructExtremal:
     def test_round_trip(self, extremal_file):
-        frame = Frame.from_json(extremal_file.read_text())
+        frame = Frame.from_dict(json.loads(extremal_file.read_text()))
         assert frame.n == 5 and frame.k == 2
 
     def test_manifest_sidecar(self, extremal_file):
@@ -85,7 +85,7 @@ class TestConstructExtremal:
             ]
         )
         assert rc == 0
-        frame = Frame.from_json(capsys.readouterr().out)
+        frame = Frame.from_dict(json.loads(capsys.readouterr().out))
         np.testing.assert_allclose(np.sort(frame.squared_lengths()), [1/4]*4 + [1.0])
 
     def test_invalid_partition_exit_3(self, capsys):

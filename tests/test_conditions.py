@@ -9,9 +9,7 @@ import pytest
 from cubesec.frame_core import Frame, TightFrame, random_tight_frame, whiten
 from cubesec.polytope import build_section, volume
 from cubesec.conditions import (
-    check_centroid,
     check_cyclic,
-    check_facet_balance,
     check_facet_correspondence,
     check_length_bounds,
     verify_frame,
@@ -41,31 +39,38 @@ class TestFacetCorrespondence:
         assert check_facet_correspondence(s, build_section(s)) == 1.0
 
 
+def residual(s, check, p=None):
+    return verify_frame(s, p).checks[check].residual
+
+
 class TestCentroid:
     def test_square_exact(self):
         s = Frame(np.eye(2))
-        assert check_centroid(s, build_section(s)) == pytest.approx(0.0, abs=1e-12)
+        assert residual(s, "centroid") == pytest.approx(0.0, abs=1e-12)
 
     def test_extremal_rectangle_exact(self):
         s = extremal_frame(5, 2)
-        assert check_centroid(s, build_section(s)) == pytest.approx(0.0, abs=1e-12)
+        assert residual(s, "centroid") == pytest.approx(0.0, abs=1e-12)
 
     def test_rotated_constraint_off_centroid(self):
         th = math.pi / 2 + 0.2
         s = Frame([[1.0, 0.0], [math.cos(th), math.sin(th)]])
-        assert check_centroid(s, build_section(s)) > 1e-2
+        assert residual(s, "centroid") > 1e-2
 
     def test_gated_on_correspondence(self):
         s = Frame([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-        with pytest.raises(ValueError, match="correspondence"):
-            check_centroid(s, build_section(s))
+        rep = verify_frame(s)
+        assert not rep.checks["facet_correspondence"].passed
+        for name in ("centroid", "facet_balance"):
+            assert not rep.checks[name].passed
+            assert rep.checks[name].residual == math.inf
 
 
 class TestFacetBalance:
     def test_extremal_rectangle(self):
         s = extremal_frame(5, 2)
         p = build_section(s)
-        assert check_facet_balance(s, p) == pytest.approx(0.0, abs=1e-12)
+        assert residual(s, "facet_balance", p) == pytest.approx(0.0, abs=1e-12)
         # pyramid share of the triple-multiplicity facet is (1/2)(3 * 1/3)/2
         f = p.facet_of_generator(0)
         assert f.multiplicity == 3
@@ -76,13 +81,13 @@ class TestFacetBalance:
         for k in (2, 3):
             s = Frame(np.eye(k))
             p = build_section(s)
-            assert check_facet_balance(s, p) == pytest.approx(0.0, abs=1e-12)
+            assert residual(s, "facet_balance", p) == pytest.approx(0.0, abs=1e-12)
             for f in p.facets:
                 assert 2.0 * f.measure == pytest.approx(volume(p), rel=1e-12)
 
     def test_hexagon_critical_but_not_optimal(self):
         s = hexagonal_frame()
-        assert check_facet_balance(s, build_section(s)) == pytest.approx(0.0, abs=1e-12)
+        assert residual(s, "facet_balance") == pytest.approx(0.0, abs=1e-12)
 
     def test_summed_balance_consistency(self):
         # summing the balance identity over facets reproduces both the
@@ -218,7 +223,6 @@ class TestReport:
             checked += 1
             rep = verify_frame(s, p)
             got = (rep.checks["centroid"].residual, rep.checks["facet_balance"].residual)
-            assert (check_centroid(s, p), check_facet_balance(s, p)) == got
             for a, b in zip(got, loop(s, p)):
                 assert abs(a - b) <= 1e-13 * max(a, b) + 1e-15
         assert checked >= 12
@@ -227,5 +231,5 @@ class TestReport:
         import json
 
         rep = verify_frame(extremal_frame(4, 2))
-        data = json.loads(rep.to_json())
+        data = json.loads(json.dumps(rep.to_dict()))
         assert data["n"] == 4 and data["k"] == 2 and data["passed"]

@@ -16,7 +16,6 @@ from cubesec.optimizer import (
     STEP_DECAY,
     OptimizerConfig,
     ascend,
-    criterion_gap,
     maximize,
     resolve_threads,
     write_trace_csv,
@@ -203,13 +202,14 @@ class TestMaximize:
         import json
 
         res = maximize(small_config(4, 2, restarts=1, max_iterations=100))
-        data = json.loads(res.to_json())
+        data = json.loads(json.dumps(res.to_dict()))
         assert set(data) == {"config", "best", "restarts"}
         assert [r["degenerate"] for r in data["restarts"]] == [0, 0]
         assert [r["rank_loss"] for r in data["restarts"]] == [r.rank_loss for r in res.restarts]
         assert [r["stop"] for r in data["restarts"]] == [r.stop for r in res.restarts]
         assert {r["stop"] for r in data["restarts"]} <= {"schedule", "cap"}
-        again = json.loads(maximize(small_config(4, 2, restarts=1, max_iterations=100)).to_json())
+        again = json.loads(json.dumps(
+            maximize(small_config(4, 2, restarts=1, max_iterations=100)).to_dict()))
         assert again["restarts"] == data["restarts"]
         assert data["best"]["conditions"]["passed"] in (True, False)
         # the winner is named by its restart index and start
@@ -260,21 +260,35 @@ class TestPinnedRestarts:
 
 
 class TestCriterionGap:
-    def test_zero_on_itself(self):
-        s = extremal_frame(5, 2)
-        assert criterion_gap(s, s) == pytest.approx(0.0, abs=1e-12)
+    """The paper's global-maximality criterion: a tight frame s is a global
+    maximizer iff vol(c) / vol(s) <= det(A)^(-1/2) for every frame c, with
+    A = c^T c.  The section of c is A^(-1/2) times the section of whiten(c),
+    so the criterion reads vol(whiten(c)) <= vol(s)."""
+
+    def test_volume_scales_with_whitening(self):
+        rng = np.random.default_rng(43)
+        for k in (2, 3, 4):
+            for n in (k + 1, k + 3):
+                for _ in range(5):
+                    c = Frame(rng.standard_normal((n, k)))
+                    a = c.vectors.T @ c.vectors
+                    whitened = section_volume_fast(whiten(c)[1].vectors)
+                    assert section_volume_fast(c.vectors) == pytest.approx(
+                        np.linalg.det(a) ** -0.5 * whitened, rel=1e-12)
 
     def test_negative_certifies_non_maximality(self):
         coordinate = TightFrame([[1, 0], [0, 1], [0, 0], [0, 0], [0, 0]])
-        competitor = Frame(extremal_frame(5, 2).vectors)
-        assert criterion_gap(coordinate, competitor) < -0.1
+        competitor = extremal_frame(5, 2)
+        vol = section_volume_fast(coordinate.vectors)
+        assert section_volume_fast(competitor.vectors) > vol * 1.1
 
     def test_nonnegative_against_planar_optimum(self):
         s = extremal_frame(6, 2)
+        vol = section_volume_fast(s.vectors)
         rng = np.random.default_rng(4)
         for _ in range(100):
-            competitor = Frame(rng.standard_normal((6, 2)))
-            assert criterion_gap(s, competitor) >= -1e-9
+            competitor = whiten(Frame(rng.standard_normal((6, 2))))[1]
+            assert section_volume_fast(competitor.vectors) <= vol * (1 + 1e-9)
 
 
 class TestTraceExport:

@@ -12,7 +12,6 @@ from cubesec.frame_core import (
     Frame,
     NotAFrameError,
     TightFrame,
-    frame_edit,
     random_tight_frame,
     whiten,
 )
@@ -265,7 +264,7 @@ class TestVolume:
             before = volume(build_section(s))
             i = int(rng.integers(n))
             try:
-                after = volume(build_section(frame_edit(s, remove=i)))
+                after = volume(build_section(Frame(np.delete(s.vectors, i, axis=0))))
             except NotAFrameError:
                 continue
             assert after >= before - 1e-9 * before
@@ -273,7 +272,7 @@ class TestVolume:
     def test_duplicate_append_leaves_section_unchanged(self):
         rng = np.random.default_rng(24)
         s = random_tight_frame(6, 3, rng)
-        dup = frame_edit(s, append=s.vectors[2])
+        dup = Frame(np.vstack([s.vectors, s.vectors[2]]))
         p, q = build_section(s), build_section(dup)
         assert volume(q) == pytest.approx(volume(p), rel=1e-12)
         np.testing.assert_allclose(
