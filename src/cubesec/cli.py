@@ -220,6 +220,8 @@ def cmd_optimize(args, manifest: RunManifest) -> int:
         f"best restart     {result.best_index} ({result.best_start})",
         f"conditions       {'pass' if result.conditions.passed else 'FAIL'}",
         f"restarts         {len(result.restarts)}",
+        "random restarts within 1e-6 of best: {} of {}".format(
+            *result.random_hits(result.best_volume)),
     ]
     if args.out:
         lines.append(f"result written   {args.out}")

@@ -1,10 +1,14 @@
-"""Derivative-free maximization of section volume over tight frames.
+"""First-order maximization of section volume over tight frames.
 
-Each restart alternates proposing a perturbed frame and retracting it back
-to the tight manifold by whitening, accepting only volume improvements.
-The objective is piecewise smooth (the facet structure changes
-combinatorially), so zeroth-order steps with a decaying schedule are used
-instead of manifold gradients.
+The paper's first-order condition for a local maximizer is that the
+Riemannian gradient xi = G - V sym(V^T G) of the volume on the tight
+manifold V^T V = I vanishes, G being its Euclidean gradient.  Each restart
+climbs along xi, retracting by whitening (the polar retraction; Absil,
+Mahony & Sepulchre, 2008).  The volume has a kink wherever two generators
+coincide up to sign, and the maximizers known lie on such ties (the box
+frames), so generators that nearly coincide are tied into clusters that
+move as one vector, and where no gradient step gains, tied random
+proposals, among them moves that create or break a tie, take over.
 """
 
 from __future__ import annotations
@@ -20,12 +24,16 @@ from .frame_core import (
     FrameError,
     TightFrame,
     random_tight_frame,
+    symmetrize,
     whiten,
 )
 # build_section and volume are unused here but stay bound in this module:
 # perfbench/run.py wraps them at these names to trace the optimize workloads.
 from .polytope import (  # noqa: F401
     DegeneratePolytopeError,
+    _coincident_row_groups,
+    _sums_by,
+    _volume_and_gradient,
     build_section,
     section_volume_fast,
     volume,
@@ -33,16 +41,28 @@ from .polytope import (  # noqa: F401
 from .bounds import extremal_frame
 from .conditions import ConditionsReport, verify_frame
 
-# The step schedule: a restart starts at INITIAL_STEP, multiplies the step
-# by STEP_DECAY after FAILS_PER_LEVEL rejections in a row, and stops once it
-# falls below MIN_STEP (36 levels, 720 rejections from a fixed point).  A
-# proposal is accepted when it raises the volume by more than VOL_TOL,
-# relative.
+# The step schedule: a restart starts at INITIAL_STEP; a gradient step that
+# gains sets the step to its own length times STEP_GROWTH, and a burst of
+# FAILS_PER_LEVEL rejected proposals multiplies it by STEP_DECAY.  The
+# restart stops once the step falls below MIN_STEP (36 bursts from a fixed
+# point).  A step or proposal is accepted when it raises the volume by more
+# than VOL_TOL, relative.  The gradient step is tried at most GRADIENT_TRIES
+# times per frame, from the step down, halved on each failure.
 INITIAL_STEP = 0.3
 STEP_DECAY = 0.7
 MIN_STEP = 1e-6
 VOL_TOL = 1e-9
 FAILS_PER_LEVEL = 20
+GRADIENT_TRIES = 8
+STEP_GROWTH = 1.5
+# Generators within TIE_TOL max|v| of each other, up to sign, in every
+# coordinate are tied into one cluster, and a snap of every cluster onto
+# one vector is kept when it lowers the volume by no more than SNAP_TOL,
+# relative.
+TIE_TOL = 1e-4
+SNAP_TOL = 1e-12
+# A restart reaches a volume when it ends within HIT_TOL of it, relative.
+HIT_TOL = 1e-6
 
 
 @dataclass
@@ -67,13 +87,18 @@ class OptimizerConfig:
 class RestartResult:
     """One restart's outcome.
 
-    ``final_volume`` is :func:`section_volume_fast` of ``frame``: the
-    volume the ascent climbed on, and the one restarts are ranked by.
-    ``stop`` says why the ascent ended: ``"schedule"`` when the step fell
-    below ``MIN_STEP``, ``"cap"`` when ``max_iterations`` ran out.
-    ``rank_loss`` counts the proposals rejected because whitening found no
-    frame (a :class:`FrameError`), and ``degenerate`` those rejected because
-    Qhull could not build their section.
+    ``final_volume`` is :func:`section_volume_fast` of ``frame``, the one
+    restarts are ranked by; the ascent climbed on the same volume, or on
+    :func:`_volume_and_gradient`'s, equal to rounding.  ``iterations``
+    counts the evaluations charged to ``max_iterations``, and
+    ``evaluations`` every evaluation the restart made: those, the start's
+    and the final ranking volume.  ``stop`` says why the ascent ended:
+    ``"schedule"`` when the step fell below ``MIN_STEP``, ``"cap"`` when
+    ``max_iterations`` ran out.  ``rank_loss`` counts the candidates
+    rejected because whitening found no frame (a :class:`FrameError`), and
+    ``degenerate`` those rejected because Qhull could not build their
+    section.  ``tied`` is the number of clusters of several generators
+    (:func:`_clusters`) in ``frame``.
     """
 
     index: int
@@ -86,6 +111,8 @@ class RestartResult:
     degenerate: int = 0
     rank_loss: int = 0
     stop: str = "cap"
+    evaluations: int = 0
+    tied: int = 0
 
 
 @dataclass
@@ -103,6 +130,13 @@ class OptimizeResult:
     @property
     def best_start(self) -> str | None:
         return next((r.start for r in self.restarts if r.index == self.best_index), None)
+
+    def random_hits(self, target: float) -> tuple[int, int]:
+        """(random restarts that ended within ``HIT_TOL`` of ``target``,
+        relative, random restarts)."""
+        randoms = [r for r in self.restarts if r.start == "random"]
+        hits = sum(abs(r.final_volume / target - 1) <= HIT_TOL for r in randoms)
+        return hits, len(randoms)
 
     def to_dict(self) -> dict:
         return {
@@ -124,97 +158,184 @@ class OptimizeResult:
                     "degenerate": r.degenerate,
                     "rank_loss": r.rank_loss,
                     "stop": r.stop,
+                    "evaluations": r.evaluations,
+                    "tied": r.tied,
                 }
                 for r in self.restarts
             ],
         }
 
 
-def _propose(v: np.ndarray, step: float, rng) -> np.ndarray:
-    """One perturbed vector tuple; never mutates the input.
+def _clusters(V: np.ndarray):
+    """Signed clusters of the generators: (label, sign, first).
 
-    Mixes isotropic Gaussian moves with the structured edits that drive
-    the theory: scaling a vector, zeroing a vector, moving one vector
-    toward another.  Gaussian moves are projected off the direction that
-    only rescales the frame operator determinant, which whitening undoes
-    to first order anyway.
+    Generators whose points of +-V lie within ``TIE_TOL`` max|v| of each
+    other in every coordinate are one cluster (:func:`_coincident_row_groups`
+    on [V; -V]): v_i = sign[i] sign[j] v_j for i, j of one label.  Labels
+    run from 0 in the order of their least members, and ``first[c]`` is
+    the least member of cluster c.
+    """
+    n = len(V)
+    group = _coincident_row_groups(np.concatenate((V, -V)), TIE_TOL * float(np.abs(V).max()))
+    low = np.minimum(group[:n], group[n:])
+    sign = np.where(group[:n] == low, 1.0, -1.0)
+    first, label = np.unique(low, return_index=True, return_inverse=True)[1:]
+    return label, sign, first
+
+
+def _propose(v: np.ndarray, label: np.ndarray, sign: np.ndarray, step: float,
+             rng) -> np.ndarray:
+    """One perturbed vector tuple with the ties of ``label`` and ``sign``
+    kept or moved on purpose; never mutates the input.
+
+    Three moves in five are tied Gaussian moves: every cluster shares one
+    displacement, with its members' signs, projected off the direction
+    that only rescales the frame operator determinant, which whitening
+    undoes to first order anyway.  One in five is a reassign: a generator
+    becomes +-v_j of another cluster.  One in five is a release: a member
+    of a cluster of several (any generator, when there is none) moves
+    alone.
     """
     n, k = v.shape
     kind = rng.random()
     out = v.copy()
-    if kind < 0.7:
-        x = rng.standard_normal((n, k)) * np.sqrt(k / n)
+    if kind < 0.6:
+        x = rng.standard_normal((int(label.max()) + 1, k))[label] * (sign * np.sqrt(k / n))[:, None]
         coeff = float(np.einsum("ij,ij->", x, v))
         x -= (coeff / k) * v
         out += step * x
     elif kind < 0.8:
-        i = rng.integers(n)
-        out[i] *= 1.0 + step * rng.uniform(-1.0, 1.0)
-    elif kind < 0.9:
-        i = rng.integers(n)
-        out[i] = 0.0
+        size = np.bincount(label)
+        # a generator alone in its cluster leaves k - 1 directions when
+        # only k clusters are left, so then only a tied one moves
+        movable = np.flatnonzero(size[label] > 1) if len(size) <= k else np.arange(n)
+        if not len(movable):
+            return out
+        i = rng.choice(movable)
+        j = rng.choice(np.flatnonzero(label != label[i]))
+        out[i] = v[j] if rng.random() < 0.5 else -v[j]
     else:
-        i, j = rng.integers(n), rng.integers(n)
-        out[i] = out[i] + step * (out[j] - out[i])
+        tied = np.flatnonzero(np.bincount(label)[label] > 1)
+        i = rng.choice(tied) if len(tied) else rng.integers(n)
+        out[i] += step * np.sqrt(k / n) * rng.standard_normal(k)
     return out
 
 
 def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
            start: str = "given") -> RestartResult:
-    """Single-restart ascent from a tight frame.
+    """Single-restart first-order ascent from a tight frame.
 
-    Accepted volumes are strictly increasing, iterates stay tight (rank
-    losses and proposals whose section Qhull cannot build are rejected,
-    not raised, and counted), and the run stops when the step schedule is
-    exhausted or the iteration budget runs out (``stop``).  The reported
-    ``final_volume`` is the last accepted :func:`section_volume_fast`
-    value, the same number every acceptance was decided on.
+    At each new frame the generators are grouped into signed clusters
+    (:func:`_clusters`), and every cluster is snapped onto its least member;
+    the snap is kept when the volume falls by no more than ``SNAP_TOL``,
+    relative, and otherwise the frame is taken as untied.  The Euclidean
+    gradient G (:func:`_volume_and_gradient`) is summed over each cluster,
+    with signs, to D, so that a cluster moves as one vector, and the ascent
+    steps along the tangent direction xi = D - V sym(V^T D), retracted by
+    :func:`whiten`: V + (t / |xi|) xi is tried for t = ``step``,
+    ``step`` / 2, ..., ``GRADIENT_TRIES`` lengths at most, and a gain sets
+    ``step`` to ``STEP_GROWTH`` t.  Ties stay exact under the step and the
+    retraction.  When no gradient step gains at a frame, bursts of up to
+    ``FAILS_PER_LEVEL`` tied proposals (:func:`_propose`) run at ``step``
+    until one gains; a burst without a gain multiplies ``step`` by
+    ``STEP_DECAY``.
+
+    Steps and proposals are accepted only when they raise the volume by
+    more than ``VOL_TOL``, relative, so the accepted volumes that ``trace``
+    records are strictly increasing (a snap is not recorded).  Iterates
+    stay tight: rank losses and candidates whose section Qhull cannot build
+    are rejected, not raised, and counted.  Every evaluation after the
+    start's is one iteration, and the run stops when ``step`` falls below
+    ``MIN_STEP`` or the iterations reach ``max_iterations`` (``stop``).
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
+    n, k = s0.vectors.shape
     current = s0
-    vol = section_volume_fast(current.vectors)
+    vol, grad = _volume_and_gradient(current.vectors)
     trace = [(0, vol)]
     step = INITIAL_STEP
-    fails = 0
-    accepted = 0
-    degenerate = 0
-    rank_loss = 0
-    stop = "cap"
+    accepted = degenerate = rank_loss = 0
     it = 0
-    while it < config.max_iterations:
+    cap = config.max_iterations
+
+    def evaluate(vectors, gradient):
+        """(tight, volume, gradient or None) of the whitened ``vectors``,
+        volume -inf when they are rejected."""
+        nonlocal it, degenerate, rank_loss
         it += 1
         # the candidate is a new (n, k) array of this step, so it is
         # wrapped without the copy and checks of Frame()
         candidate = Frame.__new__(Frame)
-        candidate.vectors = _propose(current.vectors, step, rng)
-        candidate.vectors.setflags(write=False)
+        candidate.vectors = vectors
+        vectors.setflags(write=False)
         try:
             _, tight = whiten(candidate)
-            new_vol = section_volume_fast(tight.vectors)
+            if gradient:
+                return (tight, *_volume_and_gradient(tight.vectors))
+            return tight, section_volume_fast(tight.vectors), None
         except FrameError:
-            new_vol = -np.inf
             rank_loss += 1
         except DegeneratePolytopeError:
-            new_vol = -np.inf
             degenerate += 1
-        if new_vol > vol * (1.0 + VOL_TOL):
-            current, vol = tight, new_vol
-            trace.append((it, vol))
-            accepted += 1
-            fails = 0
+        return None, -np.inf, None
+
+    stepped = False  # whether the gradient step was tried at this frame
+    stop = "cap"
+    while it < cap:
+        if not stepped:
+            stepped = True
+            V = current.vectors
+            label, sign, first = _clusters(V)
+            snap = sign[:, None] * (sign[:, None] * V)[first][label]
+            if not np.array_equal(snap, V):
+                tight, new_vol, new_grad = evaluate(snap, True)
+                if new_vol >= vol * (1.0 - SNAP_TOL):
+                    current, vol, grad = tight, new_vol, new_grad
+                    V = current.vectors
+                else:  # the snap is refused: no ties at this frame
+                    label, sign, first = np.arange(n), np.ones(n), np.arange(n)
+            if grad is None and it < cap:
+                it += 1
+                grad = _volume_and_gradient(V)[1]
+            if grad is not None:
+                D = _sums_by(label, sign[:, None] * grad, len(first))[label] * sign[:, None]
+                xi = D - V @ symmetrize(V.T @ D)
+                norm = float(np.linalg.norm(xi))
+                trial = step
+                for _ in range(GRADIENT_TRIES if norm > 0 else 0):
+                    if it >= cap:
+                        break
+                    tight, new_vol, new_grad = evaluate(V + (trial / norm) * xi, True)
+                    if new_vol > vol * (1.0 + VOL_TOL):
+                        current, vol, grad = tight, new_vol, new_grad
+                        trace.append((it, vol))
+                        accepted += 1
+                        stepped = False
+                        step = trial * STEP_GROWTH
+                        break
+                    trial /= 2
+            continue
+        for _ in range(FAILS_PER_LEVEL):
+            if it >= cap:
+                break
+            tight, new_vol, _ = evaluate(_propose(V, label, sign, step, rng), False)
+            if new_vol > vol * (1.0 + VOL_TOL):
+                current, vol, grad = tight, new_vol, None
+                trace.append((it, vol))
+                accepted += 1
+                stepped = False
+                break
         else:
-            fails += 1
-            if fails >= FAILS_PER_LEVEL:
-                step *= STEP_DECAY
-                fails = 0
-                if step < MIN_STEP:
-                    stop = "schedule"
-                    break
+            step *= STEP_DECAY
+            if step < MIN_STEP:
+                stop = "schedule"
+                break
+    label = _clusters(current.vectors)[0]
     return RestartResult(
         index=index,
         start=start,
-        final_volume=vol,
+        final_volume=section_volume_fast(current.vectors),
         iterations=it,
         accepted=accepted,
         frame=current,
@@ -222,6 +343,8 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
         degenerate=degenerate,
         rank_loss=rank_loss,
         stop=stop,
+        evaluations=it + 2,
+        tied=int((np.bincount(label) > 1).sum()),
     )
 
 

@@ -906,6 +906,43 @@ def section_volume_fast(vectors: np.ndarray) -> float:
     return _halfspace_volume(np.concatenate((vectors, -vectors)))
 
 
+def _volume_and_gradient(V: np.ndarray):
+    """Section volume of the frame vectors V, k >= 2, and its Euclidean
+    gradient with respect to V, from one hull of +-V.
+
+    The gradient of v_i is -2 mu_i c_i / |v_i|, with mu_i the content and
+    c_i the centroid of the facet on <x, v_i> = 1 (the facet on
+    <x, -v_i> = 1 is its negation); a generator that supports no facet gets
+    0.  The first moment of the cone from the origin over the facet of a
+    point p, times k + 1, is mu_p c_p / |p|.  For k >= 3 those are
+    :func:`_flag_cones` on the hull of :func:`section_volume_fast`, whose
+    cones sum to the volume.  In the plane one scan once round the origin
+    (:func:`_planar_hull`) gives each hull vertex q_j its edge from Y[j - 1]
+    to Y[j], of midpoint c_j and length |q_j| t_j / (x_j x_(j+1)) as in
+    :func:`_point_facets`, with no Qhull or ``eigh`` call.  Of coincident
+    points only the one the hull keeps gets the facet.  The volume equals
+    :func:`section_volume_fast` to rounding; raises as it does.
+    """
+    n, k = V.shape
+    if k == 2:
+        P, hull, Y = _planar_hull(np.concatenate((V, -V)))
+        S = [(0.0, 0.0)] * (2 * n)
+        m = len(hull)
+        for j in range(m):
+            (ax, ay), (bx, by), (cx, cy) = P[hull[j - 1]], P[hull[j]], P[hull[j + 1 - m]]
+            ix, iy, ox, oy = bx - ax, by - ay, cx - bx, cy - by
+            w = (ix * oy - iy * ox) / (2 * (ax * iy - ay * ix) * (bx * oy - by * ox))
+            (ux, uy), (vx, vy) = Y[j - 1], Y[j]
+            S[hull[j]] = (w * (ux + vx), w * (uy + vy))
+        S = np.array(S)
+        vol = _shoelace(Y)
+    else:
+        P, hull, Y = _polar_hull(np.concatenate((V, -V)))
+        S = _flag_cones(P, hull.simplices, hull.neighbors, Y)
+        vol = float(S[:, k].sum())
+    return vol, S[n:, :k] - S[:n, :k]
+
+
 def shift_facet_predict(p: SectionPolytope, f: FacetRecord, h: float) -> float:
     """First-order volume change when a facet is shifted outward by ``h``."""
     return float(h * f.measure)

@@ -99,6 +99,13 @@ class BatteryContext:
         return self.winners[(n, k)]
 
 
+def _winner_note(res, target: float) -> str:
+    """The start that won a cell, and how many random restarts reached
+    ``target``: a report, not a gate."""
+    return "winner restart {} ({}), random restarts at target {} of {}".format(
+        res.best_index, res.best_start, *res.random_hits(target))
+
+
 def _grid(ctx: BatteryContext):
     """Dimension pairs 1 <= k < n <= 12, k <= 4, clipped by n-max."""
     for k in range(1, 5):
@@ -200,7 +207,7 @@ def criterion_planar_optimum(ctx: BatteryContext) -> CriterionResult:
         details.append(
             f"n={n}: volume {res.best_volume:.9f} vs {target:.9f} "
             f"(rel {rel:.1e}), rectangle={'yes' if sides_ok else 'NO'}, "
-            f"circumradius bound={'ok' if radius_ok else 'FAIL'}"
+            f"circumradius bound={'ok' if radius_ok else 'FAIL'}, {_winner_note(res, target)}"
         )
         return vol_ok and sides_ok and radius_ok
 
@@ -506,7 +513,7 @@ def criterion_conjecture_evidence(ctx: BatteryContext) -> CriterionResult:
         crit_ok = res.conditions.passed
         details.append(
             f"(n={n}, k={k}): best {res.best_volume:.9f} vs box {floor:.9f}, "
-            f"criticality {'pass' if crit_ok else 'FAIL'}"
+            f"criticality {'pass' if crit_ok else 'FAIL'}, {_winner_note(res, floor)}"
         )
         if res.best_volume > floor + 1e-4:
             loud.append(

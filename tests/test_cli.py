@@ -152,6 +152,9 @@ class TestOptimize:
         best = [line for line in lines if line.startswith("best restart")]
         assert len(best) == 1
         assert best[0].split()[2:] in (["0", "(random)"], ["1", "(warm)"])
+        hits = [line for line in lines if line.startswith("random restarts within 1e-6 of best:")]
+        assert len(hits) == 1
+        assert hits[0].split(": ")[1] in ("0 of 1", "1 of 1")
 
     def test_seeded_reruns_identical(self, tmp_path):
         paths = []

@@ -57,14 +57,6 @@ class TestCentroid:
         s = Frame([[1.0, 0.0], [math.cos(th), math.sin(th)]])
         assert residual(s, "centroid") > 1e-2
 
-    def test_gated_on_correspondence(self):
-        s = Frame([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-        rep = verify_frame(s)
-        assert not rep.checks["facet_correspondence"].passed
-        for name in ("centroid", "facet_balance"):
-            assert not rep.checks[name].passed
-            assert rep.checks[name].residual == math.inf
-
 
 class TestFacetBalance:
     def test_extremal_rectangle(self):
@@ -169,7 +161,9 @@ class TestReport:
         rep = verify_frame(Frame([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]))
         assert not rep.passed
         assert not rep.checks["facet_correspondence"].passed
-        assert math.isinf(rep.checks["centroid"].residual)
+        for name in ("centroid", "facet_balance"):
+            assert not rep.checks[name].passed
+            assert rep.checks[name].residual == math.inf
 
     def test_no_cyclic_check_for_k3(self):
         rep = verify_frame(extremal_frame(5, 3))

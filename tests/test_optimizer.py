@@ -7,10 +7,17 @@ import pytest
 
 from cubesec.frame_core import Frame, TightFrame, frame_operator, random_tight_frame, whiten
 from cubesec import optimizer, polytope
-from cubesec.polytope import DegeneratePolytopeError, build_section, section_volume_fast, volume
+from cubesec.polytope import (
+    DegeneratePolytopeError,
+    _volume_and_gradient,
+    build_section,
+    section_volume_fast,
+    volume,
+)
 from cubesec.bounds import c_cube, extremal_frame
 from cubesec.optimizer import (
     FAILS_PER_LEVEL,
+    GRADIENT_TRIES,
     INITIAL_STEP,
     MIN_STEP,
     STEP_DECAY,
@@ -26,6 +33,14 @@ def small_config(n, k, **kw):
     defaults = dict(restarts=3, seed=11, max_iterations=600)
     defaults.update(kw)
     return OptimizerConfig(n=n, k=k, **defaults)
+
+
+def zero_last(v, label, sign, step, rng):
+    """A proposal that zeroes the last vector, which holds an axis alone in
+    the (3, 2) box frame."""
+    out = v.copy()
+    out[-1] = 0.0
+    return out
 
 
 class TestConfig:
@@ -84,16 +99,16 @@ class TestAscend:
         assert res.final_volume <= 4 * math.sqrt(2)
 
     def test_degenerate_proposal_is_rejected_not_raised(self, monkeypatch):
-        # a Qhull failure on one proposal must not abort the restart
+        # a Qhull failure on one candidate must not abort the restart
         calls = []
 
         def fails_once(vectors):
             calls.append(1)
-            if len(calls) == 2:  # the first proposal; call 1 is the start
+            if len(calls) == 2:  # the first gradient step; call 1 is the start
                 raise DegeneratePolytopeError("degenerate polytope")
-            return section_volume_fast(vectors)
+            return _volume_and_gradient(vectors)
 
-        monkeypatch.setattr(optimizer, "section_volume_fast", fails_once)
+        monkeypatch.setattr(optimizer, "_volume_and_gradient", fails_once)
         rng = np.random.default_rng(5)
         s0 = random_tight_frame(6, 3, rng)
         res = ascend(s0, small_config(6, 3, max_iterations=50), rng)
@@ -101,9 +116,10 @@ class TestAscend:
         assert res.iterations == 50
         assert res.final_volume == section_volume_fast(res.frame.vectors)
 
-    def test_rank_loss_is_counted(self):
+    def test_rank_loss_is_counted(self, monkeypatch):
         # the box frame at (3, 2) has an axis held by one vector; a proposal
         # that zeroes it loses rank and is rejected, the same ones every run
+        monkeypatch.setattr(optimizer, "_propose", zero_last)
         counts = [
             ascend(extremal_frame(3, 2), small_config(3, 2), np.random.default_rng(0)).rank_loss
             for _ in range(2)
@@ -111,9 +127,17 @@ class TestAscend:
         assert counts[0] > 0
         assert counts[0] == counts[1]
 
+    @pytest.mark.parametrize("n, k", [(3, 2), (7, 4)])
+    def test_warm_restart_loses_no_rank(self, n, k):
+        # no move of the ascent drops the one vector that holds an axis
+        res = maximize(OptimizerConfig(n=n, k=k, restarts=0, seed=0))
+        assert [r.start for r in res.restarts] == ["warm"]
+        assert res.restarts[0].rank_loss == 0
+
     def test_stop_reasons(self):
-        # the optimal box accepts nothing, so the step schedule runs out
-        # after 36 levels of FAILS_PER_LEVEL failures, before the cap
+        # the optimal box accepts nothing: its GRADIENT_TRIES gradient steps
+        # fail, then the step schedule runs out after 36 levels of
+        # FAILS_PER_LEVEL failures, before the cap
         step, levels = INITIAL_STEP, 0
         while step >= MIN_STEP:
             step *= STEP_DECAY
@@ -122,7 +146,7 @@ class TestAscend:
         res = ascend(extremal_frame(5, 2), small_config(5, 2, max_iterations=1000),
                      np.random.default_rng(0))
         assert res.stop == "schedule"
-        assert res.iterations == levels * FAILS_PER_LEVEL
+        assert res.iterations == GRADIENT_TRIES + levels * FAILS_PER_LEVEL
         rng = np.random.default_rng(2)
         res = ascend(random_tight_frame(6, 2, rng), small_config(6, 2, max_iterations=40), rng)
         assert res.stop == "cap"
@@ -138,7 +162,8 @@ class TestAscend:
 
 class TestPlanarStepGuard:
     """The k = 2 ascent step makes no LAPACK eigh call and no Qhull call:
-    it whitens in closed form and scans half of the hull of +-V."""
+    it whitens in closed form, scans half of the hull of +-V for a volume
+    and the whole of it for a volume and gradient."""
 
     @pytest.fixture(autouse=True)
     def no_eigh_no_qhull(self, monkeypatch):
@@ -152,6 +177,9 @@ class TestPlanarStepGuard:
         rng = np.random.default_rng(40)
         _, tight = whiten(Frame(rng.standard_normal((6, 2))))
         assert section_volume_fast(tight.vectors) > 4.0
+        vol, grad = _volume_and_gradient(tight.vectors)
+        assert vol == pytest.approx(section_volume_fast(tight.vectors), rel=1e-13)
+        assert grad.shape == (6, 2)
 
     def test_ascend(self):
         rng = np.random.default_rng(41)
@@ -159,9 +187,10 @@ class TestPlanarStepGuard:
         assert res.iterations == 200
         assert res.accepted > 0
 
-    def test_warm_start_with_rank_loss(self):
+    def test_warm_start_with_rank_loss(self, monkeypatch):
         # zeroing the vector that holds an axis of the (3, 2) box frame
         # leaves two parallel vectors, which the closed form rejects
+        monkeypatch.setattr(optimizer, "_propose", zero_last)
         res = ascend(extremal_frame(3, 2), small_config(3, 2), np.random.default_rng(0))
         assert res.rank_loss > 0
 
@@ -208,6 +237,11 @@ class TestMaximize:
         assert [r["rank_loss"] for r in data["restarts"]] == [r.rank_loss for r in res.restarts]
         assert [r["stop"] for r in data["restarts"]] == [r.stop for r in res.restarts]
         assert {r["stop"] for r in data["restarts"]} <= {"schedule", "cap"}
+        # every evaluation the restart made: the start's, one per iteration,
+        # and the final ranking volume
+        assert [r["evaluations"] for r in data["restarts"]] == [
+            r.iterations + 2 for r in res.restarts]
+        assert [r["tied"] for r in data["restarts"]] == [r.tied for r in res.restarts]
         again = json.loads(json.dumps(
             maximize(small_config(4, 2, restarts=1, max_iterations=100)).to_dict()))
         assert again["restarts"] == data["restarts"]
@@ -221,31 +255,42 @@ class TestMaximize:
         np.testing.assert_array_equal(back.vectors, res.best_frame.vectors)
 
 
+class TestHitRate:
+    """Random restarts reach the optimum on their own, with the battery's
+    seed, at a planar and a spatial cell."""
+
+    @pytest.mark.parametrize("n, k", [(6, 2), (7, 3)])
+    def test_half_the_random_restarts_reach_the_optimum(self, n, k):
+        res = maximize(OptimizerConfig(n=n, k=k, restarts=12, seed=0))
+        optimum = 4 * math.sqrt(math.ceil(n / 2) * math.floor(n / 2)) if k == 2 else 2**k * c_cube(n, k)
+        hits, randoms = res.random_hits(optimum)
+        assert randoms == 12
+        assert hits >= 6
+
+
 class TestPinnedRestarts:
     """Whole restarts at (3, 2), (10, 2), (7, 3) and (7, 4) pinned to
     recorded outcomes.
 
-    The k >= 3 values were recorded with the earlier flag sum, which split
-    every ridge term by the first corner of its flags, and the k = 2 values
-    with Qhull's hull of +-v in place of the planar scan and with LAPACK
-    ``eigh`` whitening; they still hold with the closed-form 2 x 2
-    whitening and the half-turn scan.  At (3, 2) the
-    warm start holds two parallel generators, so its points of +-V
-    coincide, and the random restart climbs towards such a frame.  A change
-    to the volume kernel, whitening or the proposals that moves any accept
-    or reject decision changes a count here; a change of rounding alone
-    moves ``final_volume`` by about 1e-16.
+    Recorded with the first-order ascent.  The random restarts reach the
+    optimum within the 400 iterations (the (3, 2) and (7, 4) ones stop on
+    the schedule there), and the warm restarts accept nothing.  At (3, 2)
+    the warm start holds two parallel generators, so its points of +-V
+    coincide, and the random restart climbs to such a frame.  A change to
+    the volume kernel, its gradient, whitening, the ties or the proposals
+    that moves any accept or reject decision changes a count here; a
+    change of rounding alone moves ``final_volume`` by about 1e-16.
     """
 
     PINNED = {
-        (3, 2): [(400, 20, 0, 0, "cap", 5.6533891338658995),
-                 (400, 0, 11, 0, "cap", 5.6568542494923815)],
-        (10, 2): [(400, 41, 0, 0, "cap", 16.932623710973484),
+        (3, 2): [(322, 26, 0, 0, "schedule", 5.656854249492378),
+                 (400, 0, 0, 0, "cap", 5.656854249492381)],
+        (10, 2): [(400, 178, 0, 0, "cap", 20.000000000000004),
                   (400, 0, 0, 0, "cap", 20.000000000000004)],
-        (7, 3): [(400, 39, 0, 0, "cap", 25.15802155862503),
-                 (400, 0, 0, 0, "cap", 27.71281292110204)],
-        (7, 4): [(400, 44, 0, 0, "cap", 39.82257977324494),
-                 (400, 0, 2, 0, "cap", 45.254833995939045)],
+        (7, 3): [(400, 63, 0, 0, "cap", 27.712812921102017),
+                 (400, 0, 0, 0, "cap", 27.712812921102046)],
+        (7, 4): [(384, 47, 0, 0, "schedule", 45.25483399593903),
+                 (400, 0, 0, 0, "cap", 45.254833995939045)],
     }
 
     @pytest.mark.parametrize("n, k", sorted(PINNED))

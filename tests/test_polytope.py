@@ -22,6 +22,7 @@ from cubesec.polytope import (
     _flag_plan,
     _halfspace_volume,
     _polar_hull,
+    _volume_and_gradient,
     build_section,
     convex_volume,
     rotate_facet_predict,
@@ -544,6 +545,71 @@ class TestFacetAssembly:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max())
 
 
+class TestVolumeAndGradient:
+    """The volume and its gradient from one hull: the gradient of v_i is
+    -2 mu_i c_i / |v_i|, from the facet on <x, v_i> = 1."""
+
+    @staticmethod
+    def facet_errors(s, tol):
+        """Largest error, relative to max |G|, of the signed sum of G over
+        the generators of each facet against -2 mu c distance, facets
+        whose normals are within ``tol`` taken together; and max |G| over
+        the generators that hold no facet."""
+        G = _volume_and_gradient(s.vectors)[1]
+        p = build_section(s)
+        label = _coincident_row_groups(np.array([f.normal_vector for f in p.facets]), tol)
+        got = np.zeros((label.max() + 1, s.k))
+        want = np.zeros_like(got)
+        held = set()
+        for f, g in zip(p.facets, label):
+            got[g] += sum(sign * G[i] for i, sign in f.normals)
+            want[g] -= 2 * f.measure * f.distance * f.centroid
+            held.update(i for i, _ in f.normals)
+        free = [i for i in range(s.n) if i not in held]
+        return np.abs(got - want).max() / np.abs(G).max(), np.abs(G[free]).max(initial=0.0)
+
+    def test_central_differences(self):
+        # generic frames, every facet of multiplicity 1; the error of the
+        # central difference at h = 1e-6 is below 1e-9 of max |G|
+        rng = np.random.default_rng(51)
+        h = 1e-6
+        for n, k in ((3, 2), (6, 2), (10, 2), (5, 3), (7, 3), (7, 4), (12, 4), (8, 5)):
+            for _ in range(3):
+                v = random_tight_frame(n, k, rng).vectors
+                G = _volume_and_gradient(v)[1]
+                fd = np.zeros_like(v)
+                for i, j in itertools.product(range(n), range(k)):
+                    e = np.zeros_like(v)
+                    e[i, j] = h
+                    fd[i, j] = (section_volume_fast(v + e) - section_volume_fast(v - e)) / (2 * h)
+                assert np.abs(G - fd).max() <= 1e-9 * np.abs(fd).max()
+
+    def test_facet_formula(self):
+        # per facet on random, box (coincident generators share a facet)
+        # and zero-vector frames; near-parallel frames per group of nearly
+        # coincident facets, between which the hull's section vertices and
+        # build_section's solved ones pass up to 1e-9 of the content
+        rng = np.random.default_rng(52)
+        for k in (2, 3, 4, 5):
+            for n in (k + 1, k + 3, 2 * k + 2):
+                zero = np.vstack([random_tight_frame(n, k, rng).vectors, np.zeros((1, k))])
+                for s, tol in ((random_tight_frame(n, k, rng), 0.0),
+                               (signed_box_frame(n, k, rng), 0.0),
+                               (Frame(zero), 0.0),
+                               (near_parallel_frame(n, k, rng), 1e-6)):
+                    err, free = self.facet_errors(s, tol)
+                    assert err <= 1e-13
+                    assert free == 0.0
+
+    def test_volume_is_the_fast_volume(self):
+        rng = np.random.default_rng(53)
+        for n, k in ((3, 2), (6, 2), (10, 2), (7, 3), (7, 4), (12, 4), (8, 5)):
+            for s in (random_tight_frame(n, k, rng), signed_box_frame(n, k, rng),
+                      near_parallel_frame(n, k, rng)):
+                vol = section_volume_fast(s.vectors)
+                assert _volume_and_gradient(s.vectors)[0] == pytest.approx(vol, rel=1e-13)
+
+
 class TestQhullCalls:
     def test_one_hull_per_section(self, monkeypatch):
         calls = []
@@ -556,7 +622,8 @@ class TestQhullCalls:
         rng = np.random.default_rng(41)
         for n, k in ((3, 2), (10, 2), (7, 3), (7, 4), (12, 4), (8, 5)):
             for s in (random_tight_frame(n, k, rng), signed_box_frame(n, k, rng)):
-                for run in (build_section, lambda s: section_volume_fast(s.vectors)):
+                for run in (build_section, lambda s: section_volume_fast(s.vectors),
+                            lambda s: _volume_and_gradient(s.vectors)):
                     calls.clear()
                     run(s)
                     assert len(calls) == (0 if k == 2 else 1)
