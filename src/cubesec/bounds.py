@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .conditions import check_cyclic
 from .frame_core import TightFrame
 from .polytope import SectionPolytope
 
@@ -99,23 +100,18 @@ def extremal_frame(n: int, k: int, partition=None, signs=None) -> TightFrame:
     return TightFrame(v)
 
 
-def extremal_squared_volume_exact(n: int, k: int, partition=None) -> Fraction:
-    """Exact squared volume of the box section of an axis-block frame.
+def extremal_squared_volume_exact(n: int, k: int) -> Fraction:
+    """Exact squared volume of the box section of the balanced axis-block
+    frame (:func:`extremal_frame` with the default partition).
 
     Rational route: every vector lies on a coordinate axis with rational
     squared length 1/d, so each slab clips the axis at squared half-width
     d; the squared box volume is the product of 4 * (squared half-width).
     """
-    parts = default_partition(n, k) if partition is None else _check_partition(n, k, partition)
-    sq_lengths = {}
-    for axis, part in enumerate(parts):
-        for _ in part:
-            sq = Fraction(1, len(part))
-            sq_lengths.setdefault(axis, []).append(sq)
     total = Fraction(1)
-    for axis in range(k):
-        hw_sq = min(1 / sq for sq in sq_lengths[axis])
-        total *= 4 * hw_sq
+    for part in default_partition(n, k):
+        sq = Fraction(1, len(part))  # squared length of each vector on this axis
+        total *= 4 / sq
     return total
 
 
@@ -150,13 +146,10 @@ def planar_angles(p: SectionPolytope, tol_cyclic: float = 1e-6) -> PlanarAngles:
     angle, so only one representative per pair is returned, in rotational
     order.
     """
-    if p.k != 2:
-        raise ValueError("planar only")
-    verts = np.asarray(p.vertices)
-    radii = np.linalg.norm(verts, axis=1)
-    if (radii.max() - radii.min()) / radii.mean() > tol_cyclic:
+    if check_cyclic(p) > tol_cyclic:  # raises for k != 2
         raise ValueError("section is not cyclic within tolerance")
-    r = float(radii.mean())
+    verts = np.asarray(p.vertices)
+    r = float(np.linalg.norm(verts, axis=1).mean())
     if len(p.facets) % 2 != 0:
         raise ValueError("centrally symmetric polygon needs an even facet count")
     f = len(p.facets) // 2

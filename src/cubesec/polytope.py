@@ -23,13 +23,15 @@ equations are the section's vertices, and the volume is a signed sum over
 the flags of its triangulation, one determinant per ridge
 (:func:`_flag_volume`).  :func:`_flag_cones` splits the same sum by the
 first corner p of each flag: the terms of p are the cone from the origin
-over the facet of p, which gives that facet's content and centroid.  For
-k = 1 the section is an interval in closed form.
+over the facet of p, which gives that facet's content and centroid;
+:func:`_planar_cones` is its twin in the plane, one triangle per section
+edge.  For k = 1 the section is an interval in closed form.
 
-:func:`build_section` takes each row's facet from that one hull, as arrays,
-and assembles the records in one pass: a group label per row (coincident
-rows share a facet), contents and first moments summed by label, and the
-vertex indices of each group from one incidence matrix.
+:func:`build_section` takes each row's cone from that one table, as
+arrays, and assembles the records in one pass: a group label per row
+(coincident rows share a facet), contents and first moments summed by
+label, and the vertex indices of each group from one incidence matrix.
+The section's volume is the sum of the cones.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import atan2, comb, factorial, sqrt
+from math import atan2, comb, factorial
 from typing import NamedTuple
 
 import numpy as np
@@ -71,18 +73,16 @@ class FacetRecord:
     measure: float
     centroid: np.ndarray
     normal_vector: np.ndarray
-    distance: float
     row_ids: tuple = field(default=(), repr=False)
-
-    def __post_init__(self):
-        self.centroid = np.asarray(self.centroid, dtype=float)
-        self.centroid.setflags(write=False)
-        self.normal_vector = np.asarray(self.normal_vector, dtype=float)
-        self.normal_vector.setflags(write=False)
 
     @property
     def multiplicity(self) -> int:
         return len(self.normals)
+
+    @property
+    def distance(self) -> float:
+        """Distance from the origin to the facet's hyperplane <x, normal_vector> = 1."""
+        return float(1 / np.linalg.norm(self.normal_vector))
 
     def to_dict(self) -> dict:
         return {
@@ -95,14 +95,14 @@ class FacetRecord:
 
 @dataclass
 class SectionPolytope:
-    """V-representation plus facet data of a cube section."""
+    """V-representation, facet data and volume of a cube section."""
 
     k: int
     vertices: np.ndarray
     facets: tuple
     generator_facets: dict = field(repr=False)
     _W: np.ndarray = field(repr=False)
-    _volume: float | None = field(default=None, repr=False)
+    _volume: float = field(repr=False)
 
     def facet_of_generator(self, index: int):
         """Facet supported by generator ``index`` (either sign), or None.
@@ -310,6 +310,31 @@ def _shoelace(Y) -> float:
     return area / 2
 
 
+def _planar_cones(P: list, hull: list, Y: list) -> np.ndarray:
+    """The cones from the origin over the edges of the polar body, k = 2,
+    in the layout of :func:`_flag_cones`: row p of the (len(P), 3) result
+    holds 3 times the first moment of the cone over the facet of the point
+    P[p], then its area; a point off the hull has a row of zeros.
+
+    ``P``, ``hull`` and ``Y`` are :func:`_planar_hull`'s.  The facet of the
+    hull vertex q_j = P[hull[j]] runs from Y[j - 1] to Y[j], so its cone is
+    the triangle (0, Y[j - 1], Y[j]), of area t_j / (2 x_j x_(j+1)), t_j
+    the turn (q_j - q_(j-1)) x (q_(j+1) - q_j) and x_j = q_(j-1) x q_j;
+    3 times its first moment is its area times Y[j - 1] + Y[j].  The turn
+    and the crossings are formed from the short differences, so a cone is
+    exact to rounding however short its facet.
+    """
+    S = [(0.0, 0.0, 0.0)] * len(P)
+    m = len(hull)
+    for j in range(m):
+        (ax, ay), (bx, by), (cx, cy) = P[hull[j - 1]], P[hull[j]], P[hull[j + 1 - m]]
+        ix, iy, ox, oy = bx - ax, by - ay, cx - bx, cy - by
+        w = (ix * oy - iy * ox) / (2 * (ax * iy - ay * ix) * (bx * oy - by * ox))
+        (ux, uy), (vx, vy) = Y[j - 1], Y[j]
+        S[hull[j]] = (w * (ux + vx), w * (uy + vy), w)
+    return np.array(S)
+
+
 def _polar_hull(P: np.ndarray):
     """Qhull's hull of the polar points P, k >= 3 (the plane has
     :func:`_planar_hull`), and the vertices of their polar body.
@@ -387,47 +412,39 @@ def _distinct_equations(eq: np.ndarray):
 
 
 def _point_facets(W: np.ndarray):
-    """Vertices of {W x <= 1}, and the facet of every row that has one.
+    """Vertices of {W x <= 1}, and the cone from the origin over the facet
+    of every row that has one, from the hull's cone table
+    (:func:`_planar_cones`, :func:`_flag_cones`).
 
-    Returns (vertices, rows, measure, centroid, point, vid): row rows[i]
-    has a facet of content measure[i] and centroid centroid[i], and
-    (point[j], vid[j]) are its rows and vertices, paired, with repeats.
+    Returns (vertices, rows, cone, centroid, point, vid): the facet of row
+    rows[i] has centroid centroid[i] and content k cone[i] |W[rows[i]]|,
+    and (point[j], vid[j]) are its rows and vertices, paired, with repeats.
+    For k = 1 a facet is the vertex 1 / p, its cone of length 1 / |p|.
     """
     k = W.shape[1]
     if k == 1:
         rows = np.array(_interval(W))
         verts = (1 / W[rows, 0])[:, None]
-        return verts, rows, np.ones(2), verts, rows, np.arange(2)
+        return verts, rows, np.abs(verts[:, 0]), verts, rows, np.arange(2)
     if k == 2:
         P, hull, Y = _planar_hull(W)
-        # the facet of q_j = P[hull[j]] runs from Y[j - 1] to Y[j], of
-        # length |q_j| t_j / (x_j x_(j+1)), t_j the turn (q_j - q_(j-1)) x
-        # (q_(j+1) - q_j) and x_j = q_(j-1) x q_j: from the short
-        # differences, exact to rounding however short the facet
-        q = [P[r] for r in hull]
-        m = len(q)
-        length, middle = [], []
-        for j in range(m):
-            (ax, ay), (bx, by), (cx, cy) = q[j - 1], q[j], q[j + 1 - m]
-            ix, iy, ox, oy = bx - ax, by - ay, cx - bx, cy - by
-            length.append(sqrt(bx * bx + by * by) * (ix * oy - iy * ox)
-                          / ((ax * iy - ay * ix) * (bx * oy - by * ox)))
-            (ux, uy), (vx, vy) = Y[j - 1], Y[j]
-            middle.append(((ux + vx) / 2, (uy + vy) / 2))
-        ends = np.arange(m)
-        return (np.array(Y), np.array(hull), np.array(length), np.array(middle),
-                np.array(hull + hull), np.concatenate(((ends - 1) % m, ends)))
-    P, hull, Y = _polar_hull(W)
-    eq = hull.equations
-    # a simplex of a merged facet shares its equation with a neighbor
-    alone = ~np.all(eq[hull.neighbors] == eq[:, None, :], axis=2).any(axis=1)
-    Y = _solved_vertices(P, hull, Y, alone)
-    first, vid = (np.arange(len(eq)),) * 2 if alone.all() else _distinct_equations(eq)
-    sums = _flag_cones(P, hull.simplices, hull.neighbors, Y)
-    rows = np.flatnonzero(np.bincount(hull.simplices.ravel(), minlength=len(P)))
-    cone = k * sums[rows, k]
-    measure = cone * np.linalg.norm(P[rows], axis=1)
-    return Y[first], rows, measure, sums[rows, :k] / cone[:, None], hull.simplices.ravel(), np.repeat(vid, k)
+        sums = _planar_cones(P, hull, Y)
+        verts, rows = np.array(Y), np.array(hull)
+        ends = np.arange(len(hull))
+        point, vid = np.concatenate((rows, rows)), np.concatenate(((ends - 1) % len(hull), ends))
+    else:
+        P, hull, Y = _polar_hull(W)
+        eq = hull.equations
+        # a simplex of a merged facet shares its equation with a neighbor
+        alone = ~np.all(eq[hull.neighbors] == eq[:, None, :], axis=2).any(axis=1)
+        Y = _solved_vertices(P, hull, Y, alone)
+        first, vid = (np.arange(len(eq)),) * 2 if alone.all() else _distinct_equations(eq)
+        sums = _flag_cones(P, hull.simplices, hull.neighbors, Y)
+        verts = Y[first]
+        rows = np.flatnonzero(np.bincount(hull.simplices.ravel(), minlength=len(P)))
+        point, vid = hull.simplices.ravel(), np.repeat(vid, k)
+    cone = sums[rows, k]
+    return verts, rows, cone, sums[rows, :k] / (k * cone)[:, None], point, vid
 
 
 def build_section(s: Frame) -> SectionPolytope:
@@ -439,6 +456,7 @@ def build_section(s: Frame) -> SectionPolytope:
     and the criticality checks flag it downstream.  Rows within
     ``EPS_GEOM`` of each other share one facet, whose content and first
     moment are summed over the group's hull vertices, in one array pass.
+    The volume is the sum of the rows' cones (:func:`_point_facets`).
     """
     frame_operator(s)  # raises NotAFrameError unless the vectors span R^k
     V = s.vectors
@@ -446,7 +464,8 @@ def build_section(s: Frame) -> SectionPolytope:
     W = np.vstack([V[gens], -V[gens]])
     row_gen = [(i, 1) for i in gens.tolist()] + [(i, -1) for i in gens.tolist()]
 
-    verts, rows, measure, centroid, point, vid = _point_facets(W)
+    verts, rows, cone, centroid, point, vid = _point_facets(W)
+    measure = s.k * cone * np.linalg.norm(W[rows], axis=1)
     label = _coincident_row_groups(W, EPS_GEOM)
     members = [[] for _ in range(int(label.max()) + 1)]
     for r, g in enumerate(label.tolist()):
@@ -459,40 +478,30 @@ def build_section(s: Frame) -> SectionPolytope:
     own = [g for g in range(len(members)) if ends[g] < ends[g + 1]]
     sums = _sums_by(label[rows], np.column_stack((measure, measure[:, None] * centroid)), len(members))[own]
     normal = W[[members[g][0] for g in own]]
-    distance = (1 / np.linalg.norm(normal, axis=1)).tolist()  # <x, p> = 1 is 1 / |p| out
     centroid = sums[:, 1:] / sums[:, :1]
-    for x in (normal, centroid):
+    for x in (verts, normal, centroid):
         x.setflags(write=False)
     measure, ids = sums[:, 0].tolist(), ids.tolist()
     facets, generator_facets = [], {}
     for i, g in enumerate(own):
         normals = tuple([row_gen[r] for r in members[g]])
-        # rows of read-only float arrays need no FacetRecord.__post_init__
-        f = FacetRecord.__new__(FacetRecord)
-        f.__dict__.update(normals=normals, vertex_indices=tuple(ids[ends[g]:ends[g + 1]]),
-                          measure=measure[i], centroid=centroid[i], normal_vector=normal[i],
-                          distance=distance[i], row_ids=tuple(members[g]))
+        f = FacetRecord(normals=normals, vertex_indices=tuple(ids[ends[g]:ends[g + 1]]),
+                        measure=measure[i], centroid=centroid[i], normal_vector=normal[i],
+                        row_ids=tuple(members[g]))
         facets.append(f)
         for gen, sign in normals:
             generator_facets.setdefault(gen, (f, sign))
-
-    verts.setflags(write=False)
     return SectionPolytope(k=s.k, vertices=verts, facets=tuple(facets),
-                           generator_facets=generator_facets, _W=W)
+                           generator_facets=generator_facets, _W=W, _volume=float(cone.sum()))
 
 
 def volume(p: SectionPolytope) -> float:
-    """Volume by the pyramid decomposition over facets.
-
-    Each facet contributes distance-to-origin times its content over k,
-    the cone from the origin over it.  The facets come from the hull that
-    :func:`section_volume_fast` uses (the planar scan's edges, or the
-    cones of :func:`_flag_cones`), so this is that volume up to rounding.
-    Cross-check against :func:`volume_by_triangulation` where
-    independence matters.
+    """Volume of the section: the sum of the cones from the origin over its
+    facets, which :func:`build_section` takes from the hull that
+    :func:`section_volume_fast` uses, so it is that volume up to rounding.
+    Cross-check against :func:`volume_by_triangulation` where independence
+    matters.
     """
-    if p._volume is None:
-        p._volume = float(sum(f.distance * f.measure for f in p.facets) / p.k)
     return p._volume
 
 
@@ -914,27 +923,19 @@ def _volume_and_gradient(V: np.ndarray):
     c_i the centroid of the facet on <x, v_i> = 1 (the facet on
     <x, -v_i> = 1 is its negation); a generator that supports no facet gets
     0.  The first moment of the cone from the origin over the facet of a
-    point p, times k + 1, is mu_p c_p / |p|.  For k >= 3 those are
-    :func:`_flag_cones` on the hull of :func:`section_volume_fast`, whose
-    cones sum to the volume.  In the plane one scan once round the origin
-    (:func:`_planar_hull`) gives each hull vertex q_j its edge from Y[j - 1]
-    to Y[j], of midpoint c_j and length |q_j| t_j / (x_j x_(j+1)) as in
-    :func:`_point_facets`, with no Qhull or ``eigh`` call.  Of coincident
-    points only the one the hull keeps gets the facet.  The volume equals
-    :func:`section_volume_fast` to rounding; raises as it does.
+    point p, times k + 1, is mu_p c_p / |p|: the cone table of the hull,
+    :func:`_flag_cones` on the hull of :func:`section_volume_fast` for
+    k >= 3, whose cones sum to the volume, and :func:`_planar_cones` on one
+    scan once round the origin (:func:`_planar_hull`) in the plane, with no
+    Qhull or ``eigh`` call, the volume being the shoelace area of the
+    scan's section vertices.  Of coincident points only the one the hull
+    keeps gets the facet.  The volume equals :func:`section_volume_fast` to
+    rounding; raises as it does.
     """
     n, k = V.shape
     if k == 2:
         P, hull, Y = _planar_hull(np.concatenate((V, -V)))
-        S = [(0.0, 0.0)] * (2 * n)
-        m = len(hull)
-        for j in range(m):
-            (ax, ay), (bx, by), (cx, cy) = P[hull[j - 1]], P[hull[j]], P[hull[j + 1 - m]]
-            ix, iy, ox, oy = bx - ax, by - ay, cx - bx, cy - by
-            w = (ix * oy - iy * ox) / (2 * (ax * iy - ay * ix) * (bx * oy - by * ox))
-            (ux, uy), (vx, vy) = Y[j - 1], Y[j]
-            S[hull[j]] = (w * (ux + vx), w * (uy + vy))
-        S = np.array(S)
+        S = _planar_cones(P, hull, Y)
         vol = _shoelace(Y)
     else:
         P, hull, Y = _polar_hull(np.concatenate((V, -V)))

@@ -359,7 +359,6 @@ def reference_facets(vectors):
                 measure=float(measures.sum()),
                 centroid=np.average([x for _, x, _ in own], axis=0, weights=measures),
                 normal_vector=w.copy(),
-                distance=float(c[rows[0]] / np.linalg.norm(w)),
                 row_ids=tuple(rows),
             )
         )

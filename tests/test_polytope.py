@@ -16,6 +16,7 @@ from cubesec.frame_core import (
     whiten,
 )
 from cubesec.polytope import (
+    EPS_GEOM,
     _coincident_row_groups,
     _face_holders,
     _flag_cones,
@@ -327,14 +328,23 @@ class TestVolume:
             # zero vectors contribute no constraint
             padded = np.vstack([v[:1], np.zeros((2, k)), v[1:]])
             assert section_volume_fast(padded) == pytest.approx(fast, rel=1e-12)
-        # two points of +-V at relative distance 3e-5, against the
-        # enumeration without slack
-        for seed, n, k, pairs in ((3, 6, 3, 2), (9, 7, 3, 3), (130, 7, 4, 2), (72, 8, 4, 3),
-                                  (169, 9, 4, 4)):
-            v = nearly_paired_frame(n, k, pairs, 3e-5, np.random.default_rng([seed, n, pairs]))
-            assert 2e-5 <= nearest_relative_distance(v) <= 5e-5
+        # pairs of points of +-V at relative distance about ``rel``: at 3e-5
+        # against the enumeration without slack; at 4e-10, inside EPS_GEOM,
+        # build_section takes the rows of a pair, of unequal norm, as one
+        # facet, and both volumes are held to the exact one
+        paired = [(3, 6, 3, 2, 3e-5), (9, 7, 3, 3, 3e-5), (130, 7, 4, 2, 3e-5), (72, 8, 4, 3, 3e-5),
+                  (169, 9, 4, 4, 3e-5)]
+        paired += [(seed, n, k, 2, 4e-10) for n, k in ((6, 2), (7, 3), (7, 4)) for seed in range(10)]
+        for seed, n, k, pairs, rel in paired:
+            v = nearly_paired_frame(n, k, pairs, rel, np.random.default_rng([seed, n, pairs]))
             W = np.vstack([v, -v])
-            exact = convex_volume(halfspace_vertices(W, np.ones(len(W)), 1e-13), k)
+            if rel > EPS_GEOM:
+                assert 2e-5 <= nearest_relative_distance(v) <= 5e-5
+                exact = convex_volume(halfspace_vertices(W, np.ones(len(W)), 1e-13), k)
+            else:
+                assert _coincident_row_groups(W, EPS_GEOM).max() + 1 < len(W)
+                exact = float(exact_volume(W))
+                assert volume(build_section(Frame(v))) == pytest.approx(exact, rel=1e-13)
             assert section_volume_fast(v) == pytest.approx(exact, rel=1e-13)
 
     def test_tiny_vector_changes_nothing(self):
