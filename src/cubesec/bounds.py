@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .conditions import check_cyclic
+from .conditions import _facet_corners, check_cyclic
 from .frame_core import TightFrame
 from .polytope import SectionPolytope
 
@@ -148,24 +148,21 @@ def planar_angles(p: SectionPolytope, tol_cyclic: float = 1e-6) -> PlanarAngles:
     """
     if check_cyclic(p) > tol_cyclic:  # raises for k != 2
         raise ValueError("section is not cyclic within tolerance")
-    verts = np.asarray(p.vertices)
-    r = float(np.linalg.norm(verts, axis=1).mean())
+    corners = _facet_corners(p)
+    norms = np.linalg.norm(p.vertices, axis=1)
+    r = float(norms[corners].mean())
     if len(p.facets) % 2 != 0:
         raise ValueError("centrally symmetric polygon needs an even facet count")
     f = len(p.facets) // 2
 
-    def centroid_angle(facet):
-        return math.atan2(facet.centroid[1], facet.centroid[0])
+    def centroid_angle(pair):
+        return math.atan2(pair[0].centroid[1], pair[0].centroid[0])
 
-    ordered = sorted(p.facets, key=centroid_angle)
-    half_turn = ordered[:f]
+    half_turn = sorted(zip(p.facets, corners), key=centroid_angle)[:f]
     phi = []
-    for facet in half_turn:
-        a, b = verts[list(facet.vertex_indices)[:2]]
-        ang = math.acos(
-            np.clip(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)), -1, 1)
-        )
-        phi.append(ang / 2)
+    for _, (i, j) in half_turn:
+        cos = np.dot(p.vertices[i], p.vertices[j]) / (norms[i] * norms[j])
+        phi.append(math.acos(np.clip(cos, -1, 1)) / 2)
     return PlanarAngles(f=f, phi=np.array(phi), r=r)
 
 

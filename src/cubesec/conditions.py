@@ -93,11 +93,22 @@ def _first_order_residuals(s: Frame, p: SectionPolytope) -> tuple:
     return float(cen), float(bal)
 
 
+def _facet_corners(p: SectionPolytope) -> list:
+    """The vertex indices of each polygon edge's two ends, the vertices two
+    facet records hold; one record alone holds where its grouped rows cross."""
+    held = [0] * len(p.vertices)
+    for f in p.facets:
+        for i in f.vertex_indices:
+            held[i] += 1
+    return [[i for i in f.vertex_indices if held[i] > 1] for f in p.facets]
+
+
 def check_cyclic(p: SectionPolytope) -> float:
-    """Vertex-norm spread relative to the mean radius (planar only)."""
+    """Corner-norm spread relative to the mean radius (planar only)."""
     if p.k != 2:
         raise ValueError("planar only")
-    r = np.linalg.norm(np.asarray(p.vertices), axis=1)
+    # every corner ends two edges, so each is counted twice: the mean holds
+    r = np.linalg.norm(p.vertices, axis=1)[_facet_corners(p)]
     return float((r.max() - r.min()) / r.mean())
 
 

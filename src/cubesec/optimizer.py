@@ -8,7 +8,9 @@ Mahony & Sepulchre, 2008).  The volume has a kink wherever two generators
 coincide up to sign, and the maximizers known lie on such ties (the box
 frames), so generators that nearly coincide are tied into clusters that
 move as one vector, and where no gradient step gains, tied random
-proposals, among them moves that create or break a tie, take over.
+proposals, among them moves that create or break a tie, take over.  The
+gradient gives only a direction: every candidate is compared by the volume
+restarts are ranked by, :func:`section_volume_fast`.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .frame_core import (
 from .polytope import (  # noqa: F401
     DegeneratePolytopeError,
     _coincident_row_groups,
+    _gradient,
     _sums_by,
-    _volume_and_gradient,
     build_section,
     section_volume_fast,
     volume,
@@ -87,18 +89,16 @@ class OptimizerConfig:
 class RestartResult:
     """One restart's outcome.
 
-    ``final_volume`` is :func:`section_volume_fast` of ``frame``, the one
-    restarts are ranked by; the ascent climbed on the same volume, or on
-    :func:`_volume_and_gradient`'s, equal to rounding.  ``iterations``
-    counts the evaluations charged to ``max_iterations``, and
-    ``evaluations`` every evaluation the restart made: those, the start's
-    and the final ranking volume.  ``stop`` says why the ascent ended:
-    ``"schedule"`` when the step fell below ``MIN_STEP``, ``"cap"`` when
-    ``max_iterations`` ran out.  ``rank_loss`` counts the candidates
-    rejected because whitening found no frame (a :class:`FrameError`), and
-    ``degenerate`` those rejected because Qhull could not build their
-    section.  ``tied`` is the number of clusters of several generators
-    (:func:`_clusters`) in ``frame``.
+    ``final_volume`` is :func:`section_volume_fast` of ``frame``, the volume
+    the ascent climbed on and restarts are ranked by.  ``iterations`` counts
+    the candidates, one :func:`section_volume_fast` call each, charged to
+    ``max_iterations``; ``evaluations`` adds the start's volume.  ``stop``
+    says why the ascent ended: ``"schedule"`` when the step fell below
+    ``MIN_STEP``, ``"cap"`` when ``max_iterations`` ran out.  ``rank_loss``
+    counts the candidates rejected because whitening found no frame (a
+    :class:`FrameError`), and ``degenerate`` those rejected because Qhull
+    could not build their section.  ``tied`` is the number of clusters of
+    several generators (:func:`_clusters`) in ``frame``.
     """
 
     index: int
@@ -111,8 +111,11 @@ class RestartResult:
     degenerate: int = 0
     rank_loss: int = 0
     stop: str = "cap"
-    evaluations: int = 0
     tied: int = 0
+
+    @property
+    def evaluations(self) -> int:
+        return self.iterations + 1
 
 
 @dataclass
@@ -229,10 +232,10 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     (:func:`_clusters`), and every cluster is snapped onto its least member;
     the snap is kept when the volume falls by no more than ``SNAP_TOL``,
     relative, and otherwise the frame is taken as untied.  The Euclidean
-    gradient G (:func:`_volume_and_gradient`) is summed over each cluster,
-    with signs, to D, so that a cluster moves as one vector, and the ascent
-    steps along the tangent direction xi = D - V sym(V^T D), retracted by
-    :func:`whiten`: V + (t / |xi|) xi is tried for t = ``step``,
+    gradient G (:func:`_gradient`), taken once per frame, is summed over each
+    cluster, with signs, to D, so that a cluster moves as one vector, and the
+    ascent steps along the tangent direction xi = D - V sym(V^T D), retracted
+    by :func:`whiten`: V + (t / |xi|) xi is tried for t = ``step``,
     ``step`` / 2, ..., ``GRADIENT_TRIES`` lengths at most, and a gain sets
     ``step`` to ``STEP_GROWTH`` t.  Ties stay exact under the step and the
     retraction.  When no gradient step gains at a frame, bursts of up to
@@ -240,28 +243,30 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     until one gains; a burst without a gain multiplies ``step`` by
     ``STEP_DECAY``.
 
-    Steps and proposals are accepted only when they raise the volume by
-    more than ``VOL_TOL``, relative, so the accepted volumes that ``trace``
-    records are strictly increasing (a snap is not recorded).  Iterates
-    stay tight: rank losses and candidates whose section Qhull cannot build
-    are rejected, not raised, and counted.  Every evaluation after the
-    start's is one iteration, and the run stops when ``step`` falls below
-    ``MIN_STEP`` or the iterations reach ``max_iterations`` (``stop``).
+    Every volume read is :func:`section_volume_fast`, the start's and one
+    per candidate (snap, gradient step or proposal) after :func:`whiten`;
+    each candidate, not the gradient, is one iteration.  Steps and
+    proposals are accepted only when they raise the volume by more than
+    ``VOL_TOL``, relative, so the accepted volumes that ``trace`` records
+    are strictly increasing (a snap is not recorded).  Iterates stay tight:
+    rank losses and candidates whose section Qhull cannot build are
+    rejected, not raised, and counted.  The run stops when ``step`` falls
+    below ``MIN_STEP`` or the iterations reach ``max_iterations`` (``stop``).
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
     n, k = s0.vectors.shape
     current = s0
-    vol, grad = _volume_and_gradient(current.vectors)
+    vol = section_volume_fast(current.vectors)
     trace = [(0, vol)]
     step = INITIAL_STEP
     accepted = degenerate = rank_loss = 0
     it = 0
     cap = config.max_iterations
 
-    def evaluate(vectors, gradient):
-        """(tight, volume, gradient or None) of the whitened ``vectors``,
-        volume -inf when they are rejected."""
+    def evaluate(vectors):
+        """(tight, volume) of the whitened ``vectors``, volume -inf when
+        they are rejected."""
         nonlocal it, degenerate, rank_loss
         it += 1
         # the candidate is a new (n, k) array of this step, so it is
@@ -271,14 +276,12 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
         vectors.setflags(write=False)
         try:
             _, tight = whiten(candidate)
-            if gradient:
-                return (tight, *_volume_and_gradient(tight.vectors))
-            return tight, section_volume_fast(tight.vectors), None
+            return tight, section_volume_fast(tight.vectors)
         except FrameError:
             rank_loss += 1
         except DegeneratePolytopeError:
             degenerate += 1
-        return None, -np.inf, None
+        return None, -np.inf
 
     stepped = False  # whether the gradient step was tried at this frame
     stop = "cap"
@@ -289,39 +292,35 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
             label, sign, first = _clusters(V)
             snap = sign[:, None] * (sign[:, None] * V)[first][label]
             if not np.array_equal(snap, V):
-                tight, new_vol, new_grad = evaluate(snap, True)
+                tight, new_vol = evaluate(snap)
                 if new_vol >= vol * (1.0 - SNAP_TOL):
-                    current, vol, grad = tight, new_vol, new_grad
+                    current, vol = tight, new_vol
                     V = current.vectors
                 else:  # the snap is refused: no ties at this frame
                     label, sign, first = np.arange(n), np.ones(n), np.arange(n)
-            if grad is None and it < cap:
-                it += 1
-                grad = _volume_and_gradient(V)[1]
-            if grad is not None:
-                D = _sums_by(label, sign[:, None] * grad, len(first))[label] * sign[:, None]
-                xi = D - V @ symmetrize(V.T @ D)
-                norm = float(np.linalg.norm(xi))
-                trial = step
-                for _ in range(GRADIENT_TRIES if norm > 0 else 0):
-                    if it >= cap:
-                        break
-                    tight, new_vol, new_grad = evaluate(V + (trial / norm) * xi, True)
-                    if new_vol > vol * (1.0 + VOL_TOL):
-                        current, vol, grad = tight, new_vol, new_grad
-                        trace.append((it, vol))
-                        accepted += 1
-                        stepped = False
-                        step = trial * STEP_GROWTH
-                        break
-                    trial /= 2
+            D = _sums_by(label, sign[:, None] * _gradient(V), len(first))[label] * sign[:, None]
+            xi = D - V @ symmetrize(V.T @ D)
+            norm = float(np.linalg.norm(xi))
+            trial = step
+            for _ in range(GRADIENT_TRIES if norm > 0 else 0):
+                if it >= cap:
+                    break
+                tight, new_vol = evaluate(V + (trial / norm) * xi)
+                if new_vol > vol * (1.0 + VOL_TOL):
+                    current, vol = tight, new_vol
+                    trace.append((it, vol))
+                    accepted += 1
+                    stepped = False
+                    step = trial * STEP_GROWTH
+                    break
+                trial /= 2
             continue
         for _ in range(FAILS_PER_LEVEL):
             if it >= cap:
                 break
-            tight, new_vol, _ = evaluate(_propose(V, label, sign, step, rng), False)
+            tight, new_vol = evaluate(_propose(V, label, sign, step, rng))
             if new_vol > vol * (1.0 + VOL_TOL):
-                current, vol, grad = tight, new_vol, None
+                current, vol = tight, new_vol
                 trace.append((it, vol))
                 accepted += 1
                 stepped = False
@@ -335,7 +334,7 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     return RestartResult(
         index=index,
         start=start,
-        final_volume=section_volume_fast(current.vectors),
+        final_volume=vol,
         iterations=it,
         accepted=accepted,
         frame=current,
@@ -343,7 +342,6 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
         degenerate=degenerate,
         rank_loss=rank_loss,
         stop=stop,
-        evaluations=it + 2,
         tied=int((np.bincount(label) > 1).sum()),
     )
 

@@ -95,7 +95,9 @@ class FacetRecord:
 
 @dataclass
 class SectionPolytope:
-    """V-representation, facet data and volume of a cube section."""
+    """V-representation, facet data and volume of a cube section;
+    ``generator_facets`` maps a generator to (facet, sign) for the first
+    facet whose ``normals`` hold it, and its sign there."""
 
     k: int
     vertices: np.ndarray
@@ -103,12 +105,6 @@ class SectionPolytope:
     generator_facets: dict = field(repr=False)
     _W: np.ndarray = field(repr=False)
     _volume: float = field(repr=False)
-
-    def facet_of_generator(self, index: int):
-        """Facet supported by generator ``index`` (either sign), or None.
-        ``generator_facets`` maps a generator to (facet, sign) for the first
-        facet whose ``normals`` hold it, and its sign there."""
-        return self.generator_facets.get(index, (None, 0))[0]
 
     def to_dict(self) -> dict:
         return {
@@ -915,9 +911,9 @@ def section_volume_fast(vectors: np.ndarray) -> float:
     return _halfspace_volume(np.concatenate((vectors, -vectors)))
 
 
-def _volume_and_gradient(V: np.ndarray):
-    """Section volume of the frame vectors V, k >= 2, and its Euclidean
-    gradient with respect to V, from one hull of +-V.
+def _gradient(V: np.ndarray) -> np.ndarray:
+    """Euclidean gradient of the section volume with respect to the frame
+    vectors V, k >= 2, from one hull of +-V.
 
     The gradient of v_i is -2 mu_i c_i / |v_i|, with mu_i the content and
     c_i the centroid of the facet on <x, v_i> = 1 (the facet on
@@ -925,23 +921,19 @@ def _volume_and_gradient(V: np.ndarray):
     0.  The first moment of the cone from the origin over the facet of a
     point p, times k + 1, is mu_p c_p / |p|: the cone table of the hull,
     :func:`_flag_cones` on the hull of :func:`section_volume_fast` for
-    k >= 3, whose cones sum to the volume, and :func:`_planar_cones` on one
-    scan once round the origin (:func:`_planar_hull`) in the plane, with no
-    Qhull or ``eigh`` call, the volume being the shoelace area of the
-    scan's section vertices.  Of coincident points only the one the hull
-    keeps gets the facet.  The volume equals :func:`section_volume_fast` to
-    rounding; raises as it does.
+    k >= 3, and :func:`_planar_cones` on one scan once round the origin
+    (:func:`_planar_hull`) in the plane, with no Qhull or ``eigh`` call.
+    Of coincident points only the one the hull keeps gets the facet.
+    Raises as :func:`section_volume_fast` does.
     """
     n, k = V.shape
     if k == 2:
         P, hull, Y = _planar_hull(np.concatenate((V, -V)))
         S = _planar_cones(P, hull, Y)
-        vol = _shoelace(Y)
     else:
         P, hull, Y = _polar_hull(np.concatenate((V, -V)))
         S = _flag_cones(P, hull.simplices, hull.neighbors, Y)
-        vol = float(S[:, k].sum())
-    return vol, S[n:, :k] - S[:n, :k]
+    return S[n:, :k] - S[:n, :k]
 
 
 def shift_facet_predict(p: SectionPolytope, f: FacetRecord, h: float) -> float:

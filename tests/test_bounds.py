@@ -26,6 +26,7 @@ from cubesec.bounds import (
     q,
     vaaler_lower,
 )
+from test_conditions import turned_box_frame
 
 
 def cyclic_polygon_frame(rng, f=None):
@@ -172,6 +173,13 @@ class TestPlanarAngles:
         assert a.f == 2
         np.testing.assert_allclose(a.phi, math.pi / 4, rtol=1e-12)
         assert planar_area(a) == pytest.approx(2 * a.r**2, rel=1e-12)
+        # a square one of whose facets holds a crossing point of its two rows
+        p = build_section(turned_box_frame(4, 1e-11))
+        assert len(p.vertices) > len(p.facets)
+        a = planar_angles(p)
+        assert a.f == 2
+        np.testing.assert_allclose(a.phi, math.pi / 4, rtol=1e-9)
+        assert planar_area(a) == pytest.approx(volume(p), rel=1e-9)
 
     def test_non_cyclic_rejected(self):
         th = math.pi / 3

@@ -25,6 +25,19 @@ def hexagonal_frame():
     )
 
 
+def turned_box_frame(n, turn):
+    """The (n, 2) box frame turned by 0.3 rad, with its first vector turned
+    on by ``turn``, whitened.  The rows of the first vector's part are
+    within ``EPS_GEOM`` of each other, so they share a facet, but they are
+    not equal, so their lines cross at a vertex inside that facet's edge."""
+    def rotation(t):
+        return np.array([[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]])
+
+    v = extremal_frame(n, 2).vectors @ rotation(0.3)
+    v[0] = v[0] @ rotation(turn)
+    return whiten(Frame(v))[1]
+
+
 class TestFacetCorrespondence:
     def test_square_passes(self):
         s = Frame(np.eye(2))
@@ -64,7 +77,7 @@ class TestFacetBalance:
         p = build_section(s)
         assert residual(s, "facet_balance", p) == pytest.approx(0.0, abs=1e-12)
         # pyramid share of the triple-multiplicity facet is (1/2)(3 * 1/3)/2
-        f = p.facet_of_generator(0)
+        f = p.generator_facets[0][0]
         assert f.multiplicity == 3
         cones, _ = exact_cone_volumes(section_rows(s.vectors))
         assert cones[frozenset(f.row_ids)] / sum(cones.values()) == Fraction(1, 4)
@@ -96,6 +109,11 @@ class TestCyclic:
         assert check_cyclic(build_section(extremal_frame(7, 2))) == pytest.approx(
             0.0, abs=1e-12
         )
+        # the crossing point inside a shared facet is no corner
+        for n, turn in ((4, 1e-11), (5, 1e-11), (6, 4e-10)):
+            p = build_section(turned_box_frame(n, turn))
+            assert len(p.vertices) > len(p.facets)
+            assert check_cyclic(p) <= 1e-9
 
     def test_regular_hexagon(self):
         assert check_cyclic(build_section(hexagonal_frame())) == pytest.approx(

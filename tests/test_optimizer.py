@@ -9,7 +9,7 @@ from cubesec.frame_core import Frame, TightFrame, frame_operator, random_tight_f
 from cubesec import optimizer, polytope
 from cubesec.polytope import (
     DegeneratePolytopeError,
-    _volume_and_gradient,
+    _gradient,
     build_section,
     section_volume_fast,
     volume,
@@ -20,6 +20,7 @@ from cubesec.optimizer import (
     GRADIENT_TRIES,
     INITIAL_STEP,
     MIN_STEP,
+    SNAP_TOL,
     STEP_DECAY,
     OptimizerConfig,
     ascend,
@@ -106,9 +107,9 @@ class TestAscend:
             calls.append(1)
             if len(calls) == 2:  # the first gradient step; call 1 is the start
                 raise DegeneratePolytopeError("degenerate polytope")
-            return _volume_and_gradient(vectors)
+            return section_volume_fast(vectors)
 
-        monkeypatch.setattr(optimizer, "_volume_and_gradient", fails_once)
+        monkeypatch.setattr(optimizer, "section_volume_fast", fails_once)
         rng = np.random.default_rng(5)
         s0 = random_tight_frame(6, 3, rng)
         res = ascend(s0, small_config(6, 3, max_iterations=50), rng)
@@ -126,6 +127,29 @@ class TestAscend:
         ]
         assert counts[0] > 0
         assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("n, k", [(6, 2), (7, 3)])
+    def test_one_evaluation_per_candidate(self, n, k, monkeypatch):
+        # every volume the ascent reads is one section_volume_fast call: the
+        # start's and one per candidate.  The reported volume is the one read
+        # for the final frame, with no further call to rank it; it is the
+        # last volume in the trace unless a snap, which the trace does not
+        # record, was kept after the last gain
+        read = []
+
+        def counted(vectors):
+            read.append((vectors.tobytes(), section_volume_fast(vectors)))
+            return read[-1][1]
+
+        monkeypatch.setattr(optimizer, "section_volume_fast", counted)
+        for seed in range(3):
+            rng = np.random.default_rng([seed, n, k])
+            read.clear()
+            r = ascend(random_tight_frame(n, k, rng), OptimizerConfig(n=n, k=k, seed=seed), rng)
+            assert r.rank_loss == 0
+            assert len(read) == r.evaluations == r.iterations + 1
+            assert (r.frame.vectors.tobytes(), r.final_volume) in read
+            assert r.final_volume >= r.trace[-1][1] * (1 - SNAP_TOL)
 
     @pytest.mark.parametrize("n, k", [(3, 2), (7, 4)])
     def test_warm_restart_loses_no_rank(self, n, k):
@@ -162,8 +186,8 @@ class TestAscend:
 
 class TestPlanarStepGuard:
     """The k = 2 ascent step makes no LAPACK eigh call and no Qhull call:
-    it whitens in closed form, scans half of the hull of +-V for a volume
-    and the whole of it for a volume and gradient."""
+    it whitens in closed form, scans half of the hull of +-V for each
+    candidate's volume and the whole of it for the gradient at each frame."""
 
     @pytest.fixture(autouse=True)
     def no_eigh_no_qhull(self, monkeypatch):
@@ -177,9 +201,7 @@ class TestPlanarStepGuard:
         rng = np.random.default_rng(40)
         _, tight = whiten(Frame(rng.standard_normal((6, 2))))
         assert section_volume_fast(tight.vectors) > 4.0
-        vol, grad = _volume_and_gradient(tight.vectors)
-        assert vol == pytest.approx(section_volume_fast(tight.vectors), rel=1e-13)
-        assert grad.shape == (6, 2)
+        assert _gradient(tight.vectors).shape == (6, 2)
 
     def test_ascend(self):
         rng = np.random.default_rng(41)
@@ -237,10 +259,9 @@ class TestMaximize:
         assert [r["rank_loss"] for r in data["restarts"]] == [r.rank_loss for r in res.restarts]
         assert [r["stop"] for r in data["restarts"]] == [r.stop for r in res.restarts]
         assert {r["stop"] for r in data["restarts"]} <= {"schedule", "cap"}
-        # every evaluation the restart made: the start's, one per iteration,
-        # and the final ranking volume
+        # every evaluation the restart made: the start's and one per iteration
         assert [r["evaluations"] for r in data["restarts"]] == [
-            r.iterations + 2 for r in res.restarts]
+            r.iterations + 1 for r in res.restarts]
         assert [r["tied"] for r in data["restarts"]] == [r.tied for r in res.restarts]
         again = json.loads(json.dumps(
             maximize(small_config(4, 2, restarts=1, max_iterations=100)).to_dict()))
@@ -289,7 +310,7 @@ class TestPinnedRestarts:
                   (400, 0, 0, 0, "cap", 20.000000000000004)],
         (7, 3): [(400, 63, 0, 0, "cap", 27.712812921102017),
                  (400, 0, 0, 0, "cap", 27.712812921102046)],
-        (7, 4): [(384, 47, 0, 0, "schedule", 45.25483399593903),
+        (7, 4): [(383, 47, 0, 0, "schedule", 45.25483399593903),
                  (400, 0, 0, 0, "cap", 45.254833995939045)],
     }
 

@@ -21,9 +21,9 @@ from cubesec.polytope import (
     _face_holders,
     _flag_cones,
     _flag_plan,
+    _gradient,
     _halfspace_volume,
     _polar_hull,
-    _volume_and_gradient,
     build_section,
     convex_volume,
     rotate_facet_predict,
@@ -205,8 +205,8 @@ class TestBuildSection:
         s = Frame([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
         p = build_section(s)
         assert len(p.facets) == 4
-        assert p.facet_of_generator(2) is None
-        assert p.facet_of_generator(0) is not None
+        assert 2 not in p.generator_facets
+        assert 0 in p.generator_facets
 
     def test_zero_vector_contributes_nothing(self):
         p_with = build_section(Frame([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
@@ -218,7 +218,7 @@ class TestBuildSection:
     def test_parallel_generators_share_facet(self):
         s = Frame([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
         p = build_section(s)
-        f = p.facet_of_generator(0)
+        f = p.generator_facets[0][0]
         assert f.multiplicity == 2
         assert {i for i, _ in f.normals} == {0, 2}
 
@@ -536,7 +536,6 @@ class TestFacetAssembly:
             for i in range(len(v)):
                 first = next(((f, s) for f in p.facets for j, s in f.normals if j == i), None)
                 assert p.generator_facets.get(i) == first
-                assert p.facet_of_generator(i) is (first and first[0])
 
 
     def test_cones_do_not_depend_on_corner_order(self):
@@ -556,7 +555,7 @@ class TestFacetAssembly:
 
 
 class TestVolumeAndGradient:
-    """The volume and its gradient from one hull: the gradient of v_i is
+    """The gradient of the volume from one hull: the gradient of v_i is
     -2 mu_i c_i / |v_i|, from the facet on <x, v_i> = 1."""
 
     @staticmethod
@@ -565,7 +564,7 @@ class TestVolumeAndGradient:
         the generators of each facet against -2 mu c distance, facets
         whose normals are within ``tol`` taken together; and max |G| over
         the generators that hold no facet."""
-        G = _volume_and_gradient(s.vectors)[1]
+        G = _gradient(s.vectors)
         p = build_section(s)
         label = _coincident_row_groups(np.array([f.normal_vector for f in p.facets]), tol)
         got = np.zeros((label.max() + 1, s.k))
@@ -586,7 +585,7 @@ class TestVolumeAndGradient:
         for n, k in ((3, 2), (6, 2), (10, 2), (5, 3), (7, 3), (7, 4), (12, 4), (8, 5)):
             for _ in range(3):
                 v = random_tight_frame(n, k, rng).vectors
-                G = _volume_and_gradient(v)[1]
+                G = _gradient(v)
                 fd = np.zeros_like(v)
                 for i, j in itertools.product(range(n), range(k)):
                     e = np.zeros_like(v)
@@ -611,14 +610,6 @@ class TestVolumeAndGradient:
                     assert err <= 1e-13
                     assert free == 0.0
 
-    def test_volume_is_the_fast_volume(self):
-        rng = np.random.default_rng(53)
-        for n, k in ((3, 2), (6, 2), (10, 2), (7, 3), (7, 4), (12, 4), (8, 5)):
-            for s in (random_tight_frame(n, k, rng), signed_box_frame(n, k, rng),
-                      near_parallel_frame(n, k, rng)):
-                vol = section_volume_fast(s.vectors)
-                assert _volume_and_gradient(s.vectors)[0] == pytest.approx(vol, rel=1e-13)
-
 
 class TestQhullCalls:
     def test_one_hull_per_section(self, monkeypatch):
@@ -633,7 +624,7 @@ class TestQhullCalls:
         for n, k in ((3, 2), (10, 2), (7, 3), (7, 4), (12, 4), (8, 5)):
             for s in (random_tight_frame(n, k, rng), signed_box_frame(n, k, rng)):
                 for run in (build_section, lambda s: section_volume_fast(s.vectors),
-                            lambda s: _volume_and_gradient(s.vectors)):
+                            lambda s: _gradient(s.vectors)):
                     calls.clear()
                     run(s)
                     assert len(calls) == (0 if k == 2 else 1)
@@ -701,14 +692,14 @@ class TestFacetGeometry:
 
     def test_rectangle_centroid_on_axis(self):
         p = build_section(extremal_frame(5, 2))
-        f = p.facet_of_generator(0)  # x-block generator
+        f = p.generator_facets[0][0]  # x-block generator
         np.testing.assert_allclose(np.abs(f.centroid), [math.sqrt(3), 0.0], atol=1e-12)
 
     def test_triangle_facet_barycenter(self):
         # corner of the cube cut by a diagonal slab: triangular facet
         s = Frame([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [0.4, 0.4, 0.4]])
         p = build_section(s)
-        f = p.facet_of_generator(3)
+        f = p.generator_facets[3][0]
         tri = np.asarray(p.vertices)[list(f.vertex_indices)]
         assert len(tri) == 3
         np.testing.assert_allclose(f.centroid, tri.mean(axis=0), atol=1e-12)
@@ -738,14 +729,14 @@ class TestFacetGeometry:
 class TestShiftPredictor:
     def test_square_facet(self):
         p = build_section(square_frame())
-        f = p.facet_of_generator(0)
+        f = p.generator_facets[0][0]
         assert shift_facet_predict(p, f, 0.1) == pytest.approx(0.2)
         # exact rebuild: moving one side of the square is exactly linear
         assert shifted_section_volume(p, f, 0.1) - volume(p) == pytest.approx(0.2)
 
     def test_rectangle_facet(self):
         p = build_section(extremal_frame(5, 2))
-        f = p.facet_of_generator(0)
+        f = p.generator_facets[0][0]
         h = 0.05
         assert shift_facet_predict(p, f, h) == pytest.approx(h * 2 * math.sqrt(2))
 
@@ -799,7 +790,7 @@ class TestShiftPredictor:
 class TestRotatePredictor:
     def test_centered_facet_has_zero_slope(self):
         p = build_section(square_frame())
-        f = p.facet_of_generator(0)
+        f = p.generator_facets[0][0]
         w = f.normal_vector
         u = np.array([0.0, 1.0])
         assert rotate_facet_predict(p, f, w, u, 0.3) == pytest.approx(0.0, abs=1e-14)
@@ -813,7 +804,7 @@ class TestRotatePredictor:
 
     def test_orthogonality_enforced(self):
         p = build_section(square_frame())
-        f = p.facet_of_generator(0)
+        f = p.generator_facets[0][0]
         with pytest.raises(ValueError, match="orthogonal"):
             rotate_facet_predict(p, f, f.normal_vector, np.array([1.0, 0.0]), 0.1)
         with pytest.raises(ValueError, match="unit"):
@@ -824,7 +815,7 @@ class TestRotatePredictor:
         # does not lie on the axis of its normal
         s = Frame([[1.0, 0.0], [0.0, 1.0], [0.7, 0.4]])
         p = build_section(s)
-        f = p.facet_of_generator(2)
+        f = p.generator_facets[2][0]
         w = f.normal_vector
         u = np.array([-w[1], w[0]]) / np.linalg.norm(w)
         pred = rotate_facet_predict(p, f, w, u, 1.0)
