@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
@@ -215,11 +216,13 @@ def cmd_optimize(args, manifest: RunManifest) -> int:
         write_trace_csv(result, args.trace)
         manifest.write_sidecar(args.trace)
     payload["manifest"] = manifest.finish().to_dict()
+    stops = Counter(r.stop for r in result.restarts)
     lines = [
         f"best volume      {result.best_volume:.12g}",
         f"best restart     {result.best_index} ({result.best_start})",
         f"conditions       {'pass' if result.conditions.passed else 'FAIL'}",
         f"restarts         {len(result.restarts)}",
+        "stops            " + ", ".join(f"{stop} {count}" for stop, count in sorted(stops.items())),
         "random restarts within 1e-6 of best: {} of {}".format(
             *result.random_hits(result.best_volume)),
     ]

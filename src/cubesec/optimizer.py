@@ -7,10 +7,15 @@ climbs along xi, retracting by whitening (the polar retraction; Absil,
 Mahony & Sepulchre, 2008).  The volume has a kink wherever two generators
 coincide up to sign, and the maximizers known lie on such ties (the box
 frames), so generators that nearly coincide are tied into clusters that
-move as one vector, and where no gradient step gains, tied random
-proposals, among them moves that create or break a tie, take over.  The
-gradient gives only a direction: every candidate is compared by the volume
-restarts are ranked by, :func:`section_volume_fast`.
+move as one vector.  On the stratum of those ties the volume is smooth
+(it is partly smooth; Lewis, 2002), and the ascent steps along its
+gradient there: each cluster's gradient sum divided by the cluster size,
+the gradient in the metric the tied rows induce.  Where no gradient step
+gains, tied random proposals, among them moves that create or break a
+tie, take over.  A restart ends at a frame that is critical on its
+stratum, xi = 0 to rounding, once a few bursts of proposals there have
+failed.  The gradient gives only a direction: every candidate is compared
+by the volume restarts are ranked by, :func:`section_volume_fast`.
 """
 
 from __future__ import annotations
@@ -45,16 +50,21 @@ from .conditions import ConditionsReport, verify_frame
 
 # The step schedule: a restart starts at INITIAL_STEP; a gradient step that
 # gains sets the step to its own length times STEP_GROWTH, and a burst of
-# FAILS_PER_LEVEL rejected proposals multiplies it by STEP_DECAY.  The
-# restart stops once the step falls below MIN_STEP (36 bursts from a fixed
-# point).  A step or proposal is accepted when it raises the volume by more
-# than VOL_TOL, relative.  The gradient step is tried at most GRADIENT_TRIES
-# times per frame, from the step down, halved on each failure.
+# FAILS_PER_LEVEL rejected proposals multiplies it by STEP_DECAY.  A frame
+# is critical when its stratum gradient xi has |xi| <= CRIT_TOL |D|
+# (:func:`_stratum_gradient`), and the restart stops after CRITICAL_BURSTS
+# failed bursts at a critical frame, or else once the step falls below
+# MIN_STEP (36 bursts from a fixed point).  A step or proposal is accepted
+# when it raises the volume by more than VOL_TOL, relative.  The gradient
+# step is tried at most GRADIENT_TRIES times per frame, from the step down,
+# halved on each failure.
 INITIAL_STEP = 0.3
 STEP_DECAY = 0.7
 MIN_STEP = 1e-6
 VOL_TOL = 1e-9
 FAILS_PER_LEVEL = 20
+CRIT_TOL = 1e-12
+CRITICAL_BURSTS = 3
 GRADIENT_TRIES = 8
 STEP_GROWTH = 1.5
 # Generators within TIE_TOL max|v| of each other, up to sign, in every
@@ -93,8 +103,12 @@ class RestartResult:
     the ascent climbed on and restarts are ranked by.  ``iterations`` counts
     the candidates, one :func:`section_volume_fast` call each, charged to
     ``max_iterations``; ``evaluations`` adds the start's volume.  ``stop``
-    says why the ascent ended: ``"schedule"`` when the step fell below
-    ``MIN_STEP``, ``"cap"`` when ``max_iterations`` ran out.  ``rank_loss``
+    says why the ascent ended: ``"critical"`` after ``CRITICAL_BURSTS``
+    failed bursts at a frame critical on its tie stratum, ``"schedule"``
+    when the step fell below ``MIN_STEP``, ``"cap"`` when
+    ``max_iterations`` ran out.  ``residual`` is |xi| / |D| of
+    :func:`_stratum_gradient` at ``frame``, on the ties the ascent held
+    there, the stratum's first-order residual.  ``rank_loss``
     counts the candidates rejected because whitening found no frame (a
     :class:`FrameError`), and ``degenerate`` those rejected because Qhull
     could not build their section.  ``tied`` is the number of clusters of
@@ -112,6 +126,7 @@ class RestartResult:
     rank_loss: int = 0
     stop: str = "cap"
     tied: int = 0
+    residual: float = float("nan")
 
     @property
     def evaluations(self) -> int:
@@ -163,6 +178,7 @@ class OptimizeResult:
                     "stop": r.stop,
                     "evaluations": r.evaluations,
                     "tied": r.tied,
+                    "residual": r.residual,
                 }
                 for r in self.restarts
             ],
@@ -184,6 +200,24 @@ def _clusters(V: np.ndarray):
     sign = np.where(group[:n] == low, 1.0, -1.0)
     first, label = np.unique(low, return_index=True, return_inverse=True)[1:]
     return label, sign, first
+
+
+def _stratum_gradient(V: np.ndarray, label: np.ndarray, sign: np.ndarray):
+    """(xi, |xi| / |D|): the gradient of the volume on the tie stratum of
+    ``label`` and ``sign`` at the tight V, and its residual.
+
+    The Euclidean gradient G (:func:`_gradient`) is summed over each
+    cluster c, with signs, and divided by its size d_c, which is the
+    gradient in the metric sum_c d_c |delta_c|^2 that the tied rows
+    induce; D puts it on every member, with its sign, and xi = D -
+    V sym(V^T D) is its tangent part.  Its slope is its squared norm in
+    that metric, so it is never negative.
+    """
+    size = np.bincount(label)
+    D = (_sums_by(label, sign[:, None] * _gradient(V), len(size)) / size[:, None])[label]
+    D *= sign[:, None]
+    xi = D - V @ symmetrize(V.T @ D)
+    return xi, float(np.linalg.norm(xi) / np.linalg.norm(D))
 
 
 def _propose(v: np.ndarray, label: np.ndarray, sign: np.ndarray, step: float,
@@ -231,16 +265,16 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     At each new frame the generators are grouped into signed clusters
     (:func:`_clusters`), and every cluster is snapped onto its least member;
     the snap is kept when the volume falls by no more than ``SNAP_TOL``,
-    relative, and otherwise the frame is taken as untied.  The Euclidean
-    gradient G (:func:`_gradient`), taken once per frame, is summed over each
-    cluster, with signs, to D, so that a cluster moves as one vector, and the
-    ascent steps along the tangent direction xi = D - V sym(V^T D), retracted
-    by :func:`whiten`: V + (t / |xi|) xi is tried for t = ``step``,
-    ``step`` / 2, ..., ``GRADIENT_TRIES`` lengths at most, and a gain sets
-    ``step`` to ``STEP_GROWTH`` t.  Ties stay exact under the step and the
-    retraction.  When no gradient step gains at a frame, bursts of up to
-    ``FAILS_PER_LEVEL`` tied proposals (:func:`_propose`) run at ``step``
-    until one gains; a burst without a gain multiplies ``step`` by
+    relative, and otherwise the frame is taken as untied.  The ascent steps
+    along the gradient xi on the stratum of those ties
+    (:func:`_stratum_gradient`: each cluster's summed Euclidean gradient,
+    divided by its size, on every member), taken once per frame and
+    retracted by :func:`whiten`: V + (t / |xi|) xi is tried for t =
+    ``step``, ``step`` / 2, ..., ``GRADIENT_TRIES`` lengths at most, and a
+    gain sets ``step`` to ``STEP_GROWTH`` t.  Ties stay exact under the step
+    and the retraction.  When no gradient step gains at a frame, bursts of
+    up to ``FAILS_PER_LEVEL`` tied proposals (:func:`_propose`) run at
+    ``step`` until one gains; a burst without a gain multiplies ``step`` by
     ``STEP_DECAY``.
 
     Every volume read is :func:`section_volume_fast`, the start's and one
@@ -248,10 +282,14 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     each candidate, not the gradient, is one iteration.  Steps and
     proposals are accepted only when they raise the volume by more than
     ``VOL_TOL``, relative, so the accepted volumes that ``trace`` records
-    are strictly increasing (a snap is not recorded).  Iterates stay tight:
-    rank losses and candidates whose section Qhull cannot build are
-    rejected, not raised, and counted.  The run stops when ``step`` falls
-    below ``MIN_STEP`` or the iterations reach ``max_iterations`` (``stop``).
+    are strictly increasing; a kept snap is recorded when it raises the
+    volume, so ``trace`` ends at ``final_volume`` unless the last snap
+    lowered it, by no more than ``SNAP_TOL``.  Iterates stay tight: rank
+    losses and candidates whose section Qhull cannot build are rejected,
+    not raised, and counted.  The run stops (``stop``) after
+    ``CRITICAL_BURSTS`` failed bursts at a frame with |xi| <= ``CRIT_TOL``
+    |D|, critical on its stratum, or else when ``step`` falls below
+    ``MIN_STEP`` or the iterations reach ``max_iterations``.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
@@ -288,18 +326,21 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     while it < cap:
         if not stepped:
             stepped = True
+            bursts = 0  # failed bursts at this frame
             V = current.vectors
             label, sign, first = _clusters(V)
             snap = sign[:, None] * (sign[:, None] * V)[first][label]
             if not np.array_equal(snap, V):
                 tight, new_vol = evaluate(snap)
                 if new_vol >= vol * (1.0 - SNAP_TOL):
+                    if new_vol > vol:
+                        trace.append((it, new_vol))
                     current, vol = tight, new_vol
                     V = current.vectors
                 else:  # the snap is refused: no ties at this frame
-                    label, sign, first = np.arange(n), np.ones(n), np.arange(n)
-            D = _sums_by(label, sign[:, None] * _gradient(V), len(first))[label] * sign[:, None]
-            xi = D - V @ symmetrize(V.T @ D)
+                    label, sign = np.arange(n), np.ones(n)
+            xi, residual = _stratum_gradient(V, label, sign)
+            critical = residual <= CRIT_TOL
             norm = float(np.linalg.norm(xi))
             trial = step
             for _ in range(GRADIENT_TRIES if norm > 0 else 0):
@@ -327,10 +368,16 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
                 break
         else:
             step *= STEP_DECAY
+            bursts += 1
+            if critical and bursts >= CRITICAL_BURSTS:
+                stop = "critical"
+                break
             if step < MIN_STEP:
                 stop = "schedule"
                 break
-    label = _clusters(current.vectors)[0]
+    label, sign, _ = _clusters(current.vectors)
+    if not stepped:  # the cap fell on a new frame, whose gradient is not taken
+        residual = _stratum_gradient(current.vectors, label, sign)[1]
     return RestartResult(
         index=index,
         start=start,
@@ -343,6 +390,7 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
         rank_loss=rank_loss,
         stop=stop,
         tied=int((np.bincount(label) > 1).sum()),
+        residual=residual,
     )
 
 

@@ -155,6 +155,12 @@ class TestOptimize:
         hits = [line for line in lines if line.startswith("random restarts within 1e-6 of best:")]
         assert len(hits) == 1
         assert hits[0].split(": ")[1] in ("0 of 1", "1 of 1")
+        # restarts counted by why they stopped
+        stops = [line for line in lines if line.startswith("stops")]
+        assert len(stops) == 1
+        counts = dict(part.split() for part in stops[0][len("stops"):].split(","))
+        assert set(counts) <= {"critical", "schedule", "cap"}
+        assert sum(map(int, counts.values())) == 2
 
     def test_seeded_reruns_identical(self, tmp_path):
         paths = []

@@ -16,12 +16,13 @@ from cubesec.polytope import (
 )
 from cubesec.bounds import c_cube, extremal_frame
 from cubesec.optimizer import (
+    CRITICAL_BURSTS,
     FAILS_PER_LEVEL,
     GRADIENT_TRIES,
     INITIAL_STEP,
     MIN_STEP,
-    SNAP_TOL,
     STEP_DECAY,
+    VOL_TOL,
     OptimizerConfig,
     ascend,
     maximize,
@@ -132,9 +133,8 @@ class TestAscend:
     def test_one_evaluation_per_candidate(self, n, k, monkeypatch):
         # every volume the ascent reads is one section_volume_fast call: the
         # start's and one per candidate.  The reported volume is the one read
-        # for the final frame, with no further call to rank it; it is the
-        # last volume in the trace unless a snap, which the trace does not
-        # record, was kept after the last gain
+        # for the final frame, with no further call to rank it, and the
+        # trace ends at it: a snap kept after the last gain is recorded
         read = []
 
         def counted(vectors):
@@ -149,7 +149,7 @@ class TestAscend:
             assert r.rank_loss == 0
             assert len(read) == r.evaluations == r.iterations + 1
             assert (r.frame.vectors.tobytes(), r.final_volume) in read
-            assert r.final_volume >= r.trace[-1][1] * (1 - SNAP_TOL)
+            assert r.final_volume == r.trace[-1][1]
 
     @pytest.mark.parametrize("n, k", [(3, 2), (7, 4)])
     def test_warm_restart_loses_no_rank(self, n, k):
@@ -158,23 +158,72 @@ class TestAscend:
         assert [r.start for r in res.restarts] == ["warm"]
         assert res.restarts[0].rank_loss == 0
 
+    @pytest.mark.parametrize("n, k, iterations", [(7, 4, 68), (10, 2, 60)])
+    def test_warm_restart_stops_critical(self, n, k, iterations):
+        # the box frame is critical on its stratum, so the warm restart ends
+        # after CRITICAL_BURSTS failed bursts; at (10, 2) its xi is exactly
+        # zero, so no gradient step is tried
+        res = maximize(OptimizerConfig(n=n, k=k, restarts=0, seed=0))
+        warm = res.restarts[0]
+        assert warm.stop == "critical"
+        assert warm.residual <= optimizer.CRIT_TOL
+        assert warm.iterations == iterations
+        assert warm.evaluations == iterations + 1
+        assert warm.final_volume == pytest.approx(2**k * c_cube(n, k), rel=1e-12)
+
+    @pytest.mark.parametrize("sizes, k", [((4, 3, 2, 1), 2), ((2, 2, 1, 1, 1), 4)],
+                             ids=["10-2", "7-4"])
+    def test_gradient_step_climbs_at_unequal_ties(self, sizes, k, monkeypatch):
+        # at a frame tied exactly into clusters of unequal sizes the snap
+        # changes nothing, so the first candidate whitened is the gradient
+        # step; the volume rises along its direction, to first order
+        seen = []
+
+        def recorded(frame):
+            seen.append(frame.vectors)
+            return whiten(frame)
+
+        monkeypatch.setattr(optimizer, "whiten", recorded)
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            w = random_tight_frame(len(sizes), k, rng).vectors
+            s0 = TightFrame([sign * u / math.sqrt(d) for u, d in zip(w, sizes)
+                             for sign in rng.choice([-1.0, 1.0], d)])
+            seen.clear()
+            ascend(s0, OptimizerConfig(n=sum(sizes), k=k, max_iterations=1), rng)
+            assert len(seen) == 1
+            step = seen[0] - s0.vectors
+            t = 1e-6 / np.linalg.norm(step)
+            vol = section_volume_fast(s0.vectors)
+            moved = whiten(Frame(s0.vectors + t * step))[1]
+            assert section_volume_fast(moved.vectors) > vol * (1 + VOL_TOL)
+
     def test_stop_reasons(self):
         # the optimal box accepts nothing: its GRADIENT_TRIES gradient steps
-        # fail, then the step schedule runs out after 36 levels of
-        # FAILS_PER_LEVEL failures, before the cap
+        # fail, and it is critical, so it stops after CRITICAL_BURSTS bursts
+        # of FAILS_PER_LEVEL failures
+        res = ascend(extremal_frame(5, 2), small_config(5, 2, max_iterations=1000),
+                     np.random.default_rng(0))
+        assert res.stop == "critical"
+        assert res.iterations == GRADIENT_TRIES + CRITICAL_BURSTS * FAILS_PER_LEVEL
+        rng = np.random.default_rng(2)
+        res = ascend(random_tight_frame(6, 2, rng), small_config(6, 2, max_iterations=40), rng)
+        assert res.stop == "cap"
+        assert res.iterations == 40
+
+    def test_schedule_is_the_fallback(self, monkeypatch):
+        # with no frame critical, the box runs the step schedule out: 36
+        # levels of FAILS_PER_LEVEL failures, before the cap
         step, levels = INITIAL_STEP, 0
         while step >= MIN_STEP:
             step *= STEP_DECAY
             levels += 1
         assert levels == 36
+        monkeypatch.setattr(optimizer, "CRIT_TOL", -1.0)
         res = ascend(extremal_frame(5, 2), small_config(5, 2, max_iterations=1000),
                      np.random.default_rng(0))
         assert res.stop == "schedule"
         assert res.iterations == GRADIENT_TRIES + levels * FAILS_PER_LEVEL
-        rng = np.random.default_rng(2)
-        res = ascend(random_tight_frame(6, 2, rng), small_config(6, 2, max_iterations=40), rng)
-        assert res.stop == "cap"
-        assert res.iterations == 40
 
     def test_iterates_stay_tight(self):
         rng = np.random.default_rng(3)
@@ -206,7 +255,7 @@ class TestPlanarStepGuard:
     def test_ascend(self):
         rng = np.random.default_rng(41)
         res = ascend(random_tight_frame(5, 2, rng), small_config(5, 2, max_iterations=200), rng)
-        assert res.iterations == 200
+        assert (res.iterations, res.stop) == (168, "critical")
         assert res.accepted > 0
 
     def test_warm_start_with_rank_loss(self, monkeypatch):
@@ -258,7 +307,8 @@ class TestMaximize:
         assert [r["degenerate"] for r in data["restarts"]] == [0, 0]
         assert [r["rank_loss"] for r in data["restarts"]] == [r.rank_loss for r in res.restarts]
         assert [r["stop"] for r in data["restarts"]] == [r.stop for r in res.restarts]
-        assert {r["stop"] for r in data["restarts"]} <= {"schedule", "cap"}
+        assert {r["stop"] for r in data["restarts"]} <= {"critical", "schedule", "cap"}
+        assert [r["residual"] for r in data["restarts"]] == [r.residual for r in res.restarts]
         # every evaluation the restart made: the start's and one per iteration
         assert [r["evaluations"] for r in data["restarts"]] == [
             r.iterations + 1 for r in res.restarts]
@@ -288,14 +338,21 @@ class TestHitRate:
         assert randoms == 12
         assert hits >= 6
 
+    def test_every_random_restart_reaches_the_optimum_at_unequal_ties(self):
+        # at this seed random restarts end on frames tied into clusters of
+        # unequal sizes; the stratum gradient climbs on from each of them
+        res = maximize(OptimizerConfig(n=10, k=2, restarts=32, seed=1))
+        assert res.random_hits(20.0) == (32, 32)
+
 
 class TestPinnedRestarts:
     """Whole restarts at (3, 2), (10, 2), (7, 3) and (7, 4) pinned to
     recorded outcomes.
 
-    Recorded with the first-order ascent.  The random restarts reach the
-    optimum within the 400 iterations (the (3, 2) and (7, 4) ones stop on
-    the schedule there), and the warm restarts accept nothing.  At (3, 2)
+    Recorded with the stratum-gradient ascent.  The random restarts reach
+    the optimum within the 400 iterations (all but the (10, 2) one stop at
+    a critical frame there), and the warm restarts accept nothing and stop
+    at the critical box frame after CRITICAL_BURSTS bursts.  At (3, 2)
     the warm start holds two parallel generators, so its points of +-V
     coincide, and the random restart climbs to such a frame.  A change to
     the volume kernel, its gradient, whitening, the ties or the proposals
@@ -304,14 +361,14 @@ class TestPinnedRestarts:
     """
 
     PINNED = {
-        (3, 2): [(322, 26, 0, 0, "schedule", 5.656854249492378),
-                 (400, 0, 0, 0, "cap", 5.656854249492381)],
-        (10, 2): [(400, 178, 0, 0, "cap", 20.000000000000004),
-                  (400, 0, 0, 0, "cap", 20.000000000000004)],
-        (7, 3): [(400, 63, 0, 0, "cap", 27.712812921102017),
-                 (400, 0, 0, 0, "cap", 27.712812921102046)],
-        (7, 4): [(383, 47, 0, 0, "schedule", 45.25483399593903),
-                 (400, 0, 0, 0, "cap", 45.254833995939045)],
+        (3, 2): [(122, 26, 0, 0, "critical", 5.656854249492378),
+                 (68, 0, 0, 0, "critical", 5.656854249492381)],
+        (10, 2): [(400, 183, 0, 0, "cap", 20.0),
+                  (60, 0, 0, 0, "critical", 20.000000000000004)],
+        (7, 3): [(225, 89, 0, 0, "critical", 27.71281292110203),
+                 (68, 0, 0, 0, "critical", 27.712812921102046)],
+        (7, 4): [(200, 75, 0, 0, "critical", 45.25483399593901),
+                 (68, 0, 0, 0, "critical", 45.254833995939045)],
     }
 
     @pytest.mark.parametrize("n, k", sorted(PINNED))
