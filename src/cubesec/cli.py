@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .frame_core import Frame, FrameError
-from .polytope import build_section, volume
+from .polytope import build_section, section_volume_fast, volume
 from .conditions import (
     TOL_BALANCE,
     TOL_CENTROID,
@@ -236,17 +236,22 @@ def cmd_report(args, manifest: RunManifest) -> int:
     frame = _load_frame(args.frame, manifest)
     p = build_section(frame)
     rep = verify_frame(frame, p)
-    bounds = BoundsReport.for_dimensions(frame.n, frame.k, achieved_volume=volume(p))
+    vol = volume(p)
+    bounds = BoundsReport.for_dimensions(frame.n, frame.k, achieved_volume=vol)
+    # how far the optimizer's volume route is from the section's, relative
+    route_gap = abs(section_volume_fast(frame.vectors) - vol) / vol
     payload = {
         "polytope": p.to_dict(),
         "conditions": rep.to_dict(),
         "bounds": bounds.to_dict(),
+        "route_gap": route_gap,
     }
     if args.out:
         _write_json(args.out, payload, manifest)
     payload["manifest"] = manifest.finish().to_dict()
     lines = [
-        f"volume     {volume(p):.12g}",
+        f"volume     {vol:.12g}",
+        f"route gap  {route_gap:.3g}",
         f"vertices   {len(p.vertices)}",
         f"facets     {len(p.facets)}",
         f"conditions {'pass' if rep.passed else 'FAIL'}",

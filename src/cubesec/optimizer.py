@@ -10,12 +10,15 @@ frames), so generators that nearly coincide are tied into clusters that
 move as one vector.  On the stratum of those ties the volume is smooth
 (it is partly smooth; Lewis, 2002), and the ascent steps along its
 gradient there: each cluster's gradient sum divided by the cluster size,
-the gradient in the metric the tied rows induce.  Where no gradient step
-gains, tied random proposals, among them moves that create or break a
-tie, take over.  A restart ends at a frame that is critical on its
-stratum, xi = 0 to rounding, once a few bursts of proposals there have
-failed.  The gradient gives only a direction: every candidate is compared
-by the volume restarts are ranked by, :func:`section_volume_fast`.
+the gradient in the metric the tied rows induce.  At a frame critical on
+its stratum the paper's balance identity (a facet of multiplicity d
+balances d |v|^2 vol) leaves no split of a cluster that gains to first
+order, so where no gradient step gains the ascent tries one fixed list of
+non-local moves, the reassigns, each putting a generator onto another
+cluster.  A restart ends where none of them gains either; it draws no
+random number, so it is deterministic given its start.  The gradient
+gives only a direction: every candidate is compared by the volume
+restarts are ranked by, :func:`section_volume_fast`.
 """
 
 from __future__ import annotations
@@ -48,23 +51,13 @@ from .polytope import (  # noqa: F401
 from .bounds import extremal_frame
 from .conditions import ConditionsReport, verify_frame
 
-# The step schedule: a restart starts at INITIAL_STEP; a gradient step that
-# gains sets the step to its own length times STEP_GROWTH, and a burst of
-# FAILS_PER_LEVEL rejected proposals multiplies it by STEP_DECAY.  A frame
-# is critical when its stratum gradient xi has |xi| <= CRIT_TOL |D|
-# (:func:`_stratum_gradient`), and the restart stops after CRITICAL_BURSTS
-# failed bursts at a critical frame, or else once the step falls below
-# MIN_STEP (36 bursts from a fixed point).  A step or proposal is accepted
-# when it raises the volume by more than VOL_TOL, relative.  The gradient
-# step is tried at most GRADIENT_TRIES times per frame, from the step down,
-# halved on each failure.
+# The step: a restart starts at INITIAL_STEP, and a gradient step that
+# gains sets it to its own length times STEP_GROWTH.  The gradient step is
+# tried at most GRADIENT_TRIES times per frame, from the step down, halved
+# on each failure.  A candidate is accepted when it raises the volume by
+# more than VOL_TOL, relative.
 INITIAL_STEP = 0.3
-STEP_DECAY = 0.7
-MIN_STEP = 1e-6
 VOL_TOL = 1e-9
-FAILS_PER_LEVEL = 20
-CRIT_TOL = 1e-12
-CRITICAL_BURSTS = 3
 GRADIENT_TRIES = 8
 STEP_GROWTH = 1.5
 # Generators within TIE_TOL max|v| of each other, up to sign, in every
@@ -103,12 +96,11 @@ class RestartResult:
     the ascent climbed on and restarts are ranked by.  ``iterations`` counts
     the candidates, one :func:`section_volume_fast` call each, charged to
     ``max_iterations``; ``evaluations`` adds the start's volume.  ``stop``
-    says why the ascent ended: ``"critical"`` after ``CRITICAL_BURSTS``
-    failed bursts at a frame critical on its tie stratum, ``"schedule"``
-    when the step fell below ``MIN_STEP``, ``"cap"`` when
-    ``max_iterations`` ran out.  ``residual`` is |xi| / |D| of
-    :func:`_stratum_gradient` at ``frame``, on the ties the ascent held
-    there, the stratum's first-order residual.  ``rank_loss``
+    says why the ascent ended: ``"critical"`` when no gradient trial and
+    no reassign gained at ``frame``, ``"cap"`` when ``max_iterations`` ran
+    out.  ``residual`` is |xi| / |D| of :func:`_stratum_gradient` at
+    ``frame``, on the ties the ascent held there, the stratum's
+    first-order residual.  ``rank_loss``
     counts the candidates rejected because whitening found no frame (a
     :class:`FrameError`), and ``degenerate`` those rejected because Qhull
     could not build their section.  ``tied`` is the number of clusters of
@@ -220,79 +212,77 @@ def _stratum_gradient(V: np.ndarray, label: np.ndarray, sign: np.ndarray):
     return xi, float(np.linalg.norm(xi) / np.linalg.norm(D))
 
 
-def _propose(v: np.ndarray, label: np.ndarray, sign: np.ndarray, step: float,
-             rng) -> np.ndarray:
-    """One perturbed vector tuple with the ties of ``label`` and ``sign``
-    kept or moved on purpose; never mutates the input.
+def _reassigns(V: np.ndarray, label: np.ndarray, first: np.ndarray, k: int):
+    """The reassign moves at the frame V tied by ``label``, generated
+    lazily: for each ordered pair of clusters (c, d), V with the last
+    member of c set to V[first[d]].
 
-    Three moves in five are tied Gaussian moves: every cluster shares one
-    displacement, with its members' signs, projected off the direction
-    that only rescales the frame operator determinant, which whitening
-    undoes to first order anyway.  One in five is a reassign: a generator
-    becomes +-v_j of another cluster.  One in five is a release: a member
-    of a cluster of several (any generator, when there is none) moves
-    alone.
+    The members of a cluster coincide up to sign and +-v is one line, so
+    neither the member moved nor its sign changes the volume: there are at
+    most m (m - 1) moves for m clusters.  A cluster of one generator is not
+    moved when only m <= k clusters are left, since the k - 1 lines left
+    could not span.
     """
-    n, k = v.shape
-    kind = rng.random()
-    out = v.copy()
-    if kind < 0.6:
-        x = rng.standard_normal((int(label.max()) + 1, k))[label] * (sign * np.sqrt(k / n))[:, None]
-        coeff = float(np.einsum("ij,ij->", x, v))
-        x -= (coeff / k) * v
-        out += step * x
-    elif kind < 0.8:
-        size = np.bincount(label)
-        # a generator alone in its cluster leaves k - 1 directions when
-        # only k clusters are left, so then only a tied one moves
-        movable = np.flatnonzero(size[label] > 1) if len(size) <= k else np.arange(n)
-        if not len(movable):
-            return out
-        i = rng.choice(movable)
-        j = rng.choice(np.flatnonzero(label != label[i]))
-        out[i] = v[j] if rng.random() < 0.5 else -v[j]
-    else:
-        tied = np.flatnonzero(np.bincount(label)[label] > 1)
-        i = rng.choice(tied) if len(tied) else rng.integers(n)
-        out[i] += step * np.sqrt(k / n) * rng.standard_normal(k)
-    return out
+    m = len(first)
+    size = np.bincount(label)
+    last = len(label) - 1 - np.unique(label[::-1], return_index=True)[1]
+    for c in range(m):
+        if size[c] == 1 and m <= k:
+            continue
+        for d in range(m):
+            if d != c:
+                out = V.copy()
+                out[last[c]] = V[first[d]]
+                yield out
+
+
+def _moves(V: np.ndarray, xi: np.ndarray, step: float, label: np.ndarray,
+           first: np.ndarray, k: int):
+    """The candidates tried at a frame, in order, each with the step a gain
+    sets: the gradient trials V + (t / |xi|) xi for t = ``step``, ``step`` /
+    2, ..., ``GRADIENT_TRIES`` lengths, which set ``STEP_GROWTH`` t, then
+    the reassigns (:func:`_reassigns`), which keep ``step``."""
+    norm = float(np.linalg.norm(xi))
+    trial = step
+    for _ in range(GRADIENT_TRIES if norm > 0 else 0):
+        yield V + (trial / norm) * xi, trial * STEP_GROWTH
+        trial /= 2
+    for out in _reassigns(V, label, first, k):
+        yield out, step
 
 
 def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
            start: str = "given") -> RestartResult:
-    """Single-restart first-order ascent from a tight frame.
+    """Single-restart first-order ascent from a tight frame; deterministic
+    given ``s0``, so ``rng`` is not used.
 
     At each new frame the generators are grouped into signed clusters
     (:func:`_clusters`), and every cluster is snapped onto its least member;
     the snap is kept when the volume falls by no more than ``SNAP_TOL``,
-    relative, and otherwise the frame is taken as untied.  The ascent steps
-    along the gradient xi on the stratum of those ties
-    (:func:`_stratum_gradient`: each cluster's summed Euclidean gradient,
-    divided by its size, on every member), taken once per frame and
-    retracted by :func:`whiten`: V + (t / |xi|) xi is tried for t =
-    ``step``, ``step`` / 2, ..., ``GRADIENT_TRIES`` lengths at most, and a
-    gain sets ``step`` to ``STEP_GROWTH`` t.  Ties stay exact under the step
-    and the retraction.  When no gradient step gains at a frame, bursts of
-    up to ``FAILS_PER_LEVEL`` tied proposals (:func:`_propose`) run at
-    ``step`` until one gains; a burst without a gain multiplies ``step`` by
-    ``STEP_DECAY``.
+    relative, and otherwise the frame is taken as untied.  The candidates
+    of :func:`_moves` are then tried in order, and the first that raises
+    the volume by more than ``VOL_TOL``, relative, is the next frame.  The
+    first are the gradient trials along xi, the gradient on the stratum of
+    those ties (:func:`_stratum_gradient`: each cluster's summed Euclidean
+    gradient, divided by its size, on every member), taken once per frame
+    and retracted by :func:`whiten`; a gain sets ``step`` to
+    ``STEP_GROWTH`` times its length.  Ties stay exact under the step and
+    the retraction.  Where the stratum is critical no split of a cluster
+    gains to first order, so the only moves left are the reassigns
+    (:func:`_reassigns`), which put a generator onto another cluster.
 
     Every volume read is :func:`section_volume_fast`, the start's and one
-    per candidate (snap, gradient step or proposal) after :func:`whiten`;
-    each candidate, not the gradient, is one iteration.  Steps and
-    proposals are accepted only when they raise the volume by more than
-    ``VOL_TOL``, relative, so the accepted volumes that ``trace`` records
-    are strictly increasing; a kept snap is recorded when it raises the
-    volume, so ``trace`` ends at ``final_volume`` unless the last snap
-    lowered it, by no more than ``SNAP_TOL``.  Iterates stay tight: rank
-    losses and candidates whose section Qhull cannot build are rejected,
-    not raised, and counted.  The run stops (``stop``) after
-    ``CRITICAL_BURSTS`` failed bursts at a frame with |xi| <= ``CRIT_TOL``
-    |D|, critical on its stratum, or else when ``step`` falls below
-    ``MIN_STEP`` or the iterations reach ``max_iterations``.
+    per candidate (snap, gradient trial or reassign) after :func:`whiten`;
+    each candidate, not the gradient, is one iteration.  The accepted
+    volumes that ``trace`` records are strictly increasing; a kept snap is
+    recorded when it raises the volume, so ``trace`` ends at
+    ``final_volume`` unless the last snap lowered it, by no more than
+    ``SNAP_TOL``.  Iterates stay tight: rank losses and candidates whose
+    section Qhull cannot build are rejected, not raised, and counted.  The
+    run stops (``stop``) at a frame where no candidate gains,
+    ``"critical"``, or when the iterations reach ``max_iterations``,
+    ``"cap"``.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     n, k = s0.vectors.shape
     current = s0
     vol = section_volume_fast(current.vectors)
@@ -321,62 +311,37 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
             degenerate += 1
         return None, -np.inf
 
-    stepped = False  # whether the gradient step was tried at this frame
+    residual = None  # the residual at ``current``, None until it is taken
     stop = "cap"
     while it < cap:
-        if not stepped:
-            stepped = True
-            bursts = 0  # failed bursts at this frame
-            V = current.vectors
-            label, sign, first = _clusters(V)
-            snap = sign[:, None] * (sign[:, None] * V)[first][label]
-            if not np.array_equal(snap, V):
-                tight, new_vol = evaluate(snap)
-                if new_vol >= vol * (1.0 - SNAP_TOL):
-                    if new_vol > vol:
-                        trace.append((it, new_vol))
-                    current, vol = tight, new_vol
-                    V = current.vectors
-                else:  # the snap is refused: no ties at this frame
-                    label, sign = np.arange(n), np.ones(n)
-            xi, residual = _stratum_gradient(V, label, sign)
-            critical = residual <= CRIT_TOL
-            norm = float(np.linalg.norm(xi))
-            trial = step
-            for _ in range(GRADIENT_TRIES if norm > 0 else 0):
-                if it >= cap:
-                    break
-                tight, new_vol = evaluate(V + (trial / norm) * xi)
-                if new_vol > vol * (1.0 + VOL_TOL):
-                    current, vol = tight, new_vol
-                    trace.append((it, vol))
-                    accepted += 1
-                    stepped = False
-                    step = trial * STEP_GROWTH
-                    break
-                trial /= 2
-            continue
-        for _ in range(FAILS_PER_LEVEL):
+        V = current.vectors
+        label, sign, first = _clusters(V)
+        snap = sign[:, None] * (sign[:, None] * V)[first][label]
+        if not np.array_equal(snap, V):
+            tight, new_vol = evaluate(snap)
+            if new_vol >= vol * (1.0 - SNAP_TOL):
+                if new_vol > vol:
+                    trace.append((it, new_vol))
+                current, vol = tight, new_vol
+                V = current.vectors
+            else:  # the snap is refused: no ties at this frame
+                label, sign, first = np.arange(n), np.ones(n), np.arange(n)
+        xi, residual = _stratum_gradient(V, label, sign)
+        for vectors, next_step in _moves(V, xi, step, label, first, k):
             if it >= cap:
                 break
-            tight, new_vol = evaluate(_propose(V, label, sign, step, rng))
+            tight, new_vol = evaluate(vectors)
             if new_vol > vol * (1.0 + VOL_TOL):
-                current, vol = tight, new_vol
+                current, vol, step = tight, new_vol, next_step
                 trace.append((it, vol))
                 accepted += 1
-                stepped = False
+                residual = None
                 break
         else:
-            step *= STEP_DECAY
-            bursts += 1
-            if critical and bursts >= CRITICAL_BURSTS:
-                stop = "critical"
-                break
-            if step < MIN_STEP:
-                stop = "schedule"
-                break
+            stop = "critical"
+            break
     label, sign, _ = _clusters(current.vectors)
-    if not stepped:  # the cap fell on a new frame, whose gradient is not taken
+    if residual is None:  # the cap fell on a new frame, whose gradient is not taken
         residual = _stratum_gradient(current.vectors, label, sign)[1]
     return RestartResult(
         index=index,

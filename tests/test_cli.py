@@ -159,7 +159,7 @@ class TestOptimize:
         stops = [line for line in lines if line.startswith("stops")]
         assert len(stops) == 1
         counts = dict(part.split() for part in stops[0][len("stops"):].split(","))
-        assert set(counts) <= {"critical", "schedule", "cap"}
+        assert set(counts) <= {"critical", "cap"}
         assert sum(map(int, counts.values())) == 2
 
     def test_seeded_reruns_identical(self, tmp_path):
@@ -183,9 +183,22 @@ class TestReport:
     def test_combined_report(self, extremal_file, capsys):
         assert main(["report", str(extremal_file), "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert set(data) == {"polytope", "conditions", "bounds", "manifest"}
+        assert set(data) == {"polytope", "conditions", "bounds", "route_gap", "manifest"}
         assert data["conditions"]["passed"] is True
         assert data["polytope"]["volume"] == pytest.approx(4 * math.sqrt(6), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_volume_routes_agree(self, tmp_path, capsys, k):
+        # the optimizer ranks by section_volume_fast and the report states
+        # volume(build_section); the report says how far apart they are
+        path = tmp_path / "frame.json"
+        vectors = np.random.default_rng(k).standard_normal((6, k))
+        path.write_text(json.dumps({"n": 6, "k": k, "vectors": vectors.tolist()}))
+        assert main(["report", str(path), "--format", "json"]) == 0
+        gap = json.loads(capsys.readouterr().out)["route_gap"]
+        assert 0 <= gap <= 1e-12
+        assert main(["report", str(path)]) == 0
+        assert f"route gap  {gap:.3g}" in capsys.readouterr().out.splitlines()
 
 
 @pytest.fixture

@@ -16,12 +16,7 @@ from cubesec.polytope import (
 )
 from cubesec.bounds import c_cube, extremal_frame
 from cubesec.optimizer import (
-    CRITICAL_BURSTS,
-    FAILS_PER_LEVEL,
     GRADIENT_TRIES,
-    INITIAL_STEP,
-    MIN_STEP,
-    STEP_DECAY,
     VOL_TOL,
     OptimizerConfig,
     ascend,
@@ -37,12 +32,12 @@ def small_config(n, k, **kw):
     return OptimizerConfig(n=n, k=k, **defaults)
 
 
-def zero_last(v, label, sign, step, rng):
-    """A proposal that zeroes the last vector, which holds an axis alone in
-    the (3, 2) box frame."""
-    out = v.copy()
+def zero_last(V, label, first, k):
+    """A move list of one candidate that zeroes the last vector, which
+    holds an axis alone in the (3, 2) box frame."""
+    out = V.copy()
     out[-1] = 0.0
-    return out
+    yield out
 
 
 class TestConfig:
@@ -119,9 +114,9 @@ class TestAscend:
         assert res.final_volume == section_volume_fast(res.frame.vectors)
 
     def test_rank_loss_is_counted(self, monkeypatch):
-        # the box frame at (3, 2) has an axis held by one vector; a proposal
+        # the box frame at (3, 2) has an axis held by one vector; a move
         # that zeroes it loses rank and is rejected, the same ones every run
-        monkeypatch.setattr(optimizer, "_propose", zero_last)
+        monkeypatch.setattr(optimizer, "_reassigns", zero_last)
         counts = [
             ascend(extremal_frame(3, 2), small_config(3, 2), np.random.default_rng(0)).rank_loss
             for _ in range(2)
@@ -158,15 +153,16 @@ class TestAscend:
         assert [r.start for r in res.restarts] == ["warm"]
         assert res.restarts[0].rank_loss == 0
 
-    @pytest.mark.parametrize("n, k, iterations", [(7, 4, 68), (10, 2, 60)])
+    @pytest.mark.parametrize("n, k, iterations", [(7, 4, 17), (10, 2, 2)], ids=["7-4", "10-2"])
     def test_warm_restart_stops_critical(self, n, k, iterations):
         # the box frame is critical on its stratum, so the warm restart ends
-        # after CRITICAL_BURSTS failed bursts; at (10, 2) its xi is exactly
-        # zero, so no gradient step is tried
+        # once its gradient trials and reassigns have failed; at (10, 2) its
+        # xi is exactly zero, so no gradient step is tried, and its two
+        # clusters give two reassigns
         res = maximize(OptimizerConfig(n=n, k=k, restarts=0, seed=0))
         warm = res.restarts[0]
         assert warm.stop == "critical"
-        assert warm.residual <= optimizer.CRIT_TOL
+        assert warm.residual <= 1e-12
         assert warm.iterations == iterations
         assert warm.evaluations == iterations + 1
         assert warm.final_volume == pytest.approx(2**k * c_cube(n, k), rel=1e-12)
@@ -200,30 +196,15 @@ class TestAscend:
 
     def test_stop_reasons(self):
         # the optimal box accepts nothing: its GRADIENT_TRIES gradient steps
-        # fail, and it is critical, so it stops after CRITICAL_BURSTS bursts
-        # of FAILS_PER_LEVEL failures
+        # fail, and so do the two reassigns of its two clusters
         res = ascend(extremal_frame(5, 2), small_config(5, 2, max_iterations=1000),
                      np.random.default_rng(0))
         assert res.stop == "critical"
-        assert res.iterations == GRADIENT_TRIES + CRITICAL_BURSTS * FAILS_PER_LEVEL
+        assert res.iterations == GRADIENT_TRIES + 2
         rng = np.random.default_rng(2)
         res = ascend(random_tight_frame(6, 2, rng), small_config(6, 2, max_iterations=40), rng)
         assert res.stop == "cap"
         assert res.iterations == 40
-
-    def test_schedule_is_the_fallback(self, monkeypatch):
-        # with no frame critical, the box runs the step schedule out: 36
-        # levels of FAILS_PER_LEVEL failures, before the cap
-        step, levels = INITIAL_STEP, 0
-        while step >= MIN_STEP:
-            step *= STEP_DECAY
-            levels += 1
-        assert levels == 36
-        monkeypatch.setattr(optimizer, "CRIT_TOL", -1.0)
-        res = ascend(extremal_frame(5, 2), small_config(5, 2, max_iterations=1000),
-                     np.random.default_rng(0))
-        assert res.stop == "schedule"
-        assert res.iterations == GRADIENT_TRIES + levels * FAILS_PER_LEVEL
 
     def test_iterates_stay_tight(self):
         rng = np.random.default_rng(3)
@@ -231,6 +212,67 @@ class TestAscend:
         res = ascend(s0, small_config(5, 3), rng)
         op = frame_operator(res.frame)
         assert np.max(np.abs(op - np.eye(3))) <= 1e-10
+
+
+class TestMoveList:
+    """The moves tried where no gradient step gains: one reassign per
+    ordered pair of clusters, and no random draw."""
+
+    def test_ascent_is_deterministic(self):
+        # the unbalanced (6, 2) box is critical on its stratum but not
+        # optimal; a reassign leaves it, and the generator passed changes
+        # nothing
+        s0 = extremal_frame(6, 2, partition=[[0, 1], [2, 3, 4, 5]])
+        runs = [ascend(s0, OptimizerConfig(n=6, k=2), np.random.default_rng(seed))
+                for seed in (0, 1)]
+        for r in runs:
+            assert r.final_volume == pytest.approx(12.0, rel=1e-12)
+        assert runs[0].iterations == runs[1].iterations
+        assert runs[0].frame.vectors.tobytes() == runs[1].frame.vectors.tobytes()
+
+    def test_box_reassigns(self):
+        # the (7, 4) box has clusters of sizes 2, 2, 2 and 1; with only
+        # m = k = 4 clusters the lone generator stays, so 3 x 3 moves (that
+        # none of them loses rank is test_warm_restart_loses_no_rank[7-4])
+        V = extremal_frame(7, 4).vectors
+        label, _, first = optimizer._clusters(V)
+        assert len(list(optimizer._reassigns(V, label, first, 4))) == 9
+
+    @pytest.mark.parametrize("n, k, partition", [
+        (6, 2, [[0, 1], [2, 3, 4, 5]]), (7, 3, None), (7, 4, None), (10, 2, None)],
+        ids=["6-2-unbalanced", "7-3", "7-4", "10-2"])
+    def test_moving_one_tied_member_loses(self, n, k, partition):
+        """Why no release, a move of one member of a cluster, is in the list.
+
+        Let v be a member of a cluster of d >= 2 at a tight frame, F the
+        facet on <x, v> = 1, of content mu, and move v alone by delta.
+        Whitening multiplies the volume by det(V^T V)^(1/2), which is
+        1 + <v, delta> to first order.  The other members still hold F, so
+        the moved one can only cut it: F and -F lose a slab of thickness
+        max(0, <x, delta>) / |v|, a volume (2 / |v|) int_F max(0, <x, delta>)
+        >= (2 mu / |v|) max(0, <c, delta>), with c the centroid of F.  At a
+        critical frame c = v / |v|^2, and the balance identity 2 mu / |v| =
+        d |v|^2 vol turns the change, relative, into at most <v, delta> -
+        d max(0, <v, delta>): below zero when <v, delta> is not 0, and when
+        it is the cut alone is below zero unless delta = 0.  So every
+        release loses to first order, at a rate bounded away from zero over
+        the directions; a lone generator (d = 1) loses nothing to first
+        order, since its cut is two-sided.
+        """
+        V = extremal_frame(n, k, partition=partition).vectors
+        vol = section_volume_fast(V)
+        label, _, _ = optimizer._clusters(V)
+        tied = np.flatnonzero(np.bincount(label)[label] > 1)
+        assert len(tied)
+        rng = np.random.default_rng(0)
+        for i in tied:
+            for u in rng.standard_normal((200, k)):
+                u /= np.linalg.norm(u)
+                for t in (1e-4, 1e-6):
+                    moved = V.copy()
+                    moved[i] += t * u
+                    tight = whiten(Frame(moved))[1]
+                    assert (section_volume_fast(tight.vectors) / vol - 1) / t <= -0.2
 
 
 class TestPlanarStepGuard:
@@ -255,13 +297,13 @@ class TestPlanarStepGuard:
     def test_ascend(self):
         rng = np.random.default_rng(41)
         res = ascend(random_tight_frame(5, 2, rng), small_config(5, 2, max_iterations=200), rng)
-        assert (res.iterations, res.stop) == (168, "critical")
+        assert (res.iterations, res.stop) == (110, "critical")
         assert res.accepted > 0
 
     def test_warm_start_with_rank_loss(self, monkeypatch):
         # zeroing the vector that holds an axis of the (3, 2) box frame
         # leaves two parallel vectors, which the closed form rejects
-        monkeypatch.setattr(optimizer, "_propose", zero_last)
+        monkeypatch.setattr(optimizer, "_reassigns", zero_last)
         res = ascend(extremal_frame(3, 2), small_config(3, 2), np.random.default_rng(0))
         assert res.rank_loss > 0
 
@@ -307,7 +349,7 @@ class TestMaximize:
         assert [r["degenerate"] for r in data["restarts"]] == [0, 0]
         assert [r["rank_loss"] for r in data["restarts"]] == [r.rank_loss for r in res.restarts]
         assert [r["stop"] for r in data["restarts"]] == [r.stop for r in res.restarts]
-        assert {r["stop"] for r in data["restarts"]} <= {"critical", "schedule", "cap"}
+        assert {r["stop"] for r in data["restarts"]} <= {"critical", "cap"}
         assert [r["residual"] for r in data["restarts"]] == [r.residual for r in res.restarts]
         # every evaluation the restart made: the start's and one per iteration
         assert [r["evaluations"] for r in data["restarts"]] == [
@@ -349,26 +391,27 @@ class TestPinnedRestarts:
     """Whole restarts at (3, 2), (10, 2), (7, 3) and (7, 4) pinned to
     recorded outcomes.
 
-    Recorded with the stratum-gradient ascent.  The random restarts reach
-    the optimum within the 400 iterations (all but the (10, 2) one stop at
-    a critical frame there), and the warm restarts accept nothing and stop
-    at the critical box frame after CRITICAL_BURSTS bursts.  At (3, 2)
-    the warm start holds two parallel generators, so its points of +-V
-    coincide, and the random restart climbs to such a frame.  A change to
-    the volume kernel, its gradient, whitening, the ties or the proposals
-    that moves any accept or reject decision changes a count here; a
-    change of rounding alone moves ``final_volume`` by about 1e-16.
+    Recorded with the deterministic ascent: gradient trials, then
+    reassigns.  The random restarts reach the optimum within the 400
+    iterations and stop at a critical frame there, and the warm restarts
+    accept nothing and stop at the critical box frame once its gradient
+    trials and reassigns have failed.  At (3, 2) the warm start holds two
+    parallel generators, so its points of +-V coincide, and the random
+    restart climbs to such a frame.  A change to the volume kernel, its
+    gradient, whitening, the ties or the move list that moves any accept
+    or reject decision changes a count here; a change of rounding alone
+    moves ``final_volume`` by about 1e-16.
     """
 
     PINNED = {
-        (3, 2): [(122, 26, 0, 0, "critical", 5.656854249492378),
-                 (68, 0, 0, 0, "critical", 5.656854249492381)],
-        (10, 2): [(400, 183, 0, 0, "cap", 20.0),
-                  (60, 0, 0, 0, "critical", 20.000000000000004)],
-        (7, 3): [(225, 89, 0, 0, "critical", 27.71281292110203),
-                 (68, 0, 0, 0, "critical", 27.712812921102046)],
-        (7, 4): [(200, 75, 0, 0, "critical", 45.25483399593901),
-                 (68, 0, 0, 0, "critical", 45.254833995939045)],
+        (3, 2): [(63, 26, 0, 0, "critical", 5.656854249492378),
+                 (9, 0, 0, 0, "critical", 5.656854249492381)],
+        (10, 2): [(328, 183, 0, 0, "critical", 20.000000000000004),
+                  (2, 0, 0, 0, "critical", 20.000000000000004)],
+        (7, 3): [(171, 89, 0, 0, "critical", 27.71281292110203),
+                 (14, 0, 0, 0, "critical", 27.712812921102046)],
+        (7, 4): [(149, 75, 0, 0, "critical", 45.25483399593901),
+                 (17, 0, 0, 0, "critical", 45.254833995939045)],
     }
 
     @pytest.mark.parametrize("n, k", sorted(PINNED))
