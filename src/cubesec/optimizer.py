@@ -18,7 +18,10 @@ non-local moves, the reassigns, each putting a generator onto another
 cluster.  A restart ends where none of them gains either; it draws no
 random number, so it is deterministic given its start.  The gradient
 gives only a direction: every candidate is compared by the volume
-restarts are ranked by, :func:`section_volume_fast`.
+restarts are ranked by, :func:`section_volume_fast`.  Each candidate, and
+the start, is one :func:`_volume_and_gradient` call, which reads that
+volume and G from one cone table, so the gradient at the next frame comes
+with its volume and the ascent builds no other hull.
 """
 
 from __future__ import annotations
@@ -37,13 +40,14 @@ from .frame_core import (
     symmetrize,
     whiten,
 )
-# build_section and volume are unused here but stay bound in this module:
-# perfbench/run.py wraps them at these names to trace the optimize workloads.
+# build_section, section_volume_fast and volume are unused here but stay
+# bound in this module: perfbench/run.py wraps them at these names to trace
+# the optimize workloads.
 from .polytope import (  # noqa: F401
     DegeneratePolytopeError,
     _coincident_row_groups,
-    _gradient,
     _sums_by,
+    _volume_and_gradient,
     build_section,
     section_volume_fast,
     volume,
@@ -94,8 +98,8 @@ class RestartResult:
 
     ``final_volume`` is :func:`section_volume_fast` of ``frame``, the volume
     the ascent climbed on and restarts are ranked by.  ``iterations`` counts
-    the candidates, one :func:`section_volume_fast` call each, charged to
-    ``max_iterations``; ``evaluations`` adds the start's volume.  ``stop``
+    the candidates, one :func:`_volume_and_gradient` call each, charged to
+    ``max_iterations``; ``evaluations`` adds the start's call.  ``stop``
     says why the ascent ended: ``"critical"`` when no gradient trial and
     no reassign gained at ``frame``, ``"cap"`` when ``max_iterations`` ran
     out.  ``residual`` is |xi| / |D| of :func:`_stratum_gradient` at
@@ -194,19 +198,20 @@ def _clusters(V: np.ndarray):
     return label, sign, first
 
 
-def _stratum_gradient(V: np.ndarray, label: np.ndarray, sign: np.ndarray):
+def _stratum_gradient(V: np.ndarray, G: np.ndarray, label: np.ndarray, sign: np.ndarray):
     """(xi, |xi| / |D|): the gradient of the volume on the tie stratum of
     ``label`` and ``sign`` at the tight V, and its residual.
 
-    The Euclidean gradient G (:func:`_gradient`) is summed over each
-    cluster c, with signs, and divided by its size d_c, which is the
-    gradient in the metric sum_c d_c |delta_c|^2 that the tied rows
-    induce; D puts it on every member, with its sign, and xi = D -
-    V sym(V^T D) is its tangent part.  Its slope is its squared norm in
-    that metric, so it is never negative.
+    The Euclidean gradient G at V (:func:`_volume_and_gradient`), given
+    with V so that no hull is built here, is summed over each cluster c,
+    with signs, and divided by its size d_c, which is the gradient in the
+    metric sum_c d_c |delta_c|^2 that the tied rows induce; D puts it on
+    every member, with its sign, and xi = D - V sym(V^T D) is its tangent
+    part.  Its slope is its squared norm in that metric, so it is never
+    negative.
     """
     size = np.bincount(label)
-    D = (_sums_by(label, sign[:, None] * _gradient(V), len(size)) / size[:, None])[label]
+    D = (_sums_by(label, sign[:, None] * G, len(size)) / size[:, None])[label]
     D *= sign[:, None]
     xi = D - V @ symmetrize(V.T @ D)
     return xi, float(np.linalg.norm(xi) / np.linalg.norm(D))
@@ -271,21 +276,23 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     gains to first order, so the only moves left are the reassigns
     (:func:`_reassigns`), which put a generator onto another cluster.
 
-    Every volume read is :func:`section_volume_fast`, the start's and one
-    per candidate (snap, gradient trial or reassign) after :func:`whiten`;
-    each candidate, not the gradient, is one iteration.  The accepted
-    volumes that ``trace`` records are strictly increasing; a kept snap is
-    recorded when it raises the volume, so ``trace`` ends at
-    ``final_volume`` unless the last snap lowered it, by no more than
-    ``SNAP_TOL``.  Iterates stay tight: rank losses and candidates whose
-    section Qhull cannot build are rejected, not raised, and counted.  The
-    run stops (``stop``) at a frame where no candidate gains,
-    ``"critical"``, or when the iterations reach ``max_iterations``,
-    ``"cap"``.
+    Every volume read is one :func:`_volume_and_gradient` call, the
+    start's and one per candidate (snap, gradient trial or reassign) after
+    :func:`whiten`, bitwise the volume of :func:`section_volume_fast`, and
+    it brings the Euclidean gradient G of the same frame: the start, a kept
+    snap and an accepted candidate carry theirs, so xi needs no hull of
+    its own.  Each candidate is one iteration.  The accepted volumes that
+    ``trace`` records are strictly increasing; a kept snap is recorded
+    when it raises the volume, so ``trace`` ends at ``final_volume``
+    unless the last snap lowered it, by no more than ``SNAP_TOL``.
+    Iterates stay tight: rank losses and candidates whose section Qhull
+    cannot build are rejected, not raised, and counted.  The run stops
+    (``stop``) at a frame where no candidate gains, ``"critical"``, or when
+    the iterations reach ``max_iterations``, ``"cap"``.
     """
     n, k = s0.vectors.shape
     current = s0
-    vol = section_volume_fast(current.vectors)
+    vol, G = _volume_and_gradient(current.vectors)
     trace = [(0, vol)]
     step = INITIAL_STEP
     accepted = degenerate = rank_loss = 0
@@ -293,8 +300,8 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     cap = config.max_iterations
 
     def evaluate(vectors):
-        """(tight, volume) of the whitened ``vectors``, volume -inf when
-        they are rejected."""
+        """(tight, volume, G) of the whitened ``vectors``, volume -inf and
+        G None when they are rejected."""
         nonlocal it, degenerate, rank_loss
         it += 1
         # the candidate is a new (n, k) array of this step, so it is
@@ -304,12 +311,12 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
         vectors.setflags(write=False)
         try:
             _, tight = whiten(candidate)
-            return tight, section_volume_fast(tight.vectors)
+            return (tight, *_volume_and_gradient(tight.vectors))
         except FrameError:
             rank_loss += 1
         except DegeneratePolytopeError:
             degenerate += 1
-        return None, -np.inf
+        return None, -np.inf, None
 
     residual = None  # the residual at ``current``, None until it is taken
     stop = "cap"
@@ -318,21 +325,21 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
         label, sign, first = _clusters(V)
         snap = sign[:, None] * (sign[:, None] * V)[first][label]
         if not np.array_equal(snap, V):
-            tight, new_vol = evaluate(snap)
+            tight, new_vol, new_G = evaluate(snap)
             if new_vol >= vol * (1.0 - SNAP_TOL):
                 if new_vol > vol:
                     trace.append((it, new_vol))
-                current, vol = tight, new_vol
+                current, vol, G = tight, new_vol, new_G
                 V = current.vectors
             else:  # the snap is refused: no ties at this frame
                 label, sign, first = np.arange(n), np.ones(n), np.arange(n)
-        xi, residual = _stratum_gradient(V, label, sign)
+        xi, residual = _stratum_gradient(V, G, label, sign)
         for vectors, next_step in _moves(V, xi, step, label, first, k):
             if it >= cap:
                 break
-            tight, new_vol = evaluate(vectors)
+            tight, new_vol, new_G = evaluate(vectors)
             if new_vol > vol * (1.0 + VOL_TOL):
-                current, vol, step = tight, new_vol, next_step
+                current, vol, G, step = tight, new_vol, new_G, next_step
                 trace.append((it, vol))
                 accepted += 1
                 residual = None
@@ -341,8 +348,8 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
             stop = "critical"
             break
     label, sign, _ = _clusters(current.vectors)
-    if residual is None:  # the cap fell on a new frame, whose gradient is not taken
-        residual = _stratum_gradient(current.vectors, label, sign)[1]
+    if residual is None:  # the cap fell on a new frame, whose xi is not taken
+        residual = _stratum_gradient(current.vectors, G, label, sign)[1]
     return RestartResult(
         index=index,
         start=start,

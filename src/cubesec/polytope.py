@@ -11,27 +11,27 @@ section when P is +-V.  Its facets are the body's vertices, its vertices
 the body's facets.  The hull functions take P and nothing else; the
 shifted rebuild of a facet forms its points W_r / c_r itself
 (:func:`shifted_section_volume`).  In the plane the hull is a Graham scan
-of the points sorted by angle (:func:`_scan`), with no Qhull call: it
-gives the section vertices in order, the volume is their shoelace area,
-and the facet of a hull vertex is the edge between the section vertices
-of its two hull edges.  The scan goes once round the origin for the
-facet records and the shifted and tilted rebuilds (:func:`_planar_hull`);
-the volume of a section, whose hull is centrally symmetric, needs only
-half a turn, the other half being its negation (:func:`_half_turn_volume`).
-For k >= 3 it is Qhull's hull (:func:`_polar_hull`), whose distinct facet
-equations are the section's vertices, and the volume is a signed sum over
-the flags of its triangulation, one determinant per ridge
-(:func:`_flag_volume`).  :func:`_flag_cones` splits the same sum by the
-first corner p of each flag: the terms of p are the cone from the origin
-over the facet of p, which gives that facet's content and centroid;
-:func:`_planar_cones` is its twin in the plane, one triangle per section
-edge.  For k = 1 the section is an interval in closed form.
+of the points sorted by angle, once round the origin (:func:`_scan`,
+:func:`_planar_hull`), with no Qhull call: it gives the section vertices
+in order, and the facet of a hull vertex is the edge between the section
+vertices of its two hull edges.  For k >= 3 it is Qhull's hull
+(:func:`_polar_hull`), whose distinct facet equations are the section's
+vertices.  For k = 1 the section is an interval in closed form.
 
-:func:`build_section` takes each row's cone from that one table, as
-arrays, and assembles the records in one pass: a group label per row
-(coincident rows share a facet), contents and first moments summed by
-label, and the vertex indices of each group from one incidence matrix.
-The section's volume is the sum of the cones.
+Every volume and every facet is read from one cone table per hull: row p
+holds the cone from the origin over the facet of the point p, its volume
+and first moment.  :func:`_flag_cones` sums it over the flags of Qhull's
+triangulation, one determinant per ridge and corner; :func:`_planar_cones`
+is its twin in the plane, one triangle per section edge.  The volume is
+the sum of the cones (:func:`_halfspace_volume`, and
+:func:`section_volume_fast` for a section), and the same table gives the
+Euclidean gradient (:func:`_volume_and_gradient`).
+
+:func:`build_section` takes each row's cone from that table, as arrays,
+and assembles the records in one pass: a group label per row (coincident
+rows share a facet), contents and first moments summed by label, and the
+vertex indices of each group from one incidence matrix.  The section's
+volume is the sum of the cones.
 """
 
 from __future__ import annotations
@@ -234,8 +234,8 @@ def _planar_hull(P: np.ndarray):
 
     The points are sorted by their angle about the origin, and the scan
     starts and ends at the point of largest norm, always a hull vertex.
-    The volume of a section needs only half a turn
-    (:func:`_half_turn_volume`); the shifted and tilted rebuilds do not.
+    The body need not be centrally symmetric, as the shifted and tilted
+    rebuilds are not.
 
     Raises :class:`NotAFrameError` when fewer than 3 vertices remain, or an
     edge lies within ``DEPTH_FLOOR`` max|P| of the origin, as :func:`_polar_hull`
@@ -254,56 +254,6 @@ def _planar_hull(P: np.ndarray):
     if len(hull) < 3:
         raise NotAFrameError("not a frame")
     return P, hull, _edge_vertices(P, hull + hull[:1], floor)
-
-
-def _half_turn_volume(V: np.ndarray) -> float:
-    """Area of the planar section {x : |<x, v_r>| <= 1}, from half a turn
-    of the hull of +-V.
-
-    The hull is centrally symmetric: its vertex p of largest norm and -p
-    split it into two chains, each the negation of the other.  Each v_r is
-    signed to lie on the left of the line from -p to p, or on it; a point
-    on that line lies between -p and p, so the scan drops it wherever its
-    angle sorts it.  The scan (:func:`_scan`) runs by angle from p to -p.
-    The section vertices of the other chain's edges are the negations of
-    this chain's, which is exact, and their shoelace terms equal this
-    chain's, so the area is the shoelace sum of one half closed by -Y[0],
-    undivided.
-    Raises :class:`NotAFrameError` as :func:`_planar_hull` does.
-    """
-    P = V.tolist()
-    if len(P) < 2:
-        raise NotAFrameError("not a frame")
-    norms = [x * x + y * y for x, y in P]
-    start = norms.index(max(norms))
-    sx, sy = P[start]
-    floor = DEPTH_FLOOR * float(np.abs(V).max())
-    angle = []
-    for r, (x, y) in enumerate(P):
-        cross, dot = sx * y - sy * x, sx * x + sy * y
-        if cross < 0:  # -v_r is in the half-turn
-            P[r] = -x, -y
-            cross, dot = -cross, -dot
-        angle.append(atan2(cross, dot))
-    P.append((-sx, -sy))
-    rest = sorted((r for r in range(len(V)) if r != start), key=angle.__getitem__)
-    chain = _scan(P, [start] + rest + [len(V)])
-    if len(chain) < 3:
-        raise NotAFrameError("not a frame")
-    Y = _edge_vertices(P, chain, floor)
-    x0, y0 = Y[0]
-    Y.append((-x0, -y0))
-    return 2 * _shoelace(Y)
-
-
-def _shoelace(Y) -> float:
-    """Area of the polygon with counterclockwise vertices Y, a list of pairs."""
-    area = 0.0
-    px, py = Y[-1]
-    for x, y in Y:
-        area += px * y - py * x
-        px, py = x, y
-    return area / 2
 
 
 def _planar_cones(P: list, hull: list, Y: list) -> np.ndarray:
@@ -513,8 +463,7 @@ def _parity(perm) -> int:
 
 
 class _FlagPlan(NamedTuple):
-    """Index tables of the flag sums in R^k, k >= 3 (:func:`_flag_volume`
-    and :func:`_flag_cones`).
+    """Index tables of the flag sum in R^k, k >= 3 (:func:`_flag_cones`).
 
     An s-vector (an element of the s-th exterior power of R^k) is an array
     over the s-subsets of the k coordinates, in ``itertools.combinations``
@@ -523,18 +472,11 @@ class _FlagPlan(NamedTuple):
     - ``subsets[s - 1]``: the s-subsets of a simplex's k corner positions,
       s = 1..k-2, the faces whose apexes the chains use.
     - ``wedges[s - 1]``: (index, coordinate, sign) of the wedge a ^ x of an
-      s-vector a with a vector x, s = 1..k-1 (:func:`_wedge`).
+      s-vector a with a vector x, s = 1..k-1 (:func:`_wedge_first`).
     - ``hodge``: (index, sign) pairing a (k-2)-vector with a 2-vector into
       the determinant of the k columns.
-    - ``ridge_det``: (component, coordinate, coordinate, sign) of the terms
-      a[c] x[i] e[j] of det(a ^ x ^ e), for a (k-2)-vector a and vectors
-      x, e.
-    - ``peels[s - 2]``, s = 2..k-2: row m holds, for each s-subset G in
-      the order of ``subsets[s - 1]``, the (s-1)-subset G without its m-th
-      corner (:func:`_peel`).
     - ``ridge_rows[j]``: the corner positions other than j, ascending, the
-      ridge opposite corner j; ``ridge_peel`` is its ``peels`` table, over
-      the (k-2)-subsets.
+      ridge opposite corner j.
     - ``steps[s - 2]``, s = 2..k-2: for each flagged subset (p, G), p in G
       and |G| = s, in the order of G then p: the flagged subsets
       (p, G - l) for the l in G other than p, the sign (-1)^#{g in G: g > l}
@@ -547,10 +489,7 @@ class _FlagPlan(NamedTuple):
     subsets: tuple
     wedges: tuple
     hodge: tuple
-    ridge_det: tuple
-    peels: tuple
     ridge_rows: np.ndarray
-    ridge_peel: np.ndarray
     steps: tuple
     ridge_prev: np.ndarray
     ridge_eps: np.ndarray
@@ -570,14 +509,7 @@ def _flag_plan(k: int) -> _FlagPlan:
     rest = [tuple(i for i in range(k) if i not in sub) for sub in coords[k - 2]]
     hodge = (np.array([name[2][r] for r in rest]),
              np.array([float(_parity(sub + r)) for sub, r in zip(coords[k - 2], rest)]))
-    terms = [(c, i, j, float(_parity(sub + (i, j))))
-             for c, (sub, r) in enumerate(zip(coords[k - 2], rest)) for i, j in (r, r[::-1])]
     ridge_rows = [tuple(i for i in range(k) if i != j) for j in range(k)]
-
-    def drops(subs):
-        s = len(subs[0])
-        return np.array([[name[s - 1][t[:m] + t[m + 1:]] for t in subs] for m in range(s)],
-                        dtype=np.intp)
 
     def flagged(s):
         return [(p, sub) for sub in coords[s] for p in sub]
@@ -600,24 +532,21 @@ def _flag_plan(k: int) -> _FlagPlan:
         subsets=tuple(np.array(s, dtype=np.intp) for s in subsets),
         wedges=wedges,
         hodge=hodge,
-        ridge_det=tuple(np.array(t) for t in zip(*terms)),
-        peels=tuple(drops(coords[s]) for s in range(2, k - 1)),
         ridge_rows=np.array(ridge_rows, dtype=np.intp),
-        ridge_peel=drops(ridge_rows),
         steps=tuple(steps),
         ridge_prev=np.array([[i for i, _ in r] for r in ridges], dtype=np.intp),
         ridge_eps=np.array([[e for _, e in r] for r in ridges]),
     )
-    tables = (*plan.subsets, *itertools.chain(*plan.wedges), *plan.hodge, *plan.ridge_det, *plan.peels,
-              plan.ridge_rows, plan.ridge_peel, *itertools.chain(*plan.steps),
-              plan.ridge_prev, plan.ridge_eps)
+    tables = (*plan.subsets, *itertools.chain(*plan.wedges), *plan.hodge, plan.ridge_rows,
+              *itertools.chain(*plan.steps), plan.ridge_prev, plan.ridge_eps)
     for a in tables:
         a.setflags(write=False)
     return plan
 
 
 def _wedge_first(table, a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """:func:`_wedge` with the components on the first axis.
+    """The wedges a ^ x of a stack of s-vectors a with a stack of vectors
+    x, by a ``wedges`` table, with the components on the first axis.
 
     Every gather then copies whole rows of the stack, and the signed sum is
     one matrix-vector product over the terms.
@@ -625,20 +554,6 @@ def _wedge_first(table, a: np.ndarray, x: np.ndarray) -> np.ndarray:
     index, coord, sign = table
     terms = a.take(index.T, axis=0) * x.take(coord.T, axis=0)
     return (sign @ terms.reshape(len(sign), -1)).reshape(terms.shape[1:])
-
-
-def _peel(b: np.ndarray, drop: np.ndarray) -> np.ndarray:
-    """Sum over l in G of (-1)^#{g in G: g > l} b[G - l], for each s-subset
-    G: ``b`` holds the (s-1)-subsets on its second axis, and ``drop`` is a
-    ``peels`` table.  Dropping the m-th corner of G has sign (-1)^(s-1-m).
-    """
-    out = b.take(drop[-1], axis=1)
-    for m in range(len(drop) - 2, -1, -1):
-        if (len(drop) - m) % 2:
-            out += b.take(drop[m], axis=1)
-        else:
-            out -= b.take(drop[m], axis=1)
-    return out
 
 
 def _face_slots(simplices: np.ndarray, sub: np.ndarray, points: int):
@@ -672,18 +587,14 @@ def _face_slots(simplices: np.ndarray, sub: np.ndarray, points: int):
     return key, slot
 
 
-def _face_holders(simplices: np.ndarray, subsets, points: int) -> list:
-    """The highest-numbered simplex that holds each listed corner subset G
-    of each simplex (:func:`_face_slots`): an (F, len(sub)) array per
-    entry ``sub`` of ``subsets``."""
-    return [(slot // len(sub)).take(key)
-            for sub in subsets for key, slot in [_face_slots(simplices, sub, points)]]
-
-
-def _flag_volume(P: np.ndarray, simplices: np.ndarray, neighbors: np.ndarray,
-                 Y: np.ndarray) -> float:
-    """Volume of the polar body of conv(P), k >= 3, by a signed sum over
-    the flags of Qhull's triangulation, one determinant per ridge.
+def _flag_cones(P: np.ndarray, simplices: np.ndarray, neighbors: np.ndarray, Y: np.ndarray):
+    """The cone table of the polar body of conv(P), k >= 3: the cones from
+    the origin over its facets, with their first moments, by a signed sum
+    over the flags of Qhull's triangulation, split by first corner.  Row p
+    of the (len(P), k + 1) result holds k + 1 times the first moment of the
+    cone over the facet F_p (each simplex's volume times the sum of its
+    vertices), then that cone's volume; a point off the hull has a row of
+    zeros, and the volume of the body is the sum of the last column.
 
     ``simplices`` and ``neighbors`` are Qhull's facets of conv(P) and their
     adjacency (the neighbor opposite each corner), and Y[f] the polar
@@ -694,7 +605,7 @@ def _flag_volume(P: np.ndarray, simplices: np.ndarray, neighbors: np.ndarray,
     of its corners, thus contributes the signed simplex
     (0, x_{tau_0}, x_{tau_0 tau_1}, ..., Y_f), with x_G a point of the
     face of Q dual to G: the polar vertex of one simplex that holds G, the
-    same one wherever G occurs (:func:`_face_holders`).  Any point of that
+    same one wherever G occurs (:func:`_face_slots`).  Any point of that
     face's affine hull would do; one on the face keeps every cone as small
     as its face.  The flags of the two simplices f, g across a ridge R
     share every vertex but the last two, and because x_R, Y_f and Y_g lie
@@ -706,71 +617,16 @@ def _flag_volume(P: np.ndarray, simplices: np.ndarray, neighbors: np.ndarray,
     det(R's corners, Y_f - Y_g).  So each ridge is visited once.  The
     orientation is read off the ridge, not off the simplex f, because
     Qhull's triangulation of a non-simplicial facet can leave flat
-    simplices, and the sign of their determinant is noise.
-
-    The orderings are summed by exterior products over the faces, before
-    any split by first corner: with B(G) the sum over the orderings tau of
-    G of sgn(tau) x_{tau_0} ^ x_{tau_0 tau_1} ^ ... ^ x_G,
-
-        B({p}) = x_p,
-        B(G) = (sum over l in G of (-1)^#{g in G: g > l} B(G - l)) ^ x_G,
-
-    so each face of a simplex carries one |G|-vector, and the ridge term
-    is sigma_R det(C_R ^ Y_g ^ Y_f), with the chain C_R = sum over l in R
-    of (-1)^#{g in R: g > l} B(R - l).  Both determinants of a ridge end
-    in the column Y_f - Y_g (Y_g ^ Y_f = Y_g ^ (Y_f - Y_g)), so they are
-    summed together term by term (``ridge_det``), as det(a ^ x ^ (Y_f -
-    Y_g)) with a the wedge of R's first k-2 corners or C_R, and x R's last
-    corner or Y_g.  Coplanar simplices of one facet of conv(P) share Y
-    exactly, so their ridges add exactly 0.
+    simplices, and the sign of their determinant is noise.  Qhull merges
+    only facets of conv(P) that are coplanar within its own roundoff, and
+    the simplices of a merged facet share one polar vertex, so their ridges
+    add exactly 0.
 
     sigma_R stays: the ridge terms are not all of one sign.  On 100 random
     frames and 10 rotated frames whose +-v are the vertices of a cube, per
     k, no term fell below -1.4e-17 of the volume at k = 3 and 4, but at
     k = 5 terms reached -0.077 of the volume and the sum of their
     magnitudes was up to 23 % off.
-
-    The arrays hold components first and the stack last (``_wedge_first``),
-    so each numpy call works on whole rows: at (n, k) = (7, 3) and (7, 4)
-    a call handles a few dozen simplices, and the count of calls, not the
-    arithmetic, sets the time.
-    """
-    k = P.shape[1]
-    plan = _flag_plan(k)
-    F = len(simplices)
-    # each ridge once, from its lower-numbered simplex f, as j * F + f for
-    # the corner j of f opposite it
-    ridge = (neighbors.T > np.arange(F)).ravel().nonzero()[0]
-    Z = np.concatenate((Y.T, P.T), axis=1)  # columns: polar vertices, then points
-    holders = _face_holders(simplices, plan.subsets, len(P))
-    b = Z.take(holders[0].T, axis=1)  # B({p}) = x_p, (components, faces, F)
-    for drop, table, holder in zip(plan.peels, plan.wedges, holders[1:]):
-        b = _wedge_first(table, _peel(b, drop), Z.take(holder.T, axis=1))
-    chain = _peel(b, plan.ridge_peel).reshape(len(b), -1).take(ridge, axis=1)
-    cols = np.empty((k + 1, len(ridge)), dtype=np.intp)
-    corners = simplices.T.take(plan.ridge_rows.T, axis=0).reshape(k - 1, -1)
-    np.add(corners.take(ridge, axis=1), F, out=cols[:k - 1])
-    cols[k - 1] = neighbors.T.take(ridge)
-    cols[k] = ridge % F
-    V = Z.take(cols, axis=1)  # R's corners, Y_g, Y_f: (components, k + 1, ridges)
-    top = V[:, 0]
-    for i in range(1, k - 2):
-        top = _wedge_first(plan.wedges[i - 1], top, V[:, i])
-    # det(R's corners, Y_f - Y_g) and det(C_R ^ Y_g ^ (Y_f - Y_g)), together
-    comp, col, edge_col, sign = plan.ridge_det
-    terms = (np.concatenate((top[:, None], chain[:, None]), axis=1).take(comp, axis=0)
-             * V[:, k - 2:k].take(col, axis=0)
-             * np.subtract(V[:, k:], V[:, k - 1:k]).take(edge_col, axis=0))
-    sigma, det = (sign @ terms.reshape(len(sign), -1)).reshape(2, -1)
-    return float(np.sign(sigma) @ det) / factorial(k)
-
-
-def _flag_cones(P: np.ndarray, simplices: np.ndarray, neighbors: np.ndarray, Y: np.ndarray):
-    """The flag sum of :func:`_flag_volume` split by the first corner of
-    each flag, k >= 3: the cones over the facets of the polar body, with
-    their first moments.  Row p of the (len(P), k + 1) result holds k + 1
-    times the first moment of the cone over the facet F_p (each simplex's
-    volume times the sum of its vertices), then that cone's volume.
 
     The terms with tau_0 = p make up the cone over F_p, of volume
     |F_p| / (k |p|) and first moment k / (k + 1) |cone| centroid(F_p).
@@ -791,7 +647,10 @@ def _flag_cones(P: np.ndarray, simplices: np.ndarray, neighbors: np.ndarray, Y: 
     x_G is the same wherever G occurs, so A_p(G) is a function of the face
     G and p: with the corners of every simplex in ascending order, it is
     computed once per face, at the slot that names its holder
-    (:func:`_face_slots`).  Components come first and the stack last.
+    (:func:`_face_slots`).  The arrays hold components first and the stack
+    last (:func:`_wedge_first`), so each numpy call works on whole rows: at
+    (n, k) = (7, 3) and (7, 4) a call handles a few dozen simplices, and
+    the count of calls, not the arithmetic, sets the time.
     """
     k = P.shape[1]
     plan = _flag_plan(k)
@@ -842,56 +701,59 @@ def _flag_cones(P: np.ndarray, simplices: np.ndarray, neighbors: np.ndarray, Y: 
     return _sums_by(owner.ravel(), det.reshape(k + 1, -1).T, N)
 
 
+def _cone_table(P: np.ndarray) -> np.ndarray:
+    """The cone table of the polar body {x : P x <= 1}, k >= 2, from one
+    hull of P: :func:`_planar_cones` on :func:`_planar_hull` in the plane,
+    :func:`_flag_cones` on :func:`_polar_hull` for k >= 3."""
+    if P.shape[1] == 2:
+        return _planar_cones(*_planar_hull(P))
+    P, hull, Y = _polar_hull(P)
+    return _flag_cones(P, hull.simplices, hull.neighbors, Y)
+
+
 def _halfspace_volume(P: np.ndarray) -> float:
     """Volume of the polar body {x : P x <= 1} of the points P, whose hull
-    holds the origin inside.
+    holds the origin inside: the sum of the cones of its cone table
+    (:func:`_cone_table`), or for k = 1 the length of the interval.
 
     A system {W x <= c}, every c > 0, is the polar body of P_r = W_r / c_r.
-    The body need not be centrally symmetric, so for k = 2 the scan goes
-    once round the origin (:func:`_planar_hull`); for k >= 3 see
-    :func:`section_volume_fast`.
-    Raises :class:`NotAFrameError` when the points do not span R^k, and,
-    for k >= 3, :class:`DegeneratePolytopeError` when Qhull fails on points
-    that do.
+    The body need not be centrally symmetric; the hull goes once round the
+    origin.  Raises :class:`NotAFrameError` when the points do not span
+    R^k, and, for k >= 3, :class:`DegeneratePolytopeError` when Qhull fails
+    on points that do.
     """
-    k = P.shape[1]
-    if k == 1:
+    if P.shape[1] == 1:
         lo, hi = _interval(P)
         return float(1 / P[hi, 0] - 1 / P[lo, 0])
-    if k == 2:
-        return _shoelace(_planar_hull(P)[2])
-    P, hull, Y = _polar_hull(P)
-    return _flag_volume(P, hull.simplices, hull.neighbors, Y)
+    return float(_cone_table(P)[:, -1].sum())
 
 
 def section_volume_fast(vectors: np.ndarray) -> float:
-    """Volume of the generated section without facet bookkeeping.
+    """Volume of the generated section without facet bookkeeping: the
+    polar body of the points +-V (:func:`_halfspace_volume`).
 
-    Fast path for optimizer inner loops, and the volume optimizer restarts
-    are ranked by.  Zero and tiny vectors are points deep inside the hull
-    of +-V, so they contribute no constraint and need no filter; a frame
-    that spans only through them fails the ``DEPTH_FLOOR`` of the scan
-    or of :func:`_polar_hull`.  Routes:
+    The volume optimizer restarts are ranked by.  Zero and tiny vectors are
+    points deep inside the hull of +-V, so they contribute no constraint
+    and need no filter; a frame that spans only through them fails the
+    ``DEPTH_FLOOR`` of the scan or of :func:`_polar_hull`.  Routes:
 
     - k = 1: the section is the interval |x| <= 1 / max |v_i|, of length
       2 / max |v_i|.
-    - k = 2: one Graham scan over half a turn of the hull of +-V, the
-      other half of the section vertices by negation, and their shoelace
-      area (:func:`_half_turn_volume`), with no Qhull call.
-    - k >= 3: the flag sum over Qhull's triangulation of the same hull,
-      one determinant per ridge (:func:`_flag_volume`).  Qhull merges only
-      facets of P that are coplanar within its own roundoff, and the
-      simplices of a merged facet share one polar vertex, so their ridges
-      add exactly 0.
+    - k = 2: one Graham scan once round the hull of +-V
+      (:func:`_planar_hull`), with no Qhull call, and the sum of its
+      triangles from the origin over the section's edges
+      (:func:`_planar_cones`).
+    - k >= 3: Qhull's triangulation of the same hull, and the sum of the
+      cones over the section's facets, one determinant per ridge and corner
+      (:func:`_flag_cones`).
 
     Neither has a feasibility slack.  Both are within 1e-13 of an exact
     rational volume on near-parallel frames (points of +-V down to 1e-13
     apart), duplicated-vector and box frames, and in the plane on frames
     that hold v and -v, ties for the largest norm and collinear points of
     +-V; for k >= 3 also on frames whose +-v are the vertices of a cube,
-    and on sections with facets shifted or tilted.
-
-    For k != 2 the points +-V go to the hull as they are.
+    and on sections with facets shifted or tilted.  It is bitwise the
+    volume of :func:`_volume_and_gradient`, which reads the same table.
 
     It tests depth, not span: :class:`NotAFrameError` is raised when the
     points +-V are flat, or a facet of their hull (an edge, in the plane)
@@ -906,34 +768,27 @@ def section_volume_fast(vectors: np.ndarray) -> float:
     with it, and of every tight frame, pass.  It is not repeated here,
     where it would cost an eigenvalue solve per call.
     """
-    if vectors.shape[1] == 2:
-        return _half_turn_volume(vectors)
     return _halfspace_volume(np.concatenate((vectors, -vectors)))
 
 
-def _gradient(V: np.ndarray) -> np.ndarray:
-    """Euclidean gradient of the section volume with respect to the frame
-    vectors V, k >= 2, from one hull of +-V.
+def _volume_and_gradient(V: np.ndarray):
+    """(volume, G): the section volume of the frame vectors V, k >= 2, and
+    its Euclidean gradient with respect to V, both from one cone table of
+    the hull of +-V (:func:`_cone_table`); the volume is bitwise that of
+    :func:`section_volume_fast`.
 
     The gradient of v_i is -2 mu_i c_i / |v_i|, with mu_i the content and
     c_i the centroid of the facet on <x, v_i> = 1 (the facet on
     <x, -v_i> = 1 is its negation); a generator that supports no facet gets
     0.  The first moment of the cone from the origin over the facet of a
-    point p, times k + 1, is mu_p c_p / |p|: the cone table of the hull,
-    :func:`_flag_cones` on the hull of :func:`section_volume_fast` for
-    k >= 3, and :func:`_planar_cones` on one scan once round the origin
-    (:func:`_planar_hull`) in the plane, with no Qhull or ``eigh`` call.
-    Of coincident points only the one the hull keeps gets the facet.
-    Raises as :func:`section_volume_fast` does.
+    point p, times k + 1, is mu_p c_p / |p|, the first k columns of the
+    table's row p.  In the plane there is no Qhull or ``eigh`` call.  Of
+    coincident points only the one the hull keeps gets the facet.  Raises
+    as :func:`section_volume_fast` does.
     """
     n, k = V.shape
-    if k == 2:
-        P, hull, Y = _planar_hull(np.concatenate((V, -V)))
-        S = _planar_cones(P, hull, Y)
-    else:
-        P, hull, Y = _polar_hull(np.concatenate((V, -V)))
-        S = _flag_cones(P, hull.simplices, hull.neighbors, Y)
-    return S[n:, :k] - S[:n, :k]
+    S = _cone_table(np.concatenate((V, -V)))
+    return float(S[:, -1].sum()), S[n:, :k] - S[:n, :k]
 
 
 def shift_facet_predict(p: SectionPolytope, f: FacetRecord, h: float) -> float:

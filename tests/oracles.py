@@ -30,7 +30,7 @@ import numpy as np
 from cubesec.polytope import (
     EPS_GEOM,
     FacetRecord,
-    _face_holders,
+    _face_slots,
     _flag_plan,
     _interval,
     _planar_hull,
@@ -246,6 +246,14 @@ def _wedge(table, a, x):
 
 def _weighted_sum(a, weights):
     return (a.reshape(-1, a.shape[-1]) @ weights).reshape(a.shape[:-1])
+
+
+def _face_holders(simplices, subsets, points):
+    """The highest-numbered simplex that holds each listed corner subset G
+    of each simplex (``_face_slots``): an (F, len(sub)) array per entry
+    ``sub`` of ``subsets``."""
+    return [(slot // len(sub)).take(key)
+            for sub in subsets for key, slot in [_face_slots(simplices, sub, points)]]
 
 
 def stacked_flag_cones(P, simplices, neighbors, Y):

@@ -9,7 +9,7 @@ from cubesec.frame_core import Frame, TightFrame, frame_operator, random_tight_f
 from cubesec import optimizer, polytope
 from cubesec.polytope import (
     DegeneratePolytopeError,
-    _gradient,
+    _volume_and_gradient,
     build_section,
     section_volume_fast,
     volume,
@@ -103,9 +103,9 @@ class TestAscend:
             calls.append(1)
             if len(calls) == 2:  # the first gradient step; call 1 is the start
                 raise DegeneratePolytopeError("degenerate polytope")
-            return section_volume_fast(vectors)
+            return _volume_and_gradient(vectors)
 
-        monkeypatch.setattr(optimizer, "section_volume_fast", fails_once)
+        monkeypatch.setattr(optimizer, "_volume_and_gradient", fails_once)
         rng = np.random.default_rng(5)
         s0 = random_tight_frame(6, 3, rng)
         res = ascend(s0, small_config(6, 3, max_iterations=50), rng)
@@ -126,17 +126,18 @@ class TestAscend:
 
     @pytest.mark.parametrize("n, k", [(6, 2), (7, 3)])
     def test_one_evaluation_per_candidate(self, n, k, monkeypatch):
-        # every volume the ascent reads is one section_volume_fast call: the
-        # start's and one per candidate.  The reported volume is the one read
-        # for the final frame, with no further call to rank it, and the
+        # every volume the ascent reads is one _volume_and_gradient call:
+        # the start's and one per candidate.  The reported volume is the one
+        # read for the final frame, with no further call to rank it, and the
         # trace ends at it: a snap kept after the last gain is recorded
         read = []
 
         def counted(vectors):
-            read.append((vectors.tobytes(), section_volume_fast(vectors)))
-            return read[-1][1]
+            vol, G = _volume_and_gradient(vectors)
+            read.append((vectors.tobytes(), vol))
+            return vol, G
 
-        monkeypatch.setattr(optimizer, "section_volume_fast", counted)
+        monkeypatch.setattr(optimizer, "_volume_and_gradient", counted)
         for seed in range(3):
             rng = np.random.default_rng([seed, n, k])
             read.clear()
@@ -145,6 +146,36 @@ class TestAscend:
             assert len(read) == r.evaluations == r.iterations + 1
             assert (r.frame.vectors.tobytes(), r.final_volume) in read
             assert r.final_volume == r.trace[-1][1]
+
+    def test_one_hull_per_evaluation(self, monkeypatch):
+        # each evaluation builds one hull, which gives the candidate's volume
+        # and the gradient it carries: Qhull's for k >= 3, the planar scan
+        # for k = 2.  Its volume is section_volume_fast's, bitwise
+        rng = np.random.default_rng(60)
+        for k in (2, 3, 4, 5):
+            for n in (k + 1, 2 * k + 1):
+                box = extremal_frame(n, k).vectors
+                noisy = whiten(Frame(box + 5e-8 * rng.standard_normal(box.shape)))[1].vectors
+                for v in (random_tight_frame(n, k, rng).vectors, box, noisy):
+                    assert section_volume_fast(v) == _volume_and_gradient(v)[0]
+
+        hulls = []
+
+        def counted(build):
+            def wrapper(*args, **kwargs):
+                hulls.append(1)
+                return build(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(polytope, "ConvexHull", counted(polytope.ConvexHull))
+        monkeypatch.setattr(polytope, "_planar_hull", counted(polytope._planar_hull))
+        for n, k in ((7, 3), (7, 4), (6, 2), (10, 2)):
+            rng = np.random.default_rng([0, n, k])
+            for s0 in (random_tight_frame(n, k, rng), extremal_frame(n, k)):
+                hulls.clear()
+                res = ascend(s0, OptimizerConfig(n=n, k=k), rng)
+                assert res.rank_loss == 0
+                assert len(hulls) == res.evaluations
 
     @pytest.mark.parametrize("n, k", [(3, 2), (7, 4)])
     def test_warm_restart_loses_no_rank(self, n, k):
@@ -277,8 +308,8 @@ class TestMoveList:
 
 class TestPlanarStepGuard:
     """The k = 2 ascent step makes no LAPACK eigh call and no Qhull call:
-    it whitens in closed form, scans half of the hull of +-V for each
-    candidate's volume and the whole of it for the gradient at each frame."""
+    it whitens in closed form, and one scan once round the hull of +-V
+    gives each candidate's volume and gradient."""
 
     @pytest.fixture(autouse=True)
     def no_eigh_no_qhull(self, monkeypatch):
@@ -292,7 +323,7 @@ class TestPlanarStepGuard:
         rng = np.random.default_rng(40)
         _, tight = whiten(Frame(rng.standard_normal((6, 2))))
         assert section_volume_fast(tight.vectors) > 4.0
-        assert _gradient(tight.vectors).shape == (6, 2)
+        assert _volume_and_gradient(tight.vectors)[1].shape == (6, 2)
 
     def test_ascend(self):
         rng = np.random.default_rng(41)

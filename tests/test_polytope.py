@@ -18,12 +18,11 @@ from cubesec.frame_core import (
 from cubesec.polytope import (
     EPS_GEOM,
     _coincident_row_groups,
-    _face_holders,
     _flag_cones,
     _flag_plan,
-    _gradient,
     _halfspace_volume,
     _polar_hull,
+    _volume_and_gradient,
     build_section,
     convex_volume,
     rotate_facet_predict,
@@ -38,6 +37,7 @@ from cubesec import polytope
 from cubesec.bounds import c_cube, default_partition, extremal_frame
 from cubesec.conditions import verify_frame
 from oracles import (
+    _face_holders,
     exact_cone_volumes,
     exact_volume,
     halfspace_vertices,
@@ -473,9 +473,10 @@ class TestExactVolume:
         for n, k in ((6, 2), (10, 2), (7, 3), (7, 4), (6, 5)):
             assert max(exact_errors(signed_box_frame(n, k, rng))) <= 1e-13
 
-    def test_half_turn_scan(self):
-        # the k = 2 volume scans half of the hull of +-V, from its point p of
-        # largest norm to -p; the full turn is _planar_hull's scan
+    def test_planar_scan_edge_cases(self):
+        # the planar scan starts at the point p of +-V of largest norm and
+        # goes once round the origin, back to p; these frames put points
+        # twice, tied for the start, on the line through p and collinear
         rng = np.random.default_rng(39)
         v = random_tight_frame(5, 2, rng).vectors
         p = v[np.argmax(np.linalg.norm(v, axis=1))]
@@ -496,9 +497,6 @@ class TestExactVolume:
         ]
         for vectors in frames:
             assert max(exact_errors(Frame(vectors))) <= 1e-13
-            W = np.vstack([vectors, -vectors])
-            full = _halfspace_volume(W)
-            assert section_volume_fast(vectors) == pytest.approx(full, rel=1e-15)
 
 
 class TestFacetAssembly:
@@ -564,7 +562,7 @@ class TestVolumeAndGradient:
         the generators of each facet against -2 mu c distance, facets
         whose normals are within ``tol`` taken together; and max |G| over
         the generators that hold no facet."""
-        G = _gradient(s.vectors)
+        G = _volume_and_gradient(s.vectors)[1]
         p = build_section(s)
         label = _coincident_row_groups(np.array([f.normal_vector for f in p.facets]), tol)
         got = np.zeros((label.max() + 1, s.k))
@@ -585,7 +583,7 @@ class TestVolumeAndGradient:
         for n, k in ((3, 2), (6, 2), (10, 2), (5, 3), (7, 3), (7, 4), (12, 4), (8, 5)):
             for _ in range(3):
                 v = random_tight_frame(n, k, rng).vectors
-                G = _gradient(v)
+                G = _volume_and_gradient(v)[1]
                 fd = np.zeros_like(v)
                 for i, j in itertools.product(range(n), range(k)):
                     e = np.zeros_like(v)
@@ -624,7 +622,7 @@ class TestQhullCalls:
         for n, k in ((3, 2), (10, 2), (7, 3), (7, 4), (12, 4), (8, 5)):
             for s in (random_tight_frame(n, k, rng), signed_box_frame(n, k, rng)):
                 for run in (build_section, lambda s: section_volume_fast(s.vectors),
-                            lambda s: _gradient(s.vectors)):
+                            lambda s: _volume_and_gradient(s.vectors)[1]):
                     calls.clear()
                     run(s)
                     assert len(calls) == (0 if k == 2 else 1)
