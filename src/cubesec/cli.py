@@ -223,6 +223,8 @@ def cmd_optimize(args, manifest: RunManifest) -> int:
         f"conditions       {'pass' if result.conditions.passed else 'FAIL'}",
         f"restarts         {len(result.restarts)}",
         "stops            " + ", ".join(f"{stop} {count}" for stop, count in sorted(stops.items())),
+        "evaluations      {}, merges {}".format(
+            sum(r.evaluations for r in result.restarts), sum(r.merged for r in result.restarts)),
         "random restarts within 1e-6 of best: {} of {}".format(
             *result.random_hits(result.best_volume)),
     ]

@@ -10,18 +10,21 @@ frames), so generators that nearly coincide are tied into clusters that
 move as one vector.  On the stratum of those ties the volume is smooth
 (it is partly smooth; Lewis, 2002), and the ascent steps along its
 gradient there: each cluster's gradient sum divided by the cluster size,
-the gradient in the metric the tied rows induce.  At a frame critical on
-its stratum the paper's balance identity (a facet of multiplicity d
-balances d |v|^2 vol) leaves no split of a cluster that gains to first
-order, so where no gradient step gains the ascent tries one fixed list of
-non-local moves, the reassigns, each putting a generator onto another
-cluster.  A restart ends where none of them gains either; it draws no
-random number, so it is deterministic given its start.  The gradient
-gives only a direction: every candidate is compared by the volume
-restarts are ranked by, :func:`section_volume_fast`.  Each candidate, and
-the start, is one :func:`_volume_and_gradient` call, which reads that
-volume and G from one cone table, so the gradient at the next frame comes
-with its volume and the ascent builds no other hull.
+the gradient in the metric the tied rows induce.  Rather than creep toward
+the next kink along that gradient, each frame first tries to jump onto
+it: the merge puts the two nearest clusters onto their nearest common
+point in the same metric (the identification step of Hare & Lewis, 2004).
+At a frame critical on its stratum the paper's balance identity (a facet
+of multiplicity d balances d |v|^2 vol) leaves no split of a cluster that
+gains to first order, so where neither the merge nor a gradient step
+gains the ascent tries one fixed list of non-local moves, the reassigns,
+each putting a generator onto another cluster.  A restart ends where none
+of them gains either; it draws no random number, so it is deterministic
+given its start.  The gradient gives only a direction: every candidate is
+compared by the volume restarts are ranked by, :func:`section_volume_fast`.
+Each candidate, and the start, is one :func:`_volume_and_gradient` call,
+which reads that volume and G from one cone table, so the gradient at the
+next frame comes with its volume and the ascent builds no other hull.
 """
 
 from __future__ import annotations
@@ -64,6 +67,9 @@ INITIAL_STEP = 0.3
 VOL_TOL = 1e-9
 GRADIENT_TRIES = 8
 STEP_GROWTH = 1.5
+# A frame whose stratum residual |xi| / |D| is at most CRIT_TOL is critical
+# on its stratum: xi there is rounding noise, and no gradient step is tried.
+CRIT_TOL = 1e-12
 # Generators within TIE_TOL max|v| of each other, up to sign, in every
 # coordinate are tied into one cluster, and a snap of every cluster onto
 # one vector is kept when it lowers the volume by no more than SNAP_TOL,
@@ -100,15 +106,16 @@ class RestartResult:
     the ascent climbed on and restarts are ranked by.  ``iterations`` counts
     the candidates, one :func:`_volume_and_gradient` call each, charged to
     ``max_iterations``; ``evaluations`` adds the start's call.  ``stop``
-    says why the ascent ended: ``"critical"`` when no gradient trial and
-    no reassign gained at ``frame``, ``"cap"`` when ``max_iterations`` ran
-    out.  ``residual`` is |xi| / |D| of :func:`_stratum_gradient` at
-    ``frame``, on the ties the ascent held there, the stratum's
-    first-order residual.  ``rank_loss``
-    counts the candidates rejected because whitening found no frame (a
-    :class:`FrameError`), and ``degenerate`` those rejected because Qhull
-    could not build their section.  ``tied`` is the number of clusters of
-    several generators (:func:`_clusters`) in ``frame``.
+    says why the ascent ended: ``"critical"`` when no candidate (merge,
+    gradient trial or reassign) gained at ``frame``, ``"cap"`` when
+    ``max_iterations`` ran out.  ``residual`` is |xi| / |D| of
+    :func:`_stratum_gradient` at ``frame``, on the ties the ascent held
+    there, the stratum's first-order residual.  ``merged`` counts the
+    accepted merges (:func:`_merge`).  ``rank_loss`` counts the candidates
+    rejected because whitening found no frame (a :class:`FrameError`), and
+    ``degenerate`` those rejected because Qhull could not build their
+    section.  ``tied`` is the number of clusters of several generators
+    (:func:`_clusters`) in ``frame``.
     """
 
     index: int
@@ -123,6 +130,7 @@ class RestartResult:
     stop: str = "cap"
     tied: int = 0
     residual: float = float("nan")
+    merged: int = 0
 
     @property
     def evaluations(self) -> int:
@@ -175,6 +183,7 @@ class OptimizeResult:
                     "evaluations": r.evaluations,
                     "tied": r.tied,
                     "residual": r.residual,
+                    "merged": r.merged,
                 }
                 for r in self.restarts
             ],
@@ -241,19 +250,53 @@ def _reassigns(V: np.ndarray, label: np.ndarray, first: np.ndarray, k: int):
                 yield out
 
 
+def _merge(V: np.ndarray, label: np.ndarray, sign: np.ndarray, first: np.ndarray):
+    """The merge move at the frame V tied by ``label`` and ``sign``: V with
+    the two clusters nearest each other put onto one vector.
+
+    With u_c the representative of cluster c (v_i = sign[i] u_c for its
+    members) and d_c its size, the pair c, e and the sign s minimize
+    d_c d_e / (d_c + d_e) |u_c - s u_e|^2, and every member of both goes,
+    with its own sign, to the size-weighted mean w = (d_c u_c + s d_e u_e) /
+    (d_c + d_e).  In the metric sum_c d_c |delta_c|^2 of
+    :func:`_stratum_gradient` that cost is the squared distance from V to
+    the stratum where c and e coincide up to sign s, and w is its nearest
+    point.
+    """
+    size = np.bincount(label)
+    U = (sign[:, None] * V)[first]
+    dot = U @ U.T
+    sq = np.diag(dot)
+    cost = np.outer(size, size) / np.add.outer(size, size) * (
+        np.add.outer(sq, sq) - 2 * np.abs(dot))
+    cost[np.tri(len(first), dtype=bool)] = np.inf
+    c, e = np.unravel_index(np.argmin(cost), cost.shape)
+    s = 1.0 if dot[c, e] >= 0 else -1.0
+    w = (size[c] * U[c] + s * size[e] * U[e]) / (size[c] + size[e])
+    out = V.copy()
+    for cluster, to in ((c, w), (e, s * w)):
+        members = label == cluster
+        out[members] = sign[members, None] * to
+    return out
+
+
 def _moves(V: np.ndarray, xi: np.ndarray, step: float, label: np.ndarray,
-           first: np.ndarray, k: int):
+           sign: np.ndarray, first: np.ndarray, k: int):
     """The candidates tried at a frame, in order, each with the step a gain
-    sets: the gradient trials V + (t / |xi|) xi for t = ``step``, ``step`` /
-    2, ..., ``GRADIENT_TRIES`` lengths, which set ``STEP_GROWTH`` t, then
-    the reassigns (:func:`_reassigns`), which keep ``step``."""
+    sets and its kind: the merge (:func:`_merge`) when more than k clusters
+    are left, then the gradient trials V + (t / |xi|) xi for t = ``step``,
+    ``step`` / 2, ..., ``GRADIENT_TRIES`` lengths, which set ``STEP_GROWTH``
+    t, then the reassigns (:func:`_reassigns`); the merge and the reassigns
+    keep ``step``."""
+    if len(first) > k:
+        yield _merge(V, label, sign, first), step, "merge"
     norm = float(np.linalg.norm(xi))
     trial = step
     for _ in range(GRADIENT_TRIES if norm > 0 else 0):
-        yield V + (trial / norm) * xi, trial * STEP_GROWTH
+        yield V + (trial / norm) * xi, trial * STEP_GROWTH, "gradient"
         trial /= 2
     for out in _reassigns(V, label, first, k):
-        yield out, step
+        yield out, step, "reassign"
 
 
 def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
@@ -266,21 +309,26 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     the snap is kept when the volume falls by no more than ``SNAP_TOL``,
     relative, and otherwise the frame is taken as untied.  The candidates
     of :func:`_moves` are then tried in order, and the first that raises
-    the volume by more than ``VOL_TOL``, relative, is the next frame.  The
-    first are the gradient trials along xi, the gradient on the stratum of
-    those ties (:func:`_stratum_gradient`: each cluster's summed Euclidean
-    gradient, divided by its size, on every member), taken once per frame
-    and retracted by :func:`whiten`; a gain sets ``step`` to
-    ``STEP_GROWTH`` times its length.  Ties stay exact under the step and
+    the volume by more than ``VOL_TOL``, relative, is the next frame.
+    Where more than k clusters are left the first is the merge
+    (:func:`_merge`), which puts the two nearest clusters onto one vector
+    and so jumps onto a smaller stratum; the box frames, where the known
+    maximizers lie, have k.  Next are the gradient trials along xi, the
+    gradient on the stratum of the ties (:func:`_stratum_gradient`: each
+    cluster's summed Euclidean gradient, divided by its size, on every
+    member), taken once per frame and retracted by :func:`whiten`; a gain
+    sets ``step`` to ``STEP_GROWTH`` times its length.  Where the residual
+    |xi| / |D| is at most ``CRIT_TOL`` xi is rounding noise and no
+    gradient trial is made.  Ties stay exact under the merge, the step and
     the retraction.  Where the stratum is critical no split of a cluster
     gains to first order, so the only moves left are the reassigns
     (:func:`_reassigns`), which put a generator onto another cluster.
 
     Every volume read is one :func:`_volume_and_gradient` call, the
-    start's and one per candidate (snap, gradient trial or reassign) after
-    :func:`whiten`, bitwise the volume of :func:`section_volume_fast`, and
-    it brings the Euclidean gradient G of the same frame: the start, a kept
-    snap and an accepted candidate carry theirs, so xi needs no hull of
+    start's and one per candidate (snap, merge, gradient trial or reassign)
+    after :func:`whiten`, bitwise the volume of :func:`section_volume_fast`,
+    and it brings the Euclidean gradient G of the same frame: the start, a
+    kept snap and an accepted candidate carry theirs, so xi needs no hull of
     its own.  Each candidate is one iteration.  The accepted volumes that
     ``trace`` records are strictly increasing; a kept snap is recorded
     when it raises the volume, so ``trace`` ends at ``final_volume``
@@ -295,7 +343,7 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     vol, G = _volume_and_gradient(current.vectors)
     trace = [(0, vol)]
     step = INITIAL_STEP
-    accepted = degenerate = rank_loss = 0
+    accepted = merged = degenerate = rank_loss = 0
     it = 0
     cap = config.max_iterations
 
@@ -334,7 +382,9 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
             else:  # the snap is refused: no ties at this frame
                 label, sign, first = np.arange(n), np.ones(n), np.arange(n)
         xi, residual = _stratum_gradient(V, G, label, sign)
-        for vectors, next_step in _moves(V, xi, step, label, first, k):
+        if residual <= CRIT_TOL:  # xi is rounding noise: no gradient trial
+            xi = np.zeros_like(xi)
+        for vectors, next_step, kind in _moves(V, xi, step, label, sign, first, k):
             if it >= cap:
                 break
             tight, new_vol, new_G = evaluate(vectors)
@@ -342,6 +392,7 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
                 current, vol, G, step = tight, new_vol, new_G, next_step
                 trace.append((it, vol))
                 accepted += 1
+                merged += kind == "merge"
                 residual = None
                 break
         else:
@@ -363,6 +414,7 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
         stop=stop,
         tied=int((np.bincount(label) > 1).sum()),
         residual=residual,
+        merged=merged,
     )
 
 

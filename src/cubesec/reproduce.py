@@ -100,10 +100,12 @@ class BatteryContext:
 
 
 def _winner_note(res, target: float) -> str:
-    """The start that won a cell, and how many random restarts reached
-    ``target``: a report, not a gate."""
-    return "winner restart {} ({}), random restarts at target {} of {}".format(
-        res.best_index, res.best_start, *res.random_hits(target))
+    """The start that won a cell, how many random restarts reached
+    ``target``, and the volumes the cell's restarts read in all: a report,
+    not a gate."""
+    return "winner restart {} ({}), random restarts at target {} of {}, {} evaluations".format(
+        res.best_index, res.best_start, *res.random_hits(target),
+        sum(r.evaluations for r in res.restarts))
 
 
 def _grid(ctx: BatteryContext):

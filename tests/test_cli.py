@@ -11,6 +11,7 @@ import pytest
 from cubesec import reproduce
 from cubesec.cli import main
 from cubesec.frame_core import Frame
+from cubesec.optimizer import OptimizerConfig, maximize
 from cubesec.reproduce import CRITERIA, CriterionResult
 
 
@@ -161,6 +162,11 @@ class TestOptimize:
         counts = dict(part.split() for part in stops[0][len("stops"):].split(","))
         assert set(counts) <= {"critical", "cap"}
         assert sum(map(int, counts.values())) == 2
+        # the volumes read and the merges accepted, over all restarts
+        totals = [line for line in lines if line.startswith("evaluations")]
+        res = maximize(OptimizerConfig(n=4, k=2, restarts=1, seed=5, max_iterations=150))
+        assert totals == ["evaluations      {}, merges {}".format(
+            sum(r.evaluations for r in res.restarts), sum(r.merged for r in res.restarts))]
 
     def test_seeded_reruns_identical(self, tmp_path):
         paths = []

@@ -101,7 +101,7 @@ class TestAscend:
 
         def fails_once(vectors):
             calls.append(1)
-            if len(calls) == 2:  # the first gradient step; call 1 is the start
+            if len(calls) == 2:  # the first merge; call 1 is the start
                 raise DegeneratePolytopeError("degenerate polytope")
             return _volume_and_gradient(vectors)
 
@@ -110,7 +110,8 @@ class TestAscend:
         s0 = random_tight_frame(6, 3, rng)
         res = ascend(s0, small_config(6, 3, max_iterations=50), rng)
         assert res.degenerate == 1
-        assert res.iterations == 50
+        assert (res.iterations, res.stop) == (13, "critical")
+        assert res.accepted > 0
         assert res.final_volume == section_volume_fast(res.frame.vectors)
 
     def test_rank_loss_is_counted(self, monkeypatch):
@@ -184,12 +185,13 @@ class TestAscend:
         assert [r.start for r in res.restarts] == ["warm"]
         assert res.restarts[0].rank_loss == 0
 
-    @pytest.mark.parametrize("n, k, iterations", [(7, 4, 17), (10, 2, 2)], ids=["7-4", "10-2"])
+    @pytest.mark.parametrize("n, k, iterations", [(7, 4, 9), (10, 2, 2)], ids=["7-4", "10-2"])
     def test_warm_restart_stops_critical(self, n, k, iterations):
-        # the box frame is critical on its stratum, so the warm restart ends
-        # once its gradient trials and reassigns have failed; at (10, 2) its
-        # xi is exactly zero, so no gradient step is tried, and its two
-        # clusters give two reassigns
+        # the box frame is critical on its stratum: its residual is below
+        # CRIT_TOL (at (10, 2) xi is exactly zero), so no gradient step is
+        # tried, and with m = k clusters no merge either; the warm restart
+        # ends once its reassigns have failed, 3 x 3 at (7, 4) and two at
+        # (10, 2)
         res = maximize(OptimizerConfig(n=n, k=k, restarts=0, seed=0))
         warm = res.restarts[0]
         assert warm.stop == "critical"
@@ -202,15 +204,19 @@ class TestAscend:
                              ids=["10-2", "7-4"])
     def test_gradient_step_climbs_at_unequal_ties(self, sizes, k, monkeypatch):
         # at a frame tied exactly into clusters of unequal sizes the snap
-        # changes nothing, so the first candidate whitened is the gradient
-        # step; the volume rises along its direction, to first order
+        # changes nothing, so with the merge left out the first candidate
+        # whitened is the gradient step; the volume rises along its
+        # direction, to first order
         seen = []
 
         def recorded(frame):
             seen.append(frame.vectors)
             return whiten(frame)
 
+        moves = optimizer._moves
         monkeypatch.setattr(optimizer, "whiten", recorded)
+        monkeypatch.setattr(optimizer, "_moves", lambda *args: (
+            move for move in moves(*args) if move[2] == "gradient"))
         for seed in range(6):
             rng = np.random.default_rng(seed)
             w = random_tight_frame(len(sizes), k, rng).vectors
@@ -226,16 +232,17 @@ class TestAscend:
             assert section_volume_fast(moved.vectors) > vol * (1 + VOL_TOL)
 
     def test_stop_reasons(self):
-        # the optimal box accepts nothing: its GRADIENT_TRIES gradient steps
-        # fail, and so do the two reassigns of its two clusters
+        # the optimal box accepts nothing: it is critical on its stratum, so
+        # it tries no gradient step, and the two reassigns of its two
+        # clusters fail
         res = ascend(extremal_frame(5, 2), small_config(5, 2, max_iterations=1000),
                      np.random.default_rng(0))
         assert res.stop == "critical"
-        assert res.iterations == GRADIENT_TRIES + 2
+        assert res.iterations == 2
         rng = np.random.default_rng(2)
-        res = ascend(random_tight_frame(6, 2, rng), small_config(6, 2, max_iterations=40), rng)
+        res = ascend(random_tight_frame(6, 2, rng), small_config(6, 2, max_iterations=5), rng)
         assert res.stop == "cap"
-        assert res.iterations == 40
+        assert res.iterations == 5
 
     def test_iterates_stay_tight(self):
         rng = np.random.default_rng(3)
@@ -260,6 +267,42 @@ class TestMoveList:
             assert r.final_volume == pytest.approx(12.0, rel=1e-12)
         assert runs[0].iterations == runs[1].iterations
         assert runs[0].frame.vectors.tobytes() == runs[1].frame.vectors.tobytes()
+
+    def test_merge_is_tried_first(self):
+        # at a frame of m > k clusters the first candidate puts the two
+        # nearest clusters, up to sign and weighted by size, onto their
+        # size-weighted mean; the gradient trials and the reassigns follow
+        rng = np.random.default_rng(70)
+        for n, k, sizes in ((7, 3, (1,) * 7), (7, 3, (3, 2, 1, 1)), (10, 2, (4, 3, 2, 1))):
+            w = random_tight_frame(len(sizes), k, rng).vectors
+            signs = rng.choice([-1.0, 1.0], n)
+            rows = np.repeat(w / np.sqrt(sizes)[:, None], sizes, axis=0)
+            V = TightFrame(signs[:, None] * rows).vectors
+            label, sign, first = optimizer._clusters(V)
+            np.testing.assert_array_equal(label, np.repeat(np.arange(len(sizes)), sizes))
+            U = (sign[:, None] * V)[first]
+            pairs = [(sizes[c] * sizes[e] / (sizes[c] + sizes[e]) * np.sum((U[c] - s * U[e]) ** 2),
+                      c, e, s) for c in range(len(sizes)) for e in range(c + 1, len(sizes))
+                     for s in (1.0, -1.0)]
+            _, c, e, s = min(pairs)
+            mean = (sizes[c] * U[c] + s * sizes[e] * U[e]) / (sizes[c] + sizes[e])
+            xi = optimizer._stratum_gradient(V, _volume_and_gradient(V)[1], label, sign)[0]
+            moves = list(optimizer._moves(V, xi, 0.3, label, sign, first, k))
+            assert [kind for *_, kind in moves[:GRADIENT_TRIES + 2]] == (
+                ["merge"] + ["gradient"] * GRADIENT_TRIES + ["reassign"])
+            merged, step, _ = moves[0]
+            assert step == 0.3
+            both = (label == c) | (label == e)
+            assert len(np.unique(np.abs(merged[both]), axis=0)) == 1
+            to = np.where(label == e, s, 1.0)[:, None] * sign[:, None] * mean
+            np.testing.assert_allclose(merged[both], to[both], rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(merged[~both], V[~both])
+        # a box frame holds m = k clusters: no merge
+        for n, k in ((7, 4), (10, 2)):
+            V = extremal_frame(n, k).vectors
+            label, sign, first = optimizer._clusters(V)
+            assert "merge" not in [kind for *_, kind in optimizer._moves(
+                V, np.zeros_like(V), 0.3, label, sign, first, k)]
 
     def test_box_reassigns(self):
         # the (7, 4) box has clusters of sizes 2, 2, 2 and 1; with only
@@ -328,7 +371,7 @@ class TestPlanarStepGuard:
     def test_ascend(self):
         rng = np.random.default_rng(41)
         res = ascend(random_tight_frame(5, 2, rng), small_config(5, 2, max_iterations=200), rng)
-        assert (res.iterations, res.stop) == (110, "critical")
+        assert (res.iterations, res.stop) == (7, "critical")
         assert res.accepted > 0
 
     def test_warm_start_with_rank_loss(self, monkeypatch):
@@ -386,6 +429,7 @@ class TestMaximize:
         assert [r["evaluations"] for r in data["restarts"]] == [
             r.iterations + 1 for r in res.restarts]
         assert [r["tied"] for r in data["restarts"]] == [r.tied for r in res.restarts]
+        assert [r["merged"] for r in data["restarts"]] == [r.merged for r in res.restarts]
         again = json.loads(json.dumps(
             maximize(small_config(4, 2, restarts=1, max_iterations=100)).to_dict()))
         assert again["restarts"] == data["restarts"]
@@ -411,6 +455,13 @@ class TestHitRate:
         assert randoms == 12
         assert hits >= 6
 
+    def test_merge_cuts_the_evaluations(self):
+        # every random restart still reaches the optimum, in at most half
+        # the 2126 evaluations the ascent made without the merge
+        res = maximize(OptimizerConfig(n=7, k=4, restarts=12, seed=0))
+        assert res.random_hits(2**4 * c_cube(7, 4)) == (12, 12)
+        assert sum(r.evaluations for r in res.restarts) <= 2126 // 2
+
     def test_every_random_restart_reaches_the_optimum_at_unequal_ties(self):
         # at this seed random restarts end on frames tied into clusters of
         # unequal sizes; the stratum gradient climbs on from each of them
@@ -422,11 +473,11 @@ class TestPinnedRestarts:
     """Whole restarts at (3, 2), (10, 2), (7, 3) and (7, 4) pinned to
     recorded outcomes.
 
-    Recorded with the deterministic ascent: gradient trials, then
-    reassigns.  The random restarts reach the optimum within the 400
+    Recorded with the deterministic ascent: the merge, gradient trials,
+    then reassigns.  The random restarts reach the optimum within the 400
     iterations and stop at a critical frame there, and the warm restarts
-    accept nothing and stop at the critical box frame once its gradient
-    trials and reassigns have failed.  At (3, 2) the warm start holds two
+    accept nothing and stop at the critical box frame once its reassigns
+    have failed.  At (3, 2) the warm start holds two
     parallel generators, so its points of +-V coincide, and the random
     restart climbs to such a frame.  A change to the volume kernel, its
     gradient, whitening, the ties or the move list that moves any accept
@@ -435,14 +486,14 @@ class TestPinnedRestarts:
     """
 
     PINNED = {
-        (3, 2): [(63, 26, 0, 0, "critical", 5.656854249492378),
-                 (9, 0, 0, 0, "critical", 5.656854249492381)],
-        (10, 2): [(328, 183, 0, 0, "critical", 20.000000000000004),
-                  (2, 0, 0, 0, "critical", 20.000000000000004)],
-        (7, 3): [(171, 89, 0, 0, "critical", 27.71281292110203),
-                 (14, 0, 0, 0, "critical", 27.712812921102046)],
-        (7, 4): [(149, 75, 0, 0, "critical", 45.25483399593901),
-                 (17, 0, 0, 0, "critical", 45.254833995939045)],
+        (3, 2): [(2, 1, 0, 0, "critical", 5.65685424949238),
+                 (1, 0, 0, 0, "critical", 5.656854249492381)],
+        (10, 2): [(21, 13, 0, 0, "critical", 20.000000000000004),
+                  (2, 0, 0, 0, "critical", 20.0)],
+        (7, 3): [(14, 6, 0, 0, "critical", 27.712812921102017),
+                 (6, 0, 0, 0, "critical", 27.71281292110204)],
+        (7, 4): [(19, 5, 0, 0, "critical", 45.25483399593906),
+                 (9, 0, 0, 0, "critical", 45.25483399593905)],
     }
 
     @pytest.mark.parametrize("n, k", sorted(PINNED))
