@@ -6,17 +6,19 @@ manifold V^T V = I vanishes, G being its Euclidean gradient.  Each restart
 climbs along xi, retracting by whitening (the polar retraction; Absil,
 Mahony & Sepulchre, 2008).  The volume has a kink wherever two generators
 coincide up to sign, and the maximizers known lie on such ties (the box
-frames), so generators that nearly coincide are tied into clusters that
-move as one vector.  On the stratum of those ties the volume is smooth
-(it is partly smooth; Lewis, 2002), and the ascent steps along its
-gradient there: each cluster's gradient sum divided by the cluster size,
-the gradient in the metric the tied rows induce.  Rather than creep toward
-the next kink along that gradient, each frame first tries to jump onto
-it: the merge puts the two nearest clusters onto their nearest common
-point in the same metric (the identification step of Hare & Lewis, 2004).
-At a frame critical on its stratum the paper's balance identity (a facet
-of multiplicity d balances d |v|^2 vol) leaves no split of a cluster that
-gains to first order, so where neither the merge nor a gradient step
+frames), so generators that coincide up to sign are tied into clusters that
+move as one vector.  Every tie is made exactly, by the merge, a reassign or
+the box start, and a gradient step and the retraction keep it bitwise, so
+ties are found by exact comparison.  On the stratum of those ties the
+volume is smooth (it is partly smooth; Lewis, 2002), and the ascent steps
+along its gradient there: each cluster's gradient sum divided by the
+cluster size, the gradient in the metric the tied rows induce.  Rather than
+creep toward the next kink along that gradient, each frame first tries to
+jump onto it: the merge puts the two nearest clusters onto their nearest
+common point in the same metric (the identification step of Hare & Lewis,
+2004).  At a frame critical on its stratum the paper's balance identity (a
+facet of multiplicity d balances d |v|^2 vol) leaves no split of a cluster
+that gains to first order, so where neither the merge nor a gradient step
 gains the ascent tries one fixed list of non-local moves, the reassigns,
 each putting a generator onto another cluster.  A restart ends where none
 of them gains either; it draws no random number, so it is deterministic
@@ -70,12 +72,6 @@ STEP_GROWTH = 1.5
 # A frame whose stratum residual |xi| / |D| is at most CRIT_TOL is critical
 # on its stratum: xi there is rounding noise, and no gradient step is tried.
 CRIT_TOL = 1e-12
-# Generators within TIE_TOL max|v| of each other, up to sign, in every
-# coordinate are tied into one cluster, and a snap of every cluster onto
-# one vector is kept when it lowers the volume by no more than SNAP_TOL,
-# relative.
-TIE_TOL = 1e-4
-SNAP_TOL = 1e-12
 # A restart reaches a volume when it ends within HIT_TOL of it, relative.
 HIT_TOL = 1e-6
 
@@ -114,8 +110,8 @@ class RestartResult:
     accepted merges (:func:`_merge`).  ``rank_loss`` counts the candidates
     rejected because whitening found no frame (a :class:`FrameError`), and
     ``degenerate`` those rejected because Qhull could not build their
-    section.  ``tied`` is the number of clusters of several generators
-    (:func:`_clusters`) in ``frame``.
+    section.  ``tied`` is the number of clusters of several generators,
+    tied exactly (:func:`_clusters`), in ``frame``.
     """
 
     index: int
@@ -193,14 +189,14 @@ class OptimizeResult:
 def _clusters(V: np.ndarray):
     """Signed clusters of the generators: (label, sign, first).
 
-    Generators whose points of +-V lie within ``TIE_TOL`` max|v| of each
-    other in every coordinate are one cluster (:func:`_coincident_row_groups`
-    on [V; -V]): v_i = sign[i] sign[j] v_j for i, j of one label.  Labels
-    run from 0 in the order of their least members, and ``first[c]`` is
-    the least member of cluster c.
+    Generators that coincide exactly up to sign are one cluster
+    (:func:`_coincident_row_groups` on [V; -V] at tolerance 0, which compares
+    by value, so -0.0 equals 0.0): v_i = sign[i] sign[j] v_j for i, j of one
+    label.  Labels run from 0 in the order of their least members, and
+    ``first[c]`` is the least member of cluster c.
     """
     n = len(V)
-    group = _coincident_row_groups(np.concatenate((V, -V)), TIE_TOL * float(np.abs(V).max()))
+    group = _coincident_row_groups(np.concatenate((V, -V)), 0.0)
     low = np.minimum(group[:n], group[n:])
     sign = np.where(group[:n] == low, 1.0, -1.0)
     first, label = np.unique(low, return_index=True, return_inverse=True)[1:]
@@ -304,41 +300,38 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     """Single-restart first-order ascent from a tight frame; deterministic
     given ``s0``, so ``rng`` is not used.
 
-    At each new frame the generators are grouped into signed clusters
-    (:func:`_clusters`), and every cluster is snapped onto its least member;
-    the snap is kept when the volume falls by no more than ``SNAP_TOL``,
-    relative, and otherwise the frame is taken as untied.  The candidates
-    of :func:`_moves` are then tried in order, and the first that raises
-    the volume by more than ``VOL_TOL``, relative, is the next frame.
-    Where more than k clusters are left the first is the merge
-    (:func:`_merge`), which puts the two nearest clusters onto one vector
-    and so jumps onto a smaller stratum; the box frames, where the known
-    maximizers lie, have k.  Next are the gradient trials along xi, the
-    gradient on the stratum of the ties (:func:`_stratum_gradient`: each
-    cluster's summed Euclidean gradient, divided by its size, on every
-    member), taken once per frame and retracted by :func:`whiten`; a gain
-    sets ``step`` to ``STEP_GROWTH`` times its length.  Where the residual
-    |xi| / |D| is at most ``CRIT_TOL`` xi is rounding noise and no
-    gradient trial is made.  Ties stay exact under the merge, the step and
-    the retraction.  Where the stratum is critical no split of a cluster
-    gains to first order, so the only moves left are the reassigns
-    (:func:`_reassigns`), which put a generator onto another cluster.
+    At each new frame the generators are grouped into signed clusters of
+    exact ties (:func:`_clusters`), and the candidates of :func:`_moves` are
+    tried in order: the first that raises the volume by more than
+    ``VOL_TOL``, relative, is the next frame.  Where more than k clusters
+    are left the first is the merge (:func:`_merge`), which puts the two
+    nearest clusters onto one vector and so jumps onto a smaller stratum;
+    the box frames, where the known maximizers lie, have k.  Next are the
+    gradient trials along xi, the gradient on the stratum of the ties
+    (:func:`_stratum_gradient`: each cluster's summed Euclidean gradient,
+    divided by its size, on every member), taken once per frame and
+    retracted by :func:`whiten`; a gain sets ``step`` to ``STEP_GROWTH``
+    times its length.  Where the residual |xi| / |D| is at most ``CRIT_TOL``
+    xi is rounding noise and no gradient trial is made.  Ties stay exact
+    under the merge, the step and the retraction.  Where the stratum is
+    critical no split of a cluster gains to first order, so the only moves
+    left are the reassigns (:func:`_reassigns`), which put a generator onto
+    another cluster.
 
-    Every volume read is one :func:`_volume_and_gradient` call, the
-    start's and one per candidate (snap, merge, gradient trial or reassign)
-    after :func:`whiten`, bitwise the volume of :func:`section_volume_fast`,
-    and it brings the Euclidean gradient G of the same frame: the start, a
-    kept snap and an accepted candidate carry theirs, so xi needs no hull of
-    its own.  Each candidate is one iteration.  The accepted volumes that
-    ``trace`` records are strictly increasing; a kept snap is recorded
-    when it raises the volume, so ``trace`` ends at ``final_volume``
-    unless the last snap lowered it, by no more than ``SNAP_TOL``.
-    Iterates stay tight: rank losses and candidates whose section Qhull
-    cannot build are rejected, not raised, and counted.  The run stops
-    (``stop``) at a frame where no candidate gains, ``"critical"``, or when
-    the iterations reach ``max_iterations``, ``"cap"``.
+    Every volume read is one :func:`_volume_and_gradient` call, the start's
+    and one per candidate (merge, gradient trial or reassign) after
+    :func:`whiten`, bitwise the volume of :func:`section_volume_fast`, and
+    it brings the Euclidean gradient G of the same frame: the start and an
+    accepted candidate carry theirs, so xi needs no hull of its own.  Each
+    candidate is one iteration.  ``trace`` records the start and every
+    accepted volume, so it is strictly increasing and ends at
+    ``final_volume``.  Iterates stay tight: rank losses and candidates whose
+    section Qhull cannot build are rejected, not raised, and counted.  The
+    run stops (``stop``) at a frame where no candidate gains,
+    ``"critical"``, or when the iterations reach ``max_iterations``,
+    ``"cap"``.
     """
-    n, k = s0.vectors.shape
+    k = s0.vectors.shape[1]
     current = s0
     vol, G = _volume_and_gradient(current.vectors)
     trace = [(0, vol)]
@@ -371,16 +364,6 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     while it < cap:
         V = current.vectors
         label, sign, first = _clusters(V)
-        snap = sign[:, None] * (sign[:, None] * V)[first][label]
-        if not np.array_equal(snap, V):
-            tight, new_vol, new_G = evaluate(snap)
-            if new_vol >= vol * (1.0 - SNAP_TOL):
-                if new_vol > vol:
-                    trace.append((it, new_vol))
-                current, vol, G = tight, new_vol, new_G
-                V = current.vectors
-            else:  # the snap is refused: no ties at this frame
-                label, sign, first = np.arange(n), np.ones(n), np.arange(n)
         xi, residual = _stratum_gradient(V, G, label, sign)
         if residual <= CRIT_TOL:  # xi is rounding noise: no gradient trial
             xi = np.zeros_like(xi)
@@ -398,8 +381,8 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
         else:
             stop = "critical"
             break
-    label, sign, _ = _clusters(current.vectors)
     if residual is None:  # the cap fell on a new frame, whose xi is not taken
+        label, sign, _ = _clusters(current.vectors)
         residual = _stratum_gradient(current.vectors, G, label, sign)[1]
     return RestartResult(
         index=index,

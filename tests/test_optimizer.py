@@ -75,17 +75,23 @@ class TestAscend:
         assert res.final_volume > 4.0 + 0.5
 
     def test_trace_is_nondecreasing(self):
+        # the trace is the start and every accepted volume: nothing else
+        # changes the frame, so it rises strictly and ends at final_volume
         rng = np.random.default_rng(2)
         s0 = random_tight_frame(6, 2, rng)
         res = ascend(s0, small_config(6, 2), rng)
         vols = [v for _, v in res.trace]
-        assert all(a <= b for a, b in zip(vols, vols[1:]))
+        assert all(a < b for a, b in zip(vols, vols[1:]))
+        assert vols[-1] == res.final_volume
+        assert len(vols) == res.accepted + 1
         assert res.iterations <= 600
 
     def test_final_volume_is_the_ranked_volume(self):
         # a frame whose pyramid sum once over-counted a shared edge strip
         # (5.681461 > 4 sqrt 2); the restart must report the volume it
-        # climbed on, never above the proven planar optimum
+        # climbed on, never above the proven planar optimum.  Its last two
+        # rows are 5.2e-8 apart, so its one candidate is the merge, which
+        # ties them and gains
         _, s0 = whiten(Frame([
             [-0.8973883043189166, -0.4412416925808554],
             [0.31200500746585086, -0.634549329210331],
@@ -94,6 +100,7 @@ class TestAscend:
         res = ascend(s0, small_config(3, 2, max_iterations=1), np.random.default_rng(0))
         assert res.final_volume == section_volume_fast(res.frame.vectors)
         assert res.final_volume <= 4 * math.sqrt(2)
+        assert (res.accepted, res.merged) == (1, 1)
 
     def test_degenerate_proposal_is_rejected_not_raised(self, monkeypatch):
         # a Qhull failure on one candidate must not abort the restart
@@ -130,7 +137,7 @@ class TestAscend:
         # every volume the ascent reads is one _volume_and_gradient call:
         # the start's and one per candidate.  The reported volume is the one
         # read for the final frame, with no further call to rank it, and the
-        # trace ends at it: a snap kept after the last gain is recorded
+        # trace ends at it
         read = []
 
         def counted(vectors):
@@ -203,10 +210,9 @@ class TestAscend:
     @pytest.mark.parametrize("sizes, k", [((4, 3, 2, 1), 2), ((2, 2, 1, 1, 1), 4)],
                              ids=["10-2", "7-4"])
     def test_gradient_step_climbs_at_unequal_ties(self, sizes, k, monkeypatch):
-        # at a frame tied exactly into clusters of unequal sizes the snap
-        # changes nothing, so with the merge left out the first candidate
-        # whitened is the gradient step; the volume rises along its
-        # direction, to first order
+        # at a frame tied exactly into clusters of unequal sizes, with the
+        # merge left out, the first candidate whitened is the gradient step;
+        # the volume rises along its direction, to first order
         seen = []
 
         def recorded(frame):
@@ -243,6 +249,31 @@ class TestAscend:
         res = ascend(random_tight_frame(6, 2, rng), small_config(6, 2, max_iterations=5), rng)
         assert res.stop == "cap"
         assert res.iterations == 5
+
+    @pytest.mark.parametrize("n, k", [(3, 2), (10, 2), (7, 3), (7, 4), (6, 5)])
+    def test_ties_stay_exact(self, n, k, monkeypatch):
+        # the clusters are exact ties, which the merge, the reassigns and
+        # the box start make and a gradient step and whitening keep
+        # bitwise: at every frame the rows of +-V group the same at 1e-4
+        # max|v| as at 0.  A tie broken by rounding would show here, since
+        # the merge could not make it again: its gain is below VOL_TOL
+        frames = []
+        stratum_gradient = optimizer._stratum_gradient
+
+        def observed(V, *args):
+            frames.append(V)
+            return stratum_gradient(V, *args)
+
+        monkeypatch.setattr(optimizer, "_stratum_gradient", observed)
+        for seed in (0, 1):
+            maximize(OptimizerConfig(n=n, k=k, restarts=32 if k == 2 else 12, seed=seed),
+                     threads=1)
+        assert len(frames) > 2 * n
+        for V in frames:
+            W = np.concatenate((V, -V))
+            np.testing.assert_array_equal(
+                polytope._coincident_row_groups(W, 1e-4 * np.abs(V).max()),
+                polytope._coincident_row_groups(W, 0.0))
 
     def test_iterates_stay_tight(self):
         rng = np.random.default_rng(3)
