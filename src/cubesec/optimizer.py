@@ -359,12 +359,13 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
             degenerate += 1
         return None, -np.inf, None
 
-    residual = None  # the residual at ``current``, None until it is taken
     stop = "cap"
-    while it < cap:
+    while True:
         V = current.vectors
         label, sign, first = _clusters(V)
         xi, residual = _stratum_gradient(V, G, label, sign)
+        if it >= cap:
+            break
         if residual <= CRIT_TOL:  # xi is rounding noise: no gradient trial
             xi = np.zeros_like(xi)
         for vectors, next_step, kind in _moves(V, xi, step, label, sign, first, k):
@@ -376,14 +377,10 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
                 trace.append((it, vol))
                 accepted += 1
                 merged += kind == "merge"
-                residual = None
                 break
         else:
             stop = "critical"
             break
-    if residual is None:  # the cap fell on a new frame, whose xi is not taken
-        label, sign, _ = _clusters(current.vectors)
-        residual = _stratum_gradient(current.vectors, G, label, sign)[1]
     return RestartResult(
         index=index,
         start=start,

@@ -21,9 +21,10 @@ vertices.  For k = 1 the section is an interval in closed form.
 Every volume and every facet is read from one cone table per hull: row p
 holds the cone from the origin over the facet of the point p, its volume
 and first moment.  :func:`_flag_cones` sums it over the flags of Qhull's
-triangulation, one determinant per ridge and corner; :func:`_planar_cones`
-is its twin in the plane, one triangle per section edge.  The volume is
-the sum of the cones (:func:`_halfspace_volume`, and
+triangulation, one determinant per ridge and corner; in the plane the
+Graham pass of :func:`_planar_hull` gives it with the vertices, one
+triangle per section edge.  The volume is the sum of the table's volume
+column, in row order (:func:`_halfspace_volume`, and
 :func:`section_volume_fast` for a section), and the same table gives the
 Euclidean gradient (:func:`_volume_and_gradient`).
 
@@ -31,7 +32,8 @@ Euclidean gradient (:func:`_volume_and_gradient`).
 and assembles the records in one pass: a group label per row (coincident
 rows share a facet), contents and first moments summed by label, and the
 vertex indices of each group from one incidence matrix.  The section's
-volume is the sum of the cones.
+volume is the same sum of the volume column, so in the plane it is bitwise
+the volume of :func:`section_volume_fast`.
 """
 
 from __future__ import annotations
@@ -198,48 +200,36 @@ def _scan(P: list, order: list) -> list:
     return hull
 
 
-def _edge_vertices(P: list, chain: list, floor: float) -> list:
-    """Section vertex of each hull edge (P[chain[j]], P[chain[j + 1]]).
-
-    An edge (p, q) is the line <x, p> = <x, q> = 1, so its section vertex
-    J(q - p) / (p x (q - p)), with J(dx, dy) = (dy, -dx), is formed from
-    the short difference q - p (see :func:`_solved_vertices`).  Raises
-    :class:`NotAFrameError` when an edge lies within ``floor`` of the
-    origin, or on the wrong side of it.
-    """
-    Y = []
-    px, py = P[chain[0]]
-    for r in chain[1:]:
-        qx, qy = P[r]
-        dx, dy = qx - px, qy - py
-        cross = px * dy - py * dx
-        # an edge this close to the origin puts a section vertex out at
-        # 1 / distance, as a shallow facet does in _polar_hull
-        if cross <= 0 or cross * cross <= floor * floor * (dx * dx + dy * dy):
-            raise NotAFrameError("not a frame")
-        Y.append((dy / cross, -dx / cross))
-        px, py = qx, qy
-    return Y
-
-
 def _planar_hull(P: np.ndarray):
-    """Hull of the polar points P in the plane, and the vertices of their
-    polar body, by one Graham scan (:func:`_scan`) once round the origin.
+    """Hull of the polar points P in the plane, the vertices of their polar
+    body and its cone table, by one Graham scan (:func:`_scan`) once round
+    the origin.
 
-    Returns (P, hull, Y): the points as a list of pairs, the rows whose
-    points are the hull's vertices, in counterclockwise order, and Y[j] the
-    polar vertex of the hull edge from hull[j] to hull[j + 1], cyclically
-    (:func:`_edge_vertices`).  The facet of row hull[j] is thus the edge
-    from Y[j - 1] to Y[j].
+    Returns (hull, Y, S): the rows whose points are the hull's vertices, in
+    counterclockwise order; Y[j] the polar vertex of the hull edge from
+    hull[j] to hull[j + 1], cyclically, so that the facet of row hull[j] is
+    the edge from Y[j - 1] to Y[j]; and the cone table S in the layout of
+    :func:`_flag_cones`: row p of the (len(P), 3) array holds 3 times the
+    first moment of the cone from the origin over the facet of the point
+    P[p], then its area, and a point off the hull has a row of zeros.
 
     The points are sorted by their angle about the origin, and the scan
     starts and ends at the point of largest norm, always a hull vertex.
     The body need not be centrally symmetric, as the shifted and tilted
-    rebuilds are not.
+    rebuilds are not.  An edge (p, q) is the line <x, p> = <x, q> = 1, so
+    its polar vertex is J(q - p) / (p x (q - p)), with J(dx, dy) = (dy, -dx).
+    The cone over the facet of q_j = P[hull[j]] is the triangle
+    (0, Y[j - 1], Y[j]), of area t_j / (2 x_j x_(j+1)), t_j the turn
+    (q_j - q_(j-1)) x (q_(j+1) - q_j) and x_j = q_(j-1) x q_j; 3 times its
+    first moment is its area times Y[j - 1] + Y[j].  The difference and
+    the crossing of each edge are formed once, from the short difference
+    q - p (see :func:`_solved_vertices`), so a vertex and a cone are exact
+    to rounding however short the facet.
 
     Raises :class:`NotAFrameError` when fewer than 3 vertices remain, or an
-    edge lies within ``DEPTH_FLOOR`` max|P| of the origin, as :func:`_polar_hull`
-    does for a facet: the rows then span R^2 only in rounding, if at all.
+    edge lies within ``DEPTH_FLOOR`` max|P| of the origin, or on the wrong
+    side of it, as :func:`_polar_hull` does for a facet: the rows then span
+    R^2 only in rounding, if at all.
     """
     if len(P) < 3:
         raise NotAFrameError("not a frame")
@@ -253,39 +243,33 @@ def _planar_hull(P: np.ndarray):
     hull.pop()  # the start, met again
     if len(hull) < 3:
         raise NotAFrameError("not a frame")
-    return P, hull, _edge_vertices(P, hull + hull[:1], floor)
-
-
-def _planar_cones(P: list, hull: list, Y: list) -> np.ndarray:
-    """The cones from the origin over the edges of the polar body, k = 2,
-    in the layout of :func:`_flag_cones`: row p of the (len(P), 3) result
-    holds 3 times the first moment of the cone over the facet of the point
-    P[p], then its area; a point off the hull has a row of zeros.
-
-    ``P``, ``hull`` and ``Y`` are :func:`_planar_hull`'s.  The facet of the
-    hull vertex q_j = P[hull[j]] runs from Y[j - 1] to Y[j], so its cone is
-    the triangle (0, Y[j - 1], Y[j]), of area t_j / (2 x_j x_(j+1)), t_j
-    the turn (q_j - q_(j-1)) x (q_(j+1) - q_j) and x_j = q_(j-1) x q_j;
-    3 times its first moment is its area times Y[j - 1] + Y[j].  The turn
-    and the crossings are formed from the short differences, so a cone is
-    exact to rounding however short its facet.
-    """
+    edges, Y = [], []  # (dx, dy, cross) and the polar vertex of edge j
+    px, py = P[hull[0]]
+    for r in hull[1:] + hull[:1]:
+        qx, qy = P[r]
+        dx, dy = qx - px, qy - py
+        cross = px * dy - py * dx
+        # an edge this close to the origin puts a section vertex out at
+        # 1 / distance, as a shallow facet does in _polar_hull
+        if cross <= 0 or cross * cross <= floor * floor * (dx * dx + dy * dy):
+            raise NotAFrameError("not a frame")
+        edges.append((dx, dy, cross))
+        Y.append((dy / cross, -dx / cross))
+        px, py = qx, qy
     S = [(0.0, 0.0, 0.0)] * len(P)
-    m = len(hull)
-    for j in range(m):
-        (ax, ay), (bx, by), (cx, cy) = P[hull[j - 1]], P[hull[j]], P[hull[j + 1 - m]]
-        ix, iy, ox, oy = bx - ax, by - ay, cx - bx, cy - by
-        w = (ix * oy - iy * ox) / (2 * (ax * iy - ay * ix) * (bx * oy - by * ox))
+    for j, r in enumerate(hull):
+        (ix, iy, a), (ox, oy, b) = edges[j - 1], edges[j]
+        w = (ix * oy - iy * ox) / (2 * a * b)
         (ux, uy), (vx, vy) = Y[j - 1], Y[j]
-        S[hull[j]] = (w * (ux + vx), w * (uy + vy), w)
-    return np.array(S)
+        S[r] = (w * (ux + vx), w * (uy + vy), w)
+    return hull, Y, np.array(S)
 
 
 def _polar_hull(P: np.ndarray):
     """Qhull's hull of the polar points P, k >= 3 (the plane has
     :func:`_planar_hull`), and the vertices of their polar body.
 
-    Returns (P, hull, Y), Y[f] = a / (-b) for hull facet f: a.x + b <= 0.
+    Returns (hull, Y), Y[f] = a / (-b) for hull facet f: a.x + b <= 0.
     Raises :class:`NotAFrameError` when the points do not span R^k, and
     :class:`DegeneratePolytopeError` when Qhull fails on points that do.
     """
@@ -300,7 +284,7 @@ def _polar_hull(P: np.ndarray):
     depth = -eq[:, k]
     if depth.min() <= DEPTH_FLOOR * np.abs(P).max():
         raise NotAFrameError("not a frame")
-    return P, hull, eq[:, :k] / depth[:, None]
+    return hull, eq[:, :k] / depth[:, None]
 
 
 def _differences(G: np.ndarray) -> np.ndarray:
@@ -360,37 +344,40 @@ def _distinct_equations(eq: np.ndarray):
 def _point_facets(W: np.ndarray):
     """Vertices of {W x <= 1}, and the cone from the origin over the facet
     of every row that has one, from the hull's cone table
-    (:func:`_planar_cones`, :func:`_flag_cones`).
+    (:func:`_planar_hull`, :func:`_flag_cones`).
 
-    Returns (vertices, rows, cone, centroid, point, vid): the facet of row
-    rows[i] has centroid centroid[i] and content k cone[i] |W[rows[i]]|,
-    and (point[j], vid[j]) are its rows and vertices, paired, with repeats.
-    For k = 1 a facet is the vertex 1 / p, its cone of length 1 / |p|.
+    Returns (vertices, rows, cone, centroid, point, vid, vol): the facet of
+    row rows[i] has centroid centroid[i] and content k cone[i] |W[rows[i]]|,
+    (point[j], vid[j]) are its rows and vertices, paired, with repeats, and
+    vol is the sum of the table's volume column in row order, as
+    :func:`_halfspace_volume` sums it.  For k = 1 a facet is the vertex
+    1 / p, its cone of length 1 / |p|, and vol the interval's length.
     """
     k = W.shape[1]
     if k == 1:
         rows = np.array(_interval(W))
         verts = (1 / W[rows, 0])[:, None]
-        return verts, rows, np.abs(verts[:, 0]), verts, rows, np.arange(2)
+        cone = np.abs(verts[:, 0])
+        return verts, rows, cone, verts, rows, np.arange(2), float(cone.sum())
     if k == 2:
-        P, hull, Y = _planar_hull(W)
-        sums = _planar_cones(P, hull, Y)
+        hull, Y, sums = _planar_hull(W)
         verts, rows = np.array(Y), np.array(hull)
         ends = np.arange(len(hull))
         point, vid = np.concatenate((rows, rows)), np.concatenate(((ends - 1) % len(hull), ends))
     else:
-        P, hull, Y = _polar_hull(W)
+        hull, Y = _polar_hull(W)
         eq = hull.equations
         # a simplex of a merged facet shares its equation with a neighbor
         alone = ~np.all(eq[hull.neighbors] == eq[:, None, :], axis=2).any(axis=1)
-        Y = _solved_vertices(P, hull, Y, alone)
+        Y = _solved_vertices(W, hull, Y, alone)
         first, vid = (np.arange(len(eq)),) * 2 if alone.all() else _distinct_equations(eq)
-        sums = _flag_cones(P, hull.simplices, hull.neighbors, Y)
+        sums = _flag_cones(W, hull.simplices, hull.neighbors, Y)
         verts = Y[first]
-        rows = np.flatnonzero(np.bincount(hull.simplices.ravel(), minlength=len(P)))
+        rows = np.flatnonzero(np.bincount(hull.simplices.ravel(), minlength=len(W)))
         point, vid = hull.simplices.ravel(), np.repeat(vid, k)
     cone = sums[rows, k]
-    return verts, rows, cone, sums[rows, :k] / (k * cone)[:, None], point, vid
+    return (verts, rows, cone, sums[rows, :k] / (k * cone)[:, None], point, vid,
+            float(sums[:, k].sum()))
 
 
 def build_section(s: Frame) -> SectionPolytope:
@@ -402,7 +389,8 @@ def build_section(s: Frame) -> SectionPolytope:
     and the criticality checks flag it downstream.  Rows within
     ``EPS_GEOM`` of each other share one facet, whose content and first
     moment are summed over the group's hull vertices, in one array pass.
-    The volume is the sum of the rows' cones (:func:`_point_facets`).
+    The volume is the sum of the cone table's volume column
+    (:func:`_point_facets`).
     """
     frame_operator(s)  # raises NotAFrameError unless the vectors span R^k
     V = s.vectors
@@ -410,7 +398,7 @@ def build_section(s: Frame) -> SectionPolytope:
     W = np.vstack([V[gens], -V[gens]])
     row_gen = [(i, 1) for i in gens.tolist()] + [(i, -1) for i in gens.tolist()]
 
-    verts, rows, cone, centroid, point, vid = _point_facets(W)
+    verts, rows, cone, centroid, point, vid, vol = _point_facets(W)
     measure = s.k * cone * np.linalg.norm(W[rows], axis=1)
     label = _coincident_row_groups(W, EPS_GEOM)
     members = [[] for _ in range(int(label.max()) + 1)]
@@ -438,15 +426,16 @@ def build_section(s: Frame) -> SectionPolytope:
         for gen, sign in normals:
             generator_facets.setdefault(gen, (f, sign))
     return SectionPolytope(k=s.k, vertices=verts, facets=tuple(facets),
-                           generator_facets=generator_facets, _W=W, _volume=float(cone.sum()))
+                           generator_facets=generator_facets, _W=W, _volume=vol)
 
 
 def volume(p: SectionPolytope) -> float:
     """Volume of the section: the sum of the cones from the origin over its
     facets, which :func:`build_section` takes from the hull that
-    :func:`section_volume_fast` uses, so it is that volume up to rounding.
-    Cross-check against :func:`volume_by_triangulation` where independence
-    matters.
+    :func:`section_volume_fast` uses and sums in the same order: for k <= 2
+    it is that volume bitwise where no vector is dropped as zero, for k >= 3,
+    whose vertices it solves, that volume up to rounding.  Cross-check
+    against :func:`volume_by_triangulation` where independence matters.
     """
     return p._volume
 
@@ -703,11 +692,11 @@ def _flag_cones(P: np.ndarray, simplices: np.ndarray, neighbors: np.ndarray, Y: 
 
 def _cone_table(P: np.ndarray) -> np.ndarray:
     """The cone table of the polar body {x : P x <= 1}, k >= 2, from one
-    hull of P: :func:`_planar_cones` on :func:`_planar_hull` in the plane,
-    :func:`_flag_cones` on :func:`_polar_hull` for k >= 3."""
+    hull of P: :func:`_planar_hull`'s own in the plane, :func:`_flag_cones`
+    on :func:`_polar_hull` for k >= 3."""
     if P.shape[1] == 2:
-        return _planar_cones(*_planar_hull(P))
-    P, hull, Y = _polar_hull(P)
+        return _planar_hull(P)[2]
+    hull, Y = _polar_hull(P)
     return _flag_cones(P, hull.simplices, hull.neighbors, Y)
 
 
@@ -739,10 +728,9 @@ def section_volume_fast(vectors: np.ndarray) -> float:
 
     - k = 1: the section is the interval |x| <= 1 / max |v_i|, of length
       2 / max |v_i|.
-    - k = 2: one Graham scan once round the hull of +-V
-      (:func:`_planar_hull`), with no Qhull call, and the sum of its
-      triangles from the origin over the section's edges
-      (:func:`_planar_cones`).
+    - k = 2: one Graham scan once round the hull of +-V, with no Qhull
+      call, and the sum of the triangles from the origin over the section's
+      edges that the same pass gives (:func:`_planar_hull`).
     - k >= 3: Qhull's triangulation of the same hull, and the sum of the
       cones over the section's facets, one determinant per ridge and corner
       (:func:`_flag_cones`).

@@ -137,9 +137,13 @@ def _circumradius_bound_ok(n: int, p) -> bool:
 def _saddle_angle_windows(ctx: BatteryContext, n: int) -> list:
     """Half-angle window check on near-critical multi-facet restarts.
 
-    Restarts at n=5, k=2 occasionally park near critical configurations
-    with 3 or 4 facet pairs; when they do, every half-angle must sit in
-    [pi/10, pi/4].  Finding no such configuration also passes.
+    A restart at n=5, k=2 that ends near a critical configuration with 3
+    or 4 facet pairs must have every half-angle in [pi/10, pi/4].  Finding
+    no such configuration also passes, and the ascent finds none: every
+    n=5 restart ends at the rectangle, so the check is vacuous.  Such
+    configurations lie on tie strata that the ascent leaves by a merge; a
+    census of the critical points on each stratum would give the check
+    cases (ROADMAP item 2).
     """
     notes = []
     if n != 5:

@@ -308,7 +308,7 @@ def reference_point_facets(W, c):
         verts = np.array([[c[r] / W[r, 0]] for r in ends])
         return verts, {r: (1.0, verts[i], (i,)) for i, r in enumerate(ends)}
     if k == 2:
-        _, hull, Y = _planar_hull(P)
+        hull, Y, _ = _planar_hull(P)
         verts = np.array(Y)
         Q = P[hull]
         prev = np.roll(Q, 1, axis=0)
@@ -321,7 +321,7 @@ def reference_point_facets(W, c):
         m = len(hull)
         return verts, {r: (length[j], middle[j], tuple(sorted(((j - 1) % m, j))))
                        for j, r in enumerate(hull)}
-    P, hull, Y = _polar_hull(P)
+    hull, Y = _polar_hull(P)
     eq = hull.equations
     Y = _solved_vertices(P, hull, Y, ~np.all(eq[hull.neighbors] == eq[:, None, :], axis=2).any(axis=1))
     _, first, inverse = np.unique(hull.equations, axis=0, return_index=True, return_inverse=True)

@@ -1,0 +1,29 @@
+"""Cross-references in the package's docstrings and comments name real objects."""
+
+import importlib
+import inspect
+import pkgutil
+import re
+
+import pytest
+
+import cubesec
+
+ROLE = re.compile(r":(?:func|class):`~?([\w.]+)`")
+MODULES = [name for _, name, _ in pkgutil.iter_modules(cubesec.__path__, "cubesec.")]
+
+
+@pytest.mark.parametrize("name", ["cubesec", *MODULES])
+def test_references_resolve(name):
+    # every :func: and :class: role resolves on its own module, a dotted
+    # name part by part
+    module = importlib.import_module(name)
+    missing = []
+    for ref in sorted(set(ROLE.findall(inspect.getsource(module)))):
+        target = module
+        for part in ref.split("."):
+            target = getattr(target, part, None)
+            if target is None:
+                missing.append(ref)
+                break
+    assert not missing, f"{name}: unresolved references {missing}"

@@ -305,8 +305,9 @@ class TestVolume:
             assert volume(p) <= bound + 1e-9
             assert max(exact_errors(s)) <= 1e-13
             if s.k == 2:
-                # the polar route has no slack: it matches the exact edges
-                assert section_volume_fast(s.vectors) == pytest.approx(volume(p), rel=1e-15)
+                # the polar route has no slack: it matches the exact edges,
+                # and both routes sum one cone table in one order
+                assert section_volume_fast(s.vectors) == volume(p)
 
     def test_fast_path_agrees(self):
         rng = np.random.default_rng(25)
@@ -314,9 +315,10 @@ class TestVolume:
             k = int(rng.integers(2, 6))
             n = int(rng.integers(k + 1, 9))
             s = random_tight_frame(n, k, rng)
-            assert section_volume_fast(s.vectors) == pytest.approx(
-                volume(build_section(s)), rel=1e-9
-            )
+            fast, vol = section_volume_fast(s.vectors), volume(build_section(s))
+            assert fast == pytest.approx(vol, rel=1e-9)
+            if k == 2:
+                assert fast == vol
 
     def test_fast_path_matches_enumeration(self):
         rng = np.random.default_rng(31)
@@ -459,7 +461,7 @@ class TestExactVolume:
         # here: their hull under Qhull's default options raises a wide
         # merge (QH6271)
         W = np.vstack([s.vectors, -s.vectors])
-        _, _, Y = _polar_hull(W)
+        _, Y = _polar_hull(W)
         assert convex_volume(Y, 4) == pytest.approx(fast, rel=1e-13)
 
     def test_duplicated_vector(self):
@@ -543,8 +545,8 @@ class TestFacetAssembly:
         rng = np.random.default_rng(42)
         for n, k in ((7, 3), (7, 4), (12, 4), (8, 5)):
             for s in (random_tight_frame(n, k, rng), near_parallel_frame(n, k, rng)):
-                W = np.vstack([s.vectors, -s.vectors])
-                P, hull, Y = _polar_hull(W)
+                P = np.vstack([s.vectors, -s.vectors])
+                hull, Y = _polar_hull(P)
                 want = _flag_cones(P, hull.simplices, hull.neighbors, Y)
                 order = rng.permuted(np.tile(np.arange(k), (len(hull.simplices), 1)), axis=1)
                 got = _flag_cones(P, np.take_along_axis(hull.simplices, order, axis=1),
