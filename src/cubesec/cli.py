@@ -225,6 +225,7 @@ def cmd_optimize(args, manifest: RunManifest) -> int:
         "stops            " + ", ".join(f"{stop} {count}" for stop, count in sorted(stops.items())),
         "evaluations      {}, merges {}".format(
             sum(r.evaluations for r in result.restarts), sum(r.merged for r in result.restarts)),
+        f"residual max     {max(r.residual for r in result.restarts):.3g}",
         "random restarts within 1e-6 of best: {} of {}".format(
             *result.random_hits(result.best_volume)),
     ]

@@ -20,9 +20,13 @@ common point in the same metric (the identification step of Hare & Lewis,
 facet of multiplicity d balances d |v|^2 vol) leaves no split of a cluster
 that gains to first order, so where neither the merge nor a gradient step
 gains the ascent tries one fixed list of non-local moves, the reassigns,
-each putting a generator onto another cluster.  A restart ends where none
-of them gains either; it draws no random number, so it is deterministic
-given its start.  The gradient gives only a direction: every candidate is
+each putting a generator onto another cluster.  At a box frame, which has
+k clusters, their volumes are known in closed form: a reassign gains
+exactly when it moves a generator from a cluster at least two larger than
+the other, so only those are tried, and a balanced box, the warm start
+among them, reads one volume and stops.  A restart ends where no candidate
+gains; it draws no random number, so it is deterministic given its
+start.  The gradient gives only a direction: every candidate is
 compared by the volume restarts are ranked by, :func:`section_volume_fast`.
 Each candidate, and the start, is one :func:`_volume_and_gradient` call,
 which reads that volume and G from one cone table, so the gradient at the
@@ -104,7 +108,9 @@ class RestartResult:
     ``max_iterations``; ``evaluations`` adds the start's call.  ``stop``
     says why the ascent ended: ``"critical"`` when no candidate (merge,
     gradient trial or reassign) gained at ``frame``, ``"cap"`` when
-    ``max_iterations`` ran out.  ``residual`` is |xi| / |D| of
+    ``max_iterations`` ran out.  A restart from a balanced box frame, where
+    xi is rounding noise, tries no candidate: its ``iterations`` is 0 and
+    its one evaluation is the start's.  ``residual`` is |xi| / |D| of
     :func:`_stratum_gradient` at ``frame``, on the ties the ascent held
     there, the stratum's first-order residual.  ``merged`` counts the
     accepted merges (:func:`_merge`).  ``rank_loss`` counts the candidates
@@ -224,25 +230,30 @@ def _stratum_gradient(V: np.ndarray, G: np.ndarray, label: np.ndarray, sign: np.
 
 def _reassigns(V: np.ndarray, label: np.ndarray, first: np.ndarray, k: int):
     """The reassign moves at the frame V tied by ``label``, generated
-    lazily: for each ordered pair of clusters (c, d), V with the last
-    member of c set to V[first[d]].
+    lazily: for each ordered pair of clusters (c, e), V with the last
+    member of c set to V[first[e]].
 
     The members of a cluster coincide up to sign and +-v is one line, so
     neither the member moved nor its sign changes the volume: there are at
-    most m (m - 1) moves for m clusters.  A cluster of one generator is not
-    moved when only m <= k clusters are left, since the k - 1 lines left
-    could not span.
+    most m (m - 1) moves for m clusters.  At a box frame, m = k clusters of
+    sizes d_c, the pair is kept only when d_c >= d_e + 2.  There the
+    sqrt(d_c) u_c are orthonormal, the section is the box prod_c
+    [-sqrt(d_c), sqrt(d_c)] and the volume is 2^k sqrt(prod_c d_c), so the
+    move, whitened, is the box of sizes d_c - 1 and d_e + 1, and its volume
+    ratio is sqrt(1 + (d_c - d_e - 1) / (d_c d_e)): above 1, by far more
+    than ``VOL_TOL``, exactly when d_c >= d_e + 2, and at most 1 otherwise.
+    So every pair left out would fail, every pair kept gains, and a
+    balanced box has no move.  A cluster of one generator is never moved
+    there, as the k - 1 lines left could not span.
     """
     m = len(first)
     size = np.bincount(label)
     last = len(label) - 1 - np.unique(label[::-1], return_index=True)[1]
     for c in range(m):
-        if size[c] == 1 and m <= k:
-            continue
-        for d in range(m):
-            if d != c:
+        for e in range(m):
+            if e != c and (m > k or size[c] >= size[e] + 2):
                 out = V.copy()
-                out[last[c]] = V[first[d]]
+                out[last[c]] = V[first[e]]
                 yield out
 
 
@@ -282,8 +293,9 @@ def _moves(V: np.ndarray, xi: np.ndarray, step: float, label: np.ndarray,
     sets and its kind: the merge (:func:`_merge`) when more than k clusters
     are left, then the gradient trials V + (t / |xi|) xi for t = ``step``,
     ``step`` / 2, ..., ``GRADIENT_TRIES`` lengths, which set ``STEP_GROWTH``
-    t, then the reassigns (:func:`_reassigns`); the merge and the reassigns
-    keep ``step``."""
+    t, then the reassigns (:func:`_reassigns`), at a box frame only those
+    that gain; the merge and the reassigns keep ``step``.  At a balanced box
+    frame, critical on its stratum, the list is empty."""
     if len(first) > k:
         yield _merge(V, label, sign, first), step, "merge"
     norm = float(np.linalg.norm(xi))
@@ -316,7 +328,9 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     under the merge, the step and the retraction.  Where the stratum is
     critical no split of a cluster gains to first order, so the only moves
     left are the reassigns (:func:`_reassigns`), which put a generator onto
-    another cluster.
+    another cluster; at a box frame of k clusters only those that gain, the
+    moves from a cluster of d_c to one of d_e <= d_c - 2 generators, are
+    tried, so a balanced box reads one volume, its own, and stops.
 
     Every volume read is one :func:`_volume_and_gradient` call, the start's
     and one per candidate (merge, gradient trial or reassign) after

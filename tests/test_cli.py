@@ -167,6 +167,9 @@ class TestOptimize:
         res = maximize(OptimizerConfig(n=4, k=2, restarts=1, seed=5, max_iterations=150))
         assert totals == ["evaluations      {}, merges {}".format(
             sum(r.evaluations for r in res.restarts), sum(r.merged for r in res.restarts))]
+        # the largest stratum residual |xi| / |D| at a restart's final frame
+        residuals = [line for line in lines if line.startswith("residual max")]
+        assert residuals == [f"residual max     {max(r.residual for r in res.restarts):.3g}"]
 
     def test_seeded_reruns_identical(self, tmp_path):
         paths = []

@@ -1,11 +1,13 @@
 """Tests for the multi-start ascent over tight frames."""
 
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
-from cubesec.frame_core import Frame, TightFrame, frame_operator, random_tight_frame, whiten
+from cubesec.frame_core import (
+    Frame, FrameError, TightFrame, frame_operator, random_tight_frame, whiten)
 from cubesec import optimizer, polytope
 from cubesec.polytope import (
     DegeneratePolytopeError,
@@ -117,7 +119,7 @@ class TestAscend:
         s0 = random_tight_frame(6, 3, rng)
         res = ascend(s0, small_config(6, 3, max_iterations=50), rng)
         assert res.degenerate == 1
-        assert (res.iterations, res.stop) == (13, "critical")
+        assert (res.iterations, res.stop) == (6, "critical")
         assert res.accepted > 0
         assert res.final_volume == section_volume_fast(res.frame.vectors)
 
@@ -192,19 +194,19 @@ class TestAscend:
         assert [r.start for r in res.restarts] == ["warm"]
         assert res.restarts[0].rank_loss == 0
 
-    @pytest.mark.parametrize("n, k, iterations", [(7, 4, 9), (10, 2, 2)], ids=["7-4", "10-2"])
-    def test_warm_restart_stops_critical(self, n, k, iterations):
+    @pytest.mark.parametrize("n, k", [(7, 4), (10, 2)], ids=["7-4", "10-2"])
+    def test_warm_restart_stops_critical(self, n, k):
         # the box frame is critical on its stratum: its residual is below
         # CRIT_TOL (at (10, 2) xi is exactly zero), so no gradient step is
-        # tried, and with m = k clusters no merge either; the warm restart
-        # ends once its reassigns have failed, 3 x 3 at (7, 4) and two at
-        # (10, 2)
+        # tried, and with m = k clusters no merge either; the box is
+        # balanced, so it has no reassign that gains and none is tried: the
+        # warm restart reads its start's volume and stops
         res = maximize(OptimizerConfig(n=n, k=k, restarts=0, seed=0))
         warm = res.restarts[0]
         assert warm.stop == "critical"
         assert warm.residual <= 1e-12
-        assert warm.iterations == iterations
-        assert warm.evaluations == iterations + 1
+        assert warm.iterations == 0
+        assert warm.evaluations == 1
         assert warm.final_volume == pytest.approx(2**k * c_cube(n, k), rel=1e-12)
 
     @pytest.mark.parametrize("sizes, k", [((4, 3, 2, 1), 2), ((2, 2, 1, 1, 1), 4)],
@@ -239,12 +241,12 @@ class TestAscend:
 
     def test_stop_reasons(self):
         # the optimal box accepts nothing: it is critical on its stratum, so
-        # it tries no gradient step, and the two reassigns of its two
-        # clusters fail
+        # it tries no gradient step, and its clusters of sizes 3 and 2 are
+        # balanced, so it has no reassign either
         res = ascend(extremal_frame(5, 2), small_config(5, 2, max_iterations=1000),
                      np.random.default_rng(0))
         assert res.stop == "critical"
-        assert res.iterations == 2
+        assert res.iterations == 0
         rng = np.random.default_rng(2)
         res = ascend(random_tight_frame(6, 2, rng), small_config(6, 2, max_iterations=5), rng)
         assert res.stop == "cap"
@@ -336,12 +338,68 @@ class TestMoveList:
                 V, np.zeros_like(V), 0.3, label, sign, first, k)]
 
     def test_box_reassigns(self):
-        # the (7, 4) box has clusters of sizes 2, 2, 2 and 1; with only
-        # m = k = 4 clusters the lone generator stays, so 3 x 3 moves (that
-        # none of them loses rank is test_warm_restart_loses_no_rank[7-4])
+        # at a box frame only a cluster of d_c >= d_e + 2 moves a member to
+        # cluster e: the balanced (7, 4) box, of sizes 2, 2, 2 and 1, has no
+        # move, and the (6, 2) box of sizes 2 and 4 has one, from the
+        # cluster of 4 to the cluster of 2
         V = extremal_frame(7, 4).vectors
         label, _, first = optimizer._clusters(V)
-        assert len(list(optimizer._reassigns(V, label, first, 4))) == 9
+        assert list(optimizer._reassigns(V, label, first, 4)) == []
+        V = extremal_frame(6, 2, partition=[[0, 1], [2, 3, 4, 5]]).vectors
+        label, _, first = optimizer._clusters(V)
+        moves = list(optimizer._reassigns(V, label, first, 2))
+        assert len(moves) == 1
+        moved = V.copy()
+        moved[5] = V[0]
+        np.testing.assert_array_equal(moves[0], moved)
+
+    @pytest.mark.parametrize("n, k", [(6, 2), (10, 2), (7, 3), (9, 3), (7, 4), (8, 5)])
+    def test_box_reassigns_are_the_gaining_ones(self, n, k):
+        """Why the box rule of _reassigns leaves out no move that gains.
+
+        At a box frame of clusters of sizes d_c the sqrt(d_c) u_c are
+        orthonormal and the volume is 2^k sqrt(prod_c d_c).  Moving one
+        member of c onto e gives, whitened, the box of sizes d_c - 1 and
+        d_e + 1, so the volume ratio is sqrt((d_c - 1)(d_e + 1) / (d_c d_e)),
+        and 0 when d_c = 1, as the frame left does not span.  Checked here
+        with the volume the ascent reads, on every partition of n into k
+        parts, its generators shuffled and their signs drawn.
+        """
+        rng = np.random.default_rng([n, k])
+        for sizes in combinations_with_replacement(range(1, n), k):
+            if sum(sizes) != n:
+                continue
+            order = rng.permutation(n)
+            parts = np.split(order, np.cumsum(sizes)[:-1])
+            V = extremal_frame(n, k, partition=[sorted(p.tolist()) for p in parts],
+                               signs=rng.choice([-1, 1], n).tolist()).vectors
+            vol = section_volume_fast(V)
+            label, _, first = optimizer._clusters(V)
+            size = np.bincount(label)
+            assert len(size) == k
+            gaining = []
+            for c in range(k):
+                for e in range(k):
+                    if e == c:
+                        continue
+                    moved = V.copy()
+                    moved[np.flatnonzero(label == c)[-1]] = V[first[e]]
+                    if size[c] == 1:
+                        with pytest.raises(FrameError):
+                            whiten(Frame(moved))
+                        continue
+                    ratio = section_volume_fast(whiten(Frame(moved))[1].vectors) / vol
+                    assert ratio == pytest.approx(
+                        math.sqrt((size[c] - 1) * (size[e] + 1) / (size[c] * size[e])),
+                        rel=1e-12)
+                    gains = ratio > 1 + VOL_TOL
+                    assert gains == (size[c] >= size[e] + 2)
+                    if gains:
+                        gaining.append(moved)
+            moves = list(optimizer._reassigns(V, label, first, k))
+            assert len(moves) == len(gaining)
+            for move, expected in zip(moves, gaining):
+                np.testing.assert_array_equal(move, expected)
 
     @pytest.mark.parametrize("n, k, partition", [
         (6, 2, [[0, 1], [2, 3, 4, 5]]), (7, 3, None), (7, 4, None), (10, 2, None)],
@@ -402,7 +460,7 @@ class TestPlanarStepGuard:
     def test_ascend(self):
         rng = np.random.default_rng(41)
         res = ascend(random_tight_frame(5, 2, rng), small_config(5, 2, max_iterations=200), rng)
-        assert (res.iterations, res.stop) == (7, "critical")
+        assert (res.iterations, res.stop) == (5, "critical")
         assert res.accepted > 0
 
     def test_warm_start_with_rank_loss(self, monkeypatch):
@@ -507,8 +565,8 @@ class TestPinnedRestarts:
     Recorded with the deterministic ascent: the merge, gradient trials,
     then reassigns.  The random restarts reach the optimum within the 400
     iterations and stop at a critical frame there, and the warm restarts
-    accept nothing and stop at the critical box frame once its reassigns
-    have failed.  At (3, 2) the warm start holds two
+    accept nothing and stop at once: the balanced box frame is critical
+    and has no reassign that gains.  At (3, 2) the warm start holds two
     parallel generators, so its points of +-V coincide, and the random
     restart climbs to such a frame.  A change to the volume kernel, its
     gradient, whitening, the ties or the move list that moves any accept
@@ -517,14 +575,14 @@ class TestPinnedRestarts:
     """
 
     PINNED = {
-        (3, 2): [(2, 1, 0, 0, "critical", 5.65685424949238),
-                 (1, 0, 0, 0, "critical", 5.656854249492381)],
-        (10, 2): [(21, 13, 0, 0, "critical", 20.000000000000004),
-                  (2, 0, 0, 0, "critical", 20.0)],
-        (7, 3): [(14, 6, 0, 0, "critical", 27.712812921102017),
-                 (6, 0, 0, 0, "critical", 27.71281292110204)],
-        (7, 4): [(19, 5, 0, 0, "critical", 45.25483399593906),
-                 (9, 0, 0, 0, "critical", 45.25483399593905)],
+        (3, 2): [(1, 1, 0, 0, "critical", 5.65685424949238),
+                 (0, 0, 0, 0, "critical", 5.656854249492381)],
+        (10, 2): [(19, 13, 0, 0, "critical", 20.000000000000004),
+                  (0, 0, 0, 0, "critical", 20.0)],
+        (7, 3): [(8, 6, 0, 0, "critical", 27.712812921102017),
+                 (0, 0, 0, 0, "critical", 27.71281292110204)],
+        (7, 4): [(6, 5, 0, 0, "critical", 45.25483399593906),
+                 (0, 0, 0, 0, "critical", 45.25483399593905)],
     }
 
     @pytest.mark.parametrize("n, k", sorted(PINNED))

@@ -50,11 +50,11 @@ class TestPlanarOptimum:
 
     def test_cell_names_its_winner(self, seeded_ctx):
         # (4, 2) ran only the warm start: it wins, no random restart ran, and
-        # it read the start's volume and one candidate's
+        # it read only the start's volume, as the balanced box has no move
         result = criterion_planar_optimum(seeded_ctx)
         line = next(line for line in result.details if line.startswith("n=4: volume"))
         assert line.endswith(
-            "winner restart 0 (warm), random restarts at target 0 of 0, 2 evaluations")
+            "winner restart 0 (warm), random restarts at target 0 of 0, 1 evaluations")
 
     def test_volume_above_planar_optimum_is_loud(self, seeded_ctx):
         result = criterion_planar_optimum(seeded_ctx)
