@@ -9,8 +9,11 @@ coincide up to sign, and the maximizers known lie on such ties (the box
 frames), so generators that coincide up to sign are tied into clusters that
 move as one vector.  Every tie is made exactly, by the merge, a reassign or
 the box start, and a gradient step and the retraction keep it bitwise, so
-ties are found by exact comparison.  On the stratum of those ties the
-volume is smooth (it is partly smooth; Lewis, 2002), and the ascent steps
+ties are found by exact comparison, once per restart, at its start frame;
+after that each accepted move hands the next frame its ties: a gradient
+step keeps them, a merge joins two clusters and a reassign moves one
+generator to another cluster.  On the stratum of those ties the volume is
+smooth (it is partly smooth; Lewis, 2002), and the ascent steps
 along its gradient there: each cluster's gradient sum divided by the
 cluster size, the gradient in the metric the tied rows induce.  Rather than
 creep toward the next kink along that gradient, each frame first tries to
@@ -198,8 +201,11 @@ def _clusters(V: np.ndarray):
     Generators that coincide exactly up to sign are one cluster
     (:func:`_coincident_row_groups` on [V; -V] at tolerance 0, which compares
     by value, so -0.0 equals 0.0): v_i = sign[i] sign[j] v_j for i, j of one
-    label.  Labels run from 0 in the order of their least members, and
-    ``first[c]`` is the least member of cluster c.
+    label.  Labels run from 0 in the order of their least members,
+    ``first[c]`` is the least member of cluster c, and its sign is +1.
+    :func:`ascend` groups only its start frame here; each move it accepts
+    carries this record to the next frame (:func:`_merge`,
+    :func:`_reassigned`).
     """
     n = len(V)
     group = _coincident_row_groups(np.concatenate((V, -V)), 0.0)
@@ -228,10 +234,33 @@ def _stratum_gradient(V: np.ndarray, G: np.ndarray, label: np.ndarray, sign: np.
     return xi, float(np.linalg.norm(xi) / np.linalg.norm(D))
 
 
-def _reassigns(V: np.ndarray, label: np.ndarray, first: np.ndarray, k: int):
-    """The reassign moves at the frame V tied by ``label``, generated
-    lazily: for each ordered pair of clusters (c, e), V with the last
-    member of c set to V[first[e]].
+def _reassigned(label: np.ndarray, sign: np.ndarray, first: np.ndarray, i, c, e):
+    """The ties (label, sign, first) of :func:`_clusters` after generator
+    i, the last member of cluster c, is put onto V[first[e]].
+
+    i joins e with sign +1, as its least member when i < first[e].  c loses
+    i, and is gone when i was its only member (a lone generator, moved only
+    where more than k clusters are left).  The clusters are then numbered
+    again in the order of their least members.
+    """
+    label, sign, least = label.copy(), sign.copy(), first.copy()
+    label[i], sign[i] = e, 1.0
+    least[e] = min(i, first[e])
+    lone = bool(first[c] == i)
+    if lone:
+        least[c] = len(label)  # after every generator, so numbered last
+    order = np.argsort(least)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[label], sign, least[order[:len(order) - lone]]
+
+
+def _reassigns(V: np.ndarray, label: np.ndarray, sign: np.ndarray, first: np.ndarray,
+               k: int):
+    """The reassign moves at the frame V tied by ``label`` and ``sign``,
+    generated lazily: for each ordered pair of clusters (c, e), V with the
+    last member of c set to V[first[e]], and the ties of that frame
+    (:func:`_reassigned`).
 
     The members of a cluster coincide up to sign and +-v is one line, so
     neither the member moved nor its sign changes the volume: there are at
@@ -254,21 +283,24 @@ def _reassigns(V: np.ndarray, label: np.ndarray, first: np.ndarray, k: int):
             if e != c and (m > k or size[c] >= size[e] + 2):
                 out = V.copy()
                 out[last[c]] = V[first[e]]
-                yield out
+                yield out, _reassigned(label, sign, first, last[c], c, e)
 
 
 def _merge(V: np.ndarray, label: np.ndarray, sign: np.ndarray, first: np.ndarray):
     """The merge move at the frame V tied by ``label`` and ``sign``: V with
-    the two clusters nearest each other put onto one vector.
+    the two clusters nearest each other put onto one vector, and the ties
+    of that frame.
 
     With u_c the representative of cluster c (v_i = sign[i] u_c for its
-    members) and d_c its size, the pair c, e and the sign s minimize
+    members) and d_c its size, the pair c < e and the sign s minimize
     d_c d_e / (d_c + d_e) |u_c - s u_e|^2, and every member of both goes,
     with its own sign, to the size-weighted mean w = (d_c u_c + s d_e u_e) /
     (d_c + d_e).  In the metric sum_c d_c |delta_c|^2 of
     :func:`_stratum_gradient` that cost is the squared distance from V to
     the stratum where c and e coincide up to sign s, and w is its nearest
-    point.
+    point.  The ties are those of :func:`_clusters` on the new frame: the
+    members of e join c, which keeps its least member, with their signs
+    times s, and the labels above e move down by one.
     """
     size = np.bincount(label)
     U = (sign[:, None] * V)[first]
@@ -281,30 +313,34 @@ def _merge(V: np.ndarray, label: np.ndarray, sign: np.ndarray, first: np.ndarray
     s = 1.0 if dot[c, e] >= 0 else -1.0
     w = (size[c] * U[c] + s * size[e] * U[e]) / (size[c] + size[e])
     out = V.copy()
-    for cluster, to in ((c, w), (e, s * w)):
-        members = label == cluster
+    joined = label == e
+    for members, to in ((label == c, w), (joined, s * w)):
         out[members] = sign[members, None] * to
-    return out
+    label = np.where(joined, c, label - (label > e))
+    sign = np.where(joined, s * sign, sign)
+    return out, (label, sign, np.concatenate((first[:e], first[e + 1:])))
 
 
 def _moves(V: np.ndarray, xi: np.ndarray, step: float, label: np.ndarray,
            sign: np.ndarray, first: np.ndarray, k: int):
-    """The candidates tried at a frame, in order, each with the step a gain
-    sets and its kind: the merge (:func:`_merge`) when more than k clusters
-    are left, then the gradient trials V + (t / |xi|) xi for t = ``step``,
-    ``step`` / 2, ..., ``GRADIENT_TRIES`` lengths, which set ``STEP_GROWTH``
+    """The candidates tried at a frame, in order, each with the ties of its
+    frame (label, sign, first), the step a gain sets and its kind: the merge
+    (:func:`_merge`) when more than k clusters are left, then the gradient
+    trials V + (t / |xi|) xi for t = ``step``, ``step`` / 2, ...,
+    ``GRADIENT_TRIES`` lengths, which keep the ties and set ``STEP_GROWTH``
     t, then the reassigns (:func:`_reassigns`), at a box frame only those
     that gain; the merge and the reassigns keep ``step``.  At a balanced box
     frame, critical on its stratum, the list is empty."""
     if len(first) > k:
-        yield _merge(V, label, sign, first), step, "merge"
+        yield *_merge(V, label, sign, first), step, "merge"
     norm = float(np.linalg.norm(xi))
+    ties = label, sign, first
     trial = step
     for _ in range(GRADIENT_TRIES if norm > 0 else 0):
-        yield V + (trial / norm) * xi, trial * STEP_GROWTH, "gradient"
+        yield V + (trial / norm) * xi, ties, trial * STEP_GROWTH, "gradient"
         trial /= 2
-    for out in _reassigns(V, label, first, k):
-        yield out, step, "reassign"
+    for out, carried in _reassigns(V, label, sign, first, k):
+        yield out, carried, step, "reassign"
 
 
 def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
@@ -312,13 +348,16 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     """Single-restart first-order ascent from a tight frame; deterministic
     given ``s0``, so ``rng`` is not used.
 
-    At each new frame the generators are grouped into signed clusters of
-    exact ties (:func:`_clusters`), and the candidates of :func:`_moves` are
-    tried in order: the first that raises the volume by more than
-    ``VOL_TOL``, relative, is the next frame.  Where more than k clusters
-    are left the first is the merge (:func:`_merge`), which puts the two
-    nearest clusters onto one vector and so jumps onto a smaller stratum;
-    the box frames, where the known maximizers lie, have k.  Next are the
+    The start's generators are grouped into signed clusters of exact ties
+    (:func:`_clusters`), and each candidate of :func:`_moves` comes with
+    the ties of its own frame, so the accepted one hands them to the next
+    frame and no frame after the start is grouped again.  At each frame
+    the candidates are tried in order: the first that raises the volume by
+    more than ``VOL_TOL``, relative, is the next frame.  Where more than k
+    clusters are left the first is the merge (:func:`_merge`), which puts
+    the two nearest clusters onto one vector and so jumps onto a smaller
+    stratum; the box frames, where the known maximizers lie, have k.  Next
+    are the
     gradient trials along xi, the gradient on the stratum of the ties
     (:func:`_stratum_gradient`: each cluster's summed Euclidean gradient,
     divided by its size, on every member), taken once per frame and
@@ -374,20 +413,21 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
         return None, -np.inf, None
 
     stop = "cap"
+    label, sign, first = _clusters(current.vectors)
     while True:
         V = current.vectors
-        label, sign, first = _clusters(V)
         xi, residual = _stratum_gradient(V, G, label, sign)
         if it >= cap:
             break
         if residual <= CRIT_TOL:  # xi is rounding noise: no gradient trial
             xi = np.zeros_like(xi)
-        for vectors, next_step, kind in _moves(V, xi, step, label, sign, first, k):
+        for vectors, ties, next_step, kind in _moves(V, xi, step, label, sign, first, k):
             if it >= cap:
                 break
             tight, new_vol, new_G = evaluate(vectors)
             if new_vol > vol * (1.0 + VOL_TOL):
                 current, vol, G, step = tight, new_vol, new_G, next_step
+                label, sign, first = ties
                 trace.append((it, vol))
                 accepted += 1
                 merged += kind == "merge"

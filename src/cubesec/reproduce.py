@@ -103,9 +103,10 @@ def _winner_note(res, target: float) -> str:
     """The start that won a cell, how many random restarts reached
     ``target``, and the volumes the cell's restarts read in all: a report,
     not a gate."""
-    return "winner restart {} ({}), random restarts at target {} of {}, {} evaluations".format(
+    evaluations = sum(r.evaluations for r in res.restarts)
+    return "winner restart {} ({}), random restarts at target {} of {}, {} evaluation{}".format(
         res.best_index, res.best_start, *res.random_hits(target),
-        sum(r.evaluations for r in res.restarts))
+        evaluations, "" if evaluations == 1 else "s")
 
 
 def _grid(ctx: BatteryContext):

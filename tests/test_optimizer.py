@@ -34,12 +34,29 @@ def small_config(n, k, **kw):
     return OptimizerConfig(n=n, k=k, **defaults)
 
 
-def zero_last(V, label, first, k):
+def zero_last(V, label, sign, first, k):
     """A move list of one candidate that zeroes the last vector, which
-    holds an axis alone in the (3, 2) box frame."""
+    holds an axis alone in the (3, 2) box frame; it loses rank, so its ties
+    are never read."""
     out = V.copy()
     out[-1] = 0.0
-    yield out
+    yield out, (label, sign, first)
+
+
+def assert_same_ties(carried, exact):
+    """The tie records (label, sign, first) are equal bitwise, dtypes and
+    shapes included."""
+    for a, b in zip(carried, exact, strict=True):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def tied_frame(sizes, k, rng):
+    """A tight frame tied exactly into clusters of the given sizes, with
+    random signs, its rows shuffled so that clusters interleave."""
+    w = random_tight_frame(len(sizes), k, rng).vectors
+    rows = np.repeat(w / np.sqrt(sizes)[:, None], sizes, axis=0)
+    signs = rng.choice([-1.0, 1.0], len(rows))
+    return TightFrame((signs[:, None] * rows)[rng.permutation(len(rows))]).vectors
 
 
 class TestConfig:
@@ -224,7 +241,7 @@ class TestAscend:
         moves = optimizer._moves
         monkeypatch.setattr(optimizer, "whiten", recorded)
         monkeypatch.setattr(optimizer, "_moves", lambda *args: (
-            move for move in moves(*args) if move[2] == "gradient"))
+            move for move in moves(*args) if move[-1] == "gradient"))
         for seed in range(6):
             rng = np.random.default_rng(seed)
             w = random_tight_frame(len(sizes), k, rng).vectors
@@ -258,24 +275,42 @@ class TestAscend:
         # the box start make and a gradient step and whitening keep
         # bitwise: at every frame the rows of +-V group the same at 1e-4
         # max|v| as at 0.  A tie broken by rounding would show here, since
-        # the merge could not make it again: its gain is below VOL_TOL
+        # the merge could not make it again: its gain is below VOL_TOL.
+        # The ties the ascent carries from move to move are the exact ones
         frames = []
         stratum_gradient = optimizer._stratum_gradient
 
-        def observed(V, *args):
-            frames.append(V)
-            return stratum_gradient(V, *args)
+        def observed(V, G, label, sign):
+            frames.append((V, label, sign))
+            return stratum_gradient(V, G, label, sign)
 
         monkeypatch.setattr(optimizer, "_stratum_gradient", observed)
         for seed in (0, 1):
             maximize(OptimizerConfig(n=n, k=k, restarts=32 if k == 2 else 12, seed=seed),
                      threads=1)
         assert len(frames) > 2 * n
-        for V in frames:
+        for V, label, sign in frames:
             W = np.concatenate((V, -V))
             np.testing.assert_array_equal(
                 polytope._coincident_row_groups(W, 1e-4 * np.abs(V).max()),
                 polytope._coincident_row_groups(W, 0.0))
+            assert_same_ties((label, sign), optimizer._clusters(V)[:2])
+
+    @pytest.mark.parametrize("n, k", [(10, 2), (7, 3)])
+    def test_one_grouping_per_restart(self, n, k, monkeypatch):
+        # the ties are grouped from scratch once per restart, at its start;
+        # every accepted move carries them to the next frame
+        calls = []
+        clusters = optimizer._clusters
+
+        def counted(V):
+            calls.append(1)
+            return clusters(V)
+
+        monkeypatch.setattr(optimizer, "_clusters", counted)
+        res = maximize(OptimizerConfig(n=n, k=k, restarts=12, seed=0), threads=1)
+        assert sum(r.accepted for r in res.restarts) > len(res.restarts)
+        assert len(calls) == len(res.restarts)
 
     def test_iterates_stay_tight(self):
         rng = np.random.default_rng(3)
@@ -323,7 +358,7 @@ class TestMoveList:
             moves = list(optimizer._moves(V, xi, 0.3, label, sign, first, k))
             assert [kind for *_, kind in moves[:GRADIENT_TRIES + 2]] == (
                 ["merge"] + ["gradient"] * GRADIENT_TRIES + ["reassign"])
-            merged, step, _ = moves[0]
+            merged, _, step, _ = moves[0]
             assert step == 0.3
             both = (label == c) | (label == e)
             assert len(np.unique(np.abs(merged[both]), axis=0)) == 1
@@ -343,15 +378,43 @@ class TestMoveList:
         # move, and the (6, 2) box of sizes 2 and 4 has one, from the
         # cluster of 4 to the cluster of 2
         V = extremal_frame(7, 4).vectors
-        label, _, first = optimizer._clusters(V)
-        assert list(optimizer._reassigns(V, label, first, 4)) == []
+        label, sign, first = optimizer._clusters(V)
+        assert list(optimizer._reassigns(V, label, sign, first, 4)) == []
         V = extremal_frame(6, 2, partition=[[0, 1], [2, 3, 4, 5]]).vectors
-        label, _, first = optimizer._clusters(V)
-        moves = list(optimizer._reassigns(V, label, first, 2))
+        label, sign, first = optimizer._clusters(V)
+        moves = list(optimizer._reassigns(V, label, sign, first, 2))
         assert len(moves) == 1
         moved = V.copy()
         moved[5] = V[0]
-        np.testing.assert_array_equal(moves[0], moved)
+        np.testing.assert_array_equal(moves[0][0], moved)
+
+    def test_each_move_carries_its_ties(self):
+        # at exactly tied frames of m >= k clusters, every candidate of the
+        # move list comes with the ties of its frame: those _clusters finds
+        # there, bitwise, and again after whitening.  Covered: merges,
+        # gradient trials, reassigns of a lone generator (m > k), and
+        # reassigns whose generator becomes the least member of its new
+        # cluster, so that the clusters are numbered again
+        rng = np.random.default_rng(80)
+        met = dict.fromkeys(("merge", "gradient", "reassign", "lone", "renumbered"), 0)
+        for _ in range(100):
+            for k in (2, 3, 4):
+                m = k + int(rng.integers(0, 4))
+                sizes = 1 + rng.multinomial(int(rng.integers(0, 6)), np.ones(m) / m)
+                V = tied_frame(sizes, k, rng)
+                label, sign, first = optimizer._clusters(V)
+                xi = optimizer._stratum_gradient(V, _volume_and_gradient(V)[1], label, sign)[0]
+                size = np.bincount(label)
+                for out, ties, _, kind in optimizer._moves(V, xi, 0.3, label, sign, first, k):
+                    exact = optimizer._clusters(out)
+                    assert_same_ties(ties, exact)
+                    assert_same_ties(ties, optimizer._clusters(whiten(Frame(out))[1].vectors))
+                    met[kind] += 1
+                    if kind == "reassign":
+                        i = np.flatnonzero((out != V).any(axis=1))[0]
+                        met["lone"] += size[label[i]] == 1
+                        met["renumbered"] += exact[2][exact[0][i]] == i
+        assert min(met.values()) > 0, met
 
     @pytest.mark.parametrize("n, k", [(6, 2), (10, 2), (7, 3), (9, 3), (7, 4), (8, 5)])
     def test_box_reassigns_are_the_gaining_ones(self, n, k):
@@ -374,7 +437,7 @@ class TestMoveList:
             V = extremal_frame(n, k, partition=[sorted(p.tolist()) for p in parts],
                                signs=rng.choice([-1, 1], n).tolist()).vectors
             vol = section_volume_fast(V)
-            label, _, first = optimizer._clusters(V)
+            label, sign, first = optimizer._clusters(V)
             size = np.bincount(label)
             assert len(size) == k
             gaining = []
@@ -396,9 +459,9 @@ class TestMoveList:
                     assert gains == (size[c] >= size[e] + 2)
                     if gains:
                         gaining.append(moved)
-            moves = list(optimizer._reassigns(V, label, first, k))
+            moves = list(optimizer._reassigns(V, label, sign, first, k))
             assert len(moves) == len(gaining)
-            for move, expected in zip(moves, gaining):
+            for (move, _), expected in zip(moves, gaining):
                 np.testing.assert_array_equal(move, expected)
 
     @pytest.mark.parametrize("n, k, partition", [

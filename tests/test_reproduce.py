@@ -54,7 +54,7 @@ class TestPlanarOptimum:
         result = criterion_planar_optimum(seeded_ctx)
         line = next(line for line in result.details if line.startswith("n=4: volume"))
         assert line.endswith(
-            "winner restart 0 (warm), random restarts at target 0 of 0, 1 evaluations")
+            "winner restart 0 (warm), random restarts at target 0 of 0, 1 evaluation")
 
     def test_volume_above_planar_optimum_is_loud(self, seeded_ctx):
         result = criterion_planar_optimum(seeded_ctx)
