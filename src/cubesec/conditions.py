@@ -62,7 +62,7 @@ class ConditionsReport:
 def check_facet_correspondence(s: Frame, p: SectionPolytope) -> float:
     """Count generators that are zero or support no facet of the section.
 
-    A zero vector gives the section no constraint row, so no facet.
+    A zero vector's rows are the origin, inside the hull of +-V: no facet.
     """
     return float(sum(i not in p.generator_facets for i in range(s.n)))
 

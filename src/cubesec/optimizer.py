@@ -23,17 +23,19 @@ common point in the same metric (the identification step of Hare & Lewis,
 facet of multiplicity d balances d |v|^2 vol) leaves no split of a cluster
 that gains to first order, so where neither the merge nor a gradient step
 gains the ascent tries one fixed list of non-local moves, the reassigns,
-each putting a generator onto another cluster.  At a box frame, which has
-k clusters, their volumes are known in closed form: a reassign gains
-exactly when it moves a generator from a cluster at least two larger than
-the other, so only those are tried, and a balanced box, the warm start
-among them, reads one volume and stops.  A restart ends where no candidate
-gains; it draws no random number, so it is deterministic given its
-start.  The gradient gives only a direction: every candidate is
-compared by the volume restarts are ranked by, :func:`section_volume_fast`.
-Each candidate, and the start, is one :func:`_volume_and_gradient` call,
-which reads that volume and G from one cone table, so the gradient at the
-next frame comes with its volume and the ascent builds no other hull.
+each putting a generator onto another cluster.  A box frame, of k clusters, is
+critical on its stratum by its structure, the box's orbit under O(k), so it
+tries neither a merge nor a gradient step, and its reassigns' volumes are known
+in closed form: a reassign gains exactly when it moves a generator from a
+cluster at least two larger than the other, so only those are tried, and a
+balanced box, the warm start among them, reads one volume and stops.  A restart
+ends where no candidate gains; it draws no random number, so it is
+deterministic given its start.  The gradient gives only a direction: every
+candidate is compared by the volume restarts are ranked by,
+:func:`section_volume_fast`.  Each candidate, and the start, is one
+:func:`_volume_and_gradient` call, which reads that volume and G from one cone
+table, so the gradient at the next frame comes with its volume and the ascent
+builds no other hull.
 """
 
 from __future__ import annotations
@@ -76,9 +78,6 @@ INITIAL_STEP = 0.3
 VOL_TOL = 1e-9
 GRADIENT_TRIES = 8
 STEP_GROWTH = 1.5
-# A frame whose stratum residual |xi| / |D| is at most CRIT_TOL is critical
-# on its stratum: xi there is rounding noise, and no gradient step is tried.
-CRIT_TOL = 1e-12
 # A restart reaches a volume when it ends within HIT_TOL of it, relative.
 HIT_TOL = 1e-6
 
@@ -111,16 +110,16 @@ class RestartResult:
     ``max_iterations``; ``evaluations`` adds the start's call.  ``stop``
     says why the ascent ended: ``"critical"`` when no candidate (merge,
     gradient trial or reassign) gained at ``frame``, ``"cap"`` when
-    ``max_iterations`` ran out.  A restart from a balanced box frame, where
-    xi is rounding noise, tries no candidate: its ``iterations`` is 0 and
-    its one evaluation is the start's.  ``residual`` is |xi| / |D| of
-    :func:`_stratum_gradient` at ``frame``, on the ties the ascent held
-    there, the stratum's first-order residual.  ``merged`` counts the
+    ``max_iterations`` ran out.  A restart from a balanced box frame, of k
+    clusters, tries no candidate: its ``iterations`` is 0 and its one
+    evaluation is the start's.  ``residual`` is |xi| / |D| of
+    :func:`_stratum_gradient` at ``frame``, on the ties the ascent held there,
+    the stratum's first-order residual, reported only.  ``merged`` counts the
     accepted merges (:func:`_merge`).  ``rank_loss`` counts the candidates
     rejected because whitening found no frame (a :class:`FrameError`), and
     ``degenerate`` those rejected because Qhull could not build their
-    section.  ``tied`` is the number of clusters of several generators,
-    tied exactly (:func:`_clusters`), in ``frame``.
+    section.  ``tied`` is the number of clusters of several generators, tied
+    exactly (:func:`_clusters`), in ``frame``.
     """
 
     index: int
@@ -291,19 +290,20 @@ def _merge(V: np.ndarray, label: np.ndarray, sign: np.ndarray, first: np.ndarray
     the two clusters nearest each other put onto one vector, and the ties
     of that frame.
 
-    With u_c the representative of cluster c (v_i = sign[i] u_c for its
-    members) and d_c its size, the pair c < e and the sign s minimize
-    d_c d_e / (d_c + d_e) |u_c - s u_e|^2, and every member of both goes,
-    with its own sign, to the size-weighted mean w = (d_c u_c + s d_e u_e) /
-    (d_c + d_e).  In the metric sum_c d_c |delta_c|^2 of
-    :func:`_stratum_gradient` that cost is the squared distance from V to
-    the stratum where c and e coincide up to sign s, and w is its nearest
-    point.  The ties are those of :func:`_clusters` on the new frame: the
-    members of e join c, which keeps its least member, with their signs
-    times s, and the labels above e move down by one.
+    With u_c = V[first[c]] the representative of cluster c (v_i = sign[i]
+    u_c for its members, and sign[first[c]] = +1) and d_c its size, the pair
+    c < e and the sign s minimize d_c d_e / (d_c + d_e) |u_c - s u_e|^2, and
+    every member of both goes, with its own sign, to the size-weighted mean
+    w = (d_c u_c + s d_e u_e) / (d_c + d_e).  In the metric
+    sum_c d_c |delta_c|^2 of :func:`_stratum_gradient` that cost is the
+    squared distance from V to the stratum where c and e coincide up to
+    sign s, and w is its nearest point.  The ties are those of
+    :func:`_clusters` on the new frame: the members of e join c, which
+    keeps its least member, with their signs times s, and the labels above
+    e move down by one.
     """
     size = np.bincount(label)
-    U = (sign[:, None] * V)[first]
+    U = V[first]
     dot = U @ U.T
     sq = np.diag(dot)
     cost = np.outer(size, size) / np.add.outer(size, size) * (
@@ -324,21 +324,20 @@ def _merge(V: np.ndarray, label: np.ndarray, sign: np.ndarray, first: np.ndarray
 def _moves(V: np.ndarray, xi: np.ndarray, step: float, label: np.ndarray,
            sign: np.ndarray, first: np.ndarray, k: int):
     """The candidates tried at a frame, in order, each with the ties of its
-    frame (label, sign, first), the step a gain sets and its kind: the merge
-    (:func:`_merge`) when more than k clusters are left, then the gradient
-    trials V + (t / |xi|) xi for t = ``step``, ``step`` / 2, ...,
+    frame (label, sign, first), the step a gain sets and its kind.  Where
+    more than k clusters are left, the merge (:func:`_merge`), then the
+    gradient trials V + (t / |xi|) xi for t = ``step``, ``step`` / 2, ...,
     ``GRADIENT_TRIES`` lengths, which keep the ties and set ``STEP_GROWTH``
-    t, then the reassigns (:func:`_reassigns`), at a box frame only those
-    that gain; the merge and the reassigns keep ``step``.  At a balanced box
-    frame, critical on its stratum, the list is empty."""
+    t; then, at every frame, the reassigns (:func:`_reassigns`).  The merge
+    and the reassigns keep ``step``.  A box frame, of k clusters, is
+    critical on its stratum, so its list is its gaining reassigns only."""
     if len(first) > k:
         yield *_merge(V, label, sign, first), step, "merge"
-    norm = float(np.linalg.norm(xi))
-    ties = label, sign, first
-    trial = step
-    for _ in range(GRADIENT_TRIES if norm > 0 else 0):
-        yield V + (trial / norm) * xi, ties, trial * STEP_GROWTH, "gradient"
-        trial /= 2
+        norm = float(np.linalg.norm(xi))
+        trial = step
+        for _ in range(GRADIENT_TRIES if norm > 0 else 0):
+            yield V + (trial / norm) * xi, (label, sign, first), trial * STEP_GROWTH, "gradient"
+            trial /= 2
     for out, carried in _reassigns(V, label, sign, first, k):
         yield out, carried, step, "reassign"
 
@@ -354,21 +353,20 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     frame and no frame after the start is grouped again.  At each frame
     the candidates are tried in order: the first that raises the volume by
     more than ``VOL_TOL``, relative, is the next frame.  Where more than k
-    clusters are left the first is the merge (:func:`_merge`), which puts
-    the two nearest clusters onto one vector and so jumps onto a smaller
-    stratum; the box frames, where the known maximizers lie, have k.  Next
-    are the
-    gradient trials along xi, the gradient on the stratum of the ties
-    (:func:`_stratum_gradient`: each cluster's summed Euclidean gradient,
-    divided by its size, on every member), taken once per frame and
-    retracted by :func:`whiten`; a gain sets ``step`` to ``STEP_GROWTH``
-    times its length.  Where the residual |xi| / |D| is at most ``CRIT_TOL``
-    xi is rounding noise and no gradient trial is made.  Ties stay exact
-    under the merge, the step and the retraction.  Where the stratum is
-    critical no split of a cluster gains to first order, so the only moves
-    left are the reassigns (:func:`_reassigns`), which put a generator onto
-    another cluster; at a box frame of k clusters only those that gain, the
-    moves from a cluster of d_c to one of d_e <= d_c - 2 generators, are
+    clusters are left the first is the merge (:func:`_merge`), which puts the
+    two nearest clusters onto one vector and so jumps onto a smaller stratum,
+    and next are the gradient trials along xi, the gradient on the stratum of
+    the ties (:func:`_stratum_gradient`: each cluster's summed Euclidean
+    gradient, divided by its size, on every member), taken once per frame and
+    retracted by :func:`whiten`; a gain sets ``step`` to ``STEP_GROWTH`` times
+    its length.  Ties stay exact under the merge, the step and the
+    retraction.  The box frames, where the known maximizers lie, have k
+    clusters, whose sqrt(d_c) u_c are orthonormal on a tight frame: the stratum
+    is the box's orbit under O(k), so xi is 0 and no merge or gradient trial is
+    made.  Where the stratum is critical no split of a cluster gains to first
+    order, so the only moves left are the reassigns (:func:`_reassigns`), which
+    put a generator onto another cluster; at a box frame only those that gain,
+    the moves from a cluster of d_c to one of d_e <= d_c - 2 generators, are
     tried, so a balanced box reads one volume, its own, and stops.
 
     Every volume read is one :func:`_volume_and_gradient` call, the start's
@@ -419,8 +417,6 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
         xi, residual = _stratum_gradient(V, G, label, sign)
         if it >= cap:
             break
-        if residual <= CRIT_TOL:  # xi is rounding noise: no gradient trial
-            xi = np.zeros_like(xi)
         for vectors, ties, next_step, kind in _moves(V, xi, step, label, sign, first, k):
             if it >= cap:
                 break

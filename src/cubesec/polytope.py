@@ -383,20 +383,20 @@ def _point_facets(W: np.ndarray):
 def build_section(s: Frame) -> SectionPolytope:
     """Construct the section of the cube generated by the frame ``s``.
 
-    Zero vectors contribute no constraint.  A generator has a facet when
-    its point of +-V is a vertex of the hull; one whose slab only touches
-    the section in a face of dimension below k-1 produces no facet record,
-    and the criticality checks flag it downstream.  Rows within
-    ``EPS_GEOM`` of each other share one facet, whose content and first
-    moment are summed over the group's hull vertices, in one array pass.
-    The volume is the sum of the cone table's volume column
+    Its rows are +-V over every generator, as in :func:`section_volume_fast`:
+    row i is (i, +1), row n + i is (i, -1).  A generator has a facet when
+    its point is a vertex of the hull: a zero vector, the origin, has none,
+    nor has one whose slab only touches the section in a face of dimension
+    below k-1, and the criticality checks flag both downstream.  Rows
+    within ``EPS_GEOM`` of each other share one facet, whose content and
+    first moment are summed over the group's hull vertices, in one array
+    pass.  The volume is the sum of the cone table's volume column
     (:func:`_point_facets`).
     """
     frame_operator(s)  # raises NotAFrameError unless the vectors span R^k
     V = s.vectors
-    gens = np.flatnonzero(np.linalg.norm(V, axis=1) > 1e-14)
-    W = np.vstack([V[gens], -V[gens]])
-    row_gen = [(i, 1) for i in gens.tolist()] + [(i, -1) for i in gens.tolist()]
+    W = np.concatenate((V, -V))
+    row_gen = [(i, 1) for i in range(s.n)] + [(i, -1) for i in range(s.n)]
 
     verts, rows, cone, centroid, point, vid, vol = _point_facets(W)
     measure = s.k * cone * np.linalg.norm(W[rows], axis=1)
@@ -433,9 +433,9 @@ def volume(p: SectionPolytope) -> float:
     """Volume of the section: the sum of the cones from the origin over its
     facets, which :func:`build_section` takes from the hull that
     :func:`section_volume_fast` uses and sums in the same order: for k <= 2
-    it is that volume bitwise where no vector is dropped as zero, for k >= 3,
-    whose vertices it solves, that volume up to rounding.  Cross-check
-    against :func:`volume_by_triangulation` where independence matters.
+    it is that volume bitwise, for k >= 3, whose vertices it solves, that
+    volume up to rounding.  Cross-check against
+    :func:`volume_by_triangulation` where independence matters.
     """
     return p._volume
 

@@ -346,12 +346,13 @@ def reference_point_facets(W, c):
 def reference_facets(vectors):
     """Section vertices and facet records of the frame ``vectors``, one
     facet at a time: each group of coincident rows that owns a facet gets
-    the summed content and the content-weighted centroid of its rows'."""
+    the summed content and the content-weighted centroid of its rows'.
+    The rows are +-v of every generator, a zero one too: row i is (i, +1)
+    and row n + i is (i, -1)."""
     V = np.asarray(vectors, dtype=float)
-    gens = np.nonzero(np.linalg.norm(V, axis=1) > 1e-14)[0]
-    W = np.vstack([V[gens], -V[gens]])
+    W = np.vstack([V, -V])
     c = np.ones(len(W))
-    row_gen = [(int(i), 1) for i in gens] + [(int(i), -1) for i in gens]
+    row_gen = [(i, 1) for i in range(len(V))] + [(i, -1) for i in range(len(V))]
     verts, point_facets = reference_point_facets(W, c)
     facets = []
     for rows in reference_row_groups(W, EPS_GEOM):

@@ -213,11 +213,12 @@ class TestAscend:
 
     @pytest.mark.parametrize("n, k", [(7, 4), (10, 2)], ids=["7-4", "10-2"])
     def test_warm_restart_stops_critical(self, n, k):
-        # the box frame is critical on its stratum: its residual is below
-        # CRIT_TOL (at (10, 2) xi is exactly zero), so no gradient step is
-        # tried, and with m = k clusters no merge either; the box is
-        # balanced, so it has no reassign that gains and none is tried: the
-        # warm restart reads its start's volume and stops
+        # the box frame is critical on its stratum: with m = k clusters its
+        # stratum is the box's orbit under O(k), so no merge and no gradient
+        # step is tried, and its reported residual is rounding noise (at
+        # (10, 2) xi is exactly zero); the box is balanced, so it has no
+        # reassign that gains and none is tried: the warm restart reads its
+        # start's volume and stops
         res = maximize(OptimizerConfig(n=n, k=k, restarts=0, seed=0))
         warm = res.restarts[0]
         assert warm.stop == "critical"
@@ -408,6 +409,9 @@ class TestMoveList:
                 for out, ties, _, kind in optimizer._moves(V, xi, 0.3, label, sign, first, k):
                     exact = optimizer._clusters(out)
                     assert_same_ties(ties, exact)
+                    # each cluster's least member has sign +1, which _merge
+                    # reads its representatives by
+                    assert (ties[1][ties[2]] == 1).all()
                     assert_same_ties(ties, optimizer._clusters(whiten(Frame(out))[1].vectors))
                     met[kind] += 1
                     if kind == "reassign":
@@ -462,6 +466,13 @@ class TestMoveList:
             moves = list(optimizer._reassigns(V, label, sign, first, k))
             assert len(moves) == len(gaining)
             for (move, _), expected in zip(moves, gaining):
+                np.testing.assert_array_equal(move, expected)
+            # with m = k clusters the move list is these reassigns alone,
+            # whatever xi holds: no merge and no gradient trial
+            xi = rng.standard_normal(V.shape)
+            listed = list(optimizer._moves(V, xi, 0.3, label, sign, first, k))
+            assert [kind for *_, kind in listed] == ["reassign"] * len(gaining)
+            for (move, *_), expected in zip(listed, gaining):
                 np.testing.assert_array_equal(move, expected)
 
     @pytest.mark.parametrize("n, k, partition", [

@@ -214,6 +214,16 @@ class TestBuildSection:
         np.testing.assert_allclose(
             sorted_rows(p_with.vertices), sorted_rows(p_without.vertices)
         )
+        # build_section takes the rows +-V of every generator, as
+        # section_volume_fast does, so in the plane the two volumes are one
+        # sum in one order, bitwise, with zero vectors among the rows too
+        rng = np.random.default_rng(21)
+        for n in range(3, 13):
+            for _ in range(30):
+                v = random_tight_frame(n, 2, rng).vectors
+                at = rng.integers(0, n + 1, int(rng.integers(1, 3)))
+                z = np.insert(v, at, 0.0, axis=0)
+                assert volume(build_section(Frame(z))) == section_volume_fast(z)
 
     def test_parallel_generators_share_facet(self):
         s = Frame([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
