@@ -19,11 +19,13 @@ cluster size, the gradient in the metric the tied rows induce.  Rather than
 creep toward the next kink along that gradient, each frame first tries to
 jump onto it: the merge puts the two nearest clusters onto their nearest
 common point in the same metric (the identification step of Hare & Lewis,
-2004).  At a frame critical on its stratum the paper's balance identity (a
-facet of multiplicity d balances d |v|^2 vol) leaves no split of a cluster
-that gains to first order, so where neither the merge nor a gradient step
-gains the ascent tries one fixed list of non-local moves, the reassigns,
-each putting a generator onto another cluster.  A box frame, of k clusters, is
+2004); the stratum gradient is formed only where that merge fails and the
+gradient trials are reached.  At a frame critical on its stratum the
+paper's balance identity (a facet of multiplicity d balances d |v|^2 vol)
+leaves no split of a cluster that gains to first order, so where neither
+the merge nor a gradient step gains the ascent tries one fixed list of
+non-local moves, the reassigns, each putting a generator onto another
+cluster.  A box frame, of k clusters, is
 critical on its stratum by its structure, the box's orbit under O(k), so it
 tries neither a merge nor a gradient step, and its reassigns' volumes are known
 in closed form: a reassign gains exactly when it moves a generator from a
@@ -43,6 +45,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,10 +117,11 @@ class RestartResult:
     clusters, tries no candidate: its ``iterations`` is 0 and its one
     evaluation is the start's.  ``residual`` is |xi| / |D| of
     :func:`_stratum_gradient` at ``frame``, on the ties the ascent held there,
-    the stratum's first-order residual, reported only.  ``merged`` counts the
-    accepted merges (:func:`_merge`).  ``rank_loss`` counts the candidates
-    rejected because whitening found no frame (a :class:`FrameError`), and
-    ``degenerate`` those rejected because Qhull could not build their
+    the stratum's first-order residual, computed once, when the ascent
+    stops, and reported only.  ``merged`` counts the accepted merges
+    (:func:`_merge`).  ``rank_loss`` counts the candidates rejected because
+    whitening found no frame (a :class:`FrameError`), and ``degenerate``
+    those rejected because Qhull could not build their
     section.  ``tied`` is the number of clusters of several generators, tied
     exactly (:func:`_clusters`), in ``frame``.
     """
@@ -285,6 +289,17 @@ def _reassigns(V: np.ndarray, label: np.ndarray, sign: np.ndarray, first: np.nda
                 yield out, _reassigned(label, sign, first, last[c], c, e)
 
 
+@lru_cache(maxsize=None)
+def _pairs(m: int):
+    """The pairs c < e of m clusters, in row-major order, as (c, e) index
+    arrays, cached per m and read-only, so a caller cannot change them for
+    every later merge."""
+    pairs = np.triu_indices(m, 1)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
 def _merge(V: np.ndarray, label: np.ndarray, sign: np.ndarray, first: np.ndarray):
     """The merge move at the frame V tied by ``label`` and ``sign``: V with
     the two clusters nearest each other put onto one vector, and the ties
@@ -297,31 +312,35 @@ def _merge(V: np.ndarray, label: np.ndarray, sign: np.ndarray, first: np.ndarray
     w = (d_c u_c + s d_e u_e) / (d_c + d_e).  In the metric
     sum_c d_c |delta_c|^2 of :func:`_stratum_gradient` that cost is the
     squared distance from V to the stratum where c and e coincide up to
-    sign s, and w is its nearest point.  The ties are those of
-    :func:`_clusters` on the new frame: the members of e join c, which
-    keeps its least member, with their signs times s, and the labels above
-    e move down by one.
+    sign s, and w is its nearest point.  The cost is taken over the pairs
+    of :func:`_pairs`, so among equal costs the first pair in row-major
+    order wins.  The ties are those of :func:`_clusters` on the new frame:
+    the members of e join c, which keeps its least member, with their signs
+    times s, and the labels above e move down by one.
     """
     size = np.bincount(label)
     U = V[first]
     dot = U @ U.T
     sq = np.diag(dot)
-    cost = np.outer(size, size) / np.add.outer(size, size) * (
-        np.add.outer(sq, sq) - 2 * np.abs(dot))
-    cost[np.tri(len(first), dtype=bool)] = np.inf
-    c, e = np.unravel_index(np.argmin(cost), cost.shape)
+    ci, ei = _pairs(len(first))
+    si, sj = size[ci], size[ei]
+    best = np.argmin(si * sj / (si + sj) * ((sq[ci] + sq[ei]) - 2 * np.abs(dot[ci, ei])))
+    c, e = int(ci[best]), int(ei[best])
     s = 1.0 if dot[c, e] >= 0 else -1.0
-    w = (size[c] * U[c] + s * size[e] * U[e]) / (size[c] + size[e])
-    out = V.copy()
+    dc, de = int(size[c]), int(size[e])
+    w = (dc * U[c] + s * de * U[e]) / (dc + de)
     joined = label == e
-    for members, to in ((label == c, w), (joined, s * w)):
-        out[members] = sign[members, None] * to
-    label = np.where(joined, c, label - (label > e))
-    sign = np.where(joined, s * sign, sign)
+    sign = sign.copy()
+    sign[joined] *= s
+    members = np.flatnonzero(joined | (label == c))
+    out = V.copy()
+    out[members] = sign[members, None] * w
+    label = label - (label > e)
+    label[joined] = c
     return out, (label, sign, np.concatenate((first[:e], first[e + 1:])))
 
 
-def _moves(V: np.ndarray, xi: np.ndarray, step: float, label: np.ndarray,
+def _moves(V: np.ndarray, G: np.ndarray, step: float, label: np.ndarray,
            sign: np.ndarray, first: np.ndarray, k: int):
     """The candidates tried at a frame, in order, each with the ties of its
     frame (label, sign, first), the step a gain sets and its kind.  Where
@@ -329,10 +348,14 @@ def _moves(V: np.ndarray, xi: np.ndarray, step: float, label: np.ndarray,
     gradient trials V + (t / |xi|) xi for t = ``step``, ``step`` / 2, ...,
     ``GRADIENT_TRIES`` lengths, which keep the ties and set ``STEP_GROWTH``
     t; then, at every frame, the reassigns (:func:`_reassigns`).  The merge
-    and the reassigns keep ``step``.  A box frame, of k clusters, is
-    critical on its stratum, so its list is its gaining reassigns only."""
+    and the reassigns keep ``step``.  G is the Euclidean gradient at V, and
+    xi (:func:`_stratum_gradient`) is formed from it only once the merge has
+    been yielded, so a frame whose merge gains pays for no xi.  A box frame,
+    of k clusters, is critical on its stratum, so its list is its gaining
+    reassigns only."""
     if len(first) > k:
         yield *_merge(V, label, sign, first), step, "merge"
+        xi = _stratum_gradient(V, G, label, sign)[0]
         norm = float(np.linalg.norm(xi))
         trial = step
         for _ in range(GRADIENT_TRIES if norm > 0 else 0):
@@ -357,9 +380,10 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     two nearest clusters onto one vector and so jumps onto a smaller stratum,
     and next are the gradient trials along xi, the gradient on the stratum of
     the ties (:func:`_stratum_gradient`: each cluster's summed Euclidean
-    gradient, divided by its size, on every member), taken once per frame and
-    retracted by :func:`whiten`; a gain sets ``step`` to ``STEP_GROWTH`` times
-    its length.  Ties stay exact under the merge, the step and the
+    gradient, divided by its size, on every member), formed from the frame's
+    G only when the merge has failed, once per such frame, and retracted by
+    :func:`whiten`; a gain sets ``step`` to ``STEP_GROWTH`` times its
+    length.  Ties stay exact under the merge, the step and the
     retraction.  The box frames, where the known maximizers lie, have k
     clusters, whose sqrt(d_c) u_c are orthonormal on a tight frame: the stratum
     is the box's orbit under O(k), so xi is 0 and no merge or gradient trial is
@@ -373,7 +397,8 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     and one per candidate (merge, gradient trial or reassign) after
     :func:`whiten`, bitwise the volume of :func:`section_volume_fast`, and
     it brings the Euclidean gradient G of the same frame: the start and an
-    accepted candidate carry theirs, so xi needs no hull of its own.  Each
+    accepted candidate carry theirs, so xi needs no hull of its own.
+    ``residual`` is read from xi once, at the frame the run stops on.  Each
     candidate is one iteration.  ``trace`` records the start and every
     accepted volume, so it is strictly increasing and ends at
     ``final_volume``.  Iterates stay tight: rank losses and candidates whose
@@ -412,12 +437,9 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
 
     stop = "cap"
     label, sign, first = _clusters(current.vectors)
-    while True:
-        V = current.vectors
-        xi, residual = _stratum_gradient(V, G, label, sign)
-        if it >= cap:
-            break
-        for vectors, ties, next_step, kind in _moves(V, xi, step, label, sign, first, k):
+    while it < cap:
+        for vectors, ties, next_step, kind in _moves(
+                current.vectors, G, step, label, sign, first, k):
             if it >= cap:
                 break
             tight, new_vol, new_G = evaluate(vectors)
@@ -431,6 +453,7 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
         else:
             stop = "critical"
             break
+    residual = _stratum_gradient(current.vectors, G, label, sign)[1]
     return RestartResult(
         index=index,
         start=start,

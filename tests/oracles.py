@@ -17,6 +17,9 @@
   (:func:`stacked_flag_cones`), and rows grouped by a union-find
   (:func:`reference_row_groups`).  It shares the hull, the solved section
   vertices and the plan tables with ``build_section``.
+- :func:`reference_merge`, the optimizer's merge move on dense m x m
+  tables: the cost of every ordered pair, the lower triangle masked, and
+  the two clusters written one after the other.
 """
 
 from __future__ import annotations
@@ -372,3 +375,29 @@ def reference_facets(vectors):
             )
         )
     return verts, facets
+
+
+def reference_merge(V, label, sign, first):
+    """The merge move of ``cubesec.optimizer._merge`` on dense tables: V
+    with the two clusters c < e of least cost d_c d_e / (d_c + d_e)
+    |u_c - s u_e|^2 put onto their size-weighted mean, and the ties
+    (label, sign, first) of that frame.  The cost of every pair (c, e) is
+    one entry of an m x m table whose diagonal and lower triangle are
+    masked, and the first least entry in row-major order wins."""
+    size = np.bincount(label)
+    U = V[first]
+    dot = U @ U.T
+    sq = np.diag(dot)
+    cost = np.outer(size, size) / np.add.outer(size, size) * (
+        np.add.outer(sq, sq) - 2 * np.abs(dot))
+    cost[np.tri(len(first), dtype=bool)] = np.inf
+    c, e = np.unravel_index(np.argmin(cost), cost.shape)
+    s = 1.0 if dot[c, e] >= 0 else -1.0
+    w = (size[c] * U[c] + s * size[e] * U[e]) / (size[c] + size[e])
+    out = V.copy()
+    joined = label == e
+    for members, to in ((label == c, w), (joined, s * w)):
+        out[members] = sign[members, None] * to
+    label = np.where(joined, c, label - (label > e))
+    sign = np.where(joined, s * sign, sign)
+    return out, (label, sign, np.concatenate((first[:e], first[e + 1:])))

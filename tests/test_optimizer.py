@@ -1,7 +1,7 @@
 """Tests for the multi-start ascent over tight frames."""
 
 import math
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -26,6 +26,7 @@ from cubesec.optimizer import (
     resolve_threads,
     write_trace_csv,
 )
+from oracles import reference_merge
 
 
 def small_config(n, k, **kw):
@@ -277,25 +278,55 @@ class TestAscend:
         # bitwise: at every frame the rows of +-V group the same at 1e-4
         # max|v| as at 0.  A tie broken by rounding would show here, since
         # the merge could not make it again: its gain is below VOL_TOL.
-        # The ties the ascent carries from move to move are the exact ones
+        # The ties the ascent carries from move to move are the exact ones.
+        # _moves is called once per frame, so every frame is observed
         frames = []
-        stratum_gradient = optimizer._stratum_gradient
+        moves = optimizer._moves
 
-        def observed(V, G, label, sign):
+        def observed(V, G, step, label, sign, first, k):
             frames.append((V, label, sign))
-            return stratum_gradient(V, G, label, sign)
+            return moves(V, G, step, label, sign, first, k)
 
-        monkeypatch.setattr(optimizer, "_stratum_gradient", observed)
+        monkeypatch.setattr(optimizer, "_moves", observed)
+        restarts = []
         for seed in (0, 1):
-            maximize(OptimizerConfig(n=n, k=k, restarts=32 if k == 2 else 12, seed=seed),
-                     threads=1)
+            restarts += maximize(OptimizerConfig(
+                n=n, k=k, restarts=32 if k == 2 else 12, seed=seed), threads=1).restarts
         assert len(frames) > 2 * n
+        assert len(frames) == sum(r.accepted + 1 for r in restarts)
         for V, label, sign in frames:
             W = np.concatenate((V, -V))
             np.testing.assert_array_equal(
                 polytope._coincident_row_groups(W, 1e-4 * np.abs(V).max()),
                 polytope._coincident_row_groups(W, 0.0))
             assert_same_ties((label, sign), optimizer._clusters(V)[:2])
+
+    @pytest.mark.parametrize("n, k", [(10, 2), (7, 3)], ids=["10-2", "7-3"])
+    def test_xi_only_where_read(self, n, k, monkeypatch):
+        # xi is formed only where a gradient trial is about to be yielded,
+        # after the merge, and once more per restart for its residual at
+        # the frame it stops on: a frame whose merge gains forms none
+        calls, reached = [], []
+        stratum_gradient, moves = optimizer._stratum_gradient, optimizer._moves
+
+        def counted(*args):
+            calls.append(1)
+            return stratum_gradient(*args)
+
+        def watched(*args):
+            reached.append(False)
+            for move in moves(*args):
+                if move[-1] == "gradient":
+                    reached[-1] = True
+                yield move
+
+        monkeypatch.setattr(optimizer, "_stratum_gradient", counted)
+        monkeypatch.setattr(optimizer, "_moves", watched)
+        res = maximize(OptimizerConfig(n=n, k=k, restarts=32 if k == 2 else 12, seed=0),
+                       threads=1)
+        assert sum(r.merged for r in res.restarts) > 0
+        assert len(calls) == len(res.restarts) + sum(reached)
+        assert len(calls) < len(reached)
 
     @pytest.mark.parametrize("n, k", [(10, 2), (7, 3)])
     def test_one_grouping_per_restart(self, n, k, monkeypatch):
@@ -355,8 +386,8 @@ class TestMoveList:
                      for s in (1.0, -1.0)]
             _, c, e, s = min(pairs)
             mean = (sizes[c] * U[c] + s * sizes[e] * U[e]) / (sizes[c] + sizes[e])
-            xi = optimizer._stratum_gradient(V, _volume_and_gradient(V)[1], label, sign)[0]
-            moves = list(optimizer._moves(V, xi, 0.3, label, sign, first, k))
+            G = _volume_and_gradient(V)[1]
+            moves = list(optimizer._moves(V, G, 0.3, label, sign, first, k))
             assert [kind for *_, kind in moves[:GRADIENT_TRIES + 2]] == (
                 ["merge"] + ["gradient"] * GRADIENT_TRIES + ["reassign"])
             merged, _, step, _ = moves[0]
@@ -372,6 +403,54 @@ class TestMoveList:
             label, sign, first = optimizer._clusters(V)
             assert "merge" not in [kind for *_, kind in optimizer._moves(
                 V, np.zeros_like(V), 0.3, label, sign, first, k)]
+
+    def test_merge_matches_the_reference(self):
+        # the merge over the cached pair table is the dense-table merge
+        # (reference_merge), bitwise: vectors, labels, signs and least
+        # members.  Half the frames are random tight frames tied into
+        # clusters; the other half put clusters of one size, one or two
+        # generators, on small integer directions, so that costs tie
+        # exactly and the first least pair in row-major order must win
+        rng = np.random.default_rng(90)
+        lines = {k: [u for u in product(range(-2, 3) if k == 2 else range(-1, 2), repeat=k)
+                     if math.gcd(*u) == 1 and next(x for x in u if x) > 0]
+                 for k in (2, 3, 4, 5)}
+        frames = tied_costs = 0
+        for k in (2, 3, 4, 5):
+            for m in range(k + 1, k + 5):
+                for _ in range(10):
+                    sizes = 1 + rng.multinomial(int(rng.integers(0, 6)), np.ones(m) / m)
+                    chosen = rng.choice(len(lines[k]), m, replace=False)
+                    dirs = np.array([lines[k][i] for i in chosen], dtype=float)
+                    rows = np.repeat(dirs, rng.integers(1, 3), axis=0)
+                    signs = rng.choice([-1.0, 1.0], len(rows))
+                    symmetric = (signs[:, None] * rows)[rng.permutation(len(rows))]
+                    for V in (tied_frame(sizes, k, rng), symmetric):
+                        label, sign, first = optimizer._clusters(V)
+                        assert len(first) == m
+                        out, ties = optimizer._merge(V, label, sign, first)
+                        ref_out, ref_ties = reference_merge(V, label, sign, first)
+                        assert_same_ties((out, *ties), (ref_out, *ref_ties))
+                        size = np.bincount(label)
+                        U = V[first]
+                        cost = [size[c] * size[e] / (size[c] + size[e]) * (
+                            (U[c] @ U[c] + U[e] @ U[e]) - 2 * abs(U[c] @ U[e]))
+                            for c, e in zip(*optimizer._pairs(m))]
+                        frames += 1
+                        tied_costs += cost.count(min(cost)) > 1
+        assert frames >= 300
+        assert tied_costs >= 100, tied_costs
+
+    def test_pair_tables_are_read_only(self):
+        # the pair tables are cached per m and shared by every merge at that
+        # m, so none of them can be written
+        for m in (2, 5, 9):
+            c, e = optimizer._pairs(m)
+            assert optimizer._pairs(m)[0] is c
+            assert list(zip(c.tolist(), e.tolist())) == list(combinations(range(m), 2))
+            for table in (c, e):
+                with pytest.raises(ValueError):
+                    table[0] = 1
 
     def test_box_reassigns(self):
         # at a box frame only a cluster of d_c >= d_e + 2 moves a member to
@@ -404,9 +483,9 @@ class TestMoveList:
                 sizes = 1 + rng.multinomial(int(rng.integers(0, 6)), np.ones(m) / m)
                 V = tied_frame(sizes, k, rng)
                 label, sign, first = optimizer._clusters(V)
-                xi = optimizer._stratum_gradient(V, _volume_and_gradient(V)[1], label, sign)[0]
+                G = _volume_and_gradient(V)[1]
                 size = np.bincount(label)
-                for out, ties, _, kind in optimizer._moves(V, xi, 0.3, label, sign, first, k):
+                for out, ties, _, kind in optimizer._moves(V, G, 0.3, label, sign, first, k):
                     exact = optimizer._clusters(out)
                     assert_same_ties(ties, exact)
                     # each cluster's least member has sign +1, which _merge
@@ -468,9 +547,9 @@ class TestMoveList:
             for (move, _), expected in zip(moves, gaining):
                 np.testing.assert_array_equal(move, expected)
             # with m = k clusters the move list is these reassigns alone,
-            # whatever xi holds: no merge and no gradient trial
-            xi = rng.standard_normal(V.shape)
-            listed = list(optimizer._moves(V, xi, 0.3, label, sign, first, k))
+            # whatever G holds: no merge and no gradient trial
+            G = rng.standard_normal(V.shape)
+            listed = list(optimizer._moves(V, G, 0.3, label, sign, first, k))
             assert [kind for *_, kind in listed] == ["reassign"] * len(gaining)
             for (move, *_), expected in zip(listed, gaining):
                 np.testing.assert_array_equal(move, expected)
