@@ -9,17 +9,18 @@ coincide up to sign, and the maximizers known lie on such ties (the box
 frames), so generators that coincide up to sign are tied into clusters that
 move as one vector.  Every tie is made exactly, by the merge, a reassign or
 the box start, and a gradient step and the retraction keep it bitwise, so
-ties are found by exact comparison, once per restart, at its start frame;
-after that each accepted move hands the next frame its ties: a gradient
-step keeps them, a merge joins two clusters and a reassign moves one
-generator to another cluster.  On the stratum of those ties the volume is
-smooth (it is partly smooth; Lewis, 2002), and the ascent steps
-along its gradient there: each cluster's gradient sum divided by the
-cluster size, the gradient in the metric the tied rows induce.  Rather than
-creep toward the next kink along that gradient, each frame first tries to
-jump onto it: the merge puts the two nearest clusters onto their nearest
-common point in the same metric (the identification step of Hare & Lewis,
-2004); the stratum gradient is formed only where that merge fails and the
+ties are found by exact comparison, once per restart, at its start frame,
+in one pass that hashes each row and its negation; after that each
+accepted move hands the next frame its ties, in one pass over the
+generators: a gradient step keeps them, a merge joins two clusters and a
+reassign moves one generator to another cluster.  On the stratum of those
+ties the volume is smooth (it is partly smooth; Lewis, 2002), and the
+ascent steps along its gradient there: each cluster's gradient sum divided
+by the cluster size, the gradient in the metric the tied rows induce.
+Rather than creep toward the next kink along that gradient, each frame
+first tries to jump onto it: the merge puts the two nearest clusters onto
+their nearest common point in the same metric (the identification step of
+Hare & Lewis, 2004); the stratum gradient is formed only where that merge fails and the
 gradient trials are reached.  At a frame critical on its stratum the
 paper's balance identity (a facet of multiplicity d balances d |v|^2 vol)
 leaves no split of a cluster that gains to first order, so where neither
@@ -62,7 +63,6 @@ from .frame_core import (
 # the optimize workloads.
 from .polytope import (  # noqa: F401
     DegeneratePolytopeError,
-    _coincident_row_groups,
     _sums_by,
     _volume_and_gradient,
     build_section,
@@ -201,21 +201,27 @@ class OptimizeResult:
 def _clusters(V: np.ndarray):
     """Signed clusters of the generators: (label, sign, first).
 
-    Generators that coincide exactly up to sign are one cluster
-    (:func:`_coincident_row_groups` on [V; -V] at tolerance 0, which compares
-    by value, so -0.0 equals 0.0): v_i = sign[i] sign[j] v_j for i, j of one
-    label.  Labels run from 0 in the order of their least members,
-    ``first[c]`` is the least member of cluster c, and its sign is +1.
-    :func:`ascend` groups only its start frame here; each move it accepts
-    carries this record to the next frame (:func:`_merge`,
-    :func:`_reassigned`).
+    Generators that coincide exactly up to sign are one cluster: v_i =
+    sign[i] sign[j] v_j for i, j of one label.  Labels run from 0 in the
+    order of their least members, ``first[c]`` is the least member of
+    cluster c, and its sign is +1.  One pass over the rows keys each new
+    cluster's least member, as a tuple, and its negation in a dict, so rows
+    are compared by value: -0.0 equals and hashes as 0.0, and a zero vector,
+    its own negation, has sign +1.  :func:`ascend` groups only its start
+    frame here; each move it accepts carries this record to the next frame
+    (:func:`_merge`, :func:`_reassigned`).
     """
-    n = len(V)
-    group = _coincident_row_groups(np.concatenate((V, -V)), 0.0)
-    low = np.minimum(group[:n], group[n:])
-    sign = np.where(group[:n] == low, 1.0, -1.0)
-    first, label = np.unique(low, return_index=True, return_inverse=True)[1:]
-    return label, sign, first
+    label, sign, first, ties = [], [], [], {}
+    for i, row in enumerate(V.tolist()):
+        key = tuple(row)
+        if key not in ties:
+            ties[tuple([-x for x in row])] = (len(first), -1.0)
+            ties[key] = (len(first), 1.0)
+            first.append(i)
+        c, s = ties[key]
+        label.append(c)
+        sign.append(s)
+    return np.array(label, dtype=np.intp), np.array(sign), np.array(first, dtype=np.intp)
 
 
 def _stratum_gradient(V: np.ndarray, G: np.ndarray, label: np.ndarray, sign: np.ndarray):
@@ -279,8 +285,10 @@ def _reassigns(V: np.ndarray, label: np.ndarray, sign: np.ndarray, first: np.nda
     there, as the k - 1 lines left could not span.
     """
     m = len(first)
-    size = np.bincount(label)
-    last = len(label) - 1 - np.unique(label[::-1], return_index=True)[1]
+    size, last = [0] * m, [0] * m
+    for i, c in enumerate(label.tolist()):
+        size[c] += 1
+        last[c] = i
     for c in range(m):
         for e in range(m):
             if e != c and (m > k or size[c] >= size[e] + 2):
@@ -329,15 +337,18 @@ def _merge(V: np.ndarray, label: np.ndarray, sign: np.ndarray, first: np.ndarray
     s = 1.0 if dot[c, e] >= 0 else -1.0
     dc, de = int(size[c]), int(size[e])
     w = (dc * U[c] + s * de * U[e]) / (dc + de)
-    joined = label == e
-    sign = sign.copy()
-    sign[joined] *= s
-    members = np.flatnonzero(joined | (label == c))
+    label, sign, members = label.tolist(), sign.tolist(), []
+    for i, l in enumerate(label):
+        if l == e:
+            label[i], sign[i] = c, sign[i] * s
+        elif l > e:
+            label[i] = l - 1
+        if label[i] == c:
+            members.append(i)
+    sign = np.array(sign)
     out = V.copy()
     out[members] = sign[members, None] * w
-    label = label - (label > e)
-    label[joined] = c
-    return out, (label, sign, np.concatenate((first[:e], first[e + 1:])))
+    return out, (np.array(label, dtype=np.intp), sign, np.concatenate((first[:e], first[e + 1:])))
 
 
 def _moves(V: np.ndarray, G: np.ndarray, step: float, label: np.ndarray,

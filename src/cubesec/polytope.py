@@ -149,7 +149,9 @@ def _coincident_row_groups(W: np.ndarray, tol: float) -> np.ndarray:
     """The group of each constraint row, a group's rows describing one
     oriented hyperplane: rows within ``tol`` of each other in every
     coordinate are joined, transitively.  Groups are numbered in the order
-    of their least rows."""
+    of their least rows.  Its one caller is :func:`build_section`, which
+    groups its rows at ``EPS_GEOM``; the optimizer's exact ties, at
+    tolerance 0, are hashed instead (``optimizer._clusters``)."""
     reach = (np.abs(W[:, None, :] - W[None, :, :]) <= tol).all(axis=2)
     first = reach.argmax(axis=1)  # least row each row reaches
     # transitive closure by repeated squaring, until it is an equivalence
@@ -576,7 +578,8 @@ def _face_slots(simplices: np.ndarray, sub: np.ndarray, points: int):
     return key, slot
 
 
-def _flag_cones(P: np.ndarray, simplices: np.ndarray, neighbors: np.ndarray, Y: np.ndarray):
+def _flag_cones(P: np.ndarray, simplices: np.ndarray, neighbors: np.ndarray, Y: np.ndarray,
+                moments: bool = True):
     """The cone table of the polar body of conv(P), k >= 3: the cones from
     the origin over its facets, with their first moments, by a signed sum
     over the flags of Qhull's triangulation, split by first corner.  Row p
@@ -584,6 +587,8 @@ def _flag_cones(P: np.ndarray, simplices: np.ndarray, neighbors: np.ndarray, Y: 
     cone over the facet F_p (each simplex's volume times the sum of its
     vertices), then that cone's volume; a point off the hull has a row of
     zeros, and the volume of the body is the sum of the last column.
+    Without ``moments`` the table has that last column alone, (len(P), 1),
+    for callers that read only the volume.
 
     ``simplices`` and ``neighbors`` are Qhull's facets of conv(P) and their
     adjacency (the neighbor opposite each corner), and Y[f] the polar
@@ -628,7 +633,11 @@ def _flag_cones(P: np.ndarray, simplices: np.ndarray, neighbors: np.ndarray, Y: 
     of x_G.  The first moments follow the same recursion, B_p(G) =
     (sum ...B_p(G - l)) ^ x_G + A_p(G) (x) x_G, with B_p({p}) = x_p (x) x_p;
     A_p rides along as one more moment coordinate, B_p taken against
-    (x_G, 0) from (x_p, 1).  The points after x_p enter the wedges as
+    (x_G, 0) from (x_p, 1).  The recursion is linear in that moment axis
+    and the A_p column never reads the others, so the same code with the
+    axis cut to the A_p column alone (``moments`` false, one column in
+    place of k + 1) computes the volumes and nothing else; the tests hold
+    them bitwise to the volume column of the whole table.  The points after x_p enter the wedges as
     differences from x_p, and Y_g ^ Y_f as (Y_g - x_p) ^ (Y_f - Y_g): the
     wedges of a tiny facet stay as small as the facet, so its own cone is
     exact to rounding.
@@ -642,6 +651,7 @@ def _flag_cones(P: np.ndarray, simplices: np.ndarray, neighbors: np.ndarray, Y: 
     the count of calls, not the arithmetic, sets the time.
     """
     k = P.shape[1]
+    columns = k + 1 if moments else 1
     plan = _flag_plan(k)
     F, N = len(simplices), len(P)
     if k > 3:  # corners ascending, so every simplex that holds a face lists it alike
@@ -661,7 +671,8 @@ def _flag_cones(P: np.ndarray, simplices: np.ndarray, neighbors: np.ndarray, Y: 
     # A_p and B_p of each face G once, at its highest slot, on the flags
     # (p, G) numbered face by face; the faces of size 1 are the points
     x1 = Y.T.take(_face_slots(simplices, plan.subsets[0], N)[1] // k, axis=1)
-    b = x1[:, None] * np.concatenate((x1, np.ones((1, N))))[None]  # (components, k + 1, flags)
+    lift = np.concatenate((x1, np.ones((1, N))))[k + 1 - columns:]
+    b = x1[:, None] * lift[None]  # (components, columns, flags)
     face = simplices  # the face of each corner subset of each simplex
     for s, (sub, (prev, eps, lead), table) in enumerate(
             zip(plan.subsets[1:], plan.steps, plan.wedges), start=2):
@@ -675,35 +686,40 @@ def _flag_cones(P: np.ndarray, simplices: np.ndarray, neighbors: np.ndarray, Y: 
         x = Y.T.take(at, axis=1)
         b = _wedge_first(table, np.einsum("cmlq,lq->cmq", peeled, eps.take(q, axis=0).T),
                          (x - x1.take(simplices.take(at * k + lead.take(q)), axis=1))[:, None])
-        b[:, :k] += b[:, k:] * x
+        if moments:
+            b[:, :k] += b[:, k:] * x
         face = (np.cumsum(held) - 1).take(key)
 
     g, i = np.divmod(plan.ridge_prev.T.take(j, axis=2), k - 2)  # (k - 2, k - 1, ridges)
     chain = b.take(face.take(f * face.shape[1] + g) * (k - 2) + i, axis=2)
-    # (components, k + 1, k - 1, ridges)
+    # (components, columns, k - 1, ridges)
     chain = np.einsum("cmlpr,lpr->cmpr", chain, plan.ridge_eps.T.take(j, axis=2))
     yy = _wedge_first(plan.wedges[0], Yg[:, None] - x1.take(owner, axis=1), edge[:, None])
     index, sign = plan.hodge
     det = np.einsum("c,cmpr,cpr->mpr", sign, chain, yy.take(index, axis=0))
-    det[:k] += det[k] * (Yg + Yf)[:, None]
+    if moments:
+        det[:k] += det[k] * (Yg + Yf)[:, None]
     det *= sigma / factorial(k)
-    return _sums_by(owner.ravel(), det.reshape(k + 1, -1).T, N)
+    return _sums_by(owner.ravel(), det.reshape(columns, -1).T, N)
 
 
-def _cone_table(P: np.ndarray) -> np.ndarray:
+def _cone_table(P: np.ndarray, moments: bool = True) -> np.ndarray:
     """The cone table of the polar body {x : P x <= 1}, k >= 2, from one
     hull of P: :func:`_planar_hull`'s own in the plane, :func:`_flag_cones`
-    on :func:`_polar_hull` for k >= 3."""
+    on :func:`_polar_hull` for k >= 3.  Without ``moments`` the table for
+    k >= 3 holds the volume column alone; in the plane it is always whole.
+    Either way its last column is the cones' volumes."""
     if P.shape[1] == 2:
         return _planar_hull(P)[2]
     hull, Y = _polar_hull(P)
-    return _flag_cones(P, hull.simplices, hull.neighbors, Y)
+    return _flag_cones(P, hull.simplices, hull.neighbors, Y, moments)
 
 
 def _halfspace_volume(P: np.ndarray) -> float:
     """Volume of the polar body {x : P x <= 1} of the points P, whose hull
     holds the origin inside: the sum of the cones of its cone table
-    (:func:`_cone_table`), or for k = 1 the length of the interval.
+    (:func:`_cone_table`, for k >= 3 its volume column alone), or for k = 1
+    the length of the interval.
 
     A system {W x <= c}, every c > 0, is the polar body of P_r = W_r / c_r.
     The body need not be centrally symmetric; the hull goes once round the
@@ -714,7 +730,7 @@ def _halfspace_volume(P: np.ndarray) -> float:
     if P.shape[1] == 1:
         lo, hi = _interval(P)
         return float(1 / P[hi, 0] - 1 / P[lo, 0])
-    return float(_cone_table(P)[:, -1].sum())
+    return float(_cone_table(P, moments=False)[:, -1].sum())
 
 
 def section_volume_fast(vectors: np.ndarray) -> float:
@@ -733,7 +749,9 @@ def section_volume_fast(vectors: np.ndarray) -> float:
       edges that the same pass gives (:func:`_planar_hull`).
     - k >= 3: Qhull's triangulation of the same hull, and the sum of the
       cones over the section's facets, one determinant per ridge and corner
-      (:func:`_flag_cones`).
+      (:func:`_flag_cones`), its recursion carrying the volume column
+      alone, without the k first-moment columns the gradient and the
+      facets read.
 
     Neither has a feasibility slack.  Both are within 1e-13 of an exact
     rational volume on near-parallel frames (points of +-V down to 1e-13
@@ -741,7 +759,8 @@ def section_volume_fast(vectors: np.ndarray) -> float:
     that hold v and -v, ties for the largest norm and collinear points of
     +-V; for k >= 3 also on frames whose +-v are the vertices of a cube,
     and on sections with facets shifted or tilted.  It is bitwise the
-    volume of :func:`_volume_and_gradient`, which reads the same table.
+    volume of :func:`_volume_and_gradient`, which reads the same volume
+    column from the whole table.
 
     It tests depth, not span: :class:`NotAFrameError` is raised when the
     points +-V are flat, or a facet of their hull (an edge, in the plane)

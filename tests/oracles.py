@@ -20,6 +20,8 @@
 - :func:`reference_merge`, the optimizer's merge move on dense m x m
   tables: the cost of every ordered pair, the lower triangle masked, and
   the two clusters written one after the other.
+- :func:`reference_clusters`, the optimizer's signed clusters from a
+  pairwise comparison table of the rows of [V; -V].
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 from cubesec.polytope import (
     EPS_GEOM,
     FacetRecord,
+    _coincident_row_groups,
     _face_slots,
     _flag_plan,
     _interval,
@@ -401,3 +404,18 @@ def reference_merge(V, label, sign, first):
     label = np.where(joined, c, label - (label > e))
     sign = np.where(joined, s * sign, sign)
     return out, (label, sign, np.concatenate((first[:e], first[e + 1:])))
+
+
+def reference_clusters(V):
+    """The signed clusters (label, sign, first) of ``cubesec.optimizer._clusters``
+    from the (2n, 2n) table that compares every pair of rows of [V; -V]
+    by value (``_coincident_row_groups`` at tolerance 0): each generator
+    takes the lower of its row's and its negation's group, with sign -1
+    when that is its negation's, and ``np.unique`` numbers those groups
+    and names each one's least member."""
+    n = len(V)
+    group = _coincident_row_groups(np.concatenate((V, -V)), 0.0)
+    low = np.minimum(group[:n], group[n:])
+    sign = np.where(group[:n] == low, 1.0, -1.0)
+    first, label = np.unique(low, return_index=True, return_inverse=True)[1:]
+    return label, sign, first

@@ -26,7 +26,8 @@ from cubesec.optimizer import (
     resolve_threads,
     write_trace_csv,
 )
-from oracles import reference_merge
+from oracles import reference_clusters, reference_merge
+from restart_digest import restart_records
 
 
 def small_config(n, k, **kw):
@@ -352,6 +353,46 @@ class TestAscend:
         assert np.max(np.abs(op - np.eye(3))) <= 1e-10
 
 
+class TestClusters:
+    """The signed clusters of exact ties, from one pass over the rows."""
+
+    def test_signed_zeros(self):
+        # rows are compared by value: (-0.0, -1.0) is the negation of
+        # (0.0, 1.0), and (-0.0, 1.0) is (0.0, 1.0) itself; a zero vector
+        # is its own negation and keeps sign +1
+        V = np.array([[0.0, 1.0], [-0.0, -1.0], [-0.0, 1.0], [0.0, -0.0],
+                      [-0.0, -0.0], [1.0, 0.0], [-1.0, -0.0]])
+        label, sign, first = optimizer._clusters(V)
+        assert label.tolist() == [0, 0, 0, 1, 1, 2, 2]
+        assert sign.tolist() == [1.0, -1.0, 1.0, 1.0, 1.0, 1.0, -1.0]
+        assert first.tolist() == [0, 3, 5]
+        assert_same_ties((label, sign, first), reference_clusters(V))
+
+    def test_matches_the_pairwise_grouping(self):
+        # bitwise, dtypes included, the clusters of the pairwise table
+        # (reference_clusters): rows drawn from a few small vectors with
+        # random signs, so that they hold exact duplicates, v beside -v,
+        # zero vectors and entries of either sign of 0.0; random tight
+        # frames; and frames tied exactly into clusters
+        rng = np.random.default_rng(31)
+        entries = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+        kinds = dict(small=0, random=0, tied=0)
+        for k in (1, 2, 3, 4):
+            for n in range(1, 13):
+                for _ in range(6):
+                    base = rng.choice(entries, (int(rng.integers(1, 5)), k))
+                    signs = rng.choice([-1.0, 1.0], (n, 1))
+                    frames = [("small", signs * base[rng.integers(0, len(base), n)])]
+                    if n > k >= 2:
+                        sizes = 1 + rng.multinomial(n - k - 1, np.ones(k + 1) / (k + 1))
+                        frames += [("random", random_tight_frame(n, k, rng).vectors),
+                                   ("tied", tied_frame(sizes, k, rng))]
+                    for kind, V in frames:
+                        assert_same_ties(optimizer._clusters(V), reference_clusters(V))
+                        kinds[kind] += 1
+        assert kinds == dict(small=288, random=162, tied=162)
+
+
 class TestMoveList:
     """The moves tried where no gradient step gains: one reassign per
     ordered pair of clusters, and no random draw."""
@@ -651,6 +692,8 @@ class TestMaximize:
         np.testing.assert_array_equal(a.best_frame.vectors, b.best_frame.vectors)
         np.testing.assert_array_equal(a.best_frame.vectors, c.best_frame.vectors)
         assert [r.final_volume for r in a.restarts] == [r.final_volume for r in c.restarts]
+        # every field of every restart, frames and traces included, bitwise
+        assert restart_records(a) == restart_records(b) == restart_records(c)
 
     def test_warm_start_recorded(self):
         res = maximize(small_config(5, 2, restarts=1, max_iterations=100))

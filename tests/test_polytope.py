@@ -587,6 +587,40 @@ class TestVolumeAndGradient:
         free = [i for i in range(s.n) if i not in held]
         return np.abs(got - want).max() / np.abs(G).max(), np.abs(G[free]).max(initial=0.0)
 
+    def test_volume_is_the_fast_volume(self):
+        # section_volume_fast reads the volume column alone, and
+        # _volume_and_gradient the whole table; the volume is the same
+        # bitwise, on random, box, near-parallel and zero-vector frames
+        rng = np.random.default_rng(64)
+        frames = 0
+        for k in (2, 3, 4, 5, 6):
+            for n in range(k + 1, k + 4):
+                z = random_tight_frame(n, k, rng).vectors
+                for V in (random_tight_frame(n, k, rng).vectors,
+                          signed_box_frame(n, k, rng).vectors,
+                          near_parallel_frame(n, k, rng).vectors,
+                          np.insert(z, int(rng.integers(0, n + 1)), 0.0, axis=0)):
+                    assert section_volume_fast(V) == _volume_and_gradient(V)[0]
+                    frames += 1
+        assert frames == 60
+
+    def test_volume_only_cones(self):
+        # the flag sum without moments is the volume column of the whole
+        # table, cone by cone and bitwise, also on bodies that are not
+        # centrally symmetric (the shift and tilt rebuilds)
+        rng = np.random.default_rng(65)
+        for k in (3, 4, 5, 6):
+            for n in (k + 1, k + 3):
+                V = random_tight_frame(n, k, rng).vectors
+                for P in (np.concatenate((V, -V)),
+                          np.concatenate((V, -V)) / (1 + 0.3 * rng.random(2 * n))[:, None]):
+                    hull, Y = _polar_hull(P)
+                    whole = _flag_cones(P, hull.simplices, hull.neighbors, Y)
+                    alone = _flag_cones(P, hull.simplices, hull.neighbors, Y, moments=False)
+                    assert alone.shape == (2 * n, 1)
+                    assert alone[:, 0].tobytes() == whole[:, k].tobytes()
+                    assert _halfspace_volume(P) == float(whole[:, k].sum())
+
     def test_central_differences(self):
         # generic frames, every facet of multiplicity 1; the error of the
         # central difference at h = 1e-6 is below 1e-9 of max |G|
