@@ -521,12 +521,13 @@ def maximize(config: OptimizerConfig, threads: int | None = None) -> OptimizeRes
 
     Deterministic for a fixed config and seed regardless of the worker
     count: every restart derives its generator from (seed, index) and the
-    merge is associative.
+    merge is associative.  The pool has at most one worker per restart: a
+    forked pool starts all of its workers at the first submit.
     """
     jobs = [(config, index, start) for index, start in _starts(config)]
     threads = resolve_threads(threads)
     if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             results = list(pool.map(_run_restart, jobs))
     else:
         results = [_run_restart(j) for j in jobs]

@@ -21,9 +21,11 @@ vertices.  For k = 1 the section is an interval in closed form.
 Every volume and every facet is read from one cone table per hull: row p
 holds the cone from the origin over the facet of the point p, its volume
 and first moment.  :func:`_flag_cones` sums it over the flags of Qhull's
-triangulation, one determinant per ridge and corner; in the plane the
-Graham pass of :func:`_planar_hull` gives it with the vertices, one
-triangle per section edge.  The volume is the sum of the table's volume
+triangulation, one determinant per ridge and corner, in two parts: an
+index plan read off the triangulation alone (:func:`_hull_plan`) and the
+sum over the points and the polar vertices (:func:`_flag_sum`).  In the
+plane the Graham pass of :func:`_planar_hull` gives it with the vertices,
+one triangle per section edge.  The volume is the sum of the table's volume
 column, in row order (:func:`_halfspace_volume`, and
 :func:`section_volume_fast` for a section), and the same table gives the
 Euclidean gradient (:func:`_volume_and_gradient`).
@@ -34,6 +36,13 @@ rows share a facet), contents and first moments summed by label, and the
 vertex indices of each group from one incidence matrix.  The section's
 volume is the same sum of the volume column, so in the plane it is bitwise
 the volume of :func:`section_volume_fast`.
+
+One hull per frame: :func:`build_section` and :func:`section_volume_fast`
+read the hull of +-V from one slot (:func:`_section_hull`) that holds the
+last section's hull, its polar vertices and, for k >= 3, its flag-sum
+plan, keyed by the points' bytes.  Whichever of the two runs second on a
+frame, as ``cubesec report`` runs both, builds no hull and no plan.  The
+gradient and the shifted and tilted rebuilds build their own.
 """
 
 from __future__ import annotations
@@ -346,7 +355,11 @@ def _distinct_equations(eq: np.ndarray):
 def _point_facets(W: np.ndarray):
     """Vertices of {W x <= 1}, and the cone from the origin over the facet
     of every row that has one, from the hull's cone table
-    (:func:`_planar_hull`, :func:`_flag_cones`).
+    (:func:`_planar_hull`, :func:`_flag_sum`).  The hull and, for k >= 3,
+    its flag-sum plan are the section's one hull (:func:`_section_hull`),
+    which :func:`section_volume_fast` shares on the same W; what is this
+    function's own is the arithmetic: the vertices solved from the
+    corners, and the table with its first moments over them.
 
     Returns (vertices, rows, cone, centroid, point, vid, vol): the facet of
     row rows[i] has centroid centroid[i] and content k cone[i] |W[rows[i]]|,
@@ -362,18 +375,18 @@ def _point_facets(W: np.ndarray):
         cone = np.abs(verts[:, 0])
         return verts, rows, cone, verts, rows, np.arange(2), float(cone.sum())
     if k == 2:
-        hull, Y, sums = _planar_hull(W)
+        hull, Y, sums = _section_hull(W)
         verts, rows = np.array(Y), np.array(hull)
         ends = np.arange(len(hull))
         point, vid = np.concatenate((rows, rows)), np.concatenate(((ends - 1) % len(hull), ends))
     else:
-        hull, Y = _polar_hull(W)
+        hull, Y, plan = _section_hull(W)
         eq = hull.equations
         # a simplex of a merged facet shares its equation with a neighbor
         alone = ~np.all(eq[hull.neighbors] == eq[:, None, :], axis=2).any(axis=1)
         Y = _solved_vertices(W, hull, Y, alone)
         first, vid = (np.arange(len(eq)),) * 2 if alone.all() else _distinct_equations(eq)
-        sums = _flag_cones(W, hull.simplices, hull.neighbors, Y)
+        sums = _flag_sum(W, Y, plan)
         verts = Y[first]
         rows = np.flatnonzero(np.bincount(hull.simplices.ravel(), minlength=len(W)))
         point, vid = hull.simplices.ravel(), np.repeat(vid, k)
@@ -649,58 +662,171 @@ def _flag_cones(P: np.ndarray, simplices: np.ndarray, neighbors: np.ndarray, Y: 
     last (:func:`_wedge_first`), so each numpy call works on whole rows: at
     (n, k) = (7, 3) and (7, 4) a call handles a few dozen simplices, and
     the count of calls, not the arithmetic, sets the time.
+
+    The work is in two parts.  :func:`_hull_plan` reads ``simplices`` and
+    ``neighbors`` alone: the corner sort, the ridges and their owners, the
+    face holders, and each step's gather indices and signs, about a third
+    of the time at (7, 3) and (7, 4).  :func:`_flag_sum` does the sum over
+    P and Y.  The section's hull keeps its plan (:func:`_section_hull`), so
+    the second of :func:`build_section` and :func:`section_volume_fast` on
+    a frame runs only the sum; this function runs both parts, for the
+    gradient and the shifted and tilted rebuilds.
     """
-    k = P.shape[1]
-    columns = k + 1 if moments else 1
+    return _flag_sum(P, Y, _hull_plan(simplices, neighbors, len(P)), moments)
+
+
+class _HullPlan(NamedTuple):
+    """Index tables of the flag sum over one triangulation in R^k, k >= 3
+    (:func:`_hull_plan`): everything :func:`_flag_sum` reads of the hull
+    but its polar vertices.
+
+    - ``simplex`` and ``neighbor``: the two simplices f < g across each
+      ridge, each ridge once.
+    - ``owner``: (k - 1, ridges), the points of each ridge's corners, in
+      the order of the plan's ``ridge_rows``.
+    - ``first``: for each point, the simplex whose polar vertex is its
+      x_p (:func:`_face_slots`); -1 for a point off the hull, which no
+      flag reads.
+    - ``chain`` and ``chain_sign``: for each ridge R and corner p of it,
+      the places of the flags (p, R - l) in the stack of the flags of
+      size k - 2, and their signs.
+    - ``steps``: per face size s = 2..k-2, (holder, gather, sign, lead),
+      one entry per flag (p, G) with |G| = s, numbered face by face: the
+      simplex whose polar vertex is x_G, the places of the flags
+      (p, G - l) in the stack of size s - 1, their signs, and the point p.
+    """
+
+    simplex: np.ndarray
+    neighbor: np.ndarray
+    owner: np.ndarray
+    first: np.ndarray
+    chain: np.ndarray
+    chain_sign: np.ndarray
+    steps: tuple
+
+
+def _hull_plan(simplices: np.ndarray, neighbors: np.ndarray, points: int) -> _HullPlan:
+    """The index tables of the flag sum over Qhull's triangulation of the
+    hull of ``points`` points, k >= 3: its ``simplices`` and their
+    ``neighbors`` (the neighbor opposite each corner), and nothing else.
+
+    At k > 3 the corners of every simplex are sorted first, so that every
+    simplex that holds a face lists it alike.  The tables serve any points
+    with this triangulation and any polar vertices, so one hull's plan
+    serves both section routes, on Qhull's vertices and on the solved ones
+    (:func:`_section_hull`); see :func:`_flag_cones` for the sum.
+    """
+    k = simplices.shape[1]
     plan = _flag_plan(k)
-    F, N = len(simplices), len(P)
-    if k > 3:  # corners ascending, so every simplex that holds a face lists it alike
+    F = len(simplices)
+    if k > 3:
         order = simplices.argsort(axis=1) + np.arange(0, F * k, k)[:, None]
         simplices, neighbors = simplices.take(order), neighbors.take(order)
     ridge = (neighbors.T > np.arange(F)).ravel().nonzero()[0]  # j * F + f, each ridge once
     f, j = ridge % F, ridge // F
-    Yf, Yg = Y.T.take(f, axis=1), Y.T.take(neighbors.T.take(ridge), axis=1)
-    edge = Yf - Yg
     owner = simplices.take(f * k + plan.ridge_rows.T.take(j, axis=1))  # (k - 1, ridges)
-    corners = P.T.take(owner, axis=1)
-    top = corners[:, 0]
-    for i in range(1, k - 1):
-        top = _wedge_first(plan.wedges[i - 1], top, corners[:, i])
-    sigma = np.sign(_wedge_first(plan.wedges[k - 2], top, edge)[0])
+    first = _face_slots(simplices, plan.subsets[0], points)[1] // k
 
-    # A_p and B_p of each face G once, at its highest slot, on the flags
-    # (p, G) numbered face by face; the faces of size 1 are the points
-    x1 = Y.T.take(_face_slots(simplices, plan.subsets[0], N)[1] // k, axis=1)
-    lift = np.concatenate((x1, np.ones((1, N))))[k + 1 - columns:]
-    b = x1[:, None] * lift[None]  # (components, columns, flags)
+    # the faces of size s, each once, at its highest slot; the flags
+    # (p, G) numbered face by face, the faces of size 1 the points
+    steps = []
     face = simplices  # the face of each corner subset of each simplex
-    for s, (sub, (prev, eps, lead), table) in enumerate(
-            zip(plan.subsets[1:], plan.steps, plan.wedges), start=2):
-        key, slot = _face_slots(simplices, sub, N)
+    for s, (sub, (prev, eps, lead)) in enumerate(zip(plan.subsets[1:], plan.steps), start=2):
+        key, slot = _face_slots(simplices, sub, points)
         held = slot >= 0
         at, g = np.divmod(slot[held], len(sub))
         q = (g[:, None] * s + np.arange(s)).ravel()  # its flags in the simplex ``at``
         at = at.repeat(s)
         g, i = np.divmod(prev.take(q, axis=0), s - 1)
-        peeled = b.take(face.take(at[:, None] * face.shape[1] + g).T * (s - 1) + i.T, axis=2)
-        x = Y.T.take(at, axis=1)
-        b = _wedge_first(table, np.einsum("cmlq,lq->cmq", peeled, eps.take(q, axis=0).T),
-                         (x - x1.take(simplices.take(at * k + lead.take(q)), axis=1))[:, None])
-        if moments:
-            b[:, :k] += b[:, k:] * x
+        steps.append((at, face.take(at[:, None] * face.shape[1] + g).T * (s - 1) + i.T,
+                      eps.take(q, axis=0).T, simplices.take(at * k + lead.take(q))))
         face = (np.cumsum(held) - 1).take(key)
 
     g, i = np.divmod(plan.ridge_prev.T.take(j, axis=2), k - 2)  # (k - 2, k - 1, ridges)
-    chain = b.take(face.take(f * face.shape[1] + g) * (k - 2) + i, axis=2)
+    return _HullPlan(f, neighbors.T.take(ridge), owner, first,
+                     face.take(f * face.shape[1] + g) * (k - 2) + i,
+                     plan.ridge_eps.T.take(j, axis=2), tuple(steps))
+
+
+def _flag_sum(P: np.ndarray, Y: np.ndarray, tables: _HullPlan, moments: bool = True):
+    """The cone table of the polar body of conv(P), k >= 3, from the
+    polar vertices Y of a triangulation of its hull and that
+    triangulation's index tables (:func:`_hull_plan`): the arithmetic of
+    :func:`_flag_cones`, which documents the sum and the table."""
+    k, N = P.shape[1], len(P)
+    columns = k + 1 if moments else 1
+    plan = _flag_plan(k)
+    Yf, Yg = Y.T.take(tables.simplex, axis=1), Y.T.take(tables.neighbor, axis=1)
+    edge = Yf - Yg
+    corners = P.T.take(tables.owner, axis=1)
+    top = corners[:, 0]
+    for i in range(1, k - 1):
+        top = _wedge_first(plan.wedges[i - 1], top, corners[:, i])
+    sigma = np.sign(_wedge_first(plan.wedges[k - 2], top, edge)[0])
+
+    # A_p and B_p of each face G once, on the flags (p, G) numbered face by face
+    x1 = Y.T.take(tables.first, axis=1)
+    lift = np.concatenate((x1, np.ones((1, N))))[k + 1 - columns:]
+    b = x1[:, None] * lift[None]  # (components, columns, flags)
+    for (at, gather, eps, lead), table in zip(tables.steps, plan.wedges):
+        x = Y.T.take(at, axis=1)
+        b = _wedge_first(table, np.einsum("cmlq,lq->cmq", b.take(gather, axis=2), eps),
+                         (x - x1.take(lead, axis=1))[:, None])
+        if moments:
+            b[:, :k] += b[:, k:] * x
+
     # (components, columns, k - 1, ridges)
-    chain = np.einsum("cmlpr,lpr->cmpr", chain, plan.ridge_eps.T.take(j, axis=2))
-    yy = _wedge_first(plan.wedges[0], Yg[:, None] - x1.take(owner, axis=1), edge[:, None])
+    chain = np.einsum("cmlpr,lpr->cmpr", b.take(tables.chain, axis=2), tables.chain_sign)
+    yy = _wedge_first(plan.wedges[0], Yg[:, None] - x1.take(tables.owner, axis=1), edge[:, None])
     index, sign = plan.hodge
     det = np.einsum("c,cmpr,cpr->mpr", sign, chain, yy.take(index, axis=0))
     if moments:
         det[:k] += det[k] * (Yg + Yf)[:, None]
     det *= sigma / factorial(k)
-    return _sums_by(owner.ravel(), det.reshape(columns, -1).T, N)
+    return _sums_by(tables.owner.ravel(), det.reshape(columns, -1).T, N)
+
+
+# The hull of the last section's points +-V (:func:`_section_hull`): its
+# key, the points' dtype, shape and bytes, and the hull, all read-only.
+_last_section = (None, None)
+
+
+def _section_hull(W: np.ndarray):
+    """The hull of the section's points W = +-V, k >= 2, built once per
+    frame: :func:`_planar_hull`'s (hull, Y, S) in the plane, as tuples and
+    a read-only table, and for k >= 3 (hull, Y, plan), Qhull's hull
+    (:func:`_polar_hull`), the polar vertices of its facet equations and
+    the index tables of its flag sum (:func:`_hull_plan`), every array
+    read-only.
+
+    The last hull is kept in one slot, keyed by the dtype, shape and bytes
+    of W, so :func:`build_section` (through :func:`_point_facets`) and
+    :func:`section_volume_fast` on one frame, in either order, build one
+    hull between them: ``cubesec report`` calls both.  A hull depends on
+    its points alone (Qhull and the scan are deterministic), so a hit
+    returns what a fresh build would; a build that raises stores nothing.
+    The ascent (:func:`_volume_and_gradient`), which evaluates no frame
+    twice in a row, and the shifted and tilted rebuilds, which move the
+    points, build their own.
+    """
+    global _last_section
+    key = (W.dtype, W.shape, W.tobytes())
+    held, entry = _last_section
+    if held == key:
+        return entry
+    if W.shape[1] == 2:
+        hull, Y, S = _planar_hull(W)
+        entry, arrays = (tuple(hull), tuple(Y), S), (S,)
+    else:
+        hull, Y = _polar_hull(W)
+        plan = _hull_plan(hull.simplices, hull.neighbors, len(W))
+        entry = (hull, Y, plan)
+        arrays = (hull.simplices, hull.neighbors, hull.equations, Y,
+                  *plan[:-1], *itertools.chain(*plan.steps))
+    for a in arrays:
+        a.setflags(write=False)
+    _last_section = (key, entry)
+    return entry
 
 
 def _cone_table(P: np.ndarray, moments: bool = True) -> np.ndarray:
@@ -735,7 +861,8 @@ def _halfspace_volume(P: np.ndarray) -> float:
 
 def section_volume_fast(vectors: np.ndarray) -> float:
     """Volume of the generated section without facet bookkeeping: the
-    polar body of the points +-V (:func:`_halfspace_volume`).
+    polar body of the points +-V, summed as :func:`_halfspace_volume`
+    sums it, over the section's one hull.
 
     The volume optimizer restarts are ranked by.  Zero and tiny vectors are
     points deep inside the hull of +-V, so they contribute no constraint
@@ -749,9 +876,15 @@ def section_volume_fast(vectors: np.ndarray) -> float:
       edges that the same pass gives (:func:`_planar_hull`).
     - k >= 3: Qhull's triangulation of the same hull, and the sum of the
       cones over the section's facets, one determinant per ridge and corner
-      (:func:`_flag_cones`), its recursion carrying the volume column
+      (:func:`_flag_sum`), its recursion carrying the volume column
       alone, without the k first-moment columns the gradient and the
       facets read.
+
+    The hull, and for k >= 3 its flag-sum plan, is the section's one hull
+    (:func:`_section_hull`): called after :func:`build_section` on the
+    same vectors, as ``cubesec report`` calls it, this builds no hull and
+    runs only the sum over Qhull's polar vertices (the planar table is
+    read as it is).
 
     Neither has a feasibility slack.  Both are within 1e-13 of an exact
     rational volume on near-parallel frames (points of +-V down to 1e-13
@@ -775,7 +908,15 @@ def section_volume_fast(vectors: np.ndarray) -> float:
     with it, and of every tight frame, pass.  It is not repeated here,
     where it would cost an eigenvalue solve per call.
     """
-    return _halfspace_volume(np.concatenate((vectors, -vectors)))
+    W = np.concatenate((vectors, -vectors))
+    if W.shape[1] == 1:
+        return _halfspace_volume(W)
+    if W.shape[1] == 2:
+        S = _section_hull(W)[2]
+    else:
+        _, Y, plan = _section_hull(W)
+        S = _flag_sum(W, Y, plan, moments=False)
+    return float(S[:, -1].sum())
 
 
 def _volume_and_gradient(V: np.ndarray):

@@ -8,9 +8,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cubesec import reproduce
+from cubesec import polytope, reproduce
 from cubesec.cli import main
-from cubesec.frame_core import Frame
+from cubesec.frame_core import Frame, random_tight_frame
 from cubesec.optimizer import OptimizerConfig, maximize
 from cubesec.reproduce import CRITERIA, CriterionResult
 
@@ -208,6 +208,27 @@ class TestReport:
         assert 0 <= gap <= 1e-12
         assert main(["report", str(path)]) == 0
         assert f"route gap  {gap:.3g}" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("n, k", [(6, 2), (7, 3), (7, 4)])
+    def test_one_hull_per_frame(self, tmp_path, monkeypatch, n, k):
+        # the section and the fast volume of the report share one hull:
+        # Qhull's for k >= 3, the planar scan's for k = 2
+        path = tmp_path / "frame.json"
+        s = random_tight_frame(n, k, np.random.default_rng([n, k]))
+        path.write_text(json.dumps(s.to_dict()))
+        name = "_planar_hull" if k == 2 else "ConvexHull"
+        calls = []
+        build = getattr(polytope, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(polytope, name, counted)
+        # a fresh frame: forget the last section hull
+        monkeypatch.setattr(polytope, "_last_section", (None, None), raising=False)
+        assert main(["report", str(path), "--format", "json"]) == 0
+        assert len(calls) == 1
 
 
 @pytest.fixture

@@ -695,6 +695,34 @@ class TestMaximize:
         # every field of every restart, frames and traces included, bitwise
         assert restart_records(a) == restart_records(b) == restart_records(c)
 
+    def test_pool_capped_at_the_job_count(self, monkeypatch):
+        # a forked pool starts every worker at the first submit, so no more
+        # are asked for than there are restarts; the fake pool maps
+        # serially and starts no process
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(optimizer, "ProcessPoolExecutor", SerialPool)
+        cfg = small_config(5, 2, restarts=2, max_iterations=200)
+        serial = restart_records(maximize(cfg, threads=1))
+        assert asked == []
+        assert restart_records(maximize(cfg, threads=500)) == serial
+        monkeypatch.setenv("CUBESEC_THREADS", "500")
+        assert restart_records(maximize(cfg)) == serial
+        assert len(asked) == 2 and max(asked) <= cfg.restarts + 1
+
     def test_warm_start_recorded(self):
         res = maximize(small_config(5, 2, restarts=1, max_iterations=100))
         assert [r.start for r in res.restarts] == ["random", "warm"]

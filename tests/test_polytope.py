@@ -45,6 +45,7 @@ from oracles import (
     reference_row_groups,
     section_rows,
 )
+from volume_digest import FAMILIES, records
 
 
 def square_frame():
@@ -474,6 +475,18 @@ class TestExactVolume:
         _, Y = _polar_hull(W)
         assert convex_volume(Y, 4) == pytest.approx(fast, rel=1e-13)
 
+    def test_both_routes_against_the_exact_volume(self):
+        # both k >= 3 routes on random and near-parallel frames, relative
+        # to the exact volume: at most 2.7e-16 on these frames
+        rng = np.random.default_rng(70)
+        for n, k, count in ((7, 3, 5), (7, 4, 3)):
+            for make in (random_tight_frame, near_parallel_frame):
+                for _ in range(count):
+                    s = make(n, k, rng)
+                    exact = exact_volume(section_rows(s.vectors))
+                    for vol in (section_volume_fast(s.vectors), volume(build_section(s))):
+                        assert abs(Fraction(vol) - exact) <= 2e-15 * exact
+
     def test_duplicated_vector(self):
         rng = np.random.default_rng(35)
         for k in (2, 3, 4, 5):
@@ -655,27 +668,125 @@ class TestVolumeAndGradient:
                     assert free == 0.0
 
 
+@pytest.fixture
+def hulls(monkeypatch):
+    """The hulls built from here on, by kind: Qhull's and the planar scan's."""
+    built = []
+
+    def counted(kind, build):
+        def run(*args, **kwargs):
+            built.append(kind)
+            return build(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(polytope, "ConvexHull", counted("qhull", ConvexHull))
+    monkeypatch.setattr(polytope, "_planar_hull", counted("planar", polytope._planar_hull))
+    return built
+
+
 class TestQhullCalls:
-    def test_one_hull_per_section(self, monkeypatch):
-        calls = []
+    def test_one_hull_per_section(self, hulls, monkeypatch):
+        # build_section and section_volume_fast share the hull of +-V: on a
+        # fresh frame the first of them builds one, the second none, in
+        # either order; _volume_and_gradient builds its own
+        def fast(s):
+            return section_volume_fast(s.vectors)
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return ConvexHull(*args, **kwargs)
+        def gradient(s):
+            return _volume_and_gradient(s.vectors)
 
-        monkeypatch.setattr(polytope, "ConvexHull", counted)
         rng = np.random.default_rng(41)
         for n, k in ((3, 2), (10, 2), (7, 3), (7, 4), (12, 4), (8, 5)):
+            one = ["planar" if k == 2 else "qhull"]
             for s in (random_tight_frame(n, k, rng), signed_box_frame(n, k, rng)):
-                for run in (build_section, lambda s: section_volume_fast(s.vectors),
-                            lambda s: _volume_and_gradient(s.vectors)[1]):
-                    calls.clear()
-                    run(s)
-                    assert len(calls) == (0 if k == 2 else 1)
+                for first, second in ((build_section, fast), (fast, build_section)):
+                    # a fresh frame: forget the last section hull
+                    monkeypatch.setattr(polytope, "_last_section", (None, None), raising=False)
+                    for run, want in ((first, one), (second, []), (gradient, one)):
+                        hulls.clear()
+                        run(s)
+                        assert hulls == want
                 p = build_section(s)
-                calls.clear()
+                hulls.clear()
                 verify_frame(s, p)
-                assert calls == []
+                assert hulls == []
+
+
+class TestSectionHull:
+    """The one slot that build_section and section_volume_fast share: it
+    serves a hull only for points of the same dtype, shape and bytes."""
+
+    def test_changed_in_place(self, hulls):
+        rng = np.random.default_rng(66)
+        for n, k in ((6, 2), (7, 3), (7, 4)):
+            V = random_tight_frame(n, k, rng).vectors.copy()
+            section_volume_fast(V)
+            V[0] *= 1.5
+            hulls.clear()
+            vol = section_volume_fast(V)
+            assert len(hulls) == 1
+            assert vol == _volume_and_gradient(V.copy())[0]
+            hulls.clear()
+            assert volume(build_section(Frame(V))) == pytest.approx(vol, rel=1e-13)
+            assert hulls == []
+
+    def test_same_bytes_other_shape(self, hulls):
+        # V and V.reshape(m, j) give +-V the same bytes in another shape
+        rng = np.random.default_rng(67)
+        for (n, k), (m, j) in (((6, 2), (4, 3)), ((12, 2), (6, 4)), ((6, 4), (8, 3))):
+            V = random_tight_frame(n, k, rng).vectors
+            for a, b in ((V, V.reshape(m, j)), (V.reshape(m, j), V)):
+                section_volume_fast(a)
+                hulls.clear()
+                assert section_volume_fast(b) == _volume_and_gradient(b)[0]
+                assert hulls[0] == ("planar" if b.shape[1] == 2 else "qhull")
+
+    def test_a_failed_build_stores_nothing(self, hulls, monkeypatch):
+        rng = np.random.default_rng(68)
+        good = random_tight_frame(7, 3, rng).vectors
+        flat = np.column_stack([random_tight_frame(7, 2, rng).vectors, np.zeros(7)])
+        vol = section_volume_fast(good)
+        for _ in range(2):
+            with pytest.raises(NotAFrameError):
+                section_volume_fast(flat)
+        hulls.clear()
+        assert section_volume_fast(good) == vol
+        assert hulls == []
+
+        def refuse(*args, **kwargs):
+            raise polytope.QhullError("refused")
+
+        other = random_tight_frame(7, 3, rng).vectors
+        monkeypatch.setattr(polytope, "ConvexHull", refuse)
+        for _ in range(2):
+            with pytest.raises(polytope.DegeneratePolytopeError):
+                section_volume_fast(other)
+        assert section_volume_fast(good) == vol
+
+    def test_read_only(self):
+        rng = np.random.default_rng(69)
+        for n, k in ((6, 2), (7, 3), (8, 5)):
+            V = random_tight_frame(n, k, rng).vectors
+            W = np.concatenate((V, -V))
+            hull, Y, rest = polytope._section_hull(W)
+            if k == 2:
+                assert isinstance(hull, tuple) and isinstance(Y, tuple)
+                arrays = [rest]
+            else:
+                plan = rest
+                arrays = [hull.simplices, hull.neighbors, hull.equations, Y, *plan[:-1],
+                          *itertools.chain(*plan.steps)]
+            assert arrays and not any(a.flags.writeable for a in arrays)
+            assert polytope._section_hull(W.copy())[1] is Y
+
+
+class TestVolumeDigest:
+    def test_call_order_does_not_matter(self):
+        # which of build_section and section_volume_fast builds the hull
+        # they share changes no number of either, nor of the gradient
+        for n, k in ((6, 2), (7, 3), (7, 4), (8, 5)):
+            for family in FAMILIES:
+                assert records(n, k, family, 2, "fast") == records(n, k, family, 2, "build")
 
 
 class TestFaceHolders:
