@@ -2,7 +2,8 @@
 bounds, optimization, and the reproduction battery.
 
 Exit codes are a stable contract: 0 success, 1 acceptance/verification
-failure, 2 I/O or parse error, 3 domain error.
+failure, 2 I/O or parse error (a file, its JSON, or the value of
+CUBESEC_THREADS), 3 domain error.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .conditions import (
     verify_frame,
 )
 from .bounds import BoundsReport, extremal_frame
-from .optimizer import OptimizerConfig, maximize, write_trace_csv
+from .optimizer import OptimizerConfig, SettingError, maximize, resolve_threads, write_trace_csv
 from .reproduce import BatteryContext, run_battery
 
 EXIT_OK = 0
@@ -208,7 +209,7 @@ def cmd_optimize(args, manifest: RunManifest) -> int:
         seed=args.seed,
         max_iterations=args.max_iterations,
     )
-    result = maximize(config, threads=args.threads)
+    result = maximize(config, threads=resolve_threads(args.threads))
     payload = result.to_dict()
     if args.out:
         _write_json(args.out, payload, manifest)
@@ -268,7 +269,7 @@ def cmd_reproduce(args, manifest: RunManifest) -> int:
     ctx = BatteryContext(
         seed=args.seed,
         n_max=args.n_max,
-        threads=args.threads,
+        threads=resolve_threads(args.threads),
     )
     only = args.only.split(",") if args.only else None
     results = run_battery(ctx, only=only)
@@ -379,7 +380,8 @@ def main(argv=None) -> int:
     manifest = RunManifest.start(["cubesec"] + argv, seed=getattr(args, "seed", None))
     try:
         return args.func(args, manifest)
-    except (FileNotFoundError, IsADirectoryError, PermissionError, json.JSONDecodeError) as exc:
+    except (FileNotFoundError, IsADirectoryError, PermissionError, json.JSONDecodeError,
+            SettingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (FrameError, ValueError, KeyError, IndexError) as exc:

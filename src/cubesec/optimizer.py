@@ -38,7 +38,10 @@ candidate is compared by the volume restarts are ranked by,
 :func:`section_volume_fast`.  Each candidate, and the start, is one
 :func:`_volume_and_gradient` call, which reads that volume and G from one cone
 table, so the gradient at the next frame comes with its volume and the ascent
-builds no other hull.
+builds no other hull.  A box candidate (every warm start, every merge onto k
+clusters, every reassign at a box) builds none: given the ties its move
+carries, the call reads the volume 2^k / |det U| and G from U^-T, U the
+clusters' first rows, so a restart that starts at a box builds no hull at all.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ from .frame_core import (
 # the optimize workloads.
 from .polytope import (  # noqa: F401
     DegeneratePolytopeError,
+    _clusters,
     _sums_by,
     _volume_and_gradient,
     build_section,
@@ -196,32 +200,6 @@ class OptimizeResult:
                 for r in self.restarts
             ],
         }
-
-
-def _clusters(V: np.ndarray):
-    """Signed clusters of the generators: (label, sign, first).
-
-    Generators that coincide exactly up to sign are one cluster: v_i =
-    sign[i] sign[j] v_j for i, j of one label.  Labels run from 0 in the
-    order of their least members, ``first[c]`` is the least member of
-    cluster c, and its sign is +1.  One pass over the rows keys each new
-    cluster's least member, as a tuple, and its negation in a dict, so rows
-    are compared by value: -0.0 equals and hashes as 0.0, and a zero vector,
-    its own negation, has sign +1.  :func:`ascend` groups only its start
-    frame here; each move it accepts carries this record to the next frame
-    (:func:`_merge`, :func:`_reassigned`).
-    """
-    label, sign, first, ties = [], [], [], {}
-    for i, row in enumerate(V.tolist()):
-        key = tuple(row)
-        if key not in ties:
-            ties[tuple([-x for x in row])] = (len(first), -1.0)
-            ties[key] = (len(first), 1.0)
-            first.append(i)
-        c, s = ties[key]
-        label.append(c)
-        sign.append(s)
-    return np.array(label, dtype=np.intp), np.array(sign), np.array(first, dtype=np.intp)
 
 
 def _stratum_gradient(V: np.ndarray, G: np.ndarray, label: np.ndarray, sign: np.ndarray):
@@ -408,7 +386,10 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     and one per candidate (merge, gradient trial or reassign) after
     :func:`whiten`, bitwise the volume of :func:`section_volume_fast`, and
     it brings the Euclidean gradient G of the same frame: the start and an
-    accepted candidate carry theirs, so xi needs no hull of its own.
+    accepted candidate carry theirs, so xi needs no hull of its own.  The
+    call is given the first rows of the candidate's ties, so a frame of
+    more than k clusters builds one hull and a box frame, at k >= 3, none:
+    its volume and G are read from the determinant of those k rows.
     ``residual`` is read from xi once, at the frame the run stops on.  Each
     candidate is one iteration.  ``trace`` records the start and every
     accepted volume, so it is strictly increasing and ends at
@@ -420,16 +401,18 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     """
     k = s0.vectors.shape[1]
     current = s0
-    vol, G = _volume_and_gradient(current.vectors)
+    label, sign, first = _clusters(current.vectors)
+    vol, G = _volume_and_gradient(current.vectors, first)
     trace = [(0, vol)]
     step = INITIAL_STEP
     accepted = merged = degenerate = rank_loss = 0
     it = 0
     cap = config.max_iterations
 
-    def evaluate(vectors):
-        """(tight, volume, G) of the whitened ``vectors``, volume -inf and
-        G None when they are rejected."""
+    def evaluate(vectors, first):
+        """(tight, volume, G) of the whitened ``vectors``, whose clusters
+        are led by the rows ``first``; volume -inf and G None when they are
+        rejected."""
         nonlocal it, degenerate, rank_loss
         it += 1
         # the candidate is a new (n, k) array of this step, so it is
@@ -439,7 +422,7 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
         vectors.setflags(write=False)
         try:
             _, tight = whiten(candidate)
-            return (tight, *_volume_and_gradient(tight.vectors))
+            return (tight, *_volume_and_gradient(tight.vectors, first))
         except FrameError:
             rank_loss += 1
         except DegeneratePolytopeError:
@@ -447,13 +430,12 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
         return None, -np.inf, None
 
     stop = "cap"
-    label, sign, first = _clusters(current.vectors)
     while it < cap:
         for vectors, ties, next_step, kind in _moves(
                 current.vectors, G, step, label, sign, first, k):
             if it >= cap:
                 break
-            tight, new_vol, new_G = evaluate(vectors)
+            tight, new_vol, new_G = evaluate(vectors, ties[2])
             if new_vol > vol * (1.0 + VOL_TOL):
                 current, vol, G, step = tight, new_vol, new_G, next_step
                 label, sign, first = ties
@@ -509,10 +491,20 @@ def _better(a: RestartResult, b: RestartResult) -> RestartResult:
     return a if a.index <= b.index else b
 
 
+class SettingError(ValueError):
+    """An environment variable whose value does not parse."""
+
+
 def resolve_threads(threads: int | None = None) -> int:
-    """Worker count: explicit argument, else CUBESEC_THREADS, else 1."""
+    """Worker count: explicit argument, else CUBESEC_THREADS, else 1.
+    Raises :class:`SettingError`, naming the variable and its value, when
+    CUBESEC_THREADS is set to something other than an integer."""
     if threads is None:
-        threads = int(os.environ.get("CUBESEC_THREADS", "1") or "1")
+        text = os.environ.get("CUBESEC_THREADS", "1") or "1"
+        try:
+            threads = int(text)
+        except ValueError:
+            raise SettingError(f"CUBESEC_THREADS must be an integer, got {text!r}") from None
     return max(1, threads)
 
 

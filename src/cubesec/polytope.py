@@ -18,9 +18,10 @@ vertices of its two hull edges.  For k >= 3 it is Qhull's hull
 (:func:`_polar_hull`), whose distinct facet equations are the section's
 vertices.  For k = 1 the section is an interval in closed form.
 
-Every volume and every facet is read from one cone table per hull: row p
-holds the cone from the origin over the facet of the point p, its volume
-and first moment.  :func:`_flag_cones` sums it over the flags of Qhull's
+Every volume and every facet is read from one cone table per hull, but
+for the volume and gradient of a box frame (below): row p holds the cone
+from the origin over the facet of the point p, its volume and first
+moment.  :func:`_flag_cones` sums it over the flags of Qhull's
 triangulation, one determinant per ridge and corner, in two parts: an
 index plan read off the triangulation alone (:func:`_hull_plan`) and the
 sum over the points and the polar vertices (:func:`_flag_sum`).  In the
@@ -43,6 +44,17 @@ last section's hull, its polar vertices and, for k >= 3, its flag-sum
 plan, keyed by the points' bytes.  Whichever of the two runs second on a
 frame, as ``cubesec report`` runs both, builds no hull and no plan.  The
 gradient and the shifted and tilted rebuilds build their own.
+
+Box frames in closed form: for k >= 3 a frame whose generators lie on
+exactly k lines, its exact clusters (:func:`_clusters`) led by the rows U,
+has the parallelepiped {|U x| <= 1} for its section, of volume
+2^k / |det U| (:func:`_box_volume`).  :func:`section_volume_fast` and
+:func:`_volume_and_gradient` read it so, and the latter its gradient from
+U^-T; they group the rows only where the hull of +-V has the 2^k facets of
+a box's (:func:`_box_first`), and the gradient takes the ties the ascent
+carries and then no hull.  :func:`build_section`, the rebuilds, whose
+bodies are no longer centred parallelepipeds, and the plane keep the cone
+table, so in the plane the two routes stay bitwise one volume.
 """
 
 from __future__ import annotations
@@ -154,13 +166,39 @@ def convex_volume(points: np.ndarray, k: int) -> float:
         raise DegeneratePolytopeError("degenerate polytope") from exc
 
 
+def _clusters(V: np.ndarray):
+    """Signed clusters of the generators: (label, sign, first).
+
+    Generators that coincide exactly up to sign are one cluster: v_i =
+    sign[i] sign[j] v_j for i, j of one label.  Labels run from 0 in the
+    order of their least members, ``first[c]`` is the least member of
+    cluster c, and its sign is +1.  One pass over the rows keys each new
+    cluster's least member, as a tuple, and its negation in a dict, so rows
+    are compared by value: -0.0 equals and hashes as 0.0, and a zero vector,
+    its own negation, has sign +1.  A frame of exactly k clusters is a box
+    frame (:func:`_box_first`).  ``optimizer.ascend`` groups only its start
+    frame here; each move it accepts carries this record to the next frame.
+    """
+    label, sign, first, ties = [], [], [], {}
+    for i, row in enumerate(V.tolist()):
+        key = tuple(row)
+        if key not in ties:
+            ties[tuple([-x for x in row])] = (len(first), -1.0)
+            ties[key] = (len(first), 1.0)
+            first.append(i)
+        c, s = ties[key]
+        label.append(c)
+        sign.append(s)
+    return np.array(label, dtype=np.intp), np.array(sign), np.array(first, dtype=np.intp)
+
+
 def _coincident_row_groups(W: np.ndarray, tol: float) -> np.ndarray:
     """The group of each constraint row, a group's rows describing one
     oriented hyperplane: rows within ``tol`` of each other in every
     coordinate are joined, transitively.  Groups are numbered in the order
     of their least rows.  Its one caller is :func:`build_section`, which
-    groups its rows at ``EPS_GEOM``; the optimizer's exact ties, at
-    tolerance 0, are hashed instead (``optimizer._clusters``)."""
+    groups its rows at ``EPS_GEOM``; exact ties, at tolerance 0, are
+    hashed instead (:func:`_clusters`)."""
     reach = (np.abs(W[:, None, :] - W[None, :, :]) <= tol).all(axis=2)
     first = reach.argmax(axis=1)  # least row each row reaches
     # transitive closure by repeated squaring, until it is an equivalence
@@ -806,8 +844,8 @@ def _section_hull(W: np.ndarray):
     its points alone (Qhull and the scan are deterministic), so a hit
     returns what a fresh build would; a build that raises stores nothing.
     The ascent (:func:`_volume_and_gradient`), which evaluates no frame
-    twice in a row, and the shifted and tilted rebuilds, which move the
-    points, build their own.
+    twice in a row and no hull at a box whose ties it holds, and the
+    shifted and tilted rebuilds, which move the points, build their own.
     """
     global _last_section
     key = (W.dtype, W.shape, W.tobytes())
@@ -874,17 +912,21 @@ def section_volume_fast(vectors: np.ndarray) -> float:
     - k = 2: one Graham scan once round the hull of +-V, with no Qhull
       call, and the sum of the triangles from the origin over the section's
       edges that the same pass gives (:func:`_planar_hull`).
-    - k >= 3: Qhull's triangulation of the same hull, and the sum of the
-      cones over the section's facets, one determinant per ridge and corner
-      (:func:`_flag_sum`), its recursion carrying the volume column
-      alone, without the k first-moment columns the gradient and the
-      facets read.
+    - k >= 3, a box frame: where Qhull's hull of +-V has 2^k facets and
+      the generators lie on exactly k lines (:func:`_box_first`), the
+      section is a parallelepiped, of volume 2^k / |det U| for U the
+      clusters' first rows (:func:`_box_volume`), and no flag sum runs.
+    - k >= 3, any other frame: Qhull's triangulation of the same hull, and
+      the sum of the cones over the section's facets, one determinant per
+      ridge and corner (:func:`_flag_sum`), its recursion carrying the
+      volume column alone, without the k first-moment columns the gradient
+      and the facets read.
 
     The hull, and for k >= 3 its flag-sum plan, is the section's one hull
     (:func:`_section_hull`): called after :func:`build_section` on the
     same vectors, as ``cubesec report`` calls it, this builds no hull and
-    runs only the sum over Qhull's polar vertices (the planar table is
-    read as it is).
+    runs only the sum over Qhull's polar vertices, or the box's
+    determinant (the planar table is read as it is).
 
     Neither has a feasibility slack.  Both are within 1e-13 of an exact
     rational volume on near-parallel frames (points of +-V down to 1e-13
@@ -893,7 +935,7 @@ def section_volume_fast(vectors: np.ndarray) -> float:
     +-V; for k >= 3 also on frames whose +-v are the vertices of a cube,
     and on sections with facets shifted or tilted.  It is bitwise the
     volume of :func:`_volume_and_gradient`, which reads the same volume
-    column from the whole table.
+    column from the whole table, or at a box the same determinant.
 
     It tests depth, not span: :class:`NotAFrameError` is raised when the
     points +-V are flat, or a facet of their hull (an edge, in the plane)
@@ -914,29 +956,88 @@ def section_volume_fast(vectors: np.ndarray) -> float:
     if W.shape[1] == 2:
         S = _section_hull(W)[2]
     else:
-        _, Y, plan = _section_hull(W)
+        hull, Y, plan = _section_hull(W)
+        first = _box_first(vectors, hull)
+        if first is not None:
+            return _box_volume(vectors[first])
         S = _flag_sum(W, Y, plan, moments=False)
     return float(S[:, -1].sum())
 
 
-def _volume_and_gradient(V: np.ndarray):
-    """(volume, G): the section volume of the frame vectors V, k >= 2, and
-    its Euclidean gradient with respect to V, both from one cone table of
-    the hull of +-V (:func:`_cone_table`); the volume is bitwise that of
-    :func:`section_volume_fast`.
+def _box_first(V: np.ndarray, hull):
+    """The least members of the k clusters of V (:func:`_clusters`) when V,
+    k >= 3, is a box frame, its generators on exactly k lines; else None.
 
-    The gradient of v_i is -2 mu_i c_i / |v_i|, with mu_i the content and
-    c_i the centroid of the facet on <x, v_i> = 1 (the facet on
-    <x, -v_i> = 1 is its negation); a generator that supports no facet gets
-    0.  The first moment of the cone from the origin over the facet of a
-    point p, times k + 1, is mu_p c_p / |p|, the first k columns of the
-    table's row p.  In the plane there is no Qhull or ``eigh`` call.  Of
-    coincident points only the one the hull keeps gets the facet.  Raises
-    as :func:`section_volume_fast` does.
+    The hull of +-V of a box frame is the cross-polytope of the +-u_c, of
+    2^k simplicial facets, so only a hull of 2^k facets is grouped: the
+    count is free, and few other frames pass it (a short generator inside
+    the cross-polytope of the others, which has k + 1 clusters).
+    """
+    k = V.shape[1]
+    if len(hull.simplices) != 2**k:
+        return None
+    first = _clusters(V)[2]
+    return first if len(first) == k else None
+
+
+def _box_volume(U: np.ndarray) -> float:
+    """Volume of the parallelepiped {x : |<x, u_c>| <= 1 for every row u_c
+    of U}, a basis of R^k: the cube [-1, 1]^k under U^-1, 2^k / |det U|.
+    For a tight box frame of clusters of sizes d_c it is 2^k sqrt(prod d_c)."""
+    return float(2 ** len(U) / abs(np.linalg.det(U)))
+
+
+def _volume_and_gradient(V: np.ndarray, first: np.ndarray | None = None):
+    """(volume, G): the section volume of the frame vectors V, k >= 2, and
+    its Euclidean gradient with respect to V; the volume is bitwise that of
+    :func:`section_volume_fast`.  ``first``, when given, holds the least
+    members of V's own clusters (:func:`_clusters`), which the ascent
+    carries from frame to frame.
+
+    At a box frame, k >= 3 and k clusters led by the rows U = V[first], the
+    section is the parallelepiped of :func:`_box_volume`, and the gradient
+    of log |det U| in U is U^-T: row first[c] of G is -vol (U^-T)_c, the
+    gradient of the whole cluster, and every other row is 0.  With ``first``
+    given that takes no hull; without it, the hull of +-V is built and
+    grouped where it has 2^k facets (:func:`_box_first`), as
+    :func:`section_volume_fast` does.
+
+    Elsewhere both come from one cone table of the hull of +-V
+    (:func:`_cone_table`).  The gradient of v_i is -2 mu_i c_i / |v_i|, with
+    mu_i the content and c_i the centroid of the facet on <x, v_i> = 1 (the
+    facet on <x, -v_i> = 1 is its negation); a generator that supports no
+    facet gets 0.  The first moment of the cone from the origin over the
+    facet of a point p, times k + 1, is mu_p c_p / |p|, the first k columns
+    of the table's row p.  In the plane there is no Qhull or ``eigh`` call,
+    and no box route, as in :func:`section_volume_fast`.  Of coincident
+    points only the one the hull keeps gets the facet, so the gradient of a
+    cluster is its signed sum on either route.  Raises as
+    :func:`section_volume_fast` does, but for a box given by ``first``,
+    which reads no hull and must span R^k.
     """
     n, k = V.shape
-    S = _cone_table(np.concatenate((V, -V)))
+    if k >= 3 and first is not None and len(first) == k:
+        return _box_gradient(V, first)
+    W = np.concatenate((V, -V))
+    if k == 2:
+        S = _planar_hull(W)[2]
+    else:
+        hull, Y = _polar_hull(W)
+        box = _box_first(V, hull) if first is None else None
+        if box is not None:
+            return _box_gradient(V, box)
+        S = _flag_cones(W, hull.simplices, hull.neighbors, Y)
     return float(S[:, -1].sum()), S[n:, :k] - S[:n, :k]
+
+
+def _box_gradient(V: np.ndarray, first: np.ndarray):
+    """(volume, G) of :func:`_volume_and_gradient` at the box frame V whose
+    k clusters are led by the rows ``first``."""
+    U = V[first]
+    vol = _box_volume(U)
+    G = np.zeros_like(V)
+    G[first] = -vol * np.linalg.inv(U).T
+    return vol, G
 
 
 def shift_facet_predict(p: SectionPolytope, f: FacetRecord, h: float) -> float:

@@ -20,7 +20,7 @@
 - :func:`reference_merge`, the optimizer's merge move on dense m x m
   tables: the cost of every ordered pair, the lower triangle masked, and
   the two clusters written one after the other.
-- :func:`reference_clusters`, the optimizer's signed clusters from a
+- :func:`reference_clusters`, the signed clusters of exact ties from a
   pairwise comparison table of the rows of [V; -V].
 """
 
@@ -407,7 +407,7 @@ def reference_merge(V, label, sign, first):
 
 
 def reference_clusters(V):
-    """The signed clusters (label, sign, first) of ``cubesec.optimizer._clusters``
+    """The signed clusters (label, sign, first) of ``cubesec.polytope._clusters``
     from the (2n, 2n) table that compares every pair of rows of [V; -V]
     by value (``_coincident_row_groups`` at tolerance 0): each generator
     takes the lower of its row's and its negation's group, with sign -1

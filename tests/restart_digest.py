@@ -8,10 +8,19 @@ same ascent, bitwise.  The runs are the battery configs,
 ``OptimizerConfig(n, k, restarts=32 if k == 2 else 12, seed=s)``, on
 ``CELLS``, optionally capped at ``max_iterations``.
 
+With ``--structure`` a digest covers the path of each restart and not
+its volumes: every field but ``final_volume`` and ``residual``, and of the
+trace its iteration numbers alone; the winner is left out, as it may move
+among restarts whose volumes agree to rounding.  Two trees that give a cell
+the same structure digest visited the same frames, bitwise, with the same
+iterations, stops, ties, merges, rank losses and degenerate counts, while
+their volumes may differ in the last bits.
+
 Compare two checkouts by running the same command against each source
 tree and diffing the output::
 
     PYTHONPATH=src python tests/restart_digest.py --seeds 0-9
+    PYTHONPATH=src python tests/restart_digest.py --seeds 0-9 --structure
     PYTHONPATH=src python tests/restart_digest.py --seeds 0-2 --max-iterations 1-55
 
 Each output line is ``n k seed max_iterations sha256``.
@@ -53,20 +62,37 @@ def _encode(x) -> bytes:
     return repr(x).encode()
 
 
-def restart_records(result) -> list:
+# The fields a structure digest leaves out: the volumes, and the residual
+# read from the gradient there.
+VOLUME_FIELDS = ("final_volume", "residual")
+
+
+def _field(r, name: str, structure: bool):
+    value = getattr(r, name)
+    if structure and name == "trace":
+        return [it for it, _ in value]
+    return value
+
+
+def restart_records(result, structure: bool = False) -> list:
     """One bytes record per restart of an ``OptimizeResult``: every field
-    of its ``RestartResult``, by name, in declaration order."""
-    return [b";".join(f.name.encode() + b"=" + _encode(getattr(r, f.name))
-                      for f in dataclasses.fields(r))
+    of its ``RestartResult``, by name, in declaration order; with
+    ``structure``, all but ``VOLUME_FIELDS``, and the trace's iteration
+    numbers without its volumes."""
+    return [b";".join(f.name.encode() + b"=" + _encode(_field(r, f.name, structure))
+                      for f in dataclasses.fields(r)
+                      if not (structure and f.name in VOLUME_FIELDS))
             for r in result.restarts]
 
 
-def digest(result) -> str:
-    """SHA-256 over the restart records and the winner."""
+def digest(result, structure: bool = False) -> str:
+    """SHA-256 over the restart records and, unless ``structure``, the
+    winner."""
     h = hashlib.sha256()
-    for record in restart_records(result):
+    for record in restart_records(result, structure):
         h.update(record + b"\n")
-    h.update(_encode([result.best_index, result.best_volume, result.best_frame]))
+    if not structure:
+        h.update(_encode([result.best_index, result.best_volume, result.best_frame]))
     return h.hexdigest()
 
 
@@ -86,6 +112,8 @@ def main(argv=None) -> int:
                         help="caps, e.g. 1-55; the config's default when omitted")
     parser.add_argument("--cells", default=None,
                         help="n:k pairs, e.g. 3:2,7:3; the 27 cells when omitted")
+    parser.add_argument("--structure", action="store_true",
+                        help="digest each restart's path without its volumes or the winner")
     args = parser.parse_args(argv)
     cells = CELLS if args.cells is None else [
         tuple(int(x) for x in c.split(":")) for c in args.cells.split(",")]
@@ -94,7 +122,8 @@ def main(argv=None) -> int:
         for seed in _span(args.seeds):
             for cap in caps:
                 result = maximize(battery_config(n, k, seed, cap), threads=1)
-                print(n, k, seed, "-" if cap is None else cap, digest(result), flush=True)
+                print(n, k, seed, "-" if cap is None else cap, digest(result, args.structure),
+                      flush=True)
     return 0
 
 

@@ -187,6 +187,19 @@ class TestOptimize:
         assert a["best"] == b["best"]
         assert a["restarts"] == b["restarts"]
 
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--n", "4", "--k", "2", "--restarts", "1"],
+        ["reproduce", "--only", "planar-claims"],
+    ], ids=["optimize", "reproduce"])
+    def test_threads_not_an_integer_exit_2(self, monkeypatch, capsys, argv):
+        # a CUBESEC_THREADS that does not parse is a parse error, named
+        # with its value, before any restart runs
+        monkeypatch.setenv("CUBESEC_THREADS", "two")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: CUBESEC_THREADS must be an integer, got 'two'\n"
+        assert captured.out == ""
+
 
 class TestReport:
     def test_combined_report(self, extremal_file, capsys):

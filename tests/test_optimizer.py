@@ -78,6 +78,11 @@ class TestConfig:
         assert resolve_threads(3) == 3
         monkeypatch.setenv("CUBESEC_THREADS", "2")
         assert resolve_threads(None) == 2
+        for text in ("two", "1.5"):
+            monkeypatch.setenv("CUBESEC_THREADS", text)
+            with pytest.raises(optimizer.SettingError, match=f"CUBESEC_THREADS .*'{text}'"):
+                resolve_threads(None)
+            assert resolve_threads(3) == 3
 
 
 class TestAscend:
@@ -127,11 +132,11 @@ class TestAscend:
         # a Qhull failure on one candidate must not abort the restart
         calls = []
 
-        def fails_once(vectors):
+        def fails_once(vectors, first):
             calls.append(1)
             if len(calls) == 2:  # the first merge; call 1 is the start
                 raise DegeneratePolytopeError("degenerate polytope")
-            return _volume_and_gradient(vectors)
+            return _volume_and_gradient(vectors, first)
 
         monkeypatch.setattr(optimizer, "_volume_and_gradient", fails_once)
         rng = np.random.default_rng(5)
@@ -161,8 +166,8 @@ class TestAscend:
         # trace ends at it
         read = []
 
-        def counted(vectors):
-            vol, G = _volume_and_gradient(vectors)
+        def counted(vectors, first):
+            vol, G = _volume_and_gradient(vectors, first)
             read.append((vectors.tobytes(), vol))
             return vol, G
 
@@ -177,18 +182,25 @@ class TestAscend:
             assert r.final_volume == r.trace[-1][1]
 
     def test_one_hull_per_evaluation(self, monkeypatch):
-        # each evaluation builds one hull, which gives the candidate's volume
-        # and the gradient it carries: Qhull's for k >= 3, the planar scan
-        # for k = 2.  Its volume is section_volume_fast's, bitwise
+        # an evaluation of a frame of more than k clusters builds one hull,
+        # which gives the candidate's volume and the gradient it carries:
+        # Qhull's for k >= 3, the planar scan for k = 2, where a box frame
+        # builds one too.  At k >= 3 a box candidate, of k clusters, builds
+        # none: its volume and gradient are read from det U with the ties
+        # the ascent carries, so the warm start, a box, builds no hull at
+        # all.  Its volume is section_volume_fast's, bitwise, with the ties
+        # or without
         rng = np.random.default_rng(60)
         for k in (2, 3, 4, 5):
             for n in (k + 1, 2 * k + 1):
                 box = extremal_frame(n, k).vectors
                 noisy = whiten(Frame(box + 5e-8 * rng.standard_normal(box.shape)))[1].vectors
                 for v in (random_tight_frame(n, k, rng).vectors, box, noisy):
-                    assert section_volume_fast(v) == _volume_and_gradient(v)[0]
+                    vol = section_volume_fast(v)
+                    assert vol == _volume_and_gradient(v)[0]
+                    assert vol == _volume_and_gradient(v, optimizer._clusters(v)[2])[0]
 
-        hulls = []
+        hulls, calls = [], []
 
         def counted(build):
             def wrapper(*args, **kwargs):
@@ -196,15 +208,33 @@ class TestAscend:
                 return build(*args, **kwargs)
             return wrapper
 
+        def recorded(vectors, first):
+            before = len(hulls)
+            try:
+                return _volume_and_gradient(vectors, first)
+            finally:
+                calls.append((len(first), len(hulls) - before))
+
         monkeypatch.setattr(polytope, "ConvexHull", counted(polytope.ConvexHull))
         monkeypatch.setattr(polytope, "_planar_hull", counted(polytope._planar_hull))
+        monkeypatch.setattr(optimizer, "_volume_and_gradient", recorded)
         for n, k in ((7, 3), (7, 4), (6, 2), (10, 2)):
             rng = np.random.default_rng([0, n, k])
-            for s0 in (random_tight_frame(n, k, rng), extremal_frame(n, k)):
+            for s0, start in ((random_tight_frame(n, k, rng), "random"),
+                              (extremal_frame(n, k), "warm")):
                 hulls.clear()
+                calls.clear()
                 res = ascend(s0, OptimizerConfig(n=n, k=k), rng)
                 assert res.rank_loss == 0
-                assert len(hulls) == res.evaluations
+                assert len(calls) == res.evaluations
+                assert [built for _, built in calls] == [
+                    1 if k == 2 or m > k else 0 for m, _ in calls]
+                assert len(hulls) == sum(built for _, built in calls)
+                if k > 2:
+                    # the random restart ends on a box, and the warm one starts there
+                    assert calls[-1][0] == k
+                    if start == "warm":
+                        assert hulls == []
 
     @pytest.mark.parametrize("n, k", [(3, 2), (7, 4)])
     def test_warm_restart_loses_no_rank(self, n, k):

@@ -668,6 +668,133 @@ class TestVolumeAndGradient:
                     assert free == 0.0
 
 
+def rotated_box_frame(sizes, rng, rotate=True):
+    """A tight box frame with clusters of the given sizes: each cluster's
+    rows are copies of one row of a random rotation (of the identity, when
+    not ``rotate``) over the square root of its size, with random signs,
+    the rows shuffled so that clusters interleave."""
+    k = len(sizes)
+    Q = np.linalg.qr(rng.standard_normal((k, k)))[0] if rotate else np.eye(k)
+    label = rng.permutation(np.repeat(np.arange(k), sizes))
+    sign = rng.choice([-1.0, 1.0], len(label))
+    return sign[:, None] * (Q / np.sqrt(sizes)[:, None])[label]
+
+
+def box_frames(rng):
+    """(V, sizes) for signed, rotated and unbalanced box frames, k = 3..6."""
+    for k in (3, 4, 5, 6):
+        for n in (k + 1, k + 2, 2 * k + 1):
+            balanced = [len(part) for part in default_partition(n, k)]
+            yield signed_box_frame(n, k, rng).vectors, balanced
+            yield rotated_box_frame(balanced, rng), balanced
+            sizes = [1] * k
+            for c in rng.integers(0, k, n - k):
+                sizes[c] += 1
+            yield rotated_box_frame(sizes, rng), sizes
+
+
+def flag_sum(V):
+    """(volume, G) from the flag sum on the hull of +-V, the route of every
+    frame that is not a box."""
+    n, k = V.shape
+    S = polytope._cone_table(np.concatenate((V, -V)))
+    return float(S[:, -1].sum()), S[n:, :k] - S[:n, :k]
+
+
+class TestBoxRoute:
+    """At a box frame, k >= 3, the volume is 2^k / |det U| and the gradient
+    -vol U^-T on the clusters' first rows, with no flag sum."""
+
+    def test_volume_and_gradient(self):
+        rng = np.random.default_rng(71)
+        frames = 0
+        for V, sizes in box_frames(rng):
+            n, k = V.shape
+            label, sign, first = polytope._clusters(V)
+            assert len(first) == k
+            vol, G = _volume_and_gradient(V, first)
+            assert section_volume_fast(V) == vol
+            assert _volume_and_gradient(V)[0] == vol
+            assert G.tobytes() == _volume_and_gradient(V)[1].tobytes()
+            assert not G[np.setdiff1d(np.arange(n), first)].any()
+            want, H = flag_sum(V)
+            assert vol == pytest.approx(want, rel=1e-15)
+            assert vol == pytest.approx(2**k * math.sqrt(math.prod(sizes)), rel=1e-15)
+            # the gradient of each line, the signed sum over its cluster
+            got, ref = (polytope._sums_by(label, sign[:, None] * g, k) for g in (G, H))
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+            frames += 1
+        assert frames == 36
+
+    def test_box_takes_no_hull(self, hulls):
+        # with the ties a box reads no hull; without them one, to look for
+        # a box where it has 2^k facets
+        rng = np.random.default_rng(72)
+        for V, _ in box_frames(rng):
+            first = polytope._clusters(V)[2]
+            _volume_and_gradient(V, first)
+            assert hulls == []
+            _volume_and_gradient(V)
+            assert hulls == ["qhull"]
+            hulls.clear()
+
+    def test_engine_where_not_a_box(self):
+        # frames whose hull has 2^k facets but k + 1 clusters (a short
+        # generator inside the cross-polytope of the others, or a zero
+        # vector), and k = 2 boxes, read the flag sum or the planar scan,
+        # bitwise, with their ties or without
+        rng = np.random.default_rng(73)
+        frames = []
+        for k in (3, 4, 5):
+            V = signed_box_frame(k + 2, k, rng).vectors
+            short = np.vstack([np.linalg.qr(rng.standard_normal((k, k)))[0],
+                               0.1 * rng.standard_normal(k) / math.sqrt(k)])
+            frames += [np.insert(V, int(rng.integers(0, k + 3)), 0.0, axis=0),
+                       whiten(Frame(short))[1].vectors]
+        for V in frames:
+            n, k = V.shape
+            first = polytope._clusters(V)[2]
+            assert len(first) == k + 1
+            assert len(_polar_hull(np.concatenate((V, -V)))[0].simplices) == 2**k
+            vol, G = flag_sum(V)
+            for got in (_volume_and_gradient(V), _volume_and_gradient(V, first)):
+                assert got[0] == vol
+                assert got[1].tobytes() == G.tobytes()
+            assert section_volume_fast(V) == vol
+        for n in (3, 6, 10):
+            V = signed_box_frame(n, 2, rng).vectors
+            S = polytope._planar_hull(np.concatenate((V, -V)))[2]
+            vol = float(S[:, -1].sum())
+            assert section_volume_fast(V) == vol == volume(build_section(Frame(V)))
+            for got in (_volume_and_gradient(V), _volume_and_gradient(V, polytope._clusters(V)[2])):
+                assert got[0] == vol
+                assert got[1].tobytes() == (S[n:, :2] - S[:n, :2]).tobytes()
+
+    def test_rebuilds_of_a_box_section(self):
+        # a shifted or tilted box section is not a centred parallelepiped:
+        # the rebuilds read the flag sum of their own points, bitwise, and a
+        # shift by h of the facet of u widens its slab from 2 to 2 + h |u|
+        rng = np.random.default_rng(74)
+        for V, _ in box_frames(rng):
+            k = V.shape[1]
+            p = build_section(Frame(V))
+            vol = section_volume_fast(V)
+            for f in p.facets[:2]:
+                c = np.ones(len(p._W))
+                c[list(f.row_ids)] += 0.1 * np.linalg.norm(p._W[list(f.row_ids)], axis=1)
+                shifted = shifted_section_volume(p, f, 0.1)
+                assert shifted == float(polytope._cone_table(p._W / c[:, None], False)[:, -1].sum())
+                u = 1 / f.distance
+                assert shifted == pytest.approx(vol * (2 + 0.1 * u) / 2, rel=1e-14)
+                t = rng.standard_normal(k)
+                t -= (t @ f.normal_vector) / (f.normal_vector @ f.normal_vector) * f.normal_vector
+                t /= np.linalg.norm(t)
+                W = p._W.copy()
+                W[list(f.row_ids)] += 0.05 * t
+                assert rotated_section_volume(p, f, t, 0.05) == float(
+                    polytope._cone_table(W, False)[:, -1].sum())
+
+
 @pytest.fixture
 def hulls(monkeypatch):
     """The hulls built from here on, by kind: Qhull's and the planar scan's."""
