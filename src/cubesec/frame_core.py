@@ -253,9 +253,7 @@ def cross_product_frame(s: TightFrame):
     """
     if s.k < 2:
         raise ValueError("cross products need k >= 2")
-    from math import comb
-
-    count = comb(s.n, s.k - 1)
+    count = math.comb(s.n, s.k - 1)
     if count > MAX_SUBSETS:
         raise ValueError(f"{count} subsets exceed the cap of {MAX_SUBSETS}")
     k = s.k

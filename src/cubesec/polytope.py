@@ -18,18 +18,19 @@ vertices of its two hull edges.  For k >= 3 it is Qhull's hull
 (:func:`_polar_hull`), whose distinct facet equations are the section's
 vertices.  For k = 1 the section is an interval in closed form.
 
-Every volume and every facet is read from one cone table per hull, but
-for the volume and gradient of a box frame (below): row p holds the cone
-from the origin over the facet of the point p, its volume and first
-moment.  :func:`_flag_cones` sums it over the flags of Qhull's
-triangulation, one determinant per ridge and corner, in two parts: an
-index plan read off the triangulation alone (:func:`_hull_plan`) and the
-sum over the points and the polar vertices (:func:`_flag_sum`).  In the
-plane the Graham pass of :func:`_planar_hull` gives it with the vertices,
-one triangle per section edge.  The volume is the sum of the table's volume
-column, in row order (:func:`_halfspace_volume`, and
-:func:`section_volume_fast` for a section), and the same table gives the
-Euclidean gradient (:func:`_volume_and_gradient`).
+One function builds every hull (:func:`_hull`): in the plane the scan,
+which gives the cone table with the vertices, one triangle per section
+edge; for k >= 3 Qhull's hull and the index plan of its flag sum, read off
+the triangulation alone (:func:`_hull_plan`).  Every volume and every
+facet is read from the cone table of one such hull, but for the volume
+and gradient of a box frame (below): row p holds the cone from the origin
+over the facet of the point p, its volume and first moment.  For k >= 3
+:func:`_flag_sum` sums it over the flags of Qhull's triangulation, one
+determinant per ridge and corner, from the plan, the points and the polar
+vertices.  The volume is the sum of the table's volume column, in row
+order (:func:`_halfspace_volume`, and :func:`section_volume_fast` for a
+section), and the same table gives the Euclidean gradient
+(:func:`_volume_and_gradient`).
 
 :func:`build_section` takes each row's cone from that table, as arrays,
 and assembles the records in one pass: a group label per row (coincident
@@ -40,21 +41,22 @@ the volume of :func:`section_volume_fast`.
 
 One hull per frame: :func:`build_section` and :func:`section_volume_fast`
 read the hull of +-V from one slot (:func:`_section_hull`) that holds the
-last section's hull, its polar vertices and, for k >= 3, its flag-sum
-plan, keyed by the points' bytes.  Whichever of the two runs second on a
-frame, as ``cubesec report`` runs both, builds no hull and no plan.  The
-gradient and the shifted and tilted rebuilds build their own.
+last section's :func:`_hull`, keyed by the points' bytes.  Whichever of
+the two runs second on a frame, as ``cubesec report`` runs both, builds
+no hull and no plan.  The gradient and the shifted and tilted rebuilds
+build their own, uncached (:func:`_cone_table`).
 
 Box frames in closed form: for k >= 3 a frame whose generators lie on
 exactly k lines, its exact clusters (:func:`_clusters`) led by the rows U,
 has the parallelepiped {|U x| <= 1} for its section, of volume
 2^k / |det U| (:func:`_box_volume`).  :func:`section_volume_fast` and
 :func:`_volume_and_gradient` read it so, and the latter its gradient from
-U^-T; they group the rows only where the hull of +-V has the 2^k facets of
-a box's (:func:`_box_first`), and the gradient takes the ties the ascent
-carries and then no hull.  :func:`build_section`, the rebuilds, whose
-bodies are no longer centred parallelepipeds, and the plane keep the cone
-table, so in the plane the two routes stay bitwise one volume.
+U^-T.  :func:`section_volume_fast` groups the rows only where the hull of
++-V has the 2^k facets of a box's (:func:`_box_first`); the gradient is
+given the frame's ties, which the ascent carries, and so builds no hull
+at a box.  :func:`build_section`, the rebuilds, whose bodies are no
+longer centred parallelepipeds, and the plane keep the cone table, so in
+the plane the two routes stay bitwise one volume.
 """
 
 from __future__ import annotations
@@ -141,10 +143,15 @@ class SectionPolytope:
 def convex_volume(points: np.ndarray, k: int) -> float:
     """Volume of the convex hull of ``points`` by triangulation.
 
-    The independent oracle behind :func:`volume_by_triangulation`; no
-    section volume is computed with it.  For k = 2 the points must be the
-    vertices of a convex polygon: they are sorted by angle about their
-    mean, and the area is their shoelace.  For k >= 3 Qhull runs with
+    The cross-check behind :func:`volume_by_triangulation`; no section
+    volume is computed with it.  It is not independent of the volume
+    routes: for k >= 3 it runs Qhull, as they do, and against the exact
+    volume (``tests/oracles.exact_volume``, in rational arithmetic) it was
+    the least accurate of the three, up to 1.8e-15 relative where both
+    routes stayed within 4.2e-16 (random and near-parallel frames at
+    (7, 3), (7, 4) and (8, 5)).  For k = 2 the points must be the vertices
+    of a convex polygon: they are sorted by angle about their mean, and
+    the area is their shoelace.  For k >= 3 Qhull runs with
     option Q12, which accepts the wide merges that nearly coincident
     section vertices cause; its default raises QH6271 on such vertex sets.
     """
@@ -258,7 +265,7 @@ def _planar_hull(P: np.ndarray):
     counterclockwise order; Y[j] the polar vertex of the hull edge from
     hull[j] to hull[j + 1], cyclically, so that the facet of row hull[j] is
     the edge from Y[j - 1] to Y[j]; and the cone table S in the layout of
-    :func:`_flag_cones`: row p of the (len(P), 3) array holds 3 times the
+    :func:`_flag_sum`: row p of the (len(P), 3) array holds 3 times the
     first moment of the cone from the origin over the facet of the point
     P[p], then its area, and a point off the hull has a row of zeros.
 
@@ -487,14 +494,17 @@ def volume(p: SectionPolytope) -> float:
     facets, which :func:`build_section` takes from the hull that
     :func:`section_volume_fast` uses and sums in the same order: for k <= 2
     it is that volume bitwise, for k >= 3, whose vertices it solves, that
-    volume up to rounding.  Cross-check against
-    :func:`volume_by_triangulation` where independence matters.
+    volume up to rounding.  The independent reference is the exact volume
+    in rational arithmetic, ``tests/oracles.exact_volume``; both routes are
+    within 2e-15 of it relative on random and near-parallel frames at
+    (7, 3) and (7, 4).
     """
     return p._volume
 
 
 def volume_by_triangulation(p: SectionPolytope) -> float:
-    """Independent volume oracle: triangulate the vertex hull."""
+    """Volume of the vertex hull by triangulation (:func:`convex_volume`),
+    a cross-check, not an independent oracle."""
     return convex_volume(np.asarray(p.vertices), p.k)
 
 
@@ -505,7 +515,7 @@ def _parity(perm) -> int:
 
 
 class _FlagPlan(NamedTuple):
-    """Index tables of the flag sum in R^k, k >= 3 (:func:`_flag_cones`).
+    """Index tables of the flag sum in R^k, k >= 3 (:func:`_flag_sum`).
 
     An s-vector (an element of the s-th exterior power of R^k) is an array
     over the s-subsets of the k coordinates, in ``itertools.combinations``
@@ -629,90 +639,6 @@ def _face_slots(simplices: np.ndarray, sub: np.ndarray, points: int):
     return key, slot
 
 
-def _flag_cones(P: np.ndarray, simplices: np.ndarray, neighbors: np.ndarray, Y: np.ndarray,
-                moments: bool = True):
-    """The cone table of the polar body of conv(P), k >= 3: the cones from
-    the origin over its facets, with their first moments, by a signed sum
-    over the flags of Qhull's triangulation, split by first corner.  Row p
-    of the (len(P), k + 1) result holds k + 1 times the first moment of the
-    cone over the facet F_p (each simplex's volume times the sum of its
-    vertices), then that cone's volume; a point off the hull has a row of
-    zeros, and the volume of the body is the sum of the last column.
-    Without ``moments`` the table has that last column alone, (len(P), 1),
-    for callers that read only the volume.
-
-    ``simplices`` and ``neighbors`` are Qhull's facets of conv(P) and their
-    adjacency (the neighbor opposite each corner), and Y[f] the polar
-    vertex of facet f.  The polar body Q = {x : <x, p> <= 1} is the sum
-    of the cones from the origin over its facets F_p, one per vertex p,
-    and each facet is in turn the sum of cones from a point of it over
-    its faces, down to the edges.  A flag of simplex f, an ordering tau
-    of its corners, thus contributes the signed simplex
-    (0, x_{tau_0}, x_{tau_0 tau_1}, ..., Y_f), with x_G a point of the
-    face of Q dual to G: the polar vertex of one simplex that holds G, the
-    same one wherever G occurs (:func:`_face_slots`).  Any point of that
-    face's affine hull would do; one on the face keeps every cone as small
-    as its face.  The flags of the two simplices f, g across a ridge R
-    share every vertex but the last two, and because x_R, Y_f and Y_g lie
-    on one line the pair is the signed simplex
-
-        sigma_R * sgn(tau) * (0, x_{tau_0}, ..., x_{tau_0..tau_(k-3)}, Y_g, Y_f)
-
-    over the orderings tau of R's k-1 corners, where sigma_R is the sign of
-    det(R's corners, Y_f - Y_g).  So each ridge is visited once.  The
-    orientation is read off the ridge, not off the simplex f, because
-    Qhull's triangulation of a non-simplicial facet can leave flat
-    simplices, and the sign of their determinant is noise.  Qhull merges
-    only facets of conv(P) that are coplanar within its own roundoff, and
-    the simplices of a merged facet share one polar vertex, so their ridges
-    add exactly 0.
-
-    sigma_R stays: the ridge terms are not all of one sign.  On 100 random
-    frames and 10 rotated frames whose +-v are the vertices of a cube, per
-    k, no term fell below -1.4e-17 of the volume at k = 3 and 4, but at
-    k = 5 terms reached -0.077 of the volume and the sum of their
-    magnitudes was up to 23 % off.
-
-    The terms with tau_0 = p make up the cone over F_p, of volume
-    |F_p| / (k |p|) and first moment k / (k + 1) |cone| centroid(F_p).
-    With A_p(G) the sum over the orderings tau of G that start at p of
-    sgn(tau) x_{tau_0} ^ x_{tau_0 tau_1} ^ ... ^ x_G,
-
-        A_p(G) = (sum over l in G - p of (-1)^#{g in G: g > l} A_p(G - l)) ^ x_G,
-
-    and the ridge term of p is the same sum over R with Y_g ^ Y_f in place
-    of x_G.  The first moments follow the same recursion, B_p(G) =
-    (sum ...B_p(G - l)) ^ x_G + A_p(G) (x) x_G, with B_p({p}) = x_p (x) x_p;
-    A_p rides along as one more moment coordinate, B_p taken against
-    (x_G, 0) from (x_p, 1).  The recursion is linear in that moment axis
-    and the A_p column never reads the others, so the same code with the
-    axis cut to the A_p column alone (``moments`` false, one column in
-    place of k + 1) computes the volumes and nothing else; the tests hold
-    them bitwise to the volume column of the whole table.  The points after x_p enter the wedges as
-    differences from x_p, and Y_g ^ Y_f as (Y_g - x_p) ^ (Y_f - Y_g): the
-    wedges of a tiny facet stay as small as the facet, so its own cone is
-    exact to rounding.
-
-    x_G is the same wherever G occurs, so A_p(G) is a function of the face
-    G and p: with the corners of every simplex in ascending order, it is
-    computed once per face, at the slot that names its holder
-    (:func:`_face_slots`).  The arrays hold components first and the stack
-    last (:func:`_wedge_first`), so each numpy call works on whole rows: at
-    (n, k) = (7, 3) and (7, 4) a call handles a few dozen simplices, and
-    the count of calls, not the arithmetic, sets the time.
-
-    The work is in two parts.  :func:`_hull_plan` reads ``simplices`` and
-    ``neighbors`` alone: the corner sort, the ridges and their owners, the
-    face holders, and each step's gather indices and signs, about a third
-    of the time at (7, 3) and (7, 4).  :func:`_flag_sum` does the sum over
-    P and Y.  The section's hull keeps its plan (:func:`_section_hull`), so
-    the second of :func:`build_section` and :func:`section_volume_fast` on
-    a frame runs only the sum; this function runs both parts, for the
-    gradient and the shifted and tilted rebuilds.
-    """
-    return _flag_sum(P, Y, _hull_plan(simplices, neighbors, len(P)), moments)
-
-
 class _HullPlan(NamedTuple):
     """Index tables of the flag sum over one triangulation in R^k, k >= 3
     (:func:`_hull_plan`): everything :func:`_flag_sum` reads of the hull
@@ -752,7 +678,7 @@ def _hull_plan(simplices: np.ndarray, neighbors: np.ndarray, points: int) -> _Hu
     simplex that holds a face lists it alike.  The tables serve any points
     with this triangulation and any polar vertices, so one hull's plan
     serves both section routes, on Qhull's vertices and on the solved ones
-    (:func:`_section_hull`); see :func:`_flag_cones` for the sum.
+    (:func:`_section_hull`); see :func:`_flag_sum` for the sum.
     """
     k = simplices.shape[1]
     plan = _flag_plan(k)
@@ -787,10 +713,85 @@ def _hull_plan(simplices: np.ndarray, neighbors: np.ndarray, points: int) -> _Hu
 
 
 def _flag_sum(P: np.ndarray, Y: np.ndarray, tables: _HullPlan, moments: bool = True):
-    """The cone table of the polar body of conv(P), k >= 3, from the
-    polar vertices Y of a triangulation of its hull and that
-    triangulation's index tables (:func:`_hull_plan`): the arithmetic of
-    :func:`_flag_cones`, which documents the sum and the table."""
+    """The cone table of the polar body of conv(P), k >= 3: the cones from
+    the origin over its facets, with their first moments, by a signed sum
+    over the flags of Qhull's triangulation, split by first corner.  Row p
+    of the (len(P), k + 1) result holds k + 1 times the first moment of the
+    cone over the facet F_p (each simplex's volume times the sum of its
+    vertices), then that cone's volume; a point off the hull has a row of
+    zeros, and the volume of the body is the sum of the last column.
+    Without ``moments`` the table has that last column alone, (len(P), 1),
+    for callers that read only the volume.
+
+    ``tables`` is the index plan (:func:`_hull_plan`) of Qhull's facets of
+    conv(P), its simplices, and their adjacency (the neighbor opposite each
+    corner), and Y[f] the polar vertex of facet f.  The polar body
+    Q = {x : <x, p> <= 1} is the sum of the cones from the origin over its
+    facets F_p, one per vertex p, and each facet is in turn the sum of
+    cones from a point of it over its faces, down to the edges.  A flag of
+    simplex f, an ordering tau of its corners, thus contributes the signed
+    simplex (0, x_{tau_0}, x_{tau_0 tau_1}, ..., Y_f), with x_G a point of
+    the face of Q dual to G: the polar vertex of one simplex that holds G,
+    the same one wherever G occurs (:func:`_face_slots`).  Any point of
+    that face's affine hull would do; one on the face keeps every cone as
+    small as its face.  The flags of the two simplices f, g across a ridge R
+    share every vertex but the last two, and because x_R, Y_f and Y_g lie
+    on one line the pair is the signed simplex
+
+        sigma_R * sgn(tau) * (0, x_{tau_0}, ..., x_{tau_0..tau_(k-3)}, Y_g, Y_f)
+
+    over the orderings tau of R's k-1 corners, where sigma_R is the sign of
+    det(R's corners, Y_f - Y_g).  So each ridge is visited once.  The
+    orientation is read off the ridge, not off the simplex f, because
+    Qhull's triangulation of a non-simplicial facet can leave flat
+    simplices, and the sign of their determinant is noise.  Qhull merges
+    only facets of conv(P) that are coplanar within its own roundoff, and
+    the simplices of a merged facet share one polar vertex, so their ridges
+    add exactly 0.
+
+    sigma_R stays: the ridge terms are not all of one sign.  On 100 random
+    frames and 10 rotated frames whose +-v are the vertices of a cube, per
+    k, no term fell below -1.4e-17 of the volume at k = 3 and 4, but at
+    k = 5 terms reached -0.077 of the volume and the sum of their
+    magnitudes was up to 23 % off.
+
+    The terms with tau_0 = p make up the cone over F_p, of volume
+    |F_p| / (k |p|) and first moment k / (k + 1) |cone| centroid(F_p).
+    With A_p(G) the sum over the orderings tau of G that start at p of
+    sgn(tau) x_{tau_0} ^ x_{tau_0 tau_1} ^ ... ^ x_G,
+
+        A_p(G) = (sum over l in G - p of (-1)^#{g in G: g > l} A_p(G - l)) ^ x_G,
+
+    and the ridge term of p is the same sum over R with Y_g ^ Y_f in place
+    of x_G.  The first moments follow the same recursion, B_p(G) =
+    (sum ...B_p(G - l)) ^ x_G + A_p(G) (x) x_G, with B_p({p}) = x_p (x) x_p;
+    A_p rides along as one more moment coordinate, B_p taken against
+    (x_G, 0) from (x_p, 1).  The recursion is linear in that moment axis
+    and the A_p column never reads the others, so the same code with the
+    axis cut to the A_p column alone (``moments`` false, one column in
+    place of k + 1) computes the volumes and nothing else; the tests hold
+    them bitwise to the volume column of the whole table.  The points after
+    x_p enter the wedges as differences from x_p, and Y_g ^ Y_f as
+    (Y_g - x_p) ^ (Y_f - Y_g): the wedges of a tiny facet stay as small as
+    the facet, so its own cone is exact to rounding.
+
+    x_G is the same wherever G occurs, so A_p(G) is a function of the face
+    G and p: with the corners of every simplex in ascending order, it is
+    computed once per face, at the slot that names its holder
+    (:func:`_face_slots`).  The arrays hold components first and the stack
+    last (:func:`_wedge_first`), so each numpy call works on whole rows: at
+    (n, k) = (7, 3) and (7, 4) a call handles a few dozen simplices, and
+    the count of calls, not the arithmetic, sets the time.
+
+    The work is in two parts.  :func:`_hull_plan` reads the simplices and
+    their neighbors alone: the corner sort, the ridges and their owners,
+    the face holders, and each step's gather indices and signs, about a
+    third of the time at (7, 3) and (7, 4).  This function does the sum
+    over P and Y.  :func:`_hull` builds the plan with the hull, and the
+    section's hull keeps it (:func:`_section_hull`), so the second of
+    :func:`build_section` and :func:`section_volume_fast` on a frame runs
+    only the sum.
+    """
     k, N = P.shape[1], len(P)
     columns = k + 1 if moments else 1
     plan = _flag_plan(k)
@@ -824,18 +825,26 @@ def _flag_sum(P: np.ndarray, Y: np.ndarray, tables: _HullPlan, moments: bool = T
     return _sums_by(tables.owner.ravel(), det.reshape(columns, -1).T, N)
 
 
+def _hull(P: np.ndarray):
+    """The hull of the polar points P, k >= 2, and what the volume routes
+    read of it: :func:`_planar_hull`'s (hull, Y, S) in the plane; for
+    k >= 3 :func:`_polar_hull`'s (hull, Y) and the plan of its flag sum
+    (:func:`_hull_plan`).  Every volume route's hull is built here."""
+    if P.shape[1] == 2:
+        return _planar_hull(P)
+    hull, Y = _polar_hull(P)
+    return hull, Y, _hull_plan(hull.simplices, hull.neighbors, len(P))
+
+
 # The hull of the last section's points +-V (:func:`_section_hull`): its
 # key, the points' dtype, shape and bytes, and the hull, all read-only.
 _last_section = (None, None)
 
 
 def _section_hull(W: np.ndarray):
-    """The hull of the section's points W = +-V, k >= 2, built once per
-    frame: :func:`_planar_hull`'s (hull, Y, S) in the plane, as tuples and
-    a read-only table, and for k >= 3 (hull, Y, plan), Qhull's hull
-    (:func:`_polar_hull`), the polar vertices of its facet equations and
-    the index tables of its flag sum (:func:`_hull_plan`), every array
-    read-only.
+    """The :func:`_hull` of the section's points W = +-V, k >= 2, built
+    once per frame: in the plane (hull, Y, S) as tuples and a read-only
+    table, for k >= 3 (hull, Y, plan) with every array read-only.
 
     The last hull is kept in one slot, keyed by the dtype, shape and bytes
     of W, so :func:`build_section` (through :func:`_point_facets`) and
@@ -844,7 +853,7 @@ def _section_hull(W: np.ndarray):
     its points alone (Qhull and the scan are deterministic), so a hit
     returns what a fresh build would; a build that raises stores nothing.
     The ascent (:func:`_volume_and_gradient`), which evaluates no frame
-    twice in a row and no hull at a box whose ties it holds, and the
+    twice in a row and no hull at a box, whose ties it holds, and the
     shifted and tilted rebuilds, which move the points, build their own.
     """
     global _last_section
@@ -852,13 +861,12 @@ def _section_hull(W: np.ndarray):
     held, entry = _last_section
     if held == key:
         return entry
+    entry = _hull(W)
     if W.shape[1] == 2:
-        hull, Y, S = _planar_hull(W)
+        hull, Y, S = entry
         entry, arrays = (tuple(hull), tuple(Y), S), (S,)
     else:
-        hull, Y = _polar_hull(W)
-        plan = _hull_plan(hull.simplices, hull.neighbors, len(W))
-        entry = (hull, Y, plan)
+        hull, Y, plan = entry
         arrays = (hull.simplices, hull.neighbors, hull.equations, Y,
                   *plan[:-1], *itertools.chain(*plan.steps))
     for a in arrays:
@@ -868,15 +876,13 @@ def _section_hull(W: np.ndarray):
 
 
 def _cone_table(P: np.ndarray, moments: bool = True) -> np.ndarray:
-    """The cone table of the polar body {x : P x <= 1}, k >= 2, from one
-    hull of P: :func:`_planar_hull`'s own in the plane, :func:`_flag_cones`
-    on :func:`_polar_hull` for k >= 3.  Without ``moments`` the table for
-    k >= 3 holds the volume column alone; in the plane it is always whole.
-    Either way its last column is the cones' volumes."""
-    if P.shape[1] == 2:
-        return _planar_hull(P)[2]
-    hull, Y = _polar_hull(P)
-    return _flag_cones(P, hull.simplices, hull.neighbors, Y, moments)
+    """The cone table of the polar body {x : P x <= 1}, k >= 2, from a new
+    :func:`_hull` of P: the scan's own in the plane, :func:`_flag_sum` over
+    its plan for k >= 3.  Without ``moments`` the table for k >= 3 holds
+    the volume column alone; in the plane it is always whole.  Either way
+    its last column is the cones' volumes."""
+    _, Y, rest = _hull(P)  # the planar table, or the plan of the flag sum
+    return rest if P.shape[1] == 2 else _flag_sum(P, Y, rest, moments)
 
 
 def _halfspace_volume(P: np.ndarray) -> float:
@@ -922,8 +928,8 @@ def section_volume_fast(vectors: np.ndarray) -> float:
       volume column alone, without the k first-moment columns the gradient
       and the facets read.
 
-    The hull, and for k >= 3 its flag-sum plan, is the section's one hull
-    (:func:`_section_hull`): called after :func:`build_section` on the
+    The hull, and for k >= 3 its flag-sum plan, is the section's one
+    :func:`_hull` (:func:`_section_hull`): called after :func:`build_section` on the
     same vectors, as ``cubesec report`` calls it, this builds no hull and
     runs only the sum over Qhull's polar vertices, or the box's
     determinant (the planar table is read as it is).
@@ -935,7 +941,8 @@ def section_volume_fast(vectors: np.ndarray) -> float:
     +-V; for k >= 3 also on frames whose +-v are the vertices of a cube,
     and on sections with facets shifted or tilted.  It is bitwise the
     volume of :func:`_volume_and_gradient`, which reads the same volume
-    column from the whole table, or at a box the same determinant.
+    column from the whole table, or at a box, given its ties, the same
+    determinant.
 
     It tests depth, not span: :class:`NotAFrameError` is raised when the
     points +-V are flat, or a facet of their hull (an edge, in the plane)
@@ -987,20 +994,20 @@ def _box_volume(U: np.ndarray) -> float:
     return float(2 ** len(U) / abs(np.linalg.det(U)))
 
 
-def _volume_and_gradient(V: np.ndarray, first: np.ndarray | None = None):
+def _volume_and_gradient(V: np.ndarray, first: np.ndarray):
     """(volume, G): the section volume of the frame vectors V, k >= 2, and
     its Euclidean gradient with respect to V; the volume is bitwise that of
-    :func:`section_volume_fast`.  ``first``, when given, holds the least
-    members of V's own clusters (:func:`_clusters`), which the ascent
-    carries from frame to frame.
+    :func:`section_volume_fast`.  ``first`` holds the least members of V's
+    own clusters (:func:`_clusters`), which the ascent carries from frame to
+    frame.
 
     At a box frame, k >= 3 and k clusters led by the rows U = V[first], the
     section is the parallelepiped of :func:`_box_volume`, and the gradient
     of log |det U| in U is U^-T: row first[c] of G is -vol (U^-T)_c, the
-    gradient of the whole cluster, and every other row is 0.  With ``first``
-    given that takes no hull; without it, the hull of +-V is built and
-    grouped where it has 2^k facets (:func:`_box_first`), as
-    :func:`section_volume_fast` does.
+    gradient of the whole cluster, and every other row is 0.  That takes no
+    hull.  :func:`section_volume_fast`, which has no ties, groups the rows
+    where the hull of +-V has 2^k facets (:func:`_box_first`), as the hull
+    of every box frame has, so the two read the same frames as boxes.
 
     Elsewhere both come from one cone table of the hull of +-V
     (:func:`_cone_table`).  The gradient of v_i is -2 mu_i c_i / |v_i|, with
@@ -1012,32 +1019,18 @@ def _volume_and_gradient(V: np.ndarray, first: np.ndarray | None = None):
     and no box route, as in :func:`section_volume_fast`.  Of coincident
     points only the one the hull keeps gets the facet, so the gradient of a
     cluster is its signed sum on either route.  Raises as
-    :func:`section_volume_fast` does, but for a box given by ``first``,
-    which reads no hull and must span R^k.
+    :func:`section_volume_fast` does, but at a box, which reads no hull and
+    must span R^k.
     """
     n, k = V.shape
-    if k >= 3 and first is not None and len(first) == k:
-        return _box_gradient(V, first)
-    W = np.concatenate((V, -V))
-    if k == 2:
-        S = _planar_hull(W)[2]
-    else:
-        hull, Y = _polar_hull(W)
-        box = _box_first(V, hull) if first is None else None
-        if box is not None:
-            return _box_gradient(V, box)
-        S = _flag_cones(W, hull.simplices, hull.neighbors, Y)
+    if k >= 3 and len(first) == k:
+        U = V[first]
+        vol = _box_volume(U)
+        G = np.zeros_like(V)
+        G[first] = -vol * np.linalg.inv(U).T
+        return vol, G
+    S = _cone_table(np.concatenate((V, -V)))
     return float(S[:, -1].sum()), S[n:, :k] - S[:n, :k]
-
-
-def _box_gradient(V: np.ndarray, first: np.ndarray):
-    """(volume, G) of :func:`_volume_and_gradient` at the box frame V whose
-    k clusters are led by the rows ``first``."""
-    U = V[first]
-    vol = _box_volume(U)
-    G = np.zeros_like(V)
-    G[first] = -vol * np.linalg.inv(U).T
-    return vol, G
 
 
 def shift_facet_predict(p: SectionPolytope, f: FacetRecord, h: float) -> float:

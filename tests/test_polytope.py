@@ -18,9 +18,10 @@ from cubesec.frame_core import (
 from cubesec.polytope import (
     EPS_GEOM,
     _coincident_row_groups,
-    _flag_cones,
     _flag_plan,
+    _flag_sum,
     _halfspace_volume,
+    _hull_plan,
     _polar_hull,
     _volume_and_gradient,
     build_section,
@@ -570,10 +571,11 @@ class TestFacetAssembly:
             for s in (random_tight_frame(n, k, rng), near_parallel_frame(n, k, rng)):
                 P = np.vstack([s.vectors, -s.vectors])
                 hull, Y = _polar_hull(P)
-                want = _flag_cones(P, hull.simplices, hull.neighbors, Y)
+                want = _flag_sum(P, Y, _hull_plan(hull.simplices, hull.neighbors, len(P)))
                 order = rng.permuted(np.tile(np.arange(k), (len(hull.simplices), 1)), axis=1)
-                got = _flag_cones(P, np.take_along_axis(hull.simplices, order, axis=1),
-                                  np.take_along_axis(hull.neighbors, order, axis=1), Y)
+                got = _flag_sum(P, Y, _hull_plan(np.take_along_axis(hull.simplices, order, axis=1),
+                                                 np.take_along_axis(hull.neighbors, order, axis=1),
+                                                 len(P)))
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max())
 
 
@@ -587,7 +589,7 @@ class TestVolumeAndGradient:
         the generators of each facet against -2 mu c distance, facets
         whose normals are within ``tol`` taken together; and max |G| over
         the generators that hold no facet."""
-        G = _volume_and_gradient(s.vectors)[1]
+        G = _volume_and_gradient(s.vectors, polytope._clusters(s.vectors)[2])[1]
         p = build_section(s)
         label = _coincident_row_groups(np.array([f.normal_vector for f in p.facets]), tol)
         got = np.zeros((label.max() + 1, s.k))
@@ -613,7 +615,8 @@ class TestVolumeAndGradient:
                           signed_box_frame(n, k, rng).vectors,
                           near_parallel_frame(n, k, rng).vectors,
                           np.insert(z, int(rng.integers(0, n + 1)), 0.0, axis=0)):
-                    assert section_volume_fast(V) == _volume_and_gradient(V)[0]
+                    assert section_volume_fast(V) == _volume_and_gradient(
+                        V, polytope._clusters(V)[2])[0]
                     frames += 1
         assert frames == 60
 
@@ -628,8 +631,9 @@ class TestVolumeAndGradient:
                 for P in (np.concatenate((V, -V)),
                           np.concatenate((V, -V)) / (1 + 0.3 * rng.random(2 * n))[:, None]):
                     hull, Y = _polar_hull(P)
-                    whole = _flag_cones(P, hull.simplices, hull.neighbors, Y)
-                    alone = _flag_cones(P, hull.simplices, hull.neighbors, Y, moments=False)
+                    plan = _hull_plan(hull.simplices, hull.neighbors, len(P))
+                    whole = _flag_sum(P, Y, plan)
+                    alone = _flag_sum(P, Y, plan, moments=False)
                     assert alone.shape == (2 * n, 1)
                     assert alone[:, 0].tobytes() == whole[:, k].tobytes()
                     assert _halfspace_volume(P) == float(whole[:, k].sum())
@@ -642,7 +646,7 @@ class TestVolumeAndGradient:
         for n, k in ((3, 2), (6, 2), (10, 2), (5, 3), (7, 3), (7, 4), (12, 4), (8, 5)):
             for _ in range(3):
                 v = random_tight_frame(n, k, rng).vectors
-                G = _volume_and_gradient(v)[1]
+                G = _volume_and_gradient(v, polytope._clusters(v)[2])[1]
                 fd = np.zeros_like(v)
                 for i, j in itertools.product(range(n), range(k)):
                     e = np.zeros_like(v)
@@ -714,8 +718,10 @@ class TestBoxRoute:
             assert len(first) == k
             vol, G = _volume_and_gradient(V, first)
             assert section_volume_fast(V) == vol
-            assert _volume_and_gradient(V)[0] == vol
-            assert G.tobytes() == _volume_and_gradient(V)[1].tobytes()
+            # the hull of +-V of every box has the 2^k facets of a
+            # cross-polytope, so section_volume_fast, which groups the rows
+            # only at such a hull, reads every box as the gradient does
+            assert len(_polar_hull(np.concatenate((V, -V)))[0].simplices) == 2**k
             assert not G[np.setdiff1d(np.arange(n), first)].any()
             want, H = flag_sum(V)
             assert vol == pytest.approx(want, rel=1e-15)
@@ -727,22 +733,17 @@ class TestBoxRoute:
         assert frames == 36
 
     def test_box_takes_no_hull(self, hulls):
-        # with the ties a box reads no hull; without them one, to look for
-        # a box where it has 2^k facets
+        # given its ties a box reads no hull
         rng = np.random.default_rng(72)
         for V, _ in box_frames(rng):
-            first = polytope._clusters(V)[2]
-            _volume_and_gradient(V, first)
+            _volume_and_gradient(V, polytope._clusters(V)[2])
             assert hulls == []
-            _volume_and_gradient(V)
-            assert hulls == ["qhull"]
-            hulls.clear()
 
     def test_engine_where_not_a_box(self):
         # frames whose hull has 2^k facets but k + 1 clusters (a short
         # generator inside the cross-polytope of the others, or a zero
         # vector), and k = 2 boxes, read the flag sum or the planar scan,
-        # bitwise, with their ties or without
+        # bitwise
         rng = np.random.default_rng(73)
         frames = []
         for k in (3, 4, 5):
@@ -757,18 +758,18 @@ class TestBoxRoute:
             assert len(first) == k + 1
             assert len(_polar_hull(np.concatenate((V, -V)))[0].simplices) == 2**k
             vol, G = flag_sum(V)
-            for got in (_volume_and_gradient(V), _volume_and_gradient(V, first)):
-                assert got[0] == vol
-                assert got[1].tobytes() == G.tobytes()
+            got = _volume_and_gradient(V, first)
+            assert got[0] == vol
+            assert got[1].tobytes() == G.tobytes()
             assert section_volume_fast(V) == vol
         for n in (3, 6, 10):
             V = signed_box_frame(n, 2, rng).vectors
             S = polytope._planar_hull(np.concatenate((V, -V)))[2]
             vol = float(S[:, -1].sum())
             assert section_volume_fast(V) == vol == volume(build_section(Frame(V)))
-            for got in (_volume_and_gradient(V), _volume_and_gradient(V, polytope._clusters(V)[2])):
-                assert got[0] == vol
-                assert got[1].tobytes() == (S[n:, :2] - S[:n, :2]).tobytes()
+            got = _volume_and_gradient(V, polytope._clusters(V)[2])
+            assert got[0] == vol
+            assert got[1].tobytes() == (S[n:, :2] - S[:n, :2]).tobytes()
 
     def test_rebuilds_of_a_box_section(self):
         # a shifted or tilted box section is not a centred parallelepiped:
@@ -815,21 +816,23 @@ class TestQhullCalls:
     def test_one_hull_per_section(self, hulls, monkeypatch):
         # build_section and section_volume_fast share the hull of +-V: on a
         # fresh frame the first of them builds one, the second none, in
-        # either order; _volume_and_gradient builds its own
+        # either order; _volume_and_gradient, given the ties, builds none
+        # at a box frame of k >= 3 and its own elsewhere
         def fast(s):
             return section_volume_fast(s.vectors)
 
         def gradient(s):
-            return _volume_and_gradient(s.vectors)
+            return _volume_and_gradient(s.vectors, polytope._clusters(s.vectors)[2])
 
         rng = np.random.default_rng(41)
         for n, k in ((3, 2), (10, 2), (7, 3), (7, 4), (12, 4), (8, 5)):
             one = ["planar" if k == 2 else "qhull"]
-            for s in (random_tight_frame(n, k, rng), signed_box_frame(n, k, rng)):
+            for s, box in ((random_tight_frame(n, k, rng), False),
+                           (signed_box_frame(n, k, rng), k >= 3)):
                 for first, second in ((build_section, fast), (fast, build_section)):
                     # a fresh frame: forget the last section hull
                     monkeypatch.setattr(polytope, "_last_section", (None, None), raising=False)
-                    for run, want in ((first, one), (second, []), (gradient, one)):
+                    for run, want in ((first, one), (second, []), (gradient, [] if box else one)):
                         hulls.clear()
                         run(s)
                         assert hulls == want
@@ -852,7 +855,7 @@ class TestSectionHull:
             hulls.clear()
             vol = section_volume_fast(V)
             assert len(hulls) == 1
-            assert vol == _volume_and_gradient(V.copy())[0]
+            assert vol == _volume_and_gradient(V.copy(), polytope._clusters(V)[2])[0]
             hulls.clear()
             assert volume(build_section(Frame(V))) == pytest.approx(vol, rel=1e-13)
             assert hulls == []
@@ -865,7 +868,7 @@ class TestSectionHull:
             for a, b in ((V, V.reshape(m, j)), (V.reshape(m, j), V)):
                 section_volume_fast(a)
                 hulls.clear()
-                assert section_volume_fast(b) == _volume_and_gradient(b)[0]
+                assert section_volume_fast(b) == _volume_and_gradient(b, polytope._clusters(b)[2])[0]
                 assert hulls[0] == ("planar" if b.shape[1] == 2 else "qhull")
 
     def test_a_failed_build_stores_nothing(self, hulls, monkeypatch):

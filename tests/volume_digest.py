@@ -6,7 +6,8 @@ section's hull:
 - ``section_volume_fast``: the volume;
 - ``build_section``: the volume, the vertices, and for every facet its
   measure, centroid, normal and rows;
-- ``_volume_and_gradient``: the volume and the gradient G.
+- ``_volume_and_gradient``: the volume and the gradient G, given the
+  frame's ties (``_clusters``), as the ascent gives them.
 
 Floats are taken by their hex form and arrays as dtype, shape and bytes,
 so two trees that give a cell the same digest computed the same numbers,
@@ -40,7 +41,8 @@ import numpy as np
 
 from cubesec.bounds import extremal_frame
 from cubesec.frame_core import Frame, random_tight_frame, whiten
-from cubesec.polytope import _volume_and_gradient, build_section, section_volume_fast, volume
+from cubesec.polytope import (_clusters, _volume_and_gradient, build_section,
+                              section_volume_fast, volume)
 
 CELLS = [(3, 2), (6, 2), (10, 2), (5, 3), (7, 3), (12, 3), (5, 4), (7, 4), (12, 4),
          (6, 5), (8, 5), (7, 6), (10, 6)]
@@ -82,7 +84,7 @@ def frame_record(s: Frame, order: str = "fast") -> bytes:
         p = build_section(s)
         fast = section_volume_fast(s.vectors)
     facets = [(f.measure, f.centroid, f.normal_vector, f.row_ids) for f in p.facets]
-    vol, G = _volume_and_gradient(s.vectors)
+    vol, G = _volume_and_gradient(s.vectors, _clusters(s.vectors)[2])
     return _encode([fast, volume(p), p.vertices, facets, vol, G])
 
 
