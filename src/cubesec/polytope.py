@@ -22,9 +22,9 @@ One function builds every hull (:func:`_hull`): in the plane the scan,
 which gives the cone table with the vertices, one triangle per section
 edge; for k >= 3 Qhull's hull and the index plan of its flag sum, read off
 the triangulation alone (:func:`_hull_plan`).  Every volume and every
-facet is read from the cone table of one such hull, but for the volume
-and gradient of a box frame (below): row p holds the cone from the origin
-over the facet of the point p, its volume and first moment.  For k >= 3
+facet is read from the cone table of one such hull, but at a box frame
+(below): row p holds the cone from the origin over the facet of the
+point p, its volume and first moment.  For k >= 3
 :func:`_flag_sum` sums it over the flags of Qhull's triangulation, one
 determinant per ridge and corner, from the plan, the points and the polar
 vertices.  The volume is the sum of the table's volume column, in row
@@ -32,12 +32,13 @@ order (:func:`_halfspace_volume`, and :func:`section_volume_fast` for a
 section), and the same table gives the Euclidean gradient
 (:func:`_volume_and_gradient`).
 
-:func:`build_section` takes each row's cone from that table, as arrays,
-and assembles the records in one pass: a group label per row (coincident
-rows share a facet), contents and first moments summed by label, and the
-vertex indices of each group from one incidence matrix.  The section's
-volume is the same sum of the volume column, so in the plane it is bitwise
-the volume of :func:`section_volume_fast`.
+:func:`build_section` takes each row's cone from that table, as arrays
+(:func:`_hull_facets`), and assembles the records in one pass
+(:func:`_assemble`): a group label per row (coincident rows share a
+facet), contents and first moments summed by label, and the vertex
+indices of each group from one incidence matrix.  The section's volume is
+the same sum of the volume column, so in the plane it is bitwise the
+volume of :func:`section_volume_fast`.
 
 One hull per frame: :func:`build_section` and :func:`section_volume_fast`
 read the hull of +-V from one slot (:func:`_section_hull`) that holds the
@@ -46,17 +47,20 @@ the two runs second on a frame, as ``cubesec report`` runs both, builds
 no hull and no plan.  The gradient and the shifted and tilted rebuilds
 build their own, uncached (:func:`_cone_table`).
 
-Box frames in closed form: for k >= 3 a frame whose generators lie on
-exactly k lines, its exact clusters (:func:`_clusters`) led by the rows U,
-has the parallelepiped {|U x| <= 1} for its section, of volume
-2^k / |det U| (:func:`_box_volume`).  :func:`section_volume_fast` and
-:func:`_volume_and_gradient` read it so, and the latter its gradient from
-U^-T.  :func:`section_volume_fast` groups the rows only where the hull of
-+-V has the 2^k facets of a box's (:func:`_box_first`); the gradient is
-given the frame's ties, which the ascent carries, and so builds no hull
-at a box.  :func:`build_section`, the rebuilds, whose bodies are no
+Box frames in closed form, with no hull on any route: for k >= 3 a frame
+whose generators lie on exactly k lines, led by the rows U (the exact
+ties, :func:`_box_first`), has the parallelepiped {|U x| <= 1} for its
+section.  Its
+vertices are U^-1 s for the signs s in {-1, 1}^k (:func:`_box_vertices`),
+its volume 2^k / |det U| (:func:`_box_volume`).  :func:`section_volume_fast`
+reads the volume so, :func:`_volume_and_gradient` also its gradient from
+U^-T, and :func:`build_section` also the facets: the facet of s u_c holds
+the vertices with s_c = s, its centroid is s U^-1 e_c and its content
+vol |u_c| / 2 (:func:`_box_facets`).  So the slot never holds a box's hull,
+and a frame it holds needs no tie test.  The rebuilds, whose bodies are no
 longer centred parallelepipeds, and the plane keep the cone table, so in
-the plane the two routes stay bitwise one volume.
+the plane the two routes stay bitwise one volume, and at a box they are
+one determinant.
 """
 
 from __future__ import annotations
@@ -183,7 +187,8 @@ def _clusters(V: np.ndarray):
     cluster's least member, as a tuple, and its negation in a dict, so rows
     are compared by value: -0.0 equals and hashes as 0.0, and a zero vector,
     its own negation, has sign +1.  A frame of exactly k clusters is a box
-    frame (:func:`_box_first`).  ``optimizer.ascend`` groups only its start
+    frame, which :func:`_box_first` tells from the same ties without the
+    labels.  ``optimizer.ascend`` groups only its start
     frame here; each move it accepts carries this record to the next frame.
     """
     label, sign, first, ties = [], [], [], {}
@@ -397,49 +402,6 @@ def _distinct_equations(eq: np.ndarray):
     return np.sort(first), vid
 
 
-def _point_facets(W: np.ndarray):
-    """Vertices of {W x <= 1}, and the cone from the origin over the facet
-    of every row that has one, from the hull's cone table
-    (:func:`_planar_hull`, :func:`_flag_sum`).  The hull and, for k >= 3,
-    its flag-sum plan are the section's one hull (:func:`_section_hull`),
-    which :func:`section_volume_fast` shares on the same W; what is this
-    function's own is the arithmetic: the vertices solved from the
-    corners, and the table with its first moments over them.
-
-    Returns (vertices, rows, cone, centroid, point, vid, vol): the facet of
-    row rows[i] has centroid centroid[i] and content k cone[i] |W[rows[i]]|,
-    (point[j], vid[j]) are its rows and vertices, paired, with repeats, and
-    vol is the sum of the table's volume column in row order, as
-    :func:`_halfspace_volume` sums it.  For k = 1 a facet is the vertex
-    1 / p, its cone of length 1 / |p|, and vol the interval's length.
-    """
-    k = W.shape[1]
-    if k == 1:
-        rows = np.array(_interval(W))
-        verts = (1 / W[rows, 0])[:, None]
-        cone = np.abs(verts[:, 0])
-        return verts, rows, cone, verts, rows, np.arange(2), float(cone.sum())
-    if k == 2:
-        hull, Y, sums = _section_hull(W)
-        verts, rows = np.array(Y), np.array(hull)
-        ends = np.arange(len(hull))
-        point, vid = np.concatenate((rows, rows)), np.concatenate(((ends - 1) % len(hull), ends))
-    else:
-        hull, Y, plan = _section_hull(W)
-        eq = hull.equations
-        # a simplex of a merged facet shares its equation with a neighbor
-        alone = ~np.all(eq[hull.neighbors] == eq[:, None, :], axis=2).any(axis=1)
-        Y = _solved_vertices(W, hull, Y, alone)
-        first, vid = (np.arange(len(eq)),) * 2 if alone.all() else _distinct_equations(eq)
-        sums = _flag_sum(W, Y, plan)
-        verts = Y[first]
-        rows = np.flatnonzero(np.bincount(hull.simplices.ravel(), minlength=len(W)))
-        point, vid = hull.simplices.ravel(), np.repeat(vid, k)
-    cone = sums[rows, k]
-    return (verts, rows, cone, sums[rows, :k] / (k * cone)[:, None], point, vid,
-            float(sums[:, k].sum()))
-
-
 def build_section(s: Frame) -> SectionPolytope:
     """Construct the section of the cube generated by the frame ``s``.
 
@@ -448,29 +410,122 @@ def build_section(s: Frame) -> SectionPolytope:
     its point is a vertex of the hull: a zero vector, the origin, has none,
     nor has one whose slab only touches the section in a face of dimension
     below k-1, and the criticality checks flag both downstream.  Rows
-    within ``EPS_GEOM`` of each other share one facet, whose content and
-    first moment are summed over the group's hull vertices, in one array
-    pass.  The volume is the sum of the cone table's volume column
-    (:func:`_point_facets`).
+    within ``EPS_GEOM`` of each other share one facet (:func:`_assemble`).
+
+    Two routes give the facets, which come in the order of their groups
+    either way:
+
+    - a box frame, k >= 3 and generators on exactly k lines whose 2k
+      signed lines are the ``EPS_GEOM`` groups, reads the parallelepiped
+      {|U x| <= 1} from U^-1 with no hull (:func:`_box_facets`); its
+      vertices come in sign order, and its volume is
+      :func:`section_volume_fast`'s determinant, bitwise;
+    - any other frame reads the cone table of the section's hull
+      (:func:`_hull_facets`), whose volume column sums to the volume.
     """
     frame_operator(s)  # raises NotAFrameError unless the vectors span R^k
-    V = s.vectors
-    W = np.concatenate((V, -V))
-    row_gen = [(i, 1) for i in range(s.n)] + [(i, -1) for i in range(s.n)]
-
-    verts, rows, cone, centroid, point, vid, vol = _point_facets(W)
-    measure = s.k * cone * np.linalg.norm(W[rows], axis=1)
+    W = np.concatenate((s.vectors, -s.vectors))
     label = _coincident_row_groups(W, EPS_GEOM)
-    members = [[] for _ in range(int(label.max()) + 1)]
+    count = int(label.max()) + 1
+    # exact ties are within EPS_GEOM, so each group is a union of signed
+    # lines s u_c; a box has 2k of them, and 2k groups are those lines
+    if s.k >= 3 and count == 2 * s.k:
+        first = _box_first(W)
+        if first is not None:
+            return _assemble(W, label, *_box_facets(W, label, first))
+    return _assemble(W, label, *_hull_facets(W, label, count))
+
+
+def _hull_facets(W: np.ndarray, label: np.ndarray, count: int):
+    """The facets of the section {W x <= 1} from its hull's cone table
+    (:func:`_planar_hull`, :func:`_flag_sum`), in the layout of
+    :func:`_assemble`, for the ``count`` row groups of ``label``.
+
+    The hull and, for k >= 3, its flag-sum plan are the section's one hull
+    (:func:`_section_hull`), which :func:`section_volume_fast` shares on
+    the same W; what is this function's own is the arithmetic: the
+    vertices solved from the corners, and the table with its first moments
+    over them.  The facet of a row that has one has content k cone |w|, for
+    cone the volume of the cone from the origin over it; each group's
+    content and first moment are summed over its rows, in one array pass,
+    and the volume is the sum of the table's volume column in row order,
+    as :func:`_halfspace_volume` sums it.  For k = 1 a facet is the vertex
+    1 / p, its cone of length 1 / |p|, and the volume the interval's
+    length.
+    """
+    k = W.shape[1]
+    if k == 1:
+        rows = np.array(_interval(W))
+        verts = centroid = (1 / W[rows, 0])[:, None]
+        cone = np.abs(verts[:, 0])
+        point, vid, vol = rows, np.arange(2), float(cone.sum())
+    else:
+        if k == 2:
+            hull, Y, table = _section_hull(W)
+            verts, rows = np.array(Y), np.array(hull)
+            ends = np.arange(len(hull))
+            point, vid = np.concatenate((rows, rows)), np.concatenate(((ends - 1) % len(hull), ends))
+        else:
+            hull, Y, plan = _section_hull(W)
+            eq = hull.equations
+            # a simplex of a merged facet shares its equation with a neighbor
+            alone = ~np.all(eq[hull.neighbors] == eq[:, None, :], axis=2).any(axis=1)
+            Y = _solved_vertices(W, hull, Y, alone)
+            first, vid = (np.arange(len(eq)),) * 2 if alone.all() else _distinct_equations(eq)
+            table = _flag_sum(W, Y, plan)
+            verts = Y[first]
+            rows = np.flatnonzero(np.bincount(hull.simplices.ravel(), minlength=len(W)))
+            point, vid = hull.simplices.ravel(), np.repeat(vid, k)
+        cone = table[rows, k]
+        centroid = table[rows, :k] / (k * cone)[:, None]
+        vol = float(table[:, k].sum())
+    measure = k * cone * np.linalg.norm(W[rows], axis=1)
+    held = np.zeros((count, len(verts)), dtype=bool)
+    held[label[point], vid] = True
+    sums = _sums_by(label[rows], np.column_stack((measure, measure[:, None] * centroid)), count)
+    return verts, held, sums, vol
+
+
+def _box_facets(W: np.ndarray, label: np.ndarray, first: np.ndarray):
+    """The facets of a box section, k >= 3, in the layout of
+    :func:`_assemble`, with no hull: W = +-V, whose generators lie on the k
+    lines of the rows U = V[first], and ``label`` the 2k row groups, each
+    one signed line s u_c.  The facet of s u_c holds the vertices U^-1 t
+    with t_c = s, its centroid is s U^-1 e_c, and its content is
+    vol |u_c| / 2, so the cones over the 2k facets, of heights 1 / |u_c|,
+    add up to the volume 2^k / |det U| (:func:`_box_volume`).  Raises as
+    :func:`_box_vertices` does."""
+    n, k = len(W) // 2, W.shape[1]
+    U = W[first]
+    inv, verts = _box_vertices(U)
+    vol = _box_volume(U)
+    # the line and the sign of each group, from the groups of +-u_c
+    line, sign = np.empty(2 * k, dtype=np.intp), np.empty(2 * k)
+    for rows, s in ((first, 1.0), (first + n, -1.0)):
+        line[label[rows]] = np.arange(k)
+        sign[label[rows]] = s
+    held = _signs(k).T[line] == sign[:, None]
+    measure = vol / 2 * np.linalg.norm(U, axis=1)[line]
+    return verts, held, np.column_stack((measure, (measure * sign)[:, None] * inv.T[line])), vol
+
+
+def _assemble(W: np.ndarray, label: np.ndarray, verts: np.ndarray, held: np.ndarray,
+              sums: np.ndarray, vol: float) -> SectionPolytope:
+    """The section of the rows W = +-V from its facets, as a route gives
+    them: ``label`` the ``EPS_GEOM`` group of each row; ``held[g, j]``
+    whether group g's facet holds vertex j, each group that holds one a
+    facet; ``sums[g]`` the content of that facet and then its first
+    moment, the content times the centroid; and ``vol`` the volume."""
+    n = len(W) // 2
+    row_gen = [(i, 1) for i in range(n)] + [(i, -1) for i in range(n)]
+    members = [[] for _ in range(len(held))]
     for r, g in enumerate(label.tolist()):
         members[g].append(r)
     # the sorted union of each group's vertex indices
-    held = np.zeros((len(members), len(verts)), dtype=bool)
-    held[label[point], vid] = True
     group, ids = held.nonzero()
     ends = np.searchsorted(group, np.arange(len(members) + 1)).tolist()
     own = [g for g in range(len(members)) if ends[g] < ends[g + 1]]
-    sums = _sums_by(label[rows], np.column_stack((measure, measure[:, None] * centroid)), len(members))[own]
+    sums = sums[own]
     normal = W[[members[g][0] for g in own]]
     centroid = sums[:, 1:] / sums[:, :1]
     for x in (verts, normal, centroid):
@@ -485,7 +540,7 @@ def build_section(s: Frame) -> SectionPolytope:
         facets.append(f)
         for gen, sign in normals:
             generator_facets.setdefault(gen, (f, sign))
-    return SectionPolytope(k=s.k, vertices=verts, facets=tuple(facets),
+    return SectionPolytope(k=W.shape[1], vertices=verts, facets=tuple(facets),
                            generator_facets=generator_facets, _W=W, _volume=vol)
 
 
@@ -847,14 +902,15 @@ def _section_hull(W: np.ndarray):
     table, for k >= 3 (hull, Y, plan) with every array read-only.
 
     The last hull is kept in one slot, keyed by the dtype, shape and bytes
-    of W, so :func:`build_section` (through :func:`_point_facets`) and
+    of W, so :func:`build_section` (through :func:`_hull_facets`) and
     :func:`section_volume_fast` on one frame, in either order, build one
     hull between them: ``cubesec report`` calls both.  A hull depends on
     its points alone (Qhull and the scan are deterministic), so a hit
     returns what a fresh build would; a build that raises stores nothing.
+    No route builds a box's hull (k >= 3), so the slot never holds one.
     The ascent (:func:`_volume_and_gradient`), which evaluates no frame
-    twice in a row and no hull at a box, whose ties it holds, and the
-    shifted and tilted rebuilds, which move the points, build their own.
+    twice in a row, and the shifted and tilted rebuilds, which move the
+    points, build their own.
     """
     global _last_section
     key = (W.dtype, W.shape, W.tobytes())
@@ -873,6 +929,13 @@ def _section_hull(W: np.ndarray):
         a.setflags(write=False)
     _last_section = (key, entry)
     return entry
+
+
+def _held_hull(W: np.ndarray):
+    """The slot's hull (:func:`_section_hull`) when it holds the points W,
+    else None."""
+    held, entry = _last_section
+    return entry if held == (W.dtype, W.shape, W.tobytes()) else None
 
 
 def _cone_table(P: np.ndarray, moments: bool = True) -> np.ndarray:
@@ -918,21 +981,22 @@ def section_volume_fast(vectors: np.ndarray) -> float:
     - k = 2: one Graham scan once round the hull of +-V, with no Qhull
       call, and the sum of the triangles from the origin over the section's
       edges that the same pass gives (:func:`_planar_hull`).
-    - k >= 3, a box frame: where Qhull's hull of +-V has 2^k facets and
-      the generators lie on exactly k lines (:func:`_box_first`), the
+    - k >= 3, a box frame: where the generators lie on exactly k lines
+      (:func:`_box_first`, the exact ties, taken before any hull), the
       section is a parallelepiped, of volume 2^k / |det U| for U the
-      clusters' first rows (:func:`_box_volume`), and no flag sum runs.
-    - k >= 3, any other frame: Qhull's triangulation of the same hull, and
-      the sum of the cones over the section's facets, one determinant per
-      ridge and corner (:func:`_flag_sum`), its recursion carrying the
+      lines' first rows (:func:`_box_volume`), and no hull is built.
+    - k >= 3, any other frame: Qhull's triangulation of the hull of +-V,
+      and the sum of the cones over the section's facets, one determinant
+      per ridge and corner (:func:`_flag_sum`), its recursion carrying the
       volume column alone, without the k first-moment columns the gradient
       and the facets read.
 
     The hull, and for k >= 3 its flag-sum plan, is the section's one
     :func:`_hull` (:func:`_section_hull`): called after :func:`build_section` on the
     same vectors, as ``cubesec report`` calls it, this builds no hull and
-    runs only the sum over Qhull's polar vertices, or the box's
-    determinant (the planar table is read as it is).
+    runs only the sum over Qhull's polar vertices (the planar table is read
+    as it is).  The slot is read first: it never holds a box's hull, so a
+    frame it holds takes no tie test.
 
     Neither has a feasibility slack.  Both are within 1e-13 of an exact
     rational volume on near-parallel frames (points of +-V down to 1e-13
@@ -946,7 +1010,8 @@ def section_volume_fast(vectors: np.ndarray) -> float:
 
     It tests depth, not span: :class:`NotAFrameError` is raised when the
     points +-V are flat, or a facet of their hull (an edge, in the plane)
-    lies within ``DEPTH_FLOOR`` max |v_i| of the origin; and, for k >= 3,
+    lies within ``DEPTH_FLOOR`` max |v_i| of the origin, at a box read off
+    its vertices (:func:`_box_vertices`); and, for k >= 3,
     :class:`DegeneratePolytopeError` when Qhull fails on points that pass.
     Nearly flat vectors pass that test.  Where the least eigenvalue of the
     frame operator is below ``RANK_FLOOR``, so that :class:`Frame` and
@@ -963,28 +1028,75 @@ def section_volume_fast(vectors: np.ndarray) -> float:
     if W.shape[1] == 2:
         S = _section_hull(W)[2]
     else:
-        hull, Y, plan = _section_hull(W)
-        first = _box_first(vectors, hull)
-        if first is not None:
-            return _box_volume(vectors[first])
+        entry = _held_hull(W)
+        if entry is None:
+            first = _box_first(W)
+            if first is not None:
+                U = W[first]
+                _box_vertices(U)  # the depth test
+                return _box_volume(U)
+            entry = _section_hull(W)
+        hull, Y, plan = entry
         S = _flag_sum(W, Y, plan, moments=False)
     return float(S[:, -1].sum())
 
 
-def _box_first(V: np.ndarray, hull):
-    """The least members of the k clusters of V (:func:`_clusters`) when V,
-    k >= 3, is a box frame, its generators on exactly k lines; else None.
+def _box_first(W: np.ndarray):
+    """The box test, the exact ties: for W = +-V, the n generators' rows
+    and then their negations, the least members of the k clusters of V
+    (:func:`_clusters`) when its generators lie on exactly k lines, else
+    None.
 
-    The hull of +-V of a box frame is the cross-polytope of the +-u_c, of
-    2^k simplicial facets, so only a hull of 2^k facets is grouped: the
-    count is free, and few other frames pass it (a short generator inside
-    the cross-polytope of the others, which has k + 1 clusters).
+    Rows are compared by value, as :func:`_clusters` compares them, and
+    the pass stops at the (k + 1)-th line.  The rows of one line share
+    |w_1|, so a frame whose first k + 1 rows take k + 1 values of it, as a
+    random frame's do, is ruled out before any row is compared.
     """
-    k = V.shape[1]
-    if len(hull.simplices) != 2**k:
+    n, k = len(W) // 2, W.shape[1]
+    if len({abs(x) for x in W[:k + 1, 0].tolist()}) > k:
         return None
-    first = _clusters(V)[2]
-    return first if len(first) == k else None
+    rows = W.tolist()
+    seen, first = set(), []
+    for i in range(n):
+        key = tuple(rows[i])
+        if key in seen:
+            continue
+        if len(first) == k:
+            return None
+        seen.add(key)
+        seen.add(tuple(rows[n + i]))
+        first.append(i)
+    return np.array(first, dtype=np.intp) if len(first) == k else None
+
+
+@lru_cache(maxsize=16)
+def _signs(k: int) -> np.ndarray:
+    """The signs {-1, 1}^k as the rows of a read-only (2^k, k) array, in
+    sign order: lexicographic, from all -1 to all +1."""
+    s = np.array(list(itertools.product((-1.0, 1.0), repeat=k)))
+    s.setflags(write=False)
+    return s
+
+
+def _box_vertices(U: np.ndarray):
+    """(U^-1, Y): the vertices Y of the parallelepiped {x : |U x| <= 1},
+    the rows of U a basis of R^k, are U^-1 s for the signs s of
+    :func:`_signs`, in their order.
+
+    Y[j] is also the polar vertex of the facet {s_c u_c} of conv(+-U), at
+    depth 1 / |Y[j]|, so the test of :func:`_polar_hull` reads off Y:
+    :class:`NotAFrameError` is raised when a vertex lies beyond
+    1 / (``DEPTH_FLOOR`` max |U|), as when U is singular or spans R^k only
+    in rounding.
+    """
+    try:
+        inv = np.linalg.inv(U)
+    except np.linalg.LinAlgError:
+        raise NotAFrameError("not a frame") from None
+    Y = _signs(len(U)) @ inv.T
+    if 1 / np.sqrt(np.einsum("ij,ij->i", Y, Y).max()) <= DEPTH_FLOOR * np.abs(U).max():
+        raise NotAFrameError("not a frame")
+    return inv, Y
 
 
 def _box_volume(U: np.ndarray) -> float:
@@ -1005,9 +1117,9 @@ def _volume_and_gradient(V: np.ndarray, first: np.ndarray):
     section is the parallelepiped of :func:`_box_volume`, and the gradient
     of log |det U| in U is U^-T: row first[c] of G is -vol (U^-T)_c, the
     gradient of the whole cluster, and every other row is 0.  That takes no
-    hull.  :func:`section_volume_fast`, which has no ties, groups the rows
-    where the hull of +-V has 2^k facets (:func:`_box_first`), as the hull
-    of every box frame has, so the two read the same frames as boxes.
+    hull.  :func:`section_volume_fast` and :func:`build_section`, which
+    have no ties, take the same test from the rows (:func:`_box_first`),
+    so every route reads the same frames as boxes.
 
     Elsewhere both come from one cone table of the hull of +-V
     (:func:`_cone_table`).  The gradient of v_i is -2 mu_i c_i / |v_i|, with
@@ -1019,8 +1131,8 @@ def _volume_and_gradient(V: np.ndarray, first: np.ndarray):
     and no box route, as in :func:`section_volume_fast`.  Of coincident
     points only the one the hull keeps gets the facet, so the gradient of a
     cluster is its signed sum on either route.  Raises as
-    :func:`section_volume_fast` does, but at a box, which reads no hull and
-    must span R^k.
+    :func:`section_volume_fast` does, but at a box, which takes no depth
+    test (:func:`_box_vertices`): there U must span R^k.
     """
     n, k = V.shape
     if k >= 3 and len(first) == k:

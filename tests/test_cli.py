@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cubesec import polytope, reproduce
+from cubesec.bounds import extremal_frame
 from cubesec.cli import main
 from cubesec.frame_core import Frame, random_tight_frame
 from cubesec.optimizer import OptimizerConfig, maximize
@@ -209,25 +210,45 @@ class TestReport:
         assert data["conditions"]["passed"] is True
         assert data["polytope"]["volume"] == pytest.approx(4 * math.sqrt(6), rel=1e-12)
 
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_volume_routes_agree(self, tmp_path, capsys, k):
+    @pytest.mark.parametrize("n, k, box", [
+        pytest.param(6, 2, False, id="2"), pytest.param(6, 3, False, id="3"),
+        pytest.param(7, 3, True, id="7-3-box"), pytest.param(7, 4, True, id="7-4-box"),
+        pytest.param(12, 4, True, id="12-4-box"),
+    ])
+    def test_volume_routes_agree(self, tmp_path, capsys, n, k, box):
         # the optimizer ranks by section_volume_fast and the report states
-        # volume(build_section); the report says how far apart they are
+        # volume(build_section); the report says how far apart they are.
+        # At a box frame of k >= 3 both read det U, so they are one volume
         path = tmp_path / "frame.json"
-        vectors = np.random.default_rng(k).standard_normal((6, k))
-        path.write_text(json.dumps({"n": 6, "k": k, "vectors": vectors.tolist()}))
+        if box:
+            signs = np.random.default_rng([n, k]).choice([-1, 1], n).tolist()
+            vectors = extremal_frame(n, k, signs=signs).vectors
+        else:
+            vectors = np.random.default_rng(k).standard_normal((n, k))
+        path.write_text(json.dumps({"n": n, "k": k, "vectors": vectors.tolist()}))
         assert main(["report", str(path), "--format", "json"]) == 0
         gap = json.loads(capsys.readouterr().out)["route_gap"]
         assert 0 <= gap <= 1e-12
+        if box:
+            assert gap == 0.0
         assert main(["report", str(path)]) == 0
         assert f"route gap  {gap:.3g}" in capsys.readouterr().out.splitlines()
 
-    @pytest.mark.parametrize("n, k", [(6, 2), (7, 3), (7, 4)])
-    def test_one_hull_per_frame(self, tmp_path, monkeypatch, n, k):
+    @pytest.mark.parametrize("n, k, box", [
+        pytest.param(6, 2, False, id="6-2"), pytest.param(7, 3, False, id="7-3"),
+        pytest.param(7, 4, False, id="7-4"), pytest.param(7, 3, True, id="7-3-box"),
+        pytest.param(7, 4, True, id="7-4-box"), pytest.param(12, 4, True, id="12-4-box"),
+    ])
+    def test_one_hull_per_frame(self, tmp_path, monkeypatch, n, k, box):
         # the section and the fast volume of the report share one hull:
-        # Qhull's for k >= 3, the planar scan's for k = 2
+        # Qhull's for k >= 3, the planar scan's for k = 2; a box frame of
+        # k >= 3 reads its section from U^-1, with no hull
         path = tmp_path / "frame.json"
-        s = random_tight_frame(n, k, np.random.default_rng([n, k]))
+        rng = np.random.default_rng([n, k])
+        if box:
+            s = extremal_frame(n, k, signs=rng.choice([-1, 1], n).tolist())
+        else:
+            s = random_tight_frame(n, k, rng)
         path.write_text(json.dumps(s.to_dict()))
         name = "_planar_hull" if k == 2 else "ConvexHull"
         calls = []
@@ -241,7 +262,7 @@ class TestReport:
         # a fresh frame: forget the last section hull
         monkeypatch.setattr(polytope, "_last_section", (None, None), raising=False)
         assert main(["report", str(path), "--format", "json"]) == 0
-        assert len(calls) == 1
+        assert len(calls) == (0 if box else 1)
 
 
 @pytest.fixture

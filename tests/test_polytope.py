@@ -37,6 +37,7 @@ from cubesec.polytope import (
 from cubesec import polytope
 from cubesec.bounds import c_cube, default_partition, extremal_frame
 from cubesec.conditions import verify_frame
+from cubesec.optimizer import OptimizerConfig, maximize
 from oracles import (
     _face_holders,
     exact_cone_volumes,
@@ -46,7 +47,8 @@ from oracles import (
     reference_row_groups,
     section_rows,
 )
-from volume_digest import FAMILIES, records
+import volume_digest
+from volume_digest import FAMILIES, digests, records
 
 
 def square_frame():
@@ -151,6 +153,23 @@ def nearest_relative_distance(v):
     return rel[d > 0].min()
 
 
+def is_box(v):
+    """Whether the frame vectors v, k >= 3, lie on exactly k lines."""
+    return v.shape[1] >= 3 and polytope._box_first(np.concatenate((v, -v))) is not None
+
+
+def hull_section(v):
+    """build_section's hull assembly, called directly, on any frame, a box
+    too, whose hull no route builds: the section slot is left as it was."""
+    W = np.concatenate((v, -v))
+    label = _coincident_row_groups(W, EPS_GEOM)
+    held = polytope._last_section
+    try:
+        return polytope._assemble(W, label, *polytope._hull_facets(W, label, int(label.max()) + 1))
+    finally:
+        polytope._last_section = held
+
+
 class TestBuildSection:
     def test_square(self):
         p = build_section(square_frame())
@@ -194,6 +213,10 @@ class TestBuildSection:
             np.zeros((2, 2)),
             np.zeros((3, 3)),
             np.zeros((5, 4)),
+            # box patterns, k = 3 and exactly k lines: three in a plane,
+            # and the third 1e-14 out of it
+            np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]),
+            np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 1e-14]]),
         ]
         assert build_section(s) is not None
         for v in flat:
@@ -545,8 +568,10 @@ class TestFacetAssembly:
                 yield duplicated_frame(k, 1e-9, rng).vectors
 
     def test_matches_reference(self):
+        # a box frame of k >= 3 reads its section from U^-1 (TestBoxRoute);
+        # its records here come from the hull assembly, called directly
         for v in self.frames():
-            p = build_section(Frame(v))
+            p = hull_section(v) if is_box(v) else build_section(Frame(v))
             verts, facets = reference_facets(v)
             np.testing.assert_array_equal(p.vertices, verts)
             assert len(p.facets) == len(facets)
@@ -718,9 +743,9 @@ class TestBoxRoute:
             assert len(first) == k
             vol, G = _volume_and_gradient(V, first)
             assert section_volume_fast(V) == vol
-            # the hull of +-V of every box has the 2^k facets of a
-            # cross-polytope, so section_volume_fast, which groups the rows
-            # only at such a hull, reads every box as the gradient does
+            # section_volume_fast and build_section take the box test from
+            # the rows, before any hull, and read the lines the ties lead
+            assert polytope._box_first(np.concatenate((V, -V))).tolist() == first.tolist()
             assert len(_polar_hull(np.concatenate((V, -V)))[0].simplices) == 2**k
             assert not G[np.setdiff1d(np.arange(n), first)].any()
             want, H = flag_sum(V)
@@ -756,6 +781,7 @@ class TestBoxRoute:
             n, k = V.shape
             first = polytope._clusters(V)[2]
             assert len(first) == k + 1
+            assert polytope._box_first(np.concatenate((V, -V))) is None
             assert len(_polar_hull(np.concatenate((V, -V)))[0].simplices) == 2**k
             vol, G = flag_sum(V)
             got = _volume_and_gradient(V, first)
@@ -770,6 +796,36 @@ class TestBoxRoute:
             got = _volume_and_gradient(V, polytope._clusters(V)[2])
             assert got[0] == vol
             assert got[1].tobytes() == (S[n:, :2] - S[:n, :2]).tobytes()
+
+    def test_box_section(self):
+        # build_section reads a box from U^-1, with no hull: the same facets
+        # in the same order as the hull assembly, its vertices in another
+        # order, and the volume of section_volume_fast, bitwise
+        rng = np.random.default_rng(75)
+        frames = [V for V, _ in box_frames(rng)]
+        frames += [v for v in TestFacetAssembly.frames() if is_box(v)]
+        assert len(frames) == 36 + 7
+        for V in frames:
+            p, q = build_section(Frame(V)), hull_section(V)
+            assert volume(p) == section_volume_fast(V)
+            assert volume(p) == pytest.approx(volume(q), rel=1e-14)
+            # each vertex of p within 1e-15 max |vertex| of its own of q
+            scale = np.abs(q.vertices).max()
+            d = np.linalg.norm(p.vertices[:, None] - q.vertices[None], axis=2)
+            match = d.argmin(axis=1)
+            assert sorted(match.tolist()) == list(range(len(q.vertices))) == list(range(2**V.shape[1]))
+            assert d.min(axis=1).max() <= 1e-15 * scale
+            assert len(p.facets) == len(q.facets)
+            for f, g in zip(p.facets, q.facets):
+                assert (f.normals, f.row_ids) == (g.normals, g.row_ids)
+                assert f.normal_vector.tobytes() == g.normal_vector.tobytes()
+                assert sorted(match[list(f.vertex_indices)].tolist()) == list(g.vertex_indices)
+                assert f.measure == pytest.approx(g.measure, rel=1e-14)
+                assert np.linalg.norm(f.centroid - g.centroid) <= 1e-14 * np.linalg.norm(g.centroid)
+                assert not (f.centroid.flags.writeable or f.normal_vector.flags.writeable)
+            assert p.generator_facets.keys() == q.generator_facets.keys()
+            for i, (f, sign) in p.generator_facets.items():
+                assert (f.row_ids, sign) == (q.generator_facets[i][0].row_ids, q.generator_facets[i][1])
 
     def test_rebuilds_of_a_box_section(self):
         # a shifted or tilted box section is not a centred parallelepiped:
@@ -816,8 +872,8 @@ class TestQhullCalls:
     def test_one_hull_per_section(self, hulls, monkeypatch):
         # build_section and section_volume_fast share the hull of +-V: on a
         # fresh frame the first of them builds one, the second none, in
-        # either order; _volume_and_gradient, given the ties, builds none
-        # at a box frame of k >= 3 and its own elsewhere
+        # either order; _volume_and_gradient, given the ties, builds its
+        # own.  At a box frame of k >= 3 none of the three builds a hull
         def fast(s):
             return section_volume_fast(s.vectors)
 
@@ -832,7 +888,8 @@ class TestQhullCalls:
                 for first, second in ((build_section, fast), (fast, build_section)):
                     # a fresh frame: forget the last section hull
                     monkeypatch.setattr(polytope, "_last_section", (None, None), raising=False)
-                    for run, want in ((first, one), (second, []), (gradient, [] if box else one)):
+                    for run, want in ((first, [] if box else one), (second, []),
+                                      (gradient, [] if box else one)):
                         hulls.clear()
                         run(s)
                         assert hulls == want
@@ -840,6 +897,14 @@ class TestQhullCalls:
                 hulls.clear()
                 verify_frame(s, p)
                 assert hulls == []
+
+    def test_maximize_at_a_box_builds_no_hull(self, hulls):
+        # the warm start, a box, reads one volume from det U and stops;
+        # maximize's final verify_frame reads its section from U^-1
+        result = maximize(OptimizerConfig(7, 4, restarts=0))
+        assert [r.start for r in result.restarts] == ["warm"]
+        assert result.conditions.passed
+        assert hulls == []
 
 
 class TestSectionHull:
@@ -911,12 +976,20 @@ class TestSectionHull:
 
 
 class TestVolumeDigest:
-    def test_call_order_does_not_matter(self):
+    def test_call_order_does_not_matter(self, capsys):
         # which of build_section and section_volume_fast builds the hull
         # they share changes no number of either, nor of the gradient
         for n, k in ((6, 2), (7, 3), (7, 4), (8, 5)):
             for family in FAMILIES:
                 assert records(n, k, family, 2, "fast") == records(n, k, family, 2, "build")
+        # a line is the cell, the family, the frame count and one digest
+        # per route: fast, build, gradient
+        assert volume_digest.main(["--frames", "2", "--cells", "7:3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:4] for line in lines] == [["7", "3", f, "2"] for f in FAMILIES]
+        for line, family in zip(lines, FAMILIES):
+            assert line.split()[4:] == digests(records(7, 3, family, 2))
+        assert volume_digest.ROUTES == ("fast", "build", "gradient")
 
 
 class TestFaceHolders:

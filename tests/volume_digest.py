@@ -1,7 +1,7 @@
-"""Volume digests: one SHA-256 per cell and frame family over the section routes.
+"""Volume digests: one SHA-256 per cell, frame family and section route.
 
-A digest covers, for every frame in order, the three routes that read a
-section's hull:
+Each route has its own digest over every frame of the cell and family,
+in order, so a change that moves one route's numbers shows which:
 
 - ``section_volume_fast``: the volume;
 - ``build_section``: the volume, the vertices, and for every facet its
@@ -28,7 +28,8 @@ tree and diffing the output::
     PYTHONPATH=src python tests/volume_digest.py --frames 10
     PYTHONPATH=src python tests/volume_digest.py --frames 10 --order build
 
-Each output line is ``n k family frames sha256``.
+Each output line is ``n k family frames fast build gradient``, the last
+three the routes' digests.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ CELLS = [(3, 2), (6, 2), (10, 2), (5, 3), (7, 3), (12, 3), (5, 4), (7, 4), (12, 
          (6, 5), (8, 5), (7, 6), (10, 6)]
 FAMILIES = ("random", "box", "near_parallel", "zero_vector")
 ORDERS = ("fast", "build")
+ROUTES = ("fast", "build", "gradient")
 
 
 def make_frame(n: int, k: int, family: str, index: int) -> Frame:
@@ -74,9 +76,10 @@ def _encode(x) -> bytes:
     return repr(x).encode()
 
 
-def frame_record(s: Frame, order: str = "fast") -> bytes:
+def frame_record(s: Frame, order: str = "fast") -> tuple:
     """The three routes on one frame, ``build_section`` and
-    ``section_volume_fast`` in the given order, as one bytes record."""
+    ``section_volume_fast`` in the given order: one bytes record per
+    route, in the order of ``ROUTES``."""
     if order == "fast":
         fast = section_volume_fast(s.vectors)
         p = build_section(s)
@@ -85,7 +88,7 @@ def frame_record(s: Frame, order: str = "fast") -> bytes:
         fast = section_volume_fast(s.vectors)
     facets = [(f.measure, f.centroid, f.normal_vector, f.row_ids) for f in p.facets]
     vol, G = _volume_and_gradient(s.vectors, _clusters(s.vectors)[2])
-    return _encode([fast, volume(p), p.vertices, facets, vol, G])
+    return _encode(fast), _encode([volume(p), p.vertices, facets]), _encode([vol, G])
 
 
 def records(n: int, k: int, family: str, frames: int, order: str = "fast") -> list:
@@ -93,11 +96,15 @@ def records(n: int, k: int, family: str, frames: int, order: str = "fast") -> li
     return [frame_record(make_frame(n, k, family, i), order) for i in range(frames)]
 
 
-def digest(recs: list) -> str:
-    h = hashlib.sha256()
-    for record in recs:
-        h.update(record + b"\n")
-    return h.hexdigest()
+def digests(recs: list) -> list:
+    """One SHA-256 per route over the records ``recs``, in the order of ``ROUTES``."""
+    out = []
+    for route in range(len(ROUTES)):
+        h = hashlib.sha256()
+        for record in recs:
+            h.update(record[route] + b"\n")
+        out.append(h.hexdigest())
+    return out
 
 
 def main(argv=None) -> int:
@@ -113,7 +120,7 @@ def main(argv=None) -> int:
     for n, k in cells:
         for family in FAMILIES:
             recs = records(n, k, family, args.frames, args.order)
-            print(n, k, family, args.frames, digest(recs), flush=True)
+            print(n, k, family, args.frames, *digests(recs), flush=True)
     return 0
 
 
