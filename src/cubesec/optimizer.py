@@ -9,11 +9,11 @@ coincide up to sign, and the maximizers known lie on such ties (the box
 frames), so generators that coincide up to sign are tied into clusters that
 move as one vector.  Every tie is made exactly, by the merge, a reassign or
 the box start, and a gradient step and the retraction keep it bitwise, so
-ties are found by exact comparison, once per restart, at its start frame,
-in one pass that hashes each row and its negation; after that each
-accepted move hands the next frame its ties, in one pass over the
-generators: a gradient step keeps them, a merge joins two clusters and a
-reassign moves one generator to another cluster.  On the stratum of those
+ties are found by exact comparison (:func:`_clusters`, one pass that
+hashes each row and its negation) at the start frame of each restart and
+at each reassign candidate; the other moves hand their frame its ties: a
+gradient step keeps them, and a merge joins two clusters in one pass over
+the generators.  On the stratum of those
 ties the volume is smooth (it is partly smooth; Lewis, 2002), and the
 ascent steps along its gradient there: each cluster's gradient sum divided
 by the cluster size, the gradient in the metric the tied rows induce.
@@ -221,33 +221,11 @@ def _stratum_gradient(V: np.ndarray, G: np.ndarray, label: np.ndarray, sign: np.
     return xi, float(np.linalg.norm(xi) / np.linalg.norm(D))
 
 
-def _reassigned(label: np.ndarray, sign: np.ndarray, first: np.ndarray, i, c, e):
-    """The ties (label, sign, first) of :func:`_clusters` after generator
-    i, the last member of cluster c, is put onto V[first[e]].
-
-    i joins e with sign +1, as its least member when i < first[e].  c loses
-    i, and is gone when i was its only member (a lone generator, moved only
-    where more than k clusters are left).  The clusters are then numbered
-    again in the order of their least members.
-    """
-    label, sign, least = label.copy(), sign.copy(), first.copy()
-    label[i], sign[i] = e, 1.0
-    least[e] = min(i, first[e])
-    lone = bool(first[c] == i)
-    if lone:
-        least[c] = len(label)  # after every generator, so numbered last
-    order = np.argsort(least)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return rank[label], sign, least[order[:len(order) - lone]]
-
-
-def _reassigns(V: np.ndarray, label: np.ndarray, sign: np.ndarray, first: np.ndarray,
-               k: int):
-    """The reassign moves at the frame V tied by ``label`` and ``sign``,
-    generated lazily: for each ordered pair of clusters (c, e), V with the
-    last member of c set to V[first[e]], and the ties of that frame
-    (:func:`_reassigned`).
+def _reassigns(V: np.ndarray, label: np.ndarray, first: np.ndarray, k: int):
+    """The reassign moves at the frame V tied by ``label``, generated
+    lazily: for each ordered pair of clusters (c, e), V with the last
+    member of c set to V[first[e]], and the ties of that frame, grouped
+    afresh (:func:`_clusters`), one call per candidate yielded.
 
     The members of a cluster coincide up to sign and +-v is one line, so
     neither the member moved nor its sign changes the volume: there are at
@@ -272,7 +250,7 @@ def _reassigns(V: np.ndarray, label: np.ndarray, sign: np.ndarray, first: np.nda
             if e != c and (m > k or size[c] >= size[e] + 2):
                 out = V.copy()
                 out[last[c]] = V[first[e]]
-                yield out, _reassigned(label, sign, first, last[c], c, e)
+                yield out, _clusters(out)
 
 
 @lru_cache(maxsize=None)
@@ -300,9 +278,13 @@ def _merge(V: np.ndarray, label: np.ndarray, sign: np.ndarray, first: np.ndarray
     squared distance from V to the stratum where c and e coincide up to
     sign s, and w is its nearest point.  The cost is taken over the pairs
     of :func:`_pairs`, so among equal costs the first pair in row-major
-    order wins.  The ties are those of :func:`_clusters` on the new frame:
-    the members of e join c, which keeps its least member, with their signs
-    times s, and the labels above e move down by one.
+    order wins.  The ties are those of :func:`_clusters` on the new frame,
+    carried rather than grouped again: the members of e join c, which keeps
+    its least member, with their signs times s, and the labels above e
+    move down by one.  A merge is tried first at every frame of more than k
+    clusters, so grouping it afresh would cost a :func:`_clusters` pass at
+    nearly every frame of a random restart; reassigns are tried far more
+    rarely, and group their frames afresh (:func:`_reassigns`).
     """
     size = np.bincount(label)
     U = V[first]
@@ -333,12 +315,13 @@ def _moves(V: np.ndarray, G: np.ndarray, step: float, label: np.ndarray,
            sign: np.ndarray, first: np.ndarray, k: int):
     """The candidates tried at a frame, in order, each with the ties of its
     frame (label, sign, first), the step a gain sets and its kind.  Where
-    more than k clusters are left, the merge (:func:`_merge`), then the
-    gradient trials V + (t / |xi|) xi for t = ``step``, ``step`` / 2, ...,
-    ``GRADIENT_TRIES`` lengths, which keep the ties and set ``STEP_GROWTH``
-    t; then, at every frame, the reassigns (:func:`_reassigns`).  The merge
-    and the reassigns keep ``step``.  G is the Euclidean gradient at V, and
-    xi (:func:`_stratum_gradient`) is formed from it only once the merge has
+    more than k clusters are left, the merge (:func:`_merge`), which
+    carries the ties, then the gradient trials V + (t / |xi|) xi for
+    t = ``step``, ``step`` / 2, ..., ``GRADIENT_TRIES`` lengths, which keep
+    them and set ``STEP_GROWTH`` t; then, at every frame, the reassigns
+    (:func:`_reassigns`), each grouped afresh.  The merge and the reassigns
+    keep ``step``.  G is the Euclidean gradient at V, and xi
+    (:func:`_stratum_gradient`) is formed from it only once the merge has
     been yielded, so a frame whose merge gains pays for no xi.  A box frame,
     of k clusters, is critical on its stratum, so its list is its gaining
     reassigns only."""
@@ -350,8 +333,8 @@ def _moves(V: np.ndarray, G: np.ndarray, step: float, label: np.ndarray,
         for _ in range(GRADIENT_TRIES if norm > 0 else 0):
             yield V + (trial / norm) * xi, (label, sign, first), trial * STEP_GROWTH, "gradient"
             trial /= 2
-    for out, carried in _reassigns(V, label, sign, first, k):
-        yield out, carried, step, "reassign"
+    for out, ties in _reassigns(V, label, first, k):
+        yield out, ties, step, "reassign"
 
 
 def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
@@ -362,7 +345,8 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     The start's generators are grouped into signed clusters of exact ties
     (:func:`_clusters`), and each candidate of :func:`_moves` comes with
     the ties of its own frame, so the accepted one hands them to the next
-    frame and no frame after the start is grouped again.  At each frame
+    frame: a merge or a gradient trial carries them, and only a reassign
+    candidate is grouped again.  At each frame
     the candidates are tried in order: the first that raises the volume by
     more than ``VOL_TOL``, relative, is the next frame.  Where more than k
     clusters are left the first is the merge (:func:`_merge`), which puts the

@@ -41,26 +41,29 @@ the same sum of the volume column, so in the plane it is bitwise the
 volume of :func:`section_volume_fast`.
 
 One hull per frame: :func:`build_section` and :func:`section_volume_fast`
-read the hull of +-V from one slot (:func:`_section_hull`) that holds the
-last section's :func:`_hull`, keyed by the points' bytes.  Whichever of
-the two runs second on a frame, as ``cubesec report`` runs both, builds
-no hull and no plan.  The gradient and the shifted and tilted rebuilds
-build their own, uncached (:func:`_cone_table`).
+read the hull of +-V from one slot, :func:`_section_hull`, the only reader
+of the last section's :func:`_hull`, keyed by the points' bytes.
+Whichever of the two runs second on a frame, as ``cubesec report`` runs
+both, builds no hull and no plan.  The gradient and the shifted and tilted
+rebuilds build their own, uncached (:func:`_cone_table`).
 
 Box frames in closed form, with no hull on any route: for k >= 3 a frame
-whose generators lie on exactly k lines, led by the rows U (the exact
-ties, :func:`_box_first`), has the parallelepiped {|U x| <= 1} for its
-section.  Its
-vertices are U^-1 s for the signs s in {-1, 1}^k (:func:`_box_vertices`),
-its volume 2^k / |det U| (:func:`_box_volume`).  :func:`section_volume_fast`
-reads the volume so, :func:`_volume_and_gradient` also its gradient from
-U^-T, and :func:`build_section` also the facets: the facet of s u_c holds
-the vertices with s_c = s, its centroid is s U^-1 e_c and its content
-vol |u_c| / 2 (:func:`_box_facets`).  So the slot never holds a box's hull,
-and a frame it holds needs no tie test.  The rebuilds, whose bodies are no
-longer centred parallelepipeds, and the plane keep the cone table, so in
-the plane the two routes stay bitwise one volume, and at a box they are
-one determinant.
+whose generators lie on exactly k lines, the k clusters of the exact ties
+(:func:`_clusters`) led by the rows U, has the parallelepiped
+{|U x| <= 1} for its section.  Every route takes one test for it,
+``len(first) == k`` on the ties: :func:`_volume_and_gradient` on the ties
+the ascent carries, :func:`section_volume_fast` and :func:`build_section`
+on those :func:`_box_first` takes, before any hull.  Every route reads the
+box from one evaluator, :func:`_box`: its volume 2^k / |det U|, U^-1 and
+its vertices U^-1 s for the signs s in {-1, 1}^k, with the depth test of
+the hull route.  :func:`section_volume_fast` reads the volume,
+:func:`_volume_and_gradient` also the gradient from U^-T, and
+:func:`build_section` also the facets: the facet of s u_c holds the
+vertices with s_c = s, its centroid is s U^-1 e_c and its content
+vol |u_c| / 2 (:func:`_box_facets`).  So the slot never holds a box's
+hull.  The rebuilds, whose bodies are no longer centred parallelepipeds,
+and the plane keep the cone table, so in the plane the two routes stay
+bitwise one volume, and at a box they are one determinant.
 """
 
 from __future__ import annotations
@@ -186,10 +189,12 @@ def _clusters(V: np.ndarray):
     cluster c, and its sign is +1.  One pass over the rows keys each new
     cluster's least member, as a tuple, and its negation in a dict, so rows
     are compared by value: -0.0 equals and hashes as 0.0, and a zero vector,
-    its own negation, has sign +1.  A frame of exactly k clusters is a box
-    frame, which :func:`_box_first` tells from the same ties without the
-    labels.  ``optimizer.ascend`` groups only its start
-    frame here; each move it accepts carries this record to the next frame.
+    its own negation, has sign +1.  No other function computes ties.  A
+    frame of exactly k clusters, ``len(first) == k``, is a box frame, and
+    that is the box test of every route (:func:`_box_first`,
+    :func:`_volume_and_gradient`).  ``optimizer.ascend`` groups its start
+    frame and each reassign candidate here; a merge and a gradient step
+    carry the record of their frame.
     """
     label, sign, first, ties = [], [], [], {}
     for i, row in enumerate(V.tolist()):
@@ -415,11 +420,11 @@ def build_section(s: Frame) -> SectionPolytope:
     Two routes give the facets, which come in the order of their groups
     either way:
 
-    - a box frame, k >= 3 and generators on exactly k lines whose 2k
-      signed lines are the ``EPS_GEOM`` groups, reads the parallelepiped
-      {|U x| <= 1} from U^-1 with no hull (:func:`_box_facets`); its
-      vertices come in sign order, and its volume is
-      :func:`section_volume_fast`'s determinant, bitwise;
+    - a box frame (:func:`_box_first`), k >= 3, whose 2k signed lines are
+      the ``EPS_GEOM`` groups, reads the parallelepiped {|U x| <= 1} from
+      :func:`_box` with no hull (:func:`_box_facets`); its vertices come
+      in sign order, and its volume is :func:`section_volume_fast`'s,
+      bitwise;
     - any other frame reads the cone table of the section's hull
       (:func:`_hull_facets`), whose volume column sums to the volume.
     """
@@ -430,7 +435,7 @@ def build_section(s: Frame) -> SectionPolytope:
     # exact ties are within EPS_GEOM, so each group is a union of signed
     # lines s u_c; a box has 2k of them, and 2k groups are those lines
     if s.k >= 3 and count == 2 * s.k:
-        first = _box_first(W)
+        first = _box_first(s.vectors)
         if first is not None:
             return _assemble(W, label, *_box_facets(W, label, first))
     return _assemble(W, label, *_hull_facets(W, label, count))
@@ -493,12 +498,11 @@ def _box_facets(W: np.ndarray, label: np.ndarray, first: np.ndarray):
     one signed line s u_c.  The facet of s u_c holds the vertices U^-1 t
     with t_c = s, its centroid is s U^-1 e_c, and its content is
     vol |u_c| / 2, so the cones over the 2k facets, of heights 1 / |u_c|,
-    add up to the volume 2^k / |det U| (:func:`_box_volume`).  Raises as
-    :func:`_box_vertices` does."""
+    add up to the volume 2^k / |det U| (:func:`_box`).  Raises as
+    :func:`_box` does."""
     n, k = len(W) // 2, W.shape[1]
     U = W[first]
-    inv, verts = _box_vertices(U)
-    vol = _box_volume(U)
+    vol, inv, verts = _box(U)
     # the line and the sign of each group, from the groups of +-u_c
     line, sign = np.empty(2 * k, dtype=np.intp), np.empty(2 * k)
     for rows, s in ((first, 1.0), (first + n, -1.0)):
@@ -907,10 +911,11 @@ def _section_hull(W: np.ndarray):
     hull between them: ``cubesec report`` calls both.  A hull depends on
     its points alone (Qhull and the scan are deterministic), so a hit
     returns what a fresh build would; a build that raises stores nothing.
-    No route builds a box's hull (k >= 3), so the slot never holds one.
-    The ascent (:func:`_volume_and_gradient`), which evaluates no frame
-    twice in a row, and the shifted and tilted rebuilds, which move the
-    points, build their own.
+    This is the slot's only reader.  No route builds a box's hull
+    (k >= 3), so the slot never holds one.  The ascent
+    (:func:`_volume_and_gradient`), which evaluates no frame twice in a
+    row, and the shifted and tilted rebuilds, which move the points, build
+    their own.
     """
     global _last_section
     key = (W.dtype, W.shape, W.tobytes())
@@ -929,13 +934,6 @@ def _section_hull(W: np.ndarray):
         a.setflags(write=False)
     _last_section = (key, entry)
     return entry
-
-
-def _held_hull(W: np.ndarray):
-    """The slot's hull (:func:`_section_hull`) when it holds the points W,
-    else None."""
-    held, entry = _last_section
-    return entry if held == (W.dtype, W.shape, W.tobytes()) else None
 
 
 def _cone_table(P: np.ndarray, moments: bool = True) -> np.ndarray:
@@ -981,10 +979,9 @@ def section_volume_fast(vectors: np.ndarray) -> float:
     - k = 2: one Graham scan once round the hull of +-V, with no Qhull
       call, and the sum of the triangles from the origin over the section's
       edges that the same pass gives (:func:`_planar_hull`).
-    - k >= 3, a box frame: where the generators lie on exactly k lines
-      (:func:`_box_first`, the exact ties, taken before any hull), the
+    - k >= 3, a box frame (:func:`_box_first`, taken before any hull): the
       section is a parallelepiped, of volume 2^k / |det U| for U the
-      lines' first rows (:func:`_box_volume`), and no hull is built.
+      lines' first rows (:func:`_box`), and no hull is built.
     - k >= 3, any other frame: Qhull's triangulation of the hull of +-V,
       and the sum of the cones over the section's facets, one determinant
       per ridge and corner (:func:`_flag_sum`), its recursion carrying the
@@ -995,32 +992,26 @@ def section_volume_fast(vectors: np.ndarray) -> float:
     :func:`_hull` (:func:`_section_hull`): called after :func:`build_section` on the
     same vectors, as ``cubesec report`` calls it, this builds no hull and
     runs only the sum over Qhull's polar vertices (the planar table is read
-    as it is).  The slot is read first: it never holds a box's hull, so a
-    frame it holds takes no tie test.
+    as it is).
 
-    Neither has a feasibility slack.  Both are within 1e-13 of an exact
-    rational volume on near-parallel frames (points of +-V down to 1e-13
-    apart), duplicated-vector and box frames, and in the plane on frames
-    that hold v and -v, ties for the largest norm and collinear points of
-    +-V; for k >= 3 also on frames whose +-v are the vertices of a cube,
-    and on sections with facets shifted or tilted.  It is bitwise the
-    volume of :func:`_volume_and_gradient`, which reads the same volume
-    column from the whole table, or at a box, given its ties, the same
-    determinant.
+    Neither has a feasibility slack; the tests hold both to the exact
+    rational volume on near-parallel, duplicated-vector and box frames.
+    It is bitwise the volume of :func:`_volume_and_gradient`, which reads
+    the same volume column from the whole table, or at a box, given its
+    ties, the same determinant.
 
     It tests depth, not span: :class:`NotAFrameError` is raised when the
     points +-V are flat, or a facet of their hull (an edge, in the plane)
     lies within ``DEPTH_FLOOR`` max |v_i| of the origin, at a box read off
-    its vertices (:func:`_box_vertices`); and, for k >= 3,
+    its vertices (:func:`_box`); and, for k >= 3,
     :class:`DegeneratePolytopeError` when Qhull fails on points that pass.
-    Nearly flat vectors pass that test.  Where the least eigenvalue of the
+    Nearly flat vectors pass that test: where the least eigenvalue of the
     frame operator is below ``RANK_FLOOR``, so that :class:`Frame` and
-    :func:`build_section` raise, this returns a huge volume: 2.6e7 at
-    (7, 2) and 5.1e7 at (7, 3) for random tight frames whose last column
-    is scaled by 3e-7 (eigenvalue 9e-14).  The precondition is the span
-    test of :class:`Frame`, which the vectors of every ``Frame`` built
-    with it, and of every tight frame, pass.  It is not repeated here,
-    where it would cost an eigenvalue solve per call.
+    :func:`build_section` raise, this and :func:`_volume_and_gradient`
+    return one huge volume.  The precondition is the span test of
+    :class:`Frame`, which the vectors of every ``Frame`` built with it,
+    and of every tight frame, pass.  It is not repeated here, where it
+    would cost an eigenvalue solve per call.
     """
     W = np.concatenate((vectors, -vectors))
     if W.shape[1] == 1:
@@ -1028,45 +1019,29 @@ def section_volume_fast(vectors: np.ndarray) -> float:
     if W.shape[1] == 2:
         S = _section_hull(W)[2]
     else:
-        entry = _held_hull(W)
-        if entry is None:
-            first = _box_first(W)
-            if first is not None:
-                U = W[first]
-                _box_vertices(U)  # the depth test
-                return _box_volume(U)
-            entry = _section_hull(W)
-        hull, Y, plan = entry
+        first = _box_first(vectors)
+        if first is not None:
+            return _box(vectors[first])[0]
+        hull, Y, plan = _section_hull(W)
         S = _flag_sum(W, Y, plan, moments=False)
     return float(S[:, -1].sum())
 
 
-def _box_first(W: np.ndarray):
-    """The box test, the exact ties: for W = +-V, the n generators' rows
-    and then their negations, the least members of the k clusters of V
-    (:func:`_clusters`) when its generators lie on exactly k lines, else
-    None.
+def _box_first(V: np.ndarray):
+    """The box test of :func:`section_volume_fast` and
+    :func:`build_section`, which have no ties: the least members of the k
+    clusters of the generators V (:func:`_clusters`) when there are
+    exactly k, else None.
 
-    Rows are compared by value, as :func:`_clusters` compares them, and
-    the pass stops at the (k + 1)-th line.  The rows of one line share
-    |w_1|, so a frame whose first k + 1 rows take k + 1 values of it, as a
-    random frame's do, is ruled out before any row is compared.
+    The rows of one line share |v_1|, so a frame whose first k + 1 rows
+    take k + 1 values of it, as a random frame's do, is ruled out before
+    the ties are taken.
     """
-    n, k = len(W) // 2, W.shape[1]
-    if len({abs(x) for x in W[:k + 1, 0].tolist()}) > k:
+    k = V.shape[1]
+    if len({abs(x) for x in V[:k + 1, 0].tolist()}) > k:
         return None
-    rows = W.tolist()
-    seen, first = set(), []
-    for i in range(n):
-        key = tuple(rows[i])
-        if key in seen:
-            continue
-        if len(first) == k:
-            return None
-        seen.add(key)
-        seen.add(tuple(rows[n + i]))
-        first.append(i)
-    return np.array(first, dtype=np.intp) if len(first) == k else None
+    first = _clusters(V)[2]
+    return first if len(first) == k else None
 
 
 @lru_cache(maxsize=16)
@@ -1078,16 +1053,19 @@ def _signs(k: int) -> np.ndarray:
     return s
 
 
-def _box_vertices(U: np.ndarray):
-    """(U^-1, Y): the vertices Y of the parallelepiped {x : |U x| <= 1},
-    the rows of U a basis of R^k, are U^-1 s for the signs s of
+def _box(U: np.ndarray):
+    """(volume, U^-1, Y) of the parallelepiped {x : |U x| <= 1}, the rows
+    of U a basis of R^k: the cube [-1, 1]^k under U^-1, of volume
+    2^k / |det U| (for a tight box frame of clusters of sizes d_c,
+    2^k sqrt(prod d_c)), and its vertices Y, U^-1 s for the signs s of
     :func:`_signs`, in their order.
 
     Y[j] is also the polar vertex of the facet {s_c u_c} of conv(+-U), at
     depth 1 / |Y[j]|, so the test of :func:`_polar_hull` reads off Y:
     :class:`NotAFrameError` is raised when a vertex lies beyond
     1 / (``DEPTH_FLOOR`` max |U|), as when U is singular or spans R^k only
-    in rounding.
+    in rounding.  Every box route reads its volume here, so every route
+    keeps that raise contract at a box.
     """
     try:
         inv = np.linalg.inv(U)
@@ -1096,14 +1074,7 @@ def _box_vertices(U: np.ndarray):
     Y = _signs(len(U)) @ inv.T
     if 1 / np.sqrt(np.einsum("ij,ij->i", Y, Y).max()) <= DEPTH_FLOOR * np.abs(U).max():
         raise NotAFrameError("not a frame")
-    return inv, Y
-
-
-def _box_volume(U: np.ndarray) -> float:
-    """Volume of the parallelepiped {x : |<x, u_c>| <= 1 for every row u_c
-    of U}, a basis of R^k: the cube [-1, 1]^k under U^-1, 2^k / |det U|.
-    For a tight box frame of clusters of sizes d_c it is 2^k sqrt(prod d_c)."""
-    return float(2 ** len(U) / abs(np.linalg.det(U)))
+    return float(2 ** len(U) / abs(np.linalg.det(U))), inv, Y
 
 
 def _volume_and_gradient(V: np.ndarray, first: np.ndarray):
@@ -1113,13 +1084,14 @@ def _volume_and_gradient(V: np.ndarray, first: np.ndarray):
     own clusters (:func:`_clusters`), which the ascent carries from frame to
     frame.
 
-    At a box frame, k >= 3 and k clusters led by the rows U = V[first], the
-    section is the parallelepiped of :func:`_box_volume`, and the gradient
-    of log |det U| in U is U^-T: row first[c] of G is -vol (U^-T)_c, the
-    gradient of the whole cluster, and every other row is 0.  That takes no
-    hull.  :func:`section_volume_fast` and :func:`build_section`, which
-    have no ties, take the same test from the rows (:func:`_box_first`),
-    so every route reads the same frames as boxes.
+    At a box frame, k >= 3 and ``len(first) == k``, k clusters led by the
+    rows U = V[first], the section is the parallelepiped of :func:`_box`,
+    and the gradient of log |det U| in U is U^-T: row first[c] of G is
+    -vol (U^-T)_c, the gradient of the whole cluster, and every other row
+    is 0.  That takes no hull.  :func:`section_volume_fast` and
+    :func:`build_section`, which have no ties, take the same test on those
+    of :func:`_clusters` (:func:`_box_first`), so every route reads the
+    same frames as boxes.
 
     Elsewhere both come from one cone table of the hull of +-V
     (:func:`_cone_table`).  The gradient of v_i is -2 mu_i c_i / |v_i|, with
@@ -1131,15 +1103,13 @@ def _volume_and_gradient(V: np.ndarray, first: np.ndarray):
     and no box route, as in :func:`section_volume_fast`.  Of coincident
     points only the one the hull keeps gets the facet, so the gradient of a
     cluster is its signed sum on either route.  Raises as
-    :func:`section_volume_fast` does, but at a box, which takes no depth
-    test (:func:`_box_vertices`): there U must span R^k.
+    :func:`section_volume_fast` does, at a box too.
     """
     n, k = V.shape
     if k >= 3 and len(first) == k:
-        U = V[first]
-        vol = _box_volume(U)
+        vol, inv, _ = _box(V[first])
         G = np.zeros_like(V)
-        G[first] = -vol * np.linalg.inv(U).T
+        G[first] = -vol * inv.T
         return vol, G
     S = _cone_table(np.concatenate((V, -V)))
     return float(S[:, -1].sum()), S[n:, :k] - S[:n, :k]

@@ -36,13 +36,14 @@ def small_config(n, k, **kw):
     return OptimizerConfig(n=n, k=k, **defaults)
 
 
-def zero_last(V, label, sign, first, k):
+def zero_last(V, label, first, k):
     """A move list of one candidate that zeroes the last vector, which
-    holds an axis alone in the (3, 2) box frame; it loses rank, so its ties
-    are never read."""
+    holds an axis alone in the (3, 2) box frame, with the ties of its
+    frame, as _reassigns gives them; it loses rank, so they are never
+    read."""
     out = V.copy()
     out[-1] = 0.0
-    yield out, (label, sign, first)
+    yield out, polytope._clusters(out)
 
 
 def assert_same_ties(carried, exact):
@@ -359,19 +360,28 @@ class TestAscend:
 
     @pytest.mark.parametrize("n, k", [(10, 2), (7, 3)])
     def test_one_grouping_per_restart(self, n, k, monkeypatch):
-        # the ties are grouped from scratch once per restart, at its start;
-        # every accepted move carries them to the next frame
-        calls = []
-        clusters = optimizer._clusters
+        # the ties are grouped from scratch once per restart, at its start,
+        # and once per reassign candidate yielded; merges and gradient
+        # steps carry them to the next frame and group nothing
+        calls, yielded = [], []
+        clusters, reassigns = optimizer._clusters, optimizer._reassigns
 
         def counted(V):
             calls.append(1)
             return clusters(V)
 
+        def listed(*args):
+            for move in reassigns(*args):
+                yielded.append(1)
+                yield move
+
         monkeypatch.setattr(optimizer, "_clusters", counted)
+        monkeypatch.setattr(optimizer, "_reassigns", listed)
         res = maximize(OptimizerConfig(n=n, k=k, restarts=12, seed=0), threads=1)
         assert sum(r.accepted for r in res.restarts) > len(res.restarts)
-        assert len(calls) == len(res.restarts)
+        assert sum(r.merged for r in res.restarts) > 0
+        assert len(yielded) > 0
+        assert len(calls) == len(res.restarts) + len(yielded)
 
     def test_iterates_stay_tight(self):
         rng = np.random.default_rng(3)
@@ -527,11 +537,11 @@ class TestMoveList:
         # move, and the (6, 2) box of sizes 2 and 4 has one, from the
         # cluster of 4 to the cluster of 2
         V = extremal_frame(7, 4).vectors
-        label, sign, first = optimizer._clusters(V)
-        assert list(optimizer._reassigns(V, label, sign, first, 4)) == []
+        label, _, first = optimizer._clusters(V)
+        assert list(optimizer._reassigns(V, label, first, 4)) == []
         V = extremal_frame(6, 2, partition=[[0, 1], [2, 3, 4, 5]]).vectors
-        label, sign, first = optimizer._clusters(V)
-        moves = list(optimizer._reassigns(V, label, sign, first, 2))
+        label, _, first = optimizer._clusters(V)
+        moves = list(optimizer._reassigns(V, label, first, 2))
         assert len(moves) == 1
         moved = V.copy()
         moved[5] = V[0]
@@ -611,7 +621,7 @@ class TestMoveList:
                     assert gains == (size[c] >= size[e] + 2)
                     if gains:
                         gaining.append(moved)
-            moves = list(optimizer._reassigns(V, label, sign, first, k))
+            moves = list(optimizer._reassigns(V, label, first, k))
             assert len(moves) == len(gaining)
             for (move, _), expected in zip(moves, gaining):
                 np.testing.assert_array_equal(move, expected)

@@ -9,6 +9,7 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from cubesec.frame_core import (
+    RANK_FLOOR,
     Frame,
     NotAFrameError,
     TightFrame,
@@ -35,7 +36,7 @@ from cubesec.polytope import (
     volume_by_triangulation,
 )
 from cubesec import polytope
-from cubesec.bounds import c_cube, default_partition, extremal_frame
+from cubesec.bounds import ball_upper, c_cube, default_partition, extremal_frame
 from cubesec.conditions import verify_frame
 from cubesec.optimizer import OptimizerConfig, maximize
 from oracles import (
@@ -155,7 +156,7 @@ def nearest_relative_distance(v):
 
 def is_box(v):
     """Whether the frame vectors v, k >= 3, lie on exactly k lines."""
-    return v.shape[1] >= 3 and polytope._box_first(np.concatenate((v, -v))) is not None
+    return v.shape[1] >= 3 and polytope._box_first(v) is not None
 
 
 def hull_section(v):
@@ -225,6 +226,31 @@ class TestBuildSection:
                 build_section(bad)
             with pytest.raises(NotAFrameError, match="not a frame"):
                 section_volume_fast(bad.vectors)
+            # the gradient, given the ties, keeps the same contract, at a
+            # box too
+            with pytest.raises(NotAFrameError, match="not a frame"):
+                _volume_and_gradient(bad.vectors, polytope._clusters(bad.vectors)[2])
+
+    def test_nearly_flat_split(self):
+        # the documented split: below RANK_FLOOR build_section raises, as
+        # Frame does, while section_volume_fast and _volume_and_gradient,
+        # which test depth and not span, read one huge volume, far above
+        # Ball's bound.  The frames are random tight ones whose last column
+        # is scaled by 3e-7, so that the least eigenvalue of the frame
+        # operator is 9e-14; the first of each cell is pinned to its volume
+        for (n, k), want in (((7, 2), 2.6e7), ((7, 3), 5.1e7)):
+            rng = np.random.default_rng([n, k])
+            for i in range(5):
+                v = random_tight_frame(n, k, rng).vectors.copy()
+                v[:, -1] *= 3e-7
+                assert np.linalg.eigvalsh(v.T @ v)[0] < RANK_FLOOR
+                with pytest.raises(NotAFrameError, match="not a frame"):
+                    build_section(Frame(v, require_span=False))
+                vol = section_volume_fast(v)
+                assert vol == _volume_and_gradient(v, polytope._clusters(v)[2])[0]
+                assert vol > ball_upper(n, k)
+                if i == 0:
+                    assert vol == pytest.approx(want, rel=0.01)
 
     def test_tangent_slab_yields_no_facet(self):
         s = Frame([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
@@ -743,9 +769,9 @@ class TestBoxRoute:
             assert len(first) == k
             vol, G = _volume_and_gradient(V, first)
             assert section_volume_fast(V) == vol
-            # section_volume_fast and build_section take the box test from
-            # the rows, before any hull, and read the lines the ties lead
-            assert polytope._box_first(np.concatenate((V, -V))).tolist() == first.tolist()
+            # section_volume_fast and build_section take the same box test,
+            # the ties of _clusters, before any hull, and read the same lines
+            assert polytope._box_first(V).tolist() == first.tolist()
             assert len(_polar_hull(np.concatenate((V, -V)))[0].simplices) == 2**k
             assert not G[np.setdiff1d(np.arange(n), first)].any()
             want, H = flag_sum(V)
@@ -781,7 +807,7 @@ class TestBoxRoute:
             n, k = V.shape
             first = polytope._clusters(V)[2]
             assert len(first) == k + 1
-            assert polytope._box_first(np.concatenate((V, -V))) is None
+            assert polytope._box_first(V) is None
             assert len(_polar_hull(np.concatenate((V, -V)))[0].simplices) == 2**k
             vol, G = flag_sum(V)
             got = _volume_and_gradient(V, first)
@@ -873,7 +899,9 @@ class TestQhullCalls:
         # build_section and section_volume_fast share the hull of +-V: on a
         # fresh frame the first of them builds one, the second none, in
         # either order; _volume_and_gradient, given the ties, builds its
-        # own.  At a box frame of k >= 3 none of the three builds a hull
+        # own.  One decision on every route: at k >= 3 none of the three
+        # builds a hull exactly when _clusters finds k clusters, a box,
+        # which here are the signed box frames and the digests' box family
         def fast(s):
             return section_volume_fast(s.vectors)
 
@@ -881,22 +909,29 @@ class TestQhullCalls:
             return _volume_and_gradient(s.vectors, polytope._clusters(s.vectors)[2])
 
         rng = np.random.default_rng(41)
+        frames = []
         for n, k in ((3, 2), (10, 2), (7, 3), (7, 4), (12, 4), (8, 5)):
+            frames += [(random_tight_frame(n, k, rng), "random"),
+                       (signed_box_frame(n, k, rng), "box")]
+        frames += [(volume_digest.make_frame(n, k, family, 0), family)
+                   for n, k in volume_digest.CELLS if 3 <= k <= 5 for family in FAMILIES]
+        for s, family in frames:
+            k = s.k
             one = ["planar" if k == 2 else "qhull"]
-            for s, box in ((random_tight_frame(n, k, rng), False),
-                           (signed_box_frame(n, k, rng), k >= 3)):
-                for first, second in ((build_section, fast), (fast, build_section)):
-                    # a fresh frame: forget the last section hull
-                    monkeypatch.setattr(polytope, "_last_section", (None, None), raising=False)
-                    for run, want in ((first, [] if box else one), (second, []),
-                                      (gradient, [] if box else one)):
-                        hulls.clear()
-                        run(s)
-                        assert hulls == want
-                p = build_section(s)
-                hulls.clear()
-                verify_frame(s, p)
-                assert hulls == []
+            box = k >= 3 and len(polytope._clusters(s.vectors)[2]) == k
+            assert box == (k >= 3 and family == "box")
+            for first, second in ((build_section, fast), (fast, build_section)):
+                # a fresh frame: forget the last section hull
+                monkeypatch.setattr(polytope, "_last_section", (None, None), raising=False)
+                for run, want in ((first, [] if box else one), (second, []),
+                                  (gradient, [] if box else one)):
+                    hulls.clear()
+                    run(s)
+                    assert hulls == want
+            p = build_section(s)
+            hulls.clear()
+            verify_frame(s, p)
+            assert hulls == []
 
     def test_maximize_at_a_box_builds_no_hull(self, hulls):
         # the warm start, a box, reads one volume from det U and stops;
