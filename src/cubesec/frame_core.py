@@ -73,12 +73,22 @@ class Frame:
     Vectors are stored as rows of a read-only (n, k) float array.  Zero
     vectors are allowed as long as the tuple still spans; criticality
     checks reject them separately.
+
+    Every entry must be a finite number, whatever ``require_span`` says,
+    so a :class:`TightFrame`'s too.  The span test, :func:`frame_operator`
+    with its check, is taken here; the volume routes of ``polytope`` test
+    depth instead and do not repeat it.
     """
 
     def __init__(self, vectors, *, require_span: bool = True):
-        v = np.array(vectors, dtype=float)
+        try:
+            v = np.array(vectors, dtype=float)
+        except TypeError as exc:  # an entry such as a dict
+            raise ValueError(f"vectors must be numbers: {exc}") from None
         if v.ndim != 2:
             raise ValueError("vectors must form an (n, k) array")
+        if not np.isfinite(v).all():
+            raise ValueError("vectors must be finite")
         n, k = v.shape
         if k < 1:
             raise ValueError(f"need k >= 1, got k={k}")
@@ -109,10 +119,14 @@ class Frame:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Frame":
-        v = np.array(data["vectors"], dtype=float)
-        if v.shape != (data["n"], data["k"]):
+        """The frame of a ``to_dict`` object; anything else raises
+        ``KeyError`` or ``ValueError``."""
+        if not isinstance(data, dict):
+            raise ValueError("a frame must be an object with n, k and vectors")
+        s = cls(data["vectors"])
+        if s.vectors.shape != (data["n"], data["k"]):
             raise ValueError("vectors shape disagrees with declared n, k")
-        return cls(v)
+        return s
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, k={self.k})"
@@ -129,8 +143,10 @@ class TightFrame(Frame):
 def frame_operator(s: Frame, *, check: bool = True):
     """Sum of outer products of the frame vectors, a k x k matrix.
 
-    Positive definite exactly when the vectors span R^k.  Raises
-    :class:`NotAFrameError` for rank-deficient input when ``check`` is set.
+    Positive definite exactly when the vectors span R^k.  With ``check``
+    set it is the span test: :class:`NotAFrameError` when the least
+    eigenvalue is below ``RANK_FLOOR``.  :class:`Frame` takes it when a
+    frame is built, on entries it has checked to be finite.
     """
     a = symmetrize(s.vectors.T @ s.vectors)
     if check and np.linalg.eigvalsh(a)[0] < RANK_FLOOR:

@@ -64,6 +64,21 @@ vol |u_c| / 2 (:func:`_box_facets`).  So the slot never holds a box's
 hull.  The rebuilds, whose bodies are no longer centred parallelepipeds,
 and the plane keep the cone table, so in the plane the two routes stay
 bitwise one volume, and at a box they are one determinant.
+
+One raise contract on every volume route (:func:`section_volume_fast`,
+:func:`volume` of :func:`build_section`, :func:`_volume_and_gradient`
+given the ties, and :func:`_halfspace_volume` for the rebuilds) tests the
+depth of the hull of the polar points P, not their span.
+:class:`NotAFrameError` is raised when P is flat, or a facet of its hull
+(an edge in the plane, the facet of a vertex U^-1 s at a box) lies within
+``DEPTH_FLOOR`` max |P| of the origin or on the wrong side of it; for
+k = 1, when P does not lie on both sides of the origin.  For k >= 3
+:class:`DegeneratePolytopeError` is raised when Qhull fails on points that
+pass.  The span test, against ``RANK_FLOOR``, is :class:`Frame`'s, and no
+route repeats it: a nearly flat ``Frame(v, require_span=False)`` that
+passes the depth test reads one volume on every route, one to which
+Ball's bound does not apply, as the frame is not tight.  The points must
+be finite, as a :class:`Frame`'s are.
 """
 
 from __future__ import annotations
@@ -78,7 +93,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 from scipy.spatial import QhullError
 
-from .frame_core import Frame, NotAFrameError, frame_operator
+from .frame_core import Frame, NotAFrameError
 
 # Constraint rows this close in every coordinate describe one hyperplane.
 EPS_GEOM = 1e-9
@@ -152,12 +167,11 @@ def convex_volume(points: np.ndarray, k: int) -> float:
 
     The cross-check behind :func:`volume_by_triangulation`; no section
     volume is computed with it.  It is not independent of the volume
-    routes: for k >= 3 it runs Qhull, as they do, and against the exact
-    volume (``tests/oracles.exact_volume``, in rational arithmetic) it was
-    the least accurate of the three, up to 1.8e-15 relative where both
-    routes stayed within 4.2e-16 (random and near-parallel frames at
-    (7, 3), (7, 4) and (8, 5)).  For k = 2 the points must be the vertices
-    of a convex polygon: they are sorted by angle about their mean, and
+    routes: for k >= 3 it runs Qhull, as they do, and it was the least
+    accurate of the three against the exact volume
+    (``tests/oracles.exact_volume``, in rational arithmetic) where the
+    three were compared.  For k = 2 the points must be the vertices of a
+    convex polygon: they are sorted by angle about their mean, and
     the area is their shoelace.  For k >= 3 Qhull runs with
     option Q12, which accepts the wide merges that nearly coincident
     section vertices cause; its default raises QH6271 on such vertex sets.
@@ -215,7 +229,9 @@ def _coincident_row_groups(W: np.ndarray, tol: float) -> np.ndarray:
     coordinate are joined, transitively.  Groups are numbered in the order
     of their least rows.  Its one caller is :func:`build_section`, which
     groups its rows at ``EPS_GEOM``; exact ties, at tolerance 0, are
-    hashed instead (:func:`_clusters`)."""
+    hashed instead (:func:`_clusters`).  The rows must be finite, as a
+    :class:`Frame`'s are: a NaN or infinite row reaches no row, not even
+    itself, so the closure would never become an equivalence."""
     reach = (np.abs(W[:, None, :] - W[None, :, :]) <= tol).all(axis=2)
     first = reach.argmax(axis=1)  # least row each row reaches
     # transitive closure by repeated squaring, until it is an equivalence
@@ -234,7 +250,7 @@ def _sums_by(label: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
 
 def _interval(P: np.ndarray):
     """Rows that bound the polar body {x : P x <= 1} in R^1 from below and
-    from above."""
+    from above.  Raises as the module's raise contract says."""
     p = P[:, 0]
     up, down = np.flatnonzero(p > 0), np.flatnonzero(p < 0)
     if not (len(up) and len(down)):
@@ -292,10 +308,8 @@ def _planar_hull(P: np.ndarray):
     q - p (see :func:`_solved_vertices`), so a vertex and a cone are exact
     to rounding however short the facet.
 
-    Raises :class:`NotAFrameError` when fewer than 3 vertices remain, or an
-    edge lies within ``DEPTH_FLOOR`` max|P| of the origin, or on the wrong
-    side of it, as :func:`_polar_hull` does for a facet: the rows then span
-    R^2 only in rounding, if at all.
+    Raises as the module's raise contract says, for fewer than 3 hull
+    vertices too.
     """
     if len(P) < 3:
         raise NotAFrameError("not a frame")
@@ -336,8 +350,7 @@ def _polar_hull(P: np.ndarray):
     :func:`_planar_hull`), and the vertices of their polar body.
 
     Returns (hull, Y), Y[f] = a / (-b) for hull facet f: a.x + b <= 0.
-    Raises :class:`NotAFrameError` when the points do not span R^k, and
-    :class:`DegeneratePolytopeError` when Qhull fails on points that do.
+    Raises as the module's raise contract says.
     """
     k = P.shape[1]
     try:
@@ -427,8 +440,10 @@ def build_section(s: Frame) -> SectionPolytope:
       bitwise;
     - any other frame reads the cone table of the section's hull
       (:func:`_hull_facets`), whose volume column sums to the volume.
+
+    It raises as the module's raise contract says; the span test is
+    ``s``'s own, taken when it was built.
     """
-    frame_operator(s)  # raises NotAFrameError unless the vectors span R^k
     W = np.concatenate((s.vectors, -s.vectors))
     label = _coincident_row_groups(W, EPS_GEOM)
     count = int(label.max()) + 1
@@ -552,11 +567,10 @@ def volume(p: SectionPolytope) -> float:
     """Volume of the section: the sum of the cones from the origin over its
     facets, which :func:`build_section` takes from the hull that
     :func:`section_volume_fast` uses and sums in the same order: for k <= 2
-    it is that volume bitwise, for k >= 3, whose vertices it solves, that
-    volume up to rounding.  The independent reference is the exact volume
-    in rational arithmetic, ``tests/oracles.exact_volume``; both routes are
-    within 2e-15 of it relative on random and near-parallel frames at
-    (7, 3) and (7, 4).
+    and at a box it is that volume bitwise, for k >= 3, whose vertices it
+    solves, that volume up to rounding.  The independent reference is the
+    exact volume in rational arithmetic, ``tests/oracles.exact_volume``,
+    to which the tests hold both routes.
     """
     return p._volume
 
@@ -954,9 +968,7 @@ def _halfspace_volume(P: np.ndarray) -> float:
 
     A system {W x <= c}, every c > 0, is the polar body of P_r = W_r / c_r.
     The body need not be centrally symmetric; the hull goes once round the
-    origin.  Raises :class:`NotAFrameError` when the points do not span
-    R^k, and, for k >= 3, :class:`DegeneratePolytopeError` when Qhull fails
-    on points that do.
+    origin.  Raises as the module's raise contract says.
     """
     if P.shape[1] == 1:
         lo, hi = _interval(P)
@@ -972,7 +984,7 @@ def section_volume_fast(vectors: np.ndarray) -> float:
     The volume optimizer restarts are ranked by.  Zero and tiny vectors are
     points deep inside the hull of +-V, so they contribute no constraint
     and need no filter; a frame that spans only through them fails the
-    ``DEPTH_FLOOR`` of the scan or of :func:`_polar_hull`.  Routes:
+    depth test.  Routes:
 
     - k = 1: the section is the interval |x| <= 1 / max |v_i|, of length
       2 / max |v_i|.
@@ -998,20 +1010,8 @@ def section_volume_fast(vectors: np.ndarray) -> float:
     rational volume on near-parallel, duplicated-vector and box frames.
     It is bitwise the volume of :func:`_volume_and_gradient`, which reads
     the same volume column from the whole table, or at a box, given its
-    ties, the same determinant.
-
-    It tests depth, not span: :class:`NotAFrameError` is raised when the
-    points +-V are flat, or a facet of their hull (an edge, in the plane)
-    lies within ``DEPTH_FLOOR`` max |v_i| of the origin, at a box read off
-    its vertices (:func:`_box`); and, for k >= 3,
-    :class:`DegeneratePolytopeError` when Qhull fails on points that pass.
-    Nearly flat vectors pass that test: where the least eigenvalue of the
-    frame operator is below ``RANK_FLOOR``, so that :class:`Frame` and
-    :func:`build_section` raise, this and :func:`_volume_and_gradient`
-    return one huge volume.  The precondition is the span test of
-    :class:`Frame`, which the vectors of every ``Frame`` built with it,
-    and of every tight frame, pass.  It is not repeated here, where it
-    would cost an eigenvalue solve per call.
+    ties, the same determinant.  It raises as the module's raise contract
+    says.
     """
     W = np.concatenate((vectors, -vectors))
     if W.shape[1] == 1:
@@ -1061,11 +1061,9 @@ def _box(U: np.ndarray):
     :func:`_signs`, in their order.
 
     Y[j] is also the polar vertex of the facet {s_c u_c} of conv(+-U), at
-    depth 1 / |Y[j]|, so the test of :func:`_polar_hull` reads off Y:
-    :class:`NotAFrameError` is raised when a vertex lies beyond
-    1 / (``DEPTH_FLOOR`` max |U|), as when U is singular or spans R^k only
-    in rounding.  Every box route reads its volume here, so every route
-    keeps that raise contract at a box.
+    depth 1 / |Y[j]|, so the depth test of the module's raise contract
+    reads off Y, and a singular U fails it.  Every box route reads its
+    volume here, so every route keeps that contract at a box.
     """
     try:
         inv = np.linalg.inv(U)
@@ -1102,8 +1100,8 @@ def _volume_and_gradient(V: np.ndarray, first: np.ndarray):
     of the table's row p.  In the plane there is no Qhull or ``eigh`` call,
     and no box route, as in :func:`section_volume_fast`.  Of coincident
     points only the one the hull keeps gets the facet, so the gradient of a
-    cluster is its signed sum on either route.  Raises as
-    :func:`section_volume_fast` does, at a box too.
+    cluster is its signed sum on either route.  Raises as the module's
+    raise contract says, at a box too.
     """
     n, k = V.shape
     if k >= 3 and len(first) == k:

@@ -31,6 +31,34 @@ def extremal_file(tmp_path):
     return path
 
 
+def nearly_flat_frame() -> dict:
+    """A random tight (7, 2) frame with its last column scaled by 3e-7:
+    the least eigenvalue of its frame operator is below RANK_FLOOR."""
+    v = random_tight_frame(7, 2, np.random.default_rng([7, 2])).vectors.copy()
+    v[:, -1] *= 3e-7
+    return {"n": 7, "k": 2, "vectors": v.tolist()}
+
+
+MALFORMED_FRAMES = [
+    pytest.param(json.dumps({"n": 2, "k": 2, "vectors": [[1.0, 0.0], [2.0, 0.0]]}), 3,
+                 "not a frame", id="rank_deficient"),
+    pytest.param(json.dumps(nearly_flat_frame()), 3, "not a frame", id="nearly_flat"),
+    pytest.param('{"n": 3, "k": 2, "vectors": [[NaN, 0], [0, 1], [1, 1]]}', 3,
+                 "vectors must be finite", id="nan"),
+    pytest.param('{"n": 3, "k": 2, "vectors": [[Infinity, 0], [0, 1], [1, 1]]}', 3,
+                 "vectors must be finite", id="infinity"),
+    pytest.param('{"n": 3, "k": 2, "vectors": [[null, 0], [0, 1], [1, 1]]}', 3,
+                 "vectors must be finite", id="null"),
+    pytest.param("[1, 2]", 3, "must be an object", id="not_an_object"),
+    pytest.param('{"n": 3, "k": 2, "vectors": [[{}, 0], [0, 1], [1, 1]]}', 3,
+                 "vectors must be numbers", id="object_entry"),
+    pytest.param('{"n": 3, "vectors": [[1, 0], [0, 1], [1, 1]]}', 3, "'k'", id="missing_key"),
+    pytest.param('{"n": 3, "k": 2, "vectors": [[1, 0], [0, 1], [1]]}', 3,
+                 "inhomogeneous", id="ragged_row"),
+    pytest.param("{not json", 2, "Expecting property name", id="broken_json"),
+]
+
+
 class TestVolume:
     def test_square(self, square_file, capsys):
         assert main(["volume", str(square_file)]) == 0
@@ -44,11 +72,17 @@ class TestVolume:
         assert data["vertices"] == 4 and data["facets"] == 4
         assert data["manifest"]["command"][1] == "volume"
 
-    def test_rank_deficient_exit_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["volume", "verify", "report"])
+    @pytest.mark.parametrize("text, code, message", MALFORMED_FRAMES)
+    def test_rank_deficient_exit_3(self, tmp_path, capsys, command, text, code, message):
+        # every malformed frame file exits 3, and a file that is not JSON 2,
+        # with one error line and no traceback
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"n": 2, "k": 2, "vectors": [[1.0, 0.0], [2.0, 0.0]]}))
-        assert main(["volume", str(path)]) == 3
-        assert "not a frame" in capsys.readouterr().err
+        path.write_text(text)
+        assert main([command, str(path)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
     def test_malformed_json_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -344,6 +344,19 @@ class TestSerialization:
         with pytest.raises(ValueError):
             Frame.from_dict({"n": 3, "k": 2, "vectors": [[1.0, 0.0], [0.0, 1.0]]})
 
+    def test_non_finite_and_non_numeric_rejected(self):
+        # a NaN entry would pass the span test at k = 2 (NaN < RANK_FLOOR
+        # is false), and build_section would never return on it
+        for bad in (math.nan, math.inf, -math.inf, None):
+            rows = [[bad, 0.0], [0.0, 1.0], [1.0, 1.0]]
+            for make in (Frame, lambda v: Frame(v, require_span=False), TightFrame):
+                with pytest.raises(ValueError, match="vectors must be finite"):
+                    make(rows)
+        with pytest.raises(ValueError, match="vectors must be numbers"):
+            Frame([[{}, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="must be an object"):
+            Frame.from_dict([1, 2])
+
     def test_zero_vectors_allowed_when_spanning(self):
         s = Frame([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         assert s.n == 3

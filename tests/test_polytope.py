@@ -204,8 +204,50 @@ class TestBuildSection:
         # the interval |x| <= 1 / max |v_i|; zero vectors contribute nothing
         assert section_volume_fast(np.array([[0.5], [-2.0], [0.0], [1.0]])) == 1.0
 
-    def test_rank_deficient_rejected(self):
-        s = Frame([[1.0, 0.0], [0.0, 1.0]], require_span=False)
+    def test_raise_contract(self):
+        # one raise contract on every volume route: on each row of frames
+        # either every route raises the same class, or every route returns
+        # a volume, bitwise one at k = 2 and at a box, and within 2e-15
+        # relative elsewhere (the bound of TestExactVolume's routes)
+        routes = (
+            section_volume_fast,
+            lambda v: volume(build_section(Frame(v, require_span=False))),
+            lambda v: _volume_and_gradient(v, polytope._clusters(v)[2])[0],
+        )
+
+        def outcome(route, v):
+            try:
+                return route(v)
+            except Exception as exc:  # its class is the outcome
+                return exc
+
+        cells = ((6, 2), (7, 3), (7, 4), (8, 5))
+        rows = [(f"{family} {n, k} #{i}", volume_digest.make_frame(n, k, family, i).vectors)
+                for n, k in cells for family in FAMILIES for i in range(3)]
+        rng = np.random.default_rng(38)
+        for n, k in cells:
+            v = random_tight_frame(n - 1, k, rng).vectors
+            rows.append((f"duplicated {n, k}",
+                         np.insert(v, 1, v[0] + 1e-13 * rng.standard_normal(k), axis=0)))
+        # random tight frames with the last column scaled by 3e-7, so that
+        # the least eigenvalue of the frame operator is about 9e-14: Frame's
+        # span test rejects them, and every route reads one volume, far
+        # above Ball's bound, which holds for tight frames only; the first
+        # of (7, 2) and (7, 3) is pinned
+        pins = {(7, 2): 2.6e7, (7, 3): 5.1e7}
+        for n, k in ((6, 2), (7, 2), (7, 3), (7, 4), (8, 5)):
+            rng = np.random.default_rng([n, k])
+            for i in range(5):
+                v = random_tight_frame(n, k, rng).vectors.copy()
+                v[:, -1] *= 3e-7
+                assert np.linalg.eigvalsh(v.T @ v)[0] < RANK_FLOOR
+                with pytest.raises(NotAFrameError, match="not a frame"):
+                    Frame(v)
+                vol = section_volume_fast(v)
+                assert vol > ball_upper(n, k)
+                if i == 0 and (n, k) in pins:
+                    assert vol == pytest.approx(pins[n, k], rel=0.01)
+                rows.append((f"nearly flat {n, k} #{i}", v))
         flat = [
             np.array([[1.0, 0.0], [2.0, 0.0]]),
             np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]),
@@ -219,38 +261,22 @@ class TestBuildSection:
             np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]),
             np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 1e-14]]),
         ]
-        assert build_section(s) is not None
-        for v in flat:
-            bad = Frame(v, require_span=False)
-            with pytest.raises(NotAFrameError, match="not a frame"):
-                build_section(bad)
-            with pytest.raises(NotAFrameError, match="not a frame"):
-                section_volume_fast(bad.vectors)
-            # the gradient, given the ties, keeps the same contract, at a
-            # box too
-            with pytest.raises(NotAFrameError, match="not a frame"):
-                _volume_and_gradient(bad.vectors, polytope._clusters(bad.vectors)[2])
+        rows += [(f"flat #{i}", v) for i, v in enumerate(flat)]
 
-    def test_nearly_flat_split(self):
-        # the documented split: below RANK_FLOOR build_section raises, as
-        # Frame does, while section_volume_fast and _volume_and_gradient,
-        # which test depth and not span, read one huge volume, far above
-        # Ball's bound.  The frames are random tight ones whose last column
-        # is scaled by 3e-7, so that the least eigenvalue of the frame
-        # operator is 9e-14; the first of each cell is pinned to its volume
-        for (n, k), want in (((7, 2), 2.6e7), ((7, 3), 5.1e7)):
-            rng = np.random.default_rng([n, k])
-            for i in range(5):
-                v = random_tight_frame(n, k, rng).vectors.copy()
-                v[:, -1] *= 3e-7
-                assert np.linalg.eigvalsh(v.T @ v)[0] < RANK_FLOOR
-                with pytest.raises(NotAFrameError, match="not a frame"):
-                    build_section(Frame(v, require_span=False))
-                vol = section_volume_fast(v)
-                assert vol == _volume_and_gradient(v, polytope._clusters(v)[2])[0]
-                assert vol > ball_upper(n, k)
-                if i == 0:
-                    assert vol == pytest.approx(want, rel=0.01)
+        for name, v in rows:
+            got = [outcome(route, v) for route in routes]
+            if name.startswith("flat"):
+                assert all(type(x) is NotAFrameError and str(x) == "not a frame"
+                           for x in got), (name, got)
+                continue
+            assert all(type(x) is float for x in got), (name, got)
+            fast, build, gradient = got
+            assert gradient == fast, name
+            if v.shape[1] == 2 or is_box(v):
+                assert build == fast, name
+            else:
+                assert abs(build - fast) <= 2e-15 * fast, name
+        assert build_section(Frame([[1.0, 0.0], [0.0, 1.0]], require_span=False)) is not None
 
     def test_tangent_slab_yields_no_facet(self):
         s = Frame([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
