@@ -204,23 +204,39 @@ class TestBuildSection:
         # the interval |x| <= 1 / max |v_i|; zero vectors contribute nothing
         assert section_volume_fast(np.array([[0.5], [-2.0], [0.0], [1.0]])) == 1.0
 
-    def test_raise_contract(self):
-        # one raise contract on every volume route: on each row of frames
-        # either every route raises the same class, or every route returns
-        # a volume, bitwise one at k = 2 and at a box, and within 2e-15
-        # relative elsewhere (the bound of TestExactVolume's routes)
-        routes = (
-            section_volume_fast,
-            lambda v: volume(build_section(Frame(v, require_span=False))),
-            lambda v: _volume_and_gradient(v, polytope._clusters(v)[2])[0],
-        )
+    # one raise contract on every volume route: on each frame either every
+    # route raises the same class, or every route returns a volume, bitwise
+    # one at k = 2 and at a box, and within 2e-15 relative elsewhere (the
+    # bound of TestExactVolume's routes)
+    ROUTES = (
+        section_volume_fast,
+        lambda v: volume(build_section(Frame(v, require_span=False))),
+        lambda v: _volume_and_gradient(v, polytope._clusters(v)[2])[0],
+    )
 
-        def outcome(route, v):
+    @classmethod
+    def outcomes(cls, v):
+        got = []
+        for route in cls.ROUTES:
             try:
-                return route(v)
+                got.append(route(v))
             except Exception as exc:  # its class is the outcome
-                return exc
+                got.append(exc)
+        return got
 
+    @classmethod
+    def assert_one_volume(cls, name, v):
+        got = cls.outcomes(v)
+        assert all(type(x) is float for x in got), (name, got)
+        fast, build, gradient = got
+        assert gradient == fast, name
+        if v.shape[1] == 2 or is_box(v):
+            assert build == fast, name
+        else:
+            assert abs(build - fast) <= 2e-15 * fast, name
+        return fast
+
+    def test_raise_contract(self):
         cells = ((6, 2), (7, 3), (7, 4), (8, 5))
         rows = [(f"{family} {n, k} #{i}", volume_digest.make_frame(n, k, family, i).vectors)
                 for n, k in cells for family in FAMILIES for i in range(3)]
@@ -229,25 +245,10 @@ class TestBuildSection:
             v = random_tight_frame(n - 1, k, rng).vectors
             rows.append((f"duplicated {n, k}",
                          np.insert(v, 1, v[0] + 1e-13 * rng.standard_normal(k), axis=0)))
-        # random tight frames with the last column scaled by 3e-7, so that
-        # the least eigenvalue of the frame operator is about 9e-14: Frame's
-        # span test rejects them, and every route reads one volume, far
-        # above Ball's bound, which holds for tight frames only; the first
-        # of (7, 2) and (7, 3) is pinned
-        pins = {(7, 2): 2.6e7, (7, 3): 5.1e7}
-        for n, k in ((6, 2), (7, 2), (7, 3), (7, 4), (8, 5)):
-            rng = np.random.default_rng([n, k])
-            for i in range(5):
-                v = random_tight_frame(n, k, rng).vectors.copy()
-                v[:, -1] *= 3e-7
-                assert np.linalg.eigvalsh(v.T @ v)[0] < RANK_FLOOR
-                with pytest.raises(NotAFrameError, match="not a frame"):
-                    Frame(v)
-                vol = section_volume_fast(v)
-                assert vol > ball_upper(n, k)
-                if i == 0 and (n, k) in pins:
-                    assert vol == pytest.approx(pins[n, k], rel=0.01)
-                rows.append((f"nearly flat {n, k} #{i}", v))
+        for name, v in rows:
+            self.assert_one_volume(name, v)
+
+    def test_rank_deficient_rejected(self):
         flat = [
             np.array([[1.0, 0.0], [2.0, 0.0]]),
             np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]),
@@ -261,22 +262,31 @@ class TestBuildSection:
             np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]),
             np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 1e-14]]),
         ]
-        rows += [(f"flat #{i}", v) for i, v in enumerate(flat)]
-
-        for name, v in rows:
-            got = [outcome(route, v) for route in routes]
-            if name.startswith("flat"):
-                assert all(type(x) is NotAFrameError and str(x) == "not a frame"
-                           for x in got), (name, got)
-                continue
-            assert all(type(x) is float for x in got), (name, got)
-            fast, build, gradient = got
-            assert gradient == fast, name
-            if v.shape[1] == 2 or is_box(v):
-                assert build == fast, name
-            else:
-                assert abs(build - fast) <= 2e-15 * fast, name
+        for i, v in enumerate(flat):
+            got = self.outcomes(v)
+            assert all(type(x) is NotAFrameError and str(x) == "not a frame"
+                       for x in got), (i, got)
         assert build_section(Frame([[1.0, 0.0], [0.0, 1.0]], require_span=False)) is not None
+
+    def test_nearly_flat_split(self):
+        # no split left: random tight frames with the last column scaled by
+        # 3e-7, so that the least eigenvalue of the frame operator is about
+        # 9e-14.  Frame's span test rejects them, and every route, build_section
+        # too, reads one volume, far above Ball's bound, which holds for tight
+        # frames only; the first of (7, 2) and (7, 3) is pinned
+        pins = {(7, 2): 2.6e7, (7, 3): 5.1e7}
+        for n, k in ((6, 2), (7, 2), (7, 3), (7, 4), (8, 5)):
+            rng = np.random.default_rng([n, k])
+            for i in range(5):
+                v = random_tight_frame(n, k, rng).vectors.copy()
+                v[:, -1] *= 3e-7
+                assert np.linalg.eigvalsh(v.T @ v)[0] < RANK_FLOOR
+                with pytest.raises(NotAFrameError, match="not a frame"):
+                    Frame(v)
+                vol = self.assert_one_volume(f"nearly flat {n, k} #{i}", v)
+                assert vol > ball_upper(n, k)
+                if i == 0 and (n, k) in pins:
+                    assert vol == pytest.approx(pins[n, k], rel=0.01)
 
     def test_tangent_slab_yields_no_facet(self):
         s = Frame([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
