@@ -58,9 +58,9 @@ def _tightness_error(a) -> float:
 
 
 def _accept_tight(err: float) -> None:
-    """Raise :class:`TightnessError` when a frame operator's tightness
-    error ``err`` exceeds ``EPS_TIGHT``."""
-    if err > EPS_TIGHT:
+    """Raise :class:`TightnessError` unless a frame operator's tightness
+    error ``err`` is at most ``EPS_TIGHT``, so a NaN error raises too."""
+    if not err <= EPS_TIGHT:
         raise TightnessError(
             f"frame operator deviates from identity by {err:.3e} "
             f"(EPS_TIGHT={EPS_TIGHT:.1e})"
@@ -77,7 +77,8 @@ class Frame:
     Every entry must be a finite number, whatever ``require_span`` says,
     so a :class:`TightFrame`'s too.  The span test, :func:`frame_operator`
     with its check, is taken here; the volume routes of ``polytope`` test
-    depth instead and do not repeat it.
+    depth instead and do not repeat it.  Entries so large that the frame
+    operator overflows fail it, with no warning.
     """
 
     def __init__(self, vectors, *, require_span: bool = True):
@@ -97,7 +98,10 @@ class Frame:
         v.setflags(write=False)
         self.vectors = v
         if require_span:
-            frame_operator(self)  # raises NotAFrameError unless the vectors span R^k
+            # raises NotAFrameError unless the vectors span R^k; an operator
+            # that overflows has a NaN eigenvalue, which fails the test
+            with np.errstate(over="ignore"):
+                frame_operator(self)
 
     @property
     def n(self) -> int:
@@ -145,19 +149,21 @@ def frame_operator(s: Frame, *, check: bool = True):
 
     Positive definite exactly when the vectors span R^k.  With ``check``
     set it is the span test: :class:`NotAFrameError` when the least
-    eigenvalue is below ``RANK_FLOOR``.  :class:`Frame` takes it when a
-    frame is built, on entries it has checked to be finite.
+    eigenvalue is below ``RANK_FLOOR`` or is NaN.  :class:`Frame` takes it
+    when a frame is built, on entries it has checked to be finite.
     """
     a = symmetrize(s.vectors.T @ s.vectors)
-    if check and np.linalg.eigvalsh(a)[0] < RANK_FLOOR:
+    if check and not np.linalg.eigvalsh(a)[0] >= RANK_FLOOR:
         raise NotAFrameError("not a frame")
     return a
 
 
 def _inv_sqrt(a):
-    """Inverse square root of a symmetric positive definite matrix."""
+    """Inverse square root of a symmetric positive definite matrix;
+    :class:`NotAFrameError` when its least eigenvalue is below
+    ``RANK_FLOOR`` or is NaN."""
     w, u = np.linalg.eigh(a)
-    if w[0] < RANK_FLOOR:
+    if not w[0] >= RANK_FLOOR:
         raise NotAFrameError("not a frame")
     return symmetrize((u / np.sqrt(w)) @ u.T)
 
@@ -175,11 +181,12 @@ def _planar_inv_sqrt(a: float, b: float, c: float):
     With s = sqrt(det A) and t = sqrt(a + c + 2s) = sqrt(l_1) + sqrt(l_2),
     A^{1/2} = (A + s I) / t, whose inverse is [[c + s, -b], [-b, a + s]]
     / (s t).  Raises :class:`NotAFrameError` when the least eigenvalue
-    det A / l_max is below ``RANK_FLOOR``, as :func:`_inv_sqrt` does.
+    det A / l_max is below ``RANK_FLOOR`` or is NaN, as :func:`_inv_sqrt`
+    does.
     """
     top = (a + c) / 2 + math.hypot((a - c) / 2, b)
     det = a * c - b * b
-    if not top > 0 or det / top < RANK_FLOOR:
+    if not (top > 0 and det / top >= RANK_FLOOR):
         raise NotAFrameError("not a frame")
     s = math.sqrt(det)
     st = s * math.sqrt(a + c + 2 * s)

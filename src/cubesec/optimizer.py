@@ -36,12 +36,15 @@ ends where no candidate gains; it draws no random number, so it is
 deterministic given its start.  The gradient gives only a direction: every
 candidate is compared by the volume restarts are ranked by,
 :func:`section_volume_fast`.  Each candidate, and the start, is one
-:func:`_volume_and_gradient` call, which reads that volume and G from one cone
-table, so the gradient at the next frame comes with its volume and the ascent
-builds no other hull.  A box candidate (every warm start, every merge onto k
-clusters, every reassign at a box) builds none: given the ties its move
-carries, the call reads the volume 2^k / |det U| and G from U^-T, U the
-clusters' first rows, so a restart that starts at a box builds no hull at all.
+:class:`_Section` of its frame, given the ties its move carries, whose
+volume is that volume, bitwise.  The accepted candidate's section is kept,
+and it is asked for G only where the merge has failed and xi is formed, and
+at the last frame for the residual: a frame's G costs the flag sum's moment
+columns once, and only if it is read, and the ascent builds no hull but the
+sections'.  A box candidate (every warm start, every merge onto k clusters,
+every reassign at a box) builds none: its section reads the volume
+2^k / |det U| and G from U^-T, U the clusters' first rows, so a restart that
+starts at a box builds no hull at all.
 """
 
 from __future__ import annotations
@@ -66,9 +69,9 @@ from .frame_core import (
 # the optimize workloads.
 from .polytope import (  # noqa: F401
     DegeneratePolytopeError,
+    _Section,
     _clusters,
     _sums_by,
-    _volume_and_gradient,
     build_section,
     section_volume_fast,
     volume,
@@ -113,8 +116,8 @@ class RestartResult:
 
     ``final_volume`` is :func:`section_volume_fast` of ``frame``, the volume
     the ascent climbed on and restarts are ranked by.  ``iterations`` counts
-    the candidates, one :func:`_volume_and_gradient` call each, charged to
-    ``max_iterations``; ``evaluations`` adds the start's call.  ``stop``
+    the candidates, one :class:`_Section` volume each, charged to
+    ``max_iterations``; ``evaluations`` adds the start's.  ``stop``
     says why the ascent ended: ``"critical"`` when no candidate (merge,
     gradient trial or reassign) gained at ``frame``, ``"cap"`` when
     ``max_iterations`` ran out.  A restart from a balanced box frame, of k
@@ -206,13 +209,13 @@ def _stratum_gradient(V: np.ndarray, G: np.ndarray, label: np.ndarray, sign: np.
     """(xi, |xi| / |D|): the gradient of the volume on the tie stratum of
     ``label`` and ``sign`` at the tight V, and its residual.
 
-    The Euclidean gradient G at V (:func:`_volume_and_gradient`), given
-    with V so that no hull is built here, is summed over each cluster c,
-    with signs, and divided by its size d_c, which is the gradient in the
-    metric sum_c d_c |delta_c|^2 that the tied rows induce; D puts it on
-    every member, with its sign, and xi = D - V sym(V^T D) is its tangent
-    part.  Its slope is its squared norm in that metric, so it is never
-    negative.
+    The Euclidean gradient G at V (:meth:`_Section.gradient` of V's
+    section), given with V so that no hull is built here, is summed over
+    each cluster c, with signs, and divided by its size d_c, which is the
+    gradient in the metric sum_c d_c |delta_c|^2 that the tied rows induce;
+    D puts it on every member, with its sign, and xi = D - V sym(V^T D) is
+    its tangent part.  Its slope is its squared norm in that metric, so it
+    is never negative.
     """
     size = np.bincount(label)
     D = (_sums_by(label, sign[:, None] * G, len(size)) / size[:, None])[label]
@@ -311,7 +314,7 @@ def _merge(V: np.ndarray, label: np.ndarray, sign: np.ndarray, first: np.ndarray
     return out, (np.array(label, dtype=np.intp), sign, np.concatenate((first[:e], first[e + 1:])))
 
 
-def _moves(V: np.ndarray, G: np.ndarray, step: float, label: np.ndarray,
+def _moves(V: np.ndarray, section: _Section, step: float, label: np.ndarray,
            sign: np.ndarray, first: np.ndarray, k: int):
     """The candidates tried at a frame, in order, each with the ties of its
     frame (label, sign, first), the step a gain sets and its kind.  Where
@@ -320,14 +323,14 @@ def _moves(V: np.ndarray, G: np.ndarray, step: float, label: np.ndarray,
     t = ``step``, ``step`` / 2, ..., ``GRADIENT_TRIES`` lengths, which keep
     them and set ``STEP_GROWTH`` t; then, at every frame, the reassigns
     (:func:`_reassigns`), each grouped afresh.  The merge and the reassigns
-    keep ``step``.  G is the Euclidean gradient at V, and xi
-    (:func:`_stratum_gradient`) is formed from it only once the merge has
-    been yielded, so a frame whose merge gains pays for no xi.  A box frame,
-    of k clusters, is critical on its stratum, so its list is its gaining
-    reassigns only."""
+    keep ``step``.  ``section`` is V's :class:`_Section`, and it is asked
+    for the Euclidean gradient G, and xi (:func:`_stratum_gradient`) formed
+    from it, only once the merge has been yielded, so a frame whose merge
+    gains pays for neither.  A box frame, of k clusters, is critical on its
+    stratum, so its list is its gaining reassigns only."""
     if len(first) > k:
         yield *_merge(V, label, sign, first), step, "merge"
-        xi = _stratum_gradient(V, G, label, sign)[0]
+        xi = _stratum_gradient(V, section.gradient(), label, sign)[0]
         norm = float(np.linalg.norm(xi))
         trial = step
         for _ in range(GRADIENT_TRIES if norm > 0 else 0):
@@ -366,27 +369,29 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     the moves from a cluster of d_c to one of d_e <= d_c - 2 generators, are
     tried, so a balanced box reads one volume, its own, and stops.
 
-    Every volume read is one :func:`_volume_and_gradient` call, the start's
+    Every volume read is the volume of one :class:`_Section`, the start's
     and one per candidate (merge, gradient trial or reassign) after
-    :func:`whiten`, bitwise the volume of :func:`section_volume_fast`, and
-    it brings the Euclidean gradient G of the same frame: the start and an
-    accepted candidate carry theirs, so xi needs no hull of its own.  The
-    call is given the first rows of the candidate's ties, so a frame of
+    :func:`whiten`, bitwise the volume of :func:`section_volume_fast`.  The
+    section is given the first rows of the candidate's ties, so a frame of
     more than k clusters builds one hull and a box frame, at k >= 3, none:
-    its volume and G are read from the determinant of those k rows.
-    ``residual`` is read from xi once, at the frame the run stops on.  Each
-    candidate is one iteration.  ``trace`` records the start and every
-    accepted volume, so it is strictly increasing and ends at
-    ``final_volume``.  Iterates stay tight: rank losses and candidates whose
-    section Qhull cannot build are rejected, not raised, and counted.  The
-    run stops (``stop``) at a frame where no candidate gains,
-    ``"critical"``, or when the iterations reach ``max_iterations``,
-    ``"cap"``.
+    its volume and G are read from the determinant of those k rows.  The
+    start and an accepted candidate keep their section, which gives the
+    Euclidean gradient G of the same frame when xi is formed, so xi needs
+    no hull of its own, and G is summed, with the moment columns, only at
+    the frames that read it.  ``residual`` is read from xi once, at the
+    frame the run stops on.  Each candidate is one iteration.  ``trace``
+    records the start and every accepted volume, so it is strictly
+    increasing and ends at ``final_volume``.  Iterates stay tight: rank
+    losses and candidates whose section Qhull cannot build are rejected,
+    not raised, and counted.  The run stops (``stop``) at a frame where no
+    candidate gains, ``"critical"``, or when the iterations reach
+    ``max_iterations``, ``"cap"``.
     """
     k = s0.vectors.shape[1]
     current = s0
     label, sign, first = _clusters(current.vectors)
-    vol, G = _volume_and_gradient(current.vectors, first)
+    section = _Section(np.concatenate((current.vectors, -current.vectors)), first)
+    vol = section.volume()
     trace = [(0, vol)]
     step = INITIAL_STEP
     accepted = merged = degenerate = rank_loss = 0
@@ -394,9 +399,9 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     cap = config.max_iterations
 
     def evaluate(vectors, first):
-        """(tight, volume, G) of the whitened ``vectors``, whose clusters
-        are led by the rows ``first``; volume -inf and G None when they are
-        rejected."""
+        """(tight, volume, section) of the whitened ``vectors``, whose
+        clusters are led by the rows ``first``; volume -inf and section
+        None when they are rejected."""
         nonlocal it, degenerate, rank_loss
         it += 1
         # the candidate is a new (n, k) array of this step, so it is
@@ -406,7 +411,8 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
         vectors.setflags(write=False)
         try:
             _, tight = whiten(candidate)
-            return (tight, *_volume_and_gradient(tight.vectors, first))
+            section = _Section(np.concatenate((tight.vectors, -tight.vectors)), first)
+            return tight, section.volume(), section
         except FrameError:
             rank_loss += 1
         except DegeneratePolytopeError:
@@ -416,12 +422,12 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     stop = "cap"
     while it < cap:
         for vectors, ties, next_step, kind in _moves(
-                current.vectors, G, step, label, sign, first, k):
+                current.vectors, section, step, label, sign, first, k):
             if it >= cap:
                 break
-            tight, new_vol, new_G = evaluate(vectors, ties[2])
+            tight, new_vol, new_section = evaluate(vectors, ties[2])
             if new_vol > vol * (1.0 + VOL_TOL):
-                current, vol, G, step = tight, new_vol, new_G, next_step
+                current, vol, section, step = tight, new_vol, new_section, next_step
                 label, sign, first = ties
                 trace.append((it, vol))
                 accepted += 1
@@ -430,7 +436,7 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
         else:
             stop = "critical"
             break
-    residual = _stratum_gradient(current.vectors, G, label, sign)[1]
+    residual = _stratum_gradient(current.vectors, section.gradient(), label, sign)[1]
     return RestartResult(
         index=index,
         start=start,

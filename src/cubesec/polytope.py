@@ -18,19 +18,20 @@ vertices of its two hull edges.  For k >= 3 it is Qhull's hull
 (:func:`_polar_hull`), whose distinct facet equations are the section's
 vertices.  For k = 1 the section is an interval in closed form.
 
-One function builds every hull (:func:`_hull`): in the plane the scan,
-which gives the cone table with the vertices, one triangle per section
-edge; for k >= 3 Qhull's hull and the index plan of its flag sum, read off
-the triangulation alone (:func:`_hull_plan`).  Every volume and every
-facet is read from the cone table of one such hull, but at a box frame
-(below): row p holds the cone from the origin over the facet of the
-point p, its volume and first moment.  For k >= 3
-:func:`_flag_sum` sums it over the flags of Qhull's triangulation, one
-determinant per ridge and corner, from the plan, the points and the polar
-vertices.  The volume is the sum of the table's volume column, in row
-order (:func:`_halfspace_volume`, and :func:`section_volume_fast` for a
-section), and the same table gives the Euclidean gradient
-(:func:`_volume_and_gradient`).
+One object holds the section of a set of polar points (:class:`_Section`):
+it decides box or hull once, when it is built, builds the hull at most
+once, and reads each quantity only when asked.  Its hull is in the plane
+the scan, which gives the cone table with the vertices, one triangle per
+section edge; for k >= 3 Qhull's hull and the index plan of its flag sum,
+read off the triangulation alone (:func:`_hull_plan`).  Every volume and
+every facet is read from the cone table of one such hull, but at a box
+frame (below): row p holds the cone from the origin over the facet of the
+point p, its volume and first moment.  For k >= 3 :func:`_flag_sum` sums
+it over the flags of Qhull's triangulation, one determinant per ridge and
+corner, from the plan, the points and the polar vertices.  The volume is
+the sum of the table's volume column, in row order, read without the
+moment columns; the same table with them gives the Euclidean gradient, one
+sum with moments per section, taken only when the gradient is asked for.
 
 :func:`build_section` takes each row's cone from that table, as arrays
 (:func:`_hull_facets`), and assembles the records in one pass
@@ -40,34 +41,31 @@ indices of each group from one incidence matrix.  The section's volume is
 the same sum of the volume column, so in the plane it is bitwise the
 volume of :func:`section_volume_fast`.
 
-One hull per frame: :func:`build_section` and :func:`section_volume_fast`
-read the hull of +-V from one slot, :func:`_section_hull`, the only reader
-of the last section's :func:`_hull`, keyed by the points' bytes.
-Whichever of the two runs second on a frame, as ``cubesec report`` runs
-both, builds no hull and no plan.  The gradient and the shifted and tilted
-rebuilds build their own, uncached (:func:`_cone_table`).
+One section per frame: :func:`build_section` and :func:`section_volume_fast`
+read the section of +-V from one slot, :func:`_section`, keyed by the
+bytes of V.  Whichever of the two runs second on a frame, as ``cubesec
+report`` runs both, builds no hull and no plan, and takes no box test.
+The ascent and the shifted and tilted rebuilds build their own sections.
 
 Box frames in closed form, with no hull on any route: for k >= 3 a frame
 whose generators lie on exactly k lines, the k clusters of the exact ties
 (:func:`_clusters`) led by the rows U, has the parallelepiped
-{|U x| <= 1} for its section.  Every route takes one test for it,
-``len(first) == k`` on the ties: :func:`_volume_and_gradient` on the ties
-the ascent carries, :func:`section_volume_fast` and :func:`build_section`
-on those :func:`_box_first` takes, before any hull.  Every route reads the
-box from one evaluator, :func:`_box`: its volume 2^k / |det U|, U^-1 and
-its vertices U^-1 s for the signs s in {-1, 1}^k, with the depth test of
-the hull route.  :func:`section_volume_fast` reads the volume,
-:func:`_volume_and_gradient` also the gradient from U^-T, and
-:func:`build_section` also the facets: the facet of s u_c holds the
-vertices with s_c = s, its centroid is s U^-1 e_c and its content
-vol |u_c| / 2 (:func:`_box_facets`).  So the slot never holds a box's
-hull.  The rebuilds, whose bodies are no longer centred parallelepipeds,
-and the plane keep the cone table, so in the plane the two routes stay
-bitwise one volume, and at a box they are one determinant.
+{|U x| <= 1} for its section.  The box test is taken in one place, the
+constructor of :class:`_Section`, as ``len(first) == k`` on the ties it
+is given: those the ascent carries, or those :func:`_box_first` takes for
+the slot.  A box reads everything from :func:`_box`: its volume
+2^k / |det U|, U^-1 and its vertices U^-1 s for the signs s in
+{-1, 1}^k, with the depth test of the hull route.  The gradient comes from
+U^-T, and :func:`build_section` reads the facets: the facet of s u_c holds
+the vertices with s_c = s, its centroid is s U^-1 e_c and its content
+vol |u_c| / 2 (:func:`_box_facets`).  The rebuilds, whose bodies are no
+longer centred parallelepipeds, and the plane keep the cone table, so in
+the plane the two routes stay bitwise one volume, and at a box they are
+one determinant.
 
 One raise contract on every volume route (:func:`section_volume_fast`,
-:func:`volume` of :func:`build_section`, :func:`_volume_and_gradient`
-given the ties, and :func:`_halfspace_volume` for the rebuilds) tests the
+:func:`volume` of :func:`build_section`, and a :class:`_Section` given the
+ties, as the ascent builds it, or of the rebuilds' points) tests the
 depth of the hull of the polar points P, not their span.
 :class:`NotAFrameError` is raised when P is flat, or a facet of its hull
 (an edge in the plane, the facet of a vertex U^-1 s at a box) lies within
@@ -205,8 +203,8 @@ def _clusters(V: np.ndarray):
     are compared by value: -0.0 equals and hashes as 0.0, and a zero vector,
     its own negation, has sign +1.  No other function computes ties.  A
     frame of exactly k clusters, ``len(first) == k``, is a box frame, and
-    that is the box test of every route (:func:`_box_first`,
-    :func:`_volume_and_gradient`).  ``optimizer.ascend`` groups its start
+    that is the box test of every route (:class:`_Section`, given these
+    ties by the ascent or by :func:`_box_first`).  ``optimizer.ascend`` groups its start
     frame and each reassign candidate here; a merge and a gradient step
     carry the record of their frame.
     """
@@ -287,8 +285,8 @@ def _planar_hull(P: np.ndarray):
     body and its cone table, by one Graham scan (:func:`_scan`) once round
     the origin.
 
-    Returns (hull, Y, S): the rows whose points are the hull's vertices, in
-    counterclockwise order; Y[j] the polar vertex of the hull edge from
+    Returns (hull, Y, S), the first two as tuples: the rows whose points
+    are the hull's vertices, in counterclockwise order; Y[j] the polar vertex of the hull edge from
     hull[j] to hull[j + 1], cyclically, so that the facet of row hull[j] is
     the edge from Y[j - 1] to Y[j]; and the cone table S in the layout of
     :func:`_flag_sum`: row p of the (len(P), 3) array holds 3 times the
@@ -342,7 +340,7 @@ def _planar_hull(P: np.ndarray):
         w = (ix * oy - iy * ox) / (2 * a * b)
         (ux, uy), (vx, vy) = Y[j - 1], Y[j]
         S[r] = (w * (ux + vx), w * (uy + vy), w)
-    return hull, Y, np.array(S)
+    return tuple(hull), tuple(Y), np.array(S)
 
 
 def _polar_hull(P: np.ndarray):
@@ -430,63 +428,60 @@ def build_section(s: Frame) -> SectionPolytope:
     below k-1, and the criticality checks flag both downstream.  Rows
     within ``EPS_GEOM`` of each other share one facet (:func:`_assemble`).
 
-    Two routes give the facets, which come in the order of their groups
-    either way:
+    The section's one :class:`_Section` (:func:`_section`), which
+    :func:`section_volume_fast` shares on the same vectors, gives the
+    facets, which come in the order of their groups either way:
 
-    - a box frame (:func:`_box_first`), k >= 3, whose 2k signed lines are
-      the ``EPS_GEOM`` groups, reads the parallelepiped {|U x| <= 1} from
-      :func:`_box` with no hull (:func:`_box_facets`); its vertices come
-      in sign order, and its volume is :func:`section_volume_fast`'s,
-      bitwise;
+    - a box, whose 2k signed lines are the ``EPS_GEOM`` groups, reads the
+      parallelepiped {|U x| <= 1} from the section's ``box``, with no hull
+      (:func:`_box_facets`); its vertices come in sign order, and its
+      volume is :func:`section_volume_fast`'s, bitwise;
     - any other frame reads the cone table of the section's hull
       (:func:`_hull_facets`), whose volume column sums to the volume.
 
     It raises as the module's raise contract says; the span test is
     ``s``'s own, taken when it was built.
     """
-    W = np.concatenate((s.vectors, -s.vectors))
+    section = _section(s.vectors)
+    W = section.P
     label = _coincident_row_groups(W, EPS_GEOM)
     count = int(label.max()) + 1
     # exact ties are within EPS_GEOM, so each group is a union of signed
     # lines s u_c; a box has 2k of them, and 2k groups are those lines
-    if s.k >= 3 and count == 2 * s.k:
-        first = _box_first(s.vectors)
-        if first is not None:
-            return _assemble(W, label, *_box_facets(W, label, first))
-    return _assemble(W, label, *_hull_facets(W, label, count))
+    if section.box is not None and count == 2 * s.k:
+        return _assemble(W, label, *_box_facets(W, label, section.first, section.box))
+    return _assemble(W, label, *_hull_facets(section, label, count))
 
 
-def _hull_facets(W: np.ndarray, label: np.ndarray, count: int):
-    """The facets of the section {W x <= 1} from its hull's cone table
-    (:func:`_planar_hull`, :func:`_flag_sum`), in the layout of
-    :func:`_assemble`, for the ``count`` row groups of ``label``.
+def _hull_facets(section: _Section, label: np.ndarray, count: int):
+    """The facets of the section {W x <= 1}, W = ``section.P``, from the
+    cone table of its hull, in the layout of :func:`_assemble`, for the
+    ``count`` row groups of ``label``.
 
-    The hull and, for k >= 3, its flag-sum plan are the section's one hull
-    (:func:`_section_hull`), which :func:`section_volume_fast` shares on
-    the same W; what is this function's own is the arithmetic: the
-    vertices solved from the corners, and the table with its first moments
-    over them.  The facet of a row that has one has content k cone |w|, for
-    cone the volume of the cone from the origin over it; each group's
-    content and first moment are summed over its rows, in one array pass,
-    and the volume is the sum of the table's volume column in row order,
-    as :func:`_halfspace_volume` sums it.  For k = 1 a facet is the vertex
-    1 / p, its cone of length 1 / |p|, and the volume the interval's
-    length.
+    The hull and, for k >= 3, its flag-sum plan are the section's
+    (:meth:`_Section.hull`); what is this function's own is the arithmetic
+    for k >= 3: the vertices solved from the corners, and the table with
+    its first moments over them, whose volume column sums to the volume.
+    In the plane the table and the volume are the section's own.  The
+    facet of a row that has one has content k cone |w|, for cone the
+    volume of the cone from the origin over it; each group's content and
+    first moment are summed over its rows, in one array pass.  For k = 1 a
+    facet is the vertex 1 / p, its cone of length 1 / |p|.
     """
-    k = W.shape[1]
+    W, k = section.P, section.P.shape[1]
     if k == 1:
         rows = np.array(_interval(W))
         verts = centroid = (1 / W[rows, 0])[:, None]
         cone = np.abs(verts[:, 0])
-        point, vid, vol = rows, np.arange(2), float(cone.sum())
+        point, vid = rows, np.arange(2)
     else:
         if k == 2:
-            hull, Y, table = _section_hull(W)
+            hull, Y, table = section.hull()
             verts, rows = np.array(Y), np.array(hull)
             ends = np.arange(len(hull))
             point, vid = np.concatenate((rows, rows)), np.concatenate(((ends - 1) % len(hull), ends))
         else:
-            hull, Y, plan = _section_hull(W)
+            hull, Y, plan = section.hull()
             eq = hull.equations
             # a simplex of a merged facet shares its equation with a neighbor
             alone = ~np.all(eq[hull.neighbors] == eq[:, None, :], axis=2).any(axis=1)
@@ -498,7 +493,7 @@ def _hull_facets(W: np.ndarray, label: np.ndarray, count: int):
             point, vid = hull.simplices.ravel(), np.repeat(vid, k)
         cone = table[rows, k]
         centroid = table[rows, :k] / (k * cone)[:, None]
-        vol = float(table[:, k].sum())
+    vol = float(table[:, k].sum()) if k >= 3 else section.volume()
     measure = k * cone * np.linalg.norm(W[rows], axis=1)
     held = np.zeros((count, len(verts)), dtype=bool)
     held[label[point], vid] = True
@@ -506,25 +501,24 @@ def _hull_facets(W: np.ndarray, label: np.ndarray, count: int):
     return verts, held, sums, vol
 
 
-def _box_facets(W: np.ndarray, label: np.ndarray, first: np.ndarray):
+def _box_facets(W: np.ndarray, label: np.ndarray, first: np.ndarray, box):
     """The facets of a box section, k >= 3, in the layout of
     :func:`_assemble`, with no hull: W = +-V, whose generators lie on the k
-    lines of the rows U = V[first], and ``label`` the 2k row groups, each
-    one signed line s u_c.  The facet of s u_c holds the vertices U^-1 t
-    with t_c = s, its centroid is s U^-1 e_c, and its content is
-    vol |u_c| / 2, so the cones over the 2k facets, of heights 1 / |u_c|,
-    add up to the volume 2^k / |det U| (:func:`_box`).  Raises as
-    :func:`_box` does."""
+    lines of the rows U = V[first], ``box`` the (volume, U^-1, vertices)
+    of :func:`_box`, and ``label`` the 2k row groups, each one signed line
+    s u_c.  The facet of s u_c holds the vertices U^-1 t with t_c = s, its
+    centroid is s U^-1 e_c, and its content is vol |u_c| / 2, so the cones
+    over the 2k facets, of heights 1 / |u_c|, add up to the volume
+    2^k / |det U|."""
     n, k = len(W) // 2, W.shape[1]
-    U = W[first]
-    vol, inv, verts = _box(U)
+    vol, inv, verts = box
     # the line and the sign of each group, from the groups of +-u_c
     line, sign = np.empty(2 * k, dtype=np.intp), np.empty(2 * k)
     for rows, s in ((first, 1.0), (first + n, -1.0)):
         line[label[rows]] = np.arange(k)
         sign[label[rows]] = s
     held = _signs(k).T[line] == sign[:, None]
-    measure = vol / 2 * np.linalg.norm(U, axis=1)[line]
+    measure = vol / 2 * np.linalg.norm(W[first], axis=1)[line]
     return verts, held, np.column_stack((measure, (measure * sign)[:, None] * inv.T[line])), vol
 
 
@@ -751,7 +745,7 @@ def _hull_plan(simplices: np.ndarray, neighbors: np.ndarray, points: int) -> _Hu
     simplex that holds a face lists it alike.  The tables serve any points
     with this triangulation and any polar vertices, so one hull's plan
     serves both section routes, on Qhull's vertices and on the solved ones
-    (:func:`_section_hull`); see :func:`_flag_sum` for the sum.
+    (:meth:`_Section.hull`); see :func:`_flag_sum` for the sum.
     """
     k = simplices.shape[1]
     plan = _flag_plan(k)
@@ -822,11 +816,8 @@ def _flag_sum(P: np.ndarray, Y: np.ndarray, tables: _HullPlan, moments: bool = T
     the simplices of a merged facet share one polar vertex, so their ridges
     add exactly 0.
 
-    sigma_R stays: the ridge terms are not all of one sign.  On 100 random
-    frames and 10 rotated frames whose +-v are the vertices of a cube, per
-    k, no term fell below -1.4e-17 of the volume at k = 3 and 4, but at
-    k = 5 terms reached -0.077 of the volume and the sum of their
-    magnitudes was up to 23 % off.
+    sigma_R stays: the ridge terms are not all of one sign (at k = 5 on
+    random frames some are far below 0).
 
     The terms with tau_0 = p make up the cone over F_p, of volume
     |F_p| / (k |p|) and first moment k / (k + 1) |cone| centroid(F_p).
@@ -852,18 +843,17 @@ def _flag_sum(P: np.ndarray, Y: np.ndarray, tables: _HullPlan, moments: bool = T
     G and p: with the corners of every simplex in ascending order, it is
     computed once per face, at the slot that names its holder
     (:func:`_face_slots`).  The arrays hold components first and the stack
-    last (:func:`_wedge_first`), so each numpy call works on whole rows: at
-    (n, k) = (7, 3) and (7, 4) a call handles a few dozen simplices, and
-    the count of calls, not the arithmetic, sets the time.
+    last (:func:`_wedge_first`), so each numpy call works on whole rows: a
+    call handles one row per simplex, and at small n the count of calls,
+    not the arithmetic, sets the time.
 
     The work is in two parts.  :func:`_hull_plan` reads the simplices and
     their neighbors alone: the corner sort, the ridges and their owners,
-    the face holders, and each step's gather indices and signs, about a
-    third of the time at (7, 3) and (7, 4).  This function does the sum
-    over P and Y.  :func:`_hull` builds the plan with the hull, and the
-    section's hull keeps it (:func:`_section_hull`), so the second of
-    :func:`build_section` and :func:`section_volume_fast` on a frame runs
-    only the sum.
+    the face holders, and each step's gather indices and signs.  This
+    function does the sum over P and Y.  :meth:`_Section.hull` builds the
+    plan with the hull and keeps it, and the slot keeps the section
+    (:func:`_section`), so the second of :func:`build_section` and
+    :func:`section_volume_fast` on a frame runs only the sum.
     """
     k, N = P.shape[1], len(P)
     columns = k + 1 if moments else 1
@@ -898,88 +888,124 @@ def _flag_sum(P: np.ndarray, Y: np.ndarray, tables: _HullPlan, moments: bool = T
     return _sums_by(tables.owner.ravel(), det.reshape(columns, -1).T, N)
 
 
-def _hull(P: np.ndarray):
-    """The hull of the polar points P, k >= 2, and what the volume routes
-    read of it: :func:`_planar_hull`'s (hull, Y, S) in the plane; for
-    k >= 3 :func:`_polar_hull`'s (hull, Y) and the plan of its flag sum
-    (:func:`_hull_plan`).  Every volume route's hull is built here."""
-    if P.shape[1] == 2:
-        return _planar_hull(P)
-    hull, Y = _polar_hull(P)
-    return hull, Y, _hull_plan(hull.simplices, hull.neighbors, len(P))
+class _Section:
+    """The section of one set of polar points P, the polar body
+    {x : P x <= 1}, whose hull holds the origin inside: P = +-V for the
+    section of the n frame vectors V, or the moved points of the shifted
+    and tilted rebuilds.
+
+    The constructor takes the box test, once: given ``first``, the least
+    members of V's clusters (:func:`_clusters`), k >= 3 and
+    ``len(first) == k`` make a box, and ``box`` is :func:`_box` of
+    U = V[first], which raises as the module's raise contract says; else
+    ``box`` is None.  Each method reads its quantity only when called:
+
+    - :meth:`hull`, k >= 2, built on the first call and kept: in the plane
+      :func:`_planar_hull`'s (hull, Y, S); for k >= 3 :func:`_polar_hull`'s
+      (hull, Y) and the plan of its flag sum (:func:`_hull_plan`).  No
+      route asks a box for it.
+    - :meth:`table`, k >= 2: the cone table of the hull, the scan's own in
+      the plane, and for k >= 3 :func:`_flag_sum` over the plan, with the
+      k first-moment columns only when ``moments`` is set.
+    - :meth:`volume`: 2^k / |det U| at a box, the interval's length for
+      k = 1 (:func:`_interval`), and otherwise the sum of the table's
+      volume column, in row order, taken without moments, which is bitwise
+      the volume column of the whole table.
+    - :meth:`gradient`, kept: the Euclidean gradient G of the volume in V.
+      At a box the gradient of log |det U| in U is U^-T: row first[c] of G
+      is -vol (U^-T)_c, the gradient of the whole cluster, and every other
+      row is 0.  Elsewhere it is one sum with moments: the gradient of v_i
+      is -2 mu_i c_i / |v_i|, with mu_i the content and c_i the centroid of
+      the facet on <x, v_i> = 1 (the facet on <x, -v_i> = 1 is its
+      negation), and k + 1 times the first moment of the cone over the
+      facet of a point p is mu_p c_p / |p|, the first k columns of row p of
+      the whole table S, so G = S[n:, :k] - S[:n, :k].  A generator that
+      supports no facet gets 0, and of coincident points only the one the
+      hull keeps gets the facet, so the gradient of a cluster is its
+      signed sum on either route.
+    """
+
+    def __init__(self, P: np.ndarray, first: np.ndarray | None = None):
+        self.P, self.first, self._hull, self._gradient = P, first, None, None
+        # the box test: k >= 3 and exactly k clusters
+        self.box = _box(P[first]) if first is not None and len(first) == P.shape[1] >= 3 else None
+
+    def hull(self):
+        if self._hull is None:
+            if self.P.shape[1] == 2:
+                self._hull = _planar_hull(self.P)
+            else:
+                hull, Y = _polar_hull(self.P)
+                self._hull = hull, Y, _hull_plan(hull.simplices, hull.neighbors, len(self.P))
+        return self._hull
+
+    def table(self, moments: bool = True) -> np.ndarray:
+        _, Y, rest = self.hull()  # the planar table, or the plan of the flag sum
+        return rest if self.P.shape[1] == 2 else _flag_sum(self.P, Y, rest, moments)
+
+    def volume(self) -> float:
+        if self.box is not None:
+            return self.box[0]
+        if self.P.shape[1] == 1:
+            lo, hi = _interval(self.P)
+            return float(1 / self.P[hi, 0] - 1 / self.P[lo, 0])
+        return float(self.table(moments=False)[:, -1].sum())
+
+    def gradient(self) -> np.ndarray:
+        if self._gradient is None:
+            n, k = len(self.P) // 2, self.P.shape[1]
+            if self.box is None:
+                S = self.table()
+                self._gradient = S[n:, :k] - S[:n, :k]
+            else:
+                self._gradient = np.zeros((n, k))
+                self._gradient[self.first] = -self.box[0] * self.box[1].T
+        return self._gradient
 
 
-# The hull of the last section's points +-V (:func:`_section_hull`): its
-# key, the points' dtype, shape and bytes, and the hull, all read-only.
+# The last section of the frame vectors V (:func:`_section`): its key, the
+# dtype, shape and bytes of V, and the section.
 _last_section = (None, None)
 
 
-def _section_hull(W: np.ndarray):
-    """The :func:`_hull` of the section's points W = +-V, k >= 2, built
-    once per frame: in the plane (hull, Y, S) as tuples and a read-only
-    table, for k >= 3 (hull, Y, plan) with every array read-only.
+def _section(V: np.ndarray) -> _Section:
+    """The :class:`_Section` of the points +-V, given the ties of
+    :func:`_box_first`, built once per frame: off a box, at k >= 2, its
+    hull is built here, and +-V and every array of the hull are read-only.
 
-    The last hull is kept in one slot, keyed by the dtype, shape and bytes
-    of W, so :func:`build_section` (through :func:`_hull_facets`) and
-    :func:`section_volume_fast` on one frame, in either order, build one
-    hull between them: ``cubesec report`` calls both.  A hull depends on
-    its points alone (Qhull and the scan are deterministic), so a hit
-    returns what a fresh build would; a build that raises stores nothing.
-    This is the slot's only reader.  No route builds a box's hull
-    (k >= 3), so the slot never holds one.  The ascent
-    (:func:`_volume_and_gradient`), which evaluates no frame twice in a
-    row, and the shifted and tilted rebuilds, which move the points, build
-    their own.
+    The last section is kept in one slot, keyed by the dtype, shape and
+    bytes of V, so :func:`build_section` and :func:`section_volume_fast` on
+    one frame, in either order, build one hull or, at a box, take one
+    :func:`_box` between them: ``cubesec report`` calls both.  A section
+    depends on its points alone (Qhull and the scan are deterministic), so
+    a hit returns what a fresh build would; a build that raises stores
+    nothing.  This is the slot's only reader.  The ascent, which evaluates
+    no frame twice in a row, and the shifted and tilted rebuilds, which
+    move the points, build their own sections.
     """
     global _last_section
-    key = (W.dtype, W.shape, W.tobytes())
-    held, entry = _last_section
+    key = (V.dtype, V.shape, V.tobytes())
+    held, section = _last_section
     if held == key:
-        return entry
-    entry = _hull(W)
-    if W.shape[1] == 2:
-        hull, Y, S = entry
-        entry, arrays = (tuple(hull), tuple(Y), S), (S,)
-    else:
-        hull, Y, plan = entry
-        arrays = (hull.simplices, hull.neighbors, hull.equations, Y,
-                  *plan[:-1], *itertools.chain(*plan.steps))
+        return section
+    section = _Section(np.concatenate((V, -V)), _box_first(V))
+    arrays = [section.P]
+    if section.box is None and V.shape[1] == 2:
+        arrays.append(section.hull()[2])
+    elif section.box is None and V.shape[1] >= 3:
+        hull, Y, plan = section.hull()
+        arrays += (hull.simplices, hull.neighbors, hull.equations, Y,
+                   *plan[:-1], *itertools.chain(*plan.steps))
     for a in arrays:
         a.setflags(write=False)
-    _last_section = (key, entry)
-    return entry
-
-
-def _cone_table(P: np.ndarray, moments: bool = True) -> np.ndarray:
-    """The cone table of the polar body {x : P x <= 1}, k >= 2, from a new
-    :func:`_hull` of P: the scan's own in the plane, :func:`_flag_sum` over
-    its plan for k >= 3.  Without ``moments`` the table for k >= 3 holds
-    the volume column alone; in the plane it is always whole.  Either way
-    its last column is the cones' volumes."""
-    _, Y, rest = _hull(P)  # the planar table, or the plan of the flag sum
-    return rest if P.shape[1] == 2 else _flag_sum(P, Y, rest, moments)
-
-
-def _halfspace_volume(P: np.ndarray) -> float:
-    """Volume of the polar body {x : P x <= 1} of the points P, whose hull
-    holds the origin inside: the sum of the cones of its cone table
-    (:func:`_cone_table`, for k >= 3 its volume column alone), or for k = 1
-    the length of the interval.
-
-    A system {W x <= c}, every c > 0, is the polar body of P_r = W_r / c_r.
-    The body need not be centrally symmetric; the hull goes once round the
-    origin.  Raises as the module's raise contract says.
-    """
-    if P.shape[1] == 1:
-        lo, hi = _interval(P)
-        return float(1 / P[hi, 0] - 1 / P[lo, 0])
-    return float(_cone_table(P, moments=False)[:, -1].sum())
+    _last_section = (key, section)
+    return section
 
 
 def section_volume_fast(vectors: np.ndarray) -> float:
-    """Volume of the generated section without facet bookkeeping: the
-    polar body of the points +-V, summed as :func:`_halfspace_volume`
-    sums it, over the section's one hull.
+    """Volume of the section generated by the frame vectors V, without
+    facet bookkeeping: :meth:`_Section.volume` of the section's one
+    :class:`_Section` (:func:`_section`).
 
     The volume optimizer restarts are ranked by.  Zero and tiny vectors are
     points deep inside the hull of +-V, so they contribute no constraint
@@ -1000,45 +1026,27 @@ def section_volume_fast(vectors: np.ndarray) -> float:
       volume column alone, without the k first-moment columns the gradient
       and the facets read.
 
-    The hull, and for k >= 3 its flag-sum plan, is the section's one
-    :func:`_hull` (:func:`_section_hull`): called after :func:`build_section` on the
-    same vectors, as ``cubesec report`` calls it, this builds no hull and
-    runs only the sum over Qhull's polar vertices (the planar table is read
-    as it is).
-
-    Neither has a feasibility slack; the tests hold both to the exact
-    rational volume on near-parallel, duplicated-vector and box frames.
-    It is bitwise the volume of :func:`_volume_and_gradient`, which reads
-    the same volume column from the whole table, or at a box, given its
-    ties, the same determinant.  It raises as the module's raise contract
-    says.
+    Called after :func:`build_section` on the same vectors, as ``cubesec
+    report`` calls it, this builds no hull and takes no :func:`_box`: it
+    runs only the sum over Qhull's polar vertices, or reads the planar
+    table or the box's determinant as they are.  It is bitwise the volume
+    of a :class:`_Section` of +-V given V's own ties, the ascent's route.
+    It raises as the module's raise contract says.
     """
-    W = np.concatenate((vectors, -vectors))
-    if W.shape[1] == 1:
-        return _halfspace_volume(W)
-    if W.shape[1] == 2:
-        S = _section_hull(W)[2]
-    else:
-        first = _box_first(vectors)
-        if first is not None:
-            return _box(vectors[first])[0]
-        hull, Y, plan = _section_hull(W)
-        S = _flag_sum(W, Y, plan, moments=False)
-    return float(S[:, -1].sum())
+    return _section(vectors).volume()
 
 
 def _box_first(V: np.ndarray):
-    """The box test of :func:`section_volume_fast` and
-    :func:`build_section`, which have no ties: the least members of the k
-    clusters of the generators V (:func:`_clusters`) when there are
-    exactly k, else None.
+    """The box test of :func:`_section`, which has no ties: the least
+    members of the k clusters of the generators V (:func:`_clusters`) when
+    k >= 3 and there are exactly k, else None.
 
     The rows of one line share |v_1|, so a frame whose first k + 1 rows
     take k + 1 values of it, as a random frame's do, is ruled out before
     the ties are taken.
     """
     k = V.shape[1]
-    if len({abs(x) for x in V[:k + 1, 0].tolist()}) > k:
+    if k < 3 or len({abs(x) for x in V[:k + 1, 0].tolist()}) > k:
         return None
     first = _clusters(V)[2]
     return first if len(first) == k else None
@@ -1075,44 +1083,6 @@ def _box(U: np.ndarray):
     return float(2 ** len(U) / abs(np.linalg.det(U))), inv, Y
 
 
-def _volume_and_gradient(V: np.ndarray, first: np.ndarray):
-    """(volume, G): the section volume of the frame vectors V, k >= 2, and
-    its Euclidean gradient with respect to V; the volume is bitwise that of
-    :func:`section_volume_fast`.  ``first`` holds the least members of V's
-    own clusters (:func:`_clusters`), which the ascent carries from frame to
-    frame.
-
-    At a box frame, k >= 3 and ``len(first) == k``, k clusters led by the
-    rows U = V[first], the section is the parallelepiped of :func:`_box`,
-    and the gradient of log |det U| in U is U^-T: row first[c] of G is
-    -vol (U^-T)_c, the gradient of the whole cluster, and every other row
-    is 0.  That takes no hull.  :func:`section_volume_fast` and
-    :func:`build_section`, which have no ties, take the same test on those
-    of :func:`_clusters` (:func:`_box_first`), so every route reads the
-    same frames as boxes.
-
-    Elsewhere both come from one cone table of the hull of +-V
-    (:func:`_cone_table`).  The gradient of v_i is -2 mu_i c_i / |v_i|, with
-    mu_i the content and c_i the centroid of the facet on <x, v_i> = 1 (the
-    facet on <x, -v_i> = 1 is its negation); a generator that supports no
-    facet gets 0.  The first moment of the cone from the origin over the
-    facet of a point p, times k + 1, is mu_p c_p / |p|, the first k columns
-    of the table's row p.  In the plane there is no Qhull or ``eigh`` call,
-    and no box route, as in :func:`section_volume_fast`.  Of coincident
-    points only the one the hull keeps gets the facet, so the gradient of a
-    cluster is its signed sum on either route.  Raises as the module's
-    raise contract says, at a box too.
-    """
-    n, k = V.shape
-    if k >= 3 and len(first) == k:
-        vol, inv, _ = _box(V[first])
-        G = np.zeros_like(V)
-        G[first] = -vol * inv.T
-        return vol, G
-    S = _cone_table(np.concatenate((V, -V)))
-    return float(S[:, -1].sum()), S[n:, :k] - S[:n, :k]
-
-
 def shift_facet_predict(p: SectionPolytope, f: FacetRecord, h: float) -> float:
     """First-order volume change when a facet is shifted outward by ``h``."""
     return float(h * f.measure)
@@ -1128,7 +1098,7 @@ def shifted_section_volume(p: SectionPolytope, f: FacetRecord, h: float) -> floa
     c = np.ones(len(p._W))
     for r in f.row_ids:
         c[r] += h * np.linalg.norm(p._W[r])
-    return _halfspace_volume(p._W / c[:, None])
+    return _Section(p._W / c[:, None]).volume()
 
 
 def rotate_facet_predict(
@@ -1161,4 +1131,4 @@ def rotated_section_volume(
     W = p._W.copy()
     for r in f.row_ids:
         W[r] = W[r] + t * np.asarray(u, dtype=float)
-    return _halfspace_volume(W)
+    return _Section(W).volume()

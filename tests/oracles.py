@@ -316,7 +316,7 @@ def reference_point_facets(W, c):
     if k == 2:
         hull, Y, _ = _planar_hull(P)
         verts = np.array(Y)
-        Q = P[hull]
+        Q = P[list(hull)]
         prev = np.roll(Q, 1, axis=0)
         into = Q - prev
         out = np.roll(into, -1, axis=0)

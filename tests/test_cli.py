@@ -49,6 +49,9 @@ MALFORMED_FRAMES = [
                  "vectors must be finite", id="infinity"),
     pytest.param('{"n": 3, "k": 2, "vectors": [[null, 0], [0, 1], [1, 1]]}', 3,
                  "vectors must be finite", id="null"),
+    # finite, but the frame operator overflows to inf and its eigenvalues are NaN
+    pytest.param('{"n": 3, "k": 2, "vectors": [[1e200, 0], [0, 1], [1, 1]]}', 3,
+                 "not a frame", id="overflow"),
     pytest.param("[1, 2]", 3, "must be an object", id="not_an_object"),
     pytest.param('{"n": 3, "k": 2, "vectors": [[{}, 0], [0, 1], [1, 1]]}', 3,
                  "vectors must be numbers", id="object_entry"),
@@ -74,15 +77,16 @@ class TestVolume:
 
     @pytest.mark.parametrize("command", ["volume", "verify", "report"])
     @pytest.mark.parametrize("text, code, message", MALFORMED_FRAMES)
-    def test_rank_deficient_exit_3(self, tmp_path, capsys, command, text, code, message):
+    def test_rank_deficient_exit_3(self, tmp_path, capsys, recwarn, command, text, code, message):
         # every malformed frame file exits 3, and a file that is not JSON 2,
-        # with one error line and no traceback
+        # with one error line, no traceback and no warning
         path = tmp_path / "bad.json"
         path.write_text(text)
         assert main([command, str(path)]) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+        assert [str(w.message) for w in recwarn] == []
 
     def test_malformed_json_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cubesec.frame_core import (
     EPS_TIGHT,
     RANK_FLOOR,
     Frame,
+    FrameError,
     NotAFrameError,
     TightFrame,
     TightnessError,
@@ -66,6 +68,25 @@ class TestFrameOperator:
     def test_rank_deficient_rejected(self):
         with pytest.raises(NotAFrameError, match="not a frame"):
             Frame([[1.0, 0.0], [2.0, 0.0]])
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("big", [1e200, 1e160])
+    def test_overflowing_operator_rejected(self, k, big):
+        # finite entries whose squares overflow give a frame operator of
+        # inf, whose eigenvalues are NaN, and NaN fails every comparison:
+        # the span test rejects the frame, with no overflow warning, and
+        # whitening and the tightness test reject it too, with no NaN frame
+        v = np.vstack([np.eye(k), np.ones(k)])
+        v[0, 0] = big
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotAFrameError, match="not a frame"):
+                Frame(v)
+        with np.errstate(over="ignore"):
+            with pytest.raises(FrameError):
+                whiten(Frame(v, require_span=False))
+            with pytest.raises(TightnessError):
+                TightFrame(v)
 
     def test_positive_definite_on_random(self):
         rng = np.random.default_rng(0)

@@ -2,6 +2,7 @@
 
 import math
 from itertools import combinations, combinations_with_replacement, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from cubesec.frame_core import (
 from cubesec import optimizer, polytope
 from cubesec.polytope import (
     DegeneratePolytopeError,
-    _volume_and_gradient,
     build_section,
     section_volume_fast,
     volume,
@@ -28,6 +28,7 @@ from cubesec.optimizer import (
 )
 from oracles import reference_clusters, reference_merge
 from restart_digest import restart_records
+from volume_digest import volume_and_gradient
 
 
 def small_config(n, k, **kw):
@@ -133,13 +134,14 @@ class TestAscend:
         # a Qhull failure on one candidate must not abort the restart
         calls = []
 
-        def fails_once(vectors, first):
-            calls.append(1)
-            if len(calls) == 2:  # the first merge; call 1 is the start
-                raise DegeneratePolytopeError("degenerate polytope")
-            return _volume_and_gradient(vectors, first)
+        class FailsOnce(polytope._Section):
+            def volume(self):
+                calls.append(1)
+                if len(calls) == 2:  # the first merge; call 1 is the start
+                    raise DegeneratePolytopeError("degenerate polytope")
+                return super().volume()
 
-        monkeypatch.setattr(optimizer, "_volume_and_gradient", fails_once)
+        monkeypatch.setattr(optimizer, "_Section", FailsOnce)
         rng = np.random.default_rng(5)
         s0 = random_tight_frame(6, 3, rng)
         res = ascend(s0, small_config(6, 3, max_iterations=50), rng)
@@ -161,18 +163,19 @@ class TestAscend:
 
     @pytest.mark.parametrize("n, k", [(6, 2), (7, 3)])
     def test_one_evaluation_per_candidate(self, n, k, monkeypatch):
-        # every volume the ascent reads is one _volume_and_gradient call:
-        # the start's and one per candidate.  The reported volume is the one
-        # read for the final frame, with no further call to rank it, and the
-        # trace ends at it
+        # every volume the ascent reads is the volume of one _Section of
+        # +-V: the start's and one per candidate.  The reported volume is
+        # the one read for the final frame, with no further call to rank
+        # it, and the trace ends at it
         read = []
 
-        def counted(vectors, first):
-            vol, G = _volume_and_gradient(vectors, first)
-            read.append((vectors.tobytes(), vol))
-            return vol, G
+        class Counted(polytope._Section):
+            def volume(self):
+                vol = super().volume()
+                read.append((self.P[:len(self.P) // 2].tobytes(), vol))
+                return vol
 
-        monkeypatch.setattr(optimizer, "_volume_and_gradient", counted)
+        monkeypatch.setattr(optimizer, "_Section", Counted)
         for seed in range(3):
             rng = np.random.default_rng([seed, n, k])
             read.clear()
@@ -184,12 +187,15 @@ class TestAscend:
 
     def test_one_hull_per_evaluation(self, monkeypatch):
         # an evaluation of a frame of more than k clusters builds one hull,
-        # which gives the candidate's volume and the gradient it carries:
+        # which gives the candidate's volume and, when asked, the gradient:
         # Qhull's for k >= 3, the planar scan for k = 2, where a box frame
         # builds one too.  At k >= 3 a box candidate, of k clusters, builds
         # none: its volume and gradient are read from det U with the ties
         # the ascent carries, so the warm start, a box, builds no hull at
-        # all.  Its volume is section_volume_fast's, bitwise
+        # all.  Its volume is section_volume_fast's, bitwise.  The gradient
+        # is lazy: every evaluation off a box at k >= 3 runs one volume-only
+        # flag sum, and a sum with moments runs only where xi is formed, at
+        # most once per frame
         rng = np.random.default_rng(60)
         for k in (2, 3, 4, 5):
             for n in (k + 1, 2 * k + 1):
@@ -197,9 +203,9 @@ class TestAscend:
                 noisy = whiten(Frame(box + 5e-8 * rng.standard_normal(box.shape)))[1].vectors
                 for v in (random_tight_frame(n, k, rng).vectors, box, noisy):
                     vol = section_volume_fast(v)
-                    assert vol == _volume_and_gradient(v, polytope._clusters(v)[2])[0]
+                    assert vol == volume_and_gradient(v)[0]
 
-        hulls, calls = [], []
+        hulls, sums, calls, reads, xis = [], [], [], [], []
 
         def counted(build):
             def wrapper(*args, **kwargs):
@@ -207,28 +213,60 @@ class TestAscend:
                 return build(*args, **kwargs)
             return wrapper
 
-        def recorded(vectors, first):
-            before = len(hulls)
-            try:
-                return _volume_and_gradient(vectors, first)
-            finally:
-                calls.append((len(first), len(hulls) - before))
+        def summed(P, Y, tables, moments=True):
+            sums.append(moments)
+            return flag_sum(P, Y, tables, moments)
 
+        def stratum_gradient(*args):
+            xis.append(1)
+            return stratum(*args)
+
+        class Recorded(polytope._Section):
+            def volume(self):
+                before = len(hulls), len(sums)
+                try:
+                    return super().volume()
+                finally:
+                    calls.append((len(self.first), len(hulls) - before[0], sums[before[1]:]))
+
+            def gradient(self):
+                before = len(hulls), len(sums)
+                try:
+                    return super().gradient()
+                finally:
+                    reads.append((self, len(hulls) - before[0], sums[before[1]:]))
+
+        flag_sum, stratum = polytope._flag_sum, optimizer._stratum_gradient
         monkeypatch.setattr(polytope, "ConvexHull", counted(polytope.ConvexHull))
         monkeypatch.setattr(polytope, "_planar_hull", counted(polytope._planar_hull))
-        monkeypatch.setattr(optimizer, "_volume_and_gradient", recorded)
+        monkeypatch.setattr(polytope, "_flag_sum", summed)
+        monkeypatch.setattr(optimizer, "_stratum_gradient", stratum_gradient)
+        monkeypatch.setattr(optimizer, "_Section", Recorded)
         for n, k in ((7, 3), (7, 4), (6, 2), (10, 2)):
             rng = np.random.default_rng([0, n, k])
             for s0, start in ((random_tight_frame(n, k, rng), "random"),
                               (extremal_frame(n, k), "warm")):
-                hulls.clear()
-                calls.clear()
+                for record in (hulls, sums, calls, reads, xis):
+                    record.clear()
                 res = ascend(s0, OptimizerConfig(n=n, k=k), rng)
                 assert res.rank_loss == 0
                 assert len(calls) == res.evaluations
-                assert [built for _, built in calls] == [
-                    1 if k == 2 or m > k else 0 for m, _ in calls]
-                assert len(hulls) == sum(built for _, built in calls)
+                assert [built for _, built, _ in calls] == [
+                    1 if k == 2 or m > k else 0 for m, _, _ in calls]
+                assert len(hulls) == sum(built for _, built, _ in calls)
+                assert [ran for *_, ran in calls] == [
+                    [False] if k > 2 and m > k else [] for m, *_ in calls]
+                # one gradient read per xi, building no hull; each frame's
+                # reads run one sum with moments between them off a box at
+                # k >= 3, and none at a box or in the plane
+                assert len(reads) == len(xis)
+                ran = {}
+                for section, built, moments in reads:
+                    assert built == 0
+                    ran.setdefault(section, []).extend(moments)
+                assert all(moments == ([True] if k > 2 and len(section.first) > k else [])
+                           for section, moments in ran.items())
+                assert len(sums) == sum(len(r) for *_, r in calls) + sum(map(len, ran.values()))
                 if k > 2:
                     # the random restart ends on a box, and the warm one starts there
                     assert calls[-1][0] == k
@@ -465,8 +503,8 @@ class TestMoveList:
                      for s in (1.0, -1.0)]
             _, c, e, s = min(pairs)
             mean = (sizes[c] * U[c] + s * sizes[e] * U[e]) / (sizes[c] + sizes[e])
-            G = _volume_and_gradient(V, polytope._clusters(V)[2])[1]
-            moves = list(optimizer._moves(V, G, 0.3, label, sign, first, k))
+            section = polytope._Section(np.concatenate((V, -V)), first)
+            moves = list(optimizer._moves(V, section, 0.3, label, sign, first, k))
             assert [kind for *_, kind in moves[:GRADIENT_TRIES + 2]] == (
                 ["merge"] + ["gradient"] * GRADIENT_TRIES + ["reassign"])
             merged, _, step, _ = moves[0]
@@ -480,8 +518,9 @@ class TestMoveList:
         for n, k in ((7, 4), (10, 2)):
             V = extremal_frame(n, k).vectors
             label, sign, first = optimizer._clusters(V)
+            section = polytope._Section(np.concatenate((V, -V)), first)
             assert "merge" not in [kind for *_, kind in optimizer._moves(
-                V, np.zeros_like(V), 0.3, label, sign, first, k)]
+                V, section, 0.3, label, sign, first, k)]
 
     def test_merge_matches_the_reference(self):
         # the merge over the cached pair table is the dense-table merge
@@ -562,9 +601,9 @@ class TestMoveList:
                 sizes = 1 + rng.multinomial(int(rng.integers(0, 6)), np.ones(m) / m)
                 V = tied_frame(sizes, k, rng)
                 label, sign, first = optimizer._clusters(V)
-                G = _volume_and_gradient(V, polytope._clusters(V)[2])[1]
+                section = polytope._Section(np.concatenate((V, -V)), first)
                 size = np.bincount(label)
-                for out, ties, _, kind in optimizer._moves(V, G, 0.3, label, sign, first, k):
+                for out, ties, _, kind in optimizer._moves(V, section, 0.3, label, sign, first, k):
                     exact = optimizer._clusters(out)
                     assert_same_ties(ties, exact)
                     # each cluster's least member has sign +1, which _merge
@@ -628,7 +667,8 @@ class TestMoveList:
             # with m = k clusters the move list is these reassigns alone,
             # whatever G holds: no merge and no gradient trial
             G = rng.standard_normal(V.shape)
-            listed = list(optimizer._moves(V, G, 0.3, label, sign, first, k))
+            listed = list(optimizer._moves(V, SimpleNamespace(gradient=lambda: G), 0.3,
+                                           label, sign, first, k))
             assert [kind for *_, kind in listed] == ["reassign"] * len(gaining)
             for (move, *_), expected in zip(listed, gaining):
                 np.testing.assert_array_equal(move, expected)
@@ -687,8 +727,7 @@ class TestPlanarStepGuard:
         rng = np.random.default_rng(40)
         _, tight = whiten(Frame(rng.standard_normal((6, 2))))
         assert section_volume_fast(tight.vectors) > 4.0
-        first = polytope._clusters(tight.vectors)[2]
-        assert _volume_and_gradient(tight.vectors, first)[1].shape == (6, 2)
+        assert volume_and_gradient(tight.vectors)[1].shape == (6, 2)
 
     def test_ascend(self):
         rng = np.random.default_rng(41)

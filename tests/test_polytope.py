@@ -21,10 +21,8 @@ from cubesec.polytope import (
     _coincident_row_groups,
     _flag_plan,
     _flag_sum,
-    _halfspace_volume,
     _hull_plan,
     _polar_hull,
-    _volume_and_gradient,
     build_section,
     convex_volume,
     rotate_facet_predict,
@@ -49,7 +47,7 @@ from oracles import (
     section_rows,
 )
 import volume_digest
-from volume_digest import FAMILIES, digests, records
+from volume_digest import FAMILIES, digests, records, volume_and_gradient
 
 
 def square_frame():
@@ -160,15 +158,18 @@ def is_box(v):
 
 
 def hull_section(v):
-    """build_section's hull assembly, called directly, on any frame, a box
-    too, whose hull no route builds: the section slot is left as it was."""
-    W = np.concatenate((v, -v))
-    label = _coincident_row_groups(W, EPS_GEOM)
-    held = polytope._last_section
-    try:
-        return polytope._assemble(W, label, *polytope._hull_facets(W, label, int(label.max()) + 1))
-    finally:
-        polytope._last_section = held
+    """build_section's hull assembly, called directly on a section of +-v
+    given no ties, on any frame, a box too, whose hull no route builds; the
+    section slot is not read."""
+    section = polytope._Section(np.concatenate((v, -v)))
+    label = _coincident_row_groups(section.P, EPS_GEOM)
+    return polytope._assemble(section.P, label,
+                              *polytope._hull_facets(section, label, int(label.max()) + 1))
+
+
+def halfspace_volume(P):
+    """The volume of the polar body {x : P x <= 1}, as the rebuilds read it."""
+    return polytope._Section(P).volume()
 
 
 class TestBuildSection:
@@ -211,7 +212,7 @@ class TestBuildSection:
     ROUTES = (
         section_volume_fast,
         lambda v: volume(build_section(Frame(v, require_span=False))),
-        lambda v: _volume_and_gradient(v, polytope._clusters(v)[2])[0],
+        lambda v: volume_and_gradient(v)[0],
     )
 
     @classmethod
@@ -501,7 +502,7 @@ class TestVolume:
                 tilted[rows] += 0.2 * rng.standard_normal((2, k))
                 for A, b in ((W, shifted), (tilted, c)):
                     exact = convex_volume(halfspace_vertices(A, b), k)
-                    assert _halfspace_volume(A / b[:, None]) == pytest.approx(exact, rel=1e-12)
+                    assert halfspace_volume(A / b[:, None]) == pytest.approx(exact, rel=1e-12)
 
 
 class TestExactVolume:
@@ -539,7 +540,7 @@ class TestExactVolume:
                 tilted[rows] += 0.2 * rng.standard_normal((2, k))
                 for A, b in ((W, shifted), (tilted, c)):
                     exact = float(exact_volume(A, b))
-                    assert _halfspace_volume(A / b[:, None]) == pytest.approx(exact, rel=1e-13)
+                    assert halfspace_volume(A / b[:, None]) == pytest.approx(exact, rel=1e-13)
 
     def test_near_parallel_pool_frames(self):
         # pool index 182 at (7, 4) made Qhull raise a wide merge in an
@@ -676,7 +677,7 @@ class TestVolumeAndGradient:
         the generators of each facet against -2 mu c distance, facets
         whose normals are within ``tol`` taken together; and max |G| over
         the generators that hold no facet."""
-        G = _volume_and_gradient(s.vectors, polytope._clusters(s.vectors)[2])[1]
+        G = volume_and_gradient(s.vectors)[1]
         p = build_section(s)
         label = _coincident_row_groups(np.array([f.normal_vector for f in p.facets]), tol)
         got = np.zeros((label.max() + 1, s.k))
@@ -690,9 +691,9 @@ class TestVolumeAndGradient:
         return np.abs(got - want).max() / np.abs(G).max(), np.abs(G[free]).max(initial=0.0)
 
     def test_volume_is_the_fast_volume(self):
-        # section_volume_fast reads the volume column alone, and
-        # _volume_and_gradient the whole table; the volume is the same
-        # bitwise, on random, box, near-parallel and zero-vector frames
+        # section_volume_fast reads the volume column alone, and the
+        # gradient the whole table; the volume is the same bitwise, on
+        # random, box, near-parallel and zero-vector frames
         rng = np.random.default_rng(64)
         frames = 0
         for k in (2, 3, 4, 5, 6):
@@ -702,8 +703,10 @@ class TestVolumeAndGradient:
                           signed_box_frame(n, k, rng).vectors,
                           near_parallel_frame(n, k, rng).vectors,
                           np.insert(z, int(rng.integers(0, n + 1)), 0.0, axis=0)):
-                    assert section_volume_fast(V) == _volume_and_gradient(
-                        V, polytope._clusters(V)[2])[0]
+                    section = polytope._Section(np.concatenate((V, -V)), polytope._clusters(V)[2])
+                    whole = (section.volume() if section.box is not None
+                             else float(section.table()[:, -1].sum()))
+                    assert section_volume_fast(V) == volume_and_gradient(V)[0] == whole
                     frames += 1
         assert frames == 60
 
@@ -723,7 +726,7 @@ class TestVolumeAndGradient:
                     alone = _flag_sum(P, Y, plan, moments=False)
                     assert alone.shape == (2 * n, 1)
                     assert alone[:, 0].tobytes() == whole[:, k].tobytes()
-                    assert _halfspace_volume(P) == float(whole[:, k].sum())
+                    assert halfspace_volume(P) == float(whole[:, k].sum())
 
     def test_central_differences(self):
         # generic frames, every facet of multiplicity 1; the error of the
@@ -733,7 +736,7 @@ class TestVolumeAndGradient:
         for n, k in ((3, 2), (6, 2), (10, 2), (5, 3), (7, 3), (7, 4), (12, 4), (8, 5)):
             for _ in range(3):
                 v = random_tight_frame(n, k, rng).vectors
-                G = _volume_and_gradient(v, polytope._clusters(v)[2])[1]
+                G = volume_and_gradient(v)[1]
                 fd = np.zeros_like(v)
                 for i, j in itertools.product(range(n), range(k)):
                     e = np.zeros_like(v)
@@ -788,7 +791,7 @@ def flag_sum(V):
     """(volume, G) from the flag sum on the hull of +-V, the route of every
     frame that is not a box."""
     n, k = V.shape
-    S = polytope._cone_table(np.concatenate((V, -V)))
+    S = polytope._Section(np.concatenate((V, -V))).table()
     return float(S[:, -1].sum()), S[n:, :k] - S[:n, :k]
 
 
@@ -803,7 +806,7 @@ class TestBoxRoute:
             n, k = V.shape
             label, sign, first = polytope._clusters(V)
             assert len(first) == k
-            vol, G = _volume_and_gradient(V, first)
+            vol, G = volume_and_gradient(V)
             assert section_volume_fast(V) == vol
             # section_volume_fast and build_section take the same box test,
             # the ties of _clusters, before any hull, and read the same lines
@@ -823,7 +826,7 @@ class TestBoxRoute:
         # given its ties a box reads no hull
         rng = np.random.default_rng(72)
         for V, _ in box_frames(rng):
-            _volume_and_gradient(V, polytope._clusters(V)[2])
+            volume_and_gradient(V)
             assert hulls == []
 
     def test_engine_where_not_a_box(self):
@@ -846,7 +849,7 @@ class TestBoxRoute:
             assert polytope._box_first(V) is None
             assert len(_polar_hull(np.concatenate((V, -V)))[0].simplices) == 2**k
             vol, G = flag_sum(V)
-            got = _volume_and_gradient(V, first)
+            got = volume_and_gradient(V)
             assert got[0] == vol
             assert got[1].tobytes() == G.tobytes()
             assert section_volume_fast(V) == vol
@@ -855,7 +858,7 @@ class TestBoxRoute:
             S = polytope._planar_hull(np.concatenate((V, -V)))[2]
             vol = float(S[:, -1].sum())
             assert section_volume_fast(V) == vol == volume(build_section(Frame(V)))
-            got = _volume_and_gradient(V, polytope._clusters(V)[2])
+            got = volume_and_gradient(V)
             assert got[0] == vol
             assert got[1].tobytes() == (S[n:, :2] - S[:n, :2]).tobytes()
 
@@ -902,7 +905,8 @@ class TestBoxRoute:
                 c = np.ones(len(p._W))
                 c[list(f.row_ids)] += 0.1 * np.linalg.norm(p._W[list(f.row_ids)], axis=1)
                 shifted = shifted_section_volume(p, f, 0.1)
-                assert shifted == float(polytope._cone_table(p._W / c[:, None], False)[:, -1].sum())
+                assert shifted == float(
+                    polytope._Section(p._W / c[:, None]).table(moments=False)[:, -1].sum())
                 u = 1 / f.distance
                 assert shifted == pytest.approx(vol * (2 + 0.1 * u) / 2, rel=1e-14)
                 t = rng.standard_normal(k)
@@ -911,7 +915,7 @@ class TestBoxRoute:
                 W = p._W.copy()
                 W[list(f.row_ids)] += 0.05 * t
                 assert rotated_section_volume(p, f, t, 0.05) == float(
-                    polytope._cone_table(W, False)[:, -1].sum())
+                    polytope._Section(W).table(moments=False)[:, -1].sum())
 
 
 @pytest.fixture
@@ -934,15 +938,15 @@ class TestQhullCalls:
     def test_one_hull_per_section(self, hulls, monkeypatch):
         # build_section and section_volume_fast share the hull of +-V: on a
         # fresh frame the first of them builds one, the second none, in
-        # either order; _volume_and_gradient, given the ties, builds its
-        # own.  One decision on every route: at k >= 3 none of the three
+        # either order; a _Section given the ties, the ascent's, builds
+        # its own.  One decision on every route: at k >= 3 none of the three
         # builds a hull exactly when _clusters finds k clusters, a box,
         # which here are the signed box frames and the digests' box family
         def fast(s):
             return section_volume_fast(s.vectors)
 
         def gradient(s):
-            return _volume_and_gradient(s.vectors, polytope._clusters(s.vectors)[2])
+            return volume_and_gradient(s.vectors)
 
         rng = np.random.default_rng(41)
         frames = []
@@ -980,7 +984,7 @@ class TestQhullCalls:
 
 class TestSectionHull:
     """The one slot that build_section and section_volume_fast share: it
-    serves a hull only for points of the same dtype, shape and bytes."""
+    serves a section only for vectors of the same dtype, shape and bytes."""
 
     def test_changed_in_place(self, hulls):
         rng = np.random.default_rng(66)
@@ -991,7 +995,7 @@ class TestSectionHull:
             hulls.clear()
             vol = section_volume_fast(V)
             assert len(hulls) == 1
-            assert vol == _volume_and_gradient(V.copy(), polytope._clusters(V)[2])[0]
+            assert vol == volume_and_gradient(V.copy())[0]
             hulls.clear()
             assert volume(build_section(Frame(V))) == pytest.approx(vol, rel=1e-13)
             assert hulls == []
@@ -1004,7 +1008,7 @@ class TestSectionHull:
             for a, b in ((V, V.reshape(m, j)), (V.reshape(m, j), V)):
                 section_volume_fast(a)
                 hulls.clear()
-                assert section_volume_fast(b) == _volume_and_gradient(b, polytope._clusters(b)[2])[0]
+                assert section_volume_fast(b) == volume_and_gradient(b)[0]
                 assert hulls[0] == ("planar" if b.shape[1] == 2 else "qhull")
 
     def test_a_failed_build_stores_nothing(self, hulls, monkeypatch):
@@ -1033,17 +1037,17 @@ class TestSectionHull:
         rng = np.random.default_rng(69)
         for n, k in ((6, 2), (7, 3), (8, 5)):
             V = random_tight_frame(n, k, rng).vectors
-            W = np.concatenate((V, -V))
-            hull, Y, rest = polytope._section_hull(W)
+            section = polytope._section(V)
+            hull, Y, rest = section.hull()
             if k == 2:
                 assert isinstance(hull, tuple) and isinstance(Y, tuple)
-                arrays = [rest]
+                arrays = [section.P, rest]
             else:
                 plan = rest
-                arrays = [hull.simplices, hull.neighbors, hull.equations, Y, *plan[:-1],
-                          *itertools.chain(*plan.steps)]
+                arrays = [section.P, hull.simplices, hull.neighbors, hull.equations, Y,
+                          *plan[:-1], *itertools.chain(*plan.steps)]
             assert arrays and not any(a.flags.writeable for a in arrays)
-            assert polytope._section_hull(W.copy())[1] is Y
+            assert polytope._section(V.copy()).hull()[1] is Y
 
 
 class TestVolumeDigest:

@@ -6,8 +6,9 @@ in order, so a change that moves one route's numbers shows which:
 - ``section_volume_fast``: the volume;
 - ``build_section``: the volume, the vertices, and for every facet its
   measure, centroid, normal and rows;
-- ``_volume_and_gradient``: the volume and the gradient G, given the
-  frame's ties (``_clusters``), as the ascent gives them.
+- ``gradient``: the volume and the gradient G of one ``_Section`` of
+  +-V, given the frame's ties (``_clusters``), as the ascent builds it
+  (:func:`volume_and_gradient`).
 
 Floats are taken by their hex form and arrays as dtype, shape and bytes,
 so two trees that give a cell the same digest computed the same numbers,
@@ -42,8 +43,8 @@ import numpy as np
 
 from cubesec.bounds import extremal_frame
 from cubesec.frame_core import Frame, random_tight_frame, whiten
-from cubesec.polytope import (_clusters, _volume_and_gradient, build_section,
-                              section_volume_fast, volume)
+from cubesec.polytope import (_Section, _clusters, build_section, section_volume_fast,
+                              volume)
 
 CELLS = [(3, 2), (6, 2), (10, 2), (5, 3), (7, 3), (12, 3), (5, 4), (7, 4), (12, 4),
          (6, 5), (8, 5), (7, 6), (10, 6)]
@@ -64,6 +65,13 @@ def make_frame(n: int, k: int, family: str, index: int) -> Frame:
         return whiten(Frame(box.vectors + 5e-8 * rng.standard_normal((n, k))))[1]
     v = random_tight_frame(n, k, rng).vectors
     return Frame(np.insert(v, int(rng.integers(0, n + 1)), 0.0, axis=0))
+
+
+def volume_and_gradient(V: np.ndarray) -> tuple:
+    """(volume, G) of the section of the frame vectors V, from one
+    ``_Section`` of +-V given V's own ties, as the ascent reads them."""
+    section = _Section(np.concatenate((V, -V)), _clusters(V)[2])
+    return section.volume(), section.gradient()
 
 
 def _encode(x) -> bytes:
@@ -87,7 +95,7 @@ def frame_record(s: Frame, order: str = "fast") -> tuple:
         p = build_section(s)
         fast = section_volume_fast(s.vectors)
     facets = [(f.measure, f.centroid, f.normal_vector, f.row_ids) for f in p.facets]
-    vol, G = _volume_and_gradient(s.vectors, _clusters(s.vectors)[2])
+    vol, G = volume_and_gradient(s.vectors)
     return _encode(fast), _encode([volume(p), p.vertices, facets]), _encode([vol, G])
 
 
