@@ -137,11 +137,13 @@ class Frame:
 
 
 class TightFrame(Frame):
-    """Frame whose frame operator equals the identity within ``EPS_TIGHT``."""
+    """Frame whose frame operator equals the identity within ``EPS_TIGHT``;
+    an operator that overflows fails the test, with no warning."""
 
     def __init__(self, vectors):
         super().__init__(vectors, require_span=False)
-        _accept_tight(_tightness_error(frame_operator(self, check=False)))
+        with np.errstate(over="ignore"):  # an overflow's error is inf or NaN
+            _accept_tight(_tightness_error(frame_operator(self, check=False)))
 
 
 def frame_operator(s: Frame, *, check: bool = True):

@@ -7,44 +7,41 @@ climbs along xi, retracting by whitening (the polar retraction; Absil,
 Mahony & Sepulchre, 2008).  The volume has a kink wherever two generators
 coincide up to sign, and the maximizers known lie on such ties (the box
 frames), so generators that coincide up to sign are tied into clusters that
-move as one vector.  Every tie is made exactly, by the merge, a reassign or
-the box start, and a gradient step and the retraction keep it bitwise, so
-ties are found by exact comparison (:func:`_clusters`, one pass that
-hashes each row and its negation) at the start frame of each restart and
-at each reassign candidate; the other moves hand their frame its ties: a
-gradient step keeps them, and a merge joins two clusters in one pass over
-the generators.  On the stratum of those
-ties the volume is smooth (it is partly smooth; Lewis, 2002), and the
-ascent steps along its gradient there: each cluster's gradient sum divided
-by the cluster size, the gradient in the metric the tied rows induce.
+move as one vector.  The ascent carries the weighted frame (U, d): one row
+u_c per cluster, its least member with sign +1, and the cluster sizes d_c,
+so that W = sqrt(d) U is tight.  A tie is one row, so no step and no
+retraction can break it: ties are found by exact comparison
+(:func:`_clusters`, one pass that hashes each row and its negation) only at
+the start frame of each restart and at each reassign candidate, and the
+other moves hand their frame its ties: a gradient step keeps them, and a
+merge joins two rows.  The n generators are expanded from U, each its
+cluster's row times its sign, only for the reassigns and for the frame a
+restart returns.  On the stratum of the ties the volume is smooth (it is
+partly smooth; Lewis, 2002), and its metric sum_c d_c |delta u_c|^2 is
+Euclidean in W, so the ascent steps along the Riemannian gradient of W on
+the tight manifold: each cluster's gradient divided by sqrt(d_c).
 Rather than creep toward the next kink along that gradient, each frame
 first tries to jump onto it: the merge puts the two nearest clusters onto
 their nearest common point in the same metric (the identification step of
-Hare & Lewis, 2004); the stratum gradient is formed only where that merge fails and the
-gradient trials are reached.  At a frame critical on its stratum the
-paper's balance identity (a facet of multiplicity d balances d |v|^2 vol)
-leaves no split of a cluster that gains to first order, so where neither
-the merge nor a gradient step gains the ascent tries one fixed list of
-non-local moves, the reassigns, each putting a generator onto another
-cluster.  A box frame, of k clusters, is
-critical on its stratum by its structure, the box's orbit under O(k), so it
-tries neither a merge nor a gradient step, and its reassigns' volumes are known
-in closed form: a reassign gains exactly when it moves a generator from a
+Hare & Lewis, 2004); the stratum gradient is formed only where that merge
+fails and the gradient trials are reached.  At a frame critical on its
+stratum the paper's balance identity (a facet of multiplicity d balances
+d |v|^2 vol) leaves no split of a cluster that gains to first order, so
+where neither the merge nor a gradient step gains the ascent tries one
+fixed list of non-local moves, the reassigns, each putting a generator
+onto another cluster.  A box frame, of k clusters, is critical on its
+stratum by its structure, the box's orbit under O(k), so it tries neither
+a merge nor a gradient step, and its reassigns' volumes are known in
+closed form: a reassign gains exactly when it moves a generator from a
 cluster at least two larger than the other, so only those are tried, and a
-balanced box, the warm start among them, reads one volume and stops.  A restart
-ends where no candidate gains; it draws no random number, so it is
+balanced box, the warm start among them, reads one volume and stops.  A
+restart ends where no candidate gains; it draws no random number, so it is
 deterministic given its start.  The gradient gives only a direction: every
-candidate is compared by the volume restarts are ranked by,
-:func:`section_volume_fast`.  Each candidate, and the start, is one
-:class:`_Section` of its frame, given the ties its move carries, whose
-volume is that volume, bitwise.  The accepted candidate's section is kept,
-and it is asked for G only where the merge has failed and xi is formed, and
-at the last frame for the residual: a frame's G costs the flag sum's moment
-columns once, and only if it is read, and the ascent builds no hull but the
-sections'.  A box candidate (every warm start, every merge onto k clusters,
-every reassign at a box) builds none: its section reads the volume
-2^k / |det U| and G from U^-T, U the clusters' first rows, so a restart that
-starts at a box builds no hull at all.
+candidate is compared by the volume of one :class:`_Section` of +-U, which
+is the section of the expanded frame, and asked for G only where xi is
+formed (:func:`ascend`).  A box candidate (every warm start, every merge
+onto k clusters, every reassign at a box) builds no hull: its section
+reads the volume 2^k / |det U| and G from U^-T.
 """
 
 from __future__ import annotations
@@ -71,7 +68,6 @@ from .polytope import (  # noqa: F401
     DegeneratePolytopeError,
     _Section,
     _clusters,
-    _sums_by,
     build_section,
     section_volume_fast,
     volume,
@@ -114,8 +110,14 @@ class OptimizerConfig:
 class RestartResult:
     """One restart's outcome.
 
-    ``final_volume`` is :func:`section_volume_fast` of ``frame``, the volume
-    the ascent climbed on and restarts are ranked by.  ``iterations`` counts
+    ``final_volume`` is the volume the ascent climbed on and restarts are
+    ranked by, read from the section of one row per cluster of ``frame``.
+    At a box frame, of k clusters, both routes read the same numbers, so it
+    is :func:`section_volume_fast` of ``frame``, bitwise; every
+    ``"critical"`` stop of the battery configs is at a box.  Off a box, as
+    at a ``"cap"`` stop, the hull of the m rows and that of the n
+    generators may sum in another order, and agree within rounding.
+    ``iterations`` counts
     the candidates, one :class:`_Section` volume each, charged to
     ``max_iterations``; ``evaluations`` adds the start's.  ``stop``
     says why the ascent ended: ``"critical"`` when no candidate (merge,
@@ -205,30 +207,34 @@ class OptimizeResult:
         }
 
 
-def _stratum_gradient(V: np.ndarray, G: np.ndarray, label: np.ndarray, sign: np.ndarray):
-    """(xi, |xi| / |D|): the gradient of the volume on the tie stratum of
-    ``label`` and ``sign`` at the tight V, and its residual.
+def _stratum_gradient(U: np.ndarray, size: np.ndarray, G: np.ndarray):
+    """(xi, |xi| / |D|): the gradient of the volume on the tie stratum at
+    the weighted frame (U, ``size``), and its residual, both in the
+    coordinates W = sqrt(d) U.
 
-    The Euclidean gradient G at V (:meth:`_Section.gradient` of V's
-    section), given with V so that no hull is built here, is summed over
-    each cluster c, with signs, and divided by its size d_c, which is the
-    gradient in the metric sum_c d_c |delta_c|^2 that the tied rows induce;
-    D puts it on every member, with its sign, and xi = D - V sym(V^T D) is
-    its tangent part.  Its slope is its squared norm in that metric, so it
-    is never negative.
+    G is the Euclidean gradient of the volume in the representatives U
+    (:meth:`_Section.gradient` of the section of +-U, given with U so that
+    no hull is built here): row c is the gradient of the whole cluster c,
+    the signed sum of its members' gradients.  In W the stratum metric
+    sum_c d_c |delta u_c|^2 is Euclidean and W is tight, W^T W = I, so the
+    gradient there is D = G / sqrt(d) and xi = D - W sym(W^T D) is its
+    tangent part.  Its slope is |xi|^2, so it is never negative.  A step
+    of xi in W moves each u_c by xi_c / sqrt(d_c), each member with its
+    sign.
     """
-    size = np.bincount(label)
-    D = (_sums_by(label, sign[:, None] * G, len(size)) / size[:, None])[label]
-    D *= sign[:, None]
-    xi = D - V @ symmetrize(V.T @ D)
+    root = np.sqrt(size)[:, None]
+    D = G / root
+    W = U * root
+    xi = D - W @ symmetrize(W.T @ D)
     return xi, float(np.linalg.norm(xi) / np.linalg.norm(D))
 
 
-def _reassigns(V: np.ndarray, label: np.ndarray, first: np.ndarray, k: int):
-    """The reassign moves at the frame V tied by ``label``, generated
-    lazily: for each ordered pair of clusters (c, e), V with the last
-    member of c set to V[first[e]], and the ties of that frame, grouped
-    afresh (:func:`_clusters`), one call per candidate yielded.
+def _reassigns(U: np.ndarray, ties, k: int):
+    """The reassign moves at the weighted frame U tied by ``ties``
+    (label, sign, size), generated lazily: for each ordered pair of
+    clusters (c, e), the frame of n rows with the last member of c set to
+    U[e], grouped afresh (:func:`_clusters`), one call per candidate
+    yielded, and given back as its representatives and their ties.
 
     The members of a cluster coincide up to sign and +-v is one line, so
     neither the member moved nor its sign changes the volume: there are at
@@ -243,17 +249,16 @@ def _reassigns(V: np.ndarray, label: np.ndarray, first: np.ndarray, k: int):
     balanced box has no move.  A cluster of one generator is never moved
     there, as the k - 1 lines left could not span.
     """
-    m = len(first)
-    size, last = [0] * m, [0] * m
-    for i, c in enumerate(label.tolist()):
-        size[c] += 1
-        last[c] = i
+    label, sign, size = ties
+    m, size = len(U), size.tolist()
+    last = dict(zip(label.tolist(), range(len(label))))
     for c in range(m):
         for e in range(m):
             if e != c and (m > k or size[c] >= size[e] + 2):
-                out = V.copy()
-                out[last[c]] = V[first[e]]
-                yield out, _clusters(out)
+                out = sign[:, None] * U[label]
+                out[last[c]] = U[e]
+                new_label, new_sign, first = _clusters(out)
+                yield out[first], (new_label, new_sign, np.bincount(new_label))
 
 
 @lru_cache(maxsize=None)
@@ -267,77 +272,68 @@ def _pairs(m: int):
     return pairs
 
 
-def _merge(V: np.ndarray, label: np.ndarray, sign: np.ndarray, first: np.ndarray):
-    """The merge move at the frame V tied by ``label`` and ``sign``: V with
-    the two clusters nearest each other put onto one vector, and the ties
-    of that frame.
+def _merge(U: np.ndarray, ties):
+    """The merge move at the weighted frame U tied by ``ties`` (label,
+    sign, size): U with the two clusters nearest each other put onto one
+    representative, and the ties of that frame.
 
-    With u_c = V[first[c]] the representative of cluster c (v_i = sign[i]
-    u_c for its members, and sign[first[c]] = +1) and d_c its size, the pair
-    c < e and the sign s minimize d_c d_e / (d_c + d_e) |u_c - s u_e|^2, and
-    every member of both goes, with its own sign, to the size-weighted mean
-    w = (d_c u_c + s d_e u_e) / (d_c + d_e).  In the metric
-    sum_c d_c |delta_c|^2 of :func:`_stratum_gradient` that cost is the
-    squared distance from V to the stratum where c and e coincide up to
-    sign s, and w is its nearest point.  The cost is taken over the pairs
-    of :func:`_pairs`, so among equal costs the first pair in row-major
-    order wins.  The ties are those of :func:`_clusters` on the new frame,
-    carried rather than grouped again: the members of e join c, which keeps
-    its least member, with their signs times s, and the labels above e
-    move down by one.  A merge is tried first at every frame of more than k
-    clusters, so grouping it afresh would cost a :func:`_clusters` pass at
-    nearly every frame of a random restart; reassigns are tried far more
-    rarely, and group their frames afresh (:func:`_reassigns`).
+    With u_c = U[c] the representative of cluster c (v_i = sign[i] u_c for
+    its members) and d_c its size, the pair c < e and the sign s minimize
+    d_c d_e / (d_c + d_e) |u_c - s u_e|^2, and row c becomes the
+    size-weighted mean w = (d_c u_c + s d_e u_e) / (d_c + d_e), of size
+    d_c + d_e, while row e is dropped.  In the metric sum_c d_c |delta_c|^2
+    of :func:`_stratum_gradient` that cost is the squared distance from U
+    to the stratum where c and e coincide up to sign s, and w is its
+    nearest point.  The cost is taken over the pairs of :func:`_pairs`, so
+    among equal costs the first pair in row-major order wins.  The ties
+    are those of :func:`_clusters` on the expanded frame, carried rather
+    than grouped again: the members of e join c, which keeps its least
+    member, with their signs times s, and the labels above e move down by
+    one.
     """
-    size = np.bincount(label)
-    U = V[first]
+    label, sign, size = ties
     dot = U @ U.T
     sq = np.diag(dot)
-    ci, ei = _pairs(len(first))
+    ci, ei = _pairs(len(U))
     si, sj = size[ci], size[ei]
     best = np.argmin(si * sj / (si + sj) * ((sq[ci] + sq[ei]) - 2 * np.abs(dot[ci, ei])))
     c, e = int(ci[best]), int(ei[best])
     s = 1.0 if dot[c, e] >= 0 else -1.0
-    dc, de = int(size[c]), int(size[e])
-    w = (dc * U[c] + s * de * U[e]) / (dc + de)
-    label, sign, members = label.tolist(), sign.tolist(), []
-    for i, l in enumerate(label):
-        if l == e:
-            label[i], sign[i] = c, sign[i] * s
-        elif l > e:
-            label[i] = l - 1
-        if label[i] == c:
-            members.append(i)
-    sign = np.array(sign)
-    out = V.copy()
-    out[members] = sign[members, None] * w
-    return out, (np.array(label, dtype=np.intp), sign, np.concatenate((first[:e], first[e + 1:])))
+    dc, de = size[c], size[e]
+    out = np.concatenate((U[:e], U[e + 1:]))
+    out[c] = (dc * U[c] + s * de * U[e]) / (dc + de)
+    size = np.concatenate((size[:e], size[e + 1:]))
+    size[c] = dc + de
+    joined = label == e
+    return out, (np.where(joined, c, label - (label > e)), np.where(joined, s * sign, sign), size)
 
 
-def _moves(V: np.ndarray, section: _Section, step: float, label: np.ndarray,
-           sign: np.ndarray, first: np.ndarray, k: int):
-    """The candidates tried at a frame, in order, each with the ties of its
-    frame (label, sign, first), the step a gain sets and its kind.  Where
-    more than k clusters are left, the merge (:func:`_merge`), which
-    carries the ties, then the gradient trials V + (t / |xi|) xi for
-    t = ``step``, ``step`` / 2, ..., ``GRADIENT_TRIES`` lengths, which keep
-    them and set ``STEP_GROWTH`` t; then, at every frame, the reassigns
+def _moves(U: np.ndarray, ties, section: _Section, step: float, k: int):
+    """The candidates tried at the weighted frame U tied by ``ties``
+    (label, sign, size), in order, each as its representatives, its ties,
+    the step a gain sets and its kind.  Where more than k clusters are
+    left, the merge (:func:`_merge`), then the gradient trials
+    U + (t / |xi|) xi / sqrt(d) for t = ``step``, ``step`` / 2, ...,
+    ``GRADIENT_TRIES`` lengths, which keep the ties and set
+    ``STEP_GROWTH`` t; then, at every frame, the reassigns
     (:func:`_reassigns`), each grouped afresh.  The merge and the reassigns
-    keep ``step``.  ``section`` is V's :class:`_Section`, and it is asked
-    for the Euclidean gradient G, and xi (:func:`_stratum_gradient`) formed
-    from it, only once the merge has been yielded, so a frame whose merge
-    gains pays for neither.  A box frame, of k clusters, is critical on its
-    stratum, so its list is its gaining reassigns only."""
-    if len(first) > k:
-        yield *_merge(V, label, sign, first), step, "merge"
-        xi = _stratum_gradient(V, section.gradient(), label, sign)[0]
+    keep ``step``.  ``section`` is the :class:`_Section` of +-U, and it is
+    asked for the Euclidean gradient G, and xi (:func:`_stratum_gradient`)
+    formed from it, only once the merge has been yielded, so a frame whose
+    merge gains pays for neither.  A box frame, of k clusters, is critical
+    on its stratum, so its list is its gaining reassigns only."""
+    if len(U) > k:
+        yield *_merge(U, ties), step, "merge"
+        size = ties[2]
+        xi = _stratum_gradient(U, size, section.gradient())[0]
         norm = float(np.linalg.norm(xi))
+        xi /= np.sqrt(size)[:, None]
         trial = step
         for _ in range(GRADIENT_TRIES if norm > 0 else 0):
-            yield V + (trial / norm) * xi, (label, sign, first), trial * STEP_GROWTH, "gradient"
+            yield U + (trial / norm) * xi, ties, trial * STEP_GROWTH, "gradient"
             trial /= 2
-    for out, ties in _reassigns(V, label, first, k):
-        yield out, ties, step, "reassign"
+    for out, moved in _reassigns(U, ties, k):
+        yield out, moved, step, "reassign"
 
 
 def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
@@ -345,52 +341,46 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     """Single-restart first-order ascent from a tight frame; deterministic
     given ``s0``, so ``rng`` is not used.
 
-    The start's generators are grouped into signed clusters of exact ties
-    (:func:`_clusters`), and each candidate of :func:`_moves` comes with
-    the ties of its own frame, so the accepted one hands them to the next
-    frame: a merge or a gradient trial carries them, and only a reassign
-    candidate is grouped again.  At each frame
-    the candidates are tried in order: the first that raises the volume by
-    more than ``VOL_TOL``, relative, is the next frame.  Where more than k
-    clusters are left the first is the merge (:func:`_merge`), which puts the
-    two nearest clusters onto one vector and so jumps onto a smaller stratum,
-    and next are the gradient trials along xi, the gradient on the stratum of
-    the ties (:func:`_stratum_gradient`: each cluster's summed Euclidean
-    gradient, divided by its size, on every member), formed from the frame's
-    G only when the merge has failed, once per such frame, and retracted by
-    :func:`whiten`; a gain sets ``step`` to ``STEP_GROWTH`` times its
-    length.  Ties stay exact under the merge, the step and the
-    retraction.  The box frames, where the known maximizers lie, have k
-    clusters, whose sqrt(d_c) u_c are orthonormal on a tight frame: the stratum
-    is the box's orbit under O(k), so xi is 0 and no merge or gradient trial is
-    made.  Where the stratum is critical no split of a cluster gains to first
-    order, so the only moves left are the reassigns (:func:`_reassigns`), which
-    put a generator onto another cluster; at a box frame only those that gain,
-    the moves from a cluster of d_c to one of d_e <= d_c - 2 generators, are
-    tried, so a balanced box reads one volume, its own, and stops.
+    The ascent carries the weighted frame (U, d): the start's generators
+    are grouped into signed clusters of exact ties (:func:`_clusters`), U
+    holds each cluster's least member, with sign +1, and d the cluster
+    sizes, so that W = sqrt(d) U is tight; the labels and signs serve only
+    to expand U back to n rows.  Each candidate of :func:`_moves` comes
+    with its ties, so the accepted one hands them to the next frame: a
+    merge or a gradient trial carries them, and only a reassign candidate
+    is grouped again.  At each frame the candidates are tried in order,
+    and the first that raises the volume by more than ``VOL_TOL``,
+    relative, is the next frame: where more than k clusters are left, the
+    merge (:func:`_merge`), then the gradient trials along xi
+    (:func:`_stratum_gradient`), formed from the frame's G only when the
+    merge has failed, and a gain sets ``step`` to ``STEP_GROWTH`` times its
+    length; then the reassigns (:func:`_reassigns`).  A box frame, of k
+    clusters, is critical on its stratum and tries only the reassigns that
+    gain, so a balanced box reads one volume, its own, and stops.
 
-    Every volume read is the volume of one :class:`_Section`, the start's
-    and one per candidate (merge, gradient trial or reassign) after
-    :func:`whiten`, bitwise the volume of :func:`section_volume_fast`.  The
-    section is given the first rows of the candidate's ties, so a frame of
-    more than k clusters builds one hull and a box frame, at k >= 3, none:
-    its volume and G are read from the determinant of those k rows.  The
-    start and an accepted candidate keep their section, which gives the
-    Euclidean gradient G of the same frame when xi is formed, so xi needs
-    no hull of its own, and G is summed, with the moment columns, only at
-    the frames that read it.  ``residual`` is read from xi once, at the
-    frame the run stops on.  Each candidate is one iteration.  ``trace``
-    records the start and every accepted volume, so it is strictly
-    increasing and ends at ``final_volume``.  Iterates stay tight: rank
-    losses and candidates whose section Qhull cannot build are rejected,
-    not raised, and counted.  The run stops (``stop``) at a frame where no
-    candidate gains, ``"critical"``, or when the iterations reach
-    ``max_iterations``, ``"cap"``.
+    Each candidate is retracted by :func:`whiten` of W = sqrt(d) U, and U
+    is taken by the transform b it returns, U b.  Every volume read is the
+    volume of one :class:`_Section` of +-U, the start's and one per
+    candidate, given ``first`` = 0..m-1: a frame of more than k clusters
+    builds one hull and a box frame, at k >= 3, none, its volume and G
+    read from the determinant of U.  The start and an accepted candidate
+    keep their section, which gives G of the same frame when xi is formed,
+    and G is summed, with the moment columns, only at the frames that read
+    it.  ``residual`` is read from xi once, at the frame the run stops on.
+    Each candidate is one iteration.  ``trace`` records the start and every
+    accepted volume, so it is strictly increasing and ends at
+    ``final_volume``.  Iterates stay tight: rank losses and candidates
+    whose section Qhull cannot build are rejected, not raised, and counted.
+    The run stops (``stop``) at a frame where no candidate gains,
+    ``"critical"``, or when the iterations reach ``max_iterations``,
+    ``"cap"``.  ``frame`` is U expanded, each generator its cluster's row
+    times its sign; it is ``s0``, bitwise, when no candidate was accepted.
     """
     k = s0.vectors.shape[1]
-    current = s0
-    label, sign, first = _clusters(current.vectors)
-    section = _Section(np.concatenate((current.vectors, -current.vectors)), first)
+    label, sign, first = _clusters(s0.vectors)
+    U = s0.vectors[first]
+    ties = label, sign, np.bincount(label)
+    section = _Section(np.concatenate((U, -U)), np.arange(len(U)))
     vol = section.volume()
     trace = [(0, vol)]
     step = INITIAL_STEP
@@ -398,21 +388,21 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     it = 0
     cap = config.max_iterations
 
-    def evaluate(vectors, first):
-        """(tight, volume, section) of the whitened ``vectors``, whose
-        clusters are led by the rows ``first``; volume -inf and section
-        None when they are rejected."""
+    def evaluate(U, size):
+        """(U b, volume, section) of the representatives U of clusters of
+        ``size``, b the transform that whitens W = sqrt(d) U; volume -inf
+        and section None when they are rejected."""
         nonlocal it, degenerate, rank_loss
         it += 1
-        # the candidate is a new (n, k) array of this step, so it is
-        # wrapped without the copy and checks of Frame()
+        # W is a new (m, k) array of this step, so it is wrapped without
+        # the copy and checks of Frame()
         candidate = Frame.__new__(Frame)
-        candidate.vectors = vectors
-        vectors.setflags(write=False)
+        candidate.vectors = U * np.sqrt(size)[:, None]
+        candidate.vectors.setflags(write=False)
         try:
-            _, tight = whiten(candidate)
-            section = _Section(np.concatenate((tight.vectors, -tight.vectors)), first)
-            return tight, section.volume(), section
+            U = U @ whiten(candidate)[0]
+            section = _Section(np.concatenate((U, -U)), np.arange(len(U)))
+            return U, section.volume(), section
         except FrameError:
             rank_loss += 1
         except DegeneratePolytopeError:
@@ -421,14 +411,12 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
 
     stop = "cap"
     while it < cap:
-        for vectors, ties, next_step, kind in _moves(
-                current.vectors, section, step, label, sign, first, k):
+        for moved, moved_ties, next_step, kind in _moves(U, ties, section, step, k):
             if it >= cap:
                 break
-            tight, new_vol, new_section = evaluate(vectors, ties[2])
+            new_U, new_vol, new_section = evaluate(moved, moved_ties[2])
             if new_vol > vol * (1.0 + VOL_TOL):
-                current, vol, section, step = tight, new_vol, new_section, next_step
-                label, sign, first = ties
+                U, ties, vol, section, step = new_U, moved_ties, new_vol, new_section, next_step
                 trace.append((it, vol))
                 accepted += 1
                 merged += kind == "merge"
@@ -436,20 +424,20 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
         else:
             stop = "critical"
             break
-    residual = _stratum_gradient(current.vectors, section.gradient(), label, sign)[1]
+    label, sign, size = ties
     return RestartResult(
         index=index,
         start=start,
         final_volume=vol,
         iterations=it,
         accepted=accepted,
-        frame=current,
+        frame=TightFrame(sign[:, None] * U[label]),
         trace=trace,
         degenerate=degenerate,
         rank_loss=rank_loss,
         stop=stop,
-        tied=int((np.bincount(label) > 1).sum()),
-        residual=residual,
+        tied=int((size > 1).sum()),
+        residual=_stratum_gradient(U, size, section.gradient())[1],
         merged=merged,
     )
 

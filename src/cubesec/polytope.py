@@ -204,9 +204,10 @@ def _clusters(V: np.ndarray):
     its own negation, has sign +1.  No other function computes ties.  A
     frame of exactly k clusters, ``len(first) == k``, is a box frame, and
     that is the box test of every route (:class:`_Section`, given these
-    ties by the ascent or by :func:`_box_first`).  ``optimizer.ascend`` groups its start
-    frame and each reassign candidate here; a merge and a gradient step
-    carry the record of their frame.
+    ties by :func:`_box_first`).  ``optimizer.ascend`` groups its start
+    frame and each reassign candidate here, and carries one row per
+    cluster, ``V[first]``, with the label and sign; a merge and a gradient
+    step carry the record of their frame.
     """
     label, sign, first, ties = [], [], [], {}
     for i, row in enumerate(V.tolist()):
@@ -898,7 +899,9 @@ class _Section:
     members of V's clusters (:func:`_clusters`), k >= 3 and
     ``len(first) == k`` make a box, and ``box`` is :func:`_box` of
     U = V[first], which raises as the module's raise contract says; else
-    ``box`` is None.  Each method reads its quantity only when called:
+    ``box`` is None.  The ascent builds the section of its clusters' rows,
+    no two of which coincide up to sign, so its ``first`` is
+    ``arange(m)``.  Each method reads its quantity only when called:
 
     - :meth:`hull`, k >= 2, built on the first call and kept: in the plane
       :func:`_planar_hull`'s (hull, Y, S); for k >= 3 :func:`_polar_hull`'s

@@ -9,12 +9,14 @@ same ascent, bitwise.  The runs are the battery configs,
 ``CELLS``, optionally capped at ``max_iterations``.
 
 With ``--structure`` a digest covers the path of each restart and not
-its volumes: every field but ``final_volume`` and ``residual``, and of the
-trace its iteration numbers alone; the winner is left out, as it may move
-among restarts whose volumes agree to rounding.  Two trees that give a cell
-the same structure digest visited the same frames, bitwise, with the same
-iterations, stops, ties, merges, rank losses and degenerate counts, while
-their volumes may differ in the last bits.
+its volumes: every field but ``final_volume`` and ``residual``, the frame
+by its exact ties (the label and sign of ``_clusters``) rather than its
+bytes, and of the trace its iteration numbers alone; the winner is left
+out, as it may move among restarts whose volumes agree to rounding.  Two
+trees that give a cell the same structure digest took the same path, with
+the same iterations, stops, final tie pattern, merges, rank losses and
+degenerate counts, while their frames and volumes may differ in the last
+bits.
 
 Compare two checkouts by running the same command against each source
 tree and diffing the output::
@@ -37,6 +39,7 @@ import numpy as np
 
 from cubesec.frame_core import Frame
 from cubesec.optimizer import OptimizerConfig, maximize
+from cubesec.polytope import _clusters
 
 # k = 2 with n = 3..12, k = 3 with n = 4..11, k = 4 with n = 5..10 and
 # k = 5 with n = 6..8
@@ -71,14 +74,17 @@ def _field(r, name: str, structure: bool):
     value = getattr(r, name)
     if structure and name == "trace":
         return [it for it, _ in value]
+    if structure and name == "frame":
+        return list(_clusters(value.vectors)[:2])
     return value
 
 
 def restart_records(result, structure: bool = False) -> list:
     """One bytes record per restart of an ``OptimizeResult``: every field
     of its ``RestartResult``, by name, in declaration order; with
-    ``structure``, all but ``VOLUME_FIELDS``, and the trace's iteration
-    numbers without its volumes."""
+    ``structure``, all but ``VOLUME_FIELDS``, the frame's exact ties in
+    place of its bytes, and the trace's iteration numbers without its
+    volumes."""
     return [b";".join(f.name.encode() + b"=" + _encode(_field(r, f.name, structure))
                       for f in dataclasses.fields(r)
                       if not (structure and f.name in VOLUME_FIELDS))

@@ -37,21 +37,42 @@ def small_config(n, k, **kw):
     return OptimizerConfig(n=n, k=k, **defaults)
 
 
-def zero_last(V, label, first, k):
-    """A move list of one candidate that zeroes the last vector, which
-    holds an axis alone in the (3, 2) box frame, with the ties of its
-    frame, as _reassigns gives them; it loses rank, so they are never
-    read."""
-    out = V.copy()
+def zero_last(U, ties, k):
+    """A move list of one candidate that zeroes the last row of the
+    weighted frame, the cluster that holds an axis alone in the (3, 2) box
+    frame, with the ties it had, as _reassigns gives a move; it loses
+    rank, so they are never read."""
+    out = U.copy()
     out[-1] = 0.0
-    yield out, polytope._clusters(out)
+    yield out, ties
 
 
 def assert_same_ties(carried, exact):
-    """The tie records (label, sign, first) are equal bitwise, dtypes and
-    shapes included."""
+    """The tie records, tuples of arrays such as (label, sign, first), are
+    equal bitwise, dtypes and shapes included."""
     for a, b in zip(carried, exact, strict=True):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def weighted(V):
+    """The weighted frame of the frame V as the ascent starts from it: the
+    least member of each cluster of exact ties (_clusters), with sign +1,
+    and the ties (label, sign, size)."""
+    label, sign, first = optimizer._clusters(V)
+    return V[first], (label, sign, np.bincount(label))
+
+
+def expand(U, ties):
+    """The n rows of the weighted frame U tied by ``ties`` (label, sign,
+    size): each generator its cluster's row times its sign."""
+    label, sign, _ = ties
+    return sign[:, None] * U[label]
+
+
+def section_of(U):
+    """The _Section of +-U as the ascent builds it, each row its own
+    cluster."""
+    return polytope._Section(np.concatenate((U, -U)), np.arange(len(U)))
 
 
 def tied_frame(sizes, k, rng):
@@ -94,6 +115,8 @@ class TestAscend:
         res = ascend(s0, small_config(5, 2), np.random.default_rng(0))
         assert res.final_volume == pytest.approx(start_vol, rel=1e-12)
         assert res.accepted == 0
+        # expanded from its clusters' rows, the frame is the start, bitwise
+        assert res.frame.vectors.tobytes() == s0.vectors.tobytes()
 
     def test_improves_from_coordinate_section(self):
         # projections of the standard basis onto the coordinate plane:
@@ -129,6 +152,14 @@ class TestAscend:
         assert res.final_volume == section_volume_fast(res.frame.vectors)
         assert res.final_volume <= 4 * math.sqrt(2)
         assert (res.accepted, res.merged) == (1, 1)
+        # at the battery configs every restart stops critical, and reports
+        # the ranked volume of its frame, bitwise, though the ascent read
+        # it from the section of one row per cluster
+        for n, k in ((6, 2), (7, 3), (7, 4)):
+            for r in maximize(OptimizerConfig(
+                    n=n, k=k, restarts=32 if k == 2 else 12, seed=0), threads=1).restarts:
+                assert r.stop == "critical"
+                assert r.final_volume == section_volume_fast(r.frame.vectors)
 
     def test_degenerate_proposal_is_rejected_not_raised(self, monkeypatch):
         # a Qhull failure on one candidate must not abort the restart
@@ -164,8 +195,9 @@ class TestAscend:
     @pytest.mark.parametrize("n, k", [(6, 2), (7, 3)])
     def test_one_evaluation_per_candidate(self, n, k, monkeypatch):
         # every volume the ascent reads is the volume of one _Section of
-        # +-V: the start's and one per candidate.  The reported volume is
-        # the one read for the final frame, with no further call to rank
+        # +-U, U the clusters' rows: the start's and one per candidate.  The
+        # reported volume is the one read for the final frame, whose rows
+        # are its clusters' least members, with no further call to rank
         # it, and the trace ends at it
         read = []
 
@@ -182,7 +214,8 @@ class TestAscend:
             r = ascend(random_tight_frame(n, k, rng), OptimizerConfig(n=n, k=k, seed=seed), rng)
             assert r.rank_loss == 0
             assert len(read) == r.evaluations == r.iterations + 1
-            assert (r.frame.vectors.tobytes(), r.final_volume) in read
+            V = r.frame.vectors
+            assert (V[optimizer._clusters(V)[2]].tobytes(), r.final_volume) in read
             assert r.final_volume == r.trace[-1][1]
 
     def test_one_hull_per_evaluation(self, monkeypatch):
@@ -300,8 +333,9 @@ class TestAscend:
                              ids=["10-2", "7-4"])
     def test_gradient_step_climbs_at_unequal_ties(self, sizes, k, monkeypatch):
         # at a frame tied exactly into clusters of unequal sizes, with the
-        # merge left out, the first candidate whitened is the gradient step;
-        # the volume rises along its direction, to first order
+        # merge left out, the first candidate whitened is the gradient step,
+        # W = sqrt(d) U moved by xi; the volume rises along its direction,
+        # each generator moved with its cluster, to first order
         seen = []
 
         def recorded(frame):
@@ -320,7 +354,9 @@ class TestAscend:
             seen.clear()
             ascend(s0, OptimizerConfig(n=sum(sizes), k=k, max_iterations=1), rng)
             assert len(seen) == 1
-            step = seen[0] - s0.vectors
+            U, ties = weighted(s0.vectors)
+            root = np.sqrt(ties[2])[:, None]
+            step = expand((seen[0] - root * U) / root, ties)
             t = 1e-6 / np.linalg.norm(step)
             vol = section_volume_fast(s0.vectors)
             moved = whiten(Frame(s0.vectors + t * step))[1]
@@ -341,19 +377,19 @@ class TestAscend:
 
     @pytest.mark.parametrize("n, k", [(3, 2), (10, 2), (7, 3), (7, 4), (6, 5)])
     def test_ties_stay_exact(self, n, k, monkeypatch):
-        # the clusters are exact ties, which the merge, the reassigns and
-        # the box start make and a gradient step and whitening keep
-        # bitwise: at every frame the rows of +-V group the same at 1e-4
-        # max|v| as at 0.  A tie broken by rounding would show here, since
-        # the merge could not make it again: its gain is below VOL_TOL.
-        # The ties the ascent carries from move to move are the exact ones.
-        # _moves is called once per frame, so every frame is observed
+        # the ascent carries one row per cluster of exact ties, so no tie
+        # can be broken: at every frame no two rows of U coincide up to
+        # sign, or come near it (the rows of +-U group the same at 1e-4
+        # max|u| as at 0), and the ties the ascent carries are those
+        # _clusters finds on the frame expanded to n rows, its sizes their
+        # counts.  _moves is called once per frame, so every frame is
+        # observed
         frames = []
         moves = optimizer._moves
 
-        def observed(V, G, step, label, sign, first, k):
-            frames.append((V, label, sign))
-            return moves(V, G, step, label, sign, first, k)
+        def observed(U, ties, section, step, k):
+            frames.append((U, ties))
+            return moves(U, ties, section, step, k)
 
         monkeypatch.setattr(optimizer, "_moves", observed)
         restarts = []
@@ -362,12 +398,14 @@ class TestAscend:
                 n=n, k=k, restarts=32 if k == 2 else 12, seed=seed), threads=1).restarts
         assert len(frames) > 2 * n
         assert len(frames) == sum(r.accepted + 1 for r in restarts)
-        for V, label, sign in frames:
-            W = np.concatenate((V, -V))
+        for U, ties in frames:
+            assert len(optimizer._clusters(U)[2]) == len(U)
+            W = np.concatenate((U, -U))
             np.testing.assert_array_equal(
-                polytope._coincident_row_groups(W, 1e-4 * np.abs(V).max()),
+                polytope._coincident_row_groups(W, 1e-4 * np.abs(U).max()),
                 polytope._coincident_row_groups(W, 0.0))
-            assert_same_ties((label, sign), optimizer._clusters(V)[:2])
+            assert_same_ties(ties[:2], optimizer._clusters(expand(U, ties))[:2])
+            assert_same_ties(ties[2:], (np.bincount(ties[0]),))
 
     @pytest.mark.parametrize("n, k", [(10, 2), (7, 3)], ids=["10-2", "7-3"])
     def test_xi_only_where_read(self, n, k, monkeypatch):
@@ -495,20 +533,23 @@ class TestMoveList:
             signs = rng.choice([-1.0, 1.0], n)
             rows = np.repeat(w / np.sqrt(sizes)[:, None], sizes, axis=0)
             V = TightFrame(signs[:, None] * rows).vectors
-            label, sign, first = optimizer._clusters(V)
+            U, ties = weighted(V)
+            label, sign, _ = ties
             np.testing.assert_array_equal(label, np.repeat(np.arange(len(sizes)), sizes))
-            U = (sign[:, None] * V)[first]
             pairs = [(sizes[c] * sizes[e] / (sizes[c] + sizes[e]) * np.sum((U[c] - s * U[e]) ** 2),
                       c, e, s) for c in range(len(sizes)) for e in range(c + 1, len(sizes))
                      for s in (1.0, -1.0)]
             _, c, e, s = min(pairs)
             mean = (sizes[c] * U[c] + s * sizes[e] * U[e]) / (sizes[c] + sizes[e])
-            section = polytope._Section(np.concatenate((V, -V)), first)
-            moves = list(optimizer._moves(V, section, 0.3, label, sign, first, k))
+            moves = list(optimizer._moves(U, ties, section_of(U), 0.3, k))
             assert [kind for *_, kind in moves[:GRADIENT_TRIES + 2]] == (
                 ["merge"] + ["gradient"] * GRADIENT_TRIES + ["reassign"])
-            merged, _, step, _ = moves[0]
+            out, out_ties, step, _ = moves[0]
             assert step == 0.3
+            # one row fewer, the pair's on row c, of the summed size
+            assert len(out) == len(U) - 1
+            assert out_ties[2][c] == sizes[c] + sizes[e]
+            merged = expand(out, out_ties)
             both = (label == c) | (label == e)
             assert len(np.unique(np.abs(merged[both]), axis=0)) == 1
             to = np.where(label == e, s, 1.0)[:, None] * sign[:, None] * mean
@@ -516,16 +557,15 @@ class TestMoveList:
             np.testing.assert_array_equal(merged[~both], V[~both])
         # a box frame holds m = k clusters: no merge
         for n, k in ((7, 4), (10, 2)):
-            V = extremal_frame(n, k).vectors
-            label, sign, first = optimizer._clusters(V)
-            section = polytope._Section(np.concatenate((V, -V)), first)
+            U, ties = weighted(extremal_frame(n, k).vectors)
             assert "merge" not in [kind for *_, kind in optimizer._moves(
-                V, section, 0.3, label, sign, first, k)]
+                U, ties, section_of(U), 0.3, k)]
 
     def test_merge_matches_the_reference(self):
-        # the merge over the cached pair table is the dense-table merge
-        # (reference_merge), bitwise: vectors, labels, signs and least
-        # members.  Half the frames are random tight frames tied into
+        # the merge over the cached pair table, on the weighted frame, is
+        # the dense-table merge (reference_merge) on the n rows, bitwise:
+        # the expanded vectors, labels and signs, and the rows and sizes
+        # are the least members' and the counts.  Half the frames are random tight frames tied into
         # clusters; the other half put clusters of one size, one or two
         # generators, on small integer directions, so that costs tie
         # exactly and the first least pair in row-major order must win
@@ -546,11 +586,14 @@ class TestMoveList:
                     for V in (tied_frame(sizes, k, rng), symmetric):
                         label, sign, first = optimizer._clusters(V)
                         assert len(first) == m
-                        out, ties = optimizer._merge(V, label, sign, first)
+                        U, ties = weighted(V)
+                        out, out_ties = optimizer._merge(U, ties)
                         ref_out, ref_ties = reference_merge(V, label, sign, first)
-                        assert_same_ties((out, *ties), (ref_out, *ref_ties))
-                        size = np.bincount(label)
-                        U = V[first]
+                        assert_same_ties((expand(out, out_ties), *out_ties[:2]),
+                                         (ref_out, *ref_ties[:2]))
+                        assert_same_ties((out, out_ties[2]),
+                                         (ref_out[ref_ties[2]], np.bincount(ref_ties[0])))
+                        size = ties[2]
                         cost = [size[c] * size[e] / (size[c] + size[e]) * (
                             (U[c] @ U[c] + U[e] @ U[e]) - 2 * abs(U[c] @ U[e]))
                             for c, e in zip(*optimizer._pairs(m))]
@@ -575,23 +618,24 @@ class TestMoveList:
         # cluster e: the balanced (7, 4) box, of sizes 2, 2, 2 and 1, has no
         # move, and the (6, 2) box of sizes 2 and 4 has one, from the
         # cluster of 4 to the cluster of 2
-        V = extremal_frame(7, 4).vectors
-        label, _, first = optimizer._clusters(V)
-        assert list(optimizer._reassigns(V, label, first, 4)) == []
+        assert list(optimizer._reassigns(*weighted(extremal_frame(7, 4).vectors), 4)) == []
         V = extremal_frame(6, 2, partition=[[0, 1], [2, 3, 4, 5]]).vectors
-        label, _, first = optimizer._clusters(V)
-        moves = list(optimizer._reassigns(V, label, first, 2))
+        moves = list(optimizer._reassigns(*weighted(V), 2))
         assert len(moves) == 1
         moved = V.copy()
         moved[5] = V[0]
-        np.testing.assert_array_equal(moves[0][0], moved)
+        np.testing.assert_array_equal(expand(*moves[0]), moved)
+        assert moves[0][1][2].tolist() == [3, 3]
 
     def test_each_move_carries_its_ties(self):
         # at exactly tied frames of m >= k clusters, every candidate of the
-        # move list comes with the ties of its frame: those _clusters finds
-        # there, bitwise, and again after whitening.  Covered: merges,
-        # gradient trials, reassigns of a lone generator (m > k), and
-        # reassigns whose generator becomes the least member of its new
+        # move list is a weighted frame with the ties of its frame: its rows
+        # are the least members, with sign +1, of the clusters _clusters
+        # finds on the expanded frame, no two of them tied, its label and
+        # sign are _clusters', bitwise, and its sizes the counts; and again
+        # after whitening as the ascent whitens, W = sqrt(d) U.  Covered:
+        # merges, gradient trials, reassigns of a lone generator (m > k),
+        # and reassigns whose generator becomes the least member of its new
         # cluster, so that the clusters are numbered again
         rng = np.random.default_rng(80)
         met = dict.fromkeys(("merge", "gradient", "reassign", "lone", "renumbered"), 0)
@@ -600,19 +644,19 @@ class TestMoveList:
                 m = k + int(rng.integers(0, 4))
                 sizes = 1 + rng.multinomial(int(rng.integers(0, 6)), np.ones(m) / m)
                 V = tied_frame(sizes, k, rng)
-                label, sign, first = optimizer._clusters(V)
-                section = polytope._Section(np.concatenate((V, -V)), first)
-                size = np.bincount(label)
-                for out, ties, _, kind in optimizer._moves(V, section, 0.3, label, sign, first, k):
-                    exact = optimizer._clusters(out)
-                    assert_same_ties(ties, exact)
-                    # each cluster's least member has sign +1, which _merge
-                    # reads its representatives by
-                    assert (ties[1][ties[2]] == 1).all()
-                    assert_same_ties(ties, optimizer._clusters(whiten(Frame(out))[1].vectors))
+                U, ties = weighted(V)
+                label, size = ties[0], ties[2]
+                for out, out_ties, _, kind in optimizer._moves(U, ties, section_of(U), 0.3, k):
+                    moved = expand(out, out_ties)
+                    exact = optimizer._clusters(moved)
+                    assert_same_ties(out_ties, (*exact[:2], np.bincount(exact[0])))
+                    assert_same_ties((out,), (moved[exact[2]],))
+                    assert len(optimizer._clusters(out)[2]) == len(out)
+                    b = whiten(Frame(np.sqrt(out_ties[2])[:, None] * out))[0]
+                    assert_same_ties(out_ties[:2], optimizer._clusters(expand(out @ b, out_ties))[:2])
                     met[kind] += 1
                     if kind == "reassign":
-                        i = np.flatnonzero((out != V).any(axis=1))[0]
+                        i = np.flatnonzero((moved != V).any(axis=1))[0]
                         met["lone"] += size[label[i]] == 1
                         met["renumbered"] += exact[2][exact[0][i]] == i
         assert min(met.values()) > 0, met
@@ -639,7 +683,8 @@ class TestMoveList:
                                signs=rng.choice([-1, 1], n).tolist()).vectors
             vol = section_volume_fast(V)
             label, sign, first = optimizer._clusters(V)
-            size = np.bincount(label)
+            U, ties = weighted(V)
+            size = ties[2]
             assert len(size) == k
             gaining = []
             for c in range(k):
@@ -660,18 +705,17 @@ class TestMoveList:
                     assert gains == (size[c] >= size[e] + 2)
                     if gains:
                         gaining.append(moved)
-            moves = list(optimizer._reassigns(V, label, first, k))
+            moves = list(optimizer._reassigns(U, ties, k))
             assert len(moves) == len(gaining)
-            for (move, _), expected in zip(moves, gaining):
-                np.testing.assert_array_equal(move, expected)
+            for move, expected in zip(moves, gaining):
+                np.testing.assert_array_equal(expand(*move), expected)
             # with m = k clusters the move list is these reassigns alone,
             # whatever G holds: no merge and no gradient trial
-            G = rng.standard_normal(V.shape)
-            listed = list(optimizer._moves(V, SimpleNamespace(gradient=lambda: G), 0.3,
-                                           label, sign, first, k))
+            G = rng.standard_normal(U.shape)
+            listed = list(optimizer._moves(U, ties, SimpleNamespace(gradient=lambda: G), 0.3, k))
             assert [kind for *_, kind in listed] == ["reassign"] * len(gaining)
-            for (move, *_), expected in zip(listed, gaining):
-                np.testing.assert_array_equal(move, expected)
+            for (move, move_ties, *_), expected in zip(listed, gaining):
+                np.testing.assert_array_equal(expand(move, move_ties), expected)
 
     @pytest.mark.parametrize("n, k, partition", [
         (6, 2, [[0, 1], [2, 3, 4, 5]]), (7, 3, None), (7, 4, None), (10, 2, None)],

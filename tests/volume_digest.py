@@ -7,8 +7,10 @@ in order, so a change that moves one route's numbers shows which:
 - ``build_section``: the volume, the vertices, and for every facet its
   measure, centroid, normal and rows;
 - ``gradient``: the volume and the gradient G of one ``_Section`` of
-  +-V, given the frame's ties (``_clusters``), as the ascent builds it
-  (:func:`volume_and_gradient`).
+  +-V, given the frame's ties (``_clusters``), one row of G per generator
+  (:func:`volume_and_gradient`).  The ascent builds the section of its
+  clusters' rows instead, so this route pins ``_Section`` on n rows, the
+  section the public routes build.
 
 Floats are taken by their hex form and arrays as dtype, shape and bytes,
 so two trees that give a cell the same digest computed the same numbers,
@@ -69,7 +71,7 @@ def make_frame(n: int, k: int, family: str, index: int) -> Frame:
 
 def volume_and_gradient(V: np.ndarray) -> tuple:
     """(volume, G) of the section of the frame vectors V, from one
-    ``_Section`` of +-V given V's own ties, as the ascent reads them."""
+    ``_Section`` of +-V given V's own ties."""
     section = _Section(np.concatenate((V, -V)), _clusters(V)[2])
     return section.volume(), section.gradient()
 
