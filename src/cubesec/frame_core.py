@@ -75,10 +75,13 @@ class Frame:
     checks reject them separately.
 
     Every entry must be a finite number, whatever ``require_span`` says,
-    so a :class:`TightFrame`'s too.  The span test, :func:`frame_operator`
-    with its check, is taken here; the volume routes of ``polytope`` test
-    depth instead and do not repeat it.  Entries so large that the frame
-    operator overflows fail it, with no warning.
+    so a :class:`TightFrame`'s too.  The frame operator is taken here,
+    once, whatever ``require_span`` says: entries so large that it
+    overflows raise :class:`NotAFrameError`, with no warning, so no
+    caller, :func:`whiten` among them, meets an overflowing operator.  With
+    ``require_span`` the span test, :func:`frame_operator` with its check,
+    is taken on it too; the volume routes of ``polytope`` test depth
+    instead and do not repeat it.
     """
 
     def __init__(self, vectors, *, require_span: bool = True):
@@ -97,11 +100,14 @@ class Frame:
             raise NotAFrameError("not a frame")
         v.setflags(write=False)
         self.vectors = v
-        if require_span:
-            # raises NotAFrameError unless the vectors span R^k; an operator
-            # that overflows has a NaN eigenvalue, which fails the test
-            with np.errstate(over="ignore"):
-                frame_operator(self)
+        with np.errstate(over="ignore"):  # an overflow is an inf entry
+            self._accept(frame_operator(self, check=require_span))
+
+    def _accept(self, a) -> None:
+        """Raise :class:`NotAFrameError` unless the frame operator ``a`` is
+        finite."""
+        if not np.isfinite(a).all():
+            raise NotAFrameError("not a frame")
 
     @property
     def n(self) -> int:
@@ -138,12 +144,14 @@ class Frame:
 
 class TightFrame(Frame):
     """Frame whose frame operator equals the identity within ``EPS_TIGHT``;
-    an operator that overflows fails the test, with no warning."""
+    the operator :class:`Frame` takes is tested, so one that overflows
+    fails the test, with no warning, and raises :class:`TightnessError`."""
 
     def __init__(self, vectors):
         super().__init__(vectors, require_span=False)
-        with np.errstate(over="ignore"):  # an overflow's error is inf or NaN
-            _accept_tight(_tightness_error(frame_operator(self, check=False)))
+
+    def _accept(self, a) -> None:
+        _accept_tight(_tightness_error(a))  # an overflow's error is inf or NaN
 
 
 def frame_operator(s: Frame, *, check: bool = True):
@@ -295,9 +303,12 @@ def random_tight_frame(n: int, k: int, rng=None) -> TightFrame:
     """Whitened Gaussian frame; the workhorse for sampling and restarts."""
     if rng is None:
         rng = np.random.default_rng()
+    # Gaussian entries are finite and their operator cannot overflow, so
+    # the draw skips the checks of Frame(), as the ascent's candidates do
+    g = Frame.__new__(Frame)
     while True:
-        g = rng.standard_normal((n, k))
+        g.vectors = rng.standard_normal((n, k))
         try:
-            return whiten(Frame(g, require_span=False))[1]
+            return whiten(g)[1]
         except NotAFrameError:  # pragma: no cover - measure-zero resample
             continue

@@ -37,15 +37,21 @@ sum with moments per section, taken only when the gradient is asked for.
 (:func:`_hull_facets`), and assembles the records in one pass
 (:func:`_assemble`): a group label per row (coincident rows share a
 facet), contents and first moments summed by label, and the vertex
-indices of each group from one incidence matrix.  The section's volume is
-the same sum of the volume column, so in the plane it is bitwise the
-volume of :func:`section_volume_fast`.
+indices of each group from one incidence matrix.  It sums no volume: the
+polytope holds its :class:`_Section`, and :func:`volume` reads that
+section's one volume, so :func:`volume` of :func:`build_section` and
+:func:`section_volume_fast` are one number, bitwise, at every k.  For
+k >= 3 the facets' table runs over the vertices solved from Qhull's
+corners and the volume over Qhull's own, so the facet closure
+sum_F dist_F mu_F / k meets the volume to rounding only; ``cubesec
+report`` prints how far apart they are.
 
 One section per frame: :func:`build_section` and :func:`section_volume_fast`
 read the section of +-V from one slot, :func:`_section`, keyed by the
 bytes of V.  Whichever of the two runs second on a frame, as ``cubesec
-report`` runs both, builds no hull and no plan, and takes no box test.
-The ascent and the shifted and tilted rebuilds build their own sections.
+report`` runs both, builds no hull and no plan, and takes no box test,
+and the volume is summed once, on its first read, and kept.  The ascent
+and the shifted and tilted rebuilds build their own sections.
 
 Box frames in closed form, with no hull on any route: for k >= 3 a frame
 whose generators lie on exactly k lines, the k clusters of the exact ties
@@ -59,9 +65,7 @@ the slot.  A box reads everything from :func:`_box`: its volume
 U^-T, and :func:`build_section` reads the facets: the facet of s u_c holds
 the vertices with s_c = s, its centroid is s U^-1 e_c and its content
 vol |u_c| / 2 (:func:`_box_facets`).  The rebuilds, whose bodies are no
-longer centred parallelepipeds, and the plane keep the cone table, so in
-the plane the two routes stay bitwise one volume, and at a box they are
-one determinant.
+longer centred parallelepipeds, and the plane keep the cone table.
 
 One raise contract on every volume route (:func:`section_volume_fast`,
 :func:`volume` of :func:`build_section`, and a :class:`_Section` given the
@@ -110,7 +114,11 @@ class FacetRecord:
 
     normals holds (generator_index, sign) pairs for every frame vector
     whose hyperplane (after the sign flip) supports this facet; the pair
-    count is the facet multiplicity d.
+    count is the facet multiplicity d.  Their rows are one ``EPS_GEOM``
+    group, and ``normal_vector`` is the group's least row, not always the
+    row that supports the facet: on grouped rows that are not exact ties,
+    ``distance`` and the facet closure of ``cubesec report`` are exact only
+    to that tolerance.
     """
 
     normals: tuple
@@ -140,16 +148,16 @@ class FacetRecord:
 
 @dataclass
 class SectionPolytope:
-    """V-representation, facet data and volume of a cube section;
-    ``generator_facets`` maps a generator to (facet, sign) for the first
-    facet whose ``normals`` hold it, and its sign there."""
+    """V-representation and facet data of a cube section, and the
+    :class:`_Section` of its rows +-V, whose one volume :func:`volume`
+    reads; ``generator_facets`` maps a generator to (facet, sign) for the
+    first facet whose ``normals`` hold it, and its sign there."""
 
     k: int
     vertices: np.ndarray
     facets: tuple
     generator_facets: dict = field(repr=False)
-    _W: np.ndarray = field(repr=False)
-    _volume: float = field(repr=False)
+    _section: _Section = field(repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -435,11 +443,12 @@ def build_section(s: Frame) -> SectionPolytope:
 
     - a box, whose 2k signed lines are the ``EPS_GEOM`` groups, reads the
       parallelepiped {|U x| <= 1} from the section's ``box``, with no hull
-      (:func:`_box_facets`); its vertices come in sign order, and its
-      volume is :func:`section_volume_fast`'s, bitwise;
+      (:func:`_box_facets`); its vertices come in sign order;
     - any other frame reads the cone table of the section's hull
-      (:func:`_hull_facets`), whose volume column sums to the volume.
+      (:func:`_hull_facets`).
 
+    It sums no volume: :func:`volume` reads the section's, on its first
+    read, so the two routes on a frame run one volume sum between them.
     It raises as the module's raise contract says; the span test is
     ``s``'s own, taken when it was built.
     """
@@ -450,8 +459,8 @@ def build_section(s: Frame) -> SectionPolytope:
     # exact ties are within EPS_GEOM, so each group is a union of signed
     # lines s u_c; a box has 2k of them, and 2k groups are those lines
     if section.box is not None and count == 2 * s.k:
-        return _assemble(W, label, *_box_facets(W, label, section.first, section.box))
-    return _assemble(W, label, *_hull_facets(section, label, count))
+        return _assemble(section, label, *_box_facets(W, label, section.first, section.box))
+    return _assemble(section, label, *_hull_facets(section, label, count))
 
 
 def _hull_facets(section: _Section, label: np.ndarray, count: int):
@@ -462,9 +471,9 @@ def _hull_facets(section: _Section, label: np.ndarray, count: int):
     The hull and, for k >= 3, its flag-sum plan are the section's
     (:meth:`_Section.hull`); what is this function's own is the arithmetic
     for k >= 3: the vertices solved from the corners, and the table with
-    its first moments over them, whose volume column sums to the volume.
-    In the plane the table and the volume are the section's own.  The
-    facet of a row that has one has content k cone |w|, for cone the
+    its first moments over them.  In the plane the table is the section's
+    own.  No volume is summed here (:meth:`_Section.volume`).  The facet
+    of a row that has one has content k cone |w|, for cone the
     volume of the cone from the origin over it; each group's content and
     first moment are summed over its rows, in one array pass.  For k = 1 a
     facet is the vertex 1 / p, its cone of length 1 / |p|.
@@ -494,12 +503,10 @@ def _hull_facets(section: _Section, label: np.ndarray, count: int):
             point, vid = hull.simplices.ravel(), np.repeat(vid, k)
         cone = table[rows, k]
         centroid = table[rows, :k] / (k * cone)[:, None]
-    vol = float(table[:, k].sum()) if k >= 3 else section.volume()
     measure = k * cone * np.linalg.norm(W[rows], axis=1)
     held = np.zeros((count, len(verts)), dtype=bool)
     held[label[point], vid] = True
-    sums = _sums_by(label[rows], np.column_stack((measure, measure[:, None] * centroid)), count)
-    return verts, held, sums, vol
+    return verts, held, _sums_by(label[rows], np.column_stack((measure, measure[:, None] * centroid)), count)
 
 
 def _box_facets(W: np.ndarray, label: np.ndarray, first: np.ndarray, box):
@@ -510,7 +517,7 @@ def _box_facets(W: np.ndarray, label: np.ndarray, first: np.ndarray, box):
     s u_c.  The facet of s u_c holds the vertices U^-1 t with t_c = s, its
     centroid is s U^-1 e_c, and its content is vol |u_c| / 2, so the cones
     over the 2k facets, of heights 1 / |u_c|, add up to the volume
-    2^k / |det U|."""
+    2^k / |det U|, the section's (:meth:`_Section.volume`)."""
     n, k = len(W) // 2, W.shape[1]
     vol, inv, verts = box
     # the line and the sign of each group, from the groups of +-u_c
@@ -520,17 +527,18 @@ def _box_facets(W: np.ndarray, label: np.ndarray, first: np.ndarray, box):
         sign[label[rows]] = s
     held = _signs(k).T[line] == sign[:, None]
     measure = vol / 2 * np.linalg.norm(W[first], axis=1)[line]
-    return verts, held, np.column_stack((measure, (measure * sign)[:, None] * inv.T[line])), vol
+    return verts, held, np.column_stack((measure, (measure * sign)[:, None] * inv.T[line]))
 
 
-def _assemble(W: np.ndarray, label: np.ndarray, verts: np.ndarray, held: np.ndarray,
-              sums: np.ndarray, vol: float) -> SectionPolytope:
-    """The section of the rows W = +-V from its facets, as a route gives
-    them: ``label`` the ``EPS_GEOM`` group of each row; ``held[g, j]``
-    whether group g's facet holds vertex j, each group that holds one a
-    facet; ``sums[g]`` the content of that facet and then its first
-    moment, the content times the centroid; and ``vol`` the volume."""
-    n = len(W) // 2
+def _assemble(section: _Section, label: np.ndarray, verts: np.ndarray, held: np.ndarray,
+              sums: np.ndarray) -> SectionPolytope:
+    """The section of the rows W = +-V, ``section.P``, from its facets, as
+    a route gives them: ``label`` the ``EPS_GEOM`` group of each row;
+    ``held[g, j]`` whether group g's facet holds vertex j, each group that
+    holds one a facet; and ``sums[g]`` the content of that facet and then
+    its first moment, the content times the centroid.  The polytope holds
+    ``section``, whose volume is the polytope's (:func:`volume`)."""
+    n = len(section.P) // 2
     row_gen = [(i, 1) for i in range(n)] + [(i, -1) for i in range(n)]
     members = [[] for _ in range(len(held))]
     for r, g in enumerate(label.tolist()):
@@ -540,7 +548,7 @@ def _assemble(W: np.ndarray, label: np.ndarray, verts: np.ndarray, held: np.ndar
     ends = np.searchsorted(group, np.arange(len(members) + 1)).tolist()
     own = [g for g in range(len(members)) if ends[g] < ends[g + 1]]
     sums = sums[own]
-    normal = W[[members[g][0] for g in own]]
+    normal = section.P[[members[g][0] for g in own]]
     centroid = sums[:, 1:] / sums[:, :1]
     for x in (verts, normal, centroid):
         x.setflags(write=False)
@@ -554,20 +562,19 @@ def _assemble(W: np.ndarray, label: np.ndarray, verts: np.ndarray, held: np.ndar
         facets.append(f)
         for gen, sign in normals:
             generator_facets.setdefault(gen, (f, sign))
-    return SectionPolytope(k=W.shape[1], vertices=verts, facets=tuple(facets),
-                           generator_facets=generator_facets, _W=W, _volume=vol)
+    return SectionPolytope(k=section.P.shape[1], vertices=verts, facets=tuple(facets),
+                           generator_facets=generator_facets, _section=section)
 
 
 def volume(p: SectionPolytope) -> float:
-    """Volume of the section: the sum of the cones from the origin over its
-    facets, which :func:`build_section` takes from the hull that
-    :func:`section_volume_fast` uses and sums in the same order: for k <= 2
-    and at a box it is that volume bitwise, for k >= 3, whose vertices it
-    solves, that volume up to rounding.  The independent reference is the
+    """Volume of the section: :meth:`_Section.volume` of the polytope's
+    section, the one volume of the frame, so it is
+    :func:`section_volume_fast` of the same vectors, bitwise, at every k
+    and whichever of the two runs first.  The independent reference is the
     exact volume in rational arithmetic, ``tests/oracles.exact_volume``,
-    to which the tests hold both routes.
+    to which the tests hold it.
     """
-    return p._volume
+    return p._section.volume()
 
 
 def volume_by_triangulation(p: SectionPolytope) -> float:
@@ -854,7 +861,7 @@ def _flag_sum(P: np.ndarray, Y: np.ndarray, tables: _HullPlan, moments: bool = T
     function does the sum over P and Y.  :meth:`_Section.hull` builds the
     plan with the hull and keeps it, and the slot keeps the section
     (:func:`_section`), so the second of :func:`build_section` and
-    :func:`section_volume_fast` on a frame runs only the sum.
+    :func:`section_volume_fast` on a frame builds no plan.
     """
     k, N = P.shape[1], len(P)
     columns = k + 1 if moments else 1
@@ -910,10 +917,12 @@ class _Section:
     - :meth:`table`, k >= 2: the cone table of the hull, the scan's own in
       the plane, and for k >= 3 :func:`_flag_sum` over the plan, with the
       k first-moment columns only when ``moments`` is set.
-    - :meth:`volume`: 2^k / |det U| at a box, the interval's length for
-      k = 1 (:func:`_interval`), and otherwise the sum of the table's
+    - :meth:`volume`, kept: 2^k / |det U| at a box, the interval's length
+      for k = 1 (:func:`_interval`), and otherwise the sum of the table's
       volume column, in row order, taken without moments, which is bitwise
-      the volume column of the whole table.
+      the volume column of the whole table.  It is the section's one
+      volume: :func:`volume` and :func:`section_volume_fast` read it, and
+      no other function sums a volume for them.
     - :meth:`gradient`, kept: the Euclidean gradient G of the volume in V.
       At a box the gradient of log |det U| in U is U^-T: row first[c] of G
       is -vol (U^-T)_c, the gradient of the whole cluster, and every other
@@ -929,7 +938,7 @@ class _Section:
     """
 
     def __init__(self, P: np.ndarray, first: np.ndarray | None = None):
-        self.P, self.first, self._hull, self._gradient = P, first, None, None
+        self.P, self.first, self._hull, self._volume, self._gradient = P, first, None, None, None
         # the box test: k >= 3 and exactly k clusters
         self.box = _box(P[first]) if first is not None and len(first) == P.shape[1] >= 3 else None
 
@@ -947,12 +956,15 @@ class _Section:
         return rest if self.P.shape[1] == 2 else _flag_sum(self.P, Y, rest, moments)
 
     def volume(self) -> float:
-        if self.box is not None:
-            return self.box[0]
-        if self.P.shape[1] == 1:
-            lo, hi = _interval(self.P)
-            return float(1 / self.P[hi, 0] - 1 / self.P[lo, 0])
-        return float(self.table(moments=False)[:, -1].sum())
+        if self._volume is None:
+            if self.box is not None:
+                self._volume = self.box[0]
+            elif self.P.shape[1] == 1:
+                lo, hi = _interval(self.P)
+                self._volume = float(1 / self.P[hi, 0] - 1 / self.P[lo, 0])
+            else:
+                self._volume = float(self.table(moments=False)[:, -1].sum())
+        return self._volume
 
     def gradient(self) -> np.ndarray:
         if self._gradient is None:
@@ -979,7 +991,8 @@ def _section(V: np.ndarray) -> _Section:
     The last section is kept in one slot, keyed by the dtype, shape and
     bytes of V, so :func:`build_section` and :func:`section_volume_fast` on
     one frame, in either order, build one hull or, at a box, take one
-    :func:`_box` between them: ``cubesec report`` calls both.  A section
+    :func:`_box` between them, and off a box at k >= 3 run one volume-only
+    sum, the section's kept volume: ``cubesec report`` calls both.  A section
     depends on its points alone (Qhull and the scan are deterministic), so
     a hit returns what a fresh build would; a build that raises stores
     nothing.  This is the slot's only reader.  The ascent, which evaluates
@@ -1030,11 +1043,11 @@ def section_volume_fast(vectors: np.ndarray) -> float:
       and the facets read.
 
     Called after :func:`build_section` on the same vectors, as ``cubesec
-    report`` calls it, this builds no hull and takes no :func:`_box`: it
-    runs only the sum over Qhull's polar vertices, or reads the planar
-    table or the box's determinant as they are.  It is bitwise the volume
-    of a :class:`_Section` of +-V given V's own ties, the ascent's route.
-    It raises as the module's raise contract says.
+    report`` calls it, this builds no hull and takes no :func:`_box`; it
+    sums the volume only if :func:`volume` has not read it yet, and is
+    :func:`volume` of that :func:`build_section`, bitwise.  It is bitwise
+    the volume of a :class:`_Section` of +-V given V's own ties, the
+    ascent's route.  It raises as the module's raise contract says.
     """
     return _section(vectors).volume()
 
@@ -1098,10 +1111,10 @@ def shifted_section_volume(p: SectionPolytope, f: FacetRecord, h: float) -> floa
     the same hyperplane); the opposite facet stays put, so the rebuilt body
     is generally not centrally symmetric.
     """
-    c = np.ones(len(p._W))
+    c = np.ones(len(p._section.P))
     for r in f.row_ids:
-        c[r] += h * np.linalg.norm(p._W[r])
-    return _Section(p._W / c[:, None]).volume()
+        c[r] += h * np.linalg.norm(p._section.P[r])
+    return _Section(p._section.P / c[:, None]).volume()
 
 
 def rotate_facet_predict(
@@ -1131,7 +1144,7 @@ def rotated_section_volume(
     p: SectionPolytope, f: FacetRecord, u: np.ndarray, t: float
 ) -> float:
     """Rebuild the section with the facet's normal tilted by ``t u``."""
-    W = p._W.copy()
+    W = p._section.P.copy()
     for r in f.row_ids:
         W[r] = W[r] + t * np.asarray(u, dtype=float)
     return _Section(W).volume()

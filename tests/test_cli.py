@@ -244,7 +244,7 @@ class TestReport:
     def test_combined_report(self, extremal_file, capsys):
         assert main(["report", str(extremal_file), "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert set(data) == {"polytope", "conditions", "bounds", "route_gap", "manifest"}
+        assert set(data) == {"polytope", "conditions", "bounds", "facet_closure", "manifest"}
         assert data["conditions"]["passed"] is True
         assert data["polytope"]["volume"] == pytest.approx(4 * math.sqrt(6), rel=1e-12)
 
@@ -255,8 +255,9 @@ class TestReport:
     ])
     def test_volume_routes_agree(self, tmp_path, capsys, n, k, box):
         # the optimizer ranks by section_volume_fast and the report states
-        # volume(build_section); the report says how far apart they are.
-        # At a box frame of k >= 3 both read det U, so they are one volume
+        # volume(build_section), one volume; the report checks its facet
+        # records against it: the cones over the facets, of heights
+        # dist_F, sum to it to rounding, at a box frame too
         path = tmp_path / "frame.json"
         if box:
             signs = np.random.default_rng([n, k]).choice([-1, 1], n).tolist()
@@ -265,12 +266,10 @@ class TestReport:
             vectors = np.random.default_rng(k).standard_normal((n, k))
         path.write_text(json.dumps({"n": n, "k": k, "vectors": vectors.tolist()}))
         assert main(["report", str(path), "--format", "json"]) == 0
-        gap = json.loads(capsys.readouterr().out)["route_gap"]
-        assert 0 <= gap <= 1e-12
-        if box:
-            assert gap == 0.0
+        closure = json.loads(capsys.readouterr().out)["facet_closure"]
+        assert 0 <= closure <= 1e-15
         assert main(["report", str(path)]) == 0
-        assert f"route gap  {gap:.3g}" in capsys.readouterr().out.splitlines()
+        assert f"closure    {closure:.3g}" in capsys.readouterr().out.splitlines()
 
     @pytest.mark.parametrize("n, k, box", [
         pytest.param(6, 2, False, id="6-2"), pytest.param(7, 3, False, id="7-3"),
@@ -278,9 +277,9 @@ class TestReport:
         pytest.param(7, 4, True, id="7-4-box"), pytest.param(12, 4, True, id="12-4-box"),
     ])
     def test_one_hull_per_frame(self, tmp_path, monkeypatch, n, k, box):
-        # the section and the fast volume of the report share one hull:
-        # Qhull's for k >= 3, the planar scan's for k = 2; a box frame of
-        # k >= 3 reads its section from U^-1, with no hull
+        # the report builds one hull, whose section gives the facets and
+        # the volume: Qhull's for k >= 3, the planar scan's for k = 2; a box
+        # frame of k >= 3 reads its section from U^-1, with no hull
         path = tmp_path / "frame.json"
         rng = np.random.default_rng([n, k])
         if box:

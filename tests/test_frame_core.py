@@ -11,7 +11,6 @@ from cubesec.frame_core import (
     EPS_TIGHT,
     RANK_FLOOR,
     Frame,
-    FrameError,
     NotAFrameError,
     TightFrame,
     TightnessError,
@@ -72,10 +71,10 @@ class TestFrameOperator:
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("big", [1e200, 1e160])
     def test_overflowing_operator_rejected(self, k, big):
-        # finite entries whose squares overflow give a frame operator of
-        # inf, whose eigenvalues are NaN, and NaN fails every comparison:
-        # the span test and the tightness test reject the frame, with no
-        # overflow warning, and whitening rejects it too, with no NaN frame
+        # finite entries whose squares overflow give a frame operator with
+        # an inf entry: Frame rejects it whatever require_span says, and
+        # the tightness test rejects it, with no overflow warning, so
+        # whitening never sees it and gives no NaN frame
         v = np.vstack([np.eye(k), np.ones(k)])
         v[0, 0] = big
         with warnings.catch_warnings():
@@ -84,8 +83,7 @@ class TestFrameOperator:
                 Frame(v)
             with pytest.raises(TightnessError):
                 TightFrame(v)
-        with np.errstate(over="ignore"):
-            with pytest.raises(FrameError):
+            with pytest.raises(NotAFrameError, match="not a frame"):
                 whiten(Frame(v, require_span=False))
 
     def test_positive_definite_on_random(self):

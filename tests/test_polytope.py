@@ -163,7 +163,7 @@ def hull_section(v):
     section slot is not read."""
     section = polytope._Section(np.concatenate((v, -v)))
     label = _coincident_row_groups(section.P, EPS_GEOM)
-    return polytope._assemble(section.P, label,
+    return polytope._assemble(section, label,
                               *polytope._hull_facets(section, label, int(label.max()) + 1))
 
 
@@ -206,9 +206,8 @@ class TestBuildSection:
         assert section_volume_fast(np.array([[0.5], [-2.0], [0.0], [1.0]])) == 1.0
 
     # one raise contract on every volume route: on each frame either every
-    # route raises the same class, or every route returns a volume, bitwise
-    # one at k = 2 and at a box, and within 2e-15 relative elsewhere (the
-    # bound of TestExactVolume's routes)
+    # route raises the same class, or every route returns one volume,
+    # bitwise, the section's, at every k
     ROUTES = (
         section_volume_fast,
         lambda v: volume(build_section(Frame(v, require_span=False))),
@@ -216,9 +215,9 @@ class TestBuildSection:
     )
 
     @classmethod
-    def outcomes(cls, v):
+    def outcomes(cls, v, routes=ROUTES):
         got = []
-        for route in cls.ROUTES:
+        for route in routes:
             try:
                 got.append(route(v))
             except Exception as exc:  # its class is the outcome
@@ -226,18 +225,18 @@ class TestBuildSection:
         return got
 
     @classmethod
-    def assert_one_volume(cls, name, v):
-        got = cls.outcomes(v)
+    def assert_one_volume(cls, name, v, monkeypatch):
+        # on a fresh slot, the fast route first and then the build route,
+        # and the other way round
+        got = []
+        for routes in (cls.ROUTES, cls.ROUTES[1::-1] + cls.ROUTES[2:]):
+            monkeypatch.setattr(polytope, "_last_section", (None, None))
+            got += cls.outcomes(v, routes)
         assert all(type(x) is float for x in got), (name, got)
-        fast, build, gradient = got
-        assert gradient == fast, name
-        if v.shape[1] == 2 or is_box(v):
-            assert build == fast, name
-        else:
-            assert abs(build - fast) <= 2e-15 * fast, name
-        return fast
+        assert len(set(got)) == 1, (name, got)
+        return got[0]
 
-    def test_raise_contract(self):
+    def test_raise_contract(self, monkeypatch):
         cells = ((6, 2), (7, 3), (7, 4), (8, 5))
         rows = [(f"{family} {n, k} #{i}", volume_digest.make_frame(n, k, family, i).vectors)
                 for n, k in cells for family in FAMILIES for i in range(3)]
@@ -246,8 +245,13 @@ class TestBuildSection:
             v = random_tight_frame(n - 1, k, rng).vectors
             rows.append((f"duplicated {n, k}",
                          np.insert(v, 1, v[0] + 1e-13 * rng.standard_normal(k), axis=0)))
+        # the digests' families off a box at k = 3..5, where build_section
+        # solves its own vertices for the facets
+        rows += [(f"{family} {n, k} #{i}", volume_digest.make_frame(n, k, family, i).vectors)
+                 for n, k in volume_digest.CELLS if 3 <= k <= 5
+                 for family in ("random", "near_parallel", "zero_vector") for i in range(3)]
         for name, v in rows:
-            self.assert_one_volume(name, v)
+            self.assert_one_volume(name, v, monkeypatch)
 
     def test_rank_deficient_rejected(self):
         flat = [
@@ -269,7 +273,7 @@ class TestBuildSection:
                        for x in got), (i, got)
         assert build_section(Frame([[1.0, 0.0], [0.0, 1.0]], require_span=False)) is not None
 
-    def test_nearly_flat_split(self):
+    def test_nearly_flat_split(self, monkeypatch):
         # no split left: random tight frames with the last column scaled by
         # 3e-7, so that the least eigenvalue of the frame operator is about
         # 9e-14.  Frame's span test rejects them, and every route, build_section
@@ -284,7 +288,7 @@ class TestBuildSection:
                 assert np.linalg.eigvalsh(v.T @ v)[0] < RANK_FLOOR
                 with pytest.raises(NotAFrameError, match="not a frame"):
                     Frame(v)
-                vol = self.assert_one_volume(f"nearly flat {n, k} #{i}", v)
+                vol = self.assert_one_volume(f"nearly flat {n, k} #{i}", v, monkeypatch)
                 assert vol > ball_upper(n, k)
                 if i == 0 and (n, k) in pins:
                     assert vol == pytest.approx(pins[n, k], rel=0.01)
@@ -902,17 +906,18 @@ class TestBoxRoute:
             p = build_section(Frame(V))
             vol = section_volume_fast(V)
             for f in p.facets[:2]:
-                c = np.ones(len(p._W))
-                c[list(f.row_ids)] += 0.1 * np.linalg.norm(p._W[list(f.row_ids)], axis=1)
+                W = p._section.P
+                c = np.ones(len(W))
+                c[list(f.row_ids)] += 0.1 * np.linalg.norm(W[list(f.row_ids)], axis=1)
                 shifted = shifted_section_volume(p, f, 0.1)
                 assert shifted == float(
-                    polytope._Section(p._W / c[:, None]).table(moments=False)[:, -1].sum())
+                    polytope._Section(W / c[:, None]).table(moments=False)[:, -1].sum())
                 u = 1 / f.distance
                 assert shifted == pytest.approx(vol * (2 + 0.1 * u) / 2, rel=1e-14)
                 t = rng.standard_normal(k)
                 t -= (t @ f.normal_vector) / (f.normal_vector @ f.normal_vector) * f.normal_vector
                 t /= np.linalg.norm(t)
-                W = p._W.copy()
+                W = W.copy()
                 W[list(f.row_ids)] += 0.05 * t
                 assert rotated_section_volume(p, f, t, 0.05) == float(
                     polytope._Section(W).table(moments=False)[:, -1].sum())
@@ -941,7 +946,22 @@ class TestQhullCalls:
         # either order; a _Section given the ties, the ascent's, builds
         # its own.  One decision on every route: at k >= 3 none of the three
         # builds a hull exactly when _clusters finds k clusters, a box,
-        # which here are the signed box frames and the digests' box family
+        # which here are the signed box frames and the digests' box family.
+        # They share one volume too: build_section, volume of it and two
+        # section_volume_fast calls run one volume-only flag sum off a box
+        # at k >= 3, in either order, and a box runs none
+        sums = []
+
+        def summed(P, Y, tables, moments=True):
+            sums.append(moments)
+            return flag_sum(P, Y, tables, moments)
+
+        flag_sum = polytope._flag_sum
+        monkeypatch.setattr(polytope, "_flag_sum", summed)
+
+        def build(s):
+            return volume(build_section(s))
+
         def fast(s):
             return section_volume_fast(s.vectors)
 
@@ -960,14 +980,18 @@ class TestQhullCalls:
             one = ["planar" if k == 2 else "qhull"]
             box = k >= 3 and len(polytope._clusters(s.vectors)[2]) == k
             assert box == (k >= 3 and family == "box")
-            for first, second in ((build_section, fast), (fast, build_section)):
+            for first, second in ((build, fast), (fast, build)):
                 # a fresh frame: forget the last section hull
                 monkeypatch.setattr(polytope, "_last_section", (None, None), raising=False)
-                for run, want in ((first, [] if box else one), (second, []),
-                                  (gradient, [] if box else one)):
+                sums.clear()
+                for run, want in ((first, [] if box else one), (second, []), (fast, [])):
                     hulls.clear()
                     run(s)
                     assert hulls == want
+                    assert sums.count(False) == int(k >= 3 and not box)
+                hulls.clear()
+                gradient(s)
+                assert hulls == ([] if box else one)
             p = build_section(s)
             hulls.clear()
             verify_frame(s, p)

@@ -15,9 +15,11 @@ in order, so a change that moves one route's numbers shows which:
 Floats are taken by their hex form and arrays as dtype, shape and bytes,
 so two trees that give a cell the same digest computed the same numbers,
 bitwise.  ``--order`` says which of the first two routes runs first on
-each frame: ``build_section`` and ``section_volume_fast`` share one hull
-per frame, so the second of them reads the first one's, and the digest
-must not depend on the order.
+each frame: ``build_section`` and ``section_volume_fast`` share one
+section per frame, its hull and its one volume, so the second of them
+reads the first one's, and the digest must not depend on the order.  The
+build route's volume is that section's, so it is the fast route's,
+bitwise.
 
 The frames are drawn from (n, k, family, index) on ``CELLS``, k = 2..6,
 in four families: random tight frames, balanced box frames with random
