@@ -37,21 +37,27 @@ sum with moments per section, taken only when the gradient is asked for.
 (:func:`_hull_facets`), and assembles the records in one pass
 (:func:`_assemble`): a group label per row (coincident rows share a
 facet), contents and first moments summed by label, and the vertex
-indices of each group from one incidence matrix.  It sums no volume: the
-polytope holds its :class:`_Section`, and :func:`volume` reads that
-section's one volume, so :func:`volume` of :func:`build_section` and
-:func:`section_volume_fast` are one number, bitwise, at every k.  For
-k >= 3 the facets' table runs over the vertices solved from Qhull's
-corners and the volume over Qhull's own, so the facet closure
-sum_F dist_F mu_F / k meets the volume to rounding only; ``cubesec
-report`` prints how far apart they are.
+indices of each group from one incidence matrix.  Each fact of a facet
+has one rule: Qhull's merged facets are the equations that more than one
+simplex repeats (:func:`_distinct_equations`), and a group's normal is
+its outermost row.  It sums no volume: the polytope holds its
+:class:`_Section`, and :func:`volume` reads that section's one volume, so
+:func:`volume` of :func:`build_section` and :func:`section_volume_fast`
+are one number, bitwise, at every k.  For k >= 3 the facets' table runs
+over the vertices solved from Qhull's corners and the volume over Qhull's
+own, so the facet closure sum_F dist_F mu_F / k meets the volume to
+rounding only; ``cubesec report`` prints how far apart they are.
 
 One section per frame: :func:`build_section` and :func:`section_volume_fast`
 read the section of +-V from one slot, :func:`_section`, keyed by the
-bytes of V.  Whichever of the two runs second on a frame, as ``cubesec
-report`` runs both, builds no hull and no plan, and takes no box test,
-and the volume is summed once, on its first read, and kept.  The ascent
-and the shifted and tilted rebuilds build their own sections.
+bytes of V.  Whichever runs second on a frame builds no hull and no plan,
+and takes no box test, and the volume is summed once, on its first read,
+and kept.  perfbench's certify and ``checks.check_restart`` run both
+routes on a frame, and ``verify_frame(s)`` and a ``build_section(s)`` on
+its frame share one section, as ``maximize`` checks its winner and the
+battery then reads that winner's section; ``cubesec report`` runs
+:func:`build_section` alone.  The ascent and the shifted and tilted
+rebuilds build their own sections.
 
 Box frames in closed form, with no hull on any route: for k >= 3 a frame
 whose generators lie on exactly k lines, the k clusters of the exact ties
@@ -115,10 +121,12 @@ class FacetRecord:
     normals holds (generator_index, sign) pairs for every frame vector
     whose hyperplane (after the sign flip) supports this facet; the pair
     count is the facet multiplicity d.  Their rows are one ``EPS_GEOM``
-    group, and ``normal_vector`` is the group's least row, not always the
-    row that supports the facet: on grouped rows that are not exact ties,
-    ``distance`` and the facet closure of ``cubesec report`` are exact only
-    to that tolerance.
+    group, and ``normal_vector`` is the group's outermost row, the one of
+    largest norm, the least of them on a tie.  Of parallel rows that is the
+    one whose hyperplane is nearest the origin, the one that supports the
+    facet, so ``distance`` is the facet's own; where nearly parallel rows
+    each carry a part of the facet, it is exact to ``EPS_GEOM``.  Where the
+    group's rows are exact ties it is the least row.
     """
 
     normals: tuple
@@ -414,6 +422,11 @@ def _distinct_equations(eq: np.ndarray):
     ascending, and the rank among them of each simplex's row.  The
     simplices of a merged facet share one equation bitwise, so a stable
     lexicographic sort puts them in one run, led by the first.
+
+    This is the one merged-facet rule of :func:`_hull_facets`: a hull facet
+    is a distinct equation, a section vertex, and it is merged exactly when
+    more than one simplex repeats its equation; a simplex no other repeats
+    is solved alone (:func:`_solved_vertices`).
     """
     order = np.lexsort(eq.T)
     run = eq[order]
@@ -472,7 +485,9 @@ def _hull_facets(section: _Section, label: np.ndarray, count: int):
     (:meth:`_Section.hull`); what is this function's own is the arithmetic
     for k >= 3: the vertices solved from the corners, and the table with
     its first moments over them.  In the plane the table is the section's
-    own.  No volume is summed here (:meth:`_Section.volume`).  The facet
+    own.  No volume is summed here (:meth:`_Section.volume`).  A simplex
+    is solved from its corners exactly when no other simplex repeats its
+    equation (:func:`_distinct_equations`).  The facet
     of a row that has one has content k cone |w|, for cone the
     volume of the cone from the origin over it; each group's content and
     first moment are summed over its rows, in one array pass.  For k = 1 a
@@ -492,11 +507,9 @@ def _hull_facets(section: _Section, label: np.ndarray, count: int):
             point, vid = np.concatenate((rows, rows)), np.concatenate(((ends - 1) % len(hull), ends))
         else:
             hull, Y, plan = section.hull()
-            eq = hull.equations
-            # a simplex of a merged facet shares its equation with a neighbor
-            alone = ~np.all(eq[hull.neighbors] == eq[:, None, :], axis=2).any(axis=1)
-            Y = _solved_vertices(W, hull, Y, alone)
-            first, vid = (np.arange(len(eq)),) * 2 if alone.all() else _distinct_equations(eq)
+            first, vid = _distinct_equations(hull.equations)
+            # a simplex whose equation no other simplex repeats is solved alone
+            Y = _solved_vertices(W, hull, Y, np.bincount(vid)[vid] == 1)
             table = _flag_sum(W, Y, plan)
             verts = Y[first]
             rows = np.flatnonzero(np.bincount(hull.simplices.ravel(), minlength=len(W)))
@@ -536,7 +549,10 @@ def _assemble(section: _Section, label: np.ndarray, verts: np.ndarray, held: np.
     a route gives them: ``label`` the ``EPS_GEOM`` group of each row;
     ``held[g, j]`` whether group g's facet holds vertex j, each group that
     holds one a facet; and ``sums[g]`` the content of that facet and then
-    its first moment, the content times the centroid.  The polytope holds
+    its first moment, the content times the centroid.  A facet's
+    ``normal_vector`` is its group's outermost row, the one of largest
+    norm, the least of them on a tie (:class:`FacetRecord`); for k = 1 it
+    is the row :func:`_interval` finds.  The polytope holds
     ``section``, whose volume is the polytope's (:func:`volume`)."""
     n = len(section.P) // 2
     row_gen = [(i, 1) for i in range(n)] + [(i, -1) for i in range(n)]
@@ -548,7 +564,9 @@ def _assemble(section: _Section, label: np.ndarray, verts: np.ndarray, held: np.
     ends = np.searchsorted(group, np.arange(len(members) + 1)).tolist()
     own = [g for g in range(len(members)) if ends[g] < ends[g + 1]]
     sums = sums[own]
-    normal = section.P[[members[g][0] for g in own]]
+    # the outermost row of each group, the least of them on a tie
+    norm = np.linalg.norm(section.P, axis=1).tolist()
+    normal = section.P[[max(members[g], key=norm.__getitem__) for g in own]]
     centroid = sums[:, 1:] / sums[:, :1]
     for x in (verts, normal, centroid):
         x.setflags(write=False)
@@ -992,7 +1010,10 @@ def _section(V: np.ndarray) -> _Section:
     bytes of V, so :func:`build_section` and :func:`section_volume_fast` on
     one frame, in either order, build one hull or, at a box, take one
     :func:`_box` between them, and off a box at k >= 3 run one volume-only
-    sum, the section's kept volume: ``cubesec report`` calls both.  A section
+    sum, the section's kept volume: perfbench's certify and
+    ``checks.check_restart`` call both, and ``verify_frame(s)`` and a
+    ``build_section(s)`` on its frame share one, as ``maximize`` and the
+    battery call them.  A section
     depends on its points alone (Qhull and the scan are deterministic), so
     a hit returns what a fresh build would; a build that raises stores
     nothing.  This is the slot's only reader.  The ascent, which evaluates
@@ -1042,8 +1063,9 @@ def section_volume_fast(vectors: np.ndarray) -> float:
       volume column alone, without the k first-moment columns the gradient
       and the facets read.
 
-    Called after :func:`build_section` on the same vectors, as ``cubesec
-    report`` calls it, this builds no hull and takes no :func:`_box`; it
+    Called after :func:`build_section` on the same vectors, as perfbench's
+    certify and ``checks.check_restart`` call it, this builds no hull and
+    takes no :func:`_box`; it
     sums the volume only if :func:`volume` has not read it yet, and is
     :func:`volume` of that :func:`build_section`, bitwise.  It is bitwise
     the volume of a :class:`_Section` of +-V given V's own ties, the

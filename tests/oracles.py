@@ -304,6 +304,14 @@ def stacked_flag_cones(P, simplices, neighbors, Y):
     return simplices[f[:, None], rows], scale[:, None] * det, moment
 
 
+def unmerged_simplices(hull):
+    """Whether each simplex of Qhull's ``hull`` is a facet of its own: no
+    neighbour shares its equation bitwise.  The simplices of a merged facet
+    triangulate it, so each of them has a neighbour in it."""
+    eq = hull.equations
+    return ~np.all(eq[hull.neighbors] == eq[:, None, :], axis=2).any(axis=1)
+
+
 def reference_point_facets(W, c):
     """Vertices of {W x <= c}, and a dict from each row that has a facet to
     (measure, centroid, sorted vertex indices)."""
@@ -328,8 +336,7 @@ def reference_point_facets(W, c):
         return verts, {r: (length[j], middle[j], tuple(sorted(((j - 1) % m, j))))
                        for j, r in enumerate(hull)}
     hull, Y = _polar_hull(P)
-    eq = hull.equations
-    Y = _solved_vertices(P, hull, Y, ~np.all(eq[hull.neighbors] == eq[:, None, :], axis=2).any(axis=1))
+    Y = _solved_vertices(P, hull, Y, unmerged_simplices(hull))
     _, first, inverse = np.unique(hull.equations, axis=0, return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=np.intp)
     rank[np.argsort(first)] = np.arange(len(first))
@@ -366,7 +373,8 @@ def reference_facets(vectors):
         if not own:
             continue
         measures = np.array([m for m, _, _ in own])
-        w = W[rows[0]]
+        # the outermost row, the least of them on a tie
+        w = W[rows[int(np.argmax([np.linalg.norm(W[r]) for r in rows]))]]
         facets.append(
             FacetRecord(
                 normals=tuple(row_gen[r] for r in rows),

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from cubesec import polytope, reproduce
-from cubesec.bounds import extremal_frame
+from cubesec.bounds import default_partition, extremal_frame
 from cubesec.cli import main
-from cubesec.frame_core import Frame, random_tight_frame
+from cubesec.frame_core import Frame, random_tight_frame, whiten
 from cubesec.optimizer import OptimizerConfig, maximize
 from cubesec.reproduce import CRITERIA, CriterionResult
 
@@ -29,6 +29,17 @@ def extremal_file(tmp_path):
     rc = main(["construct-extremal", "--n", "5", "--k", "2", "--out", str(path)])
     assert rc == 0
     return path
+
+
+def pool_near_parallel_frame(n: int, k: int, j: int) -> Frame:
+    """Near-parallel frame ``j`` of the benchmark's certify pool at (n, k):
+    the balanced box frame with random members and signs, drawn from
+    ``default_rng([n, k, j])``, every generator moved by 5e-8, whitened."""
+    rng = np.random.default_rng([n, k, j])
+    members = rng.permutation(n)
+    parts = [members[part] for part in default_partition(n, k)]
+    box = extremal_frame(n, k, partition=parts, signs=list(rng.choice([-1, 1], n)))
+    return whiten(Frame(box.vectors + 5e-8 * rng.standard_normal((n, k))))[1]
 
 
 def nearly_flat_frame() -> dict:
@@ -248,20 +259,27 @@ class TestReport:
         assert data["conditions"]["passed"] is True
         assert data["polytope"]["volume"] == pytest.approx(4 * math.sqrt(6), rel=1e-12)
 
-    @pytest.mark.parametrize("n, k, box", [
-        pytest.param(6, 2, False, id="2"), pytest.param(6, 3, False, id="3"),
-        pytest.param(7, 3, True, id="7-3-box"), pytest.param(7, 4, True, id="7-4-box"),
-        pytest.param(12, 4, True, id="12-4-box"),
+    @pytest.mark.parametrize("n, k, family, j", [
+        pytest.param(6, 2, "random", None, id="2"), pytest.param(6, 3, "random", None, id="3"),
+        pytest.param(7, 3, "box", None, id="7-3-box"), pytest.param(7, 4, "box", None, id="7-4-box"),
+        pytest.param(12, 4, "box", None, id="12-4-box"),
+        pytest.param(9, 1, "near_parallel", 36, id="9-1-near-parallel-36"),
+        pytest.param(9, 1, "near_parallel", 59, id="9-1-near-parallel-59"),
+        pytest.param(5, 1, "near_parallel", 38, id="5-1-near-parallel-38"),
     ])
-    def test_volume_routes_agree(self, tmp_path, capsys, n, k, box):
+    def test_volume_routes_agree(self, tmp_path, capsys, n, k, family, j):
         # the optimizer ranks by section_volume_fast and the report states
         # volume(build_section), one volume; the report checks its facet
         # records against it: the cones over the facets, of heights
-        # dist_F, sum to it to rounding, at a box frame too
+        # dist_F, sum to it to rounding, at a box frame too, and where two
+        # generators within EPS_GEOM share a facet, whose distance is read
+        # off the group's outermost row
         path = tmp_path / "frame.json"
-        if box:
+        if family == "box":
             signs = np.random.default_rng([n, k]).choice([-1, 1], n).tolist()
             vectors = extremal_frame(n, k, signs=signs).vectors
+        elif family == "near_parallel":
+            vectors = pool_near_parallel_frame(n, k, j).vectors
         else:
             vectors = np.random.default_rng(k).standard_normal((n, k))
         path.write_text(json.dumps({"n": n, "k": k, "vectors": vectors.tolist()}))

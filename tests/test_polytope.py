@@ -45,6 +45,7 @@ from oracles import (
     reference_facets,
     reference_row_groups,
     section_rows,
+    unmerged_simplices,
 )
 import volume_digest
 from volume_digest import FAMILIES, digests, records, volume_and_gradient
@@ -150,6 +151,14 @@ def nearest_relative_distance(v):
     r = np.linalg.norm(P, axis=1)
     rel = d / np.maximum(r[:, None], r[None])
     return rel[d > 0].min()
+
+
+def cube_vertex_frame(k):
+    """The 2^(k-1) frame vectors whose +-V are the vertices of the cube
+    [-1, 1]^k / sqrt(2^(k-1)): a tight frame whose hull of +-V has only
+    merged, non-simplicial facets."""
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=k - 1)))
+    return np.column_stack([signs, np.ones(len(signs))]) / math.sqrt(2 ** (k - 1))
 
 
 def is_box(v):
@@ -478,8 +487,7 @@ class TestVolume:
         # the section is the polar cross-polytope |x|_1 <= sqrt(2^(k-1))
         rng = np.random.default_rng(33)
         for k in (3, 4, 5):
-            signs = np.array(list(itertools.product((1.0, -1.0), repeat=k - 1)))
-            v = np.column_stack([signs, np.ones(len(signs))]) / math.sqrt(2 ** (k - 1))
+            v = cube_vertex_frame(k)
             exact = (2 * math.sqrt(2 ** (k - 1))) ** k / math.factorial(k)
             q, _ = np.linalg.qr(rng.standard_normal((k, k)))
             for frame in (v, v @ q):
@@ -628,6 +636,10 @@ class TestFacetAssembly:
                 yield v
                 yield np.vstack([v[:1], np.zeros((1, k)), v[1:]])  # a zero vector
                 yield np.vstack([v, v[-1:]])  # a duplicated vector
+                # a vector just outside the longest, one EPS_GEOM group
+                # whose outermost row is not its least
+                j = np.linalg.norm(v, axis=1).argmax()
+                yield np.vstack([v, v[j:j + 1] * (1 + 1e-10)])
                 if k > 1:
                     yield signed_box_frame(n, k, rng).vectors
                     yield near_parallel_frame(n, k, rng).vectors
@@ -653,6 +665,44 @@ class TestFacetAssembly:
                 first = next(((f, s) for f in p.facets for j, s in f.normals if j == i), None)
                 assert p.generator_facets.get(i) == first
 
+
+    def test_one_merged_facet_rule(self, monkeypatch):
+        # _hull_facets solves a simplex alone exactly when no other simplex
+        # repeats its equation bitwise, and that is the reference's rule,
+        # that no neighbour shares it: the cube-vertex frames have only
+        # merged facets, and at k = 3 with a point over two opposite square
+        # facets, some of each (the pyramids' sides are triangles there);
+        # boxes repeat their points but, a cross-polytope being simplicial,
+        # merge no facet, nor do random and near-parallel frames
+        solved = []
+        solve = polytope._solved_vertices
+
+        def spy(P, hull, Y, alone):
+            solved.append((hull, alone))
+            return solve(P, hull, Y, alone)
+
+        monkeypatch.setattr(polytope, "_solved_vertices", spy)
+        rng = np.random.default_rng(44)
+        for k in (3, 4, 5):
+            q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+            v = cube_vertex_frame(k)
+            frames = [(v, "merged"), (v @ q, "merged")]
+            if k == 3:
+                frames.append((np.vstack([v, 1.2 * v.max() * np.eye(k)[:1]]) @ q, "mixed"))
+            for n in (k + 1, 2 * k + 1):
+                frames += [(signed_box_frame(n, k, rng).vectors, "alone"),
+                           (random_tight_frame(n, k, rng).vectors, "alone"),
+                           (near_parallel_frame(n, k, rng).vectors, "alone")]
+            for v, kind in frames:
+                solved.clear()
+                hull_section(v)
+                (hull, alone), = solved
+                eq = hull.equations
+                repeats = (eq[:, None, :] == eq[None, :, :]).all(axis=2).sum(axis=1)
+                np.testing.assert_array_equal(alone, repeats == 1)
+                np.testing.assert_array_equal(alone, unmerged_simplices(hull))
+                assert kind == {(True, True): "alone", (False, False): "merged"}.get(
+                    (alone.any(), alone.all()), "mixed")
 
     def test_cones_do_not_depend_on_corner_order(self):
         # a face's terms are computed once and used in every simplex that
@@ -1089,6 +1139,20 @@ class TestVolumeDigest:
         for line, family in zip(lines, FAMILIES):
             assert line.split()[4:] == digests(records(7, 3, family, 2))
         assert volume_digest.ROUTES == ("fast", "build", "gradient")
+
+    def test_closure_lines(self, capsys):
+        # --closure follows each digest line, unchanged, with the worst
+        # facet closure of the build route over the same frames
+        assert volume_digest.main(["--frames", "2", "--cells", "7:3"]) == 0
+        plain = capsys.readouterr().out.splitlines()
+        assert volume_digest.main(["--frames", "2", "--cells", "7:3", "--closure"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[::2] == plain
+        for line, family in zip(lines[1::2], FAMILIES):
+            head, worst = line.rsplit(" ", 1)
+            assert head == f"closure 7 3 {family} 2"
+            assert 0 <= float(worst) <= 1e-15
+            assert worst == f"{volume_digest.worst_closure(7, 3, family, 2):.3g}"
 
 
 class TestFaceHolders:

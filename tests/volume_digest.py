@@ -34,7 +34,13 @@ tree and diffing the output::
     PYTHONPATH=src python tests/volume_digest.py --frames 10 --order build
 
 Each output line is ``n k family frames fast build gradient``, the last
-three the routes' digests.
+three the routes' digests.  With ``--closure`` each is followed by a line
+``closure n k family frames worst``: the largest facet closure of the
+build route over those frames, |sum_F dist_F mu_F / k - vol| / vol as
+``cubesec report`` prints it, so a change to the facet records can show
+how well they meet the volume beside its digests::
+
+    PYTHONPATH=src python tests/volume_digest.py --frames 10 --closure
 """
 
 from __future__ import annotations
@@ -103,6 +109,18 @@ def frame_record(s: Frame, order: str = "fast") -> tuple:
     return _encode(fast), _encode([volume(p), p.vertices, facets]), _encode([vol, G])
 
 
+def facet_closure(p) -> float:
+    """|sum_F dist_F mu_F / k - vol| / vol of the section polytope p."""
+    vol = volume(p)
+    return abs(sum(f.distance * f.measure for f in p.facets) / p.k - vol) / vol
+
+
+def worst_closure(n: int, k: int, family: str, frames: int) -> float:
+    """The largest facet closure of ``build_section`` over frames
+    0..frames-1 of ``family`` at (n, k)."""
+    return max(facet_closure(build_section(make_frame(n, k, family, i))) for i in range(frames))
+
+
 def records(n: int, k: int, family: str, frames: int, order: str = "fast") -> list:
     """The records of frames 0..frames-1 of ``family`` at (n, k)."""
     return [frame_record(make_frame(n, k, family, i), order) for i in range(frames)]
@@ -126,6 +144,8 @@ def main(argv=None) -> int:
                         help="which of section_volume_fast and build_section runs first")
     parser.add_argument("--cells", default=None,
                         help="n:k pairs, e.g. 6:2,7:3; CELLS when omitted")
+    parser.add_argument("--closure", action="store_true",
+                        help="after each line, the worst facet closure of the build route")
     args = parser.parse_args(argv)
     cells = CELLS if args.cells is None else [
         tuple(int(x) for x in c.split(":")) for c in args.cells.split(",")]
@@ -133,6 +153,9 @@ def main(argv=None) -> int:
         for family in FAMILIES:
             recs = records(n, k, family, args.frames, args.order)
             print(n, k, family, args.frames, *digests(recs), flush=True)
+            if args.closure:
+                worst = worst_closure(n, k, family, args.frames)
+                print("closure", n, k, family, args.frames, f"{worst:.3g}", flush=True)
     return 0
 
 
