@@ -462,10 +462,9 @@ def _better(a: RestartResult, b: RestartResult) -> RestartResult:
     """Associative merge: larger volume wins, ties by lexicographic Gram."""
     if a.final_volume != b.final_volume:
         return a if a.final_volume > b.final_volume else b
-    ga, gb = a.frame.gram().ravel(), b.frame.gram().ravel()
-    for x, y in zip(ga, gb):
-        if x != y:
-            return a if x < y else b
+    ga, gb = a.frame.gram().ravel().tolist(), b.frame.gram().ravel().tolist()
+    if ga != gb:
+        return a if ga < gb else b
     return a if a.index <= b.index else b
 
 

@@ -23,15 +23,18 @@ it decides box or hull once, when it is built, builds the hull at most
 once, and reads each quantity only when asked.  Its hull is in the plane
 the scan, which gives the cone table with the vertices, one triangle per
 section edge; for k >= 3 Qhull's hull and the index plan of its flag sum,
-read off the triangulation alone (:func:`_hull_plan`).  Every volume and
-every facet is read from the cone table of one such hull, but at a box
-frame (below): row p holds the cone from the origin over the facet of the
-point p, its volume and first moment.  For k >= 3 :func:`_flag_sum` sums
-it over the flags of Qhull's triangulation, one determinant per ridge and
-corner, from the plan, the points and the polar vertices.  The volume is
-the sum of the table's volume column, in row order, read without the
-moment columns; the same table with them gives the Euclidean gradient, one
-sum with moments per section, taken only when the gradient is asked for.
+read off the triangulation alone (:func:`_hull_plan`).  The plan fixes the
+corner order once: at k > 3 it sorts the corners of each simplex, and the
+face keys (:func:`_face_slots`) read them in that order, with no sort of
+their own.  Every volume and every facet is read from the cone table of
+one such hull, but at a box frame (below): row p holds the cone from the
+origin over the facet of the point p, its volume and first moment.  For
+k >= 3 :func:`_flag_sum` sums it over the flags of Qhull's triangulation,
+one determinant per ridge and corner, from the plan, the points and the
+polar vertices.  The volume is the sum of the table's volume column, in
+row order, read without the moment columns; the same table with them
+gives the Euclidean gradient, one sum with moments per section, taken
+only when the gradient is asked for.
 
 :func:`build_section` takes each row's cone from that table, as arrays
 (:func:`_hull_facets`), and assembles the records in one pass
@@ -707,17 +710,18 @@ def _face_slots(simplices: np.ndarray, sub: np.ndarray, points: int):
     and slot[key] is the highest f * len(sub) + g with that set, -1 for a
     set no simplex holds; its f is the highest simplex that holds G, the
     same wherever G occurs.  The points are numbered below ``points``.
+
+    Each subset of two or more corners must list ascending points: every
+    row of ``sub`` is ascending, so the corners of each simplex must be
+    sorted, as :func:`_hull_plan` sorts them at k > 3.  A subset of one
+    corner, the only kind at k = 3, is its own key.
     """
     # a set is named by its rank among the sets of its size, the sum of
-    # C(c_i, i + 1) over its sorted corners c_0 < c_1 < ...
+    # C(c_i, i + 1) over its sorted corners c_0 < c_1 < ..., so a set of
+    # one corner by that corner
     key = simplices
     if sub.shape[1] > 1:
-        corners = simplices[:, sub]
-        if sub.shape[1] == 2:  # the common case, k = 4, without a sort
-            corners = (np.minimum(corners[..., 0], corners[..., 1]),
-                       np.maximum(corners[..., 0], corners[..., 1]))
-        else:
-            corners = np.moveaxis(np.sort(corners, axis=2), 2, 0)
+        corners = simplices.take(sub.T, axis=1).swapaxes(0, 1)  # c_i of (f, g) at [i, f, g]
         key = corners[0]
         for i in range(1, sub.shape[1]):
             c = corners[i]
@@ -768,10 +772,13 @@ def _hull_plan(simplices: np.ndarray, neighbors: np.ndarray, points: int) -> _Hu
     ``neighbors`` (the neighbor opposite each corner), and nothing else.
 
     At k > 3 the corners of every simplex are sorted first, so that every
-    simplex that holds a face lists it alike.  The tables serve any points
-    with this triangulation and any polar vertices, so one hull's plan
-    serves both section routes, on Qhull's vertices and on the solved ones
-    (:meth:`_Section.hull`); see :func:`_flag_sum` for the sum.
+    simplex that holds a face lists it alike.  That sort is the plan's
+    only one: :func:`_face_slots` keys the sorted corners as they stand,
+    and at k = 3 it keys single corners, which need no order.  The tables
+    serve any points with this triangulation and any polar vertices, so
+    one hull's plan serves both section routes, on Qhull's vertices and
+    on the solved ones (:meth:`_Section.hull`); see :func:`_flag_sum` for
+    the sum.
     """
     k = simplices.shape[1]
     plan = _flag_plan(k)
@@ -928,22 +935,24 @@ class _Section:
     no two of which coincide up to sign, so its ``first`` is
     ``arange(m)``.  Each method reads its quantity only when called:
 
-    - :meth:`hull`, k >= 2, built on the first call and kept: in the plane
-      :func:`_planar_hull`'s (hull, Y, S); for k >= 3 :func:`_polar_hull`'s
-      (hull, Y) and the plan of its flag sum (:func:`_hull_plan`).  No
-      route asks a box for it.
-    - :meth:`table`, k >= 2: the cone table of the hull, the scan's own in
-      the plane, and for k >= 3 :func:`_flag_sum` over the plan, with the
-      k first-moment columns only when ``moments`` is set.
-    - :meth:`volume`, kept: 2^k / |det U| at a box, the interval's length
-      for k = 1 (:func:`_interval`), and otherwise the sum of the table's
-      volume column, in row order, taken without moments, which is bitwise
-      the volume column of the whole table.  It is the section's one
-      volume: :func:`volume` and :func:`section_volume_fast` read it, and
-      no other function sums a volume for them.
-    - :meth:`gradient`, kept: the Euclidean gradient G of the volume in V.
-      At a box the gradient of log |det U| in U is U^-T: row first[c] of G
-      is -vol (U^-T)_c, the gradient of the whole cluster, and every other
+    - :meth:`_Section.hull`, k >= 2, built on the first call and kept: in
+      the plane :func:`_planar_hull`'s (hull, Y, S); for k >= 3
+      :func:`_polar_hull`'s (hull, Y) and the plan of its flag sum
+      (:func:`_hull_plan`).  No route asks a box for it.
+    - :meth:`_Section.table`, k >= 2: the cone table of the hull, the
+      scan's own in the plane, and for k >= 3 :func:`_flag_sum` over the
+      plan, with the k first-moment columns only when ``moments`` is set.
+    - :meth:`_Section.volume`, kept: 2^k / |det U| at a box, the
+      interval's length for k = 1 (:func:`_interval`), and otherwise the
+      sum of the table's volume column, in row order, taken without
+      moments, which is bitwise the volume column of the whole table.  It
+      is the section's one volume: :func:`volume` and
+      :func:`section_volume_fast` read it, and no other function sums a
+      volume for them.
+    - :meth:`_Section.gradient`, kept, k >= 2 (a k = 1 section has no
+      hull): the Euclidean gradient G of the volume in V.  At a box the
+      gradient of log |det U| in U is U^-T: row first[c] of G is
+      -vol (U^-T)_c, the gradient of the whole cluster, and every other
       row is 0.  Elsewhere it is one sum with moments: the gradient of v_i
       is -2 mu_i c_i / |v_i|, with mu_i the content and c_i the centroid of
       the facet on <x, v_i> = 1 (the facet on <x, -v_i> = 1 is its

@@ -257,9 +257,15 @@ def _weighted_sum(a, weights):
 def _face_holders(simplices, subsets, points):
     """The highest-numbered simplex that holds each listed corner subset G
     of each simplex (``_face_slots``): an (F, len(sub)) array per entry
-    ``sub`` of ``subsets``."""
-    return [(slot // len(sub)).take(key)
-            for sub in subsets for key, slot in [_face_slots(simplices, sub, points)]]
+    ``sub`` of ``subsets``.  ``_face_slots`` keys ascending corners, so
+    each subset is keyed here as its own row, its corners sorted: the
+    simplices may list their corners in any order, as Qhull's do."""
+    holders = []
+    for sub in subsets:
+        faces = np.sort(simplices[:, sub], axis=2).reshape(-1, sub.shape[1])
+        key, slot = _face_slots(faces, np.arange(sub.shape[1])[None], points)
+        holders.append((slot // len(sub)).take(key).reshape(len(simplices), len(sub)))
+    return holders
 
 
 def stacked_flag_cones(P, simplices, neighbors, Y):

@@ -9,7 +9,7 @@ import pytest
 
 import cubesec
 
-ROLE = re.compile(r":(?:func|class):`~?([\w.]+)`")
+ROLE = re.compile(r":(?:func|class|meth):`~?([\w.]+)`")
 # a double-backticked UPPER_CASE name of two characters or more, a constant
 CONSTANT = re.compile(r"``([A-Z][A-Z0-9_]+)``")
 MODULES = [name for _, name, _ in pkgutil.iter_modules(cubesec.__path__, "cubesec.")]
@@ -17,8 +17,8 @@ MODULES = [name for _, name, _ in pkgutil.iter_modules(cubesec.__path__, "cubese
 
 @pytest.mark.parametrize("name", ["cubesec", *MODULES])
 def test_references_resolve(name):
-    # every :func: and :class: role resolves on its own module, a dotted
-    # name part by part
+    # every :func:, :class: and :meth: role resolves on its own module, a
+    # dotted name part by part
     module = importlib.import_module(name)
     missing = []
     for ref in sorted(set(ROLE.findall(inspect.getsource(module)))):

@@ -845,6 +845,20 @@ class TestMaximize:
         assert restart_records(maximize(cfg)) == serial
         assert len(asked) == 2 and max(asked) <= cfg.restarts + 1
 
+    def test_ties_break_by_gram_then_index(self):
+        # equal volumes go to the lexicographically least Gram matrix, and
+        # equal Gram matrices (-0.0 == 0.0) to the lower index, in either
+        # argument order
+        def result(index, gram, volume=1.0):
+            frame = SimpleNamespace(gram=lambda: np.array(gram))
+            return SimpleNamespace(index=index, final_volume=volume, frame=frame)
+
+        low, high = result(0, [[1.0, -0.5], [-0.5, 1.0]]), result(1, [[1.0, 0.5], [0.5, 1.0]])
+        zero, signed = result(2, [[1.0, 0.0], [0.0, 1.0]]), result(3, [[1.0, -0.0], [-0.0, 1.0]])
+        bigger = result(4, [[2.0, 0.0], [0.0, 2.0]], volume=2.0)
+        for a, b, want in ((low, high, low), (zero, signed, zero), (low, bigger, bigger)):
+            assert optimizer._better(a, b) is want and optimizer._better(b, a) is want
+
     def test_warm_start_recorded(self):
         res = maximize(small_config(5, 2, restarts=1, max_iterations=100))
         assert [r.start for r in res.restarts] == ["random", "warm"]

@@ -19,6 +19,7 @@ from cubesec.frame_core import (
 from cubesec.polytope import (
     EPS_GEOM,
     _coincident_row_groups,
+    _face_slots,
     _flag_plan,
     _flag_sum,
     _hull_plan,
@@ -707,18 +708,30 @@ class TestFacetAssembly:
     def test_cones_do_not_depend_on_corner_order(self):
         # a face's terms are computed once and used in every simplex that
         # holds it, so they must not depend on the order a simplex lists
-        # its corners in; Qhull happens to list shared corners alike
+        # its corners in.  At k > 3 the plan sorts the corners, so shuffled
+        # corners give the same plan, table by table, and the same cones,
+        # bitwise; (12, 6) keys faces of two, three and four corners.  At
+        # k = 3 the ridge owners follow Qhull's corner order, and the cones
+        # agree to rounding
         rng = np.random.default_rng(42)
-        for n, k in ((7, 3), (7, 4), (12, 4), (8, 5)):
+        for n, k in ((7, 3), (7, 4), (12, 4), (8, 5), (12, 6)):
             for s in (random_tight_frame(n, k, rng), near_parallel_frame(n, k, rng)):
                 P = np.vstack([s.vectors, -s.vectors])
                 hull, Y = _polar_hull(P)
-                want = _flag_sum(P, Y, _hull_plan(hull.simplices, hull.neighbors, len(P)))
+                plan = _hull_plan(hull.simplices, hull.neighbors, len(P))
                 order = rng.permuted(np.tile(np.arange(k), (len(hull.simplices), 1)), axis=1)
-                got = _flag_sum(P, Y, _hull_plan(np.take_along_axis(hull.simplices, order, axis=1),
-                                                 np.take_along_axis(hull.neighbors, order, axis=1),
-                                                 len(P)))
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max())
+                shuffled = _hull_plan(np.take_along_axis(hull.simplices, order, axis=1),
+                                      np.take_along_axis(hull.neighbors, order, axis=1), len(P))
+                want, got = _flag_sum(P, Y, plan), _flag_sum(P, Y, shuffled)
+                if k == 3:
+                    np.testing.assert_allclose(got, want, rtol=0,
+                                               atol=1e-15 * np.abs(want).max())
+                    continue
+                tables = [[*p[:-1], *itertools.chain(*p.steps)] for p in (plan, shuffled)]
+                assert len(tables[0]) == len(tables[1]) == 6 + 4 * (k - 3)
+                for a, b in zip(*tables):
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+                assert got.tobytes() == want.tobytes()
 
 
 class TestVolumeAndGradient:
@@ -1154,11 +1167,30 @@ class TestVolumeDigest:
             assert 0 <= float(worst) <= 1e-15
             assert worst == f"{volume_digest.worst_closure(7, 3, family, 2):.3g}"
 
+    def test_k1_lines(self, capsys):
+        # a k = 1 cell digests the fast and build routes; its section has
+        # no hull, so the gradient route prints "-", and a closure line
+        # follows as at any k
+        assert {(5, 1), (9, 1)} <= set(volume_digest.CELLS)
+        with pytest.raises(ValueError, match="2-D"):
+            volume_and_gradient(volume_digest.make_frame(9, 1, "near_parallel", 0).vectors)
+        assert volume_digest.main(["--frames", "2", "--cells", "9:1", "--closure"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        line, closure = lines[2 * FAMILIES.index("near_parallel"):][:2]
+        fast, build, gradient = digests(records(9, 1, "near_parallel", 2))
+        assert line.split() == ["9", "1", "near_parallel", "2", fast, build, "-"]
+        assert gradient == "-"
+        head, worst = closure.rsplit(" ", 1)
+        assert head == "closure 9 1 near_parallel 2"
+        assert 0 <= float(worst) <= 1e-15
+
 
 class TestFaceHolders:
     def test_holders_do_not_depend_on_memory_layout(self):
-        # the same simplices in C order, in Fortran order and as a view with
-        # negative strides must name the same holder of every face
+        # the same sorted simplices (as _hull_plan hands them over at k > 3)
+        # in C order, in Fortran order and as a view with negative strides
+        # must give _face_slots the same keys and slots, so the same holder
+        # of every face; the holders of Qhull's own simplices hold their faces
         rng = np.random.default_rng(38)
         for k in (3, 4, 5, 6):
             plan = _flag_plan(k)
@@ -1166,13 +1198,16 @@ class TestFaceHolders:
                 v = random_tight_frame(int(rng.integers(k + 1, k + 4)), k, rng).vectors
                 P = np.vstack([v, -v])
                 simplices = np.ascontiguousarray(ConvexHull(P).simplices)
-                layouts = (simplices, np.asfortranarray(simplices),
-                           np.ascontiguousarray(simplices[::-1])[::-1])
-                found = [_face_holders(s, plan.subsets, len(P)) for s in layouts]
-                for other in found[1:]:
-                    for a, b in zip(found[0], other):
-                        np.testing.assert_array_equal(a, b)
-                for sub, holder in zip(plan.subsets, found[0]):
+                ordered = np.sort(simplices, axis=1)
+                layouts = (ordered, np.asfortranarray(ordered),
+                           np.ascontiguousarray(ordered[::-1])[::-1])
+                for sub in plan.subsets:
+                    (key, slot), *others = [_face_slots(s, sub, len(P)) for s in layouts]
+                    for other_key, other_slot in others:
+                        np.testing.assert_array_equal(other_key, key)
+                        np.testing.assert_array_equal(other_slot, slot)
+                holders = _face_holders(simplices, plan.subsets, len(P))
+                for sub, holder in zip(plan.subsets, holders):
                     for f, g in itertools.product(range(len(simplices)), range(len(sub))):
                         assert set(simplices[f, sub[g]]) <= set(simplices[holder[f, g]])
 

@@ -10,7 +10,9 @@ in order, so a change that moves one route's numbers shows which:
   +-V, given the frame's ties (``_clusters``), one row of G per generator
   (:func:`volume_and_gradient`).  The ascent builds the section of its
   clusters' rows instead, so this route pins ``_Section`` on n rows, the
-  section the public routes build.
+  section the public routes build.  A k = 1 section has no hull and no
+  gradient route (scipy's ``ConvexHull`` needs 2-D data), so its cells
+  print ``-`` in place of that digest.
 
 Floats are taken by their hex form and arrays as dtype, shape and bytes,
 so two trees that give a cell the same digest computed the same numbers,
@@ -21,7 +23,7 @@ reads the first one's, and the digest must not depend on the order.  The
 build route's volume is that section's, so it is the fast route's,
 bitwise.
 
-The frames are drawn from (n, k, family, index) on ``CELLS``, k = 2..6,
+The frames are drawn from (n, k, family, index) on ``CELLS``, k = 1..6,
 in four families: random tight frames, balanced box frames with random
 signs (exact duplicate planes), box frames with every generator moved by
 5e-8 and re-whitened (near-parallel), and random tight frames with one
@@ -56,8 +58,8 @@ from cubesec.frame_core import Frame, random_tight_frame, whiten
 from cubesec.polytope import (_Section, _clusters, build_section, section_volume_fast,
                               volume)
 
-CELLS = [(3, 2), (6, 2), (10, 2), (5, 3), (7, 3), (12, 3), (5, 4), (7, 4), (12, 4),
-         (6, 5), (8, 5), (7, 6), (10, 6)]
+CELLS = [(5, 1), (9, 1), (3, 2), (6, 2), (10, 2), (5, 3), (7, 3), (12, 3), (5, 4), (7, 4),
+         (12, 4), (6, 5), (8, 5), (7, 6), (10, 6)]
 FAMILIES = ("random", "box", "near_parallel", "zero_vector")
 ORDERS = ("fast", "build")
 ROUTES = ("fast", "build", "gradient")
@@ -97,7 +99,8 @@ def _encode(x) -> bytes:
 def frame_record(s: Frame, order: str = "fast") -> tuple:
     """The three routes on one frame, ``build_section`` and
     ``section_volume_fast`` in the given order: one bytes record per
-    route, in the order of ``ROUTES``."""
+    route, in the order of ``ROUTES``, and None for the gradient at
+    k = 1."""
     if order == "fast":
         fast = section_volume_fast(s.vectors)
         p = build_section(s)
@@ -105,8 +108,10 @@ def frame_record(s: Frame, order: str = "fast") -> tuple:
         p = build_section(s)
         fast = section_volume_fast(s.vectors)
     facets = [(f.measure, f.centroid, f.normal_vector, f.row_ids) for f in p.facets]
-    vol, G = volume_and_gradient(s.vectors)
-    return _encode(fast), _encode([volume(p), p.vertices, facets]), _encode([vol, G])
+    build = _encode([volume(p), p.vertices, facets])
+    if s.k == 1:
+        return _encode(fast), build, None
+    return _encode(fast), build, _encode(volume_and_gradient(s.vectors))
 
 
 def facet_closure(p) -> float:
@@ -127,9 +132,13 @@ def records(n: int, k: int, family: str, frames: int, order: str = "fast") -> li
 
 
 def digests(recs: list) -> list:
-    """One SHA-256 per route over the records ``recs``, in the order of ``ROUTES``."""
+    """One SHA-256 per route over the records ``recs``, in the order of
+    ``ROUTES``; ``-`` for a route the records do not have (k = 1)."""
     out = []
     for route in range(len(ROUTES)):
+        if any(record[route] is None for record in recs):
+            out.append("-")
+            continue
         h = hashlib.sha256()
         for record in recs:
             h.update(record[route] + b"\n")
