@@ -7,15 +7,17 @@ climbs along xi, retracting by whitening (the polar retraction; Absil,
 Mahony & Sepulchre, 2008).  The volume has a kink wherever two generators
 coincide up to sign, and the maximizers known lie on such ties (the box
 frames), so generators that coincide up to sign are tied into clusters that
-move as one vector.  The ascent carries the weighted frame (U, d): one row
-u_c per cluster, its least member with sign +1, and the cluster sizes d_c,
-so that W = sqrt(d) U is tight.  A tie is one row, so no step and no
-retraction can break it: ties are found by exact comparison
-(:func:`_clusters`, one pass that hashes each row and its negation) only at
-the start frame of each restart and at each reassign candidate, and the
-other moves hand their frame its ties: a gradient step keeps them, and a
-merge joins two rows.  The n generators are expanded from U, each its
-cluster's row times its sign, only for the reassigns and for the frame a
+move as one vector.  The ascent's state is the weighted frame (U, d) alone:
+one row u_c per cluster, its least member with sign +1, and the cluster
+sizes d_c, so that W = sqrt(d) U is tight.  The first-order condition sees
+a cluster only through its row and its size (a facet of multiplicity d
+balances d |v|^2 vol), so no move carries a label or a sign.  A tie is one
+row, so no step and no retraction can break it: ties are found by exact
+comparison (:func:`_clusters`, one pass that hashes each row and its
+negation) once per restart, at its start frame, and every move maps (U, d)
+to (U, d): a gradient step keeps d, a merge joins two rows, and a reassign
+moves one unit of weight from one row to another.  The n generators are
+expanded from (U, d), each row repeated d_c times, only for the frame a
 restart returns.  On the stratum of the ties the volume is smooth (it is
 partly smooth; Lewis, 2002), and its metric sum_c d_c |delta u_c|^2 is
 Euclidean in W, so the ascent steps along the Riemannian gradient of W on
@@ -25,23 +27,23 @@ first tries to jump onto it: the merge puts the two nearest clusters onto
 their nearest common point in the same metric (the identification step of
 Hare & Lewis, 2004); the stratum gradient is formed only where that merge
 fails and the gradient trials are reached.  At a frame critical on its
-stratum the paper's balance identity (a facet of multiplicity d balances
-d |v|^2 vol) leaves no split of a cluster that gains to first order, so
-where neither the merge nor a gradient step gains the ascent tries one
-fixed list of non-local moves, the reassigns, each putting a generator
-onto another cluster.  A box frame, of k clusters, is critical on its
-stratum by its structure, the box's orbit under O(k), so it tries neither
-a merge nor a gradient step, and its reassigns' volumes are known in
-closed form: a reassign gains exactly when it moves a generator from a
-cluster at least two larger than the other, so only those are tried, and a
-balanced box, the warm start among them, reads one volume and stops.  A
-restart ends where no candidate gains; it draws no random number, so it is
-deterministic given its start.  The gradient gives only a direction: every
-candidate is compared by the volume of one :class:`_Section` of +-U, which
-is the section of the expanded frame, and asked for G only where xi is
-formed (:func:`ascend`).  A box candidate (every warm start, every merge
-onto k clusters, every reassign at a box) builds no hull: its section
-reads the volume 2^k / |det U| and G from U^-T.
+stratum the paper's balance identity leaves no split of a cluster that
+gains to first order, so where neither the merge nor a gradient step gains
+the ascent tries one fixed list of non-local moves, the reassigns, each
+putting a generator onto another cluster.  A box frame, of k clusters, is
+critical on its stratum by its structure, the box's orbit under O(k), so it
+tries neither a merge nor a gradient step, and its reassigns' volumes are
+known in closed form: a reassign gains exactly when it moves a generator
+from a cluster at least two larger than the other, so only those are
+tried, and a balanced box, the warm start among them, reads one volume and
+stops.  A restart ends where no candidate gains; it draws no random number,
+so it is deterministic given its start.  The gradient gives only a
+direction: every candidate is compared by the volume of one
+:class:`_Section` of +-U, which is the section of the expanded frame, and
+asked for G only where xi is formed (:func:`ascend`).  A box candidate
+(every warm start, every merge onto k clusters, every reassign at a box)
+builds no hull: its section reads the volume 2^k / |det U| and G from
+U^-T.
 """
 
 from __future__ import annotations
@@ -110,6 +112,10 @@ class OptimizerConfig:
 class RestartResult:
     """One restart's outcome.
 
+    ``frame`` is the weighted frame (U, d) the ascent ended on, expanded:
+    ``np.repeat(U, d, axis=0)``, each cluster's row repeated d_c times, so
+    its clusters are runs of equal rows in the order of U; it is the start
+    frame itself when no candidate was accepted.
     ``final_volume`` is the volume the ascent climbed on and restarts are
     ranked by, read from the section of one row per cluster of ``frame``.
     At a box frame, of k clusters, both routes read the same numbers, so it
@@ -131,8 +137,8 @@ class RestartResult:
     (:func:`_merge`).  ``rank_loss`` counts the candidates rejected because
     whitening found no frame (a :class:`FrameError`), and ``degenerate``
     those rejected because Qhull could not build their
-    section.  ``tied`` is the number of clusters of several generators, tied
-    exactly (:func:`_clusters`), in ``frame``.
+    section.  ``tied`` is the number of clusters of several generators, the
+    sizes d_c > 1 the ascent carried to ``frame``.
     """
 
     index: int
@@ -229,36 +235,35 @@ def _stratum_gradient(U: np.ndarray, size: np.ndarray, G: np.ndarray):
     return xi, float(np.linalg.norm(xi) / np.linalg.norm(D))
 
 
-def _reassigns(U: np.ndarray, ties, k: int):
-    """The reassign moves at the weighted frame U tied by ``ties``
-    (label, sign, size), generated lazily: for each ordered pair of
-    clusters (c, e), the frame of n rows with the last member of c set to
-    U[e], grouped afresh (:func:`_clusters`), one call per candidate
-    yielded, and given back as its representatives and their ties.
+def _reassigns(U: np.ndarray, size: np.ndarray, k: int):
+    """The reassign moves at the weighted frame (U, ``size``), generated
+    lazily: for each ordered pair of clusters (c, e), one unit of weight
+    moved from c to e, the sizes d_c - 1 and d_e + 1 on the same rows, and
+    row c dropped when d_c reaches 0.  A move of one generator of c onto
+    u_e changes no row, as the members of a cluster coincide up to sign and
+    +-v is one line, so neither the member moved nor its sign changes the
+    volume: there are at most m (m - 1) moves for m clusters.
 
-    The members of a cluster coincide up to sign and +-v is one line, so
-    neither the member moved nor its sign changes the volume: there are at
-    most m (m - 1) moves for m clusters.  At a box frame, m = k clusters of
-    sizes d_c, the pair is kept only when d_c >= d_e + 2.  There the
-    sqrt(d_c) u_c are orthonormal, the section is the box prod_c
-    [-sqrt(d_c), sqrt(d_c)] and the volume is 2^k sqrt(prod_c d_c), so the
-    move, whitened, is the box of sizes d_c - 1 and d_e + 1, and its volume
-    ratio is sqrt(1 + (d_c - d_e - 1) / (d_c d_e)): above 1, by far more
-    than ``VOL_TOL``, exactly when d_c >= d_e + 2, and at most 1 otherwise.
-    So every pair left out would fail, every pair kept gains, and a
-    balanced box has no move.  A cluster of one generator is never moved
-    there, as the k - 1 lines left could not span.
+    At a box frame, m = k clusters of sizes d_c, the pair is kept only when
+    d_c >= d_e + 2.  There the sqrt(d_c) u_c are orthonormal, the section is
+    the box prod_c [-sqrt(d_c), sqrt(d_c)] and the volume is
+    2^k sqrt(prod_c d_c), so the move, whitened, is the box of sizes
+    d_c - 1 and d_e + 1, and its volume ratio is
+    sqrt(1 + (d_c - d_e - 1) / (d_c d_e)): above 1, by far more than
+    ``VOL_TOL``, exactly when d_c >= d_e + 2, and at most 1 otherwise.  So
+    every pair left out would fail, every pair kept gains, and a balanced
+    box has no move.  A cluster of one generator is never moved there, as
+    the k - 1 lines left could not span.
     """
-    label, sign, size = ties
-    m, size = len(U), size.tolist()
-    last = dict(zip(label.tolist(), range(len(label))))
+    m, sizes = len(U), size.tolist()
     for c in range(m):
         for e in range(m):
-            if e != c and (m > k or size[c] >= size[e] + 2):
-                out = sign[:, None] * U[label]
-                out[last[c]] = U[e]
-                new_label, new_sign, first = _clusters(out)
-                yield out[first], (new_label, new_sign, np.bincount(new_label))
+            if e != c and (m > k or sizes[c] >= sizes[e] + 2):
+                moved = size.copy()
+                moved[c] -= 1
+                moved[e] += 1
+                keep = moved > 0
+                yield U[keep], moved[keep]
 
 
 @lru_cache(maxsize=None)
@@ -272,26 +277,21 @@ def _pairs(m: int):
     return pairs
 
 
-def _merge(U: np.ndarray, ties):
-    """The merge move at the weighted frame U tied by ``ties`` (label,
-    sign, size): U with the two clusters nearest each other put onto one
-    representative, and the ties of that frame.
+def _merge(U: np.ndarray, size: np.ndarray):
+    """The merge move at the weighted frame (U, ``size``): U with the two
+    clusters nearest each other put onto one row, and the sizes of that
+    frame.
 
-    With u_c = U[c] the representative of cluster c (v_i = sign[i] u_c for
-    its members) and d_c its size, the pair c < e and the sign s minimize
-    d_c d_e / (d_c + d_e) |u_c - s u_e|^2, and row c becomes the
-    size-weighted mean w = (d_c u_c + s d_e u_e) / (d_c + d_e), of size
-    d_c + d_e, while row e is dropped.  In the metric sum_c d_c |delta_c|^2
-    of :func:`_stratum_gradient` that cost is the squared distance from U
-    to the stratum where c and e coincide up to sign s, and w is its
-    nearest point.  The cost is taken over the pairs of :func:`_pairs`, so
-    among equal costs the first pair in row-major order wins.  The ties
-    are those of :func:`_clusters` on the expanded frame, carried rather
-    than grouped again: the members of e join c, which keeps its least
-    member, with their signs times s, and the labels above e move down by
-    one.
+    With u_c = U[c] the row of cluster c and d_c its size, the pair c < e
+    and the sign s minimize d_c d_e / (d_c + d_e) |u_c - s u_e|^2, and row
+    c becomes the size-weighted mean w = (d_c u_c + s d_e u_e) / (d_c + d_e),
+    of size d_c + d_e, while row e is dropped.  In the metric
+    sum_c d_c |delta_c|^2 of :func:`_stratum_gradient` that cost is the
+    squared distance from U to the stratum where c and e coincide up to sign
+    s, and w is its nearest point.  The cost is taken over the pairs of
+    :func:`_pairs`, so among equal costs the first pair in row-major order
+    wins.
     """
-    label, sign, size = ties
     dot = U @ U.T
     sq = np.diag(dot)
     ci, ei = _pairs(len(U))
@@ -304,36 +304,33 @@ def _merge(U: np.ndarray, ties):
     out[c] = (dc * U[c] + s * de * U[e]) / (dc + de)
     size = np.concatenate((size[:e], size[e + 1:]))
     size[c] = dc + de
-    joined = label == e
-    return out, (np.where(joined, c, label - (label > e)), np.where(joined, s * sign, sign), size)
+    return out, size
 
 
-def _moves(U: np.ndarray, ties, section: _Section, step: float, k: int):
-    """The candidates tried at the weighted frame U tied by ``ties``
-    (label, sign, size), in order, each as its representatives, its ties,
-    the step a gain sets and its kind.  Where more than k clusters are
-    left, the merge (:func:`_merge`), then the gradient trials
-    U + (t / |xi|) xi / sqrt(d) for t = ``step``, ``step`` / 2, ...,
-    ``GRADIENT_TRIES`` lengths, which keep the ties and set
-    ``STEP_GROWTH`` t; then, at every frame, the reassigns
-    (:func:`_reassigns`), each grouped afresh.  The merge and the reassigns
-    keep ``step``.  ``section`` is the :class:`_Section` of +-U, and it is
-    asked for the Euclidean gradient G, and xi (:func:`_stratum_gradient`)
-    formed from it, only once the merge has been yielded, so a frame whose
-    merge gains pays for neither.  A box frame, of k clusters, is critical
-    on its stratum, so its list is its gaining reassigns only."""
+def _moves(U: np.ndarray, size: np.ndarray, section: _Section, step: float, k: int):
+    """The candidates tried at the weighted frame (U, ``size``), in order,
+    each as its rows, its sizes, the step a gain sets and its kind.  Where
+    more than k clusters are left, the merge (:func:`_merge`), then the
+    gradient trials U + (t / |xi|) xi / sqrt(d) for t = ``step``,
+    ``step`` / 2, ..., ``GRADIENT_TRIES`` lengths, which keep the sizes and
+    set ``STEP_GROWTH`` t; then, at every frame, the reassigns
+    (:func:`_reassigns`).  The merge and the reassigns keep ``step``.
+    ``section`` is the :class:`_Section` of +-U, and it is asked for the
+    Euclidean gradient G, and xi (:func:`_stratum_gradient`) formed from
+    it, only once the merge has been yielded, so a frame whose merge gains
+    pays for neither.  A box frame, of k clusters, is critical on its
+    stratum, so its list is its gaining reassigns only."""
     if len(U) > k:
-        yield *_merge(U, ties), step, "merge"
-        size = ties[2]
+        yield *_merge(U, size), step, "merge"
         xi = _stratum_gradient(U, size, section.gradient())[0]
         norm = float(np.linalg.norm(xi))
         xi /= np.sqrt(size)[:, None]
         trial = step
         for _ in range(GRADIENT_TRIES if norm > 0 else 0):
-            yield U + (trial / norm) * xi, ties, trial * STEP_GROWTH, "gradient"
+            yield U + (trial / norm) * xi, size, trial * STEP_GROWTH, "gradient"
             trial /= 2
-    for out, moved in _reassigns(U, ties, k):
-        yield out, moved, step, "reassign"
+    for moved in _reassigns(U, size, k):
+        yield *moved, step, "reassign"
 
 
 def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
@@ -341,14 +338,14 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     """Single-restart first-order ascent from a tight frame; deterministic
     given ``s0``, so ``rng`` is not used.
 
-    The ascent carries the weighted frame (U, d): the start's generators
-    are grouped into signed clusters of exact ties (:func:`_clusters`), U
-    holds each cluster's least member, with sign +1, and d the cluster
-    sizes, so that W = sqrt(d) U is tight; the labels and signs serve only
-    to expand U back to n rows.  Each candidate of :func:`_moves` comes
-    with its ties, so the accepted one hands them to the next frame: a
-    merge or a gradient trial carries them, and only a reassign candidate
-    is grouped again.  At each frame the candidates are tried in order,
+    The ascent's state is the weighted frame (U, d) alone: the start's
+    generators are grouped into signed clusters of exact ties
+    (:func:`_clusters`, called once per restart, here), U holds each
+    cluster's least member, with sign +1, and d the cluster sizes, so that
+    W = sqrt(d) U is tight.  Each candidate of :func:`_moves` is a weighted
+    frame too, so the accepted one hands its rows and sizes to the next
+    frame: a gradient trial keeps d, a merge joins two rows and a reassign
+    moves one unit of weight.  At each frame the candidates are tried in order,
     and the first that raises the volume by more than ``VOL_TOL``,
     relative, is the next frame: where more than k clusters are left, the
     merge (:func:`_merge`), then the gradient trials along xi
@@ -373,13 +370,12 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     whose section Qhull cannot build are rejected, not raised, and counted.
     The run stops (``stop``) at a frame where no candidate gains,
     ``"critical"``, or when the iterations reach ``max_iterations``,
-    ``"cap"``.  ``frame`` is U expanded, each generator its cluster's row
-    times its sign; it is ``s0``, bitwise, when no candidate was accepted.
+    ``"cap"``.  ``frame`` is U expanded by d, each row repeated d_c times;
+    it is ``s0`` when no candidate was accepted.
     """
     k = s0.vectors.shape[1]
-    label, sign, first = _clusters(s0.vectors)
-    U = s0.vectors[first]
-    ties = label, sign, np.bincount(label)
+    label, _, first = _clusters(s0.vectors)
+    U, size = s0.vectors[first], np.bincount(label)
     section = _Section(np.concatenate((U, -U)), np.arange(len(U)))
     vol = section.volume()
     trace = [(0, vol)]
@@ -411,12 +407,12 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
 
     stop = "cap"
     while it < cap:
-        for moved, moved_ties, next_step, kind in _moves(U, ties, section, step, k):
+        for moved, moved_size, next_step, kind in _moves(U, size, section, step, k):
             if it >= cap:
                 break
-            new_U, new_vol, new_section = evaluate(moved, moved_ties[2])
+            new_U, new_vol, new_section = evaluate(moved, moved_size)
             if new_vol > vol * (1.0 + VOL_TOL):
-                U, ties, vol, section, step = new_U, moved_ties, new_vol, new_section, next_step
+                U, size, vol, section, step = new_U, moved_size, new_vol, new_section, next_step
                 trace.append((it, vol))
                 accepted += 1
                 merged += kind == "merge"
@@ -424,14 +420,13 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
         else:
             stop = "critical"
             break
-    label, sign, size = ties
     return RestartResult(
         index=index,
         start=start,
         final_volume=vol,
         iterations=it,
         accepted=accepted,
-        frame=TightFrame(sign[:, None] * U[label]),
+        frame=TightFrame(np.repeat(U, size, axis=0)) if accepted else s0,
         trace=trace,
         degenerate=degenerate,
         rank_loss=rank_loss,

@@ -224,9 +224,10 @@ def _clusters(V: np.ndarray):
     frame of exactly k clusters, ``len(first) == k``, is a box frame, and
     that is the box test of every route (:class:`_Section`, given these
     ties by :func:`_box_first`).  ``optimizer.ascend`` groups its start
-    frame and each reassign candidate here, and carries one row per
-    cluster, ``V[first]``, with the label and sign; a merge and a gradient
-    step carry the record of their frame.
+    frame here, once per restart, and carries the weighted frame alone: one
+    row per cluster, ``V[first]``, and the sizes ``np.bincount(label)``.
+    Its moves map those to the next frame's rows and sizes, so no candidate
+    is grouped again.
     """
     label, sign, first, ties = [], [], [], {}
     for i, row in enumerate(V.tolist()):

@@ -10,13 +10,18 @@ same ascent, bitwise.  The runs are the battery configs,
 
 With ``--structure`` a digest covers the path of each restart and not
 its volumes: every field but ``final_volume`` and ``residual``, the frame
-by its exact ties (the label and sign of ``_clusters``) rather than its
-bytes, and of the trace its iteration numbers alone; the winner is left
-out, as it may move among restarts whose volumes agree to rounding.  Two
-trees that give a cell the same structure digest took the same path, with
-the same iterations, stops, final tie pattern, merges, rank losses and
-degenerate counts, while their frames and volumes may differ in the last
-bits.
+by its tie pattern (the sizes of the clusters of exact ties that
+``_clusters`` finds, in descending order) rather than its bytes, and of
+the trace its iteration numbers alone; the winner is left out, as it may
+move among restarts whose volumes agree to rounding.  The pattern, not the
+per-generator labels and signs, because a signed row permutation of a
+frame is the same section and the same path: it reorders or negates
+generators, which the labels and signs record and the volume, the moves
+and their outcomes do not see.  Two trees that give a cell the same
+structure digest took the same path, with the same iterations, stops,
+final tie pattern, merges, rank losses and degenerate counts, while their
+frames and volumes may differ in the last bits and their frames in the
+order and signs of their rows.
 
 Compare two checkouts by running the same command against each source
 tree and diffing the output::
@@ -75,14 +80,14 @@ def _field(r, name: str, structure: bool):
     if structure and name == "trace":
         return [it for it, _ in value]
     if structure and name == "frame":
-        return list(_clusters(value.vectors)[:2])
+        return sorted(np.bincount(_clusters(value.vectors)[0]).tolist(), reverse=True)
     return value
 
 
 def restart_records(result, structure: bool = False) -> list:
     """One bytes record per restart of an ``OptimizeResult``: every field
     of its ``RestartResult``, by name, in declaration order; with
-    ``structure``, all but ``VOLUME_FIELDS``, the frame's exact ties in
+    ``structure``, all but ``VOLUME_FIELDS``, the frame's tie pattern in
     place of its bytes, and the trace's iteration numbers without its
     volumes."""
     return [b";".join(f.name.encode() + b"=" + _encode(_field(r, f.name, structure))

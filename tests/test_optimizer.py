@@ -37,14 +37,14 @@ def small_config(n, k, **kw):
     return OptimizerConfig(n=n, k=k, **defaults)
 
 
-def zero_last(U, ties, k):
+def zero_last(U, size, k):
     """A move list of one candidate that zeroes the last row of the
     weighted frame, the cluster that holds an axis alone in the (3, 2) box
-    frame, with the ties it had, as _reassigns gives a move; it loses
+    frame, with the sizes it had, as _reassigns gives a move; it loses
     rank, so they are never read."""
     out = U.copy()
     out[-1] = 0.0
-    yield out, ties
+    yield out, size
 
 
 def assert_same_ties(carried, exact):
@@ -55,24 +55,56 @@ def assert_same_ties(carried, exact):
 
 
 def weighted(V):
-    """The weighted frame of the frame V as the ascent starts from it: the
-    least member of each cluster of exact ties (_clusters), with sign +1,
-    and the ties (label, sign, size)."""
-    label, sign, first = optimizer._clusters(V)
-    return V[first], (label, sign, np.bincount(label))
+    """The weighted frame (U, d) of the frame V as the ascent starts from
+    it: the least member of each cluster of exact ties (_clusters), with
+    sign +1, and the cluster sizes."""
+    label, _, first = optimizer._clusters(V)
+    return V[first], np.bincount(label)
 
 
-def expand(U, ties):
-    """The n rows of the weighted frame U tied by ``ties`` (label, sign,
-    size): each generator its cluster's row times its sign."""
-    label, sign, _ = ties
-    return sign[:, None] * U[label]
+def regrouped(V):
+    """The weighted frame of V grouped afresh, as a set: its (row bytes,
+    size) pairs, sorted, so that two weighted frames compare equal
+    bitwise up to a permutation of their rows."""
+    U, size = weighted(V)
+    return sorted(zip((u.tobytes() for u in U), size.tolist()))
+
+
+def assert_tight_weighted(U, size):
+    """(U, size) is a weighted frame whose ties are its rows: the frame
+    expanded from it, each row repeated d_c times, is grouped by _clusters
+    into the runs of its rows, in order, each with sign +1, so its sizes
+    are the counts and no two rows of U coincide up to sign."""
+    m = len(U)
+    assert size.min() >= 1
+    assert_same_ties(optimizer._clusters(np.repeat(U, size, axis=0)),
+                     (np.repeat(np.arange(m), size), np.ones(size.sum()),
+                      np.cumsum(size) - size))
 
 
 def section_of(U):
     """The _Section of +-U as the ascent builds it, each row its own
     cluster."""
     return polytope._Section(np.concatenate((U, -U)), np.arange(len(U)))
+
+
+def reference_reassigns(V, k):
+    """The reassign moves of the n-row frame V, in the order _reassigns
+    lists them: for each ordered pair of clusters (c, e) of V's exact ties,
+    kept at a box (k clusters) only when d_c >= d_e + 2, the frame of n
+    rows with the last member of c set to the row of e, with whether c was
+    a lone generator and whether the moved generator is the least member
+    of its new cluster, so that the clusters are numbered again."""
+    label, sign, first = optimizer._clusters(V)
+    size = np.bincount(label)
+    m = len(first)
+    for c in range(m):
+        for e in range(m):
+            if e != c and (m > k or size[c] >= size[e] + 2):
+                i = np.flatnonzero(label == c)[-1]
+                moved = V.copy()
+                moved[i] = V[first[e]]
+                yield moved, size[c] == 1, i < first[e]
 
 
 def tied_frame(sizes, k, rng):
@@ -354,9 +386,10 @@ class TestAscend:
             seen.clear()
             ascend(s0, OptimizerConfig(n=sum(sizes), k=k, max_iterations=1), rng)
             assert len(seen) == 1
-            U, ties = weighted(s0.vectors)
-            root = np.sqrt(ties[2])[:, None]
-            step = expand((seen[0] - root * U) / root, ties)
+            label, sign, first = optimizer._clusters(s0.vectors)
+            U, root = s0.vectors[first], np.sqrt(np.bincount(label))[:, None]
+            # each generator moves with its cluster's row, times its sign
+            step = sign[:, None] * ((seen[0] - root * U) / root)[label]
             t = 1e-6 / np.linalg.norm(step)
             vol = section_volume_fast(s0.vectors)
             moved = whiten(Frame(s0.vectors + t * step))[1]
@@ -377,19 +410,19 @@ class TestAscend:
 
     @pytest.mark.parametrize("n, k", [(3, 2), (10, 2), (7, 3), (7, 4), (6, 5)])
     def test_ties_stay_exact(self, n, k, monkeypatch):
-        # the ascent carries one row per cluster of exact ties, so no tie
-        # can be broken: at every frame no two rows of U coincide up to
-        # sign, or come near it (the rows of +-U group the same at 1e-4
-        # max|u| as at 0), and the ties the ascent carries are those
-        # _clusters finds on the frame expanded to n rows, its sizes their
-        # counts.  _moves is called once per frame, so every frame is
-        # observed
+        # the ascent carries one row per cluster of exact ties and the
+        # cluster sizes, so no tie can be broken: at every frame no two rows
+        # of U coincide up to sign, or come near it (the rows of +-U group
+        # the same at 1e-4 max|u| as at 0), and the frame expanded to n
+        # rows, each row repeated d_c times, is grouped by _clusters into
+        # the runs of those rows, so the sizes carried are its ties' counts.
+        # _moves is called once per frame, so every frame is observed
         frames = []
         moves = optimizer._moves
 
-        def observed(U, ties, section, step, k):
-            frames.append((U, ties))
-            return moves(U, ties, section, step, k)
+        def observed(U, size, section, step, k):
+            frames.append((U, size))
+            return moves(U, size, section, step, k)
 
         monkeypatch.setattr(optimizer, "_moves", observed)
         restarts = []
@@ -398,14 +431,13 @@ class TestAscend:
                 n=n, k=k, restarts=32 if k == 2 else 12, seed=seed), threads=1).restarts
         assert len(frames) > 2 * n
         assert len(frames) == sum(r.accepted + 1 for r in restarts)
-        for U, ties in frames:
-            assert len(optimizer._clusters(U)[2]) == len(U)
+        for U, size in frames:
+            assert size.sum() == n
             W = np.concatenate((U, -U))
             np.testing.assert_array_equal(
                 polytope._coincident_row_groups(W, 1e-4 * np.abs(U).max()),
                 polytope._coincident_row_groups(W, 0.0))
-            assert_same_ties(ties[:2], optimizer._clusters(expand(U, ties))[:2])
-            assert_same_ties(ties[2:], (np.bincount(ties[0]),))
+            assert_tight_weighted(U, size)
 
     @pytest.mark.parametrize("n, k", [(10, 2), (7, 3)], ids=["10-2", "7-3"])
     def test_xi_only_where_read(self, n, k, monkeypatch):
@@ -436,9 +468,9 @@ class TestAscend:
 
     @pytest.mark.parametrize("n, k", [(10, 2), (7, 3)])
     def test_one_grouping_per_restart(self, n, k, monkeypatch):
-        # the ties are grouped from scratch once per restart, at its start,
-        # and once per reassign candidate yielded; merges and gradient
-        # steps carry them to the next frame and group nothing
+        # the ties are grouped from scratch exactly once per restart, at its
+        # start; every move, reassigns included, maps the rows and sizes to
+        # the next frame's and groups nothing
         calls, yielded = [], []
         clusters, reassigns = optimizer._clusters, optimizer._reassigns
 
@@ -457,7 +489,48 @@ class TestAscend:
         assert sum(r.accepted for r in res.restarts) > len(res.restarts)
         assert sum(r.merged for r in res.restarts) > 0
         assert len(yielded) > 0
-        assert len(calls) == len(res.restarts) + len(yielded)
+        assert len(calls) == len(res.restarts)
+
+    @pytest.mark.parametrize("n, k", [(6, 2), (10, 2), (7, 3), (7, 4), (8, 5)])
+    def test_returned_frame(self, n, k, monkeypatch):
+        # from a balanced box whose ties are out of order and carry negative
+        # signs, no candidate is accepted, and the frame returned is the
+        # start, bitwise
+        rng = np.random.default_rng([n, k, 5])
+        parts = [sorted(p.tolist()) for p in np.array_split(rng.permutation(n), k)]
+        signs = [1] * n
+        for p in parts:
+            signs[p[-1]] = -1 if len(p) > 1 else 1
+        s0 = extremal_frame(n, k, partition=parts, signs=signs)
+        label, sign, _ = optimizer._clusters(s0.vectors)
+        assert np.any(np.diff(label) < 0) and np.any(sign < 0)
+        res = ascend(s0, OptimizerConfig(n=n, k=k), rng)
+        assert res.accepted == 0
+        assert res.frame.vectors.tobytes() == s0.vectors.tobytes()
+        # after accepted moves the frame is tight and expanded from the
+        # weighted frame the ascent ended on: _clusters groups it into runs
+        # of equal rows, in order, each with sign +1, of the sizes carried
+        # (the sizes of the last _stratum_gradient call, the residual's),
+        # and those rows are U, the rows of the last section read
+        carried = []
+        stratum_gradient = optimizer._stratum_gradient
+
+        def recorded(U, size, G):
+            carried.append((U, size))
+            return stratum_gradient(U, size, G)
+
+        monkeypatch.setattr(optimizer, "_stratum_gradient", recorded)
+        for cap in (3, 2000):
+            rng = np.random.default_rng([n, k, cap])
+            res = ascend(random_tight_frame(n, k, rng),
+                         OptimizerConfig(n=n, k=k, max_iterations=cap), rng)
+            assert res.accepted > 0
+            V = res.frame.vectors
+            assert np.max(np.abs(frame_operator(res.frame) - np.eye(k))) <= 1e-10
+            U, size = carried[-1]
+            assert_tight_weighted(U, size)
+            np.testing.assert_array_equal(V, np.repeat(U, size, axis=0))
+            assert res.tied == int((size > 1).sum())
 
     def test_iterates_stay_tight(self):
         rng = np.random.default_rng(3)
@@ -533,39 +606,38 @@ class TestMoveList:
             signs = rng.choice([-1.0, 1.0], n)
             rows = np.repeat(w / np.sqrt(sizes)[:, None], sizes, axis=0)
             V = TightFrame(signs[:, None] * rows).vectors
-            U, ties = weighted(V)
-            label, sign, _ = ties
-            np.testing.assert_array_equal(label, np.repeat(np.arange(len(sizes)), sizes))
+            U, size = weighted(V)
+            assert size.tolist() == list(sizes)
             pairs = [(sizes[c] * sizes[e] / (sizes[c] + sizes[e]) * np.sum((U[c] - s * U[e]) ** 2),
                       c, e, s) for c in range(len(sizes)) for e in range(c + 1, len(sizes))
                      for s in (1.0, -1.0)]
             _, c, e, s = min(pairs)
             mean = (sizes[c] * U[c] + s * sizes[e] * U[e]) / (sizes[c] + sizes[e])
-            moves = list(optimizer._moves(U, ties, section_of(U), 0.3, k))
+            moves = list(optimizer._moves(U, size, section_of(U), 0.3, k))
             assert [kind for *_, kind in moves[:GRADIENT_TRIES + 2]] == (
                 ["merge"] + ["gradient"] * GRADIENT_TRIES + ["reassign"])
-            out, out_ties, step, _ = moves[0]
+            out, out_size, step, _ = moves[0]
             assert step == 0.3
-            # one row fewer, the pair's on row c, of the summed size
+            # one row fewer, the pair's on row c, of the summed size; the
+            # other rows and sizes as they were
             assert len(out) == len(U) - 1
-            assert out_ties[2][c] == sizes[c] + sizes[e]
-            merged = expand(out, out_ties)
-            both = (label == c) | (label == e)
-            assert len(np.unique(np.abs(merged[both]), axis=0)) == 1
-            to = np.where(label == e, s, 1.0)[:, None] * sign[:, None] * mean
-            np.testing.assert_allclose(merged[both], to[both], rtol=0, atol=1e-15)
-            np.testing.assert_array_equal(merged[~both], V[~both])
+            np.testing.assert_allclose(out[c], mean, rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(np.delete(out, c, axis=0), np.delete(U, [c, e], axis=0))
+            want = np.delete(size, e)
+            want[c] = sizes[c] + sizes[e]
+            assert_same_ties((out_size,), (want,))
         # a box frame holds m = k clusters: no merge
         for n, k in ((7, 4), (10, 2)):
-            U, ties = weighted(extremal_frame(n, k).vectors)
+            U, size = weighted(extremal_frame(n, k).vectors)
             assert "merge" not in [kind for *_, kind in optimizer._moves(
-                U, ties, section_of(U), 0.3, k)]
+                U, size, section_of(U), 0.3, k)]
 
     def test_merge_matches_the_reference(self):
         # the merge over the cached pair table, on the weighted frame, is
-        # the dense-table merge (reference_merge) on the n rows, bitwise:
-        # the expanded vectors, labels and signs, and the rows and sizes
-        # are the least members' and the counts.  Half the frames are random tight frames tied into
+        # the dense-table merge (reference_merge) on the n rows, grouped
+        # afresh: its rows are the least members of the clusters _clusters
+        # finds on the reference's frame, and its sizes their counts,
+        # bitwise.  Half the frames are random tight frames tied into
         # clusters; the other half put clusters of one size, one or two
         # generators, on small integer directions, so that costs tie
         # exactly and the first least pair in row-major order must win
@@ -586,14 +658,10 @@ class TestMoveList:
                     for V in (tied_frame(sizes, k, rng), symmetric):
                         label, sign, first = optimizer._clusters(V)
                         assert len(first) == m
-                        U, ties = weighted(V)
-                        out, out_ties = optimizer._merge(U, ties)
-                        ref_out, ref_ties = reference_merge(V, label, sign, first)
-                        assert_same_ties((expand(out, out_ties), *out_ties[:2]),
-                                         (ref_out, *ref_ties[:2]))
-                        assert_same_ties((out, out_ties[2]),
-                                         (ref_out[ref_ties[2]], np.bincount(ref_ties[0])))
-                        size = ties[2]
+                        U, size = weighted(V)
+                        out, out_size = optimizer._merge(U, size)
+                        ref_out, _ = reference_merge(V, label, sign, first)
+                        assert_same_ties((out, out_size), weighted(ref_out))
                         cost = [size[c] * size[e] / (size[c] + size[e]) * (
                             (U[c] @ U[c] + U[e] @ U[e]) - 2 * abs(U[c] @ U[e]))
                             for c, e in zip(*optimizer._pairs(m))]
@@ -617,26 +685,29 @@ class TestMoveList:
         # at a box frame only a cluster of d_c >= d_e + 2 moves a member to
         # cluster e: the balanced (7, 4) box, of sizes 2, 2, 2 and 1, has no
         # move, and the (6, 2) box of sizes 2 and 4 has one, from the
-        # cluster of 4 to the cluster of 2
+        # cluster of 4 to the cluster of 2, on the same rows
         assert list(optimizer._reassigns(*weighted(extremal_frame(7, 4).vectors), 4)) == []
         V = extremal_frame(6, 2, partition=[[0, 1], [2, 3, 4, 5]]).vectors
-        moves = list(optimizer._reassigns(*weighted(V), 2))
+        U, size = weighted(V)
+        moves = list(optimizer._reassigns(U, size, 2))
         assert len(moves) == 1
         moved = V.copy()
         moved[5] = V[0]
-        np.testing.assert_array_equal(expand(*moves[0]), moved)
-        assert moves[0][1][2].tolist() == [3, 3]
+        assert_same_ties(moves[0], weighted(moved))
+        assert_same_ties(moves[0], (U, np.array([3, 3])))
 
     def test_each_move_carries_its_ties(self):
         # at exactly tied frames of m >= k clusters, every candidate of the
-        # move list is a weighted frame with the ties of its frame: its rows
-        # are the least members, with sign +1, of the clusters _clusters
-        # finds on the expanded frame, no two of them tied, its label and
-        # sign are _clusters', bitwise, and its sizes the counts; and again
-        # after whitening as the ascent whitens, W = sqrt(d) U.  Covered:
-        # merges, gradient trials, reassigns of a lone generator (m > k),
-        # and reassigns whose generator becomes the least member of its new
-        # cluster, so that the clusters are numbered again
+        # move list is a weighted frame whose ties are its rows: the frame
+        # expanded from it is grouped by _clusters into the runs of its
+        # rows, each with sign +1, and again after whitening as the ascent
+        # whitens, W = sqrt(d) U.  Each reassign is the one of the n-row
+        # frame (reference_reassigns: the last member of c set to the row
+        # of e, grouped afresh), bitwise up to the order of the rows.
+        # Covered: merges, gradient trials, reassigns of a lone generator
+        # (m > k), and reassigns whose generator becomes the least member
+        # of its new cluster, so that the n-row frame numbers its clusters
+        # again
         rng = np.random.default_rng(80)
         met = dict.fromkeys(("merge", "gradient", "reassign", "lone", "renumbered"), 0)
         for _ in range(100):
@@ -644,21 +715,19 @@ class TestMoveList:
                 m = k + int(rng.integers(0, 4))
                 sizes = 1 + rng.multinomial(int(rng.integers(0, 6)), np.ones(m) / m)
                 V = tied_frame(sizes, k, rng)
-                U, ties = weighted(V)
-                label, size = ties[0], ties[2]
-                for out, out_ties, _, kind in optimizer._moves(U, ties, section_of(U), 0.3, k):
-                    moved = expand(out, out_ties)
-                    exact = optimizer._clusters(moved)
-                    assert_same_ties(out_ties, (*exact[:2], np.bincount(exact[0])))
-                    assert_same_ties((out,), (moved[exact[2]],))
-                    assert len(optimizer._clusters(out)[2]) == len(out)
-                    b = whiten(Frame(np.sqrt(out_ties[2])[:, None] * out))[0]
-                    assert_same_ties(out_ties[:2], optimizer._clusters(expand(out @ b, out_ties))[:2])
+                U, size = weighted(V)
+                references = reference_reassigns(V, k)
+                for out, out_size, _, kind in optimizer._moves(U, size, section_of(U), 0.3, k):
+                    assert_tight_weighted(out, out_size)
+                    b = whiten(Frame(np.sqrt(out_size)[:, None] * out))[0]
+                    assert_tight_weighted(out @ b, out_size)
                     met[kind] += 1
                     if kind == "reassign":
-                        i = np.flatnonzero((moved != V).any(axis=1))[0]
-                        met["lone"] += size[label[i]] == 1
-                        met["renumbered"] += exact[2][exact[0][i]] == i
+                        moved, lone, renumbered = next(references)
+                        assert regrouped(np.repeat(out, out_size, axis=0)) == regrouped(moved)
+                        met["lone"] += lone
+                        met["renumbered"] += renumbered
+                assert next(references, None) is None
         assert min(met.values()) > 0, met
 
     @pytest.mark.parametrize("n, k", [(6, 2), (10, 2), (7, 3), (9, 3), (7, 4), (8, 5)])
@@ -683,8 +752,7 @@ class TestMoveList:
                                signs=rng.choice([-1, 1], n).tolist()).vectors
             vol = section_volume_fast(V)
             label, sign, first = optimizer._clusters(V)
-            U, ties = weighted(V)
-            size = ties[2]
+            U, size = weighted(V)
             assert len(size) == k
             gaining = []
             for c in range(k):
@@ -704,18 +772,18 @@ class TestMoveList:
                     gains = ratio > 1 + VOL_TOL
                     assert gains == (size[c] >= size[e] + 2)
                     if gains:
-                        gaining.append(moved)
-            moves = list(optimizer._reassigns(U, ties, k))
-            assert len(moves) == len(gaining)
-            for move, expected in zip(moves, gaining):
-                np.testing.assert_array_equal(expand(*move), expected)
+                        gaining.append(regrouped(moved))
+            # each move is the n-row frame's, grouped afresh, bitwise up to
+            # the order of the rows
+            moves = list(optimizer._reassigns(U, size, k))
+            assert [regrouped(np.repeat(*move, axis=0)) for move in moves] == gaining
             # with m = k clusters the move list is these reassigns alone,
             # whatever G holds: no merge and no gradient trial
             G = rng.standard_normal(U.shape)
-            listed = list(optimizer._moves(U, ties, SimpleNamespace(gradient=lambda: G), 0.3, k))
+            listed = list(optimizer._moves(U, size, SimpleNamespace(gradient=lambda: G), 0.3, k))
             assert [kind for *_, kind in listed] == ["reassign"] * len(gaining)
-            for (move, move_ties, *_), expected in zip(listed, gaining):
-                np.testing.assert_array_equal(expand(move, move_ties), expected)
+            assert [regrouped(np.repeat(move, move_size, axis=0))
+                    for move, move_size, *_ in listed] == gaining
 
     @pytest.mark.parametrize("n, k, partition", [
         (6, 2, [[0, 1], [2, 3, 4, 5]]), (7, 3, None), (7, 4, None), (10, 2, None)],
@@ -816,6 +884,31 @@ class TestMaximize:
         assert [r.final_volume for r in a.restarts] == [r.final_volume for r in c.restarts]
         # every field of every restart, frames and traces included, bitwise
         assert restart_records(a) == restart_records(b) == restart_records(c)
+
+    def test_structure_records_read_the_tie_pattern(self):
+        # a structure record takes each frame by its tie pattern, the sizes
+        # of its clusters in descending order: a signed row permutation of
+        # a frame is the same section and the same path, so replacing every
+        # frame by one leaves the records as they are, while the full
+        # records, which take the frame's bytes, change; moving one member
+        # of the least cluster onto the largest changes the record
+        res = maximize(OptimizerConfig(n=7, k=3, restarts=4, seed=0), threads=1)
+        structure, full = restart_records(res, structure=True), restart_records(res)
+        rng = np.random.default_rng(3)
+        for r in res.restarts:
+            V = r.frame.vectors
+            r.frame = TightFrame(rng.choice([-1.0, 1.0], (len(V), 1)) * V[rng.permutation(len(V))])
+        assert restart_records(res, structure=True) == structure
+        assert restart_records(res) != full
+        V = res.restarts[0].frame.vectors
+        label, _, first = optimizer._clusters(V)
+        size = np.bincount(label)
+        assert size.min() >= 2
+        moved = V.copy()
+        moved[np.flatnonzero(label == np.argmin(size))[0]] = V[first[np.argmax(size)]]
+        res.restarts[0].frame = Frame(moved)
+        changed = restart_records(res, structure=True)
+        assert changed[0] != structure[0] and changed[1:] == structure[1:]
 
     def test_pool_capped_at_the_job_count(self, monkeypatch):
         # a forked pool starts every worker at the first submit, so no more
