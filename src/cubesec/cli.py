@@ -209,7 +209,7 @@ def cmd_optimize(args, manifest: RunManifest) -> int:
         seed=args.seed,
         max_iterations=args.max_iterations,
     )
-    result = maximize(config, threads=resolve_threads(args.threads))
+    result = maximize(config, threads=args.threads)
     payload = result.to_dict()
     if args.out:
         _write_json(args.out, payload, manifest)
@@ -268,6 +268,8 @@ def cmd_report(args, manifest: RunManifest) -> int:
 
 
 def cmd_reproduce(args, manifest: RunManifest) -> int:
+    # resolved here, before the battery, whose criteria would report a
+    # SettingError as a failed criterion rather than exit 2
     ctx = BatteryContext(
         seed=args.seed,
         n_max=args.n_max,

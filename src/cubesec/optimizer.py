@@ -39,8 +39,10 @@ tried, and a balanced box, the warm start among them, reads one volume and
 stops.  A restart ends where no candidate gains; it draws no random number,
 so it is deterministic given its start.  The gradient gives only a
 direction: every candidate is compared by the volume of one
-:class:`_Section` of +-U, which is the section of the expanded frame, and
-asked for G only where xi is formed (:func:`ascend`).  A box candidate
+:class:`_Section` of its rows U (:meth:`_Section.of_rows`), which is the
+section of the expanded frame and the one :func:`section_volume_fast`
+builds on it, and asked for G, one row per cluster, only where xi is
+formed (:func:`ascend`).  A box candidate
 (every warm start, every merge onto k clusters, every reassign at a box)
 builds no hull: its section reads the volume 2^k / |det U| and G from
 U^-T.
@@ -118,11 +120,9 @@ class RestartResult:
     frame itself when no candidate was accepted.
     ``final_volume`` is the volume the ascent climbed on and restarts are
     ranked by, read from the section of one row per cluster of ``frame``.
-    At a box frame, of k clusters, both routes read the same numbers, so it
-    is :func:`section_volume_fast` of ``frame``, bitwise; every
-    ``"critical"`` stop of the battery configs is at a box.  Off a box, as
-    at a ``"cap"`` stop, the hull of the m rows and that of the n
-    generators may sum in another order, and agree within rounding.
+    :func:`section_volume_fast` builds the same section on ``frame``, so
+    ``final_volume`` is :func:`section_volume_fast` of ``frame``, bitwise,
+    at every stop, a box or not.
     ``iterations`` counts
     the candidates, one :class:`_Section` volume each, charged to
     ``max_iterations``; ``evaluations`` adds the start's.  ``stop``
@@ -219,7 +219,7 @@ def _stratum_gradient(U: np.ndarray, size: np.ndarray, G: np.ndarray):
     coordinates W = sqrt(d) U.
 
     G is the Euclidean gradient of the volume in the representatives U
-    (:meth:`_Section.gradient` of the section of +-U, given with U so that
+    (:meth:`_Section.gradient` of the section of U, given with U so that
     no hull is built here): row c is the gradient of the whole cluster c,
     the signed sum of its members' gradients.  In W the stratum metric
     sum_c d_c |delta u_c|^2 is Euclidean and W is tight, W^T W = I, so the
@@ -315,7 +315,7 @@ def _moves(U: np.ndarray, size: np.ndarray, section: _Section, step: float, k: i
     ``step`` / 2, ..., ``GRADIENT_TRIES`` lengths, which keep the sizes and
     set ``STEP_GROWTH`` t; then, at every frame, the reassigns
     (:func:`_reassigns`).  The merge and the reassigns keep ``step``.
-    ``section`` is the :class:`_Section` of +-U, and it is asked for the
+    ``section`` is the :class:`_Section` of U, and it is asked for the
     Euclidean gradient G, and xi (:func:`_stratum_gradient`) formed from
     it, only once the merge has been yielded, so a frame whose merge gains
     pays for neither.  A box frame, of k clusters, is critical on its
@@ -357,10 +357,10 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
 
     Each candidate is retracted by :func:`whiten` of W = sqrt(d) U, and U
     is taken by the transform b it returns, U b.  Every volume read is the
-    volume of one :class:`_Section` of +-U, the start's and one per
-    candidate, given ``first`` = 0..m-1: a frame of more than k clusters
-    builds one hull and a box frame, at k >= 3, none, its volume and G
-    read from the determinant of U.  The start and an accepted candidate
+    volume of one :class:`_Section` of U (:meth:`_Section.of_rows`), the
+    start's and one per candidate: a frame of more than k clusters builds
+    one hull and a box frame, at k >= 3, none, its volume and G read from
+    the determinant of U.  The start and an accepted candidate
     keep their section, which gives G of the same frame when xi is formed,
     and G is summed, with the moment columns, only at the frames that read
     it.  ``residual`` is read from xi once, at the frame the run stops on.
@@ -376,7 +376,7 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
     k = s0.vectors.shape[1]
     label, _, first = _clusters(s0.vectors)
     U, size = s0.vectors[first], np.bincount(label)
-    section = _Section(np.concatenate((U, -U)), np.arange(len(U)))
+    section = _Section.of_rows(U)
     vol = section.volume()
     trace = [(0, vol)]
     step = INITIAL_STEP
@@ -397,7 +397,7 @@ def ascend(s0: TightFrame, config: OptimizerConfig, rng=None, *, index: int = 0,
         candidate.vectors.setflags(write=False)
         try:
             U = U @ whiten(candidate)[0]
-            section = _Section(np.concatenate((U, -U)), np.arange(len(U)))
+            section = _Section.of_rows(U)
             return U, section.volume(), section
         except FrameError:
             rank_loss += 1

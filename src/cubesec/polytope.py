@@ -7,8 +7,9 @@ section, and a vertex p of P is the normal of the facet <x, p> = 1.
 
 One construction serves everything here: the hull of a set of polar
 points P, whose polar body {x : <x, p> <= 1 for every p in P} is the
-section when P is +-V.  Its facets are the body's vertices, its vertices
-the body's facets.  The hull functions take P and nothing else; the
+section when P is +-V, or +-U for the rows U of V's clusters of exact
+ties, the same points without their repeats.  Its facets are the body's
+vertices, its vertices the body's facets.  The hull functions take P and nothing else; the
 shifted rebuild of a facet forms its points W_r / c_r itself
 (:func:`shifted_section_volume`).  In the plane the hull is a Graham scan
 of the points sorted by angle, once round the origin (:func:`_scan`,
@@ -51,34 +52,40 @@ over the vertices solved from Qhull's corners and the volume over Qhull's
 own, so the facet closure sum_F dist_F mu_F / k meets the volume to
 rounding only; ``cubesec report`` prints how far apart they are.
 
-One section per frame: :func:`build_section` and :func:`section_volume_fast`
-read the section of +-V from one slot, :func:`_section`, keyed by the
-bytes of V.  Whichever runs second on a frame builds no hull and no plan,
-and takes no box test, and the volume is summed once, on its first read,
-and kept.  perfbench's certify and ``checks.check_restart`` run both
-routes on a frame, and ``verify_frame(s)`` and a ``build_section(s)`` on
-its frame share one section, as ``maximize`` checks its winner and the
-battery then reads that winner's section; ``cubesec report`` runs
-:func:`build_section` alone.  The ascent and the shifted and tilted
-rebuilds build their own sections.
+One section per frame, of one row per cluster: every route builds the
+section of the rows U of the frame's clusters of exact ties
+(:func:`_clusters`), each a cluster's least member, with sign +1, and its
+points are +-U (:meth:`_Section.of_rows`).  The ascent builds it on the
+rows it carries, and :func:`build_section` and :func:`section_volume_fast`
+read it, with V's labels and signs, from one slot, :func:`_section`,
+keyed by the bytes of V, so a restart's volume is the fast volume of its
+frame, bitwise.  Whichever of the two runs second on a frame builds no
+hull and no plan, and takes no box test, and the volume is summed once,
+on its first read, and kept.  perfbench's certify and
+``checks.check_restart`` run both routes on a frame, and
+``verify_frame(s)`` and a ``build_section(s)`` on its frame share one
+section, as ``maximize`` checks its winner and the battery then reads
+that winner's section; ``cubesec report`` runs :func:`build_section`
+alone.  The ascent and the shifted and tilted rebuilds build their own
+sections.
 
 Box frames in closed form, with no hull on any route: for k >= 3 a frame
 whose generators lie on exactly k lines, the k clusters of the exact ties
 (:func:`_clusters`) led by the rows U, has the parallelepiped
-{|U x| <= 1} for its section.  The box test is taken in one place, the
-constructor of :class:`_Section`, as ``len(first) == k`` on the ties it
-is given: those the ascent carries, or those :func:`_box_first` takes for
-the slot.  A box reads everything from :func:`_box`: its volume
+{|U x| <= 1} for its section.  The box test is taken in one place,
+:meth:`_Section.of_rows`, as ``len(U) == k >= 3`` on the rows it is
+given.  A box reads everything from :func:`_box`: its volume
 2^k / |det U|, U^-1 and its vertices U^-1 s for the signs s in
-{-1, 1}^k, with the depth test of the hull route.  The gradient comes from
-U^-T, and :func:`build_section` reads the facets: the facet of s u_c holds
-the vertices with s_c = s, its centroid is s U^-1 e_c and its content
-vol |u_c| / 2 (:func:`_box_facets`).  The rebuilds, whose bodies are no
+{-1, 1}^k, with the depth test of the hull route.  The gradient is
+-vol U^-T, one row per line, and :func:`build_section` reads the facets:
+row c of +-U is the line c, the facet of s u_c holds the vertices with
+s_c = s, its centroid is s U^-1 e_c and its content vol |u_c| / 2
+(:func:`_box_facets`).  The rebuilds, whose bodies are no
 longer centred parallelepipeds, and the plane keep the cone table.
 
 One raise contract on every volume route (:func:`section_volume_fast`,
-:func:`volume` of :func:`build_section`, and a :class:`_Section` given the
-ties, as the ascent builds it, or of the rebuilds' points) tests the
+:func:`volume` of :func:`build_section`, and a :class:`_Section` of a
+frame's rows, as the ascent builds it, or of the rebuilds' points) tests the
 depth of the hull of the polar points P, not their span.
 :class:`NotAFrameError` is raised when P is flat, or a facet of its hull
 (an edge in the plane, the facet of a vertex U^-1 s at a box) lies within
@@ -123,9 +130,13 @@ class FacetRecord:
 
     normals holds (generator_index, sign) pairs for every frame vector
     whose hyperplane (after the sign flip) supports this facet; the pair
-    count is the facet multiplicity d.  Their rows are one ``EPS_GEOM``
-    group, and ``normal_vector`` is the group's outermost row, the one of
-    largest norm, the least of them on a tie.  Of parallel rows that is the
+    count is the facet multiplicity d.  ``row_ids`` index the rows of the
+    section's points +-U (``SectionPolytope._section.P``), the rows U of the
+    frame's clusters of exact ties and then their negations, that lie on
+    its plane: exact ties are one row there, so a facet of d pairs may have
+    fewer rows.  Its rows are one ``EPS_GEOM`` group, and ``normal_vector``
+    is the group's outermost row of +-V, the one of largest norm, the least
+    of them on a tie.  Of parallel rows that is the
     one whose hyperplane is nearest the origin, the one that supports the
     facet, so ``distance`` is the facet's own; where nearly parallel rows
     each carry a part of the facet, it is exact to ``EPS_GEOM``.  Where the
@@ -160,9 +171,10 @@ class FacetRecord:
 @dataclass
 class SectionPolytope:
     """V-representation and facet data of a cube section, and the
-    :class:`_Section` of its rows +-V, whose one volume :func:`volume`
-    reads; ``generator_facets`` maps a generator to (facet, sign) for the
-    first facet whose ``normals`` hold it, and its sign there."""
+    :class:`_Section` of its points +-U, one row per cluster of exact ties,
+    whose one volume :func:`volume` reads; ``generator_facets`` maps a
+    generator to (facet, sign) for the first facet whose ``normals`` hold
+    it, and its sign there."""
 
     k: int
     vertices: np.ndarray
@@ -217,18 +229,23 @@ def _clusters(V: np.ndarray):
     Generators that coincide exactly up to sign are one cluster: v_i =
     sign[i] sign[j] v_j for i, j of one label.  Labels run from 0 in the
     order of their least members, ``first[c]`` is the least member of
-    cluster c, and its sign is +1.  One pass over the rows keys each new
-    cluster's least member, as a tuple, and its negation in a dict, so rows
-    are compared by value: -0.0 equals and hashes as 0.0, and a zero vector,
-    its own negation, has sign +1.  No other function computes ties.  A
-    frame of exactly k clusters, ``len(first) == k``, is a box frame, and
-    that is the box test of every route (:class:`_Section`, given these
-    ties by :func:`_box_first`).  ``optimizer.ascend`` groups its start
-    frame here, once per restart, and carries the weighted frame alone: one
-    row per cluster, ``V[first]``, and the sizes ``np.bincount(label)``.
-    Its moves map those to the next frame's rows and sizes, so no candidate
-    is grouped again.
+    cluster c, and its sign is +1.  Rows that coincide up to sign share
+    |v_1|, so when the n values |v_i1| are distinct there is no tie, and
+    the clusters are the generators, returned at once.  Otherwise one pass
+    over the rows keys each new cluster's least member, as a tuple, and its
+    negation in a dict, so rows are compared by value: -0.0 equals and
+    hashes as 0.0, and a zero vector, its own negation, has sign +1.  No
+    other function computes ties.  Every section is built on the rows
+    ``V[first]`` (:meth:`_Section.of_rows`), a box when there are exactly k
+    of them: :func:`_section` groups the frame here for the public routes,
+    and ``optimizer.ascend`` its start frame, once per restart, carrying
+    the weighted frame alone: those rows and the sizes
+    ``np.bincount(label)``.  Its moves map those to the next frame's rows
+    and sizes, so no candidate is grouped again.
     """
+    if len({abs(x) for x in V[:, 0].tolist()}) == len(V):  # no tie
+        first = np.arange(len(V), dtype=np.intp)
+        return first.copy(), np.ones(len(V)), first
     label, sign, first, ties = [], [], [], {}
     for i, row in enumerate(V.tolist()):
         key = tuple(row)
@@ -447,16 +464,17 @@ def _distinct_equations(eq: np.ndarray):
 def build_section(s: Frame) -> SectionPolytope:
     """Construct the section of the cube generated by the frame ``s``.
 
-    Its rows are +-V over every generator, as in :func:`section_volume_fast`:
-    row i is (i, +1), row n + i is (i, -1).  A generator has a facet when
-    its point is a vertex of the hull: a zero vector, the origin, has none,
-    nor has one whose slab only touches the section in a face of dimension
-    below k-1, and the criticality checks flag both downstream.  Rows
-    within ``EPS_GEOM`` of each other share one facet (:func:`_assemble`).
-
-    The section's one :class:`_Section` (:func:`_section`), which
-    :func:`section_volume_fast` shares on the same vectors, gives the
-    facets, which come in the order of their groups either way:
+    Its constraint rows are +-V over every generator: row i is (i, +1), row
+    n + i is (i, -1).  They are the points +-U of the section's one
+    :class:`_Section` (:func:`_section`), which :func:`section_volume_fast`
+    shares on the same vectors, U the rows of the clusters of exact ties,
+    and V's labels and signs map each row of +-V to its point
+    (:func:`_assemble`).  A generator has a facet when its point is a
+    vertex of the hull: a zero vector, the origin, has none, nor has one
+    whose slab only touches the section in a face of dimension below k-1,
+    and the criticality checks flag both downstream.  Rows within
+    ``EPS_GEOM`` of each other share one facet, and the facets come in the
+    order of their least rows of +-V, whichever route gives them:
 
     - a box, whose 2k signed lines are the ``EPS_GEOM`` groups, reads the
       parallelepiped {|U x| <= 1} from the section's ``box``, with no hull
@@ -469,15 +487,7 @@ def build_section(s: Frame) -> SectionPolytope:
     It raises as the module's raise contract says; the span test is
     ``s``'s own, taken when it was built.
     """
-    section = _section(s.vectors)
-    W = section.P
-    label = _coincident_row_groups(W, EPS_GEOM)
-    count = int(label.max()) + 1
-    # exact ties are within EPS_GEOM, so each group is a union of signed
-    # lines s u_c; a box has 2k of them, and 2k groups are those lines
-    if section.box is not None and count == 2 * s.k:
-        return _assemble(section, label, *_box_facets(W, label, section.first, section.box))
-    return _assemble(section, label, *_hull_facets(section, label, count))
+    return _assemble(s.vectors, *_section(s.vectors))
 
 
 def _hull_facets(section: _Section, label: np.ndarray, count: int):
@@ -526,65 +536,84 @@ def _hull_facets(section: _Section, label: np.ndarray, count: int):
     return verts, held, _sums_by(label[rows], np.column_stack((measure, measure[:, None] * centroid)), count)
 
 
-def _box_facets(W: np.ndarray, label: np.ndarray, first: np.ndarray, box):
+def _box_facets(W: np.ndarray, box):
     """The facets of a box section, k >= 3, in the layout of
-    :func:`_assemble`, with no hull: W = +-V, whose generators lie on the k
-    lines of the rows U = V[first], ``box`` the (volume, U^-1, vertices)
-    of :func:`_box`, and ``label`` the 2k row groups, each one signed line
-    s u_c.  The facet of s u_c holds the vertices U^-1 t with t_c = s, its
-    centroid is s U^-1 e_c, and its content is vol |u_c| / 2, so the cones
-    over the 2k facets, of heights 1 / |u_c|, add up to the volume
-    2^k / |det U|, the section's (:meth:`_Section.volume`)."""
-    n, k = len(W) // 2, W.shape[1]
+    :func:`_assemble`, with no hull: W = +-U, the rows of the k lines and
+    their negations, ``box`` the (volume, U^-1, vertices) of :func:`_box`,
+    and each row of W its own group, row c the line c with sign +1 and row
+    k + c with sign -1.  The facet of s u_c holds the vertices U^-1 t with
+    t_c = s, its centroid is s U^-1 e_c, and its content is vol |u_c| / 2,
+    so the cones over the 2k facets, of heights 1 / |u_c|, add up to the
+    volume 2^k / |det U|, the section's (:meth:`_Section.volume`)."""
+    k = W.shape[1]
     vol, inv, verts = box
-    # the line and the sign of each group, from the groups of +-u_c
-    line, sign = np.empty(2 * k, dtype=np.intp), np.empty(2 * k)
-    for rows, s in ((first, 1.0), (first + n, -1.0)):
-        line[label[rows]] = np.arange(k)
-        sign[label[rows]] = s
+    line, sign = np.arange(2 * k) % k, np.repeat([1.0, -1.0], k)
     held = _signs(k).T[line] == sign[:, None]
-    measure = vol / 2 * np.linalg.norm(W[first], axis=1)[line]
+    measure = vol / 2 * np.linalg.norm(W, axis=1)
     return verts, held, np.column_stack((measure, (measure * sign)[:, None] * inv.T[line]))
 
 
-def _assemble(section: _Section, label: np.ndarray, verts: np.ndarray, held: np.ndarray,
-              sums: np.ndarray) -> SectionPolytope:
-    """The section of the rows W = +-V, ``section.P``, from its facets, as
-    a route gives them: ``label`` the ``EPS_GEOM`` group of each row;
-    ``held[g, j]`` whether group g's facet holds vertex j, each group that
-    holds one a facet; and ``sums[g]`` the content of that facet and then
-    its first moment, the content times the centroid.  A facet's
-    ``normal_vector`` is its group's outermost row, the one of largest
-    norm, the least of them on a tie (:class:`FacetRecord`); for k = 1 it
-    is the row :func:`_interval` finds.  The polytope holds
+def _assemble(V: np.ndarray, section: _Section, label: np.ndarray,
+              sign: np.ndarray) -> SectionPolytope:
+    """The section polytope of the frame vectors V whose clusters of exact
+    ties (:func:`_clusters`) have the labels ``label`` and the signs
+    ``sign``, from ``section``, the :class:`_Section` of the rows W = +-U
+    of those clusters.
+
+    The rows of W are grouped at ``EPS_GEOM`` (:func:`_coincident_row_groups`),
+    and the route gives each group's facet: ``held[g, j]`` whether group
+    g's facet holds vertex j, each group that holds one a facet, and
+    ``sums[g]`` the content of that facet and then its first moment, the
+    content times the centroid.  A box, whose 2k rows are its 2k groups,
+    reads them from :func:`_box_facets`, any other section from its hull
+    (:func:`_hull_facets`).  Each row of +-V is mapped to its row of W, so
+    a facet lists the (generator, sign) of every row of +-V on its plane,
+    row i of +-V being (i, +1) and row n + i (i, -1), and the facets come in
+    the order of their groups' least rows of +-V.  A facet's
+    ``normal_vector`` is its group's outermost row of +-V, the one of
+    largest norm, the least of them on a tie (:class:`FacetRecord`); for
+    k = 1 it is the row :func:`_interval` finds.  The polytope holds
     ``section``, whose volume is the polytope's (:func:`volume`)."""
-    n = len(section.P) // 2
-    row_gen = [(i, 1) for i in range(n)] + [(i, -1) for i in range(n)]
-    members = [[] for _ in range(len(held))]
-    for r, g in enumerate(label.tolist()):
+    W, k = section.P, section.P.shape[1]
+    group = _coincident_row_groups(W, EPS_GEOM)
+    count = int(group.max()) + 1
+    # exact ties are one row of W, so a box has 2k groups unless two of its
+    # lines are within EPS_GEOM
+    verts, held, sums = (_box_facets(W, section.box) if section.box is not None and count == 2 * k
+                         else _hull_facets(section, group, count))
+    n, m = len(V), len(W) // 2
+    row = np.concatenate((label, label)) + m * (np.concatenate((sign, -sign)) < 0)
+    grouped = group[row].tolist()
+    # the rows of +-V and of W in each group
+    members, rows = [[] for _ in range(count)], [[] for _ in range(count)]
+    for r, g in enumerate(grouped):
         members[g].append(r)
-    # the sorted union of each group's vertex indices
-    group, ids = held.nonzero()
-    ends = np.searchsorted(group, np.arange(len(members) + 1)).tolist()
-    own = [g for g in range(len(members)) if ends[g] < ends[g + 1]]
+    for j, g in enumerate(group.tolist()):
+        rows[g].append(j)
+    # the sorted union of each group's vertex indices; the facets in the
+    # order of their least rows of +-V
+    holder, ids = held.nonzero()
+    ends = np.searchsorted(holder, np.arange(count + 1)).tolist()
+    own = [g for g in dict.fromkeys(grouped) if ends[g] < ends[g + 1]]
     sums = sums[own]
-    # the outermost row of each group, the least of them on a tie
-    norm = np.linalg.norm(section.P, axis=1).tolist()
-    normal = section.P[[max(members[g], key=norm.__getitem__) for g in own]]
+    # the outermost row of +-V of each group, the least of them on a tie
+    norm = np.linalg.norm(W, axis=1)[row].tolist()
+    normal = np.concatenate((V, -V))[[max(members[g], key=norm.__getitem__) for g in own]]
     centroid = sums[:, 1:] / sums[:, :1]
     for x in (verts, normal, centroid):
         x.setflags(write=False)
     measure, ids = sums[:, 0].tolist(), ids.tolist()
+    row_gen = [(i, 1) for i in range(n)] + [(i, -1) for i in range(n)]
     facets, generator_facets = [], {}
     for i, g in enumerate(own):
         normals = tuple([row_gen[r] for r in members[g]])
         f = FacetRecord(normals=normals, vertex_indices=tuple(ids[ends[g]:ends[g + 1]]),
                         measure=measure[i], centroid=centroid[i], normal_vector=normal[i],
-                        row_ids=tuple(members[g]))
+                        row_ids=tuple(rows[g]))
         facets.append(f)
-        for gen, sign in normals:
-            generator_facets.setdefault(gen, (f, sign))
-    return SectionPolytope(k=section.P.shape[1], vertices=verts, facets=tuple(facets),
+        for gen, s in normals:
+            generator_facets.setdefault(gen, (f, s))
+    return SectionPolytope(k=k, vertices=verts, facets=tuple(facets),
                            generator_facets=generator_facets, _section=section)
 
 
@@ -924,17 +953,18 @@ def _flag_sum(P: np.ndarray, Y: np.ndarray, tables: _HullPlan, moments: bool = T
 
 class _Section:
     """The section of one set of polar points P, the polar body
-    {x : P x <= 1}, whose hull holds the origin inside: P = +-V for the
-    section of the n frame vectors V, or the moved points of the shifted
-    and tilted rebuilds.
+    {x : P x <= 1}, whose hull holds the origin inside: P = +-U for the
+    section of a frame, or the moved points of the shifted and tilted
+    rebuilds, which ``_Section(P)`` builds with no box.
 
-    The constructor takes the box test, once: given ``first``, the least
-    members of V's clusters (:func:`_clusters`), k >= 3 and
-    ``len(first) == k`` make a box, and ``box`` is :func:`_box` of
-    U = V[first], which raises as the module's raise contract says; else
-    ``box`` is None.  The ascent builds the section of its clusters' rows,
-    no two of which coincide up to sign, so its ``first`` is
-    ``arange(m)``.  Each method reads its quantity only when called:
+    A frame's section has one constructor, :meth:`_Section.of_rows`, which
+    takes the rows U of its clusters of exact ties (:func:`_clusters`), one
+    per cluster and no two alike up to sign, so the frame's m clusters are
+    the 2m points +-U.  It takes the box test, once: k >= 3 and
+    ``len(U) == k`` make a box, and ``box`` is :func:`_box` of U, which
+    raises as the module's raise contract says; else ``box`` is None.  The
+    ascent builds it on the rows it carries and :func:`_section` on
+    ``V[first]``.  Each method reads its quantity only when called:
 
     - :meth:`_Section.hull`, k >= 2, built on the first call and kept: in
       the plane :func:`_planar_hull`'s (hull, Y, S); for k >= 3
@@ -951,24 +981,27 @@ class _Section:
       :func:`section_volume_fast` read it, and no other function sums a
       volume for them.
     - :meth:`_Section.gradient`, kept, k >= 2 (a k = 1 section has no
-      hull): the Euclidean gradient G of the volume in V.  At a box the
-      gradient of log |det U| in U is U^-T: row first[c] of G is
-      -vol (U^-T)_c, the gradient of the whole cluster, and every other
-      row is 0.  Elsewhere it is one sum with moments: the gradient of v_i
-      is -2 mu_i c_i / |v_i|, with mu_i the content and c_i the centroid of
-      the facet on <x, v_i> = 1 (the facet on <x, -v_i> = 1 is its
-      negation), and k + 1 times the first moment of the cone over the
-      facet of a point p is mu_p c_p / |p|, the first k columns of row p of
-      the whole table S, so G = S[n:, :k] - S[:n, :k].  A generator that
-      supports no facet gets 0, and of coincident points only the one the
-      hull keeps gets the facet, so the gradient of a cluster is its
-      signed sum on either route.
+      hull): the Euclidean gradient G of the volume in U, one row per
+      cluster, the gradient of the whole cluster, the signed sum of its
+      members'.  At a box the gradient of log |det U| in U is U^-T, so G
+      is -vol U^-T, built C-ordered as the hull route's G is.  Elsewhere it
+      is one sum with moments: the gradient of u_c is -2 mu_c c_c / |u_c|,
+      with mu_c the content and c_c the centroid of the facet on
+      <x, u_c> = 1 (the facet on <x, -u_c> = 1 is its negation), and k + 1
+      times the first moment of the cone over the facet of a point p is
+      mu_p c_p / |p|, the first k columns of row p of the whole table S,
+      so G = S[m:, :k] - S[:m, :k].  A row that supports no facet gets 0.
     """
 
-    def __init__(self, P: np.ndarray, first: np.ndarray | None = None):
-        self.P, self.first, self._hull, self._volume, self._gradient = P, first, None, None, None
+    def __init__(self, P: np.ndarray):
+        self.P, self.box, self._hull, self._volume, self._gradient = P, None, None, None, None
+
+    @classmethod
+    def of_rows(cls, U: np.ndarray) -> _Section:
+        section = cls(np.concatenate((U, -U)))
         # the box test: k >= 3 and exactly k clusters
-        self.box = _box(P[first]) if first is not None and len(first) == P.shape[1] >= 3 else None
+        section.box = _box(U) if len(U) == U.shape[1] >= 3 else None
+        return section
 
     def hull(self):
         if self._hull is None:
@@ -996,13 +1029,13 @@ class _Section:
 
     def gradient(self) -> np.ndarray:
         if self._gradient is None:
-            n, k = len(self.P) // 2, self.P.shape[1]
             if self.box is None:
-                S = self.table()
-                self._gradient = S[n:, :k] - S[:n, :k]
+                S, m, k = self.table(), len(self.P) // 2, self.P.shape[1]
+                self._gradient = S[m:, :k] - S[:m, :k]
             else:
-                self._gradient = np.zeros((n, k))
-                self._gradient[self.first] = -self.box[0] * self.box[1].T
+                # C-ordered, as the hull route's difference is, so that what
+                # is summed over it sums in the same order
+                self._gradient = (-self.box[0] * self.box[1].T).copy()
         return self._gradient
 
 
@@ -1012,9 +1045,12 @@ _last_section = (None, None)
 
 
 def _section(V: np.ndarray) -> _Section:
-    """The :class:`_Section` of the points +-V, given the ties of
-    :func:`_box_first`, built once per frame: off a box, at k >= 2, its
-    hull is built here, and +-V and every array of the hull are read-only.
+    """(section, label, sign): the :class:`_Section` of the frame vectors
+    V, built once per frame on the rows of their clusters of exact ties,
+    and V's labels and signs (:func:`_clusters`), which map each row of
+    +-V to its point (:func:`_assemble`).  Off a box, at k >= 2, its hull
+    is built here, and the points +-U, the labels, the signs and every
+    array of the hull are read-only.
 
     The last section is kept in one slot, keyed by the dtype, shape and
     bytes of V, so :func:`build_section` and :func:`section_volume_fast` on
@@ -1032,11 +1068,12 @@ def _section(V: np.ndarray) -> _Section:
     """
     global _last_section
     key = (V.dtype, V.shape, V.tobytes())
-    held, section = _last_section
+    held, entry = _last_section
     if held == key:
-        return section
-    section = _Section(np.concatenate((V, -V)), _box_first(V))
-    arrays = [section.P]
+        return entry
+    label, sign, first = _clusters(V)
+    section = _Section.of_rows(V[first])
+    arrays = [section.P, label, sign]
     if section.box is None and V.shape[1] == 2:
         arrays.append(section.hull()[2])
     elif section.box is None and V.shape[1] >= 3:
@@ -1045,8 +1082,8 @@ def _section(V: np.ndarray) -> _Section:
                    *plan[:-1], *itertools.chain(*plan.steps))
     for a in arrays:
         a.setflags(write=False)
-    _last_section = (key, section)
-    return section
+    _last_section = (key, (section, label, sign))
+    return section, label, sign
 
 
 def section_volume_fast(vectors: np.ndarray) -> float:
@@ -1061,13 +1098,13 @@ def section_volume_fast(vectors: np.ndarray) -> float:
 
     - k = 1: the section is the interval |x| <= 1 / max |v_i|, of length
       2 / max |v_i|.
-    - k = 2: one Graham scan once round the hull of +-V, with no Qhull
+    - k = 2: one Graham scan once round the hull of +-U, with no Qhull
       call, and the sum of the triangles from the origin over the section's
       edges that the same pass gives (:func:`_planar_hull`).
-    - k >= 3, a box frame (:func:`_box_first`, taken before any hull): the
-      section is a parallelepiped, of volume 2^k / |det U| for U the
-      lines' first rows (:func:`_box`), and no hull is built.
-    - k >= 3, any other frame: Qhull's triangulation of the hull of +-V,
+    - k >= 3, a box frame (:meth:`_Section.of_rows`, taken before any
+      hull): the section is a parallelepiped, of volume 2^k / |det U| for
+      U the lines' first rows (:func:`_box`), and no hull is built.
+    - k >= 3, any other frame: Qhull's triangulation of the hull of +-U,
       and the sum of the cones over the section's facets, one determinant
       per ridge and corner (:func:`_flag_sum`), its recursion carrying the
       volume column alone, without the k first-moment columns the gradient
@@ -1077,27 +1114,12 @@ def section_volume_fast(vectors: np.ndarray) -> float:
     certify and ``checks.check_restart`` call it, this builds no hull and
     takes no :func:`_box`; it
     sums the volume only if :func:`volume` has not read it yet, and is
-    :func:`volume` of that :func:`build_section`, bitwise.  It is bitwise
-    the volume of a :class:`_Section` of +-V given V's own ties, the
-    ascent's route.  It raises as the module's raise contract says.
+    :func:`volume` of that :func:`build_section`, bitwise.  Its section is
+    built on the rows U of V's clusters of exact ties, as the ascent
+    builds each of its own, so a restart's ``final_volume`` is this volume
+    of its frame, bitwise.  It raises as the module's raise contract says.
     """
-    return _section(vectors).volume()
-
-
-def _box_first(V: np.ndarray):
-    """The box test of :func:`_section`, which has no ties: the least
-    members of the k clusters of the generators V (:func:`_clusters`) when
-    k >= 3 and there are exactly k, else None.
-
-    The rows of one line share |v_1|, so a frame whose first k + 1 rows
-    take k + 1 values of it, as a random frame's do, is ruled out before
-    the ties are taken.
-    """
-    k = V.shape[1]
-    if k < 3 or len({abs(x) for x in V[:k + 1, 0].tolist()}) > k:
-        return None
-    first = _clusters(V)[2]
-    return first if len(first) == k else None
+    return _section(vectors)[0].volume()
 
 
 @lru_cache(maxsize=16)

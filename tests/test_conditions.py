@@ -79,8 +79,10 @@ class TestFacetBalance:
         # pyramid share of the triple-multiplicity facet is (1/2)(3 * 1/3)/2
         f = p.generator_facets[0][0]
         assert f.multiplicity == 3
+        # the oracle's facets are keyed by rows of +-V, row n + i being -v_i
         cones, _ = exact_cone_volumes(section_rows(s.vectors))
-        assert cones[frozenset(f.row_ids)] / sum(cones.values()) == Fraction(1, 4)
+        rows = frozenset(i if sign > 0 else s.n + i for i, sign in f.normals)
+        assert cones[rows] / sum(cones.values()) == Fraction(1, 4)
 
     def test_orthonormal_cube(self):
         for k in (2, 3):

@@ -82,12 +82,6 @@ def assert_tight_weighted(U, size):
                       np.cumsum(size) - size))
 
 
-def section_of(U):
-    """The _Section of +-U as the ascent builds it, each row its own
-    cluster."""
-    return polytope._Section(np.concatenate((U, -U)), np.arange(len(U)))
-
-
 def reference_reassigns(V, k):
     """The reassign moves of the n-row frame V, in the order _reassigns
     lists them: for each ordered pair of clusters (c, e) of V's exact ties,
@@ -193,6 +187,21 @@ class TestAscend:
                 assert r.stop == "critical"
                 assert r.final_volume == section_volume_fast(r.frame.vectors)
 
+    @pytest.mark.parametrize("n, k, cap", [(10, 2, 10), (7, 3, 5), (12, 4, 5)])
+    def test_final_volume_is_the_fast_volume_at_every_stop(self, n, k, cap):
+        # the ascent and section_volume_fast build one section of the
+        # clusters' rows, so the reported volume is the fast volume of the
+        # returned frame, bitwise, also at a "cap" stop off a box, where a
+        # section of every generator would sum over another hull
+        stops = set()
+        for seed in range(3):
+            result = maximize(OptimizerConfig(n=n, k=k, restarts=12, seed=seed,
+                                              max_iterations=cap), threads=1)
+            for r in result.restarts:
+                assert r.final_volume == section_volume_fast(r.frame.vectors)
+                stops.add((r.stop, r.tied > 0))
+        assert ("cap", True) in stops
+
     def test_degenerate_proposal_is_rejected_not_raised(self, monkeypatch):
         # a Qhull failure on one candidate must not abort the restart
         calls = []
@@ -292,7 +301,7 @@ class TestAscend:
                 try:
                     return super().volume()
                 finally:
-                    calls.append((len(self.first), len(hulls) - before[0], sums[before[1]:]))
+                    calls.append((len(self.P) // 2, len(hulls) - before[0], sums[before[1]:]))
 
             def gradient(self):
                 before = len(hulls), len(sums)
@@ -329,7 +338,7 @@ class TestAscend:
                 for section, built, moments in reads:
                     assert built == 0
                     ran.setdefault(section, []).extend(moments)
-                assert all(moments == ([True] if k > 2 and len(section.first) > k else [])
+                assert all(moments == ([True] if k > 2 and len(section.P) // 2 > k else [])
                            for section, moments in ran.items())
                 assert len(sums) == sum(len(r) for *_, r in calls) + sum(map(len, ran.values()))
                 if k > 2:
@@ -555,6 +564,30 @@ class TestClusters:
         assert first.tolist() == [0, 3, 5]
         assert_same_ties((label, sign, first), reference_clusters(V))
 
+    def test_no_two_first_coordinates_alike(self):
+        # rows that coincide up to sign share |v_1|, so a frame whose n
+        # values |v_i1| are distinct has no tie and returns at once, with
+        # the loop's dtypes; a repeated |v_i1|, with or without a tie, runs
+        # the loop, which lists the rows of V whole
+        class Listed(np.ndarray):
+            def tolist(self):
+                listed.append(self.ndim)
+                return super().tolist()
+
+        rng = np.random.default_rng(3)
+        frames = [(random_tight_frame(n, k, rng).vectors, [1]) for n, k in ((5, 2), (7, 3), (12, 4))]
+        frames += [(np.array([[0.5, 0.1], [-0.5, 0.3], [0.2, 0.9]]), [1, 2]),
+                   (np.array([[0.5, 0.1], [-0.5, -0.1], [0.2, 0.9]]), [1, 2])]
+        for V, want in frames:
+            listed = []
+            got = optimizer._clusters(V.view(Listed))
+            assert listed == want
+            assert [a.dtype for a in got] == [np.intp, np.float64, np.intp]
+            assert_same_ties(got, reference_clusters(V))
+            if want == [1]:
+                n = len(V)
+                assert_same_ties(got, (np.arange(n), np.ones(n), np.arange(n)))
+
     def test_matches_the_pairwise_grouping(self):
         # bitwise, dtypes included, the clusters of the pairwise table
         # (reference_clusters): rows drawn from a few small vectors with
@@ -613,7 +646,7 @@ class TestMoveList:
                      for s in (1.0, -1.0)]
             _, c, e, s = min(pairs)
             mean = (sizes[c] * U[c] + s * sizes[e] * U[e]) / (sizes[c] + sizes[e])
-            moves = list(optimizer._moves(U, size, section_of(U), 0.3, k))
+            moves = list(optimizer._moves(U, size, polytope._Section.of_rows(U), 0.3, k))
             assert [kind for *_, kind in moves[:GRADIENT_TRIES + 2]] == (
                 ["merge"] + ["gradient"] * GRADIENT_TRIES + ["reassign"])
             out, out_size, step, _ = moves[0]
@@ -630,7 +663,7 @@ class TestMoveList:
         for n, k in ((7, 4), (10, 2)):
             U, size = weighted(extremal_frame(n, k).vectors)
             assert "merge" not in [kind for *_, kind in optimizer._moves(
-                U, size, section_of(U), 0.3, k)]
+                U, size, polytope._Section.of_rows(U), 0.3, k)]
 
     def test_merge_matches_the_reference(self):
         # the merge over the cached pair table, on the weighted frame, is
@@ -717,7 +750,8 @@ class TestMoveList:
                 V = tied_frame(sizes, k, rng)
                 U, size = weighted(V)
                 references = reference_reassigns(V, k)
-                for out, out_size, _, kind in optimizer._moves(U, size, section_of(U), 0.3, k):
+                section = polytope._Section.of_rows(U)
+                for out, out_size, _, kind in optimizer._moves(U, size, section, 0.3, k):
                     assert_tight_weighted(out, out_size)
                     b = whiten(Frame(np.sqrt(out_size)[:, None] * out))[0]
                     assert_tight_weighted(out @ b, out_size)

@@ -43,6 +43,7 @@ from oracles import (
     exact_cone_volumes,
     exact_volume,
     halfspace_vertices,
+    reference_clusters,
     reference_facets,
     reference_row_groups,
     section_rows,
@@ -116,15 +117,31 @@ def duplicated_frame(k, delta, rng):
     return whiten(Frame(np.vstack([v, near])))[1]
 
 
+def plus_minus_rows(f, n):
+    """The rows of +-V on the plane of the facet record f, from its
+    normals: (i, +1) is row i and (i, -1) row n + i."""
+    return {i if sign > 0 else n + i for i, sign in f.normals}
+
+
+def section_row_map(v):
+    """The row of the section's points +-U of each row of +-v, from the
+    oracle's clusters (reference_clusters): v_i = sign_i u_(label_i), so row
+    i of +-v is row label_i of +-U when sign_i is +1 and row m + label_i
+    when it is -1, and row n + i is the other one."""
+    label, sign, first = reference_clusters(v)
+    m = len(first)
+    return np.concatenate((label, label)) + m * (np.concatenate((sign, -sign)) < 0)
+
+
 def exact_errors(s):
     """Relative errors of the fast volume, of every facet's cone volume
     (distance * measure / k) and of every facet's centroid (relative to
     its norm) against the exact rational oracle.
 
     A facet record of a group of coincident rows is held to the summed
-    exact cones of those rows, and to the centroid of their exact facets
-    weighted by measure, k * cone * |w_r|; every exact facet must have a
-    record.
+    exact cones of those rows of +-V (:func:`plus_minus_rows`), and to the
+    centroid of their exact facets weighted by measure, k * cone * |w_r|;
+    every exact facet must have a record.
     """
     W = section_rows(s.vectors)
     cones, centroids = exact_cone_volumes(W)
@@ -133,7 +150,7 @@ def exact_errors(s):
     errors = [abs(section_volume_fast(s.vectors) - exact) / exact]
     covered = set()
     for f in p.facets:
-        mine = [rows for rows in cones if rows <= set(f.row_ids)]
+        mine = [rows for rows in cones if rows <= plus_minus_rows(f, s.n)]
         covered.update(mine)
         want = float(sum(cones[rows] for rows in mine))
         errors.append(abs(f.distance * f.measure / s.k - want) / want)
@@ -164,17 +181,17 @@ def cube_vertex_frame(k):
 
 def is_box(v):
     """Whether the frame vectors v, k >= 3, lie on exactly k lines."""
-    return v.shape[1] >= 3 and polytope._box_first(v) is not None
+    return v.shape[1] >= 3 and len(polytope._clusters(v)[2]) == v.shape[1]
 
 
 def hull_section(v):
-    """build_section's hull assembly, called directly on a section of +-v
-    given no ties, on any frame, a box too, whose hull no route builds; the
-    section slot is not read."""
-    section = polytope._Section(np.concatenate((v, -v)))
-    label = _coincident_row_groups(section.P, EPS_GEOM)
-    return polytope._assemble(section, label,
-                              *polytope._hull_facets(section, label, int(label.max()) + 1))
+    """build_section's assembly, called directly on a plain _Section of the
+    rows +-U of v's clusters, which takes no box test, so it reads the hull
+    on any frame, a box too, whose hull no route builds; the section slot
+    is not read."""
+    label, sign, first = polytope._clusters(v)
+    section = polytope._Section(np.concatenate((v[first], -v[first])))
+    return polytope._assemble(v, section, label, sign)
 
 
 def halfspace_volume(P):
@@ -653,11 +670,16 @@ class TestFacetAssembly:
         for v in self.frames():
             p = hull_section(v) if is_box(v) else build_section(Frame(v))
             verts, facets = reference_facets(v)
+            row = section_row_map(v)
             np.testing.assert_array_equal(p.vertices, verts)
             assert len(p.facets) == len(facets)
             for f, g in zip(p.facets, facets):
-                assert (f.normals, f.vertex_indices, f.row_ids) == (g.normals, g.vertex_indices, g.row_ids)
-                np.testing.assert_array_equal(f.normal_vector, g.normal_vector)
+                # the reference's rows are those of +-v, the record's those
+                # of the section's points +-U
+                assert (f.normals, f.vertex_indices) == (g.normals, g.vertex_indices)
+                assert list(f.row_ids) == sorted(set(row[list(g.row_ids)].tolist()))
+                # a row of +-v itself, signed zeros included
+                assert f.normal_vector.tobytes() == g.normal_vector.tobytes()
                 assert f.measure == pytest.approx(g.measure, rel=1e-14)
                 assert f.distance == pytest.approx(g.distance, rel=1e-14)
                 assert np.linalg.norm(f.centroid - g.centroid) <= 1e-14 * np.linalg.norm(g.centroid)
@@ -741,20 +763,23 @@ class TestVolumeAndGradient:
     @staticmethod
     def facet_errors(s, tol):
         """Largest error, relative to max |G|, of the signed sum of G over
-        the generators of each facet against -2 mu c distance, facets
-        whose normals are within ``tol`` taken together; and max |G| over
-        the generators that hold no facet."""
+        the clusters of each facet against -2 mu c distance, facets whose
+        normals are within ``tol`` taken together; and max |G| over the
+        clusters that hold no facet.  G has one row per cluster, and a
+        facet's rows of the section's points +-U, ``row_ids``, name them:
+        row c is u_c and row m + c is -u_c."""
         G = volume_and_gradient(s.vectors)[1]
+        m = len(G)
         p = build_section(s)
         label = _coincident_row_groups(np.array([f.normal_vector for f in p.facets]), tol)
         got = np.zeros((label.max() + 1, s.k))
         want = np.zeros_like(got)
         held = set()
         for f, g in zip(p.facets, label):
-            got[g] += sum(sign * G[i] for i, sign in f.normals)
+            got[g] += sum((1 if r < m else -1) * G[r % m] for r in f.row_ids)
             want[g] -= 2 * f.measure * f.distance * f.centroid
-            held.update(i for i, _ in f.normals)
-        free = [i for i in range(s.n) if i not in held]
+            held.update(r % m for r in f.row_ids)
+        free = [c for c in range(m) if c not in held]
         return np.abs(got - want).max() / np.abs(G).max(), np.abs(G[free]).max(initial=0.0)
 
     def test_volume_is_the_fast_volume(self):
@@ -770,7 +795,7 @@ class TestVolumeAndGradient:
                           signed_box_frame(n, k, rng).vectors,
                           near_parallel_frame(n, k, rng).vectors,
                           np.insert(z, int(rng.integers(0, n + 1)), 0.0, axis=0)):
-                    section = polytope._Section(np.concatenate((V, -V)), polytope._clusters(V)[2])
+                    section = polytope._Section.of_rows(V[polytope._clusters(V)[2]])
                     whole = (section.volume() if section.box is not None
                              else float(section.table()[:, -1].sum()))
                     assert section_volume_fast(V) == volume_and_gradient(V)[0] == whole
@@ -856,7 +881,7 @@ def box_frames(rng):
 
 def flag_sum(V):
     """(volume, G) from the flag sum on the hull of +-V, the route of every
-    frame that is not a box."""
+    frame that is not a box, when V are its clusters' rows."""
     n, k = V.shape
     S = polytope._Section(np.concatenate((V, -V))).table()
     return float(S[:, -1].sum()), S[n:, :k] - S[:n, :k]
@@ -864,7 +889,7 @@ def flag_sum(V):
 
 class TestBoxRoute:
     """At a box frame, k >= 3, the volume is 2^k / |det U| and the gradient
-    -vol U^-T on the clusters' first rows, with no flag sum."""
+    -vol U^-T, one row per cluster, with no flag sum."""
 
     def test_volume_and_gradient(self):
         rng = np.random.default_rng(71)
@@ -875,17 +900,23 @@ class TestBoxRoute:
             assert len(first) == k
             vol, G = volume_and_gradient(V)
             assert section_volume_fast(V) == vol
-            # section_volume_fast and build_section take the same box test,
-            # the ties of _clusters, before any hull, and read the same lines
-            assert polytope._box_first(V).tolist() == first.tolist()
+            # section_volume_fast and build_section read the section of the
+            # rows of the ties of _clusters, a box before any hull, and keep
+            # those ties
+            section, held_label, held_sign = polytope._section(V)
+            assert section.box is not None
+            assert section.P.tobytes() == np.concatenate((V[first], -V[first])).tobytes()
+            assert (held_label.tolist(), held_sign.tolist()) == (label.tolist(), sign.tolist())
             assert len(_polar_hull(np.concatenate((V, -V)))[0].simplices) == 2**k
-            assert not G[np.setdiff1d(np.arange(n), first)].any()
+            # one row per line, C-ordered as the hull route's rows are
+            assert G.shape == (k, k) and G.flags.c_contiguous
             want, H = flag_sum(V)
             assert vol == pytest.approx(want, rel=1e-15)
             assert vol == pytest.approx(2**k * math.sqrt(math.prod(sizes)), rel=1e-15)
-            # the gradient of each line, the signed sum over its cluster
-            got, ref = (polytope._sums_by(label, sign[:, None] * g, k) for g in (G, H))
-            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+            # the gradient of each line, the signed sum over its cluster of
+            # the flag sum's rows on +-V
+            ref = polytope._sums_by(label, sign[:, None] * H, k)
+            assert np.abs(G - ref).max() <= 1e-14 * np.abs(ref).max()
             frames += 1
         assert frames == 36
 
@@ -899,8 +930,8 @@ class TestBoxRoute:
     def test_engine_where_not_a_box(self):
         # frames whose hull has 2^k facets but k + 1 clusters (a short
         # generator inside the cross-polytope of the others, or a zero
-        # vector), and k = 2 boxes, read the flag sum or the planar scan,
-        # bitwise
+        # vector), and k = 2 boxes, read the flag sum or the planar scan of
+        # their clusters' rows U, bitwise
         rng = np.random.default_rng(73)
         frames = []
         for k in (3, 4, 5):
@@ -913,21 +944,22 @@ class TestBoxRoute:
             n, k = V.shape
             first = polytope._clusters(V)[2]
             assert len(first) == k + 1
-            assert polytope._box_first(V) is None
+            assert polytope._section(V)[0].box is None
             assert len(_polar_hull(np.concatenate((V, -V)))[0].simplices) == 2**k
-            vol, G = flag_sum(V)
+            vol, G = flag_sum(V[first])
             got = volume_and_gradient(V)
             assert got[0] == vol
             assert got[1].tobytes() == G.tobytes()
             assert section_volume_fast(V) == vol
         for n in (3, 6, 10):
             V = signed_box_frame(n, 2, rng).vectors
-            S = polytope._planar_hull(np.concatenate((V, -V)))[2]
+            U = V[polytope._clusters(V)[2]]
+            S = polytope._planar_hull(np.concatenate((U, -U)))[2]
             vol = float(S[:, -1].sum())
             assert section_volume_fast(V) == vol == volume(build_section(Frame(V)))
             got = volume_and_gradient(V)
             assert got[0] == vol
-            assert got[1].tobytes() == (S[n:, :2] - S[:n, :2]).tobytes()
+            assert got[1].tobytes() == (S[2:, :2] - S[:2, :2]).tobytes()
 
     def test_box_section(self):
         # build_section reads a box from U^-1, with no hull: the same facets
@@ -1124,17 +1156,17 @@ class TestSectionHull:
         rng = np.random.default_rng(69)
         for n, k in ((6, 2), (7, 3), (8, 5)):
             V = random_tight_frame(n, k, rng).vectors
-            section = polytope._section(V)
+            section, label, sign = polytope._section(V)
             hull, Y, rest = section.hull()
             if k == 2:
                 assert isinstance(hull, tuple) and isinstance(Y, tuple)
-                arrays = [section.P, rest]
+                arrays = [section.P, label, sign, rest]
             else:
                 plan = rest
-                arrays = [section.P, hull.simplices, hull.neighbors, hull.equations, Y,
-                          *plan[:-1], *itertools.chain(*plan.steps)]
+                arrays = [section.P, label, sign, hull.simplices, hull.neighbors, hull.equations,
+                          Y, *plan[:-1], *itertools.chain(*plan.steps)]
             assert arrays and not any(a.flags.writeable for a in arrays)
-            assert polytope._section(V.copy()).hull()[1] is Y
+            assert polytope._section(V.copy())[0].hull()[1] is Y
 
 
 class TestVolumeDigest:

@@ -5,14 +5,13 @@ in order, so a change that moves one route's numbers shows which:
 
 - ``section_volume_fast``: the volume;
 - ``build_section``: the volume, the vertices, and for every facet its
-  measure, centroid, normal and rows;
+  measure, centroid, normal and rows (of the section's points, +-U);
 - ``gradient``: the volume and the gradient G of one ``_Section`` of
-  +-V, given the frame's ties (``_clusters``), one row of G per generator
-  (:func:`volume_and_gradient`).  The ascent builds the section of its
-  clusters' rows instead, so this route pins ``_Section`` on n rows, the
-  section the public routes build.  A k = 1 section has no hull and no
-  gradient route (scipy's ``ConvexHull`` needs 2-D data), so its cells
-  print ``-`` in place of that digest.
+  the rows of the frame's clusters of exact ties (``_clusters``), one row
+  of G per cluster (:func:`volume_and_gradient`), the section every route
+  builds.  A k = 1 section has no hull and no gradient route (scipy's
+  ``ConvexHull`` needs 2-D data), so its cells print ``-`` in place of
+  that digest.
 
 Floats are taken by their hex form and arrays as dtype, shape and bytes,
 so two trees that give a cell the same digest computed the same numbers,
@@ -81,8 +80,9 @@ def make_frame(n: int, k: int, family: str, index: int) -> Frame:
 
 def volume_and_gradient(V: np.ndarray) -> tuple:
     """(volume, G) of the section of the frame vectors V, from one
-    ``_Section`` of +-V given V's own ties."""
-    section = _Section(np.concatenate((V, -V)), _clusters(V)[2])
+    ``_Section`` of the rows of V's clusters of exact ties, G one row per
+    cluster."""
+    section = _Section.of_rows(V[_clusters(V)[2]])
     return section.volume(), section.gradient()
 
 
