@@ -37,11 +37,14 @@ row order, read without the moment columns; the same table with them
 gives the Euclidean gradient, one sum with moments per section, taken
 only when the gradient is asked for.
 
-:func:`build_section` takes each row's cone from that table, as arrays
-(:func:`_hull_facets`), and assembles the records in one pass
-(:func:`_assemble`): a group label per row (coincident rows share a
-facet), contents and first moments summed by label, and the vertex
-indices of each group from one incidence matrix.  Each fact of a facet
+:func:`build_section` reads the facets from the section, point by point
+(:meth:`_Section.facets`): for each point that has a facet, its content,
+its first moment and the section vertices it holds, from the interval,
+the scan, the cone table over the solved vertices or, at a box, U^-1.  It
+assembles the records in one pass (:func:`_assemble`): a group label per
+point (points within ``EPS_GEOM`` share a facet), contents and first
+moments summed by label, and the vertex indices of each group from one
+incidence matrix, the same code on every route.  Each fact of a facet
 has one rule: Qhull's merged facets are the equations that more than one
 simplex repeats (:func:`_distinct_equations`), and a group's normal is
 its outermost row.  It sums no volume: the polytope holds its
@@ -74,14 +77,17 @@ whose generators lie on exactly k lines, the k clusters of the exact ties
 (:func:`_clusters`) led by the rows U, has the parallelepiped
 {|U x| <= 1} for its section.  The box test is taken in one place,
 :meth:`_Section.of_rows`, as ``len(U) == k >= 3`` on the rows it is
-given.  A box reads everything from :func:`_box`: its volume
-2^k / |det U|, U^-1 and its vertices U^-1 s for the signs s in
-{-1, 1}^k, with the depth test of the hull route.  The gradient is
--vol U^-T, one row per line, and :func:`build_section` reads the facets:
-row c of +-U is the line c, the facet of s u_c holds the vertices with
-s_c = s, its centroid is s U^-1 e_c and its content vol |u_c| / 2
-(:func:`_box_facets`).  The rebuilds, whose bodies are no
-longer centred parallelepipeds, and the plane keep the cone table.
+given, and :meth:`_Section.volume`, :meth:`_Section.gradient` and
+:meth:`_Section.facets` only read its outcome.  A box reads everything
+from :func:`_box`: its volume 2^k / |det U|, U^-1 and its vertices
+U^-1 s for the signs s in {-1, 1}^k, with the depth test of the hull
+route.  The gradient is -vol U^-T, one row per line, and the facets are
+the lines': point c of +-U is the line c, the facet of s u_c holds the
+vertices with s_c = s, its centroid is s U^-1 e_c and its content
+vol |u_c| / 2.  A box two of whose lines lie within ``EPS_GEOM`` is read
+the same way, and :func:`_assemble` groups their facets as it groups
+any points.  The rebuilds, whose bodies are no longer centred
+parallelepipeds, and the plane keep the cone table.
 
 One raise contract on every volume route (:func:`section_volume_fast`,
 :func:`volume` of :func:`build_section`, and a :class:`_Section` of a
@@ -444,7 +450,7 @@ def _distinct_equations(eq: np.ndarray):
     simplices of a merged facet share one equation bitwise, so a stable
     lexicographic sort puts them in one run, led by the first.
 
-    This is the one merged-facet rule of :func:`_hull_facets`: a hull facet
+    This is the one merged-facet rule of :meth:`_Section.facets`: a hull facet
     is a distinct equation, a section vertex, and it is merged exactly when
     more than one simplex repeats its equation; a simplex no other repeats
     is solved alone (:func:`_solved_vertices`).
@@ -472,15 +478,18 @@ def build_section(s: Frame) -> SectionPolytope:
     (:func:`_assemble`).  A generator has a facet when its point is a
     vertex of the hull: a zero vector, the origin, has none, nor has one
     whose slab only touches the section in a face of dimension below k-1,
-    and the criticality checks flag both downstream.  Rows within
-    ``EPS_GEOM`` of each other share one facet, and the facets come in the
-    order of their least rows of +-V, whichever route gives them:
+    and the criticality checks flag both downstream.  The section gives
+    the facet of each point (:meth:`_Section.facets`), and points within
+    ``EPS_GEOM`` of each other share one facet record; the facets come in
+    the order of their least rows of +-V, whichever route gives them:
 
-    - a box, whose 2k signed lines are the ``EPS_GEOM`` groups, reads the
-      parallelepiped {|U x| <= 1} from the section's ``box``, with no hull
-      (:func:`_box_facets`); its vertices come in sign order;
-    - any other frame reads the cone table of the section's hull
-      (:func:`_hull_facets`).
+    - k = 1: the interval's two ends;
+    - k = 2: the edges of the planar scan;
+    - a box, k >= 3, its two lines within ``EPS_GEOM`` or not: the
+      parallelepiped {|U x| <= 1} from U^-1, with no hull; its vertices
+      come in sign order;
+    - any other frame: the cone table of Qhull's hull over the vertices
+      solved from its corners.
 
     It sums no volume: :func:`volume` reads the section's, on its first
     read, so the two routes on a frame run one volume sum between them.
@@ -490,69 +499,6 @@ def build_section(s: Frame) -> SectionPolytope:
     return _assemble(s.vectors, *_section(s.vectors))
 
 
-def _hull_facets(section: _Section, label: np.ndarray, count: int):
-    """The facets of the section {W x <= 1}, W = ``section.P``, from the
-    cone table of its hull, in the layout of :func:`_assemble`, for the
-    ``count`` row groups of ``label``.
-
-    The hull and, for k >= 3, its flag-sum plan are the section's
-    (:meth:`_Section.hull`); what is this function's own is the arithmetic
-    for k >= 3: the vertices solved from the corners, and the table with
-    its first moments over them.  In the plane the table is the section's
-    own.  No volume is summed here (:meth:`_Section.volume`).  A simplex
-    is solved from its corners exactly when no other simplex repeats its
-    equation (:func:`_distinct_equations`).  The facet
-    of a row that has one has content k cone |w|, for cone the
-    volume of the cone from the origin over it; each group's content and
-    first moment are summed over its rows, in one array pass.  For k = 1 a
-    facet is the vertex 1 / p, its cone of length 1 / |p|.
-    """
-    W, k = section.P, section.P.shape[1]
-    if k == 1:
-        rows = np.array(_interval(W))
-        verts = centroid = (1 / W[rows, 0])[:, None]
-        cone = np.abs(verts[:, 0])
-        point, vid = rows, np.arange(2)
-    else:
-        if k == 2:
-            hull, Y, table = section.hull()
-            verts, rows = np.array(Y), np.array(hull)
-            ends = np.arange(len(hull))
-            point, vid = np.concatenate((rows, rows)), np.concatenate(((ends - 1) % len(hull), ends))
-        else:
-            hull, Y, plan = section.hull()
-            first, vid = _distinct_equations(hull.equations)
-            # a simplex whose equation no other simplex repeats is solved alone
-            Y = _solved_vertices(W, hull, Y, np.bincount(vid)[vid] == 1)
-            table = _flag_sum(W, Y, plan)
-            verts = Y[first]
-            rows = np.flatnonzero(np.bincount(hull.simplices.ravel(), minlength=len(W)))
-            point, vid = hull.simplices.ravel(), np.repeat(vid, k)
-        cone = table[rows, k]
-        centroid = table[rows, :k] / (k * cone)[:, None]
-    measure = k * cone * np.linalg.norm(W[rows], axis=1)
-    held = np.zeros((count, len(verts)), dtype=bool)
-    held[label[point], vid] = True
-    return verts, held, _sums_by(label[rows], np.column_stack((measure, measure[:, None] * centroid)), count)
-
-
-def _box_facets(W: np.ndarray, box):
-    """The facets of a box section, k >= 3, in the layout of
-    :func:`_assemble`, with no hull: W = +-U, the rows of the k lines and
-    their negations, ``box`` the (volume, U^-1, vertices) of :func:`_box`,
-    and each row of W its own group, row c the line c with sign +1 and row
-    k + c with sign -1.  The facet of s u_c holds the vertices U^-1 t with
-    t_c = s, its centroid is s U^-1 e_c, and its content is vol |u_c| / 2,
-    so the cones over the 2k facets, of heights 1 / |u_c|, add up to the
-    volume 2^k / |det U|, the section's (:meth:`_Section.volume`)."""
-    k = W.shape[1]
-    vol, inv, verts = box
-    line, sign = np.arange(2 * k) % k, np.repeat([1.0, -1.0], k)
-    held = _signs(k).T[line] == sign[:, None]
-    measure = vol / 2 * np.linalg.norm(W, axis=1)
-    return verts, held, np.column_stack((measure, (measure * sign)[:, None] * inv.T[line]))
-
-
 def _assemble(V: np.ndarray, section: _Section, label: np.ndarray,
               sign: np.ndarray) -> SectionPolytope:
     """The section polytope of the frame vectors V whose clusters of exact
@@ -560,13 +506,13 @@ def _assemble(V: np.ndarray, section: _Section, label: np.ndarray,
     ``sign``, from ``section``, the :class:`_Section` of the rows W = +-U
     of those clusters.
 
-    The rows of W are grouped at ``EPS_GEOM`` (:func:`_coincident_row_groups`),
-    and the route gives each group's facet: ``held[g, j]`` whether group
-    g's facet holds vertex j, each group that holds one a facet, and
-    ``sums[g]`` the content of that facet and then its first moment, the
-    content times the centroid.  A box, whose 2k rows are its 2k groups,
-    reads them from :func:`_box_facets`, any other section from its hull
-    (:func:`_hull_facets`).  Each row of +-V is mapped to its row of W, so
+    The section gives the facet of each of its points that has one
+    (:meth:`_Section.facets`), on every route alike.  The points are
+    grouped at ``EPS_GEOM`` (:func:`_coincident_row_groups`), in one pass:
+    ``held[g, j]`` whether group g's facet holds vertex j, each group that
+    holds one a facet, and ``sums[g]`` the content of that facet and then
+    its first moment, the content times the centroid, summed over the
+    group's points.  Each row of +-V is mapped to its row of W, so
     a facet lists the (generator, sign) of every row of +-V on its plane,
     row i of +-V being (i, +1) and row n + i (i, -1), and the facets come in
     the order of their groups' least rows of +-V.  A facet's
@@ -575,12 +521,12 @@ def _assemble(V: np.ndarray, section: _Section, label: np.ndarray,
     k = 1 it is the row :func:`_interval` finds.  The polytope holds
     ``section``, whose volume is the polytope's (:func:`volume`)."""
     W, k = section.P, section.P.shape[1]
+    verts, points, sums, point, vid = section.facets()
     group = _coincident_row_groups(W, EPS_GEOM)
     count = int(group.max()) + 1
-    # exact ties are one row of W, so a box has 2k groups unless two of its
-    # lines are within EPS_GEOM
-    verts, held, sums = (_box_facets(W, section.box) if section.box is not None and count == 2 * k
-                         else _hull_facets(section, group, count))
+    held = np.zeros((count, len(verts)), dtype=bool)
+    held[group[point], vid] = True
+    sums = _sums_by(group[points], sums, count)
     n, m = len(V), len(W) // 2
     row = np.concatenate((label, label)) + m * (np.concatenate((sign, -sign)) < 0)
     grouped = group[row].tolist()
@@ -991,6 +937,24 @@ class _Section:
       times the first moment of the cone over the facet of a point p is
       mu_p c_p / |p|, the first k columns of row p of the whole table S,
       so G = S[m:, :k] - S[:m, :k].  A row that supports no facet gets 0.
+    - :meth:`_Section.facets`, not kept (:func:`build_section` reads it):
+      the facet of each point that has one, as arrays (Y, points, sums,
+      point, vid).  Y holds the section's vertices; ``sums[i]`` the
+      content of the facet of the point ``points[i]`` and then its first
+      moment, the content times the centroid; and each pair
+      (``point[j]``, ``vid[j]``) a point and a vertex its facet holds, a
+      pair perhaps more than once.  The facet of a point p has content
+      k cone |p|, for cone the volume of the cone from the origin over it.
+      At a box it is read from U^-1, with no hull, as the module docstring
+      says, Y the box's vertices, in sign order.  For k = 1 the facets
+      are the interval's ends 1 / p, each of content 1 to rounding; in the
+      plane the scan's edges, the facet of ``hull[j]`` running from
+      Y[j - 1] to Y[j], with the scan's table.  For k >= 3 Y holds one
+      vertex per distinct equation of Qhull's hull
+      (:func:`_distinct_equations`), solved from its corners
+      (:func:`_solved_vertices`) exactly when no other simplex repeats
+      it, and the cone table with first moments is :func:`_flag_sum` over
+      those vertices.  No volume is summed here.
     """
 
     def __init__(self, P: np.ndarray):
@@ -1026,6 +990,39 @@ class _Section:
             else:
                 self._volume = float(self.table(moments=False)[:, -1].sum())
         return self._volume
+
+    def facets(self):
+        W, k = self.P, self.P.shape[1]
+        if self.box is not None:
+            vol, inv, verts = self.box
+            line, sign = np.arange(2 * k) % k, np.repeat([1.0, -1.0], k)
+            points, scale = np.arange(2 * k), vol / 2
+            point, vid = (_signs(k).T[line] == sign[:, None]).nonzero()
+            centroid = sign[:, None] * inv.T[line]
+        elif k == 1:
+            points = np.array(_interval(W))
+            verts = centroid = (1 / W[points, 0])[:, None]
+            scale = np.abs(verts[:, 0])
+            point, vid = points, np.arange(2)
+        else:
+            if k == 2:
+                hull, Y, table = self.hull()
+                verts, points = np.array(Y), np.array(hull)
+                ends = np.arange(len(hull))
+                point, vid = np.tile(points, 2), np.concatenate(((ends - 1) % len(hull), ends))
+            else:
+                hull, Y, plan = self.hull()
+                first, vid = _distinct_equations(hull.equations)
+                # a simplex whose equation no other simplex repeats is solved alone
+                Y = _solved_vertices(W, hull, Y, np.bincount(vid)[vid] == 1)
+                table = _flag_sum(W, Y, plan)
+                verts = Y[first]
+                points = np.flatnonzero(np.bincount(hull.simplices.ravel(), minlength=len(W)))
+                point, vid = hull.simplices.ravel(), np.repeat(vid, k)
+            scale = k * table[points, k]
+            centroid = table[points, :k] / scale[:, None]
+        measure = scale * np.linalg.norm(W[points], axis=1)
+        return verts, points, np.column_stack((measure, measure[:, None] * centroid)), point, vid
 
     def gradient(self) -> np.ndarray:
         if self._gradient is None:

@@ -1,12 +1,13 @@
 """Reference section volumes for the tests: an exact one and a float one.
 
-- :func:`exact_cone_volumes`, in rational arithmetic (stdlib ``fractions``,
-  and fraction-free integer solves, ranks and determinants): every k-subset
-  of the bounding planes is solved exactly, the feasible crossings (no
-  slack) are the vertices, each plane's facet is the set of vertices on
-  it, and each facet is cut into simplices by a pulling triangulation.  The
-  volume of the cone from the origin over a facet is a sum of exact
-  determinants, and its first moment gives the facet's centroid.  On random
+- :func:`exact_facets` and :func:`exact_cone_volumes`, in rational
+  arithmetic (stdlib ``fractions``, and fraction-free integer solves,
+  ranks and determinants): every k-subset of the bounding planes is solved
+  exactly, the feasible crossings (no slack) are the vertices, each
+  plane's facet is the set of vertices on it, and each facet is cut into
+  simplices by a pulling triangulation.  The volume of the cone from the
+  origin over a facet is a sum of exact determinants, and its first
+  moment gives the facet's centroid.  On random
   frames it costs about 0.015 s per frame at (n, k) = (7, 3), 0.08 s at
   (7, 4), 0.6 s at (12, 4) (mostly the solves) and 0.65 s at (7, 5).
 - :func:`halfspace_vertices`, in floats: the same enumeration with a
@@ -105,15 +106,24 @@ def _det(rows):
 
 def exact_cone_volumes(W, c=None):
     """Cone volumes from the origin over the facets of {W x <= c}, and the
-    facets' centroids, exactly.
+    facets' centroids, exactly: two dicts keyed as :func:`exact_facets`'
+    one, of its cones and of its centroids."""
+    facets = exact_facets(W, c)
+    return ({rows: f[0] for rows, f in facets.items()},
+            {rows: f[1] for rows, f in facets.items()})
 
-    The origin must lie inside the bounded polytope.  Returns two dicts
-    keyed by each facet's frozenset of rows (the rows whose plane holds
-    it): its cone volume as a Fraction, the values summing to the volume,
-    and its centroid as a tuple of Fractions.  Each simplex s of a facet's
-    triangulation adds |det s| / k! to the cone and that times the sum of
-    its corners to the first moment; the centroid is the moment over
-    k * cone.
+
+def exact_facets(W, c=None):
+    """The facets of {W x <= c}, exactly.
+
+    The origin must lie inside the bounded polytope.  Returns a dict keyed
+    by each facet's frozenset of rows (the rows whose plane holds it), of
+    (cone, centroid, vertices): the volume of the cone from the origin
+    over the facet as a Fraction, the values summing to the volume, its
+    centroid and its vertices, a sorted tuple, each vertex a tuple of
+    Fractions.  Each simplex s of a facet's triangulation adds |det s| / k!
+    to the cone and that times the sum of its corners to the first moment;
+    the centroid is the moment over k * cone.
     """
     W = [[Fraction(float(x)) for x in row] for row in np.asarray(W, dtype=float)]
     c = [Fraction(1)] * len(W) if c is None else [Fraction(float(x)) for x in c]
@@ -152,7 +162,7 @@ def exact_cone_volumes(W, c=None):
         subfaces = {face & t for t in tight if apex not in t and len(face & t) >= d}
         return [[apex] + s for sub in subfaces if dim(sub) == d - 1 for s in pull(sub, d - 1)]
 
-    cones, centroids = {}, {}
+    facets = {}
     for face in set(tight):
         if len(face) >= k and dim(face) == k - 1:
             rows = frozenset(r for r, t in enumerate(tight) if t == face)
@@ -165,10 +175,10 @@ def exact_cone_volumes(W, c=None):
                 cone += part
                 for i in s:
                     weight[i] = weight.get(i, 0) + part
-            cones[rows] = cone
-            centroids[rows] = tuple(sum(w * verts[i][j] for i, w in weight.items()) / (k * cone)
-                                    for j in range(k))
-    return cones, centroids
+            centroid = tuple(sum(w * verts[i][j] for i, w in weight.items()) / (k * cone)
+                             for j in range(k))
+            facets[rows] = (cone, centroid, tuple(verts[i] for i in sorted(face)))
+    return facets
 
 
 def section_rows(vectors) -> np.ndarray:

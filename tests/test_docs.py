@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import pathlib
 import pkgutil
 import re
 
@@ -39,3 +40,17 @@ def test_constants_resolve(name):
     named = set(CONSTANT.findall(inspect.getsource(importlib.import_module(name))))
     missing = sorted(c for c in named if not any(hasattr(m, c) for m in modules))
     assert not missing, f"{name}: unresolved constants {missing}"
+
+
+def test_layout_names_every_module():
+    # README's Layout block names every module of the package and every
+    # tool under tests/ that is not a test file
+    root = pathlib.Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    layout = readme.split("## Layout", 1)[1].split("```")[1]
+    named = set(re.findall(r"[\w.]+\.py", layout))
+    modules = {name.rsplit(".", 1)[1] + ".py" for name in MODULES}
+    tools = {p.name for p in (root / "tests").glob("*.py") if not p.name.startswith("test_")}
+    assert {"oracles.py", "restart_digest.py", "volume_digest.py"} <= tools
+    missing = sorted((modules | tools) - named)
+    assert not missing, f"README Layout does not name {missing}"

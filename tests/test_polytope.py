@@ -41,6 +41,7 @@ from cubesec.optimizer import OptimizerConfig, maximize
 from oracles import (
     _face_holders,
     exact_cone_volumes,
+    exact_facets,
     exact_volume,
     halfspace_vertices,
     reference_clusters,
@@ -690,7 +691,7 @@ class TestFacetAssembly:
 
 
     def test_one_merged_facet_rule(self, monkeypatch):
-        # _hull_facets solves a simplex alone exactly when no other simplex
+        # _Section.facets solves a simplex alone exactly when no other simplex
         # repeats its equation bitwise, and that is the reference's rule,
         # that no neighbour shares it: the cube-vertex frames have only
         # merged facets, and at k = 3 with a point over two opposite square
@@ -991,6 +992,51 @@ class TestBoxRoute:
             for i, (f, sign) in p.generator_facets.items():
                 assert (f.row_ids, sign) == (q.generator_facets[i][0].row_ids, q.generator_facets[i][1])
 
+    def test_nearly_flat_box_facets(self):
+        # the digests' nearly flat boxes, two of whose lines are 3e-10
+        # apart, one EPS_GEOM group, and a line repeated, read their facets
+        # from U^-1 as any box does.  Held to the exact facets of +-V,
+        # summed per EPS_GEOM group: the same groups in the same order,
+        # the same vertex sets, the vertices within 1e-15 max |vertex|,
+        # the contents within 4e-15 (the volume 2^k / |det U| is itself
+        # up to 1.8e-15 off the exact one) and the centroids within 1e-15,
+        # relative; the centroid of each group's facet is the negation of
+        # its opposite's, exactly, and no centroid is a negative zero
+        for n, k in ((5, 3), (7, 3), (12, 3), (5, 4), (7, 4), (12, 4)):
+            for i in range(3):
+                s = volume_digest.make_frame(n, k, "nearly_flat_box", i)
+                W = np.vstack([s.vectors, -s.vectors])
+                exact = exact_facets(W)
+                p = build_section(s)
+                # each exact vertex and the vertex of p nearest it
+                corners = sorted({x for _, _, ys in exact.values() for x in ys})
+                Y = np.array(corners, dtype=float)
+                d = np.linalg.norm(p.vertices[:, None] - Y[None], axis=2)
+                near = d.argmin(axis=0)
+                assert sorted(near.tolist()) == list(range(len(p.vertices)))
+                assert d.min(axis=0).max() <= 1e-15 * np.abs(Y).max()
+                index = dict(zip(corners, near.tolist()))
+                want = []
+                for rows in reference_row_groups(W, EPS_GEOM):
+                    own = [(key, f) for key, f in exact.items() if key <= set(rows)]
+                    if own:
+                        want.append((set(rows), own))
+                assert sum(len(own) for _, own in want) == len(exact)
+                assert len(p.facets) == len(want)
+                for f, (rows, own) in zip(p.facets, want):
+                    assert plus_minus_rows(f, n) == rows
+                    assert set(f.vertex_indices) == {index[x] for _, (_, _, ys) in own for x in ys}
+                    measure = [k * float(cone) * np.linalg.norm(W[min(key)])
+                               for key, (cone, _, _) in own]
+                    assert f.measure == pytest.approx(sum(measure), rel=4e-15)
+                    centroid = np.average([np.array(c, dtype=float) for _, (_, c, _) in own],
+                                          axis=0, weights=measure)
+                    assert np.linalg.norm(f.centroid - centroid) <= 1e-15 * np.linalg.norm(centroid)
+                    assert not np.signbit(f.centroid[f.centroid == 0]).any()
+                    opposite, = [g for g in p.facets
+                                 if set(g.normals) == {(j, -sign) for j, sign in f.normals}]
+                    np.testing.assert_array_equal(-opposite.centroid, f.centroid)
+
     def test_rebuilds_of_a_box_section(self):
         # a shifted or tilted box section is not a centred parallelepiped:
         # the rebuilds read the flag sum of their own points, bitwise, and a
@@ -1041,7 +1087,9 @@ class TestQhullCalls:
         # either order; a _Section given the ties, the ascent's, builds
         # its own.  One decision on every route: at k >= 3 none of the three
         # builds a hull exactly when _clusters finds k clusters, a box,
-        # which here are the signed box frames and the digests' box family.
+        # which here are the signed box frames and the digests' box and
+        # nearly flat box families; the nearly flat boxes, two of whose
+        # lines are one EPS_GEOM group, read their facets from U^-1 too.
         # They share one volume too: build_section, volume of it and two
         # section_volume_fast calls run one volume-only flag sum off a box
         # at k >= 3, in either order, and a box runs none
@@ -1074,7 +1122,7 @@ class TestQhullCalls:
             k = s.k
             one = ["planar" if k == 2 else "qhull"]
             box = k >= 3 and len(polytope._clusters(s.vectors)[2]) == k
-            assert box == (k >= 3 and family == "box")
+            assert box == (k >= 3 and family in ("box", "nearly_flat_box"))
             for first, second in ((build, fast), (fast, build)):
                 # a fresh frame: forget the last section hull
                 monkeypatch.setattr(polytope, "_last_section", (None, None), raising=False)

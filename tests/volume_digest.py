@@ -23,10 +23,17 @@ build route's volume is that section's, so it is the fast route's,
 bitwise.
 
 The frames are drawn from (n, k, family, index) on ``CELLS``, k = 1..6,
-in four families: random tight frames, balanced box frames with random
+in five families: random tight frames, balanced box frames with random
 signs (exact duplicate planes), box frames with every generator moved by
-5e-8 and re-whitened (near-parallel), and random tight frames with one
-zero vector inserted.
+5e-8 and re-whitened (near-parallel), random tight frames with one
+zero vector inserted, and nearly flat boxes: box frames whose last line
+is moved to 3e-10 from the line before it, along its own axis, so that
+the two lines are one ``EPS_GEOM`` group of their planes.  A nearly flat
+box is not tight, and at k >= 2 the least eigenvalue of its frame
+operator is below 1e-18, far below ``RANK_FLOOR``, so it is built with
+``Frame(v, require_span=False)``.  At k >= 3 it is still a box, k lines
+of exact ties, and every route reads it from U^-1 with no hull; at k = 1,
+with one line, it is the box frame with that line 3e-10 longer.
 
 Compare two checkouts by running the same command against each source
 tree and diffing the output::
@@ -59,7 +66,7 @@ from cubesec.polytope import (_Section, _clusters, build_section, section_volume
 
 CELLS = [(5, 1), (9, 1), (3, 2), (6, 2), (10, 2), (5, 3), (7, 3), (12, 3), (5, 4), (7, 4),
          (12, 4), (6, 5), (8, 5), (7, 6), (10, 6)]
-FAMILIES = ("random", "box", "near_parallel", "zero_vector")
+FAMILIES = ("random", "box", "near_parallel", "zero_vector", "nearly_flat_box")
 ORDERS = ("fast", "build")
 ROUTES = ("fast", "build", "gradient")
 
@@ -74,6 +81,14 @@ def make_frame(n: int, k: int, family: str, index: int) -> Frame:
         return box
     if family == "near_parallel":
         return whiten(Frame(box.vectors + 5e-8 * rng.standard_normal((n, k))))[1]
+    if family == "nearly_flat_box":
+        # the members of the last line, on the line before it, 3e-10 off
+        label, sign, first = _clusters(box.vectors)
+        u = box.vectors[first[max(k - 2, 0)]].copy()
+        u[k - 1] += 3e-10
+        v = box.vectors.copy()
+        v[label == k - 1] = sign[label == k - 1, None] * u
+        return Frame(v, require_span=False)
     v = random_tight_frame(n, k, rng).vectors
     return Frame(np.insert(v, int(rng.integers(0, n + 1)), 0.0, axis=0))
 
