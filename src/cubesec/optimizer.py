@@ -53,7 +53,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
-from functools import lru_cache
 
 import numpy as np
 
@@ -266,17 +265,6 @@ def _reassigns(U: np.ndarray, size: np.ndarray, k: int):
                 yield U[keep], moved[keep]
 
 
-@lru_cache(maxsize=None)
-def _pairs(m: int):
-    """The pairs c < e of m clusters, in row-major order, as (c, e) index
-    arrays, cached per m and read-only, so a caller cannot change them for
-    every later merge."""
-    pairs = np.triu_indices(m, 1)
-    for a in pairs:
-        a.setflags(write=False)
-    return pairs
-
-
 def _merge(U: np.ndarray, size: np.ndarray):
     """The merge move at the weighted frame (U, ``size``): U with the two
     clusters nearest each other put onto one row, and the sizes of that
@@ -288,17 +276,18 @@ def _merge(U: np.ndarray, size: np.ndarray):
     of size d_c + d_e, while row e is dropped.  In the metric
     sum_c d_c |delta_c|^2 of :func:`_stratum_gradient` that cost is the
     squared distance from U to the stratum where c and e coincide up to sign
-    s, and w is its nearest point.  The cost is taken over the pairs of
-    :func:`_pairs`, so among equal costs the first pair in row-major order
-    wins.
+    s, and w is its nearest point.  The costs are read off one Gram product
+    U U^T in one pass over the pairs c < e in row-major order, and a pair is
+    kept only when its cost is strictly below the best so far, so among
+    equal costs the first pair wins.
     """
-    dot = U @ U.T
-    sq = np.diag(dot)
-    ci, ei = _pairs(len(U))
-    si, sj = size[ci], size[ei]
-    best = np.argmin(si * sj / (si + sj) * ((sq[ci] + sq[ei]) - 2 * np.abs(dot[ci, ei])))
-    c, e = int(ci[best]), int(ei[best])
-    s = 1.0 if dot[c, e] >= 0 else -1.0
+    dot, d, best = (U @ U.T).tolist(), size.tolist(), None
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            cost = d[i] * d[j] / (d[i] + d[j]) * ((dot[i][i] + dot[j][j]) - 2 * abs(dot[i][j]))
+            if best is None or cost < best:
+                best, c, e = cost, i, j
+    s = 1.0 if dot[c][e] >= 0 else -1.0
     dc, de = size[c], size[e]
     out = np.concatenate((U[:e], U[e + 1:]))
     out[c] = (dc * U[c] + s * de * U[e]) / (dc + de)

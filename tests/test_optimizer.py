@@ -666,7 +666,7 @@ class TestMoveList:
                 U, size, polytope._Section.of_rows(U), 0.3, k)]
 
     def test_merge_matches_the_reference(self):
-        # the merge over the cached pair table, on the weighted frame, is
+        # the one-pass merge over the pairs c < e, on the weighted frame, is
         # the dense-table merge (reference_merge) on the n rows, grouped
         # afresh: its rows are the least members of the clusters _clusters
         # finds on the reference's frame, and its sizes their counts,
@@ -697,22 +697,11 @@ class TestMoveList:
                         assert_same_ties((out, out_size), weighted(ref_out))
                         cost = [size[c] * size[e] / (size[c] + size[e]) * (
                             (U[c] @ U[c] + U[e] @ U[e]) - 2 * abs(U[c] @ U[e]))
-                            for c, e in zip(*optimizer._pairs(m))]
+                            for c, e in combinations(range(m), 2)]
                         frames += 1
                         tied_costs += cost.count(min(cost)) > 1
         assert frames >= 300
         assert tied_costs >= 100, tied_costs
-
-    def test_pair_tables_are_read_only(self):
-        # the pair tables are cached per m and shared by every merge at that
-        # m, so none of them can be written
-        for m in (2, 5, 9):
-            c, e = optimizer._pairs(m)
-            assert optimizer._pairs(m)[0] is c
-            assert list(zip(c.tolist(), e.tolist())) == list(combinations(range(m), 2))
-            for table in (c, e):
-                with pytest.raises(ValueError):
-                    table[0] = 1
 
     def test_box_reassigns(self):
         # at a box frame only a cluster of d_c >= d_e + 2 moves a member to
