@@ -63,14 +63,14 @@ rows it carries, and :func:`build_section` and :func:`section_volume_fast`
 read it, with V's labels and signs, from one slot, :func:`_section`,
 keyed by the bytes of V, so a restart's volume is the fast volume of its
 frame, bitwise.  Whichever of the two runs second on a frame builds no
-hull and no plan, and takes no box test, and the volume and the facets
-are each read once, on their first read, and kept.  perfbench's certify
-and ``checks.check_restart`` run both routes on a frame, and
+hull and no plan, and takes no box test, and the volume is summed once,
+on its first read, and kept.  perfbench's certify and
+``checks.check_restart`` run both routes on a frame, and
 ``verify_frame(s)`` and a ``build_section(s)`` on its frame share one
-section and its facets, as ``maximize`` checks its winner and the
-battery then reads that winner's section; ``cubesec report`` runs
-:func:`build_section` alone.  The ascent and the shifted and tilted
-rebuilds build their own sections.
+section, as ``maximize`` checks its winner and the battery then reads
+that winner's section; ``cubesec report`` runs :func:`build_section`
+alone.  The ascent and the shifted and tilted rebuilds build their own
+sections.
 
 Box frames in closed form, with no hull on any route: for k >= 3 a frame
 whose generators lie on exactly k lines, the k clusters of the exact ties
@@ -546,7 +546,7 @@ def _assemble(V: np.ndarray, section: _Section, label: np.ndarray,
     norm = np.linalg.norm(W, axis=1)[row].tolist()
     normal = np.concatenate((V, -V))[[max(members[g], key=norm.__getitem__) for g in own]]
     centroid = sums[:, 1:] / sums[:, :1]
-    for x in (normal, centroid):
+    for x in (verts, normal, centroid):
         x.setflags(write=False)
     measure, ids = sums[:, 0].tolist(), ids.tolist()
     row_gen = [(i, 1) for i in range(n)] + [(i, -1) for i in range(n)]
@@ -937,10 +937,9 @@ class _Section:
       times the first moment of the cone over the facet of a point p is
       mu_p c_p / |p|, the first k columns of row p of the whole table S,
       so G = S[m:, :k] - S[:m, :k].  A row that supports no facet gets 0.
-    - :meth:`_Section.facets`, kept, its arrays read-only, so a second
-      :func:`build_section` on a held section solves no vertex and runs no
-      sum: the facet of each point that has one, as arrays (Y, points,
-      sums, point, vid).  Y holds the section's vertices; ``sums[i]`` the
+    - :meth:`_Section.facets`, not kept (:func:`build_section` reads it):
+      the facet of each point that has one, as arrays (Y, points, sums,
+      point, vid).  Y holds the section's vertices; ``sums[i]`` the
       content of the facet of the point ``points[i]`` and then its first
       moment, the content times the centroid; and each pair
       (``point[j]``, ``vid[j]``) a point and a vertex its facet holds, a
@@ -959,8 +958,7 @@ class _Section:
     """
 
     def __init__(self, P: np.ndarray):
-        self.P, self.box = P, None
-        self._hull = self._volume = self._gradient = self._facets = None
+        self.P, self.box, self._hull, self._volume, self._gradient = P, None, None, None, None
 
     @classmethod
     def of_rows(cls, U: np.ndarray) -> _Section:
@@ -994,42 +992,37 @@ class _Section:
         return self._volume
 
     def facets(self):
-        if self._facets is None:
-            W, k = self.P, self.P.shape[1]
-            if self.box is not None:
-                vol, inv, verts = self.box
-                line, sign = np.arange(2 * k) % k, np.repeat([1.0, -1.0], k)
-                points, scale = np.arange(2 * k), vol / 2
-                point, vid = (_signs(k).T[line] == sign[:, None]).nonzero()
-                centroid = sign[:, None] * inv.T[line]
-            elif k == 1:
-                points = np.array(_interval(W))
-                verts = centroid = (1 / W[points, 0])[:, None]
-                scale = np.abs(verts[:, 0])
-                point, vid = points, np.arange(2)
+        W, k = self.P, self.P.shape[1]
+        if self.box is not None:
+            vol, inv, verts = self.box
+            line, sign = np.arange(2 * k) % k, np.repeat([1.0, -1.0], k)
+            points, scale = np.arange(2 * k), vol / 2
+            point, vid = (_signs(k).T[line] == sign[:, None]).nonzero()
+            centroid = sign[:, None] * inv.T[line]
+        elif k == 1:
+            points = np.array(_interval(W))
+            verts = centroid = (1 / W[points, 0])[:, None]
+            scale = np.abs(verts[:, 0])
+            point, vid = points, np.arange(2)
+        else:
+            if k == 2:
+                hull, Y, table = self.hull()
+                verts, points = np.array(Y), np.array(hull)
+                ends = np.arange(len(hull))
+                point, vid = np.tile(points, 2), np.concatenate(((ends - 1) % len(hull), ends))
             else:
-                if k == 2:
-                    hull, Y, table = self.hull()
-                    verts, points = np.array(Y), np.array(hull)
-                    ends = np.arange(len(hull))
-                    point, vid = np.tile(points, 2), np.concatenate(((ends - 1) % len(hull), ends))
-                else:
-                    hull, Y, plan = self.hull()
-                    first, vid = _distinct_equations(hull.equations)
-                    # a simplex whose equation no other simplex repeats is solved alone
-                    Y = _solved_vertices(W, hull, Y, np.bincount(vid)[vid] == 1)
-                    table = _flag_sum(W, Y, plan)
-                    verts = Y[first]
-                    points = np.flatnonzero(np.bincount(hull.simplices.ravel(), minlength=len(W)))
-                    point, vid = hull.simplices.ravel(), np.repeat(vid, k)
-                scale = k * table[points, k]
-                centroid = table[points, :k] / scale[:, None]
-            measure = scale * np.linalg.norm(W[points], axis=1)
-            sums = np.column_stack((measure, measure[:, None] * centroid))
-            self._facets = verts, points, sums, point, vid
-            for x in self._facets:
-                x.setflags(write=False)
-        return self._facets
+                hull, Y, plan = self.hull()
+                first, vid = _distinct_equations(hull.equations)
+                # a simplex whose equation no other simplex repeats is solved alone
+                Y = _solved_vertices(W, hull, Y, np.bincount(vid)[vid] == 1)
+                table = _flag_sum(W, Y, plan)
+                verts = Y[first]
+                points = np.flatnonzero(np.bincount(hull.simplices.ravel(), minlength=len(W)))
+                point, vid = hull.simplices.ravel(), np.repeat(vid, k)
+            scale = k * table[points, k]
+            centroid = table[points, :k] / scale[:, None]
+        measure = scale * np.linalg.norm(W[points], axis=1)
+        return verts, points, np.column_stack((measure, measure[:, None] * centroid)), point, vid
 
     def gradient(self) -> np.ndarray:
         if self._gradient is None:

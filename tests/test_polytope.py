@@ -1148,47 +1148,6 @@ class TestQhullCalls:
         assert result.conditions.passed
         assert hulls == []
 
-    def test_facets_kept_on_the_section(self, monkeypatch):
-        # verify_frame(s) then build_section(s), as maximize checks its
-        # winner and the battery reads it: the section solves its vertices
-        # and runs the sum with moments once, and the second polytope is,
-        # bitwise, a build on a fresh slot
-        calls = []
-
-        def solved(*args):
-            calls.append("solved")
-            return solve(*args)
-
-        def summed(P, Y, tables, moments=True):
-            calls.append("moments" if moments else "volume")
-            return flag_sum(P, Y, tables, moments)
-
-        solve, flag_sum = polytope._solved_vertices, polytope._flag_sum
-        monkeypatch.setattr(polytope, "_solved_vertices", solved)
-        monkeypatch.setattr(polytope, "_flag_sum", summed)
-        rng = np.random.default_rng(49)
-        for n, k in ((7, 3), (7, 4), (8, 5)):
-            for _ in range(3):
-                s = random_tight_frame(n, k, rng)
-                monkeypatch.setattr(polytope, "_last_section", (None, None))
-                calls.clear()
-                verify_frame(s)
-                p = build_section(s)
-                assert calls.count("solved") == calls.count("moments") == 1
-                monkeypatch.setattr(polytope, "_last_section", (None, None))
-                fresh = build_section(s)
-                assert p.vertices.tobytes() == fresh.vertices.tobytes()
-                assert len(p.facets) == len(fresh.facets)
-                for f, g in zip(p.facets, fresh.facets):
-                    for name in ("normals", "vertex_indices", "row_ids"):
-                        assert getattr(f, name) == getattr(g, name)
-                    assert np.float64(f.measure).tobytes() == np.float64(g.measure).tobytes()
-                    assert f.centroid.tobytes() == g.centroid.tobytes()
-                    assert f.normal_vector.tobytes() == g.normal_vector.tobytes()
-                for a in p._section.facets():
-                    with pytest.raises(ValueError):
-                        a[0] = 0
-
 
 class TestSectionHull:
     """The one slot that build_section and section_volume_fast share: it
