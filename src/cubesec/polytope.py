@@ -25,11 +25,15 @@ once, and reads each quantity only when asked.  Its hull is in the plane
 the scan, which gives the cone table with the vertices, one triangle per
 section edge; for k >= 3 Qhull's hull and the index plan of its flag sum,
 read off the triangulation alone (:func:`_hull_plan`).  The plan fixes the
-corner order once: at k > 3 it sorts the corners of each simplex, and the
-face keys (:func:`_face_slots`) read them in that order, with no sort of
-their own.  Every volume and every facet is read from the cone table of
-one such hull, but at a box frame (below): row p holds the cone from the
-origin over the facet of the point p, its volume and first moment.  For
+corner order once: at k > 3 it sorts the corners of each simplex, and it
+names the faces level by level on the corners in that order, with no sort
+of their own: a point by itself, and a face G of two or more points by
+the name of G minus its largest point times the count of points, plus
+that point.  A name is below the count of faces one level down times the
+count of points, so it fits ``np.intp`` for any hull that fits in memory.
+Every volume and every facet is read from the cone table of one such
+hull, but at a box frame (below): row p holds the cone from the origin
+over the facet of the point p, its volume and first moment.  For
 k >= 3 :func:`_flag_sum` sums it over the flags of Qhull's triangulation,
 one determinant per ridge and corner, from the plan, the points and the
 polar vertices.  The volume is the sum of the table's volume column, in
@@ -110,7 +114,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import atan2, comb, factorial
+from math import atan2, factorial
 from typing import NamedTuple
 
 import numpy as np
@@ -595,6 +599,8 @@ class _FlagPlan(NamedTuple):
 
     - ``subsets[s - 1]``: the s-subsets of a simplex's k corner positions,
       s = 1..k-2, the faces whose apexes the chains use.
+    - ``parents[s - 2]``, s = 2..k-2: for each row of ``subsets[s - 1]``,
+      the row of ``subsets[s - 2]`` with the same positions but the last.
     - ``wedges[s - 1]``: (index, coordinate, sign) of the wedge a ^ x of an
       s-vector a with a vector x, s = 1..k-1 (:func:`_wedge_first`).
     - ``hodge``: (index, sign) pairing a (k-2)-vector with a 2-vector into
@@ -611,6 +617,7 @@ class _FlagPlan(NamedTuple):
     """
 
     subsets: tuple
+    parents: tuple
     wedges: tuple
     hodge: tuple
     ridge_rows: np.ndarray
@@ -654,6 +661,7 @@ def _flag_plan(k: int) -> _FlagPlan:
     ridges = [[peel(p, rows, index) for p in rows] for rows in ridge_rows]
     plan = _FlagPlan(
         subsets=tuple(np.array(s, dtype=np.intp) for s in subsets),
+        parents=tuple(np.array([name[s - 1][t[:-1]] for t in coords[s]]) for s in range(2, k - 1)),
         wedges=wedges,
         hodge=hodge,
         ridge_rows=np.array(ridge_rows, dtype=np.intp),
@@ -661,8 +669,8 @@ def _flag_plan(k: int) -> _FlagPlan:
         ridge_prev=np.array([[i for i, _ in r] for r in ridges], dtype=np.intp),
         ridge_eps=np.array([[e for _, e in r] for r in ridges]),
     )
-    tables = (*plan.subsets, *itertools.chain(*plan.wedges), *plan.hodge, plan.ridge_rows,
-              *itertools.chain(*plan.steps), plan.ridge_prev, plan.ridge_eps)
+    tables = (*plan.subsets, *plan.parents, *itertools.chain(*plan.wedges), *plan.hodge,
+              plan.ridge_rows, *itertools.chain(*plan.steps), plan.ridge_prev, plan.ridge_eps)
     for a in tables:
         a.setflags(write=False)
     return plan
@@ -680,38 +688,6 @@ def _wedge_first(table, a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (sign @ terms.reshape(len(sign), -1)).reshape(terms.shape[1:])
 
 
-def _face_slots(simplices: np.ndarray, sub: np.ndarray, points: int):
-    """(key, slot) for the corner subsets ``sub`` (an entry of a plan's
-    ``subsets``): key[f, g] names the point set G of subset g of simplex f,
-    and slot[key] is the highest f * len(sub) + g with that set, -1 for a
-    set no simplex holds; its f is the highest simplex that holds G, the
-    same wherever G occurs.  The points are numbered below ``points``.
-
-    Each subset of two or more corners must list ascending points: every
-    row of ``sub`` is ascending, so the corners of each simplex must be
-    sorted, as :func:`_hull_plan` sorts them at k > 3.  A subset of one
-    corner, the only kind at k = 3, is its own key.
-    """
-    # a set is named by its rank among the sets of its size, the sum of
-    # C(c_i, i + 1) over its sorted corners c_0 < c_1 < ..., so a set of
-    # one corner by that corner
-    key = simplices
-    if sub.shape[1] > 1:
-        corners = simplices.take(sub.T, axis=1).swapaxes(0, 1)  # c_i of (f, g) at [i, f, g]
-        key = corners[0]
-        for i in range(1, sub.shape[1]):
-            c = corners[i]
-            term = c
-            for t in range(1, i + 1):
-                term = term * (c - t)
-            key = key + term // factorial(i + 1)
-    # a plain fancy-index assignment would keep whichever write numpy
-    # makes last, in an order that follows the memory layout of ``key``
-    slot = np.full(comb(points, sub.shape[1]), -1)
-    np.maximum.at(slot, key, np.arange(key.size).reshape(key.shape))
-    return key, slot
-
-
 class _HullPlan(NamedTuple):
     """Index tables of the flag sum over one triangulation in R^k, k >= 3
     (:func:`_hull_plan`): everything :func:`_flag_sum` reads of the hull
@@ -722,15 +698,19 @@ class _HullPlan(NamedTuple):
     - ``owner``: (k - 1, ridges), the points of each ridge's corners, in
       the order of the plan's ``ridge_rows``.
     - ``first``: for each point, the simplex whose polar vertex is its
-      x_p (:func:`_face_slots`); -1 for a point off the hull, which no
-      flag reads.
+      x_p, the highest simplex that holds the point; -1 for a point off
+      the hull, which no flag reads.
     - ``chain`` and ``chain_sign``: for each ridge R and corner p of it,
       the places of the flags (p, R - l) in the stack of the flags of
       size k - 2, and their signs.
     - ``steps``: per face size s = 2..k-2, (holder, gather, sign, lead),
       one entry per flag (p, G) with |G| = s, numbered face by face: the
-      simplex whose polar vertex is x_G, the places of the flags
-      (p, G - l) in the stack of size s - 1, their signs, and the point p.
+      simplex whose polar vertex is x_G, the highest that holds G, the
+      places of the flags (p, G - l) in the stack of size s - 1, their
+      signs, and the point p.  The faces of a size are numbered in the
+      order of their names (:func:`_hull_plan`).
+
+    Every index array is ``np.intp``.
     """
 
     simplex: np.ndarray
@@ -749,8 +729,17 @@ def _hull_plan(simplices: np.ndarray, neighbors: np.ndarray, points: int) -> _Hu
 
     At k > 3 the corners of every simplex are sorted first, so that every
     simplex that holds a face lists it alike.  That sort is the plan's
-    only one: :func:`_face_slots` keys the sorted corners as they stand,
-    and at k = 3 it keys single corners, which need no order.  The tables
+    only one.  The faces are then named level by level, on the corners as
+    they stand: a point by itself, and a face G of s >= 2 points by
+    name(G - max(G)) * ``points`` + max(G), where G - max(G) is the face
+    of size s - 1 that the plan's ``parents`` table finds in the same
+    simplex, named at the level below.  A name is thus below (faces of
+    size s - 1) * ``points``, which bounds each level's slot table and
+    fits ``np.intp`` for any hull that fits in memory; the simplices and
+    neighbors, Qhull's ``int32``, are cast to ``np.intp`` before any
+    arithmetic.  Each face is held by the highest simplex that holds it,
+    and the faces of a size are numbered in the order of their names.  At
+    k = 3 only the points are named, and they need no order.  The tables
     serve any points with this triangulation and any polar vertices, so
     one hull's plan serves both section routes, on Qhull's vertices and
     on the solved ones (:meth:`_Section.hull`); see :func:`_flag_sum` for
@@ -759,20 +748,29 @@ def _hull_plan(simplices: np.ndarray, neighbors: np.ndarray, points: int) -> _Hu
     k = simplices.shape[1]
     plan = _flag_plan(k)
     F = len(simplices)
+    simplices, neighbors = simplices.astype(np.intp), neighbors.astype(np.intp)
     if k > 3:
         order = simplices.argsort(axis=1) + np.arange(0, F * k, k)[:, None]
         simplices, neighbors = simplices.take(order), neighbors.take(order)
     ridge = (neighbors.T > np.arange(F)).ravel().nonzero()[0]  # j * F + f, each ridge once
     f, j = ridge % F, ridge // F
     owner = simplices.take(f * k + plan.ridge_rows.T.take(j, axis=1))  # (k - 1, ridges)
-    first = _face_slots(simplices, plan.subsets[0], points)[1] // k
+    # a plain fancy-index assignment would keep whichever write numpy
+    # makes last, in an order that follows the memory layout of the keys
+    first = np.full(points, -1)
+    np.maximum.at(first, simplices, np.arange(F * k).reshape(F, k))
+    first //= k
 
-    # the faces of size s, each once, at its highest slot; the flags
-    # (p, G) numbered face by face, the faces of size 1 the points
+    # the faces of size s, each once, at its highest slot: G is keyed by
+    # the face G - max(G) and the point max(G); the flags (p, G) numbered
+    # face by face, the faces of size 1 the points
     steps = []
     face = simplices  # the face of each corner subset of each simplex
-    for s, (sub, (prev, eps, lead)) in enumerate(zip(plan.subsets[1:], plan.steps), start=2):
-        key, slot = _face_slots(simplices, sub, points)
+    for s, (sub, parent, (prev, eps, lead)) in enumerate(
+            zip(plan.subsets[1:], plan.parents, plan.steps), start=2):
+        key = face.take(parent, axis=1) * points + simplices.take(sub[:, -1], axis=1)
+        slot = np.full((face.max() + 1) * points, -1)
+        np.maximum.at(slot, key, np.arange(key.size).reshape(key.shape))
         held = slot >= 0
         at, g = np.divmod(slot[held], len(sub))
         q = (g[:, None] * s + np.arange(s)).ravel()  # its flags in the simplex ``at``
@@ -808,7 +806,7 @@ def _flag_sum(P: np.ndarray, Y: np.ndarray, tables: _HullPlan, moments: bool = T
     simplex f, an ordering tau of its corners, thus contributes the signed
     simplex (0, x_{tau_0}, x_{tau_0 tau_1}, ..., Y_f), with x_G a point of
     the face of Q dual to G: the polar vertex of one simplex that holds G,
-    the same one wherever G occurs (:func:`_face_slots`).  Any point of
+    the same one wherever G occurs (:func:`_hull_plan`).  Any point of
     that face's affine hull would do; one on the face keeps every cone as
     small as its face.  The flags of the two simplices f, g across a ridge R
     share every vertex but the last two, and because x_R, Y_f and Y_g lie
@@ -850,8 +848,8 @@ def _flag_sum(P: np.ndarray, Y: np.ndarray, tables: _HullPlan, moments: bool = T
 
     x_G is the same wherever G occurs, so A_p(G) is a function of the face
     G and p: with the corners of every simplex in ascending order, it is
-    computed once per face, at the slot that names its holder
-    (:func:`_face_slots`).  The arrays hold components first and the stack
+    computed once per face, in the simplex that holds it, the highest
+    (:func:`_hull_plan`).  The arrays hold components first and the stack
     last (:func:`_wedge_first`), so each numpy call works on whole rows: a
     call handles one row per simplex, and at small n the count of calls,
     not the arithmetic, sets the time.

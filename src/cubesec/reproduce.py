@@ -480,6 +480,15 @@ def criterion_planar_claims(ctx: BatteryContext) -> CriterionResult:
         f"{'ok' if fb_ok else 'FAIL'}"
     )
 
+    # the n = 7 cap, exactly, where the floats g(3) and h(7) round alike:
+    # g(3)^2 = 9 tan^2(pi/6) = 3 = h(7)^2 = 16 * 3 * 4 / 8^2, so f = 3 meets
+    # g(f) >= h(7) with equality; g(4)^2 = 16 (3 - 2 sqrt 2) < 3, as
+    # 45 < 32 sqrt 2, that is 45^2 < 32^2 * 2
+    cap7_ok = Fraction(9, 3) == Fraction(16 * 3 * 4, 8**2) and 45**2 < 32**2 * 2
+    ok &= cap7_ok
+    details.append(f"n=7 cap exactly: g(3)^2 = 3 = h(7)^2 = 16*3*4/64; g(4) < h(7) as 16(3 - 2 "
+                   f"sqrt 2) < 3, {45**2} < {32**2 * 2}: {'ok' if cap7_ok else 'FAIL'}")
+
     # seven-dimensional regular-hexagon candidate is strictly suboptimal
     r2 = 14 / 3
     hexagon = PlanarAngles(f=3, phi=[math.pi / 6] * 3, r=math.sqrt(r2))

@@ -10,6 +10,10 @@
   moment gives the facet's centroid.  On random
   frames it costs about 0.015 s per frame at (n, k) = (7, 3), 0.08 s at
   (7, 4), 0.6 s at (12, 4) (mostly the solves) and 0.65 s at (7, 5).
+- :func:`exact_hyperplane_volume_squared`, in integers: the squared
+  volume of a codimension-one section (n vectors of R^(n-1)) from the box
+  spline of the cube's hyperplane section, with no hull; about 0.2 ms per
+  frame at (4, 3) and 5 ms at (9, 8).
 - :func:`halfspace_vertices`, in floats: the same enumeration with a
   feasibility slack, near-singular subsets skipped, and a plain dedup.
 - :func:`reference_facets`, in floats: the facet records of a section
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 import numpy as np
 
@@ -37,7 +41,6 @@ from cubesec.polytope import (
     EPS_GEOM,
     FacetRecord,
     _coincident_row_groups,
-    _face_slots,
     _flag_plan,
     _interval,
     _planar_hull,
@@ -194,6 +197,46 @@ def exact_volume(W, c=None) -> Fraction:
     return sum(exact_cone_volumes(W, c)[0].values())
 
 
+def exact_hyperplane_volume_squared(V) -> Fraction:
+    """The squared volume of {x : |V x| <= 1} for n vectors V of R^(n-1)
+    of rank n - 1, exactly, by a formula that shares nothing with a hull.
+
+    V maps that body onto the hyperplane section Q n a^perp of the cube
+    Q = [-1, 1]^n, a^perp the span of V, and scales volumes by
+    sqrt(det V^T V).  The floats of V are dyadic, so 2^e V is an integer
+    matrix M, and the signed maximal minors of M (exact integer
+    eliminations) are a vector a with V^T a = 0, taken here without their
+    common divisor.  The density at 0 of sum a_i xi_i, for xi_i uniform on
+    [-1, 1], is a box spline; over the m nonzero entries of a,
+
+        vol_(n-1)(Q n a^perp)^2 = |a|^2 S^2 / ((m - 1)!^2 prod a_i^2) 4^(n - m),
+        S = sum over eps in {+-1}^m of (prod eps_i) (sum eps_i |a_i|)_+^(m - 1),
+
+    all in integers, and that over det V^T V is the body's.  This is the
+    volume of the frame's own body, not of the span of its tight
+    normalisation: a tightness error of V moves it.
+    """
+    V = [[Fraction(float(x)) for x in row] for row in np.asarray(V, dtype=float)]
+    n, k = len(V), len(V[0])
+    assert k == n - 1
+    scale = max(x.denominator for row in V for x in row)
+    M = [[int(x * scale) for x in row] for row in V]
+    a = [(-1) ** i * _det(M[:i] + M[i + 1:]) for i in range(n)]
+    divisor = gcd(*a)
+    a = [x // divisor for x in a]
+    size = [abs(x) for x in a if x]
+    m = len(size)
+    S = 0
+    for eps in itertools.product((1, -1), repeat=m):
+        t = sum(e * x for e, x in zip(eps, size))
+        if t > 0:
+            S += prod(eps) * t ** (m - 1)
+    section = Fraction(sum(x * x for x in a) * S * S * 4 ** (n - m),
+                       factorial(m - 1) ** 2 * prod(x * x for x in size))
+    gram = _det([[sum(r[i] * r[j] for r in M) for j in range(k)] for i in range(k)])
+    return section * Fraction(scale ** (2 * k), gram)
+
+
 def reference_dedup(points, eps):
     """First occurrences of rounded rows, then union of points within 2 eps."""
     decimals = max(0, int(round(-np.log10(eps))))
@@ -264,17 +307,18 @@ def _weighted_sum(a, weights):
     return (a.reshape(-1, a.shape[-1]) @ weights).reshape(a.shape[:-1])
 
 
-def _face_holders(simplices, subsets, points):
+def _face_holders(simplices, subsets):
     """The highest-numbered simplex that holds each listed corner subset G
-    of each simplex (``_face_slots``): an (F, len(sub)) array per entry
-    ``sub`` of ``subsets``.  ``_face_slots`` keys ascending corners, so
-    each subset is keyed here as its own row, its corners sorted: the
-    simplices may list their corners in any order, as Qhull's do."""
+    of each simplex: an (F, len(sub)) array per entry ``sub`` of
+    ``subsets``.  Each face is keyed by its sorted points in a dict that
+    each simplex, in ascending order, writes over, so the highest wins;
+    the simplices may list their corners in any order, as Qhull's do."""
+    rows = np.asarray(simplices).tolist()
     holders = []
     for sub in subsets:
-        faces = np.sort(simplices[:, sub], axis=2).reshape(-1, sub.shape[1])
-        key, slot = _face_slots(faces, np.arange(sub.shape[1])[None], points)
-        holders.append((slot // len(sub)).take(key).reshape(len(simplices), len(sub)))
+        faces = [[tuple(sorted(corners[i] for i in g)) for g in sub.tolist()] for corners in rows]
+        holder = {G: f for f, row in enumerate(faces) for G in row}
+        holders.append(np.array([[holder[G] for G in row] for row in faces]))
     return holders
 
 
@@ -295,7 +339,7 @@ def stacked_flag_cones(P, simplices, neighbors, Y):
         top = _wedge(plan.wedges[i - 1], top, ridge[:, i])
     edge = Yf - Yg
     sigma = np.sign(_wedge(plan.wedges[k - 2], top, edge)[:, 0])
-    apex = Y[np.concatenate(_face_holders(simplices, plan.subsets, len(P)), axis=1)]
+    apex = Y[np.concatenate(_face_holders(simplices, plan.subsets), axis=1)]
     a = apex[:, :k]
     b = a[..., :, None] * a[..., None, :]
     for s, ((prev, eps, lead), table) in enumerate(zip(plan.steps, plan.wedges), start=2):

@@ -19,7 +19,6 @@ from cubesec.frame_core import (
 from cubesec.polytope import (
     EPS_GEOM,
     _coincident_row_groups,
-    _face_slots,
     _flag_plan,
     _flag_sum,
     _hull_plan,
@@ -42,6 +41,7 @@ from oracles import (
     _face_holders,
     exact_cone_volumes,
     exact_facets,
+    exact_hyperplane_volume_squared,
     exact_volume,
     halfspace_vertices,
     reference_clusters,
@@ -640,6 +640,48 @@ class TestExactVolume:
         ]
         for vectors in frames:
             assert max(exact_errors(Frame(vectors))) <= 1e-13
+
+
+class TestHyperplaneOracle:
+    """The codimension-one cells (n, n - 1) against the exact box-spline
+    volume (``exact_hyperplane_volume_squared``).  Every test pins the
+    volume of the frame's own body {x : |V x| <= 1}, with V's floats as
+    they are, not the volume of the span of V: ``random_tight_frame``
+    accepts tightness errors up to about 1e-12, and the box frames'
+    1 / sqrt(d) are rounded."""
+
+    def test_fast_volume(self):
+        # random, near-parallel (noise 5e-8) and near-box (noise 0.01)
+        # frames: the fast volume within 1e-15 of the exact one, relative
+        # (|fast^2 - exact| <= 2e-15 exact); at most 5.8e-16 on these frames
+        rng = np.random.default_rng(71)
+        for n in range(4, 10):
+            for _ in range(3 if n < 9 else 1):
+                for s in (random_tight_frame(n, n - 1, rng), near_parallel_frame(n, n - 1, rng),
+                          near_parallel_frame(n, n - 1, rng, noise=0.01)):
+                    exact = exact_hyperplane_volume_squared(s.vectors)
+                    fast = Fraction(section_volume_fast(s.vectors))
+                    assert abs(fast ** 2 - exact) <= 2e-15 * exact
+
+    def test_exact_volume(self):
+        # two exact routes that share no code: the box spline and the
+        # facet enumeration, equal as Fractions
+        rng = np.random.default_rng(72)
+        for n in (4, 5):
+            for s in (random_tight_frame(n, n - 1, rng), near_parallel_frame(n, n - 1, rng)):
+                assert exact_hyperplane_volume_squared(s.vectors) == exact_volume(
+                    section_rows(s.vectors)) ** 2
+
+    def test_ball_box(self):
+        # the box 2+1+...+1, with random signs, spans the hyperplane of
+        # Ball's maximal section, whose squared volume is 2^(2(n-1)) * 2;
+        # its body's is that over det V^T V, which its rounded
+        # 1 / sqrt 2 moves off 1.  V^T V is diagonal, one column per line
+        rng = np.random.default_rng(73)
+        for n in range(3, 12):
+            V = signed_box_frame(n, n - 1, rng).vectors
+            gram = math.prod(sum(Fraction(x) ** 2 for x in column) for column in V.T.tolist())
+            assert exact_hyperplane_volume_squared(V) * gram == 2 ** (2 * (n - 1)) * 2
 
 
 class TestFacetAssembly:
@@ -1265,31 +1307,76 @@ class TestVolumeDigest:
         assert 0 <= float(worst) <= 1e-15
 
 
+def plan_holders(plan):
+    """The holder of each face of a plan (:func:`_hull_plan`), level by
+    level, in dicts keyed by the face's sorted points: the points from
+    ``first``, and the faces of size s from each step, whose s flags
+    (p, G) of a face follow one another, with p running over G."""
+    levels = [{(p,): f for p, f in enumerate(plan.first.tolist()) if f >= 0}]
+    for s, (at, _, _, lead) in enumerate(plan.steps, start=2):
+        faces = [tuple(sorted(lead[i:i + s].tolist())) for i in range(0, len(lead), s)]
+        assert all(len(set(G)) == s for G in faces)
+        levels.append(dict(zip(faces, at[::s].tolist())))
+        assert len(levels[-1]) == len(faces)  # each face once
+    return levels
+
+
+def oracle_holders(simplices, subsets):
+    """The oracle's holder of each face (``_face_holders``), in dicts
+    keyed as :func:`plan_holders`' are."""
+    return [{tuple(sorted(simplices[f, sub[g]].tolist())): h for (f, g), h in np.ndenumerate(held)}
+            for sub, held in zip(subsets, _face_holders(simplices, subsets))]
+
+
 class TestFaceHolders:
     def test_holders_do_not_depend_on_memory_layout(self):
-        # the same sorted simplices (as _hull_plan hands them over at k > 3)
-        # in C order, in Fortran order and as a view with negative strides
-        # must give _face_slots the same keys and slots, so the same holder
-        # of every face; the holders of Qhull's own simplices hold their faces
+        # Qhull's simplices and neighbors in C order, in Fortran order and
+        # as views with negative strides give the same plan, array by
+        # array; every face of Qhull's triangulation is named once, each
+        # level's holders are the oracle's, the highest simplex that holds
+        # the face, and every index array of the plan is np.intp
         rng = np.random.default_rng(38)
         for k in (3, 4, 5, 6):
             plan = _flag_plan(k)
             for _ in range(5):
                 v = random_tight_frame(int(rng.integers(k + 1, k + 4)), k, rng).vectors
                 P = np.vstack([v, -v])
-                simplices = np.ascontiguousarray(ConvexHull(P).simplices)
-                ordered = np.sort(simplices, axis=1)
-                layouts = (ordered, np.asfortranarray(ordered),
-                           np.ascontiguousarray(ordered[::-1])[::-1])
-                for sub in plan.subsets:
-                    (key, slot), *others = [_face_slots(s, sub, len(P)) for s in layouts]
-                    for other_key, other_slot in others:
-                        np.testing.assert_array_equal(other_key, key)
-                        np.testing.assert_array_equal(other_slot, slot)
-                holders = _face_holders(simplices, plan.subsets, len(P))
-                for sub, holder in zip(plan.subsets, holders):
-                    for f, g in itertools.product(range(len(simplices)), range(len(sub))):
-                        assert set(simplices[f, sub[g]]) <= set(simplices[holder[f, g]])
+                hull = ConvexHull(P)
+                layouts = [(np.ascontiguousarray(a), np.asfortranarray(a),
+                            np.ascontiguousarray(a[::-1])[::-1])
+                           for a in (hull.simplices, hull.neighbors)]
+                plans = [_hull_plan(simplices, neighbors, len(P))
+                         for simplices, neighbors in zip(*layouts)]
+                tables = [[*p[:-1], *itertools.chain(*p.steps)] for p in plans]
+                for other in tables[1:]:
+                    for a, b in zip(tables[0], other):
+                        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+                self.assert_index_arrays_are_intp(plans[0])
+                assert plan_holders(plans[0]) == oracle_holders(hull.simplices, plan.subsets)
+
+    @staticmethod
+    def assert_index_arrays_are_intp(plan):
+        index = [plan.simplex, plan.neighbor, plan.owner, plan.first, plan.chain]
+        index += [a for at, gather, _, lead in plan.steps for a in (at, gather, lead)]
+        assert all(a.dtype == np.intp for a in index)
+
+    def test_names_fit_past_int32(self):
+        # a near-box (11, 10) frame, whose faces of eight points Qhull's
+        # int32 could not tell apart by their combinatorial ranks, which
+        # pass 2^31 there: the plan names the 23,188 distinct 8-faces of
+        # the 2108 simplices, each once, at the oracle's holder, which
+        # holds it.  The plan alone; the sum would take seconds and GBs
+        v = extremal_frame(11, 10).vectors
+        v = whiten(Frame(v + 0.01 * np.random.default_rng(1).standard_normal(v.shape)))[1].vectors
+        P = np.vstack([v, -v])
+        hull = ConvexHull(P)
+        assert len(hull.simplices) == 2108
+        plan = _hull_plan(hull.simplices, hull.neighbors, len(P))
+        top = plan_holders(plan)[-1]
+        assert len(top) == len(plan.steps[-1][0]) // 8 == 23188
+        assert top == oracle_holders(hull.simplices, _flag_plan(10).subsets[-1:])[0]
+        assert all(set(G) <= set(hull.simplices[f].tolist()) for G, f in top.items())
+        self.assert_index_arrays_are_intp(plan)
 
 
 def groups_of(label):

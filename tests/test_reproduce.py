@@ -9,6 +9,7 @@ from cubesec.reproduce import (
     CRITERIA,
     BatteryContext,
     CriterionResult,
+    criterion_planar_claims,
     criterion_planar_optimum,
     run_battery,
 )
@@ -80,3 +81,14 @@ def test_optimizer_seconds_per_criterion(monkeypatch):
     assert [r.optimizer_s for r in results] == [2.5, 1.0]
     assert [r.to_dict()["optimizer_s"] for r in results] == [2.5, 1.0]
     assert not results[1].passed
+
+
+def test_planar_claims_decide_the_n7_cap_exactly():
+    # the float cap at n = 7 is 3 only because g(3) and h(7) round alike;
+    # the exact line decides it, next to the float checks
+    result = criterion_planar_claims(BatteryContext())
+    assert result.passed
+    exact = [line for line in result.details if line.startswith("n=7 cap exactly:")]
+    assert exact == ["n=7 cap exactly: g(3)^2 = 3 = h(7)^2 = 16*3*4/64; g(4) < h(7) as "
+                     "16(3 - 2 sqrt 2) < 3, 2025 < 2048: ok"]
+    assert any(line.startswith("facet-pair caps:") for line in result.details)
